@@ -19,7 +19,7 @@ from .cyclicity import (Verdict, VerdictItem, gradient, independence_rank,
                         not_identity_probe, verdict)
 from .errors import (DegeneracyError, ExpressionError, ModelError, NumericError,
                      OutOfBasinError, PoleError, PolycycleError,
-                     UnsupportedGeometryError)
+                     UnsupportedGeometryError, UsageError)
 from .expressions import BivariatePolynomial, instantiate, parse_expression
 from .flow import (CycleCount, CycleRecord, FitReport, LineSection, Trajectory,
                    count_limit_cycles, field_callable, fit_expansion, integrate,
@@ -46,5 +46,6 @@ __all__ = [
     "ModelFile", "Model", "parse_model", "load_model", "bind",
     "analyze", "oracle_dulac", "oracle_return", "oracle_cycles", "scan",
     "PolycycleError", "ExpressionError", "ModelError", "DegeneracyError",
-    "UnsupportedGeometryError", "NumericError", "PoleError", "OutOfBasinError",
+    "UnsupportedGeometryError", "UsageError", "NumericError", "PoleError",
+    "OutOfBasinError",
 ]

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import DegeneracyError, UnsupportedGeometryError
-from .saddle import AT_ONE_BAND, DulacExpansion, classify_ratio
+from .saddle import DulacExpansion, classify_ratio
 
 EXPONENT_TIE_REL = 1e-15   # bit-equal collision threshold (resonant sum)
 EXPONENT_DEAD_BAND = 1e-9  # near-collision threshold (compensator form)
@@ -56,20 +56,6 @@ class CompensatorTerm:
         return self.coefficient(s) * s**self.exponent
 
 
-def second_term(d: DulacExpansion, s: float) -> float:
-    """Value of the second-order term inside the bracket of d at s."""
-    if d.comp is not None:
-        return d.comp.value(s)
-    if d.next_coeff is None:
-        return 0.0
-    return d.next_coeff * s**d.next_exponent
-
-
-def evaluate_expansion(d: DulacExpansion, s: float) -> float:
-    """Two-term prediction s^ratio * (leading + second term)."""
-    return s**d.ratio * (d.leading + second_term(d, s))
-
-
 # ---------------------------------------------------------------------------
 # Iterated products over a corner chain (1-based corner indices)
 
@@ -94,18 +80,6 @@ def a_product(lams: Sequence[float], d00s: Sequence[float], j: int, k: int) -> f
     return out
 
 
-def b_product(lams: Sequence[float], d00s: Sequence[float], d10s: Sequence[float],
-              j: int, k: int) -> float:
-    """Second coefficient (at offset 1) contributed by corner j of the chain."""
-    return lambda_product(lams, j, k) * (d10s[j - 1] / d00s[j - 1]) * a_product(lams, d00s, j, k)
-
-
-def c_product(lams: Sequence[float], d00s: Sequence[float], d01s: Sequence[float],
-              j: int, k: int) -> float:
-    """Second coefficient (at offset Lam_{j-1,k}) contributed by corner k."""
-    return a_product(lams, d00s, j, k - 1) ** (2.0 * lams[k - 1]) * d01s[k - 1]
-
-
 def a_star(lams: Sequence[float], d00s: Sequence[float], j: int, k: int) -> float:
     """Leading coefficient of the inverse chain (D_k o ... o D_j)^(-1)."""
     if not 1 <= j <= k + 1 or k > len(lams):
@@ -114,13 +88,6 @@ def a_star(lams: Sequence[float], d00s: Sequence[float], j: int, k: int) -> floa
     for l in range(j, k + 1):
         out *= d00s[l - 1] ** (-1.0 / lambda_product(lams, j - 1, l))
     return out
-
-
-def b_star(lams: Sequence[float], d00s: Sequence[float], d01s: Sequence[float],
-           j: int, k: int) -> float:
-    """Second coefficient of the inverse chain, from corner k's own second term."""
-    lam_jk = lambda_product(lams, j - 1, k)
-    return -(1.0 / lam_jk) * (d01s[k - 1] / d00s[k - 1] ** 2) * a_star(lams, d00s, j, k)
 
 
 # ---------------------------------------------------------------------------

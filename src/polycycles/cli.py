@@ -13,14 +13,11 @@ import argparse
 import sys
 from typing import Sequence
 
-import numpy as np
-
 from . import __version__
 from .composecheck import run_compose_check
-from .errors import ModelError, NumericError, PolycycleError
-from .model import load_model
-from .pipeline import (DEFAULTS, analyze, default_fit_grid, oracle_cycles,
-                       oracle_dulac, oracle_return, scan)
+from .errors import ModelError, NumericError, PolycycleError, UsageError
+from .model import OPTION_DEFAULTS, load_model
+from .pipeline import analyze, oracle_cycles, oracle_dulac, oracle_return, scan
 from .resultdoc import dumps, render_csv
 
 __all__ = ["main"]
@@ -30,11 +27,9 @@ EXIT_USAGE = 2
 EXIT_MODEL = 3
 EXIT_NUMERIC = 4
 
-MAX_GRID_POINTS = 10**6
-
-
-class UsageError(Exception):
-    """Bad command line input, distinct from a bad model file."""
+# Only the syntax of the arguments is checked here; whether a name is
+# declared, a grid is within bounds or a range is nonempty is checked once,
+# by the pipeline and the model, which raise UsageError.
 
 
 def _pairs(items: Sequence[str] | None, flag: str) -> dict[str, str]:
@@ -50,9 +45,6 @@ def _pairs(items: Sequence[str] | None, flag: str) -> dict[str, str]:
 def _tols(items: Sequence[str] | None) -> dict[str, float]:
     out = {}
     for name, value in _pairs(items, "--tol").items():
-        if name not in DEFAULTS:
-            raise UsageError(f"unknown tolerance {name!r} "
-                             f"(known: {', '.join(sorted(DEFAULTS))})")
         try:
             out[name] = float(value)
         except ValueError as exc:
@@ -60,53 +52,25 @@ def _tols(items: Sequence[str] | None) -> dict[str, float]:
     return out
 
 
-def _overrides(mf, items: Sequence[str] | None) -> dict[str, str]:
-    sets = _pairs(items, "--set")
-    declared = set(mf.param_names)
-    for name in sets:
-        if name not in declared:
-            raise UsageError(f"--set {name}: not a declared parameter "
-                             f"(declared: {', '.join(mf.param_names) or 'none'})")
-    return sets
-
-
 def _s_range(text: str | None) -> tuple[float, float] | None:
     if text is None:
         return None
-    lo_s, sep, hi_s = text.partition(":")
     try:
-        lo, hi = float(lo_s), float(hi_s)
+        lo, hi = text.split(":")
+        return float(lo), float(hi)
     except ValueError as exc:
         raise UsageError(f"--s-range expects LO:HI, got {text!r}") from exc
-    if not sep or not (0.0 < lo < hi):
-        raise UsageError(f"--s-range {text!r} is empty; need 0 < LO < HI")
-    return lo, hi
 
 
-def _grid(items: Sequence[str] | None, mf) -> dict[str, tuple[float, float, int]]:
-    if not items:
-        raise UsageError("scan requires at least one --grid name=start:stop:count")
-    declared = set(mf.param_names)
+def _grid(items: Sequence[str] | None) -> dict[str, tuple[float, float, int]]:
     out: dict[str, tuple[float, float, int]] = {}
-    total = 1
-    for item in items:
-        name, sep, rest = item.partition("=")
-        parts = rest.split(":")
-        if not sep or len(parts) != 3:
-            raise UsageError(f"--grid expects name=start:stop:count, got {item!r}")
-        name = name.strip()
-        if name not in declared:
-            raise UsageError(f"--grid {name}: not a declared parameter")
+    for name, axis in _pairs(items, "--grid").items():
         try:
-            start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
+            start, stop, count = axis.split(":")
+            out[name] = (float(start), float(stop), int(count))
         except ValueError as exc:
-            raise UsageError(f"--grid {item!r}: unreadable axis") from exc
-        if count < 1:
-            raise UsageError(f"--grid {name}: count must be >= 1")
-        out[name] = (start, stop, count)
-        total *= count
-    if total > MAX_GRID_POINTS:
-        raise UsageError(f"grid has {total} points; the limit is {MAX_GRID_POINTS}")
+            raise UsageError(f"--grid expects NAME=START:STOP:COUNT, "
+                             f"got {name}={axis}") from exc
     return out
 
 
@@ -125,24 +89,28 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, model: bool) -> None:
+    def common(p: argparse.ArgumentParser, model: bool, tol: bool = False) -> None:
         if model:
             p.add_argument("--model", required=True, help="model file path")
             p.add_argument("--set", action="append", metavar="NAME=VALUE",
                            help="override a parameter (repeatable)")
+        if tol:
+            p.add_argument("--tol", action="append", metavar="NAME=VALUE",
+                           help="override a model option for this run (repeatable); "
+                                f"NAME is one of {', '.join(OPTION_DEFAULTS)}")
         p.add_argument("--out", help="write the result document here instead of stdout")
-        p.add_argument("--tol", action="append", metavar="NAME=VALUE",
-                       help="override a numeric tolerance (repeatable)")
 
     p = sub.add_parser("analyze", help="closed-form pipeline: expansions and verdict")
-    common(p, model=True)
+    common(p, model=True, tol=True)
 
     p = sub.add_parser("oracle", help="numeric integration cross-checks")
-    common(p, model=True)
+    common(p, model=True, tol=True)
     p.add_argument("--what", required=True, choices=("dulac", "return", "cycles"))
     p.add_argument("--corner", type=int, help="1-based corner index (dulac only)")
     p.add_argument("--s-range", dest="s_range", metavar="LO:HI",
-                   help="section-parameter range; default is the standard fit grid")
+                   help="section-parameter range; dulac and return sample fit_points "
+                        "values geometric over it (default: the halving grid), "
+                        "cycles scans it (default 1e-6:1e-1)")
 
     p = sub.add_parser("compose-check",
                        help="cross-validate composition rules against the "
@@ -164,30 +132,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_analyze(args) -> int:
     mf = load_model(args.model)
-    doc = analyze(mf, _overrides(mf, args.set), _tols(args.tol))
+    doc = analyze(mf, _pairs(args.set, "--set"), _tols(args.tol))
     _emit(dumps(doc), args.out)
     return EXIT_OK
 
 
 def _cmd_oracle(args) -> int:
     mf = load_model(args.model)
-    overrides = _overrides(mf, args.set)
+    overrides = _pairs(args.set, "--set")
     tols = _tols(args.tol)
     rng = _s_range(args.s_range)
     if args.what == "dulac":
         if args.corner is None:
             raise UsageError("oracle --what dulac requires --corner")
-        svals = None
-        if rng is not None:
-            points = int(dict(mf.options).get("fit_points", DEFAULTS["fit_points"]))
-            svals = np.geomspace(rng[1], rng[0], points)
-        doc = oracle_dulac(mf, args.corner, svals, overrides, tols)
+        doc = oracle_dulac(mf, args.corner, rng, overrides, tols)
     elif args.what == "return":
-        svals = None
-        if rng is not None:
-            points = int(dict(mf.options).get("fit_points", DEFAULTS["fit_points"]))
-            svals = np.geomspace(rng[1], rng[0], points)
-        doc = oracle_return(mf, svals, overrides, tols)
+        doc = oracle_return(mf, rng, overrides, tols)
     else:
         doc = oracle_cycles(mf, rng or (1e-6, 1e-1), overrides, tols)
     _emit(dumps(doc), args.out)
@@ -220,9 +180,7 @@ def _cmd_compose_check(args) -> int:
 
 def _cmd_scan(args) -> int:
     mf = load_model(args.model)
-    overrides = _overrides(mf, args.set)
-    header, rows = scan(mf, _grid(args.grid, mf), overrides,
-                        max_points=MAX_GRID_POINTS)
+    header, rows = scan(mf, _grid(args.grid), _pairs(args.set, "--set"))
     _emit(render_csv(header, rows), args.out)
     return EXIT_OK
 
@@ -244,7 +202,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return code if isinstance(code, int) else EXIT_USAGE
     try:
         return _COMMANDS[args.command](args)
-    except UsageError as exc:
+    except UsageError as exc:  # before ModelError, its base class
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ModelError as exc:

@@ -17,7 +17,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .calculus import DisplacementExpansion, ReturnExpansion
-from .errors import NumericError
+from .errors import NumericError, PolycycleError
 
 ZERO_TOL = 1e-9
 GRADIENT_STEP = 1e-6
@@ -108,7 +108,7 @@ def not_identity_probe(return_fun: Callable[[float], float], s_values: Sequence[
     for s in s_values:
         try:
             rs = return_fun(float(s))
-        except Exception:
+        except PolycycleError:
             continue
         evaluated += 1
         if abs(rs - s) > 10.0 * tol * max(1.0, abs(s)):

@@ -1,8 +1,9 @@
 """Exception hierarchy.
 
 Model problems (bad files, degenerate or unsupported geometry) are kept
-separate from numeric failures (integration blow-up, rejected fits) so the
-command line tool can map them to distinct exit codes.
+separate from numeric failures (integration blow-up, rejected fits), and
+bad caller input separate from both, so the command line tool can map
+them to distinct exit codes.
 """
 from __future__ import annotations
 
@@ -25,6 +26,13 @@ class ExpressionError(PolycycleError):
 
 class ModelError(PolycycleError):
     """A model file or model definition is invalid."""
+
+
+class UsageError(ModelError):
+    """Caller input names an option, parameter or grid the model does not
+    accept.  A ModelError subclass, so library callers that catch
+    ModelError keep working; the command line maps it to its own exit code.
+    """
 
 
 class DegeneracyError(ModelError):

@@ -10,15 +10,16 @@ section parameters by Richardson-style extrapolation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .errors import NumericError, OutOfBasinError
+from .errors import NumericError, OutOfBasinError, PolycycleError
 from .expressions import BivariatePolynomial
 from .saddle import LocalChart, SectionPair
+from .series import horner
 
 ATOL = 1e-12
 RTOL = 1e-10
@@ -169,7 +170,8 @@ def _polish_onto_line(fun, point: np.ndarray, section: LineSection) -> np.ndarra
 
 def crossing_map(fun, start, section: LineSection, t_max: float = 200.0,
                  match_direction: float | None = None,
-                 pre_step: float = PRE_STEP) -> tuple[float, float]:
+                 pre_step: float = PRE_STEP,
+                 atol: float = ATOL, rtol: float = RTOL) -> tuple[float, float]:
     """First valid crossing of a section line: returns (parameter, time).
 
     The start may lie on the section line; a short event-free phase first
@@ -182,7 +184,7 @@ def crossing_map(fun, start, section: LineSection, t_max: float = 200.0,
     if match_direction is None:
         match_direction = math.copysign(1.0, float(vel0 @ section.normal))
     t_now = 0.0
-    pre = integrate(fun, y, pre_step)
+    pre = integrate(fun, y, pre_step, atol=atol, rtol=rtol)
     y = pre.state_at(pre_step)
     t_now += pre_step
 
@@ -190,7 +192,7 @@ def crossing_map(fun, start, section: LineSection, t_max: float = 200.0,
         if t_now >= t_max:
             break
         traj = integrate(fun, y, t_max - t_now, events=[_line_event(section, match_direction)],
-                         t0=t_now)
+                         t0=t_now, atol=atol, rtol=rtol)
         if traj.status != "event":
             break
         rec = traj.events[-1]
@@ -198,30 +200,24 @@ def crossing_map(fun, start, section: LineSection, t_max: float = 200.0,
         u = section.param(point)
         if section.window[0] <= u <= section.window[1]:
             return u, rec.t
-        nudge = integrate(fun, rec.state, pre_step, t0=rec.t)
+        nudge = integrate(fun, rec.state, pre_step, t0=rec.t, atol=atol, rtol=rtol)
         y = nudge.state_at(rec.t + pre_step)
         t_now = rec.t + pre_step
     raise OutOfBasinError("orbit did not return to the section window "
                           f"within t_max={t_max:g}")
 
 
-def numeric_return(fun, section: LineSection, s: float, t_max: float = 200.0) -> float:
+def numeric_return(fun, section: LineSection, s: float, t_max: float = 200.0,
+                   atol: float = ATOL, rtol: float = RTOL) -> float:
     """Return-map value by integrating one full loop from section parameter s."""
     if not section.window[0] <= s <= section.window[1]:
         raise ValueError(f"start parameter {s!r} outside the section window")
-    u, _ = crossing_map(fun, section.point(s), section, t_max=t_max)
+    u, _ = crossing_map(fun, section.point(s), section, t_max=t_max, atol=atol, rtol=rtol)
     return u
 
 
 # ---------------------------------------------------------------------------
 # Corner transition by integration
-
-
-def _poly_eval(coeffs: np.ndarray, t: float) -> float:
-    acc = 0.0
-    for c in coeffs[::-1]:
-        acc = acc * t + c
-    return float(acc)
 
 
 def _poly_deriv(coeffs: np.ndarray, t: float) -> float:
@@ -232,7 +228,7 @@ def _poly_deriv(coeffs: np.ndarray, t: float) -> float:
 
 
 def numeric_dulac(chart: LocalChart, sections: SectionPair, s: float,
-                  t_max: float = 200.0) -> float:
+                  t_max: float = 200.0, atol: float = ATOL, rtol: float = RTOL) -> float:
     """Corner transition parameter by integrating the normalized local field.
 
     Starts at sigma1(s), detects the crossing of the chord line of sigma2,
@@ -248,7 +244,8 @@ def numeric_dulac(chart: LocalChart, sections: SectionPair, s: float,
                         _poly_deriv(sections.sigma2_y, 0.0)])
     chord = LineSection.make(anchor, tangent, (-np.inf, np.inf))
 
-    traj = integrate(fun, start, t_max, events=[_line_event(chord, 0.0)])
+    traj = integrate(fun, start, t_max, events=[_line_event(chord, 0.0)],
+                     atol=atol, rtol=rtol)
     if traj.status != "event":
         raise OutOfBasinError("orbit left the chart without reaching the exit section")
     rec = traj.events[0]
@@ -257,8 +254,8 @@ def numeric_dulac(chart: LocalChart, sections: SectionPair, s: float,
     u_cur = chord.param(rec.state)
     for _ in range(30):
         pt = traj.state_at(t_cur)
-        sig = np.array([_poly_eval(sections.sigma2_x, u_cur),
-                        _poly_eval(sections.sigma2_y, u_cur)])
+        sig = np.array([horner(sections.sigma2_x, u_cur),
+                        horner(sections.sigma2_y, u_cur)])
         res = pt - sig
         if float(np.linalg.norm(res)) <= CROSS_RESIDUAL * max(1.0, float(np.linalg.norm(pt))):
             return u_cur
@@ -480,7 +477,7 @@ def count_limit_cycles(displacement: Callable[[float], float], s_min: float, s_m
     for i, g in enumerate(grid):
         try:
             vals[i] = displacement(float(g))
-        except Exception as exc:
+        except PolycycleError as exc:
             ok[i] = False
             warnings.append(f"sample s={g:.3e} failed: {exc}")
     grid, vals = grid[ok], vals[ok]

@@ -8,9 +8,13 @@ headers, with `#` comments.  Sections:
                  expressions module, variables x and y)
     [polycycle]  corners = (x,y) (x,y) ...  in traversal order
                  orientation = ccw | cw
-    [sections]   h = 0.5, or base_anchor/base_direction/base_window for
-                 models analyzed only through a raw return section
-    [options]    numeric tolerances and grids
+    [sections]   base_anchor = (x,y), base_direction = (dx,dy) and an
+                 optional base_window = (lo,hi): a raw return section, for
+                 models analyzed without a polycycle.  Corner sections are
+                 not configurable: their half-lengths are half the edges.
+    [options]    name = value for the names in OPTION_DEFAULTS (atol, rtol,
+                 t_max, zero_tol, samples, fit_points); a run may override
+                 them again (`--tol`)
 
 Orientation is declared redundantly on purpose: it is checked against
 the signed area of the corner polygon at load time, and against the flow
@@ -20,23 +24,34 @@ bound to parameter values.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import ExpressionError, ModelError
+from .cyclicity import ZERO_TOL
+from .errors import ExpressionError, ModelError, UsageError
 from .expressions import BivariatePolynomial, instantiate, parse_expression
-from .flow import LineSection, field_callable, integrate
+from .flow import ATOL, RTOL, LineSection, field_callable, integrate
 
-__all__ = ["ModelFile", "Model", "parse_model", "load_model", "bind"]
+__all__ = ["ModelFile", "Model", "OPTION_DEFAULTS", "parse_model", "load_model", "bind"]
+
+# Every numeric option a model file or a run may set, with its default.
+# atol, rtol and t_max reach every oracle and probe integration; rtol also
+# scales the identity-probe threshold and the cycle bisection width.
+# zero_tol is the verdict's zero test, samples the cycle-scan grid size and
+# fit_points the expansion-fit grid size.
+OPTION_DEFAULTS = {
+    "atol": ATOL,
+    "rtol": RTOL,
+    "t_max": 200.0,
+    "zero_tol": ZERO_TOL,
+    "samples": 200.0,
+    "fit_points": 13.0,
+}
 
 _SECTIONS = ("params", "field", "polycycle", "sections", "options")
-_OPTION_KEYS = {
-    "atol", "rtol", "t_max", "zero_tol",
-    "s_lo", "s_hi", "samples", "fit_points",
-}
 _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 _CORNER_RE = re.compile(r"\(\s*([^,()]+?)\s*,\s*([^,()]+?)\s*\)")
 
@@ -50,7 +65,6 @@ class ModelFile:
     dot_y: str
     corners: tuple[tuple[float, float], ...]
     orientation: str | None
-    h: float | None
     base_section: LineSection | None
     options: tuple[tuple[str, float], ...]
     text: str
@@ -62,9 +76,6 @@ class ModelFile:
 
     def defaults(self) -> dict[str, Fraction]:
         return dict(self.params)
-
-    def option(self, name: str, fallback: float) -> float:
-        return dict(self.options).get(name, fallback)
 
 
 @dataclass(frozen=True)
@@ -188,16 +199,11 @@ def parse_model(text: str, path: str | None = None) -> ModelFile:
             raise ModelError(
                 f"declared orientation {orientation} but the corner order is {found}")
 
-    h: float | None = None
     base_anchor = base_direction = None
     base_window: tuple[float, float] | None = None
     for lineno, key, value in sections.get("sections", []):
         where = f"line {lineno}"
-        if key == "h":
-            h = float(_number(value, where))
-            if not 0.0 < h:
-                raise ModelError(f"{where}: h must be positive")
-        elif key == "base_anchor":
+        if key == "base_anchor":
             base_anchor = _parse_pair(value, where)
         elif key == "base_direction":
             base_direction = _parse_pair(value, where)
@@ -214,13 +220,13 @@ def parse_model(text: str, path: str | None = None) -> ModelFile:
 
     options: list[tuple[str, float]] = []
     for lineno, key, value in sections.get("options", []):
-        if key not in _OPTION_KEYS:
-            known = ", ".join(sorted(_OPTION_KEYS))
+        if key not in OPTION_DEFAULTS:
+            known = ", ".join(sorted(OPTION_DEFAULTS))
             raise ModelError(f"line {lineno}: unknown option {key!r} (known: {known})")
         options.append((key, float(_number(value, f"line {lineno}"))))
 
     return ModelFile(params=tuple(params), dot_x=field["dot_x"], dot_y=field["dot_y"],
-                     corners=corners, orientation=orientation, h=h,
+                     corners=corners, orientation=orientation,
                      base_section=base_section, options=tuple(options),
                      text=text, path=path)
 
@@ -251,7 +257,7 @@ def merge_values(mf: ModelFile, overrides: Mapping[str, object] | None = None,
     for name, value in (overrides or {}).items():
         if name not in values:
             declared = ", ".join(mf.param_names) or "(none)"
-            raise ModelError(f"unknown parameter {name!r}; declared: {declared}")
+            raise UsageError(f"unknown parameter {name!r}; declared: {declared}")
         values[name] = value if isinstance(value, Fraction) else _number(str(value),
                                                                          f"override {name}")
     return values
@@ -305,7 +311,3 @@ def _check_traversal(model: Model) -> None:
         raise ModelError(
             "first polycycle edge is not invariant under the flow "
             f"(transverse drift {off_edge:.3g})")
-
-
-def with_path(mf: ModelFile, path: str) -> ModelFile:
-    return replace(mf, path=path)

@@ -12,7 +12,6 @@ import hashlib
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -21,10 +20,11 @@ from . import __version__
 from .calculus import (CompensatorTerm, DisplacementExpansion, ReturnExpansion,
                        displacement_expansion, return_expansion)
 from .cyclicity import Verdict, gradient, not_identity_probe, verdict
-from .errors import ModelError, NumericError, PolycycleError, UnsupportedGeometryError
+from .errors import (ModelError, NumericError, PolycycleError, UnsupportedGeometryError,
+                     UsageError)
 from .flow import (LineSection, dulac_lattice, field_callable, fit_expansion,
                    count_limit_cycles, numeric_dulac, numeric_return)
-from .model import Model, ModelFile, bind, merge_values
+from .model import OPTION_DEFAULTS, Model, ModelFile, bind, merge_values
 from .saddle import (DulacExpansion, LocalChart, SectionPair, dulac_coefficients,
                      normalize_saddle)
 
@@ -40,15 +40,6 @@ __all__ = [
     "scan",
     "default_fit_grid",
 ]
-
-DEFAULTS = {
-    "atol": 1e-12,
-    "rtol": 1e-10,
-    "t_max": 200.0,
-    "zero_tol": 1e-9,
-    "samples": 200.0,
-    "fit_points": 13.0,
-}
 
 GRADIENT_NAMES = ("ratio", "leading", "second", "psi1", "psi2", "psi3")
 
@@ -163,25 +154,29 @@ def return_section(model: Model, corners: tuple[CornerData, ...] | None = None,
 # Closed-form quantities and gradients
 
 
-def _chain_quantities(mf: ModelFile, values: Mapping[str, object]) -> dict[str, float]:
-    model = bind(mf, values, check_flow=False)
-    data = build_corners(model)
-    chain = [cd.expansion for cd in data]
-    ret = return_expansion(chain)
+def _quantities(ret: ReturnExpansion, disp: DisplacementExpansion | None,
+                ) -> dict[str, float]:
     out = {
         "ratio": ret.ratio,
         "leading": ret.leading,
         "second": ret.second_coeff if ret.second_coeff is not None else math.nan,
         "psi1": math.nan, "psi2": math.nan, "psi3": math.nan,
     }
+    if disp is not None:
+        out["psi1"] = disp.psi1
+        out["psi2"] = disp.psi2
+        out["psi3"] = disp.psi3 if disp.psi3 is not None else math.nan
+    return out
+
+
+def _chain_quantities(mf: ModelFile, values: Mapping[str, object]) -> dict[str, float]:
+    model = bind(mf, values, check_flow=False)
+    chain = [cd.expansion for cd in build_corners(model)]
     try:
         disp = displacement_expansion(chain)
     except PolycycleError:
-        return out
-    out["psi1"] = disp.psi1
-    out["psi2"] = disp.psi2
-    out["psi3"] = disp.psi3 if disp.psi3 is not None else math.nan
-    return out
+        disp = None
+    return _quantities(return_expansion(chain), disp)
 
 
 class _QuantityCache:
@@ -220,13 +215,11 @@ def analyze(mf: ModelFile, overrides: Mapping[str, object] | None = None,
     except PolycycleError as exc:
         disp, disp_note = None, str(exc)
 
-    exact = merge_values(mf, overrides)
-    point = {k: float(v) for k, v in exact.items()}
+    point = dict(model.values)
     cache = _QuantityCache(mf)
-    cache.hits[tuple(sorted(point.items()))] = _chain_quantities(mf, exact)
+    base = cache.hits[tuple(sorted(point.items()))] = _quantities(ret, disp)
     grads: dict[str, dict[str, float | None]] = {}
     if point:
-        base = cache.at(point)
         for name in GRADIENT_NAMES:
             if math.isfinite(base[name]):
                 grads[name] = gradient(cache.fun(name), point)
@@ -239,7 +232,7 @@ def analyze(mf: ModelFile, overrides: Mapping[str, object] | None = None,
         s_hi = sect.window[1]
         probe_s = [s_hi / 4.0, s_hi / 16.0, s_hi / 64.0]
         not_identity = not_identity_probe(
-            lambda s: numeric_return(fun, sect, s, t_max=opts["t_max"]),
+            lambda s: numeric_return(fun, sect, s, **_integration(opts)),
             probe_s, tol=opts["rtol"])
     except PolycycleError as exc:
         probe_error = str(exc)
@@ -252,14 +245,38 @@ def analyze(mf: ModelFile, overrides: Mapping[str, object] | None = None,
 
 
 def _options(mf: ModelFile, tol_overrides: Mapping[str, float] | None) -> dict[str, float]:
-    opts = dict(DEFAULTS)
+    """OPTION_DEFAULTS, then the model file's [options], then per-run overrides."""
+    opts = dict(OPTION_DEFAULTS)
     opts.update(dict(mf.options))
     for name, value in (tol_overrides or {}).items():
-        if name not in DEFAULTS:
-            known = ", ".join(sorted(DEFAULTS))
-            raise ModelError(f"unknown tolerance {name!r} (known: {known})")
+        if name not in OPTION_DEFAULTS:
+            known = ", ".join(sorted(OPTION_DEFAULTS))
+            raise UsageError(f"unknown tolerance {name!r} (known: {known})")
         opts[name] = float(value)
     return opts
+
+
+def _integration(opts: Mapping[str, float]) -> dict[str, float]:
+    """Keyword arguments that carry the options into every flow integration."""
+    return {"t_max": opts["t_max"], "atol": opts["atol"], "rtol": opts["rtol"]}
+
+
+def _check_range(s_range: tuple[float, float]) -> tuple[float, float]:
+    lo, hi = s_range
+    if not 0.0 < lo < hi:
+        raise UsageError(f"s range {lo:g}:{hi:g} is empty; need 0 < LO < HI")
+    return lo, hi
+
+
+def _fit_grid(opts: Mapping[str, float], s_range: tuple[float, float] | None,
+              s0: float = 1e-2) -> np.ndarray:
+    """fit_points sample points, geometric over s_range from the top when
+    given, else the halving grid from s0."""
+    points = int(opts["fit_points"])
+    if s_range is None:
+        return default_fit_grid(s0=s0, points=points)
+    lo, hi = _check_range(s_range)
+    return np.geomspace(hi, lo, points)
 
 
 # ---------------------------------------------------------------------------
@@ -406,26 +423,27 @@ def _fit_doc(fit) -> dict:
 
 
 def oracle_dulac(mf: ModelFile, corner_index: int,
-                 svals: Sequence[float] | None = None,
+                 s_range: tuple[float, float] | None = None,
                  overrides: Mapping[str, object] | None = None,
                  tol_overrides: Mapping[str, float] | None = None) -> dict:
     """Integrate the corner transition map and fit its expansion.
 
-    Two fits are reported: a free fit (exponent measured from the data)
-    and a lattice fit pinned at the closed-form ratio, which refines the
-    coefficients once the exponent is independently confirmed.
+    Samples fit_points values of s, geometric over s_range or on the
+    standard halving grid.  Two fits are reported: a free fit (exponent
+    measured from the data) and a lattice fit pinned at the closed-form
+    ratio, which refines the coefficients once the exponent is
+    independently confirmed.
     """
     opts = _options(mf, tol_overrides)
+    svals = _fit_grid(opts, s_range)
     model = bind(mf, overrides)
     corners = build_corners(model)
     if not 1 <= corner_index <= len(corners):
         raise ModelError(f"corner index {corner_index} out of range "
                          f"1..{len(corners)}")
     cd = corners[corner_index - 1]
-    if svals is None:
-        svals = default_fit_grid(points=int(opts["fit_points"]))
     rows, ok_s, ok_v = _sample(
-        lambda s: numeric_dulac(cd.chart, cd.sections, s, t_max=opts["t_max"]),
+        lambda s: numeric_dulac(cd.chart, cd.sections, s, **_integration(opts)),
         svals)
 
     free = fit_expansion(ok_s, ok_v)
@@ -452,20 +470,22 @@ def oracle_dulac(mf: ModelFile, corner_index: int,
     }
 
 
-def oracle_return(mf: ModelFile, svals: Sequence[float] | None = None,
+def oracle_return(mf: ModelFile, s_range: tuple[float, float] | None = None,
                   overrides: Mapping[str, object] | None = None,
                   tol_overrides: Mapping[str, float] | None = None) -> dict:
-    """Integrate the full return map and compare with the two-term form."""
+    """Integrate the full return map and compare with the two-term form.
+
+    Samples fit_points values of s, geometric over s_range or on the
+    halving grid from min(1e-2, half the section window).
+    """
     opts = _options(mf, tol_overrides)
     model = bind(mf, overrides)
     corners = build_corners(model)
     sect = return_section(model, corners)
     fun = field_callable(model.field_x, model.field_y)
-    if svals is None:
-        s0 = min(1e-2, 0.5 * sect.window[1])
-        svals = default_fit_grid(s0=s0, points=int(opts["fit_points"]))
+    svals = _fit_grid(opts, s_range, s0=min(1e-2, 0.5 * sect.window[1]))
     rows, ok_s, ok_v = _sample(
-        lambda s: numeric_return(fun, sect, s, t_max=opts["t_max"]), svals)
+        lambda s: numeric_return(fun, sect, s, **_integration(opts)), svals)
 
     ret = return_expansion([cd.expansion for cd in corners])
     for row in rows:
@@ -497,15 +517,16 @@ def oracle_return(mf: ModelFile, svals: Sequence[float] | None = None,
 def oracle_cycles(mf: ModelFile, s_range: tuple[float, float],
                   overrides: Mapping[str, object] | None = None,
                   tol_overrides: Mapping[str, float] | None = None) -> dict:
-    """Count return-map fixed points on [s_lo, s_hi] by sign changes."""
+    """Count return-map fixed points on s_range by sign changes.
+
+    The range is clipped to the section window; samples sets the scan
+    grid and rtol the bisection width of each root.
+    """
     opts = _options(mf, tol_overrides)
+    lo, hi = _check_range(s_range)
     model = bind(mf, overrides)
-    if model.file.base_section is not None and not model.file.corners:
-        sect = model.file.base_section
-    else:
-        sect = return_section(model)
+    sect = return_section(model)
     fun = field_callable(model.field_x, model.field_y)
-    lo, hi = s_range
     lo = max(lo, sect.window[0])
     hi = min(hi, sect.window[1])
     if not 0.0 < lo < hi:
@@ -513,7 +534,7 @@ def oracle_cycles(mf: ModelFile, s_range: tuple[float, float],
                          "clipping to the section window")
 
     def displacement(s: float) -> float:
-        return numeric_return(fun, sect, s, t_max=opts["t_max"]) - s
+        return numeric_return(fun, sect, s, **_integration(opts)) - s
 
     count = count_limit_cycles(displacement, lo, hi,
                                samples=int(opts["samples"]),
@@ -552,20 +573,21 @@ def scan(mf: ModelFile, grid: Mapping[str, tuple[float, float, int]],
     declared parameters; the total point count is capped.
     """
     if not grid:
-        raise ModelError("empty grid specification")
+        raise UsageError("empty grid specification")
     declared = set(mf.param_names)
     for name in grid:
         if name not in declared:
-            raise ModelError(f"grid parameter {name!r} is not declared by the model")
-    axes = []
+            raise UsageError(f"grid parameter {name!r} is not declared by the model")
     total = 1
-    for name, (start, stop, count) in grid.items():
+    for name, (_, _, count) in grid.items():
         if count < 1:
-            raise ModelError(f"grid axis {name!r}: count must be >= 1")
+            raise UsageError(f"grid axis {name!r}: count must be >= 1")
         total *= count
-        axes.append((name, np.linspace(start, stop, count)))
+    # checked before any axis is built: one huge axis alone would exhaust memory
     if total > max_points:
-        raise ModelError(f"grid has {total} points; the limit is {max_points}")
+        raise UsageError(f"grid has {total} points; the limit is {max_points}")
+    axes = [(name, np.linspace(start, stop, count))
+            for name, (start, stop, count) in grid.items()]
 
     base = merge_values(mf, overrides)
     names = [name for name, _ in axes]

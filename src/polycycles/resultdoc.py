@@ -17,7 +17,7 @@ from typing import Any, Iterable, Mapping, Sequence
 
 from .errors import ModelError
 
-__all__ = ["dumps", "loads", "write_csv", "render_csv"]
+__all__ = ["dumps", "loads", "render_csv"]
 
 _SCALARS = (str, int, float, bool, type(None))
 
@@ -147,8 +147,3 @@ def render_csv(header: Sequence[str], rows: Iterable[Sequence[Any]]) -> str:
     for row in rows:
         writer.writerow([_csv_cell(v) for v in row])
     return buf.getvalue()
-
-
-def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence[Any]]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(render_csv(header, rows))

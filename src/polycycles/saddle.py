@@ -35,7 +35,7 @@ from scipy.integrate import IntegrationWarning, quad
 
 from .errors import DegeneracyError, ModelError, NumericError, PoleError, UnsupportedGeometryError
 from .expressions import BivariatePolynomial
-from .series import DEFAULT_ORDER, PowerSeries, ps_div, ps_exp, ps_integrate
+from .series import DEFAULT_ORDER, PowerSeries, horner, ps_div, ps_exp, ps_integrate
 
 QUAD_OPTS = dict(epsabs=1e-12, epsrel=1e-10, limit=10_000)
 
@@ -189,13 +189,6 @@ def _poly1d(coeffs) -> np.ndarray:
     return arr
 
 
-def _poly1d_eval(coeffs: np.ndarray, t: float) -> float:
-    acc = 0.0
-    for c in coeffs[::-1]:
-        acc = acc * t + c
-    return float(acc)
-
-
 @dataclass(frozen=True)
 class SectionPair:
     """Transverse sections in local coordinates, polynomial in s.
@@ -230,10 +223,10 @@ class SectionPair:
         return float(arr[order] * math.factorial(order))
 
     def sigma1(self, s: float) -> tuple[float, float]:
-        return (_poly1d_eval(self.sigma1_x, s), _poly1d_eval(self.sigma1_y, s))
+        return (horner(self.sigma1_x, s), horner(self.sigma1_y, s))
 
     def sigma2(self, s: float) -> tuple[float, float]:
-        return (_poly1d_eval(self.sigma2_x, s), _poly1d_eval(self.sigma2_y, s))
+        return (horner(self.sigma2_x, s), horner(self.sigma2_y, s))
 
     def validate(self) -> None:
         if abs(self.jet(1, 1, 0)) > 1e-12 or self.jet(1, 2, 0) <= 0.0:
@@ -305,16 +298,10 @@ def _transition_data(chart: LocalChart, which: int, order: int = DEFAULT_ORDER) 
     def integrand(t: float) -> float:
         if abs(t) < _SERIES_SWITCH:
             return integrand_series.evaluate(t)
-        return (_poly1d_eval(num_arr, t) / _poly1d_eval(den_arr, t) + shiftc) / t
+        return (horner(num_arr, t) / horner(den_arr, t) + shiftc) / t
 
     l_series = ps_exp(ps_integrate(integrand_series).truncate(order))
     return _Transition(integrand=integrand, series=l_series)
-
-
-def transition_L(chart: LocalChart, which: int, u: float) -> tuple[float, PowerSeries]:
-    """Value of L1 or L2 at u, plus the power series of L at 0."""
-    data = _transition_data(chart, which)
-    return data.value(u), data.series
 
 
 def _m_germ(chart: LocalChart, which: int, trans: _Transition,
@@ -336,7 +323,7 @@ def _m_germ(chart: LocalChart, which: int, trans: _Transition,
     num_arr, den_arr = _poly1d(num), _poly1d(den)
 
     def fun(w: float) -> float:
-        return trans.value(w) * _poly1d_eval(num_arr, w) / _poly1d_eval(den_arr, w)
+        return trans.value(w) * horner(num_arr, w) / horner(den_arr, w)
 
     return Germ(fun=fun, series=m_series)
 
@@ -367,16 +354,14 @@ def mellin_hat(f: Germ, alpha: float, x: float) -> float:
     if k > coeffs.size:
         raise ValueError(f"germ series order {coeffs.size - 1} too low for alpha={alpha:g}")
     head = sum(coeffs[i] * x**i / (i - alpha) for i in range(k))
+    taylor = coeffs[:k]
 
     switch = min(_SERIES_SWITCH * max(1.0, x), 0.5 * x)
 
     def tail(s: float) -> float:
         if s < switch:
             return f.series.tail_evaluate(s, k) * s**(-alpha - 1.0)
-        taylor = 0.0
-        for c in coeffs[k - 1:: -1] if k > 0 else []:
-            taylor = taylor * s + c
-        return (f.fun(s) - taylor) * s**(-alpha - 1.0)
+        return (f.fun(s) - horner(taylor, s)) * s**(-alpha - 1.0)
 
     val, err = _quad(tail, 0.0, x)
     if err > 1e-6 * max(1.0, abs(val)):
@@ -409,20 +394,6 @@ class DulacExpansion:
     s1: float | None = None
     s2: float | None = None
     notes: tuple[str, ...] = ()
-
-    @property
-    def d10(self) -> float | None:
-        """Coefficient of s^1 (above-one saddles)."""
-        if self.case == "above-one" and self.next_exponent == 1.0:
-            return self.next_coeff
-        return None
-
-    @property
-    def d01(self) -> float | None:
-        """Coefficient of s^ratio (below-one saddles)."""
-        if self.case == "below-one" and self.next_exponent == self.ratio:
-            return self.next_coeff
-        return None
 
 
 def classify_ratio(lam: float, band: float = AT_ONE_BAND) -> str:

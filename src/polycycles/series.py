@@ -1,4 +1,4 @@
-"""Truncated univariate power series and generalized binomial coefficients.
+"""Truncated univariate power series and the shared Horner evaluator.
 
 A PowerSeries holds coefficients c_0..c_K of a formal series in one
 variable.  Arithmetic truncates to the minimum order of the operands, so a
@@ -15,6 +15,18 @@ import numpy as np
 DEFAULT_ORDER = 16
 
 
+def horner(coeffs, t: float) -> float:
+    """sum_k coeffs[k] t^k from ascending coefficients, by Horner's rule.
+
+    A plain loop on purpose: it runs inside quadrature integrands, where
+    a numpy call per evaluation costs more than the loop.
+    """
+    acc = 0.0
+    for c in coeffs[::-1]:
+        acc = acc * t + c
+    return float(acc)
+
+
 class PowerSeries:
     """Coefficients c0..cK of a truncated formal power series."""
 
@@ -27,20 +39,9 @@ class PowerSeries:
         self.coeffs = arr
 
     @classmethod
-    def zero(cls, order: int = DEFAULT_ORDER) -> "PowerSeries":
-        return cls(np.zeros(order + 1))
-
-    @classmethod
     def constant(cls, c: float, order: int = DEFAULT_ORDER) -> "PowerSeries":
         coeffs = np.zeros(order + 1)
         coeffs[0] = c
-        return cls(coeffs)
-
-    @classmethod
-    def identity(cls, order: int = DEFAULT_ORDER) -> "PowerSeries":
-        coeffs = np.zeros(order + 1)
-        if order >= 1:
-            coeffs[1] = 1.0
         return cls(coeffs)
 
     @classmethod
@@ -79,36 +80,12 @@ class PowerSeries:
         out = np.convolve(self.coeffs[: k + 1], other.coeffs[: k + 1])[: k + 1]
         return PowerSeries(out)
 
-    def scale(self, factor: float) -> "PowerSeries":
-        return PowerSeries(self.coeffs * factor)
-
-    def shift(self, powers: int) -> "PowerSeries":
-        """Multiply by t^powers, keeping the truncation order."""
-        if powers < 0:
-            raise ValueError("shift requires a nonnegative power")
-        out = np.zeros(self.order + 1)
-        out[powers:] = self.coeffs[: self.order + 1 - powers]
-        return PowerSeries(out)
-
-    def derivative(self) -> "PowerSeries":
-        n = self.order
-        if n == 0:
-            return PowerSeries([0.0])
-        return PowerSeries(self.coeffs[1:] * np.arange(1, n + 1))
-
     def evaluate(self, t: float) -> float:
-        # Horner
-        acc = 0.0
-        for c in self.coeffs[::-1]:
-            acc = acc * t + c
-        return float(acc)
+        return horner(self.coeffs, t)
 
     def tail_evaluate(self, t: float, start: int) -> float:
         """Evaluate sum_{k >= start} c_k t^k."""
-        acc = 0.0
-        for c in self.coeffs[start:][::-1]:
-            acc = acc * t + c
-        return float(acc * t**start)
+        return horner(self.coeffs[start:], t) * t**start
 
 
 def ps_div(f: PowerSeries, g: PowerSeries) -> PowerSeries:
@@ -139,22 +116,6 @@ def ps_exp(f: PowerSeries) -> PowerSeries:
     return PowerSeries(e)
 
 
-def ps_log(f: PowerSeries) -> PowerSeries:
-    """Series logarithm; requires a positive constant term."""
-    f0 = f.coeffs[0]
-    if f0 <= 0.0:
-        raise ValueError("series logarithm requires a positive constant term")
-    n = f.order
-    out = np.zeros(n + 1)
-    out[0] = math.log(f0)
-    for m in range(1, n + 1):
-        acc = m * f.coeffs[m]
-        for k in range(1, m):
-            acc -= k * out[k] * f.coeffs[m - k]
-        out[m] = acc / (m * f0)
-    return PowerSeries(out)
-
-
 def ps_integrate(f: PowerSeries) -> PowerSeries:
     """Term-by-term antiderivative with zero constant term.
 
@@ -164,13 +125,3 @@ def ps_integrate(f: PowerSeries) -> PowerSeries:
     out = np.zeros(f.order + 2)
     out[1:] = f.coeffs / np.arange(1, f.order + 2)
     return PowerSeries(out)
-
-
-def gbt_coefficient(alpha: float, k: int) -> float:
-    """Generalized binomial coefficient alpha(alpha-1)...(alpha-k+1)/k!."""
-    if k < 0 or k != int(k):
-        raise ValueError("k must be a nonnegative integer")
-    out = 1.0
-    for i in range(int(k)):
-        out *= (alpha - i) / (i + 1)
-    return out

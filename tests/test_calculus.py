@@ -13,20 +13,16 @@ from hypothesis import strategies as st
 
 from polycycles.calculus import (
     CompensatorTerm,
+    ReturnExpansion,
     a_product,
     a_star,
-    b_product,
-    b_star,
-    c_product,
     compensator,
     compose_chain,
     compose_pair,
     displacement_expansion,
-    evaluate_expansion,
     inverse_dulac,
     lambda_product,
     return_expansion,
-    second_term,
 )
 from polycycles.errors import DegeneracyError, UnsupportedGeometryError
 from polycycles.saddle import DulacExpansion
@@ -209,7 +205,9 @@ class TestInverse:
                       compose_pair(inverse_dulac(d), d)):
             assert ident.ratio == pytest.approx(1.0, rel=1e-12)
             assert ident.leading == pytest.approx(1.0, rel=1e-12)
-            assert abs(second_term(ident, 0.01)) < 1e-9
+            second = (ident.comp.value(0.01) if ident.comp is not None
+                      else ident.next_coeff * 0.01 ** ident.next_exponent)
+            assert abs(second) < 1e-9
 
 
 class TestAssociativity:
@@ -257,28 +255,22 @@ class TestChainProducts:
         with pytest.raises(ValueError):
             a_product(self.LAMS, self.D00S, 0, 2)
 
-    def test_b_product_matches_composition(self):
-        b = b_product(self.LAMS, self.D00S, [3.0, 7.0], 1, 2)
-        assert b == pytest.approx(180.0, rel=1e-13)
-
-    def test_c_and_star_products_match_inverse(self):
-        lams, d00s, d01s = [0.5, 1.0 / 3.0], [2.0, 3.0], [1.0, -1.0]
+    def test_a_star_matches_inverse(self):
+        lams, d00s = [0.5, 1.0 / 3.0], [2.0, 3.0]
         out = compose_pair(dmap(0.5, 2.0, w=0.5, c=1.0),
                            dmap(1.0 / 3.0, 3.0, w=1.0 / 3.0, c=-1.0))
-        assert c_product(lams, d00s, d01s, 1, 2) == pytest.approx(
-            out.next_coeff, rel=1e-13)
         inv = inverse_dulac(out)
         assert a_star(lams, d00s, 1, 2) == pytest.approx(inv.leading, rel=1e-13)
-        assert b_star(lams, d00s, d01s, 1, 2) == pytest.approx(
-            inv.next_coeff, rel=1e-12)
 
 
 class TestSecondTerm:
     def test_plain_and_missing(self):
-        d = dmap(1.5, 2.0, w=1.0, c=3.0)
-        assert second_term(d, 0.1) == pytest.approx(0.3)
-        assert evaluate_expansion(d, 0.1) == pytest.approx(0.1 ** 1.5 * 2.3)
-        assert second_term(dmap(1.5, 2.0), 0.1) == 0.0
+        ret = ReturnExpansion(size=1, pattern="above-block", ratio=1.5, leading=2.0,
+                              kind="B", second_exponent=1.0, second_coeff=3.0)
+        assert ret.second_value(0.1) == pytest.approx(0.3)
+        assert ret.evaluate(0.1) == pytest.approx(0.1 ** 1.5 * 2.3)
+        bare = ReturnExpansion(size=1, pattern="degenerate", ratio=1.5, leading=2.0)
+        assert bare.second_value(0.1) == 0.0
 
 
 class TestReturnExpansion:

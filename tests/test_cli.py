@@ -1,0 +1,124 @@
+"""Command line exit codes and option plumbing.
+
+Exit codes are a stable contract: 0 success, 2 usage error, 3 model
+error, 4 numeric failure.  Every case stops early or runs a handful of
+integrations, so the module stays cheap.
+"""
+
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from polycycles.cli import main
+from polycycles.resultdoc import loads
+
+MODELS = Path(__file__).resolve().parents[1] / "models"
+FOUR = str(MODELS / "four_saddle.model")
+SQUARE = str(MODELS / "integrable_square.model")
+CIRCLE = str(MODELS / "circle_cycle.model")
+
+
+def run_doc(argv, out):
+    assert main(argv + ["--out", str(out)]) == 0
+    return loads(out.read_text(encoding="utf-8"))
+
+
+USAGE = {
+    "unknown-tol": ["analyze", "--model", FOUR, "--tol", "speed=1"],
+    "unreadable-tol": ["analyze", "--model", FOUR, "--tol", "rtol=abc"],
+    "undeclared-set": ["analyze", "--model", FOUR, "--set", "zz=1"],
+    "undeclared-grid": ["scan", "--model", FOUR, "--grid", "zz=0:1:3"],
+    "grid-count-0": ["scan", "--model", FOUR, "--grid", "l1=0:1:0"],
+    "grid-too-large": ["scan", "--model", FOUR, "--grid", "l1=0:1:1001",
+                       "--grid", "l2=0:1:1000"],
+    "s-range-reversed": ["oracle", "--what", "return", "--model", FOUR,
+                         "--s-range", "2:1"],
+    "s-range-unreadable": ["oracle", "--what", "cycles", "--model", CIRCLE,
+                           "--s-range", "abc"],
+    "dulac-without-corner": ["oracle", "--what", "dulac", "--model", FOUR],
+}
+
+
+@pytest.mark.parametrize("argv", list(USAGE.values()), ids=list(USAGE))
+def test_usage_errors_exit_2(argv, capsys):
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("usage error:")
+
+
+@pytest.mark.parametrize("argv", [
+    ["scan", "--model", FOUR, "--grid", "l1=0.3:0.3:1", "--tol", "rtol=1e-6"],
+    ["compose-check", "--count", "0", "--tol", "rtol=1e-6"],
+], ids=["scan", "compose-check"])
+def test_tol_only_where_options_take_effect(argv, capsys):
+    assert main(argv) == 2
+    assert "unrecognized arguments: --tol" in capsys.readouterr().err
+
+
+def test_huge_grid_axis_rejected_before_allocation(monkeypatch, capsys):
+    # a single axis of 2e9 points would need 16 GB if built before the size check
+    def no_axes(*args, **kwargs):
+        raise AssertionError("grid axis built before the size check")
+    monkeypatch.setattr(np, "linspace", no_axes)
+    assert main(["scan", "--model", FOUR, "--grid", "l1=0:1:2000000000"]) == 2
+    assert "the limit is 1000000" in capsys.readouterr().err
+
+
+def test_missing_model_exits_3(tmp_path, capsys):
+    assert main(["analyze", "--model", str(tmp_path / "absent.model")]) == 3
+    assert "cannot read model file" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("extra", ["[options]\ns_lo = 1e-3\n", "[sections]\nh = 0.25\n"],
+                         ids=["options-s_lo", "sections-h"])
+def test_removed_model_keys_exit_3(extra, tmp_path, capsys):
+    path = tmp_path / "square.model"
+    path.write_text(Path(SQUARE).read_text(encoding="utf-8") + "\n" + extra,
+                    encoding="utf-8")
+    assert main(["scan", "--model", str(path), "--grid", "a=0.4:0.4:1"]) == 3
+    assert "unknown" in capsys.readouterr().err
+
+
+def test_every_cycle_sample_failing_exits_4(capsys):
+    argv = ["oracle", "--what", "cycles", "--model", CIRCLE, "--s-range", "0.3:2.0",
+            "--tol", "t_max=0.01", "--tol", "samples=5"]
+    assert main(argv) == 4
+    assert "too few displacement samples" in capsys.readouterr().err
+
+
+def test_one_point_scan_exits_0(tmp_path):
+    out = tmp_path / "scan.csv"
+    assert main(["scan", "--model", FOUR, "--grid", "l1=0.3:0.3:1", "--out", str(out)]) == 0
+    lines = out.read_bytes().decode("utf-8").split("\r\n")
+    assert lines[0].startswith("l1,r_minus_1,")
+    assert lines[1].startswith("0.3,") and lines[1].endswith(",")  # no error cell
+    assert lines[2] == ""
+
+
+def test_fit_points_reaches_an_explicit_s_range(tmp_path):
+    doc = run_doc(["oracle", "--what", "dulac", "--corner", "1", "--model", FOUR,
+                   "--s-range", "1e-4:1e-2", "--tol", "fit_points=7"],
+                  tmp_path / "dulac.txt")
+    assert doc["provenance"]["tolerances"]["fit_points"] == 7.0
+    svals = [row["s"] for row in doc["samples"]]
+    assert len(svals) == 7
+    assert svals[0] == pytest.approx(1e-2, rel=1e-12)
+    assert svals[-1] == pytest.approx(1e-4, rel=1e-12)
+
+
+def test_integration_tolerances_reach_the_integrator(tmp_path):
+    # model options set the grid; --tol overrides the integrator tolerances
+    path = tmp_path / "square.model"
+    path.write_text(Path(SQUARE).read_text(encoding="utf-8")
+                    + "\n[options]\nfit_points = 4\n", encoding="utf-8")
+    argv = ["oracle", "--what", "return", "--model", str(path), "--s-range", "1e-3:1e-1"]
+    tight = run_doc(argv, tmp_path / "tight.txt")
+    loose = run_doc(argv + ["--tol", "rtol=1e-6", "--tol", "atol=1e-9"],
+                    tmp_path / "loose.txt")
+    assert loose["provenance"]["tolerances"]["rtol"] == 1e-6
+    a = [row["value"] for row in tight["samples"]]
+    b = [row["value"] for row in loose["samples"]]
+    assert len(a) == len(b) == 4
+    assert a != b
+    # the return map is the identity here; rtol=1e-6 still lands within 1e-5
+    assert b == pytest.approx(a, rel=0.0, abs=1e-5)

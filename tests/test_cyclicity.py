@@ -12,7 +12,7 @@ from polycycles.cyclicity import (
     not_identity_probe,
     verdict,
 )
-from polycycles.errors import NumericError
+from polycycles.errors import NumericError, OutOfBasinError
 
 
 class TestGradient:
@@ -91,16 +91,23 @@ class TestNotIdentityProbe:
     def test_failing_probes_are_skipped(self):
         def ret(s):
             if s < 0.5:
-                raise RuntimeError("left the basin")
+                raise OutOfBasinError("left the basin")
             return 2.0 * s
 
         assert not_identity_probe(ret, [0.1, 0.6]) is True
 
     def test_all_probes_failing_raises(self):
         def ret(s):
-            raise RuntimeError("left the basin")
+            raise OutOfBasinError("left the basin")
 
         with pytest.raises(NumericError, match="no return value"):
+            not_identity_probe(ret, [0.1, 0.2])
+
+    def test_programming_errors_propagate(self):
+        def ret(s):
+            raise TypeError("bad callback")
+
+        with pytest.raises(TypeError, match="bad callback"):
             not_identity_probe(ret, [0.1, 0.2])
 
 

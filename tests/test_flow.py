@@ -169,7 +169,7 @@ class TestCountCycles:
     def test_failing_samples_are_skipped(self):
         def disp(s):
             if s < 0.2:
-                raise RuntimeError("left the basin")
+                raise OutOfBasinError("left the basin")
             return s - 0.5
 
         count = count_limit_cycles(disp, 0.1, 1.0, samples=50)
@@ -179,9 +179,16 @@ class TestCountCycles:
 
     def test_all_samples_failing(self):
         def disp(s):
-            raise RuntimeError("nope")
+            raise OutOfBasinError("nope")
 
         with pytest.raises(NumericError, match="too few displacement samples"):
+            count_limit_cycles(disp, 0.1, 1.0, samples=10)
+
+    def test_programming_errors_propagate(self):
+        def disp(s):
+            raise TypeError("bad callback")
+
+        with pytest.raises(TypeError, match="bad callback"):
             count_limit_cycles(disp, 0.1, 1.0, samples=10)
 
     def test_range_guard(self):

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from polycycles.errors import ModelError
+from polycycles.errors import ModelError, UsageError
 from polycycles.model import bind, load_model, merge_values, parse_model
 
 MINIMAL = """
@@ -55,11 +55,9 @@ class TestParsing:
         assert mf.dot_x == "x"
 
     def test_sections_and_options(self):
-        mf = parse_model(MINIMAL + "\n[sections]\nh = 0.25\n"
-                         "[options]\nt_max = 50\nsamples = 100\n")
-        assert mf.h == 0.25
-        assert mf.option("t_max", 200.0) == 50.0
-        assert mf.option("atol", 1e-12) == 1e-12
+        mf = parse_model(MINIMAL + "\n[options]\nt_max = 50\nsamples = 100\n")
+        assert mf.options == (("t_max", 50.0), ("samples", 100.0))
+        assert mf.base_section is None
 
     def test_base_section(self, circle_mf):
         sect = circle_mf.base_section
@@ -136,8 +134,9 @@ class TestParseErrors:
                         "orientation = ccw\n")
 
     def test_section_guards(self):
-        with pytest.raises(ModelError, match="h must be positive"):
-            parse_model(MINIMAL + "[sections]\nh = -1\n")
+        # corner sections are always half an edge; h is not a model key
+        with pytest.raises(ModelError, match="unknown \\[sections\\] key 'h'"):
+            parse_model(MINIMAL + "[sections]\nh = 0.25\n")
         with pytest.raises(ModelError, match="unknown \\[sections\\] key"):
             parse_model(MINIMAL + "[sections]\nwidth = 1\n")
         with pytest.raises(ModelError, match="must be given together"):
@@ -149,6 +148,9 @@ class TestParseErrors:
     def test_unknown_option(self):
         with pytest.raises(ModelError, match="unknown option 'speed'"):
             parse_model(MINIMAL + "[options]\nspeed = 9\n")
+        for gone in ("s_lo", "s_hi"):  # --s-range is the only range control
+            with pytest.raises(ModelError, match=f"unknown option '{gone}'"):
+                parse_model(MINIMAL + f"[options]\n{gone} = 1e-3\n")
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ModelError, match="cannot read model file"):
@@ -162,7 +164,7 @@ class TestBinding:
         assert values["l2"] == Fraction(3, 2)
 
     def test_unknown_override(self, game_mf):
-        with pytest.raises(ModelError, match="unknown parameter 'zz'"):
+        with pytest.raises(UsageError, match="unknown parameter 'zz'"):
             merge_values(game_mf, {"zz": 1.0})
 
     def test_bind_instantiates_field(self, integrable_mf):

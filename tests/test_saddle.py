@@ -21,11 +21,11 @@ from polycycles.expressions import instantiate, parse_expression
 from polycycles.saddle import (
     Germ,
     SectionPair,
+    _transition_data,
     classify_ratio,
     dulac_coefficients,
     mellin_hat,
     normalize_saddle,
-    transition_L,
 )
 from polycycles.series import PowerSeries
 
@@ -160,8 +160,7 @@ class TestLinearClosedForms:
         assert exp.s1 == pytest.approx(0.0, abs=1e-12)
         assert exp.s2 == pytest.approx(0.0, abs=1e-12)
         assert exp.next_exponent == 1.0
-        assert exp.d10 == pytest.approx(0.0, abs=1e-12)
-        assert exp.d01 is None
+        assert exp.next_coeff == pytest.approx(0.0, abs=1e-12)
 
     def test_below_one(self):
         exp = dulac_coefficients(linear_saddle(0.4))
@@ -170,8 +169,7 @@ class TestLinearClosedForms:
         assert exp.s1 == pytest.approx(0.0, abs=1e-12)
         assert exp.s2 == pytest.approx(0.0, abs=1e-12)
         assert exp.next_exponent == pytest.approx(0.4)
-        assert exp.d01 == pytest.approx(0.0, abs=1e-12)
-        assert exp.d10 is None
+        assert exp.next_coeff == pytest.approx(0.0, abs=1e-12)
 
     def test_section_height_scaling(self):
         sec = SectionPair.make([0.0, 1.0], [0.3], [0.7], [0.0, 1.0])
@@ -185,7 +183,8 @@ class TestLinearClosedForms:
         assert exp.leading == pytest.approx(4.0 / 3.0, rel=1e-12)
 
     def test_transition_factors_trivial(self):
-        value, series = transition_L(linear_saddle(1.5), 1, 0.5)
+        data = _transition_data(linear_saddle(1.5), 1)
+        value, series = data.value(0.5), data.series
         assert value == pytest.approx(1.0, rel=1e-12)
         assert series.coeffs[0] == pytest.approx(1.0)
         np.testing.assert_allclose(series.coeffs[1:], 0.0, atol=1e-15)
@@ -196,7 +195,7 @@ class TestLinearClosedForms:
         assert exp.leading == pytest.approx(1.0, rel=1e-12)
         assert exp.next_exponent is None
         assert exp.s1 is None and exp.s2 is None
-        assert exp.d10 is None and exp.d01 is None
+        assert exp.next_coeff is None
         assert any("leading term only" in note for note in exp.notes)
 
 
