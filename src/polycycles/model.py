@@ -50,6 +50,8 @@ OPTION_DEFAULTS = {
     "samples": 200.0,
     "fit_points": 13.0,
 }
+# the options that count points, with their least value
+_COUNT_MINIMA = {"samples": 2, "fit_points": 4}
 
 _SECTIONS = ("params", "field", "polycycle", "sections", "options")
 _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
@@ -88,11 +90,21 @@ class Model:
     field_y: BivariatePolynomial
 
 
-def _number(token: str, where: str) -> Fraction:
+def _number(token: str, where: str, error: type[ModelError] = ModelError) -> Fraction:
     try:
         return Fraction(token.strip())
     except (ValueError, ZeroDivisionError) as exc:
-        raise ModelError(f"{where}: unreadable number {token.strip()!r}") from exc
+        raise error(f"{where}: unreadable number {token.strip()!r}") from exc
+
+
+def check_option(name: str, value: float, where: str,
+                 error: type[ModelError] = ModelError) -> float:
+    """The value of a known option; a count option must be an integer >= its least value."""
+    value = float(value)
+    least = _COUNT_MINIMA.get(name)
+    if least is not None and not (value.is_integer() and value >= least):
+        raise error(f"{where}: option {name} must be an integer >= {least}, got {value:g}")
+    return value
 
 
 def _parse_corners(value: str, where: str) -> tuple[tuple[float, float], ...]:
@@ -223,7 +235,8 @@ def parse_model(text: str, path: str | None = None) -> ModelFile:
         if key not in OPTION_DEFAULTS:
             known = ", ".join(sorted(OPTION_DEFAULTS))
             raise ModelError(f"line {lineno}: unknown option {key!r} (known: {known})")
-        options.append((key, float(_number(value, f"line {lineno}"))))
+        where = f"line {lineno}"
+        options.append((key, check_option(key, _number(value, where), where)))
 
     return ModelFile(params=tuple(params), dot_x=field["dot_x"], dot_y=field["dot_y"],
                      corners=corners, orientation=orientation,
@@ -258,8 +271,8 @@ def merge_values(mf: ModelFile, overrides: Mapping[str, object] | None = None,
         if name not in values:
             declared = ", ".join(mf.param_names) or "(none)"
             raise UsageError(f"unknown parameter {name!r}; declared: {declared}")
-        values[name] = value if isinstance(value, Fraction) else _number(str(value),
-                                                                         f"override {name}")
+        values[name] = value if isinstance(value, Fraction) else _number(
+            str(value), f"override {name}", UsageError)
     return values
 
 

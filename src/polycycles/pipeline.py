@@ -24,7 +24,7 @@ from .errors import (ModelError, NumericError, PolycycleError, UnsupportedGeomet
                      UsageError)
 from .flow import (LineSection, dulac_lattice, field_callable, fit_expansion,
                    count_limit_cycles, numeric_dulac, numeric_return)
-from .model import OPTION_DEFAULTS, Model, ModelFile, bind, merge_values
+from .model import OPTION_DEFAULTS, Model, ModelFile, bind, check_option, merge_values
 from .saddle import (DulacExpansion, LocalChart, SectionPair, dulac_coefficients,
                      normalize_saddle)
 
@@ -252,7 +252,7 @@ def _options(mf: ModelFile, tol_overrides: Mapping[str, float] | None) -> dict[s
         if name not in OPTION_DEFAULTS:
             known = ", ".join(sorted(OPTION_DEFAULTS))
             raise UsageError(f"unknown tolerance {name!r} (known: {known})")
-        opts[name] = float(value)
+        opts[name] = check_option(name, value, "--tol", UsageError)
     return opts
 
 

@@ -21,30 +21,23 @@ D01 = -D00^2*S2.  The ingredients are the transition factors
 
 (the integrands have removable singularities at 0, resolved by series),
 the derived functions M1 = L1 * d(P/Q)/du (0,v) and M2 = L2 * d(Q/P)/dv
-(u,0), and an incomplete Mellin transform of M1 and M2.
+(u,0), and an incomplete Mellin transform of M1 and M2.  Both integrals
+(log L and the Mellin tail) use fixed Gauss rules on numpy arrays, checked
+by doubling the node count; see _fixed_rule.
 """
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
+from scipy.special import roots_jacobi
 
 from .errors import DegeneracyError, ModelError, NumericError, PoleError, UnsupportedGeometryError
 from .expressions import BivariatePolynomial
 from .series import DEFAULT_ORDER, PowerSeries, horner, ps_div, ps_exp, ps_integrate
-
-QUAD_OPTS = dict(epsabs=1e-12, epsrel=1e-10, limit=10_000)
-
-
-def _quad(fun, lo: float, hi: float) -> tuple[float, float]:
-    # the explicit error-estimate checks below replace scipy's warning
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IntegrationWarning)
-        return quad(fun, lo, hi, **QUAD_OPTS)
 
 # case-tag dead band around lam = 1 and pole dead band for Mellin orders
 AT_ONE_BAND = 1e-9
@@ -240,40 +233,102 @@ class SectionPair:
 
 
 # ---------------------------------------------------------------------------
+# Fixed-rule quadrature
+#
+# Both integrals below (log L over [0, w] and the Mellin tail over [0, x])
+# have smooth integrands, so they use Gauss rules evaluated on all nodes at
+# once.  A rule at n nodes is checked against the rule at 2n nodes: n doubles
+# from QUAD_MIN_NODES until the two agree to QUAD_RTOL relative (QUAD_ATOL
+# absolute, for values near 0).  When 2n reaches QUAD_MAX_NODES the 2n value
+# stands unless the two still differ by more than 1e-6*max(1, |value|).
+
+QUAD_ATOL, QUAD_RTOL = 1e-12, 1e-10
+QUAD_MIN_NODES, QUAD_MAX_NODES = 32, 1024
+
+
+@lru_cache(maxsize=8)
+def _legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [0, 1]."""
+    z, wts = np.polynomial.legendre.leggauss(n)
+    return 0.5 * (z + 1.0), 0.5 * wts
+
+
+@lru_cache(maxsize=32)
+def _jacobi(n: int, beta: float) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Jacobi nodes and weights on [0, 1] for the weight t^beta."""
+    z, wts = roots_jacobi(n, 0.0, beta)
+    return 0.5 * (z + 1.0), wts / 2.0 ** (beta + 1.0)
+
+
+def _fixed_rule(rule: Callable[[int], np.ndarray], what: str) -> np.ndarray:
+    """rule(2n) for the least n whose rule(n) agrees with it, elementwise."""
+    n = QUAD_MIN_NODES
+    coarse = rule(n)
+    while True:
+        n *= 2
+        fine = rule(n)
+        err = np.abs(fine - coarse)
+        if n >= QUAD_MAX_NODES or np.all(err <= np.maximum(QUAD_ATOL, QUAD_RTOL * np.abs(fine))):
+            break
+        coarse = fine
+    if not np.all(np.isfinite(fine) & (err <= 1e-6 * np.maximum(1.0, np.abs(fine)))):
+        raise NumericError(f"{what} did not converge (err={np.max(err):.2e})")
+    return fine
+
+
+# ---------------------------------------------------------------------------
 # Transition factors L1, L2 and the germs fed to the Mellin transform
 
 
 @dataclass(frozen=True)
 class Germ:
-    """A smooth function germ at 0: a callable plus its Taylor series."""
+    """A smooth function germ at 0: a callable plus its Taylor series.
 
-    fun: Callable[[float], float]
+    ``fun`` takes and returns numpy arrays.
+    """
+
+    fun: Callable[[np.ndarray], np.ndarray]
     series: PowerSeries
 
 
-_SERIES_SWITCH = 1e-3  # below this, integrands are evaluated by series
+_SERIES_SWITCH = 1e-3  # below this, transition integrands are evaluated by series
+# Below _MELLIN_SWITCH * max(1, x) the Mellin tail h = (f - T_{k-1}f)/s^k is
+# evaluated by series.  Above it, the difference cancels to about eps*|f|/s^k,
+# and that rounding error weighs as s^(-alpha) in the tail integral: at
+# alpha = 6.6 a switch at 1e-3 left a 1e-6 relative error, at 0.02 1e-13.
+_MELLIN_SWITCH = 0.02
 
 
 @dataclass(frozen=True)
 class _Transition:
-    integrand: Callable[[float], float]
+    """L(w) = exp int_0^w (num/den + shift) dt/t, with its Taylor series."""
+
+    num: np.ndarray
+    den: np.ndarray
+    shift: float
+    small: PowerSeries   # series of the integrand, used for |t| < _SERIES_SWITCH
     series: PowerSeries  # series of L itself
 
-    def value(self, w: float) -> float:
-        if w == 0.0:
-            return 1.0
-        val, err = _quad(self.integrand, 0.0, w)
-        if not math.isfinite(val) or err > 1e-6 * max(1.0, abs(val)):
-            raise NumericError(f"transition integral did not converge (err={err:.2e})")
-        return math.exp(val)
+    def integrand(self, t: np.ndarray) -> np.ndarray:
+        small = np.abs(t) < _SERIES_SWITCH
+        ratio = horner(self.num, t) / horner(self.den, t)
+        return np.where(small, horner(self.small.coeffs, t),
+                        (ratio + self.shift) / np.where(small, 1.0, t))
 
+    def value(self, w):
+        """L at a float or at every entry of an array of w."""
+        w = np.asarray(w, dtype=float)
 
-def _restrict_series(poly: BivariatePolynomial, axis: str, order: int) -> PowerSeries:
-    return PowerSeries.from_polynomial(poly.restrict(axis, 0.0), order)
+        def rule(n: int) -> np.ndarray:
+            t, wts = _legendre(n)
+            return w * (self.integrand(np.multiply.outer(w, t)) @ wts)
+
+        val = np.exp(_fixed_rule(rule, "transition integral"))
+        return float(val) if val.ndim == 0 else val
 
 
 def _transition_data(chart: LocalChart, which: int, order: int = DEFAULT_ORDER) -> _Transition:
-    """Build integrand callable and series of L_which for the chart."""
+    """Build the integrand data and series of L_which for the chart."""
     if which == 1:
         num = chart.p_poly.restrict("x", 0.0)   # P(0, v)
         den = chart.q_poly.restrict("x", 0.0)   # Q(0, v)
@@ -293,20 +348,24 @@ def _transition_data(chart: LocalChart, which: int, order: int = DEFAULT_ORDER) 
             "chart inconsistent with its hyperbolicity ratio")
     integrand_series = PowerSeries(shifted.coeffs[1:])  # (ratio + c)/t as a series
 
-    num_arr, den_arr = _poly1d(num), _poly1d(den)
-
-    def integrand(t: float) -> float:
-        if abs(t) < _SERIES_SWITCH:
-            return integrand_series.evaluate(t)
-        return (horner(num_arr, t) / horner(den_arr, t) + shiftc) / t
-
     l_series = ps_exp(ps_integrate(integrand_series).truncate(order))
-    return _Transition(integrand=integrand, series=l_series)
+    return _Transition(num=_poly1d(num), den=_poly1d(den), shift=shiftc,
+                       small=integrand_series, series=l_series)
 
 
-def _m_germ(chart: LocalChart, which: int, trans: _Transition,
-            order: int = DEFAULT_ORDER) -> Germ:
-    """M1 = L1 * d(P/Q)/du at (0,v);  M2 = L2 * d(Q/P)/dv at (u,0)."""
+def _germ_order(alpha: float) -> int:
+    """Series order of the transition and M germ fed to mellin_hat at alpha.
+
+    Reaching eight orders past the Taylor split k = ceil(alpha) + 2 keeps
+    the series tail accurate up to the Mellin switch; at alpha = 14.3 a
+    fixed order 16 left no term past the split and a 1e-6 error.
+    """
+    return max(DEFAULT_ORDER, math.ceil(alpha) + 10)
+
+
+def _m_germ(chart: LocalChart, which: int, trans: _Transition) -> Germ:
+    """M1 = L1 * d(P/Q)/du at (0,v);  M2 = L2 * d(Q/P)/dv at (u,0), to the order of L."""
+    order = trans.series.order
     p, q = chart.p_poly, chart.q_poly
     if which == 1:
         num_poly = p.partial("x") * q - p * q.partial("x")
@@ -322,7 +381,7 @@ def _m_germ(chart: LocalChart, which: int, trans: _Transition,
     m_series = trans.series * ratio_series
     num_arr, den_arr = _poly1d(num), _poly1d(den)
 
-    def fun(w: float) -> float:
+    def fun(w: np.ndarray) -> np.ndarray:
         return trans.value(w) * horner(num_arr, w) / horner(den_arr, w)
 
     return Germ(fun=fun, series=m_series)
@@ -344,7 +403,9 @@ def mellin_hat(f: Germ, alpha: float, x: float) -> float:
 
     Evaluated as the Taylor head sum_{i<k} c_i x^i/(i - alpha) plus
     |x|^alpha int_0^x (f - T_{k-1}f)(s) |s|^{-alpha} ds/s with k the Taylor
-    order chosen above alpha + 1.
+    order chosen above alpha + 1.  The tail integrand is s^beta h(s) with
+    beta = k - alpha - 1 > -1 and h = (f - T_{k-1}f)/s^k smooth, so it is
+    integrated by Gauss-Jacobi with weight s^beta.
     """
     _check_pole(alpha)
     if x <= 0.0:
@@ -354,18 +415,22 @@ def mellin_hat(f: Germ, alpha: float, x: float) -> float:
     if k > coeffs.size:
         raise ValueError(f"germ series order {coeffs.size - 1} too low for alpha={alpha:g}")
     head = sum(coeffs[i] * x**i / (i - alpha) for i in range(k))
-    taylor = coeffs[:k]
+    taylor, beta = coeffs[:k], k - alpha - 1.0
 
-    switch = min(_SERIES_SWITCH * max(1.0, x), 0.5 * x)
+    switch = min(_MELLIN_SWITCH * max(1.0, x), 0.5 * x)
 
-    def tail(s: float) -> float:
-        if s < switch:
-            return f.series.tail_evaluate(s, k) * s**(-alpha - 1.0)
-        return (f.fun(s) - horner(taylor, s)) * s**(-alpha - 1.0)
+    def h(s: np.ndarray) -> np.ndarray:
+        out = horner(coeffs[k:], s)  # the series tail, kept below the switch
+        big = s >= switch
+        sb = s[big]
+        out[big] = (f.fun(sb) - horner(taylor, sb)) / sb**k
+        return out
 
-    val, err = _quad(tail, 0.0, x)
-    if err > 1e-6 * max(1.0, abs(val)):
-        raise NumericError(f"Mellin tail quadrature did not converge (err={err:.2e})")
+    def rule(n: int) -> np.ndarray:
+        t, wts = _jacobi(n, beta)
+        return x**(beta + 1.0) * (h(x * t) @ wts)
+
+    val = _fixed_rule(rule, "Mellin tail quadrature")
     return float(head + x**alpha * val)
 
 
@@ -425,8 +490,8 @@ def dulac_coefficients(chart: LocalChart, sections: SectionPair | None = None) -
 
     chart.check_footprint(max(s120, s210) * 1.05)
 
-    t1 = _transition_data(chart, 1)
-    t2 = _transition_data(chart, 2)
+    t1 = _transition_data(chart, 1, _germ_order(1.0 / lam))
+    t2 = _transition_data(chart, 2, _germ_order(lam))
     l1 = t1.value(s120)
     l2 = t2.value(s210)
     d00 = (s111**lam * s120 / l1**lam) * (l2 / (s221 * s210**lam))

@@ -15,16 +15,18 @@ import numpy as np
 DEFAULT_ORDER = 16
 
 
-def horner(coeffs, t: float) -> float:
+def horner(coeffs, t):
     """sum_k coeffs[k] t^k from ascending coefficients, by Horner's rule.
 
-    A plain loop on purpose: it runs inside quadrature integrands, where
-    a numpy call per evaluation costs more than the loop.
+    ``t`` is a float or a numpy array.  A float comes back as a float from
+    a plain loop, which is cheaper than a numpy call for the scalar section
+    curves of the flow oracle; an array comes back as an array, one
+    vectorised step per coefficient over all quadrature nodes at once.
     """
-    acc = 0.0
+    acc = 0.0 * t
     for c in coeffs[::-1]:
         acc = acc * t + c
-    return float(acc)
+    return acc if isinstance(acc, np.ndarray) else float(acc)
 
 
 class PowerSeries:
@@ -82,10 +84,6 @@ class PowerSeries:
 
     def evaluate(self, t: float) -> float:
         return horner(self.coeffs, t)
-
-    def tail_evaluate(self, t: float, start: int) -> float:
-        """Evaluate sum_{k >= start} c_k t^k."""
-        return horner(self.coeffs[start:], t) * t**start
 
 
 def ps_div(f: PowerSeries, g: PowerSeries) -> PowerSeries:

@@ -28,6 +28,13 @@ USAGE = {
     "unknown-tol": ["analyze", "--model", FOUR, "--tol", "speed=1"],
     "unreadable-tol": ["analyze", "--model", FOUR, "--tol", "rtol=abc"],
     "undeclared-set": ["analyze", "--model", FOUR, "--set", "zz=1"],
+    "unreadable-set": ["scan", "--model", FOUR, "--grid", "l1=0.3:0.3:1", "--set", "l2=abc"],
+    "fit-points-3": ["oracle", "--what", "dulac", "--corner", "1", "--model", FOUR,
+                     "--tol", "fit_points=3"],
+    "fit-points-fractional": ["oracle", "--what", "dulac", "--corner", "1", "--model", FOUR,
+                              "--tol", "fit_points=7.5"],
+    "samples-1": ["oracle", "--what", "cycles", "--model", CIRCLE, "--s-range", "0.3:2.0",
+                  "--tol", "samples=1"],
     "undeclared-grid": ["scan", "--model", FOUR, "--grid", "zz=0:1:3"],
     "grid-count-0": ["scan", "--model", FOUR, "--grid", "l1=0:1:0"],
     "grid-too-large": ["scan", "--model", FOUR, "--grid", "l1=0:1:1001",
@@ -77,6 +84,18 @@ def test_removed_model_keys_exit_3(extra, tmp_path, capsys):
                     encoding="utf-8")
     assert main(["scan", "--model", str(path), "--grid", "a=0.4:0.4:1"]) == 3
     assert "unknown" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("extra", ["fit_points = 3", "fit_points = 7.5", "samples = 1",
+                                   "samples = 5/2"],
+                         ids=["fit_points-3", "fit_points-fractional", "samples-1",
+                              "samples-fractional"])
+def test_bad_count_options_exit_3(extra, tmp_path, capsys):
+    path = tmp_path / "square.model"
+    path.write_text(Path(SQUARE).read_text(encoding="utf-8") + "\n[options]\n" + extra + "\n",
+                    encoding="utf-8")
+    assert main(["analyze", "--model", str(path)]) == 3
+    assert "must be an integer >=" in capsys.readouterr().err
 
 
 def test_every_cycle_sample_failing_exits_4(capsys):

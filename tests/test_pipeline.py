@@ -124,7 +124,16 @@ class TestAnalyzeIntegrable:
         assert ret["kind"] == "A"
         assert ret["ratio"] == pytest.approx(1.0, abs=1e-12)
         assert ret["leading"] == pytest.approx(1.0, rel=1e-12)
-        assert ret["second_coeff"] == 0.0
+        # r*A*S1 - A^2*S2 with equal S values: zero up to rounding
+        assert abs(ret["second_coeff"]) <= 1e-13 * ret["second_scale"]
+
+    def test_corner_curvatures(self, integrable_doc):
+        # the first integral makes every S value one of -2/3, -1, -3/2
+        expected = [(-2 / 3, -1.0), (-1.0, -1.5), (-1.5, -1.0), (-1.0, -2 / 3)]
+        got = [(c["s1"], c["s2"]) for c in integrable_doc["corners"]]
+        assert len(got) == len(expected)
+        for (s1, s2), (e1, e2) in zip(got, expected):
+            assert abs(s1 - e1) <= 1e-12 and abs(s2 - e2) <= 1e-12
 
     def test_verdict_is_open(self, integrable_doc):
         v = integrable_doc["verdict"]

@@ -7,6 +7,7 @@ is checked against its defining ODE.
 """
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -14,10 +15,13 @@ import pytest
 from polycycles.errors import (
     DegeneracyError,
     ModelError,
+    NumericError,
     PoleError,
     UnsupportedGeometryError,
 )
 from polycycles.expressions import instantiate, parse_expression
+from polycycles.model import bind
+from polycycles.pipeline import build_corners
 from polycycles.saddle import (
     Germ,
     SectionPair,
@@ -189,6 +193,19 @@ class TestLinearClosedForms:
         assert series.coeffs[0] == pytest.approx(1.0)
         np.testing.assert_allclose(series.coeffs[1:], 0.0, atol=1e-15)
 
+    def test_transition_on_an_array(self):
+        chart = normalize_saddle(poly("x*(1 + 0.3*x - 0.2*y)"),
+                                 poly("-y*(2 - 0.1*x + 0.4*y)"),
+                                 (0.0, 0.0), (0.0, 1.0), (1.0, 0.0))
+        for which in (1, 2):
+            data = _transition_data(chart, which)
+            w = np.array([0.0, 5e-4, 0.1, 0.3, 0.5])
+            values = data.value(w)
+            assert values.shape == w.shape
+            np.testing.assert_allclose(values, [data.value(float(v)) for v in w],
+                                       rtol=1e-14)
+            assert values[0] == 1.0 and values[2] != 1.0
+
     def test_resonant_corner(self):
         exp = dulac_coefficients(linear_saddle(1.0))
         assert exp.case == "at-one"
@@ -244,12 +261,28 @@ class TestMellin:
 
     def test_defining_ode(self):
         coeffs = [1.0 / math.factorial(k) for k in range(13)]
-        germ = Germ(fun=math.exp, series=PowerSeries(coeffs))
+        germ = Germ(fun=np.exp, series=PowerSeries(coeffs))
         alpha, x, h = 0.37, 0.4, 1e-5
         deriv = (mellin_hat(germ, alpha, x + h)
                  - mellin_hat(germ, alpha, x - h)) / (2.0 * h)
         assert x * deriv - alpha * mellin_hat(germ, alpha, x) == pytest.approx(
             math.exp(x), rel=1e-6)
+
+    @pytest.mark.parametrize("alpha", [0.37, 1.5, 2.7])
+    def test_exp_matches_its_series(self, alpha):
+        # exp is entire, so the smooth solution is sum_i x^i / (i! (i - alpha))
+        coeffs = [1.0 / math.factorial(k) for k in range(17)]
+        germ = Germ(fun=np.exp, series=PowerSeries(coeffs))
+        for x in (0.4, 0.9):
+            exact = math.fsum(x**i / (math.factorial(i) * (i - alpha)) for i in range(40))
+            assert mellin_hat(germ, alpha, x) == pytest.approx(exact, rel=1e-13)
+
+    def test_rough_germ_fails_the_node_doubling_check(self):
+        # a jump at s = 0.2: the Gauss rules hardly converge, and 512
+        # against 1024 nodes still differ by 1e-2
+        germ = Germ(fun=lambda s: np.where(s > 0.2, 1.0, 0.0), series=PowerSeries([0.0] * 3))
+        with pytest.raises(NumericError, match="Mellin tail quadrature did not converge"):
+            mellin_hat(germ, 0.5, 0.4)
 
     def test_pole_guards(self):
         g = self.monomial(2)
@@ -318,3 +351,36 @@ class TestFourSaddleCorners:
     def test_graphic_number(self, game_corners):
         r = math.prod(cd.expansion.ratio for cd in game_corners)
         assert r == pytest.approx(1.0, abs=1e-12)
+
+
+# four_saddle at l1 = 0.152, m1 = 5.9 (corner 1 has lam = 0.152, so S1 needs
+# a Mellin transform of order 1/lam = 6.6).  (D00, S1, S2) per corner, frozen
+# from the nested adaptive quadrature this module used before, which took
+# 30-40 s on this point.  Corner 1's S1 is the exception: the adaptive value,
+# -2.3828727149525486, is 7.2e-7 off a 60-digit evaluation of the same
+# formula, because rounding in f - T_{k-1}f near s = 1e-3 swamped its Mellin
+# tail; the entry below is the 60-digit value.
+SLOW_POINT = {"l1": "0.152", "m1": "5.9"}
+SLOW_CORNERS = [
+    (0.05846745775195955, -2.3828744342983064, -8.85545075928604),
+    (37.63551500212456, -3.6314843917044315, -0.5074730344927826),
+    (18.86681490677053, -4.929833382228606, 3.0242126527747355),
+    (0.022646706082231335, 2.5747599628057007, -101.5195115725831),
+]
+
+
+def test_slow_point_in_budget(game_mf):
+    start = time.perf_counter()
+    corners = build_corners(bind(game_mf, SLOW_POINT, check_flow=False))
+    elapsed = time.perf_counter() - start
+    for cd, expected in zip(corners, SLOW_CORNERS, strict=True):
+        exp = cd.expansion
+        assert (exp.leading, exp.s1, exp.s2) == pytest.approx(expected, rel=1e-9)
+    assert elapsed < 5.0
+
+
+def test_mellin_order_above_the_default_series(game_mf):
+    # l1 = 0.045 puts corner 1's S1 at alpha = 1/l1 = 22.2, past what a
+    # 16-term germ series can split off; 60-digit value of the same formula
+    corners = build_corners(bind(game_mf, {"l1": "0.045"}, check_flow=False))
+    assert corners[0].expansion.s1 == pytest.approx(-2.4831988484826426, rel=1e-12)

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from polycycles.series import DEFAULT_ORDER, PowerSeries, horner, ps_div, ps_exp, ps_integrate
@@ -46,10 +47,14 @@ class TestArithmetic:
         assert horner(coeffs, t) == acc
         assert horner([], t) == 0.0
 
-    def test_tail_evaluate(self):
-        f = PowerSeries([1.0, 2.0, 3.0])
-        t = 0.2
-        assert f.tail_evaluate(t, 1) == pytest.approx(2.0 * t + 3.0 * t**2)
+    def test_horner_on_an_array(self):
+        # elementwise the same operations as the scalar loop, so bit-identical
+        coeffs = [0.3, -1.7, 2.9, 1e-3, -4.1]
+        t = np.array([0.0, 0.613, -2.5, 1e-3])
+        values = horner(coeffs, t)
+        assert isinstance(values, np.ndarray) and values.shape == t.shape
+        assert values.tolist() == [horner(coeffs, float(v)) for v in t]
+        assert horner([], t).tolist() == [0.0] * 4
 
 
 class TestFunctions:
