@@ -404,9 +404,11 @@ class BivariatePolynomial:
         The result is a polynomial in the new variables (still labeled
         x, y positionally).
         """
+        x_pows = _powers(x_of_uv, max((i for i, _ in self.coeffs), default=0))
+        y_pows = _powers(y_of_uv, max((j for _, j in self.coeffs), default=0))
         out = BivariatePolynomial()
         for (i, j), c in self.coeffs.items():
-            term = (x_of_uv**i) * (y_of_uv**j)
+            term = x_pows[i] * y_pows[j]
             out = out + term.scale(c)
         return out
 
@@ -460,6 +462,14 @@ class BivariatePolynomial:
         while len(out) > 1 and out[-1] == 0.0:
             out.pop()
         return out
+
+
+def _powers(base: BivariatePolynomial, degree: int) -> list[BivariatePolynomial]:
+    """base**0 .. base**degree, each one product from the last."""
+    pows = [BivariatePolynomial.constant(1.0)]
+    for _ in range(degree):
+        pows.append(pows[-1] * base)
+    return pows
 
 
 # ---------------------------------------------------------------------------

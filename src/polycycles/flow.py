@@ -15,6 +15,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 from scipy.integrate import solve_ivp
+from scipy.optimize import brentq
 
 from .errors import NumericError, OutOfBasinError, PolycycleError
 from .expressions import BivariatePolynomial
@@ -54,7 +55,8 @@ def field_callable(fx: BivariatePolynomial, fy: BivariatePolynomial):
     rx, ry = _dense_rows(fx), _dense_rows(fy)
 
     def fun(t: float, y):
-        return (_horner2(rx, y[0], y[1]), _horner2(ry, y[0], y[1]))
+        a, b = np.asarray(y).tolist()  # Python floats: cheaper arithmetic than numpy scalars
+        return (_horner2(rx, a, b), _horner2(ry, a, b))
 
     return fun
 
@@ -64,7 +66,7 @@ def chart_field(chart: LocalChart):
     rp, rq = _dense_rows(chart.p_poly), _dense_rows(chart.q_poly)
 
     def fun(t: float, y):
-        u, v = y
+        u, v = np.asarray(y).tolist()
         return (u * _horner2(rp, u, v), v * _horner2(rq, u, v))
 
     return fun
@@ -145,8 +147,11 @@ class LineSection:
 
 
 def _line_event(section: LineSection, direction: float):
+    (ax, ay), (nx, ny) = section.anchor.tolist(), section.normal.tolist()
+
     def g(t, y):
-        return (y - section.anchor) @ section.normal
+        a, b = y.tolist()
+        return (a - ax) * nx + (b - ay) * ny
 
     g.terminal = True
     g.direction = direction
@@ -466,7 +471,8 @@ class CycleCount:
 def count_limit_cycles(displacement: Callable[[float], float], s_min: float, s_max: float,
                        samples: int = 200, tol: float = 1e-10) -> CycleCount:
     """Sign-change scan of a displacement function on a log grid, with
-    bisection refinement and stability tags from the crossing direction.
+    Brent refinement of each bracket to tol*max(1, s) and stability tags
+    from the signs of the bracketing samples.
     """
     if not 0.0 < s_min < s_max:
         raise ValueError("need 0 < s_min < s_max")
@@ -494,17 +500,12 @@ def count_limit_cycles(displacement: Callable[[float], float], s_min: float, s_m
         fa, fb = vals[i], vals[i + 1]
         if fa * fb >= 0.0:
             continue  # exact zeros at grid points are flagged by the warning above
-        while b - a > tol * max(1.0, b):
-            mid = 0.5 * (a + b)
-            fm = displacement(mid)
-            if fm == 0.0:
-                a = b = mid
-                break
-            if fa * fm < 0.0:
-                b, fb = mid, fm
-            else:
-                a, fa = mid, fm
-        root = 0.5 * (a + b)
+
+        def bracketed(s: float) -> float:
+            # brentq evaluates both ends first; the scan already has them
+            return fa if s == a else fb if s == b else displacement(s)
+
+        root = brentq(bracketed, a, b, xtol=0.5 * tol * max(1.0, b))
         if fa < 0.0 < fb:
             stab = "unstable"
         elif fa > 0.0 > fb:

@@ -32,14 +32,14 @@ import numpy as np
 
 from .cyclicity import ZERO_TOL
 from .errors import ExpressionError, ModelError, UsageError
-from .expressions import BivariatePolynomial, instantiate, parse_expression
+from .expressions import BivariatePolynomial, Expression, instantiate, parse_expression
 from .flow import ATOL, RTOL, LineSection, field_callable, integrate
 
 __all__ = ["ModelFile", "Model", "OPTION_DEFAULTS", "parse_model", "load_model", "bind"]
 
 # Every numeric option a model file or a run may set, with its default.
 # atol, rtol and t_max reach every oracle and probe integration; rtol also
-# scales the identity-probe threshold and the cycle bisection width.
+# scales the identity-probe threshold and the width cycle roots are refined to.
 # zero_tol is the verdict's zero test, samples the cycle-scan grid size and
 # fit_points the expansion-fit grid size.
 OPTION_DEFAULTS = {
@@ -60,11 +60,17 @@ _CORNER_RE = re.compile(r"\(\s*([^,()]+?)\s*,\s*([^,()]+?)\s*\)")
 
 @dataclass(frozen=True)
 class ModelFile:
-    """Parsed but unbound model: parameter defaults and raw structure."""
+    """Parsed but unbound model: parameter defaults and raw structure.
+
+    ``expr_x``/``expr_y`` are ``dot_x``/``dot_y`` parsed under the declared
+    parameters; every bind instantiates them.
+    """
 
     params: tuple[tuple[str, Fraction], ...]
     dot_x: str
     dot_y: str
+    expr_x: Expression
+    expr_y: Expression
     corners: tuple[tuple[float, float], ...]
     orientation: str | None
     base_section: LineSection | None
@@ -181,9 +187,10 @@ def parse_model(text: str, path: str | None = None) -> ModelFile:
     if set(field) != {"dot_x", "dot_y"}:
         raise ModelError("[field] must define both dot_x and dot_y")
     names = tuple(name for name, _ in params)
+    exprs: dict[str, Expression] = {}
     for key in ("dot_x", "dot_y"):
         try:
-            parse_expression(field[key], params=names)  # name/syntax check only
+            exprs[key] = parse_expression(field[key], params=names)
         except ExpressionError as exc:
             raise ModelError(f"[field] {key}: {exc}") from exc
 
@@ -239,6 +246,7 @@ def parse_model(text: str, path: str | None = None) -> ModelFile:
         options.append((key, check_option(key, _number(value, where), where)))
 
     return ModelFile(params=tuple(params), dot_x=field["dot_x"], dot_y=field["dot_y"],
+                     expr_x=exprs["dot_x"], expr_y=exprs["dot_y"],
                      corners=corners, orientation=orientation,
                      base_section=base_section, options=tuple(options),
                      text=text, path=path)
@@ -285,9 +293,8 @@ def bind(mf: ModelFile, overrides: Mapping[str, object] | None = None,
     actual rotation contradicts the declared corner order.
     """
     binding = merge_values(mf, overrides)
-    names = mf.param_names
-    fx = instantiate(parse_expression(mf.dot_x, params=names), binding)
-    fy = instantiate(parse_expression(mf.dot_y, params=names), binding)
+    fx = instantiate(mf.expr_x, binding)
+    fy = instantiate(mf.expr_y, binding)
     model = Model(file=mf, values={k: float(v) for k, v in binding.items()},
                   field_x=fx, field_y=fy)
     if check_flow and mf.corners:

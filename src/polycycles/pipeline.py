@@ -520,7 +520,7 @@ def oracle_cycles(mf: ModelFile, s_range: tuple[float, float],
     """Count return-map fixed points on s_range by sign changes.
 
     The range is clipped to the section window; samples sets the scan
-    grid and rtol the bisection width of each root.
+    grid and rtol the width to which each root is refined.
     """
     opts = _options(mf, tol_overrides)
     lo, hi = _check_range(s_range)

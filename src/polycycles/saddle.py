@@ -33,6 +33,7 @@ from functools import lru_cache
 from typing import Callable
 
 import numpy as np
+from numpy.polynomial import polynomial as P
 from scipy.special import roots_jacobi
 
 from .errors import DegeneracyError, ModelError, NumericError, PoleError, UnsupportedGeometryError
@@ -81,13 +82,17 @@ class LocalChart:
     def check_footprint(self, extent: float, samples: int = 33) -> None:
         """Sampled hypotheses P(x,0) > 0 and Q(0,y) < 0 up to ``extent``."""
         ts = np.linspace(0.0, extent, samples)
-        for t in ts:
-            if self.p_poly.evaluate(t, 0.0) <= 0.0:
-                raise UnsupportedGeometryError(
-                    f"P(x,0) not positive at x={t:.4g}; section footprint too large")
-            if self.q_poly.evaluate(0.0, t) >= 0.0:
-                raise UnsupportedGeometryError(
-                    f"Q(0,y) not negative at y={t:.4g}; section footprint too large")
+        p_axis = horner(self.p_poly.restrict("y", 0.0), ts)  # P(x, 0)
+        q_axis = horner(self.q_poly.restrict("x", 0.0), ts)  # Q(0, y)
+        bad = (p_axis <= 0.0) | (q_axis >= 0.0)
+        if not bad.any():
+            return
+        i = int(np.argmax(bad))  # the first failing sample; P is checked before Q
+        if p_axis[i] <= 0.0:
+            raise UnsupportedGeometryError(
+                f"P(x,0) not positive at x={ts[i]:.4g}; section footprint too large")
+        raise UnsupportedGeometryError(
+            f"Q(0,y) not negative at y={ts[i]:.4g}; section footprint too large")
 
 
 _AXES = {(1, 0): ("x", 1.0), (-1, 0): ("x", -1.0), (0, 1): ("y", 1.0), (0, -1): ("y", -1.0)}
@@ -241,36 +246,57 @@ class SectionPair:
 # from QUAD_MIN_NODES until the two agree to QUAD_RTOL relative (QUAD_ATOL
 # absolute, for values near 0).  When 2n reaches QUAD_MAX_NODES the 2n value
 # stands unless the two still differ by more than 1e-6*max(1, |value|).
+# The first n and 2n rules share one integrand pass over both node sets;
+# each doubling after that evaluates only the new 2n rule.
 
 QUAD_ATOL, QUAD_RTOL = 1e-12, 1e-10
 QUAD_MIN_NODES, QUAD_MAX_NODES = 32, 1024
 
 
+# A node set is the concatenated nodes of the rules with node counts ns on
+# [0, 1], with each rule's weights in the same order.
+NodeSet = tuple[np.ndarray, tuple[np.ndarray, ...]]
+
+
 @lru_cache(maxsize=8)
-def _legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on [0, 1]."""
-    z, wts = np.polynomial.legendre.leggauss(n)
-    return 0.5 * (z + 1.0), 0.5 * wts
+def _legendre(ns: tuple[int, ...]) -> NodeSet:
+    """Gauss-Legendre rules on [0, 1]."""
+    rules = [np.polynomial.legendre.leggauss(n) for n in ns]
+    nodes = np.concatenate([z for z, _ in rules])
+    return 0.5 * (nodes + 1.0), tuple(0.5 * wts for _, wts in rules)
 
 
 @lru_cache(maxsize=32)
-def _jacobi(n: int, beta: float) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Jacobi nodes and weights on [0, 1] for the weight t^beta."""
-    z, wts = roots_jacobi(n, 0.0, beta)
-    return 0.5 * (z + 1.0), wts / 2.0 ** (beta + 1.0)
+def _jacobi(ns: tuple[int, ...], beta: float) -> NodeSet:
+    """Gauss-Jacobi rules on [0, 1] for the weight t^beta."""
+    rules = [roots_jacobi(n, 0.0, beta) for n in ns]
+    nodes = np.concatenate([z for z, _ in rules])
+    return 0.5 * (nodes + 1.0), tuple(wts / 2.0 ** (beta + 1.0) for _, wts in rules)
 
 
-def _fixed_rule(rule: Callable[[int], np.ndarray], what: str) -> np.ndarray:
-    """rule(2n) for the least n whose rule(n) agrees with it, elementwise."""
-    n = QUAD_MIN_NODES
-    coarse = rule(n)
+def _split_dot(values: np.ndarray, weights: tuple[np.ndarray, ...]) -> list[np.ndarray]:
+    """Each rule's weighted sum over its own block of the last axis of values."""
+    out, start = [], 0
+    for wts in weights:
+        out.append(values[..., start:start + wts.size] @ wts)
+        start += wts.size
+    return out
+
+
+def _fixed_rule(rule: Callable[[tuple[int, ...]], list[np.ndarray]], what: str) -> np.ndarray:
+    """The 2n-node value for the least n whose n-node value agrees with it, elementwise.
+
+    ``rule(ns)`` returns one value per node count in ``ns`` from a single
+    integrand pass over all their nodes.
+    """
+    n = 2 * QUAD_MIN_NODES
+    coarse, fine = rule((QUAD_MIN_NODES, n))
     while True:
-        n *= 2
-        fine = rule(n)
         err = np.abs(fine - coarse)
         if n >= QUAD_MAX_NODES or np.all(err <= np.maximum(QUAD_ATOL, QUAD_RTOL * np.abs(fine))):
             break
-        coarse = fine
+        n *= 2
+        coarse, (fine,) = fine, rule((n,))
     if not np.all(np.isfinite(fine) & (err <= 1e-6 * np.maximum(1.0, np.abs(fine)))):
         raise NumericError(f"{what} did not converge (err={np.max(err):.2e})")
     return fine
@@ -310,18 +336,21 @@ class _Transition:
     series: PowerSeries  # series of L itself
 
     def integrand(self, t: np.ndarray) -> np.ndarray:
+        out = np.empty_like(t)
         small = np.abs(t) < _SERIES_SWITCH
-        ratio = horner(self.num, t) / horner(self.den, t)
-        return np.where(small, horner(self.small.coeffs, t),
-                        (ratio + self.shift) / np.where(small, 1.0, t))
+        out[small] = horner(self.small.coeffs, t[small])
+        big = ~small
+        tb = t[big]
+        out[big] = (horner(self.num, tb) / horner(self.den, tb) + self.shift) / tb
+        return out
 
     def value(self, w):
         """L at a float or at every entry of an array of w."""
         w = np.asarray(w, dtype=float)
 
-        def rule(n: int) -> np.ndarray:
-            t, wts = _legendre(n)
-            return w * (self.integrand(np.multiply.outer(w, t)) @ wts)
+        def rule(ns: tuple[int, ...]) -> list[np.ndarray]:
+            t, weights = _legendre(ns)
+            return [w * v for v in _split_dot(self.integrand(np.multiply.outer(w, t)), weights)]
 
         val = np.exp(_fixed_rule(rule, "transition integral"))
         return float(val) if val.ndim == 0 else val
@@ -367,22 +396,21 @@ def _m_germ(chart: LocalChart, which: int, trans: _Transition) -> Germ:
     """M1 = L1 * d(P/Q)/du at (0,v);  M2 = L2 * d(Q/P)/dv at (u,0), to the order of L."""
     order = trans.series.order
     p, q = chart.p_poly, chart.q_poly
+    # trans.num/trans.den are the ratio restricted to the axis; d_num/d_den
+    # their partials across it: P_x, Q_x at u = 0, or Q_y, P_y at v = 0
     if which == 1:
-        num_poly = p.partial("x") * q - p * q.partial("x")
-        num = num_poly.restrict("x", 0.0)
-        den = (q * q).restrict("x", 0.0)
+        d_num, d_den = p.partial("x").restrict("x", 0.0), q.partial("x").restrict("x", 0.0)
     else:
-        num_poly = q.partial("y") * p - q * p.partial("y")
-        num = num_poly.restrict("y", 0.0)
-        den = (p * p).restrict("y", 0.0)
+        d_num, d_den = q.partial("y").restrict("y", 0.0), p.partial("y").restrict("y", 0.0)
+    num = P.polysub(P.polymul(d_num, trans.den), P.polymul(trans.num, d_den))
+    den = P.polymul(trans.den, trans.den)
 
     ratio_series = ps_div(PowerSeries.from_polynomial(num, order),
                           PowerSeries.from_polynomial(den, order))
     m_series = trans.series * ratio_series
-    num_arr, den_arr = _poly1d(num), _poly1d(den)
 
     def fun(w: np.ndarray) -> np.ndarray:
-        return trans.value(w) * horner(num_arr, w) / horner(den_arr, w)
+        return trans.value(w) * horner(num, w) / horner(den, w)
 
     return Germ(fun=fun, series=m_series)
 
@@ -420,15 +448,17 @@ def mellin_hat(f: Germ, alpha: float, x: float) -> float:
     switch = min(_MELLIN_SWITCH * max(1.0, x), 0.5 * x)
 
     def h(s: np.ndarray) -> np.ndarray:
-        out = horner(coeffs[k:], s)  # the series tail, kept below the switch
-        big = s >= switch
+        out = np.empty_like(s)
+        small = s < switch
+        out[small] = horner(coeffs[k:], s[small])  # the series tail
+        big = ~small
         sb = s[big]
         out[big] = (f.fun(sb) - horner(taylor, sb)) / sb**k
         return out
 
-    def rule(n: int) -> np.ndarray:
-        t, wts = _jacobi(n, beta)
-        return x**(beta + 1.0) * (h(x * t) @ wts)
+    def rule(ns: tuple[int, ...]) -> list[np.ndarray]:
+        t, weights = _jacobi(ns, beta)
+        return [x**(beta + 1.0) * v for v in _split_dot(h(x * t), weights)]
 
     val = _fixed_rule(rule, "Mellin tail quadrature")
     return float(head + x**alpha * val)

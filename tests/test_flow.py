@@ -157,6 +157,18 @@ class TestCountCycles:
         assert count.cycles[1].s == pytest.approx(0.7, abs=1e-9)
         assert count.scanned == (0.1, 1.0)
 
+    def test_few_returns_per_root(self):
+        calls = []
+
+        def disp(s):
+            calls.append(s)
+            return (s - 0.3) * (s - 0.7)
+
+        count = count_limit_cycles(disp, 0.1, 1.0, samples=200)
+        assert len(count.cycles) == 2
+        # bisection to tol from a grid cell took about 27 calls per root
+        assert (len(calls) - 200) / 2 <= 12
+
     def test_no_sign_change(self):
         count = count_limit_cycles(lambda s: 1.0 + s, 0.1, 1.0)
         assert count.cycles == ()

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from polycycles import model as model_module
 from polycycles.errors import ModelError, UsageError
 from polycycles.model import bind, load_model, merge_values, parse_model
 
@@ -172,6 +173,15 @@ class TestBinding:
         assert model.values == {"a": 0.4, "b": 0.5}
         # dot_x = x(x-1)(y - a) at (2, 1): 2 * 1 * 0.6
         assert model.field_x.evaluate(2.0, 1.0) == pytest.approx(1.2)
+
+    def test_bind_reuses_the_parsed_fields(self, game_mf, monkeypatch):
+        calls = []
+        monkeypatch.setattr(model_module, "parse_expression",
+                            lambda *args, **kwargs: calls.append(args))
+        fields = [bind(game_mf, {"l1": l1}, check_flow=False).field_x
+                  for l1 in ("0.3", "0.31", "0.32")]
+        assert calls == []
+        assert fields[0] != fields[1] != fields[2]
 
     def test_traversal_check_accepts_square(self, integrable_mf):
         bind(integrable_mf)  # flow check on

@@ -7,12 +7,15 @@ fits) rather than re-deriving the integration here.
 
 import hashlib
 import math
+import sys
 
 import pytest
 
 from polycycles.errors import ModelError
 from polycycles.pipeline import analyze, oracle_cycles, oracle_dulac, oracle_return, scan
 from polycycles.resultdoc import dumps, loads
+
+EPS = sys.float_info.epsilon
 
 
 @pytest.fixture(scope="module")
@@ -81,7 +84,10 @@ class TestAnalyzeGame:
         assert disp["alpha"] == pytest.approx(0.0, abs=1e-12)
         assert disp["exponents"] == [3.375, 3.375]
         assert disp["psi1"] == pytest.approx(0.0, abs=1e-12)
-        assert abs(disp["psi2"]) < 1e-8
+        # psi2 vanishes at the defaults, and what is left is rounding among
+        # terms of size scale: a 4e-13 relative move of the corner values took
+        # it from 3.6 to 23.6 eps * scale, so the bound leaves 2.7x over that
+        assert abs(disp["psi2"]) <= 64 * EPS * disp["scale"]
         assert disp["psi3"] == pytest.approx(20940989.674412705, rel=1e-9)
 
     def test_probe_sees_non_identity(self, game_doc):

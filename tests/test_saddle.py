@@ -7,11 +7,13 @@ is checked against its defining ODE.
 """
 
 import math
+import re
 import time
 
 import numpy as np
 import pytest
 
+from polycycles import saddle
 from polycycles.errors import (
     DegeneracyError,
     ModelError,
@@ -24,6 +26,7 @@ from polycycles.model import bind
 from polycycles.pipeline import build_corners
 from polycycles.saddle import (
     Germ,
+    LocalChart,
     SectionPair,
     _transition_data,
     classify_ratio,
@@ -104,6 +107,27 @@ class TestNormalize:
         with pytest.raises(UnsupportedGeometryError, match="footprint too large"):
             normalize_saddle(poly("x*(1 - x)"), poly("-y"),
                              (0.0, 0.0), (0.0, 1.0), (1.0, 0.0), footprint=1.2)
+
+    @pytest.mark.parametrize("p_src, q_src", [
+        ("1 - 2*x", "-1 + y"),      # P(x,0) fails first, at x = 0.5
+        ("1 + y", "-1 + 3*y"),      # Q(0,y) fails first, at y = 1/3
+        ("1 - 3*x", "-1 + 3*y"),    # both fail at the same sample: P is named
+    ])
+    def test_footprint_names_the_first_failing_sample(self, p_src, q_src):
+        chart = LocalChart(p_poly=poly(p_src), q_poly=poly(q_src), lam=1.0,
+                           corner=(0.0, 0.0), linear=((1.0, 0.0), (0.0, 1.0)))
+        # the sample-by-sample check, P before Q at each sample
+        expected = None
+        for t in np.linspace(0.0, 0.55, 33):
+            if chart.p_poly.evaluate(t, 0.0) <= 0.0:
+                expected = f"P(x,0) not positive at x={t:.4g};"
+                break
+            if chart.q_poly.evaluate(0.0, t) >= 0.0:
+                expected = f"Q(0,y) not negative at y={t:.4g};"
+                break
+        assert expected is not None
+        with pytest.raises(UnsupportedGeometryError, match=re.escape(expected)):
+            chart.check_footprint(0.55)
 
 
 class TestSections:
@@ -377,6 +401,23 @@ def test_slow_point_in_budget(game_mf):
         exp = cd.expansion
         assert (exp.leading, exp.s1, exp.s2) == pytest.approx(expected, rel=1e-9)
     assert elapsed < 5.0
+
+
+def test_one_integrand_pass_per_rule_pair(game_mf, monkeypatch):
+    # four corners, each with L1 and L2 and two Mellin tails over an M germ
+    # (which calls L on the tail's nodes): eight transition values and eight
+    # tails, all converging at 32 against 64 nodes, so 16 integrand passes;
+    # a separate pass per rule would make 48
+    calls = []
+    integrand = saddle._Transition.integrand
+
+    def counted(self, t):
+        calls.append(t.shape)
+        return integrand(self, t)
+
+    monkeypatch.setattr(saddle._Transition, "integrand", counted)
+    build_corners(bind(game_mf, check_flow=False))
+    assert len(calls) == 16
 
 
 def test_mellin_order_above_the_default_series(game_mf):
