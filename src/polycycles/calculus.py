@@ -7,7 +7,9 @@ Exponent bookkeeping follows three rules when two second-order candidates
 meet: distinct exponents keep the smaller one, bit-equal exponents add
 their coefficients (resonance), and exponents that agree only to within a
 dead band are kept jointly through a compensator term, the scale-correct
-stand-in for the logarithm that appears at the resonance itself.
+stand-in for the logarithm that appears at the resonance itself.  Ratios
+and coefficients may be complex (a complex step); every comparison, and
+the remainder interval ``ell``, is taken on real parts.
 """
 from __future__ import annotations
 
@@ -95,9 +97,9 @@ def a_star(lams: Sequence[float], d00s: Sequence[float], j: int, k: int) -> floa
 
 
 def _merge_ell(hi_candidates: Sequence[float], lo: float) -> tuple[float, float]:
-    his = [h for h in hi_candidates if h is not None and math.isfinite(h)]
-    hi = min(his) if his else lo
-    return (lo, max(hi, lo))
+    his = [h.real for h in hi_candidates if h is not None and math.isfinite(h.real)]
+    hi = min(his) if his else lo.real
+    return (lo.real, max(hi, lo.real))
 
 
 def compose_pair(d1: DulacExpansion, d2: DulacExpansion) -> DulacExpansion:
@@ -124,7 +126,7 @@ def compose_pair(d1: DulacExpansion, d2: DulacExpansion) -> DulacExpansion:
             cands.append(d1.next_exponent)
         if d2.next_coeff is not None:
             cands.append(nu1 * d2.next_exponent)
-        hi_bound = min([d1.ell[1], nu1 * d2.ell[1]] + cands)
+        hi_bound = min(h.real for h in [d1.ell[1], nu1 * d2.ell[1]] + cands)
         notes = notes + ("composite truncated to leading order",)
         return DulacExpansion(ratio=ratio, leading=leading, case=classify_ratio(ratio),
                               ell=(hi_bound, hi_bound), notes=notes)
@@ -133,13 +135,13 @@ def compose_pair(d1: DulacExpansion, d2: DulacExpansion) -> DulacExpansion:
     w2, c2 = d2.next_exponent, d2.next_coeff
     cand1 = (w1, nu2 * a1 ** (nu2 - 1.0) * a2 * c1)
     cand2 = (nu1 * w2, a1 ** (nu2 + w2) * c2)
-    (e_lo, c_lo), (e_hi, c_hi) = sorted([cand1, cand2], key=lambda t: t[0])
+    (e_lo, c_lo), (e_hi, c_hi) = sorted([cand1, cand2], key=lambda t: t[0].real)
 
     # remainder candidates beyond the kept second-order terms
     hi_bounds = [d1.ell[1], nu1 * d2.ell[1], 2.0 * w1, w1 + nu1 * w2]
 
-    gap = e_hi - e_lo
-    scale = max(1.0, abs(e_lo))
+    gap = (e_hi - e_lo).real
+    scale = max(1.0, abs(e_lo.real))
     if gap <= EXPONENT_TIE_REL * scale:
         coeff, comp = c_lo + c_hi, None
     elif gap <= EXPONENT_DEAD_BAND * scale:
@@ -180,12 +182,12 @@ def inverse_dulac(d: DulacExpansion) -> DulacExpansion:
         if "truncated" not in " ".join(notes):
             notes = notes + ("inverse truncated to leading order",)
         return DulacExpansion(ratio=rho, leading=leading, case=classify_ratio(rho),
-                              ell=(d.ell[0] * rho, d.ell[1] * rho), notes=notes)
+                              ell=(d.ell[0] * rho.real, d.ell[1] * rho.real), notes=notes)
     w = d.next_exponent * rho
     coeff = -rho * d.next_coeff * d.leading ** -(1.0 + rho + w)
     return DulacExpansion(ratio=rho, leading=leading, case=classify_ratio(rho),
                           next_exponent=w, next_coeff=coeff,
-                          ell=(d.ell[0] * rho, d.ell[1] * rho), notes=notes)
+                          ell=(d.ell[0] * rho.real, d.ell[1] * rho.real), notes=notes)
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +270,7 @@ def return_expansion(ds: Sequence[DulacExpansion]) -> ReturnExpansion:
         fold = compose_chain(ds)
     except ValueError:
         pass
-    leading_ell = (0.0, min(lambda_product(lams, i, n) for i in range(n + 1)))
+    leading_ell = (0.0, min(lambda_product(lams, i, n).real for i in range(n + 1)))
     ell = fold.ell if fold is not None else leading_ell
     notes: tuple[str, ...] = tuple(dict.fromkeys(sum((d.notes for d in ds), ())))
 
@@ -298,7 +300,7 @@ def return_expansion(ds: Sequence[DulacExpansion]) -> ReturnExpansion:
         prefactor = lam_mn * a_1m * leading
         coeff = prefactor * (ds[m].s1 - ds[m - 1].s2)
         exp = lambda_product(lams, 0, m)
-        ell = (exp, min(r, 2.0 * exp, 1.0))
+        ell = (exp.real, min(r.real, 2.0 * exp.real, 1.0))
         return ReturnExpansion(size=n, pattern=pattern, ratio=r, leading=leading,
                                kind="A", second_exponent=exp, second_coeff=coeff,
                                ell=ell, split=m, second_scale=abs(prefactor),
@@ -307,21 +309,22 @@ def return_expansion(ds: Sequence[DulacExpansion]) -> ReturnExpansion:
     if pattern == "above-then-below":
         b_coeff = r * leading * ds[0].s1
         c_coeff = -(leading**2) * ds[-1].s2
-        scale = max(abs(r * leading), leading**2)
-        gap = abs(r - 1.0)
+        scale = max(abs(r * leading), abs(leading**2))
+        gap = abs(r.real - 1.0)
         if gap <= EXPONENT_TIE_REL:
             return ReturnExpansion(size=n, pattern=pattern, ratio=r, leading=leading,
                                    kind="A", second_exponent=1.0,
                                    second_coeff=b_coeff + c_coeff,
                                    ell=ell, split=split, second_scale=scale, notes=notes)
         if gap <= EXPONENT_DEAD_BAND:
-            comp = CompensatorTerm(exponent=min(1.0, r), alpha=min(1.0, r) - max(1.0, r),
-                                   plain=b_coeff if r >= 1.0 else c_coeff,
-                                   wrapped=c_coeff if r >= 1.0 else b_coeff)
+            lo, hi = (1.0, r) if r.real >= 1.0 else (r, 1.0)
+            comp = CompensatorTerm(exponent=lo, alpha=lo - hi,
+                                   plain=b_coeff if r.real >= 1.0 else c_coeff,
+                                   wrapped=c_coeff if r.real >= 1.0 else b_coeff)
             return ReturnExpansion(size=n, pattern=pattern, ratio=r, leading=leading,
                                    kind="compensator", comp=comp,
                                    ell=ell, split=split, second_scale=scale, notes=notes)
-        if r > 1.0:
+        if r.real > 1.0:
             return ReturnExpansion(size=n, pattern=pattern, ratio=r, leading=leading,
                                    kind="B", second_exponent=1.0, second_coeff=b_coeff,
                                    ell=ell, split=split, second_scale=abs(r * leading),
@@ -412,15 +415,16 @@ def displacement_expansion(ds: Sequence[DulacExpansion]) -> DisplacementExpansio
     psi3 = astar * (term1 - term2)
     scale = max(abs(a_1m), abs(astar))
     r = lam_0m * lam_mn
-    if abs(r - 1.0) <= EXPONENT_DEAD_BAND:
+    if abs(r.real - 1.0) <= EXPONENT_DEAD_BAND:
         his = [2.0]
         if m >= 1:
-            his.append(lams[0])
+            his.append(lams[0].real)
         if m <= n - 1:
-            his.append(1.0 / lams[-1])
+            his.append((1.0 / lams[-1]).real)
         ell = (1.0, min(his))
     else:
-        ell = (max(lam_0m, 1.0 / lam_mn), min(lam_0m, 1.0 / lam_mn) + 1.0)
+        e_in, e_out = lam_0m.real, (1.0 / lam_mn).real
+        ell = (max(e_in, e_out), min(e_in, e_out) + 1.0)
     notes = ()
     if rotation:
         notes = (f"corner list rotated by {rotation} so the expanding block leads",)

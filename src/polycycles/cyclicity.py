@@ -20,47 +20,31 @@ from .calculus import DisplacementExpansion, ReturnExpansion
 from .errors import NumericError, PolycycleError
 
 ZERO_TOL = 1e-9
-GRADIENT_STEP = 1e-6
-GRADIENT_AGREE_REL = 1e-4
+COMPLEX_STEP = 1e-30
 
 
-def gradient(fun: Callable[[Mapping[str, float]], float], point: Mapping[str, float],
-             names: Sequence[str] | None = None, h: float = GRADIENT_STEP,
-             ) -> dict[str, float | None]:
-    """Central-difference gradient with a step-halving consistency check.
+def gradient(fun: Callable[[Mapping[str, object]], Mapping[str, float | complex]],
+             point: Mapping[str, float], names: Sequence[str] | None = None,
+             ) -> dict[str, dict[str, float | None]]:
+    """Complex-step derivatives of every quantity ``fun`` returns.
 
-    Steps are relative (h * max(1, |value|)).  Each derivative is estimated
-    at step h and h/2; entries whose two estimates disagree by more than
-    GRADIENT_AGREE_REL relative (above an absolute floor of h, the scheme's
-    noise level for order-one functions) are reported as None rather than
-    trusted.
+    ``fun`` maps a parameter point to a dict of quantities and must be
+    holomorphic in the parameters.  It is evaluated once per parameter at
+    x + i*COMPLEX_STEP (Squire and Trapp 1998): the imaginary part over the
+    step is the derivative to rounding, with no difference to cancel.
+    Returns {quantity: {parameter: derivative}}; an entry whose value or
+    derivative is not finite is None.
     """
     if names is None:
         names = list(point.keys())
-    f0 = fun(dict(point))
-    floor = h * max(1.0, abs(f0))
-    out: dict[str, float | None] = {}
+    out: dict[str, dict[str, float | None]] = {}
     for name in names:
-        x = float(point[name])
-        step = h * max(1.0, abs(x))
-
-        def diff(dx: float) -> float:
-            hi = dict(point)
-            hi[name] = x + dx
-            lo = dict(point)
-            lo[name] = x - dx
-            return (fun(hi) - fun(lo)) / (2.0 * dx)
-
-        d1 = diff(step)
-        d2 = diff(step / 2.0)
-        if not (math.isfinite(d1) and math.isfinite(d2)):
-            out[name] = None
-            continue
-        gap = abs(d1 - d2)
-        if gap <= GRADIENT_AGREE_REL * max(abs(d1), abs(d2)) or gap <= floor:
-            out[name] = d2
-        else:
-            out[name] = None
+        shifted = dict(point)
+        shifted[name] = point[name] + COMPLEX_STEP * 1j
+        for quantity, value in fun(shifted).items():
+            d = float(value.imag) / COMPLEX_STEP
+            finite = math.isfinite(value.real) and math.isfinite(d)
+            out.setdefault(quantity, {})[name] = d if finite else None
     return out
 
 
@@ -170,7 +154,9 @@ def verdict(ret: ReturnExpansion,
     criteria from firing.  Independence is certified through gradient
     rank, a sufficient condition, so a non-fired lower bound is not
     evidence of low cyclicity.  ``not_identity`` should be True only when
-    the return map was certified different from the identity.
+    the return map was certified different from the identity.  A quantity
+    moves with the parameters when some gradient entry exceeds ``zero_tol``,
+    the same zero test the coefficients get.
     """
     grads = grads or {}
     g_r = grads.get("ratio")
@@ -178,7 +164,6 @@ def verdict(ret: ReturnExpansion,
     g_s = grads.get("second")
     items: list[VerdictItem] = []
     notes: list[str] = []
-    grad_floor = GRADIENT_STEP
 
     r_is_one = _is_zero(ret.ratio - 1.0, zero_tol)
     a_is_one = _is_zero(ret.leading - 1.0, zero_tol, abs(ret.leading))
@@ -190,7 +175,7 @@ def verdict(ret: ReturnExpansion,
         f"r = {ret.ratio!r}"))
     items.append(VerdictItem(
         "return.b", "lower", 1,
-        r_is_one and _has_nonzero(g_r, grad_floor) and nid,
+        r_is_one and _has_nonzero(g_r, zero_tol) and nid,
         "graphic number equals 1, moves with the parameters (sufficient condition "
         "for a sign change), and the return map is not the identity",
         f"r = {ret.ratio!r}, not_identity = {not_identity}"))
@@ -233,7 +218,7 @@ def verdict(ret: ReturnExpansion,
             f"psi1 = {disp.psi1!r} (scale {disp.scale:.3g})"))
         items.append(VerdictItem(
             "displacement.b", "lower", 1,
-            z1 and _has_nonzero(g1, grad_floor) and nid,
+            z1 and _has_nonzero(g1, zero_tol) and nid,
             "psi1 = 0, moves with the parameters, return map not the identity",
             f"psi1 = {disp.psi1!r}"))
         items.append(VerdictItem(

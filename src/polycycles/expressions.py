@@ -11,10 +11,10 @@ Expression sources follow a small arithmetic grammar:
 Identifiers are either declared parameter names or the reserved field
 variables (``x`` and ``y`` by default).  Literals are kept as exact
 rationals; they are converted to float64 exactly once, when an expression
-is instantiated at a concrete parameter point.  Division is permitted only
-when the divisor instantiates to a nonzero constant, and exponents are
-literal unsigned integers, so every well-formed expression instantiates to
-a polynomial.
+is instantiated at a concrete parameter point (complex where a parameter
+value is complex).  Division is permitted only when the divisor
+instantiates to a nonzero constant, and exponents are literal unsigned
+integers, so every well-formed expression instantiates to a polynomial.
 """
 from __future__ import annotations
 
@@ -23,6 +23,7 @@ from fractions import Fraction
 from typing import Mapping, Union
 
 from .errors import ExpressionError
+from .series import scalar
 
 # ---------------------------------------------------------------------------
 # AST
@@ -295,7 +296,7 @@ def format_expression(expr: Expression) -> str:
 
 
 class BivariatePolynomial:
-    """Polynomial in (x, y) with float64 coefficients.
+    """Polynomial in (x, y) with float (or complex) coefficients.
 
     Stored as a map from exponent pairs (i, j) to nonzero coefficients.
     """
@@ -307,7 +308,7 @@ class BivariatePolynomial:
         if coeffs:
             for key, c in coeffs.items():
                 if c != 0.0:
-                    self.coeffs[(int(key[0]), int(key[1]))] = float(c)
+                    self.coeffs[(int(key[0]), int(key[1]))] = scalar(c)
 
     @classmethod
     def constant(cls, c: float) -> "BivariatePolynomial":
@@ -384,7 +385,7 @@ class BivariatePolynomial:
         return result
 
     def evaluate(self, x: float, y: float) -> float:
-        return float(sum(c * x**i * y**j for (i, j), c in self.coeffs.items()))
+        return scalar(sum(c * x**i * y**j for (i, j), c in self.coeffs.items()))
 
     def partial(self, var: str) -> "BivariatePolynomial":
         out: dict[tuple[int, int], float] = {}
@@ -475,7 +476,7 @@ def _powers(base: BivariatePolynomial, degree: int) -> list[BivariatePolynomial]
 # ---------------------------------------------------------------------------
 # Instantiation
 
-Number = Union[int, float, Fraction]
+Number = Union[int, float, Fraction, complex]
 
 
 def _inst(node: Node, binding: Mapping[str, Number], variables: tuple[str, ...]) -> dict:
@@ -543,7 +544,16 @@ def instantiate(expr: Expression, binding: Mapping[str, Number]) -> BivariatePol
 
     Arithmetic is carried out over exact rationals as long as the binding
     supplies exact values (int or Fraction); the single conversion to
-    float64 happens here, at the end.
+    float64 happens here, at the end.  Coefficients that a complex value
+    (a complex step) reaches stay complex.  Their real parts come from the
+    exact path at the real parts of the values, read as a float value is
+    read, so they equal the coefficients of that real binding bit for bit.
     """
-    exact = _inst(expr.root, binding, expr.variables)
-    return BivariatePolynomial({k: float(c) for k, c in exact.items()})
+    real = {k: Fraction(repr(v.real)) if isinstance(v, complex) else v
+            for k, v in binding.items()}
+    coeffs = {k: float(c) for k, c in _inst(expr.root, real, expr.variables).items()}
+    if real != binding:
+        for k, c in _inst(expr.root, binding, expr.variables).items():
+            if isinstance(c, complex):
+                coeffs[k] = complex(coeffs.get(k, 0.0), c.imag)
+    return BivariatePolynomial(coeffs)

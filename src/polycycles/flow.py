@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
+from numpy.polynomial import polynomial as P
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
@@ -225,13 +226,6 @@ def numeric_return(fun, section: LineSection, s: float, t_max: float = 200.0,
 # Corner transition by integration
 
 
-def _poly_deriv(coeffs: np.ndarray, t: float) -> float:
-    acc = 0.0
-    for k in range(coeffs.size - 1, 0, -1):
-        acc = acc * t + k * coeffs[k]
-    return float(acc)
-
-
 def numeric_dulac(chart: LocalChart, sections: SectionPair, s: float,
                   t_max: float = 200.0, atol: float = ATOL, rtol: float = RTOL) -> float:
     """Corner transition parameter by integrating the normalized local field.
@@ -245,8 +239,8 @@ def numeric_dulac(chart: LocalChart, sections: SectionPair, s: float,
     fun = chart_field(chart)
     start = np.array(sections.sigma1(s), dtype=float)
     anchor = np.array(sections.sigma2(0.0), dtype=float)
-    tangent = np.array([_poly_deriv(sections.sigma2_x, 0.0),
-                        _poly_deriv(sections.sigma2_y, 0.0)])
+    dsigma2_x, dsigma2_y = P.polyder(sections.sigma2_x), P.polyder(sections.sigma2_y)
+    tangent = np.array([horner(dsigma2_x, 0.0), horner(dsigma2_y, 0.0)])
     chord = LineSection.make(anchor, tangent, (-np.inf, np.inf))
 
     traj = integrate(fun, start, t_max, events=[_line_event(chord, 0.0)],
@@ -265,8 +259,7 @@ def numeric_dulac(chart: LocalChart, sections: SectionPair, s: float,
         if float(np.linalg.norm(res)) <= CROSS_RESIDUAL * max(1.0, float(np.linalg.norm(pt))):
             return u_cur
         vel = np.asarray(fun(t_cur, pt), dtype=float)
-        dsig = np.array([_poly_deriv(sections.sigma2_x, u_cur),
-                         _poly_deriv(sections.sigma2_y, u_cur)])
+        dsig = np.array([horner(dsigma2_x, u_cur), horner(dsigma2_y, u_cur)])
         jac = np.column_stack([vel, -dsig])
         try:
             step = np.linalg.solve(jac, -res)

@@ -34,14 +34,16 @@ from .cyclicity import ZERO_TOL
 from .errors import ExpressionError, ModelError, UsageError
 from .expressions import BivariatePolynomial, Expression, instantiate, parse_expression
 from .flow import ATOL, RTOL, LineSection, field_callable, integrate
+from .series import scalar
 
 __all__ = ["ModelFile", "Model", "OPTION_DEFAULTS", "parse_model", "load_model", "bind"]
 
 # Every numeric option a model file or a run may set, with its default.
 # atol, rtol and t_max reach every oracle and probe integration; rtol also
 # scales the identity-probe threshold and the width cycle roots are refined to.
-# zero_tol is the verdict's zero test, samples the cycle-scan grid size and
-# fit_points the expansion-fit grid size.
+# zero_tol is the verdict's zero test, for the coefficients and for their
+# gradients; samples is the cycle-scan grid size and fit_points the
+# expansion-fit grid size.
 OPTION_DEFAULTS = {
     "atol": ATOL,
     "rtol": RTOL,
@@ -91,7 +93,7 @@ class Model:
     """A model file bound to concrete parameter values."""
 
     file: ModelFile
-    values: dict[str, float]
+    values: dict[str, float | complex]
     field_x: BivariatePolynomial
     field_y: BivariatePolynomial
 
@@ -272,14 +274,17 @@ def _signed_area(corners: Sequence[tuple[float, float]]) -> float:
 
 
 def merge_values(mf: ModelFile, overrides: Mapping[str, object] | None = None,
-                 ) -> dict[str, Fraction]:
-    """Defaults plus overrides, exact where the override is exact."""
+                 ) -> dict[str, Fraction | complex]:
+    """Defaults plus overrides, exact where the override is exact.
+
+    A complex override (a complex step) passes through as it is.
+    """
     values = mf.defaults()
     for name, value in (overrides or {}).items():
         if name not in values:
             declared = ", ".join(mf.param_names) or "(none)"
             raise UsageError(f"unknown parameter {name!r}; declared: {declared}")
-        values[name] = value if isinstance(value, Fraction) else _number(
+        values[name] = value if isinstance(value, (Fraction, complex)) else _number(
             str(value), f"override {name}", UsageError)
     return values
 
@@ -295,7 +300,7 @@ def bind(mf: ModelFile, overrides: Mapping[str, object] | None = None,
     binding = merge_values(mf, overrides)
     fx = instantiate(mf.expr_x, binding)
     fy = instantiate(mf.expr_y, binding)
-    model = Model(file=mf, values={k: float(v) for k, v in binding.items()},
+    model = Model(file=mf, values={k: scalar(v) for k, v in binding.items()},
                   field_x=fx, field_y=fy)
     if check_flow and mf.corners:
         _check_traversal(model)

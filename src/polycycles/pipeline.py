@@ -41,9 +41,6 @@ __all__ = [
     "default_fit_grid",
 ]
 
-GRADIENT_NAMES = ("ratio", "leading", "second", "psi1", "psi2", "psi3")
-
-
 def default_fit_grid(s0: float = 1e-2, points: int = 13) -> np.ndarray:
     """Halving grid s0 * 2**-k, the standard grid for expansion fits."""
     return s0 * 2.0 ** -np.arange(points, dtype=float)
@@ -155,7 +152,7 @@ def return_section(model: Model, corners: tuple[CornerData, ...] | None = None,
 
 
 def _quantities(ret: ReturnExpansion, disp: DisplacementExpansion | None,
-                ) -> dict[str, float]:
+                ) -> dict[str, float | complex]:
     out = {
         "ratio": ret.ratio,
         "leading": ret.leading,
@@ -169,7 +166,12 @@ def _quantities(ret: ReturnExpansion, disp: DisplacementExpansion | None,
     return out
 
 
-def _chain_quantities(mf: ModelFile, values: Mapping[str, object]) -> dict[str, float]:
+def _chain_quantities(mf: ModelFile, values: Mapping[str, object],
+                      ) -> dict[str, float | complex]:
+    """The six closed-form quantities at a parameter point.
+
+    Complex parameter values (a complex step) give complex quantities.
+    """
     model = bind(mf, values, check_flow=False)
     chain = [cd.expansion for cd in build_corners(model)]
     try:
@@ -177,23 +179,6 @@ def _chain_quantities(mf: ModelFile, values: Mapping[str, object]) -> dict[str, 
     except PolycycleError:
         disp = None
     return _quantities(return_expansion(chain), disp)
-
-
-class _QuantityCache:
-    """Memoized closed-form pipeline evaluations, keyed by parameter point."""
-
-    def __init__(self, mf: ModelFile):
-        self.mf = mf
-        self.hits: dict[tuple, dict[str, float]] = {}
-
-    def at(self, point: Mapping[str, float]) -> dict[str, float]:
-        key = tuple(sorted((k, float(v)) for k, v in point.items()))
-        if key not in self.hits:
-            self.hits[key] = _chain_quantities(self.mf, dict(point))
-        return self.hits[key]
-
-    def fun(self, name: str) -> Callable[[Mapping[str, float]], float]:
-        return lambda point: self.at(point)[name]
 
 
 def analyze(mf: ModelFile, overrides: Mapping[str, object] | None = None,
@@ -215,14 +200,12 @@ def analyze(mf: ModelFile, overrides: Mapping[str, object] | None = None,
     except PolycycleError as exc:
         disp, disp_note = None, str(exc)
 
-    point = dict(model.values)
-    cache = _QuantityCache(mf)
-    base = cache.hits[tuple(sorted(point.items()))] = _quantities(ret, disp)
     grads: dict[str, dict[str, float | None]] = {}
-    if point:
-        for name in GRADIENT_NAMES:
-            if math.isfinite(base[name]):
-                grads[name] = gradient(cache.fun(name), point)
+    if model.values:
+        base = _quantities(ret, disp)
+        grads = {name: g for name, g in
+                 gradient(lambda p: _chain_quantities(mf, p), model.values).items()
+                 if math.isfinite(base[name])}
 
     not_identity: bool | None = None
     probe_error: str | None = None

@@ -22,8 +22,15 @@ D01 = -D00^2*S2.  The ingredients are the transition factors
 (the integrands have removable singularities at 0, resolved by series),
 the derived functions M1 = L1 * d(P/Q)/du (0,v) and M2 = L2 * d(Q/P)/dv
 (u,0), and an incomplete Mellin transform of M1 and M2.  Both integrals
-(log L and the Mellin tail) use fixed Gauss rules on numpy arrays, checked
-by doubling the node count; see _fixed_rule.
+(log L and the Mellin tail) use one nested Chebyshev rule on numpy arrays,
+weighted by modified moments and checked by doubling the node count; see
+_fixed_rule.
+
+Every function here is holomorphic in the field's coefficients, so a
+complex step in a parameter carries through to exact derivatives (see
+cyclicity.gradient).  Every branch (sign checks, case tags, Taylor splits,
+pole guards, convergence tests) is taken on real parts, so a complex
+evaluation follows the same path as the real one.
 """
 from __future__ import annotations
 
@@ -34,11 +41,11 @@ from typing import Callable
 
 import numpy as np
 from numpy.polynomial import polynomial as P
-from scipy.special import roots_jacobi
 
 from .errors import DegeneracyError, ModelError, NumericError, PoleError, UnsupportedGeometryError
 from .expressions import BivariatePolynomial
-from .series import DEFAULT_ORDER, PowerSeries, horner, ps_div, ps_exp, ps_integrate
+from .series import (DEFAULT_ORDER, PowerSeries, coeff_array, horner, ps_div, ps_exp,
+                     ps_integrate, scalar)
 
 # case-tag dead band around lam = 1 and pole dead band for Mellin orders
 AT_ONE_BAND = 1e-9
@@ -61,7 +68,7 @@ class LocalChart:
 
     p_poly: BivariatePolynomial
     q_poly: BivariatePolynomial
-    lam: float
+    lam: float | complex
     corner: tuple[float, float]
     linear: tuple[tuple[float, float], tuple[float, float]]
     n1: int = 0
@@ -82,8 +89,8 @@ class LocalChart:
     def check_footprint(self, extent: float, samples: int = 33) -> None:
         """Sampled hypotheses P(x,0) > 0 and Q(0,y) < 0 up to ``extent``."""
         ts = np.linspace(0.0, extent, samples)
-        p_axis = horner(self.p_poly.restrict("y", 0.0), ts)  # P(x, 0)
-        q_axis = horner(self.q_poly.restrict("x", 0.0), ts)  # Q(0, y)
+        p_axis = horner(self.p_poly.restrict("y", 0.0), ts).real  # P(x, 0)
+        q_axis = horner(self.q_poly.restrict("x", 0.0), ts).real  # Q(0, y)
         bad = (p_axis <= 0.0) | (q_axis >= 0.0)
         if not bad.any():
             return
@@ -133,15 +140,15 @@ def normalize_saddle(field_x: BivariatePolynomial, field_y: BivariatePolynomial,
 
     eig_x = f1.evaluate(a, b)
     eig_y = g1.evaluate(a, b)
-    if abs(eig_x) <= 1e-12 or abs(eig_y) <= 1e-12:
+    if abs(eig_x.real) <= 1e-12 or abs(eig_y.real) <= 1e-12:
         raise DegeneracyError(f"corner ({a:g},{b:g}) is not hyperbolic: "
                               f"eigenvalues ({eig_x:.3e}, {eig_y:.3e})")
-    if eig_x * eig_y > 0.0:
+    if eig_x.real * eig_y.real > 0.0:
         raise DegeneracyError(f"corner ({a:g},{b:g}) is not a saddle: "
                               f"eigenvalues ({eig_x:.3e}, {eig_y:.3e})")
 
     stable_eig = eig_x if in_axis == "x" else eig_y
-    if stable_eig >= 0.0:
+    if stable_eig.real >= 0.0:
         raise UnsupportedGeometryError(
             f"incoming separatrix at ({a:g},{b:g}) lies on the unstable axis; "
             "the traversal opposes the flow (check the polycycle orientation)")
@@ -167,7 +174,7 @@ def normalize_saddle(field_x: BivariatePolynomial, field_y: BivariatePolynomial,
 
     p0 = p_loc.evaluate(0.0, 0.0)
     q0 = q_loc.evaluate(0.0, 0.0)
-    if not (p0 > 0.0 and q0 < 0.0):
+    if not (p0.real > 0.0 and q0.real < 0.0):
         raise UnsupportedGeometryError(
             f"normalized corner ({a:g},{b:g}) violates P(0,0)>0>Q(0,0): "
             f"P={p0:.3e}, Q={q0:.3e}")
@@ -180,11 +187,6 @@ def normalize_saddle(field_x: BivariatePolynomial, field_y: BivariatePolynomial,
 
 # ---------------------------------------------------------------------------
 # Sections
-
-
-def _poly1d(coeffs) -> np.ndarray:
-    arr = np.atleast_1d(np.asarray(coeffs, dtype=float))
-    return arr
 
 
 @dataclass(frozen=True)
@@ -202,7 +204,7 @@ class SectionPair:
 
     @classmethod
     def make(cls, sigma1_x, sigma1_y, sigma2_x, sigma2_y) -> "SectionPair":
-        pair = cls(_poly1d(sigma1_x), _poly1d(sigma1_y), _poly1d(sigma2_x), _poly1d(sigma2_y))
+        pair = cls(*(coeff_array(c) for c in (sigma1_x, sigma1_y, sigma2_x, sigma2_y)))
         pair.validate()
         return pair
 
@@ -240,64 +242,73 @@ class SectionPair:
 # ---------------------------------------------------------------------------
 # Fixed-rule quadrature
 #
-# Both integrals below (log L over [0, w] and the Mellin tail over [0, x])
-# have smooth integrands, so they use Gauss rules evaluated on all nodes at
-# once.  A rule at n nodes is checked against the rule at 2n nodes: n doubles
-# from QUAD_MIN_NODES until the two agree to QUAD_RTOL relative (QUAD_ATOL
-# absolute, for values near 0).  When 2n reaches QUAD_MAX_NODES the 2n value
-# stands unless the two still differ by more than 1e-6*max(1, |value|).
-# The first n and 2n rules share one integrand pass over both node sets;
-# each doubling after that evaluates only the new 2n rule.
+# Both integrals below, log L over [0, w] and the Mellin tail over [0, x],
+# take the form int_0^1 t^beta g(t) dt with g smooth: beta = 0 for log L and
+# beta = k - alpha - 1 for the tail.  One product rule serves both (Piessens
+# and Branders 1973; QUADPACK's DQMOMO).  g is interpolated on the n + 1
+# Chebyshev-Lobatto points x_j = cos(j pi/n), mapped to t = (1 + x)/2, and its
+# Chebyshev coefficients are weighted by the modified moments of (1 + x)^beta.
+# The nodes do not depend on beta, which may be complex, and the n-point set
+# is every other point of the 2n-point set.
+#
+# A rule at n is checked against the rule at 2n: n doubles from
+# QUAD_MIN_NODES until the two agree to QUAD_RTOL relative (QUAD_ATOL
+# absolute, for values near 0), tested on real parts.  When 2n reaches
+# QUAD_MAX_NODES the 2n value stands unless the two still differ by more
+# than 1e-6*max(1, |value|).  The first check evaluates g once on the 2n + 1
+# points; each doubling evaluates only the new midpoints.
 
 QUAD_ATOL, QUAD_RTOL = 1e-12, 1e-10
 QUAD_MIN_NODES, QUAD_MAX_NODES = 32, 1024
 
 
-# A node set is the concatenated nodes of the rules with node counts ns on
-# [0, 1], with each rule's weights in the same order.
-NodeSet = tuple[np.ndarray, tuple[np.ndarray, ...]]
-
-
 @lru_cache(maxsize=8)
-def _legendre(ns: tuple[int, ...]) -> NodeSet:
-    """Gauss-Legendre rules on [0, 1]."""
-    rules = [np.polynomial.legendre.leggauss(n) for n in ns]
-    nodes = np.concatenate([z for z, _ in rules])
-    return 0.5 * (nodes + 1.0), tuple(0.5 * wts for _, wts in rules)
+def _chebyshev(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n + 1 Lobatto points on [0, 1] and the matrix that takes values
+    there to Chebyshev coefficients."""
+    j = np.arange(n + 1)
+    cos = np.cos(np.pi * (np.outer(j, j) % (2 * n)) / n)  # T_k(x_j), k and j exact
+    half = np.ones(n + 1)
+    half[[0, n]] = 0.5
+    return 0.5 * (1.0 + cos[1]), (2.0 / n) * half[:, None] * cos * half
 
 
-@lru_cache(maxsize=32)
-def _jacobi(ns: tuple[int, ...], beta: float) -> NodeSet:
-    """Gauss-Jacobi rules on [0, 1] for the weight t^beta."""
-    rules = [roots_jacobi(n, 0.0, beta) for n in ns]
-    nodes = np.concatenate([z for z, _ in rules])
-    return 0.5 * (nodes + 1.0), tuple(wts / 2.0 ** (beta + 1.0) for _, wts in rules)
+def _moments(beta, count: int) -> np.ndarray:
+    """M_k = int_{-1}^{1} (1 + x)^beta T_k(x) dx for k < count, by the forward
+    recurrence M_k = -(2^(beta+1) + k(k-beta-2) M_{k-1}) / ((k-1)(k+beta+1))."""
+    two = 2.0 ** (beta + 1.0)
+    m = [two / (beta + 1.0)]
+    m.append(m[0] * beta / (beta + 2.0))
+    for k in range(2, count):
+        m.append(-(two + k * (k - beta - 2.0) * m[-1]) / ((k - 1) * (k + beta + 1.0)))
+    return np.array(m[:count])
 
 
-def _split_dot(values: np.ndarray, weights: tuple[np.ndarray, ...]) -> list[np.ndarray]:
-    """Each rule's weighted sum over its own block of the last axis of values."""
-    out, start = [], 0
-    for wts in weights:
-        out.append(values[..., start:start + wts.size] @ wts)
-        start += wts.size
-    return out
+def _fixed_rule(g: Callable[[np.ndarray], np.ndarray], beta, scale, what: str) -> np.ndarray:
+    """scale * int_0^1 t^beta g(t) dt elementwise, at the 2n-point rule for the
+    least n whose n-point value agrees with it.
 
-
-def _fixed_rule(rule: Callable[[tuple[int, ...]], list[np.ndarray]], what: str) -> np.ndarray:
-    """The 2n-node value for the least n whose n-node value agrees with it, elementwise.
-
-    ``rule(ns)`` returns one value per node count in ``ns`` from a single
-    integrand pass over all their nodes.
+    ``g`` takes an array of nodes and returns values with the nodes on the
+    last axis.  The n-point weights are the first n + 1 moments times the
+    values-to-coefficients matrix.
     """
     n = 2 * QUAD_MIN_NODES
-    coarse, fine = rule((QUAD_MIN_NODES, n))
+    scale = scale / 2.0 ** (beta + 1.0)  # t^beta dt on [0, 1] is 2^-(beta+1) (1+x)^beta dx
+    moments = _moments(beta, n + 1)
+    values = g(_chebyshev(n)[0])
+    coarse = scale * (values[..., ::2] @ (moments[:n // 2 + 1] @ _chebyshev(n // 2)[1]))
     while True:
-        err = np.abs(fine - coarse)
-        if n >= QUAD_MAX_NODES or np.all(err <= np.maximum(QUAD_ATOL, QUAD_RTOL * np.abs(fine))):
+        fine = scale * (values @ (moments @ _chebyshev(n)[1]))
+        err = np.abs((fine - coarse).real)
+        tol = np.maximum(QUAD_ATOL, QUAD_RTOL * np.abs(fine.real))
+        if n >= QUAD_MAX_NODES or np.all(err <= tol):
             break
-        n *= 2
-        coarse, (fine,) = fine, rule((n,))
-    if not np.all(np.isfinite(fine) & (err <= 1e-6 * np.maximum(1.0, np.abs(fine)))):
+        n, coarse = 2 * n, fine
+        mid = g(_chebyshev(n)[0][1::2])
+        merged = np.empty(values.shape[:-1] + (n + 1,), dtype=np.result_type(values, mid))
+        merged[..., ::2], merged[..., 1::2] = values, mid
+        values, moments = merged, _moments(beta, n + 1)
+    if not np.all(np.isfinite(fine) & (err <= 1e-6 * np.maximum(1.0, np.abs(fine.real)))):
         raise NumericError(f"{what} did not converge (err={np.max(err):.2e})")
     return fine
 
@@ -336,7 +347,7 @@ class _Transition:
     series: PowerSeries  # series of L itself
 
     def integrand(self, t: np.ndarray) -> np.ndarray:
-        out = np.empty_like(t)
+        out = np.empty(t.shape, dtype=self.small.coeffs.dtype)
         small = np.abs(t) < _SERIES_SWITCH
         out[small] = horner(self.small.coeffs, t[small])
         big = ~small
@@ -347,13 +358,9 @@ class _Transition:
     def value(self, w):
         """L at a float or at every entry of an array of w."""
         w = np.asarray(w, dtype=float)
-
-        def rule(ns: tuple[int, ...]) -> list[np.ndarray]:
-            t, weights = _legendre(ns)
-            return [w * v for v in _split_dot(self.integrand(np.multiply.outer(w, t)), weights)]
-
-        val = np.exp(_fixed_rule(rule, "transition integral"))
-        return float(val) if val.ndim == 0 else val
+        val = np.exp(_fixed_rule(lambda t: self.integrand(np.multiply.outer(w, t)), 0.0, w,
+                                 "transition integral"))
+        return scalar(val) if val.ndim == 0 else val
 
 
 def _transition_data(chart: LocalChart, which: int, order: int = DEFAULT_ORDER) -> _Transition:
@@ -371,14 +378,14 @@ def _transition_data(chart: LocalChart, which: int, order: int = DEFAULT_ORDER) 
 
     ratio = ps_div(PowerSeries.from_polynomial(num, order), PowerSeries.from_polynomial(den, order))
     shifted = ratio + PowerSeries.constant(shiftc, ratio.order)
-    if abs(shifted.coeffs[0]) > 1e-9:
+    if abs(shifted.coeffs[0].real) > 1e-9:
         raise NumericError(
             f"transition L{which}: constant term {shifted.coeffs[0]:.3e} fails to cancel; "
             "chart inconsistent with its hyperbolicity ratio")
     integrand_series = PowerSeries(shifted.coeffs[1:])  # (ratio + c)/t as a series
 
     l_series = ps_exp(ps_integrate(integrand_series).truncate(order))
-    return _Transition(num=_poly1d(num), den=_poly1d(den), shift=shiftc,
+    return _Transition(num=coeff_array(num), den=coeff_array(den), shift=shiftc,
                        small=integrand_series, series=l_series)
 
 
@@ -389,7 +396,7 @@ def _germ_order(alpha: float) -> int:
     the series tail accurate up to the Mellin switch; at alpha = 14.3 a
     fixed order 16 left no term past the split and a 1e-6 error.
     """
-    return max(DEFAULT_ORDER, math.ceil(alpha) + 10)
+    return max(DEFAULT_ORDER, math.ceil(alpha.real) + 10)
 
 
 def _m_germ(chart: LocalChart, which: int, trans: _Transition) -> Germ:
@@ -420,8 +427,8 @@ def _m_germ(chart: LocalChart, which: int, trans: _Transition) -> Germ:
 
 
 def _check_pole(alpha: float) -> None:
-    nearest = round(alpha)
-    if nearest >= 0 and abs(alpha - nearest) <= MELLIN_POLE_BAND:
+    nearest = round(alpha.real)
+    if nearest >= 0 and abs(alpha.real - nearest) <= MELLIN_POLE_BAND:
         raise PoleError(f"Mellin order alpha={alpha!r} is within {MELLIN_POLE_BAND:g} "
                         f"of the pole at {int(nearest)}")
 
@@ -433,12 +440,12 @@ def mellin_hat(f: Germ, alpha: float, x: float) -> float:
     |x|^alpha int_0^x (f - T_{k-1}f)(s) |s|^{-alpha} ds/s with k the Taylor
     order chosen above alpha + 1.  The tail integrand is s^beta h(s) with
     beta = k - alpha - 1 > -1 and h = (f - T_{k-1}f)/s^k smooth, so it is
-    integrated by Gauss-Jacobi with weight s^beta.
+    integrated by the product rule with weight s^beta.
     """
     _check_pole(alpha)
     if x <= 0.0:
         raise ValueError("mellin_hat expects x > 0")
-    k = max(0, math.ceil(alpha) + 2)
+    k = max(0, math.ceil(alpha.real) + 2)
     coeffs = f.series.coeffs
     if k > coeffs.size:
         raise ValueError(f"germ series order {coeffs.size - 1} too low for alpha={alpha:g}")
@@ -448,7 +455,7 @@ def mellin_hat(f: Germ, alpha: float, x: float) -> float:
     switch = min(_MELLIN_SWITCH * max(1.0, x), 0.5 * x)
 
     def h(s: np.ndarray) -> np.ndarray:
-        out = np.empty_like(s)
+        out = np.empty(s.shape, dtype=coeffs.dtype)
         small = s < switch
         out[small] = horner(coeffs[k:], s[small])  # the series tail
         big = ~small
@@ -456,12 +463,8 @@ def mellin_hat(f: Germ, alpha: float, x: float) -> float:
         out[big] = (f.fun(sb) - horner(taylor, sb)) / sb**k
         return out
 
-    def rule(ns: tuple[int, ...]) -> list[np.ndarray]:
-        t, weights = _jacobi(ns, beta)
-        return [x**(beta + 1.0) * v for v in _split_dot(h(x * t), weights)]
-
-    val = _fixed_rule(rule, "Mellin tail quadrature")
-    return float(head + x**alpha * val)
+    val = _fixed_rule(lambda t: h(x * t), beta, x**(beta + 1.0), "Mellin tail quadrature")
+    return scalar(head + x**alpha * val)
 
 
 # ---------------------------------------------------------------------------
@@ -492,9 +495,9 @@ class DulacExpansion:
 
 
 def classify_ratio(lam: float, band: float = AT_ONE_BAND) -> str:
-    if abs(lam - 1.0) <= band:
+    if abs(lam.real - 1.0) <= band:
         return "at-one"
-    return "below-one" if lam < 1.0 else "above-one"
+    return "below-one" if lam.real < 1.0 else "above-one"
 
 
 def dulac_coefficients(chart: LocalChart, sections: SectionPair | None = None) -> DulacExpansion:
@@ -557,7 +560,7 @@ def dulac_coefficients(chart: LocalChart, sections: SectionPair | None = None) -
         d01 = -(d00**2) * s2
         return DulacExpansion(ratio=lam, leading=d00, case=case,
                               next_exponent=lam, next_coeff=d01,
-                              ell=(lam, min(2.0 * lam, 1.0)),
+                              ell=(lam.real, min(2.0 * lam.real, 1.0)),
                               s1=s1, s2=s2, notes=tuple(notes))
 
     s1 = s1_value()  # alpha = 1/lam in (0,1): pole-free
@@ -569,5 +572,5 @@ def dulac_coefficients(chart: LocalChart, sections: SectionPair | None = None) -
     d10 = lam * d00 * s1
     return DulacExpansion(ratio=lam, leading=d00, case=case,
                           next_exponent=1.0, next_coeff=d10,
-                          ell=(1.0, min(lam, 2.0)),
+                          ell=(1.0, min(lam.real, 2.0)),
                           s1=s1, s2=s2, notes=tuple(notes))

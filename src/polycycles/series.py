@@ -5,10 +5,10 @@ variable.  Arithmetic truncates to the minimum order of the operands, so a
 result is trusted exactly up to its stored order.  These series carry the
 Taylor data of the transition factors entering the Dulac coefficient
 formulas (exp-of-integral constructions and rational-function expansions).
+Coefficients are float64, or complex128 when a parameter carries a complex
+step (see cyclicity.gradient); everything here is holomorphic in them.
 """
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -18,15 +18,25 @@ DEFAULT_ORDER = 16
 def horner(coeffs, t):
     """sum_k coeffs[k] t^k from ascending coefficients, by Horner's rule.
 
-    ``t`` is a float or a numpy array.  A float comes back as a float from
-    a plain loop, which is cheaper than a numpy call for the scalar section
+    ``t`` is a float or a numpy array.  A float comes back as a Python
+    float (complex with complex coefficients) from a plain loop, which is cheaper than a numpy call for the scalar section
     curves of the flow oracle; an array comes back as an array, one
     vectorised step per coefficient over all quadrature nodes at once.
     """
     acc = 0.0 * t
     for c in coeffs[::-1]:
         acc = acc * t + c
-    return acc if isinstance(acc, np.ndarray) else float(acc)
+    return acc if isinstance(acc, np.ndarray) else scalar(acc)
+
+
+def scalar(x):
+    """x as a Python float, or as a Python complex when it is complex."""
+    return complex(x) if isinstance(x, complex) else float(x)
+
+
+def coeff_array(coeffs) -> np.ndarray:
+    """A 1-d float64 array, or complex128 when any coefficient is complex."""
+    return np.atleast_1d(np.asarray(coeffs, dtype=complex if np.iscomplexobj(coeffs) else float))
 
 
 class PowerSeries:
@@ -35,21 +45,21 @@ class PowerSeries:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs):
-        arr = np.asarray(coeffs, dtype=float)
+        arr = coeff_array(coeffs)
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("coefficients must be a nonempty 1-d sequence")
         self.coeffs = arr
 
     @classmethod
     def constant(cls, c: float, order: int = DEFAULT_ORDER) -> "PowerSeries":
-        coeffs = np.zeros(order + 1)
+        coeffs = np.zeros(order + 1, dtype=np.result_type(c, float))
         coeffs[0] = c
         return cls(coeffs)
 
     @classmethod
     def from_polynomial(cls, poly_coeffs, order: int = DEFAULT_ORDER) -> "PowerSeries":
-        coeffs = np.zeros(order + 1)
-        src = np.asarray(poly_coeffs, dtype=float)
+        src = coeff_array(poly_coeffs)
+        coeffs = np.zeros(order + 1, dtype=src.dtype)
         n = min(src.size, order + 1)
         coeffs[:n] = src[:n]
         return cls(coeffs)
@@ -92,7 +102,7 @@ def ps_div(f: PowerSeries, g: PowerSeries) -> PowerSeries:
     if g0 == 0.0:
         raise ZeroDivisionError("series division requires a nonzero constant term")
     k = min(f.order, g.order)
-    q = np.zeros(k + 1)
+    q = np.zeros(k + 1, dtype=np.result_type(f.coeffs, g.coeffs))
     for n in range(k + 1):
         acc = f.coeffs[n]
         for i in range(1, n + 1):
@@ -104,8 +114,8 @@ def ps_div(f: PowerSeries, g: PowerSeries) -> PowerSeries:
 def ps_exp(f: PowerSeries) -> PowerSeries:
     """Series exponential, e_n = (1/n) sum_{k=1..n} k f_k e_{n-k}."""
     n = f.order
-    e = np.zeros(n + 1)
-    e[0] = math.exp(f.coeffs[0])
+    e = np.zeros(n + 1, dtype=f.coeffs.dtype)
+    e[0] = np.exp(f.coeffs[0])
     for m in range(1, n + 1):
         acc = 0.0
         for k in range(1, m + 1):
@@ -120,6 +130,6 @@ def ps_integrate(f: PowerSeries) -> PowerSeries:
     The output order is one higher than the input's: integration gains
     one exact order.
     """
-    out = np.zeros(f.order + 2)
+    out = np.zeros(f.order + 2, dtype=f.coeffs.dtype)
     out[1:] = f.coeffs / np.arange(1, f.order + 2)
     return PowerSeries(out)

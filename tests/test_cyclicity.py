@@ -1,7 +1,9 @@
 """Gradients, rank certification, and the verdict truth table."""
 
+import cmath
 import math
 
+import numpy as np
 import pytest
 
 from polycycles.calculus import DisplacementExpansion, ReturnExpansion
@@ -17,35 +19,48 @@ from polycycles.errors import NumericError, OutOfBasinError
 
 class TestGradient:
     def test_linear_exact(self):
-        g = gradient(lambda p: 3.0 * p["x"] - 2.0 * p["y"], {"x": 1.0, "y": 2.0})
-        assert g["x"] == pytest.approx(3.0, rel=1e-9)
-        assert g["y"] == pytest.approx(-2.0, rel=1e-9)
+        g = gradient(lambda p: {"f": 3.0 * p["x"] - 2.0 * p["y"]}, {"x": 1.0, "y": 2.0})
+        assert g == {"f": {"x": 3.0, "y": -2.0}}
 
     def test_quadratic_central(self):
-        # central differences are exact on quadratics up to rounding
-        g = gradient(lambda p: p["x"] ** 2, {"x": 2.0})
-        assert g["x"] == pytest.approx(4.0, rel=1e-9)
+        # the complex step is exact on quadratics, as central differences were
+        g = gradient(lambda p: {"f": p["x"] ** 2}, {"x": 2.0})
+        assert g["f"]["x"] == 4.0
 
     def test_relative_step(self):
-        g = gradient(lambda p: p["x"] ** 2, {"x": 1e6})
-        assert g["x"] == pytest.approx(2e6, rel=1e-9)
+        # one fixed step serves every magnitude: nothing cancels
+        g = gradient(lambda p: {"f": p["x"] ** 2}, {"x": 1e6})
+        assert g["f"]["x"] == 2e6
 
     def test_constant(self):
-        g = gradient(lambda p: 7.0, {"a": 1.0, "b": -3.0})
-        assert g == {"a": 0.0, "b": 0.0}
+        g = gradient(lambda p: {"f": 7.0}, {"a": 1.0, "b": -3.0})
+        assert g == {"f": {"a": 0.0, "b": 0.0}}
 
     def test_names_subset(self):
-        g = gradient(lambda p: p["x"] + p["y"], {"x": 0.0, "y": 0.0}, names=["x"])
-        assert list(g) == ["x"]
-
-    def test_disagreement_reported_as_none(self):
-        # oscillation faster than the step: the two estimates disagree
-        g = gradient(lambda p: math.sin(1e6 * p["x"]), {"x": 0.3})
-        assert g["x"] is None
+        g = gradient(lambda p: {"f": p["x"] + p["y"]}, {"x": 0.0, "y": 0.0}, names=["x"])
+        assert list(g["f"]) == ["x"]
 
     def test_non_finite_reported_as_none(self):
-        g = gradient(lambda p: float("nan"), {"x": 0.3})
-        assert g["x"] is None
+        g = gradient(lambda p: {"nan": float("nan"), "f": p["x"]}, {"x": 0.3})
+        assert g == {"nan": {"x": None}, "f": {"x": 1.0}}
+
+    def test_one_evaluation_per_parameter_for_all_quantities(self):
+        calls = []
+
+        def fun(p):
+            calls.append(dict(p))
+            return {"prod": p["x"] * p["y"], "exp": cmath.exp(p["x"]) / p["y"]}
+
+        g = gradient(fun, {"x": 0.5, "y": 4.0})
+        assert len(calls) == 2
+        assert g["prod"] == {"x": 4.0, "y": 0.5}
+        assert g["exp"]["x"] == pytest.approx(math.exp(0.5) / 4.0, rel=1e-15)
+        assert g["exp"]["y"] == pytest.approx(-math.exp(0.5) / 16.0, rel=1e-15)
+
+    def test_real_values_come_back_as_floats(self):
+        g = gradient(lambda p: {"f": np.sin(p["x"])}, {"x": 0.3})
+        assert type(g["f"]["x"]) is float
+        assert g["f"]["x"] == pytest.approx(math.cos(0.3), rel=1e-15)
 
 
 class TestIndependenceRank:
@@ -176,6 +191,16 @@ class TestVerdict:
         v = verdict(make_return(1.0 + 1e-7, 2.0), zero_tol=1e-6,
                     grads=UNIT_GRADS, not_identity=True)
         assert not any(it.label == "return.a" and it.fired for it in v.items)
+        assert any(it.label == "return.b" and it.fired for it in v.items)
+
+    def test_gradient_entries_within_zero_tol_do_not_move(self):
+        still = {"ratio": {"a": 1e-9, "b": -1e-9, "c": 0.0}}
+        v = verdict(make_return(1.0, 1.5), grads=still, not_identity=True)
+        assert not any(it.label == "return.b" and it.fired for it in v.items)
+
+    def test_one_gradient_entry_above_zero_tol_moves(self):
+        moving = {"ratio": {"a": 1e-9, "b": -2e-9, "c": 0.0}}
+        v = verdict(make_return(1.0, 1.5), grads=moving, not_identity=True)
         assert any(it.label == "return.b" and it.fired for it in v.items)
 
     def test_second_scale_enters_zero_test(self):

@@ -7,12 +7,16 @@ fits) rather than re-deriving the integration here.
 
 import hashlib
 import math
+import random
 import sys
 
 import pytest
 
+from polycycles import pipeline
+from polycycles.cyclicity import gradient
 from polycycles.errors import ModelError
-from polycycles.pipeline import analyze, oracle_cycles, oracle_dulac, oracle_return, scan
+from polycycles.pipeline import (_chain_quantities, analyze, build_corners, oracle_cycles,
+                                 oracle_dulac, oracle_return, scan)
 from polycycles.resultdoc import dumps, loads
 
 EPS = sys.float_info.epsilon
@@ -101,6 +105,19 @@ class TestAnalyzeGame:
         assert grads["ratio"]["l1"] == pytest.approx(3.375, rel=1e-6)
         assert abs(grads["ratio"]["m1"]) < 1e-9
         assert grads["psi3"]["m1"] == pytest.approx(25203043.77850661, rel=1e-4)
+        # complex-step entries are exact to rounding: dr/dl_i = r/l_i
+        r, params = game_doc["return"]["ratio"], game_doc["parameters"]
+        for name in ("l1", "l2", "l3", "l4"):
+            assert grads["ratio"][name] == pytest.approx(r / params[name], rel=1e-14)
+        assert grads["ratio"]["m1"] == 0.0
+
+    def test_one_chain_per_parameter(self, game_mf, monkeypatch):
+        # the document's chain, then one complex chain for each of 5 parameters
+        calls = []
+        monkeypatch.setattr(pipeline, "build_corners",
+                            lambda model: calls.append(model) or build_corners(model))
+        analyze(game_mf)
+        assert len(calls) == 6
 
     def test_parameters_and_provenance(self, game_doc, game_mf):
         assert game_doc["parameters"] == {
@@ -244,3 +261,34 @@ class TestScan:
                  max_points=10)
         with pytest.raises(ModelError, match="empty grid"):
             scan(game_mf, {})
+
+
+def test_complex_chain_is_holomorphic(game_mf):
+    # at scan points, every complex-step entry matches a central difference,
+    # and the complex chain's real part is the real chain
+    ranges = {"l1": (0.3, 0.9), "l2": (1.1, 3.0), "l3": (1.1, 2.0),
+              "l4": (1.1, 2.8), "m1": (6.0, 30.0)}
+    rng = random.Random(2504)
+    for _ in range(10):
+        point = {name: rng.uniform(lo, hi) for name, (lo, hi) in ranges.items()}
+        real = _chain_quantities(game_mf, point)
+        complex_chains = []
+
+        def fun(p):
+            complex_chains.append(_chain_quantities(game_mf, p))
+            return complex_chains[-1]
+
+        grads = gradient(fun, point)
+        for q in complex_chains:
+            for name, value in q.items():
+                assert value.real == pytest.approx(real[name], rel=1e-13)
+        for name, x in point.items():
+            h = 1e-6 * max(1.0, abs(x))
+            hi = _chain_quantities(game_mf, {**point, name: x + h})
+            lo = _chain_quantities(game_mf, {**point, name: x - h})
+            for q, g in grads.items():
+                fd = (hi[q] - lo[q]) / (2.0 * h)
+                if g[name] != 0.0:
+                    assert g[name] == pytest.approx(fd, rel=1e-5)
+                else:  # an exact zero, where the difference sees only rounding
+                    assert abs(fd) <= 1e-8 * max(abs(v) for v in g.values())

@@ -10,6 +10,7 @@ import math
 import re
 import time
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -302,8 +303,8 @@ class TestMellin:
             assert mellin_hat(germ, alpha, x) == pytest.approx(exact, rel=1e-13)
 
     def test_rough_germ_fails_the_node_doubling_check(self):
-        # a jump at s = 0.2: the Gauss rules hardly converge, and 512
-        # against 1024 nodes still differ by 1e-2
+        # a jump at s = 0.2: the rules hardly converge, and 512 against
+        # 1024 nodes still differ by 3e-3
         germ = Germ(fun=lambda s: np.where(s > 0.2, 1.0, 0.0), series=PowerSeries([0.0] * 3))
         with pytest.raises(NumericError, match="Mellin tail quadrature did not converge"):
             mellin_hat(germ, 0.5, 0.4)
@@ -407,7 +408,9 @@ def test_one_integrand_pass_per_rule_pair(game_mf, monkeypatch):
     # four corners, each with L1 and L2 and two Mellin tails over an M germ
     # (which calls L on the tail's nodes): eight transition values and eight
     # tails, all converging at 32 against 64 nodes, so 16 integrand passes;
-    # a separate pass per rule would make 48
+    # a separate pass per rule would make 48.  Each pass covers the 65
+    # points of the 64-node rule, every other one of which is the 32-node
+    # rule (Gauss rules shared no nodes and needed 96)
     calls = []
     integrand = saddle._Transition.integrand
 
@@ -418,6 +421,32 @@ def test_one_integrand_pass_per_rule_pair(game_mf, monkeypatch):
     monkeypatch.setattr(saddle._Transition, "integrand", counted)
     build_corners(bind(game_mf, check_flow=False))
     assert len(calls) == 16
+    assert all(shape[-1] == 65 for shape in calls)
+
+
+@pytest.mark.parametrize("beta", [0.0, 1.0, 1.5, 1.999, 1.3 + 1e-30j])
+def test_moments_match_mpmath(beta):
+    # T_k(x) = 2F1(-k, k; 1/2; (1 - x)/2) integrates term by term to
+    # M_k = 2^(beta+1)/(beta+1) 3F2(-k, k, 1; 1/2, beta+2; 1); the complex
+    # beta checks the imaginary part a complex step carries
+    got = saddle._moments(beta, 1025)
+    b = mpmath.mpmathify(beta)
+    with mpmath.workdps(30):
+        for k in list(range(65)) + list(range(96, 1025, 32)):
+            ref = 2**(b + 1) / (b + 1) * mpmath.hyp3f2(-k, k, 1, 0.5, b + 2, 1, zeroprec=200)
+            assert abs(got[k].real - float(mpmath.re(ref))) <= 4e-15 * max(1.0, abs(ref))
+            d_ref = float(mpmath.im(ref)) / 1e-30
+            assert abs(got[k].imag / 1e-30 - d_ref) <= 1e-13 * max(1.0, abs(d_ref))
+
+
+def test_product_rule_weights():
+    # beta = 0 is Clenshaw-Curtis; the moment weights integrate t^(beta+j)
+    # exactly for j up to the rule's degree
+    t, to_coeffs = saddle._chebyshev(32)
+    for beta in (0.0, 1.37):
+        w = saddle._moments(beta, 33) @ to_coeffs / 2.0 ** (beta + 1.0)
+        for j in (0, 1, 7, 32):
+            assert w @ t**j == pytest.approx(1.0 / (beta + j + 1.0), rel=1e-14)
 
 
 def test_mellin_order_above_the_default_series(game_mf):
