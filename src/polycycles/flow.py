@@ -3,9 +3,12 @@
 Everything here deliberately avoids the closed-form expansion machinery so
 that its output can serve as an independent cross-check.  Transition maps
 are computed by integrating the vector field with tight tolerances and
-locating section crossings with event detection plus a Newton polish;
-asymptotic coefficients are recovered from samples on a geometric grid of
-section parameters by Richardson-style extrapolation.
+locating section crossings on the integrator's dense output plus a Newton
+polish; asymptotic coefficients are recovered from samples on a geometric
+grid of section parameters by Richardson-style extrapolation.
+
+The integrator is a Dormand–Prince 5(4) pair stepping on Python floats
+(`integrate`); fields are planar and autonomous, ``fun(x, y) -> (fx, fy)``.
 """
 from __future__ import annotations
 
@@ -14,9 +17,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from numpy.polynomial import polynomial as P
-from scipy.integrate import solve_ivp
-from scipy.optimize import brentq
+from numpy.polynomial import polynomial as npoly
 
 from .errors import NumericError, OutOfBasinError, PolycycleError
 from .expressions import BivariatePolynomial
@@ -28,6 +29,37 @@ RTOL = 1e-10
 CROSS_RESIDUAL = 1e-12
 PRE_STEP = 1e-6   # advance past a start that sits on the section line
 MAX_RESTARTS = 20
+EPS = 2.0 ** -52
+
+# Dormand–Prince 5(4) tableau (Dormand and Prince 1980) and the quartic
+# dense output of Shampine (1986), the coefficients of scipy's RK45.  The
+# fields are autonomous, so the stage times C are listed but never used.
+C = (0.0, 1/5, 3/10, 4/5, 8/9, 1.0)
+A = (
+    (0.0, 0.0, 0.0, 0.0, 0.0),
+    (1/5, 0.0, 0.0, 0.0, 0.0),
+    (3/40, 9/40, 0.0, 0.0, 0.0),
+    (44/45, -56/15, 32/9, 0.0, 0.0),
+    (19372/6561, -25360/2187, 64448/6561, -212/729, 0.0),
+    (9017/3168, -355/33, 46732/5247, 49/176, -5103/18656),
+)
+B = (35/384, 0.0, 500/1113, 125/192, -2187/6784, 11/84)
+E = (-71/57600, 0.0, 71/16695, -71/1920, 17253/339200, -22/525, 1/40)
+P = (
+    (1.0, -8048581381/2820520608, 8663915743/2820520608, -12715105075/11282082432),
+    (0.0, 0.0, 0.0, 0.0),
+    (0.0, 131558114200/32700410799, -68118460800/10900136933, 87487479700/32700410799),
+    (0.0, -1754552775/470086768, 14199869525/1410260304, -10690763975/1880347072),
+    (0.0, 127303824393/49829197408, -318862633887/49829197408,
+     701980252875/199316789632),
+    (0.0, -282668133/205662961, 2019193451/616988883, -1453857185/822651844),
+    (0.0, 40617522/29380423, -110615467/29380423, 69997945/29380423),
+)
+# step control of Hairer, Nørsett and Wanner (Solving ODEs I, §II.4)
+SAFETY = 0.9
+MIN_FACTOR = 0.2
+MAX_FACTOR = 10.0
+ERROR_EXPONENT = -1.0 / 5.0  # the embedded error estimate is of order 4
 
 
 def _dense_rows(poly: BivariatePolynomial) -> list[list[float]]:
@@ -51,64 +83,230 @@ def _horner2(rows: list[list[float]], x: float, y: float) -> float:
     return acc
 
 
-def field_callable(fx: BivariatePolynomial, fy: BivariatePolynomial):
-    """Pack two polynomial components into a solve_ivp right-hand side."""
+def field_callable(fx: BivariatePolynomial, fy: BivariatePolynomial,
+                   ) -> Callable[[float, float], tuple[float, float]]:
+    """Pack two polynomial components into a float right-hand side."""
     rx, ry = _dense_rows(fx), _dense_rows(fy)
 
-    def fun(t: float, y):
-        a, b = np.asarray(y).tolist()  # Python floats: cheaper arithmetic than numpy scalars
-        return (_horner2(rx, a, b), _horner2(ry, a, b))
+    def fun(x: float, y: float) -> tuple[float, float]:
+        return (_horner2(rx, x, y), _horner2(ry, x, y))
 
     return fun
 
 
-def chart_field(chart: LocalChart):
+def chart_field(chart: LocalChart) -> Callable[[float, float], tuple[float, float]]:
     """Right-hand side of the normalized local system u' = uP, v' = vQ."""
     rp, rq = _dense_rows(chart.p_poly), _dense_rows(chart.q_poly)
 
-    def fun(t: float, y):
-        u, v = np.asarray(y).tolist()
+    def fun(u: float, v: float) -> tuple[float, float]:
         return (u * _horner2(rp, u, v), v * _horner2(rq, u, v))
 
     return fun
 
 
+# ---------------------------------------------------------------------------
+# Dormand–Prince 5(4) integration
+
+
 @dataclass(frozen=True)
-class EventRecord:
-    index: int
-    t: float
-    state: np.ndarray
+class _Step:
+    """One accepted step's quartic interpolant: state at t_old + theta*h is
+    start + h*theta*(q0 + theta*(q1 + theta*(q2 + theta*q3)))."""
+
+    t_old: float
+    h: float
+    start: tuple[float, float]
+    qx: tuple[float, float, float, float]
+    qy: tuple[float, float, float, float]
+
+    @classmethod
+    def make(cls, t_old: float, h: float, start: tuple[float, float],
+             kx: Sequence[float], ky: Sequence[float]) -> "_Step":
+        qx = tuple(sum(k * row[j] for k, row in zip(kx, P)) for j in range(4))
+        qy = tuple(sum(k * row[j] for k, row in zip(ky, P)) for j in range(4))
+        return cls(t_old, h, start, qx, qy)
+
+    def __call__(self, t: float) -> tuple[float, float]:
+        h, (x0, y0), (a0, a1, a2, a3), (b0, b1, b2, b3) = (
+            self.h, self.start, self.qx, self.qy)
+        th = (t - self.t_old) / h
+        return (x0 + h * th * (a0 + th * (a1 + th * (a2 + th * a3))),
+                y0 + h * th * (b0 + th * (b1 + th * (b2 + th * b3))))
+
+    def crossing(self, g0: float, nx: float, ny: float) -> float:
+        """Time at which (state - anchor)·n, equal to g0 at the step's start,
+        has its root on the interpolant, the step having changed its sign."""
+        c0, c1, c2, c3 = (a * nx + b * ny for a, b in zip(self.qx, self.qy))
+        h = self.h
+
+        def g(th: float) -> float:
+            return g0 + h * th * (c0 + th * (c1 + th * (c2 + th * c3)))
+
+        g1 = g(1.0)
+        if g0 != 0.0 and (g0 > 0.0) == (g1 > 0.0):
+            return self.t_old + h  # rounding left the interpolant short of the line
+        return self.t_old + h * _bracket_root(g, 0.0, 1.0, g0, g1, xtol=4 * EPS)
 
 
 @dataclass(frozen=True)
 class Trajectory:
-    t: np.ndarray
-    states: np.ndarray
-    status: str  # "event" | "tmax" | "failed"
-    events: tuple[EventRecord, ...]
-    sol: object
+    """Where an integration stopped: at a section crossing ("event") or at
+    the end of its time span ("tmax")."""
 
-    def state_at(self, t: float) -> np.ndarray:
-        return np.asarray(self.sol(t), dtype=float)
+    status: str  # "event" | "tmax"
+    t: float
+    state: tuple[float, float]
+    last_step: _Step
+
+    def state_at(self, t: float) -> tuple[float, float]:
+        """The last step's interpolant at t, extrapolated outside that step."""
+        return self.last_step(t)
 
 
-def integrate(fun, start, t_max: float, events: Sequence = (),
-              t0: float = 0.0, atol: float = ATOL, rtol: float = RTOL) -> Trajectory:
-    """Integrate with RK45 at oracle tolerances, dense output always on."""
-    res = solve_ivp(fun, (t0, t0 + t_max), np.asarray(start, dtype=float),
-                    method="RK45", dense_output=True, events=list(events) or None,
-                    atol=atol, rtol=rtol)
-    if res.status == -1:
-        raise NumericError(f"integration failed: {res.message}")
-    recs = []
-    if res.t_events is not None:
-        for idx, (ts, ys) in enumerate(zip(res.t_events, res.y_events)):
-            for te, ye in zip(ts, ys):
-                recs.append(EventRecord(index=idx, t=float(te), state=np.asarray(ye)))
-    recs.sort(key=lambda rec: rec.t)
-    status = "event" if res.status == 1 else "tmax"
-    return Trajectory(t=res.t, states=res.y.T, status=status,
-                      events=tuple(recs), sol=res.sol)
+def _rms(ex: float, ey: float, sx: float, sy: float) -> float:
+    ex, ey = ex / sx, ey / sy
+    return math.sqrt(0.5 * (ex * ex + ey * ey))
+
+
+def _initial_step(fun, x: float, y: float, fx: float, fy: float,
+                  span: float, atol: float, rtol: float) -> float:
+    """First step size by the rule of Hairer, Nørsett and Wanner (§II.4)."""
+    sx, sy = atol + abs(x) * rtol, atol + abs(y) * rtol
+    d0, d1 = _rms(x, y, sx, sy), _rms(fx, fy, sx, sy)
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, span)
+    gx, gy = fun(x + h0 * fx, y + h0 * fy)
+    d2 = _rms(gx - fx, gy - fy, sx, sy) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** -ERROR_EXPONENT
+    return min(100.0 * h0, h1, span)
+
+
+def integrate(fun, start, t_max: float, section: LineSection | None = None,
+              direction: float = 0.0, t0: float = 0.0,
+              atol: float = ATOL, rtol: float = RTOL) -> Trajectory:
+    """Integrate the planar field ``fun`` from ``start`` for time t_max.
+
+    Dormand–Prince 5(4) with local extrapolation and FSAL, under the step
+    control of scipy's RK45: the error is the RMS of the embedded estimate
+    over atol + max(|y|, |y_new|)·rtol, the step grows by 0.9·err^(-1/5)
+    within [0.2, 10] and not at all right after a rejection, and a step
+    below ten ulps of t is a NumericError.  With a ``section`` the run
+    stops in the first step over which (x - ax)·nx + (y - ay)·ny changes
+    sign in ``direction`` (+1 upward, -1 downward, 0 either), at that
+    function's root on the step's quartic interpolant.
+    """
+    t_end = t0 + t_max
+    if not t_end > t0:
+        raise ValueError("integration time span must be positive")
+    (_, (a21, *_), (a31, a32, *_), (a41, a42, a43, *_), (a51, a52, a53, a54, _),
+     (a61, a62, a63, a64, a65)) = A
+    b1, _, b3, b4, b5, b6 = B
+    e1, _, e3, e4, e5, e6, e7 = E
+    x, y = float(start[0]), float(start[1])
+    t = t0
+    fx, fy = fun(x, y)
+    h_abs = _initial_step(fun, x, y, fx, fy, t_end - t, atol, rtol)
+    if section is not None:
+        (ax, ay), (nx, ny) = section.anchor.tolist(), section.normal.tolist()
+        g = (x - ax) * nx + (y - ay) * ny
+        up, down = direction >= 0.0, direction <= 0.0
+
+    crossed = False
+    while not crossed and t < t_end:
+        min_step = 10.0 * (math.nextafter(t, math.inf) - t)
+        h_abs = max(h_abs, min_step)
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                raise NumericError(f"integration failed: step size fell below "
+                                   f"ten ulps at t={t:g}")
+            t_new = min(t + h_abs, t_end)
+            h = t_new - t
+            k2x, k2y = fun(x + h * (a21 * fx), y + h * (a21 * fy))
+            k3x, k3y = fun(x + h * (a31 * fx + a32 * k2x),
+                           y + h * (a31 * fy + a32 * k2y))
+            k4x, k4y = fun(x + h * (a41 * fx + a42 * k2x + a43 * k3x),
+                           y + h * (a41 * fy + a42 * k2y + a43 * k3y))
+            k5x, k5y = fun(x + h * (a51 * fx + a52 * k2x + a53 * k3x + a54 * k4x),
+                           y + h * (a51 * fy + a52 * k2y + a53 * k3y + a54 * k4y))
+            k6x, k6y = fun(
+                x + h * (a61 * fx + a62 * k2x + a63 * k3x + a64 * k4x + a65 * k5x),
+                y + h * (a61 * fy + a62 * k2y + a63 * k3y + a64 * k4y + a65 * k5y))
+            xn = x + h * (b1 * fx + b3 * k3x + b4 * k4x + b5 * k5x + b6 * k6x)
+            yn = y + h * (b1 * fy + b3 * k3y + b4 * k4y + b5 * k5y + b6 * k6y)
+            k7x, k7y = fun(xn, yn)
+            err = _rms(h * (e1 * fx + e3 * k3x + e4 * k4x + e5 * k5x + e6 * k6x + e7 * k7x),
+                       h * (e1 * fy + e3 * k3y + e4 * k4y + e5 * k5y + e6 * k6y + e7 * k7y),
+                       atol + max(abs(x), abs(xn)) * rtol,
+                       atol + max(abs(y), abs(yn)) * rtol)
+            if err < 1.0:
+                factor = (MAX_FACTOR if err == 0.0
+                          else min(MAX_FACTOR, SAFETY * err ** ERROR_EXPONENT))
+                h_abs = h * (min(1.0, factor) if rejected else factor)
+                break
+            h_abs = h * max(MIN_FACTOR, SAFETY * err ** ERROR_EXPONENT)
+            rejected = True
+
+        t_old, x_old, y_old, k1x, k1y = t, x, y, fx, fy
+        t, x, y, fx, fy = t_new, xn, yn, k7x, k7y
+        if section is not None:
+            g_old, g = g, (x - ax) * nx + (y - ay) * ny
+            crossed = (up and g_old <= 0.0 <= g) or (down and g_old >= 0.0 >= g)
+
+    step = _Step.make(t_old, h, (x_old, y_old), (k1x, k2x, k3x, k4x, k5x, k6x, k7x),
+                      (k1y, k2y, k3y, k4y, k5y, k6y, k7y))
+    if crossed:
+        t_cross = step.crossing(g_old, nx, ny)
+        return Trajectory("event", t_cross, step(t_cross), step)
+    return Trajectory("tmax", t, (x, y), step)
+
+
+def _bracket_root(f: Callable[[float], float], a: float, b: float, fa: float, fb: float,
+                  xtol: float, rtol: float = 4 * EPS, maxiter: int = 100) -> float:
+    """Root of f in [a, b] from end values of opposite sign, by Brent's
+    method (inverse quadratic interpolation safeguarded by bisection) as in
+    scipy's brentq; stops once the bracket is narrower than xtol + rtol·|x|.
+    """
+    if fa == 0.0:
+        return a
+    if fb == 0.0:
+        return b
+    if (fa > 0.0) == (fb > 0.0):
+        raise ValueError("root is not bracketed")
+    x_pre, f_pre, x_cur, f_cur = a, fa, b, fb
+    x_blk = f_blk = s_pre = s_cur = 0.0
+    for _ in range(maxiter):
+        if (f_pre < 0.0 < f_cur) or (f_cur < 0.0 < f_pre):
+            x_blk, f_blk = x_pre, f_pre
+            s_pre = s_cur = x_cur - x_pre
+        if abs(f_blk) < abs(f_cur):
+            x_pre, x_cur, x_blk = x_cur, x_blk, x_cur
+            f_pre, f_cur, f_blk = f_cur, f_blk, f_cur
+        delta = 0.5 * (xtol + rtol * abs(x_cur))
+        s_bis = 0.5 * (x_blk - x_cur)
+        if f_cur == 0.0 or abs(s_bis) < delta:
+            return x_cur
+        if abs(s_pre) > delta and abs(f_cur) < abs(f_pre):
+            if x_pre == x_blk:  # secant
+                s_try = -f_cur * (x_cur - x_pre) / (f_cur - f_pre)
+            else:  # inverse quadratic
+                d_pre = (f_pre - f_cur) / (x_pre - x_cur)
+                d_blk = (f_blk - f_cur) / (x_blk - x_cur)
+                s_try = (-f_cur * (f_blk * d_blk - f_pre * d_pre)
+                         / (d_blk * d_pre * (f_blk - f_pre)))
+            if 2.0 * abs(s_try) < min(abs(s_pre), 3.0 * abs(s_bis) - delta):
+                s_pre, s_cur = s_cur, s_try
+            else:
+                s_pre = s_cur = s_bis
+        else:
+            s_pre = s_cur = s_bis
+        x_pre, f_pre = x_cur, f_cur
+        x_cur += s_cur if abs(s_cur) > delta else math.copysign(delta, s_bis)
+        f_cur = f(x_cur)
+    raise NumericError(f"root refinement did not converge in {maxiter} steps")
 
 
 # ---------------------------------------------------------------------------
@@ -147,30 +345,21 @@ class LineSection:
         return float((np.asarray(point) - self.anchor) @ self.normal)
 
 
-def _line_event(section: LineSection, direction: float):
-    (ax, ay), (nx, ny) = section.anchor.tolist(), section.normal.tolist()
-
-    def g(t, y):
-        a, b = y.tolist()
-        return (a - ax) * nx + (b - ay) * ny
-
-    g.terminal = True
-    g.direction = direction
-    return g
-
-
-def _polish_onto_line(fun, point: np.ndarray, section: LineSection) -> np.ndarray:
+def _polish_onto_line(fun, point: tuple[float, float],
+                      section: LineSection) -> tuple[float, float]:
     """One-dimensional Newton along the flow onto the section line."""
-    scale = max(1.0, float(np.linalg.norm(point)))
+    (ax, ay), (nx, ny) = section.anchor.tolist(), section.normal.tolist()
+    x, y = point
+    scale = max(1.0, math.hypot(x, y))
     for _ in range(8):
-        g = section.residual(point)
+        g = (x - ax) * nx + (y - ay) * ny
         if abs(g) <= CROSS_RESIDUAL * scale:
-            return point
-        vel = np.asarray(fun(0.0, point), dtype=float)
-        dg = vel @ section.normal
+            return x, y
+        vx, vy = fun(x, y)
+        dg = vx * nx + vy * ny
         if dg == 0.0:
             break
-        point = point - (g / dg) * vel
+        x, y = x - (g / dg) * vx, y - (g / dg) * vy
     raise NumericError("section crossing failed to converge to the line")
 
 
@@ -185,30 +374,26 @@ def crossing_map(fun, start, section: LineSection, t_max: float = 200.0,
     restarting just past them.  ``match_direction`` filters the crossing
     orientation (defaults to the orientation of the flow at the start).
     """
-    y = np.asarray(start, dtype=float)
-    vel0 = np.asarray(fun(0.0, y), dtype=float)
+    state = (float(start[0]), float(start[1]))
     if match_direction is None:
-        match_direction = math.copysign(1.0, float(vel0 @ section.normal))
-    t_now = 0.0
-    pre = integrate(fun, y, pre_step, atol=atol, rtol=rtol)
-    y = pre.state_at(pre_step)
-    t_now += pre_step
+        vx, vy = fun(*state)
+        nx, ny = section.normal.tolist()
+        match_direction = math.copysign(1.0, vx * nx + vy * ny)
+    state = integrate(fun, state, pre_step, atol=atol, rtol=rtol).state
+    t_now = pre_step
 
     for _ in range(MAX_RESTARTS):
         if t_now >= t_max:
             break
-        traj = integrate(fun, y, t_max - t_now, events=[_line_event(section, match_direction)],
-                         t0=t_now, atol=atol, rtol=rtol)
+        traj = integrate(fun, state, t_max - t_now, section=section,
+                         direction=match_direction, t0=t_now, atol=atol, rtol=rtol)
         if traj.status != "event":
             break
-        rec = traj.events[-1]
-        point = _polish_onto_line(fun, rec.state.copy(), section)
-        u = section.param(point)
+        u = section.param(_polish_onto_line(fun, traj.state, section))
         if section.window[0] <= u <= section.window[1]:
-            return u, rec.t
-        nudge = integrate(fun, rec.state, pre_step, t0=rec.t, atol=atol, rtol=rtol)
-        y = nudge.state_at(rec.t + pre_step)
-        t_now = rec.t + pre_step
+            return u, traj.t
+        state = integrate(fun, traj.state, pre_step, t0=traj.t, atol=atol, rtol=rtol).state
+        t_now = traj.t + pre_step
     raise OutOfBasinError("orbit did not return to the section window "
                           f"within t_max={t_max:g}")
 
@@ -237,36 +422,30 @@ def numeric_dulac(chart: LocalChart, sections: SectionPair, s: float,
     if s <= 0.0:
         raise ValueError("numeric_dulac expects s > 0")
     fun = chart_field(chart)
-    start = np.array(sections.sigma1(s), dtype=float)
-    anchor = np.array(sections.sigma2(0.0), dtype=float)
-    dsigma2_x, dsigma2_y = P.polyder(sections.sigma2_x), P.polyder(sections.sigma2_y)
-    tangent = np.array([horner(dsigma2_x, 0.0), horner(dsigma2_y, 0.0)])
-    chord = LineSection.make(anchor, tangent, (-np.inf, np.inf))
+    sig_x, sig_y = sections.sigma2_x, sections.sigma2_y
+    dsig_x, dsig_y = npoly.polyder(sig_x), npoly.polyder(sig_y)
+    chord = LineSection.make(sections.sigma2(0.0),
+                             (horner(dsig_x, 0.0), horner(dsig_y, 0.0)), (-np.inf, np.inf))
 
-    traj = integrate(fun, start, t_max, events=[_line_event(chord, 0.0)],
-                     atol=atol, rtol=rtol)
+    traj = integrate(fun, sections.sigma1(s), t_max, section=chord, atol=atol, rtol=rtol)
     if traj.status != "event":
         raise OutOfBasinError("orbit left the chart without reaching the exit section")
-    rec = traj.events[0]
 
-    t_cur = rec.t
-    u_cur = chord.param(rec.state)
+    t_cur = traj.t
+    u_cur = chord.param(traj.state)
     for _ in range(30):
-        pt = traj.state_at(t_cur)
-        sig = np.array([horner(sections.sigma2_x, u_cur),
-                        horner(sections.sigma2_y, u_cur)])
-        res = pt - sig
-        if float(np.linalg.norm(res)) <= CROSS_RESIDUAL * max(1.0, float(np.linalg.norm(pt))):
+        px, py = traj.state_at(t_cur)
+        rx, ry = px - horner(sig_x, u_cur), py - horner(sig_y, u_cur)
+        if math.hypot(rx, ry) <= CROSS_RESIDUAL * max(1.0, math.hypot(px, py)):
             return u_cur
-        vel = np.asarray(fun(t_cur, pt), dtype=float)
-        dsig = np.array([horner(dsigma2_x, u_cur), horner(dsigma2_y, u_cur)])
-        jac = np.column_stack([vel, -dsig])
-        try:
-            step = np.linalg.solve(jac, -res)
-        except np.linalg.LinAlgError as exc:
-            raise NumericError("degenerate crossing geometry") from exc
-        t_cur += step[0]
-        u_cur += step[1]
+        # Newton on state(t) - sigma2(u) = 0: [v, -sigma2'] (dt, du) = -res
+        vx, vy = fun(px, py)
+        dx, dy = horner(dsig_x, u_cur), horner(dsig_y, u_cur)
+        det = dx * vy - vx * dy
+        if det == 0.0:
+            raise NumericError("degenerate crossing geometry")
+        t_cur += (rx * dy - dx * ry) / det
+        u_cur += (vy * rx - vx * ry) / det
     raise NumericError("section crossing Newton iteration did not converge")
 
 
@@ -464,8 +643,9 @@ class CycleCount:
 def count_limit_cycles(displacement: Callable[[float], float], s_min: float, s_max: float,
                        samples: int = 200, tol: float = 1e-10) -> CycleCount:
     """Sign-change scan of a displacement function on a log grid, with
-    Brent refinement of each bracket to tol*max(1, s) and stability tags
-    from the signs of the bracketing samples.
+    Brent refinement of each bracket to a relative width tol and stability
+    tags from the signs of the bracketing samples.  Samples with
+    |displacement| <= tol·s are flagged as possibly missed roots.
     """
     if not 0.0 < s_min < s_max:
         raise ValueError("need 0 < s_min < s_max")
@@ -484,21 +664,16 @@ def count_limit_cycles(displacement: Callable[[float], float], s_min: float, s_m
         raise NumericError("too few displacement samples for a scan")
 
     cycles: list[CycleRecord] = []
-    near_zero = np.abs(vals) <= tol
+    near_zero = np.abs(vals) <= tol * grid
     if near_zero.any():
         warnings.append("displacement within tolerance of zero at some samples; "
                         "counts may be unreliable")
     for i in range(grid.size - 1):
-        a, b = grid[i], grid[i + 1]
-        fa, fb = vals[i], vals[i + 1]
+        a, b = float(grid[i]), float(grid[i + 1])
+        fa, fb = float(vals[i]), float(vals[i + 1])
         if fa * fb >= 0.0:
             continue  # exact zeros at grid points are flagged by the warning above
-
-        def bracketed(s: float) -> float:
-            # brentq evaluates both ends first; the scan already has them
-            return fa if s == a else fb if s == b else displacement(s)
-
-        root = brentq(bracketed, a, b, xtol=0.5 * tol * max(1.0, b))
+        root = _bracket_root(displacement, a, b, fa, fb, xtol=0.5 * tol * b)
         if fa < 0.0 < fb:
             stab = "unstable"
         elif fa > 0.0 > fb:

@@ -317,7 +317,7 @@ def _check_traversal(model: Model) -> None:
         raise ModelError("first polycycle edge has zero length")
     mid = 0.5 * (a + b)
     fun = field_callable(model.field_x, model.field_y)
-    vel = np.asarray(fun(0.0, mid), dtype=float)
+    vel = np.asarray(fun(*mid.tolist()), dtype=float)
     speed = float(np.linalg.norm(vel))
     if speed < 1e-14:
         raise ModelError("field vanishes at the first edge midpoint; "
@@ -325,7 +325,7 @@ def _check_traversal(model: Model) -> None:
     # short integration: a fraction of the edge, bounded time
     t_span = min(0.05 * length / speed, 1.0)
     traj = integrate(fun, mid, t_span)
-    moved = traj.states[-1] - mid
+    moved = np.asarray(traj.state) - mid
     along = float(np.dot(moved, edge)) / length
     if along <= 0.0:
         raise ModelError(

@@ -252,13 +252,17 @@ def _check_range(s_range: tuple[float, float]) -> tuple[float, float]:
 
 
 def _fit_grid(opts: Mapping[str, float], s_range: tuple[float, float] | None,
-              s0: float = 1e-2) -> np.ndarray:
+              s0: float = 1e-2, window: tuple[float, float] | None = None) -> np.ndarray:
     """fit_points sample points, geometric over s_range from the top when
-    given, else the halving grid from s0."""
+    given, else the halving grid from s0.  A given s_range must lie inside
+    the section window, when there is one."""
     points = int(opts["fit_points"])
     if s_range is None:
         return default_fit_grid(s0=s0, points=points)
     lo, hi = _check_range(s_range)
+    if window is not None and not window[0] <= lo < hi <= window[1]:
+        raise UsageError(f"s range {lo:g}:{hi:g} leaves the section window "
+                         f"{window[0]:g}:{window[1]:g}")
     return np.geomspace(hi, lo, points)
 
 
@@ -466,7 +470,7 @@ def oracle_return(mf: ModelFile, s_range: tuple[float, float] | None = None,
     corners = build_corners(model)
     sect = return_section(model, corners)
     fun = field_callable(model.field_x, model.field_y)
-    svals = _fit_grid(opts, s_range, s0=min(1e-2, 0.5 * sect.window[1]))
+    svals = _fit_grid(opts, s_range, s0=min(1e-2, 0.5 * sect.window[1]), window=sect.window)
     rows, ok_s, ok_v = _sample(
         lambda s: numeric_return(fun, sect, s, **_integration(opts)), svals)
 

@@ -41,6 +41,8 @@ USAGE = {
                        "--grid", "l2=0:1:1000"],
     "s-range-reversed": ["oracle", "--what", "return", "--model", FOUR,
                          "--s-range", "2:1"],
+    "s-range-outside-window": ["oracle", "--what", "return", "--model", FOUR,
+                               "--s-range", "1e-3:5"],
     "s-range-unreadable": ["oracle", "--what", "cycles", "--model", CIRCLE,
                            "--s-range", "abc"],
     "dulac-without-corner": ["oracle", "--what", "dulac", "--model", FOUR],

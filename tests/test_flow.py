@@ -6,13 +6,19 @@ and paper; the circle field provides one genuine limit cycle at r = 1.
 """
 
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import polycycles
+from polycycles import flow
 from polycycles.errors import NumericError, OutOfBasinError
 from polycycles.expressions import instantiate, parse_expression
 from polycycles.flow import (
+    PRE_STEP,
     LineSection,
     chart_field,
     count_limit_cycles,
@@ -20,6 +26,7 @@ from polycycles.flow import (
     dulac_lattice,
     field_callable,
     fit_expansion,
+    integrate,
     numeric_dulac,
     numeric_return,
 )
@@ -98,7 +105,7 @@ class TestNumericDulac:
                                  poly("-y*(2 - 0.1*x + 0.4*y)"),
                                  (0.0, 0.0), (0.0, 1.0), (1.0, 0.0))
         fun = chart_field(chart)
-        np.testing.assert_allclose(fun(0.0, (0.1, 0.2)),
+        np.testing.assert_allclose(fun(0.1, 0.2),
                                    chart.local_velocity(0.1, 0.2), rtol=1e-15)
 
 
@@ -169,6 +176,14 @@ class TestCountCycles:
         # bisection to tol from a grid cell took about 27 calls per root
         assert (len(calls) - 200) / 2 <= 12
 
+    def test_small_root_located_to_relative_width(self):
+        # an absolute width tol*max(1, s) would leave this root 1e-2 of itself wide
+        count = count_limit_cycles(lambda s: math.sqrt(s) - 1e-4, 1e-9, 1e-6,
+                                   samples=20, tol=1e-10)
+        assert len(count.cycles) == 1
+        assert count.cycles[0].s == pytest.approx(1e-8, rel=1e-9)
+        assert count.warnings == ()
+
     def test_no_sign_change(self):
         count = count_limit_cycles(lambda s: 1.0 + s, 0.1, 1.0)
         assert count.cycles == ()
@@ -231,3 +246,103 @@ class TestCircleField:
         cycle = count.cycles[0]
         assert cycle.stability == "stable"
         assert cycle.s == pytest.approx(1.0, abs=1e-8)
+
+
+class TestIntegrate:
+    def test_tmax_state_and_interpolant(self, saddle_fun):
+        # x = 0.5 e^t, y = e^(-2t)
+        traj = integrate(saddle_fun, (0.5, 1.0), 1.0)
+        assert traj.status == "tmax"
+        assert traj.t == 1.0
+        np.testing.assert_allclose(traj.state, (0.5 * math.e, math.exp(-2.0)), rtol=1e-9)
+        np.testing.assert_allclose(traj.state_at(1.0), traj.state, rtol=1e-14)
+
+    def test_event_on_the_interpolant(self, saddle_fun, exit_section):
+        # x = 0.25 e^t reaches the line x = 1 at t = ln 4, moving up through
+        # (x - 1)·n with n = (-1, 0), i.e. downward
+        for direction in (-1.0, 0.0):
+            traj = integrate(saddle_fun, (0.25, 1.0), 10.0, section=exit_section,
+                             direction=direction)
+            assert traj.status == "event"
+            assert traj.t == pytest.approx(math.log(4.0), abs=1e-9)
+            assert traj.state[0] == pytest.approx(1.0, abs=1e-12)
+            assert traj.state[1] == pytest.approx(1.0 / 16.0, rel=1e-9)
+        traj = integrate(saddle_fun, (0.25, 1.0), 10.0, section=exit_section, direction=1.0)
+        assert traj.status == "tmax"
+
+    def test_span_must_be_positive(self, saddle_fun):
+        with pytest.raises(ValueError, match="must be positive"):
+            integrate(saddle_fun, (0.5, 1.0), 0.0)
+
+    def test_blow_up_is_a_numeric_error(self):
+        # x' = x^2 from x = 1 blows up at t = 1
+        with pytest.raises(NumericError, match="step size"):
+            integrate(field_callable(poly("x^2"), poly("0")), (1.0, 0.0), 2.0)
+
+
+def test_import_needs_no_scipy():
+    src = str(Path(polycycles.__file__).resolve().parents[1])
+    code = (f"import sys; sys.path.insert(0, {src!r}); import polycycles; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "[]"
+
+
+class TestScipyParity:
+    """The kernel keeps scipy RK45's tableau and step rules, so it takes the
+    same steps as solve_ivp; scipy is only the reference here."""
+
+    def test_tableau(self):
+        rk45 = pytest.importorskip("scipy.integrate").RK45
+        for mine, theirs in ((flow.A, rk45.A), (flow.B, rk45.B), (flow.C, rk45.C),
+                             (flow.E, rk45.E), (flow.P, rk45.P)):
+            np.testing.assert_array_equal(np.array(mine), theirs)
+
+    @staticmethod
+    def counted(fun):
+        calls = [0]
+
+        def wrapped(x, y):
+            calls[0] += 1
+            return fun(x, y)
+
+        return wrapped, calls
+
+    def test_circle_turn(self, circle):
+        solve_ivp = pytest.importorskip("scipy.integrate").solve_ivp
+        fun, section = circle
+        start = tuple(section.point(1.3).tolist())
+        counted, calls = self.counted(fun)
+        traj = integrate(counted, start, 2.0 * math.pi)
+        ref = solve_ivp(lambda t, y: fun(*y.tolist()), (0.0, 2.0 * math.pi), start,
+                        method="RK45", atol=flow.ATOL, rtol=flow.RTOL)
+        assert abs(calls[0] - ref.nfev) <= 0.01 * ref.nfev
+        end = ref.y[:, -1]
+        np.testing.assert_allclose(traj.state, end, rtol=0.0, atol=1e-12 * np.max(np.abs(end)))
+
+    def test_four_saddle_return(self, game_mf):
+        solve_ivp = pytest.importorskip("scipy.integrate").solve_ivp
+        from polycycles.pipeline import return_section
+
+        model = bind(game_mf)
+        fun = field_callable(model.field_x, model.field_y)
+        section = return_section(model)
+        (ax, ay), (nx, ny) = section.anchor.tolist(), section.normal.tolist()
+        start = integrate(fun, tuple(section.point(1e-2).tolist()), PRE_STEP).state
+        vx, vy = fun(*start)
+        direction = math.copysign(1.0, vx * nx + vy * ny)
+
+        def line(t, y):
+            return (y[0] - ax) * nx + (y[1] - ay) * ny
+
+        line.terminal, line.direction = True, direction
+        counted, calls = self.counted(fun)
+        traj = integrate(counted, start, 200.0, section=section, direction=direction)
+        ref = solve_ivp(lambda t, y: fun(*y.tolist()), (0.0, 200.0), start,
+                        method="RK45", events=line, atol=flow.ATOL, rtol=flow.RTOL)
+        assert traj.status == "event" and ref.status == 1
+        assert abs(calls[0] - ref.nfev) <= 0.01 * ref.nfev
+        assert traj.t == pytest.approx(ref.t_events[0][0], rel=1e-12)
+        end = ref.y_events[0][0]
+        np.testing.assert_allclose(traj.state, end, rtol=0.0, atol=1e-12 * np.max(np.abs(end)))

@@ -226,6 +226,17 @@ class TestOracleCycles:
         assert doc["cycles"][0]["s"] == pytest.approx(1.0, abs=1e-8)
         assert doc["cycles"][0]["stability"] == "stable"
 
+    def test_staged_point_has_two_cycles(self, game_mf):
+        # demo 04's staged point, as the benchmark's cycles-staged op runs it
+        staged = {"l1": 0.3037037037037037, "l2": 1.3622066489493219,
+                  "l3": 1.8188118943622775, "l4": 1.3622066489493219}
+        doc = oracle_cycles(game_mf, (1e-8, 1e-3), overrides=staged,
+                            tol_overrides={"samples": 40, "t_max": 600})
+        assert doc["warnings"] == []
+        assert [c["stability"] for c in doc["cycles"]] == ["unstable", "stable"]
+        assert doc["cycles"][0]["s"] == pytest.approx(4.7717e-8, rel=1e-3)
+        assert doc["cycles"][1]["s"] == pytest.approx(6.8975e-6, rel=1e-3)
+
     def test_empty_clip_rejected(self, circle_mf):
         with pytest.raises(ModelError, match="empty after clipping"):
             oracle_cycles(circle_mf, (3.0, 5.0))
