@@ -20,7 +20,7 @@ from .cyclicity import (Verdict, VerdictItem, gradient, independence_rank,
 from .errors import (DegeneracyError, ExpressionError, ModelError, NumericError,
                      OutOfBasinError, PoleError, PolycycleError,
                      UnsupportedGeometryError, UsageError)
-from .expressions import BivariatePolynomial, instantiate, parse_expression
+from .expressions import instantiate, parse_expression
 from .flow import (CycleCount, CycleRecord, FitReport, LineSection, Trajectory,
                    count_limit_cycles, field_callable, fit_expansion, integrate,
                    numeric_dulac, numeric_return)
@@ -31,7 +31,7 @@ from .saddle import (DulacExpansion, LocalChart, SectionPair, classify_ratio,
 
 __all__ = [
     "__version__",
-    "BivariatePolynomial", "parse_expression", "instantiate",
+    "parse_expression", "instantiate",
     "LocalChart", "SectionPair", "DulacExpansion", "normalize_saddle",
     "dulac_coefficients", "classify_ratio",
     "CompensatorTerm", "ReturnExpansion", "DisplacementExpansion",

@@ -1,4 +1,4 @@
-"""Parametric polynomial expressions and concrete bivariate polynomials.
+"""Parametric polynomial expressions and their instantiation.
 
 Expression sources follow a small arithmetic grammar:
 
@@ -15,6 +15,10 @@ is instantiated at a concrete parameter point (complex where a parameter
 value is complex).  Division is permitted only when the divisor
 instantiates to a nonzero constant, and exponents are literal unsigned
 integers, so every well-formed expression instantiates to a polynomial.
+
+A concrete polynomial is a dense 2-d coefficient array ``c`` with
+``c[i, j]`` the coefficient of x^i y^j, float64, or complex128 when a
+complex parameter value reaches it; ``series.horner2`` evaluates it.
 """
 from __future__ import annotations
 
@@ -22,8 +26,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Union
 
+import numpy as np
+
 from .errors import ExpressionError
-from .series import scalar
 
 # ---------------------------------------------------------------------------
 # AST
@@ -67,9 +72,6 @@ class Expression:
     root: Node
     params: tuple[str, ...]
     variables: tuple[str, ...]
-
-    def __str__(self) -> str:
-        return format_expression(self)
 
 
 # ---------------------------------------------------------------------------
@@ -226,254 +228,6 @@ def parse_expression(source: str, params: tuple[str, ...] | list[str] = (),
 
 
 # ---------------------------------------------------------------------------
-# Printer
-
-
-def _fraction_source(f: Fraction) -> str:
-    if f.denominator == 1:
-        return str(f.numerator)
-    # literals always have 2^a * 5^b denominators, so the exact decimal exists
-    d = f.denominator
-    a = b = 0
-    while d % 2 == 0:
-        d //= 2
-        a += 1
-    while d % 5 == 0:
-        d //= 5
-        b += 1
-    if d != 1:
-        raise ValueError(f"fraction {f} has no exact decimal form")
-    k = max(a, b)
-    scaled = f.numerator * 10**k // f.denominator
-    s = str(abs(scaled)).rjust(k + 1, "0")
-    out = s[:-k] + "." + s[-k:]
-    return ("-" if scaled < 0 else "") + out
-
-
-_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 2, "pow": 3, "atom": 4}
-
-
-def _format(node: Node) -> tuple[str, int]:
-    """Return (source, precedence of the outermost construct)."""
-    if isinstance(node, Num):
-        return _fraction_source(node.value), _PREC["atom"]
-    if isinstance(node, Var):
-        return node.name, _PREC["atom"]
-    if isinstance(node, Neg):
-        s, p = _format(node.arg)
-        if p < _PREC["neg"]:
-            s = f"({s})"
-        return f"-{s}", _PREC["neg"]
-    if isinstance(node, Pow):
-        s, p = _format(node.base)
-        if p < _PREC["atom"]:  # any compound base needs parens under ^
-            s = f"({s})"
-        return f"{s}^{node.exponent}", _PREC["pow"]
-    if isinstance(node, BinOp):
-        prec = _PREC[node.op]
-        ls, lp = _format(node.left)
-        rs, rp = _format(node.right)
-        if lp < prec:
-            ls = f"({ls})"
-        # - and / are left associative: right operand needs parens at equal level
-        if rp < prec or (rp == prec and node.op in "-/"):
-            rs = f"({rs})"
-        # guard things like a - -b rendering as "a --b"
-        if node.op in "+-" and rs.startswith("-"):
-            rs = f"({rs})"
-        return f"{ls} {node.op} {rs}", prec
-    raise TypeError(f"unknown node {node!r}")
-
-
-def format_expression(expr: Expression) -> str:
-    """Render with minimal parentheses; reparsing gives a structurally
-    equal tree."""
-    return _format(expr.root)[0]
-
-
-# ---------------------------------------------------------------------------
-# Concrete polynomials
-
-
-class BivariatePolynomial:
-    """Polynomial in (x, y) with float (or complex) coefficients.
-
-    Stored as a map from exponent pairs (i, j) to nonzero coefficients.
-    """
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Mapping[tuple[int, int], float] | None = None):
-        self.coeffs: dict[tuple[int, int], float] = {}
-        if coeffs:
-            for key, c in coeffs.items():
-                if c != 0.0:
-                    self.coeffs[(int(key[0]), int(key[1]))] = scalar(c)
-
-    @classmethod
-    def constant(cls, c: float) -> "BivariatePolynomial":
-        return cls({(0, 0): c})
-
-    @classmethod
-    def variable(cls, name: str) -> "BivariatePolynomial":
-        if name == "x":
-            return cls({(1, 0): 1.0})
-        if name == "y":
-            return cls({(0, 1): 1.0})
-        raise ValueError(f"unknown variable {name!r}")
-
-    @property
-    def total_degree(self) -> int:
-        if not self.coeffs:
-            return 0
-        return max(i + j for i, j in self.coeffs)
-
-    def is_constant(self) -> bool:
-        return all(key == (0, 0) for key in self.coeffs)
-
-    def constant_value(self) -> float:
-        return self.coeffs.get((0, 0), 0.0)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, BivariatePolynomial):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(frozenset(self.coeffs.items()))
-
-    def __repr__(self) -> str:
-        if not self.coeffs:
-            return "BivariatePolynomial(0)"
-        parts = [f"{c:g}*x^{i}*y^{j}" for (i, j), c in sorted(self.coeffs.items())]
-        return "BivariatePolynomial(" + " + ".join(parts) + ")"
-
-    def __add__(self, other: "BivariatePolynomial") -> "BivariatePolynomial":
-        out = dict(self.coeffs)
-        for key, c in other.coeffs.items():
-            out[key] = out.get(key, 0.0) + c
-        return BivariatePolynomial(out)
-
-    def __sub__(self, other: "BivariatePolynomial") -> "BivariatePolynomial":
-        return self + (-other)
-
-    def __neg__(self) -> "BivariatePolynomial":
-        return BivariatePolynomial({key: -c for key, c in self.coeffs.items()})
-
-    def __mul__(self, other: "BivariatePolynomial") -> "BivariatePolynomial":
-        out: dict[tuple[int, int], float] = {}
-        for (i1, j1), c1 in self.coeffs.items():
-            for (i2, j2), c2 in other.coeffs.items():
-                key = (i1 + i2, j1 + j2)
-                out[key] = out.get(key, 0.0) + c1 * c2
-        return BivariatePolynomial(out)
-
-    def scale(self, factor: float) -> "BivariatePolynomial":
-        return BivariatePolynomial({key: factor * c for key, c in self.coeffs.items()})
-
-    def __pow__(self, n: int) -> "BivariatePolynomial":
-        if n < 0 or n != int(n):
-            raise ValueError("polynomial power requires a nonnegative integer")
-        result = BivariatePolynomial.constant(1.0)
-        base = self
-        n = int(n)
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
-    def evaluate(self, x: float, y: float) -> float:
-        return scalar(sum(c * x**i * y**j for (i, j), c in self.coeffs.items()))
-
-    def partial(self, var: str) -> "BivariatePolynomial":
-        out: dict[tuple[int, int], float] = {}
-        for (i, j), c in self.coeffs.items():
-            if var == "x" and i > 0:
-                out[(i - 1, j)] = out.get((i - 1, j), 0.0) + i * c
-            elif var == "y" and j > 0:
-                out[(i, j - 1)] = out.get((i, j - 1), 0.0) + j * c
-        if var not in ("x", "y"):
-            raise ValueError(f"unknown variable {var!r}")
-        return BivariatePolynomial(out)
-
-    def compose_affine(self, x_of_uv: "BivariatePolynomial",
-                       y_of_uv: "BivariatePolynomial") -> "BivariatePolynomial":
-        """Substitute x := x_of_uv(u, v), y := y_of_uv(u, v).
-
-        The result is a polynomial in the new variables (still labeled
-        x, y positionally).
-        """
-        x_pows = _powers(x_of_uv, max((i for i, _ in self.coeffs), default=0))
-        y_pows = _powers(y_of_uv, max((j for _, j in self.coeffs), default=0))
-        out = BivariatePolynomial()
-        for (i, j), c in self.coeffs.items():
-            term = x_pows[i] * y_pows[j]
-            out = out + term.scale(c)
-        return out
-
-    def divide_linear(self, var: str, root: float, rtol: float = 1e-9) -> "BivariatePolynomial":
-        """Exact division by (var - root); raises if the remainder is not
-        negligible relative to the largest coefficient."""
-        if var == "y":
-            flipped = BivariatePolynomial({(j, i): c for (i, j), c in self.coeffs.items()})
-            q = flipped.divide_linear("x", root, rtol)
-            return BivariatePolynomial({(j, i): c for (i, j), c in q.coeffs.items()})
-        if var != "x":
-            raise ValueError(f"unknown variable {var!r}")
-        deg_x = max((i for i, _ in self.coeffs), default=0)
-        # synthetic division, one y-power at a time
-        quotient: dict[tuple[int, int], float] = {}
-        remainder = 0.0
-        js = sorted({j for _, j in self.coeffs})
-        for j in js:
-            col = [self.coeffs.get((i, j), 0.0) for i in range(deg_x + 1)]
-            acc = 0.0
-            for i in range(deg_x, 0, -1):
-                acc = col[i] + root * acc
-                if acc != 0.0:
-                    quotient[(i - 1, j)] = acc
-            rem = col[0] + root * acc
-            remainder = max(remainder, abs(rem))
-        scale = max((abs(c) for c in self.coeffs.values()), default=1.0)
-        if remainder > rtol * max(scale, 1.0):
-            raise ValueError(f"polynomial is not divisible by ({var} - {root}): "
-                             f"remainder magnitude {remainder:.3e}")
-        return BivariatePolynomial(quotient)
-
-    def restrict(self, var: str, value: float = 0.0) -> list[float]:
-        """Coefficient list of the univariate restriction.
-
-        ``restrict('x', a)`` returns the coefficients of y in P(a, y);
-        ``restrict('y', b)`` the coefficients of x in P(x, b).
-        """
-        if var == "x":
-            deg = max((j for _, j in self.coeffs), default=0)
-            out = [0.0] * (deg + 1)
-            for (i, j), c in self.coeffs.items():
-                out[j] += c * value**i
-        elif var == "y":
-            deg = max((i for i, _ in self.coeffs), default=0)
-            out = [0.0] * (deg + 1)
-            for (i, j), c in self.coeffs.items():
-                out[i] += c * value**j
-        else:
-            raise ValueError(f"unknown variable {var!r}")
-        while len(out) > 1 and out[-1] == 0.0:
-            out.pop()
-        return out
-
-
-def _powers(base: BivariatePolynomial, degree: int) -> list[BivariatePolynomial]:
-    """base**0 .. base**degree, each one product from the last."""
-    pows = [BivariatePolynomial.constant(1.0)]
-    for _ in range(degree):
-        pows.append(pows[-1] * base)
-    return pows
-
-
-# ---------------------------------------------------------------------------
 # Instantiation
 
 Number = Union[int, float, Fraction, complex]
@@ -539,15 +293,17 @@ def _poly_mul(a: dict, b: dict) -> dict:
     return out
 
 
-def instantiate(expr: Expression, binding: Mapping[str, Number]) -> BivariatePolynomial:
-    """Substitute parameter values and return the concrete polynomial.
+def instantiate(expr: Expression, binding: Mapping[str, Number]) -> np.ndarray:
+    """Substitute parameter values and return the coefficient array c[i, j].
 
     Arithmetic is carried out over exact rationals as long as the binding
     supplies exact values (int or Fraction); the single conversion to
     float64 happens here, at the end.  Coefficients that a complex value
-    (a complex step) reaches stay complex.  Their real parts come from the
-    exact path at the real parts of the values, read as a float value is
-    read, so they equal the coefficients of that real binding bit for bit.
+    (a complex step) reaches stay complex, and so the array is complex.
+    Their real parts come from the exact path at the real parts of the
+    values, read as a float value is read, so they equal the coefficients
+    of that real binding bit for bit.  The array spans the highest powers
+    of x and y with a nonzero coefficient, and is at least 1 x 1.
     """
     real = {k: Fraction(repr(v.real)) if isinstance(v, complex) else v
             for k, v in binding.items()}
@@ -556,4 +312,9 @@ def instantiate(expr: Expression, binding: Mapping[str, Number]) -> BivariatePol
         for k, c in _inst(expr.root, binding, expr.variables).items():
             if isinstance(c, complex):
                 coeffs[k] = complex(coeffs.get(k, 0.0), c.imag)
-    return BivariatePolynomial(coeffs)
+    shape = (1 + max((i for i, _ in coeffs), default=0),
+             1 + max((j for _, j in coeffs), default=0))
+    out = np.zeros(shape, dtype=np.result_type(float, *coeffs.values()))
+    for key, c in coeffs.items():
+        out[key] = c
+    return out

@@ -20,9 +20,8 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from .errors import NumericError, OutOfBasinError, PolycycleError
-from .expressions import BivariatePolynomial
 from .saddle import LocalChart, SectionPair
-from .series import horner
+from .series import horner, horner2
 
 ATOL = 1e-12
 RTOL = 1e-10
@@ -62,44 +61,23 @@ MAX_FACTOR = 10.0
 ERROR_EXPONENT = -1.0 / 5.0  # the embedded error estimate is of order 4
 
 
-def _dense_rows(poly: BivariatePolynomial) -> list[list[float]]:
-    if not poly.coeffs:
-        return [[0.0]]
-    deg_x = max(i for i, _ in poly.coeffs)
-    deg_y = max(j for _, j in poly.coeffs)
-    rows = [[0.0] * (deg_y + 1) for _ in range(deg_x + 1)]
-    for (i, j), c in poly.coeffs.items():
-        rows[i][j] = c
-    return rows
-
-
-def _horner2(rows: list[list[float]], x: float, y: float) -> float:
-    acc = 0.0
-    for row in reversed(rows):
-        rv = 0.0
-        for c in reversed(row):
-            rv = rv * y + c
-        acc = acc * x + rv
-    return acc
-
-
-def field_callable(fx: BivariatePolynomial, fy: BivariatePolynomial,
+def field_callable(fx: np.ndarray, fy: np.ndarray,
                    ) -> Callable[[float, float], tuple[float, float]]:
-    """Pack two polynomial components into a float right-hand side."""
-    rx, ry = _dense_rows(fx), _dense_rows(fy)
+    """Pack two coefficient arrays c[i, j] into a float right-hand side."""
+    rx, ry = fx.tolist(), fy.tolist()
 
     def fun(x: float, y: float) -> tuple[float, float]:
-        return (_horner2(rx, x, y), _horner2(ry, x, y))
+        return (horner2(rx, x, y), horner2(ry, x, y))
 
     return fun
 
 
 def chart_field(chart: LocalChart) -> Callable[[float, float], tuple[float, float]]:
     """Right-hand side of the normalized local system u' = uP, v' = vQ."""
-    rp, rq = _dense_rows(chart.p_poly), _dense_rows(chart.q_poly)
+    rp, rq = chart.p_poly.tolist(), chart.q_poly.tolist()
 
     def fun(u: float, v: float) -> tuple[float, float]:
-        return (u * _horner2(rp, u, v), v * _horner2(rq, u, v))
+        return (u * horner2(rp, u, v), v * horner2(rq, u, v))
 
     return fun
 
@@ -364,36 +342,33 @@ def _polish_onto_line(fun, point: tuple[float, float],
 
 
 def crossing_map(fun, start, section: LineSection, t_max: float = 200.0,
-                 match_direction: float | None = None,
-                 pre_step: float = PRE_STEP,
                  atol: float = ATOL, rtol: float = RTOL) -> tuple[float, float]:
     """First valid crossing of a section line: returns (parameter, time).
 
-    The start may lie on the section line; a short event-free phase first
-    moves off of it.  Crossings outside the section window are skipped by
-    restarting just past them.  ``match_direction`` filters the crossing
-    orientation (defaults to the orientation of the flow at the start).
+    The start may lie on the section line; an event-free phase of PRE_STEP
+    first moves off of it.  Only crossings in the orientation of the flow
+    at the start count, and those outside the section window are skipped
+    by restarting just past them.
     """
     state = (float(start[0]), float(start[1]))
-    if match_direction is None:
-        vx, vy = fun(*state)
-        nx, ny = section.normal.tolist()
-        match_direction = math.copysign(1.0, vx * nx + vy * ny)
-    state = integrate(fun, state, pre_step, atol=atol, rtol=rtol).state
-    t_now = pre_step
+    vx, vy = fun(*state)
+    nx, ny = section.normal.tolist()
+    direction = math.copysign(1.0, vx * nx + vy * ny)
+    state = integrate(fun, state, PRE_STEP, atol=atol, rtol=rtol).state
+    t_now = PRE_STEP
 
     for _ in range(MAX_RESTARTS):
         if t_now >= t_max:
             break
         traj = integrate(fun, state, t_max - t_now, section=section,
-                         direction=match_direction, t0=t_now, atol=atol, rtol=rtol)
+                         direction=direction, t0=t_now, atol=atol, rtol=rtol)
         if traj.status != "event":
             break
         u = section.param(_polish_onto_line(fun, traj.state, section))
         if section.window[0] <= u <= section.window[1]:
             return u, traj.t
-        state = integrate(fun, traj.state, pre_step, t0=traj.t, atol=atol, rtol=rtol).state
-        t_now = traj.t + pre_step
+        state = integrate(fun, traj.state, PRE_STEP, t0=traj.t, atol=atol, rtol=rtol).state
+        t_now = traj.t + PRE_STEP
     raise OutOfBasinError("orbit did not return to the section window "
                           f"within t_max={t_max:g}")
 
@@ -630,7 +605,7 @@ def fit_expansion(svals: Sequence[float], values: Sequence[float],
 @dataclass(frozen=True)
 class CycleRecord:
     s: float
-    stability: str  # "stable" | "unstable" | "flat"
+    stability: str  # "stable" | "unstable"
 
 
 @dataclass(frozen=True)
@@ -645,7 +620,8 @@ def count_limit_cycles(displacement: Callable[[float], float], s_min: float, s_m
     """Sign-change scan of a displacement function on a log grid, with
     Brent refinement of each bracket to a relative width tol and stability
     tags from the signs of the bracketing samples.  Samples with
-    |displacement| <= tol·s are flagged as possibly missed roots.
+    |displacement| <= tol·s are flagged as possibly missed roots; a sample
+    that raises a PolycycleError or is not finite is dropped with a warning.
     """
     if not 0.0 < s_min < s_max:
         raise ValueError("need 0 < s_min < s_max")
@@ -659,6 +635,10 @@ def count_limit_cycles(displacement: Callable[[float], float], s_min: float, s_m
         except PolycycleError as exc:
             ok[i] = False
             warnings.append(f"sample s={g:.3e} failed: {exc}")
+            continue
+        if not math.isfinite(vals[i]):
+            ok[i] = False
+            warnings.append(f"sample s={g:.3e} failed: displacement is {vals[i]}")
     grid, vals = grid[ok], vals[ok]
     if grid.size < 2:
         raise NumericError("too few displacement samples for a scan")
@@ -674,12 +654,6 @@ def count_limit_cycles(displacement: Callable[[float], float], s_min: float, s_m
         if fa * fb >= 0.0:
             continue  # exact zeros at grid points are flagged by the warning above
         root = _bracket_root(displacement, a, b, fa, fb, xtol=0.5 * tol * b)
-        if fa < 0.0 < fb:
-            stab = "unstable"
-        elif fa > 0.0 > fb:
-            stab = "stable"
-        else:
-            stab = "flat"
-        cycles.append(CycleRecord(s=float(root), stability=stab))
+        cycles.append(CycleRecord(s=float(root), stability="unstable" if fa < 0.0 else "stable"))
     return CycleCount(cycles=tuple(cycles), scanned=(float(grid[0]), float(grid[-1])),
                       warnings=tuple(warnings))

@@ -32,7 +32,7 @@ import numpy as np
 
 from .cyclicity import ZERO_TOL
 from .errors import ExpressionError, ModelError, UsageError
-from .expressions import BivariatePolynomial, Expression, instantiate, parse_expression
+from .expressions import Expression, instantiate, parse_expression
 from .flow import ATOL, RTOL, LineSection, field_callable, integrate
 from .series import scalar
 
@@ -69,8 +69,6 @@ class ModelFile:
     """
 
     params: tuple[tuple[str, Fraction], ...]
-    dot_x: str
-    dot_y: str
     expr_x: Expression
     expr_y: Expression
     corners: tuple[tuple[float, float], ...]
@@ -90,12 +88,16 @@ class ModelFile:
 
 @dataclass(frozen=True)
 class Model:
-    """A model file bound to concrete parameter values."""
+    """A model file bound to concrete parameter values.
+
+    ``field_x``/``field_y`` are the instantiated x' and y' as coefficient
+    arrays, entry [i, j] multiplying x^i y^j.
+    """
 
     file: ModelFile
     values: dict[str, float | complex]
-    field_x: BivariatePolynomial
-    field_y: BivariatePolynomial
+    field_x: np.ndarray
+    field_y: np.ndarray
 
 
 def _number(token: str, where: str, error: type[ModelError] = ModelError) -> Fraction:
@@ -247,8 +249,7 @@ def parse_model(text: str, path: str | None = None) -> ModelFile:
         where = f"line {lineno}"
         options.append((key, check_option(key, _number(value, where), where)))
 
-    return ModelFile(params=tuple(params), dot_x=field["dot_x"], dot_y=field["dot_y"],
-                     expr_x=exprs["dot_x"], expr_y=exprs["dot_y"],
+    return ModelFile(params=tuple(params), expr_x=exprs["dot_x"], expr_y=exprs["dot_y"],
                      corners=corners, orientation=orientation,
                      base_section=base_section, options=tuple(options),
                      text=text, path=path)

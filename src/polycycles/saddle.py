@@ -21,10 +21,19 @@ D01 = -D00^2*S2.  The ingredients are the transition factors
 
 (the integrands have removable singularities at 0, resolved by series),
 the derived functions M1 = L1 * d(P/Q)/du (0,v) and M2 = L2 * d(Q/P)/dv
-(u,0), and an incomplete Mellin transform of M1 and M2.  Both integrals
-(log L and the Mellin tail) use one nested Chebyshev rule on numpy arrays,
-weighted by modified moments and checked by doubling the node count; see
-_fixed_rule.
+(u,0), and an incomplete Mellin transform of M1 and M2.
+
+P and Q are coefficient arrays c[i, j] of u^i v^j, like the model's field
+(see the expressions module).  The chart comes from a Taylor shift of each
+model component to the corner: x' shifted has a vanishing first row
+exactly when the line x = corner is invariant, and what is left once that
+row is sliced off is P or Q, up to a transpose and the signs of the axes.
+The formulas above read only P(0,v), Q(u,0), the first-order rows across
+each axis and P(0,0), Q(0,0), all of them slices of the arrays.
+
+Both integrals (log L and the Mellin tail) use one nested Chebyshev rule on
+numpy arrays, weighted by modified moments and checked by doubling the node
+count; see _fixed_rule.
 
 Every function here is holomorphic in the field's coefficients, so a
 complex step in a parameter carries through to exact derivatives (see
@@ -43,7 +52,6 @@ import numpy as np
 from numpy.polynomial import polynomial as P
 
 from .errors import DegeneracyError, ModelError, NumericError, PoleError, UnsupportedGeometryError
-from .expressions import BivariatePolynomial
 from .series import (DEFAULT_ORDER, PowerSeries, coeff_array, horner, ps_div, ps_exp,
                      ps_integrate, scalar)
 
@@ -63,11 +71,11 @@ class LocalChart:
     ``linear`` is a signed permutation matrix and ``corner`` the saddle
     location in model coordinates: local = linear @ (model - corner).
     The local field is u' = u*p_poly(u,v), v' = v*q_poly(u,v); p_poly and
-    q_poly are stored as BivariatePolynomial with (x, y) playing (u, v).
+    q_poly are coefficient arrays, entry [i, j] multiplying u^i v^j.
     """
 
-    p_poly: BivariatePolynomial
-    q_poly: BivariatePolynomial
+    p_poly: np.ndarray
+    q_poly: np.ndarray
     lam: float | complex
     corner: tuple[float, float]
     linear: tuple[tuple[float, float], tuple[float, float]]
@@ -83,14 +91,11 @@ class LocalChart:
         # signed permutation: inverse is the transpose
         return np.asarray(self.corner, dtype=float) + a.T @ np.asarray(point_local, dtype=float)
 
-    def local_velocity(self, u: float, v: float) -> tuple[float, float]:
-        return (u * self.p_poly.evaluate(u, v), v * self.q_poly.evaluate(u, v))
-
     def check_footprint(self, extent: float, samples: int = 33) -> None:
         """Sampled hypotheses P(x,0) > 0 and Q(0,y) < 0 up to ``extent``."""
         ts = np.linspace(0.0, extent, samples)
-        p_axis = horner(self.p_poly.restrict("y", 0.0), ts).real  # P(x, 0)
-        q_axis = horner(self.q_poly.restrict("x", 0.0), ts).real  # Q(0, y)
+        p_axis = horner(self.p_poly[:, 0], ts).real  # P(x, 0)
+        q_axis = horner(self.q_poly[0, :], ts).real  # Q(0, y)
         bad = (p_axis <= 0.0) | (q_axis >= 0.0)
         if not bad.any():
             return
@@ -113,7 +118,22 @@ def _axis_of(direction) -> tuple[str, float]:
     return _AXES[key]
 
 
-def normalize_saddle(field_x: BivariatePolynomial, field_y: BivariatePolynomial,
+@lru_cache(maxsize=32)
+def _shift_matrix(t: float, n: int) -> np.ndarray:
+    """M[i, k] = C(i, k) t^(i-k), the coefficients of (t + X)^i, for i, k < n."""
+    return np.array([[math.comb(i, k) * t ** (i - k) if k <= i else 0.0 for k in range(n)]
+                     for i in range(n)])
+
+
+def _taylor_shift(c: np.ndarray, a: float, b: float) -> np.ndarray:
+    """Coefficients of c(a + X, b + Y) in X, Y, at least 2 x 2."""
+    n, m = max(2, c.shape[0]), max(2, c.shape[1])
+    padded = np.zeros((n, m), dtype=c.dtype)
+    padded[:c.shape[0], :c.shape[1]] = c
+    return _shift_matrix(a, n).T @ padded @ _shift_matrix(b, m)
+
+
+def normalize_saddle(field_x: np.ndarray, field_y: np.ndarray,
                      corner, incoming, outgoing,
                      footprint: float = 0.55) -> LocalChart:
     """Build the LocalChart of a saddle with axis-parallel separatrices.
@@ -129,17 +149,17 @@ def normalize_saddle(field_x: BivariatePolynomial, field_y: BivariatePolynomial,
     if in_axis == out_axis:
         raise UnsupportedGeometryError("incoming and outgoing separatrices lie on the same axis")
 
-    try:
-        f1 = field_x.divide_linear("x", a)  # x' = (x-a) f1
-    except ValueError as exc:
-        raise UnsupportedGeometryError(f"line x={a:g} is not invariant: {exc}") from exc
-    try:
-        g1 = field_y.divide_linear("y", b)  # y' = (y-b) g1
-    except ValueError as exc:
-        raise UnsupportedGeometryError(f"line y={b:g} is not invariant: {exc}") from exc
+    # in X = x - a, Y = y - b: x' = X f1(X, Y) exactly when its X^0 row
+    # vanishes, and y' = Y g1(X, Y) when its Y^0 column does
+    fx, fy = _taylor_shift(field_x, a, b), _taylor_shift(field_y, a, b)
+    for line, rest, field in ((f"x={a:g}", fx[0, :], field_x), (f"y={b:g}", fy[:, 0], field_y)):
+        remainder = np.max(np.abs(rest))
+        if remainder > 1e-9 * max(1.0, np.max(np.abs(field))):
+            raise UnsupportedGeometryError(
+                f"line {line} is not invariant: remainder magnitude {remainder:.3e}")
+    f1, g1 = fx[1:, :], fy[:, 1:]
 
-    eig_x = f1.evaluate(a, b)
-    eig_y = g1.evaluate(a, b)
+    eig_x, eig_y = f1[0, 0], g1[0, 0]
     if abs(eig_x.real) <= 1e-12 or abs(eig_y.real) <= 1e-12:
         raise DegeneracyError(f"corner ({a:g},{b:g}) is not hyperbolic: "
                               f"eigenvalues ({eig_x:.3e}, {eig_y:.3e})")
@@ -158,28 +178,19 @@ def normalize_saddle(field_x: BivariatePolynomial, field_y: BivariatePolynomial,
     row_v = (in_sign, 0.0) if in_axis == "x" else (0.0, in_sign)
     linear = (row_u, row_v)
 
-    # model coordinates as degree-1 polynomials of (u, v): inverse is transpose
-    lin = np.asarray(linear)
-    u_poly = BivariatePolynomial.variable("x")
-    v_poly = BivariatePolynomial.variable("y")
-    x_of = BivariatePolynomial.constant(a) + u_poly.scale(lin[0, 0]) + v_poly.scale(lin[1, 0])
-    y_of = BivariatePolynomial.constant(b) + u_poly.scale(lin[0, 1]) + v_poly.scale(lin[1, 1])
+    # (X, Y) = (out_sign u, in_sign v), or (in_sign v, out_sign u): P and Q
+    # are f1 and g1, transposed when u runs along y, times the axis signs
+    unsigned = (f1, g1) if out_axis == "x" else (g1.T, f1.T)
+    p_loc, q_loc = (c * np.outer(out_sign ** np.arange(c.shape[0]),
+                                 in_sign ** np.arange(c.shape[1])) for c in unsigned)
 
-    if out_axis == "x":
-        p_loc = f1.compose_affine(x_of, y_of)
-        q_loc = g1.compose_affine(x_of, y_of)
-    else:
-        p_loc = g1.compose_affine(x_of, y_of)
-        q_loc = f1.compose_affine(x_of, y_of)
-
-    p0 = p_loc.evaluate(0.0, 0.0)
-    q0 = q_loc.evaluate(0.0, 0.0)
+    p0, q0 = p_loc[0, 0], q_loc[0, 0]
     if not (p0.real > 0.0 and q0.real < 0.0):
         raise UnsupportedGeometryError(
             f"normalized corner ({a:g},{b:g}) violates P(0,0)>0>Q(0,0): "
             f"P={p0:.3e}, Q={q0:.3e}")
 
-    chart = LocalChart(p_poly=p_loc, q_poly=q_loc, lam=-q0 / p0,
+    chart = LocalChart(p_poly=p_loc, q_poly=q_loc, lam=scalar(-q0 / p0),
                        corner=(a, b), linear=linear)
     chart.check_footprint(footprint)
     return chart
@@ -366,12 +377,12 @@ class _Transition:
 def _transition_data(chart: LocalChart, which: int, order: int = DEFAULT_ORDER) -> _Transition:
     """Build the integrand data and series of L_which for the chart."""
     if which == 1:
-        num = chart.p_poly.restrict("x", 0.0)   # P(0, v)
-        den = chart.q_poly.restrict("x", 0.0)   # Q(0, v)
+        num = chart.p_poly[0, :]   # P(0, v)
+        den = chart.q_poly[0, :]   # Q(0, v)
         shiftc = 1.0 / chart.lam
     elif which == 2:
-        num = chart.q_poly.restrict("y", 0.0)   # Q(u, 0)
-        den = chart.p_poly.restrict("y", 0.0)   # P(u, 0)
+        num = chart.q_poly[:, 0]   # Q(u, 0)
+        den = chart.p_poly[:, 0]   # P(u, 0)
         shiftc = chart.lam
     else:
         raise ValueError("which must be 1 or 2")
@@ -406,9 +417,9 @@ def _m_germ(chart: LocalChart, which: int, trans: _Transition) -> Germ:
     # trans.num/trans.den are the ratio restricted to the axis; d_num/d_den
     # their partials across it: P_x, Q_x at u = 0, or Q_y, P_y at v = 0
     if which == 1:
-        d_num, d_den = p.partial("x").restrict("x", 0.0), q.partial("x").restrict("x", 0.0)
+        d_num, d_den = P.polyder(p, axis=0)[0, :], P.polyder(q, axis=0)[0, :]
     else:
-        d_num, d_den = q.partial("y").restrict("y", 0.0), p.partial("y").restrict("y", 0.0)
+        d_num, d_den = P.polyder(q, axis=1)[:, 0], P.polyder(p, axis=1)[:, 0]
     num = P.polysub(P.polymul(d_num, trans.den), P.polymul(trans.num, d_den))
     den = P.polymul(trans.den, trans.den)
 
@@ -536,8 +547,8 @@ def dulac_coefficients(chart: LocalChart, sections: SectionPair | None = None) -
             notes=("at-one corner: second-order coefficients are resonant "
                    "(Mellin pole at alpha=1); leading term only",))
 
-    pq_at = (chart.p_poly.evaluate(0.0, s120) / chart.q_poly.evaluate(0.0, s120))
-    qp_at = (chart.q_poly.evaluate(s210, 0.0) / chart.p_poly.evaluate(s210, 0.0))
+    pq_at = horner(chart.p_poly[0, :], s120) / horner(chart.q_poly[0, :], s120)
+    qp_at = horner(chart.q_poly[:, 0], s210) / horner(chart.p_poly[:, 0], s210)
 
     def s1_value() -> float:
         m1 = _m_germ(chart, 1, t1)

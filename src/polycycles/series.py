@@ -1,4 +1,4 @@
-"""Truncated univariate power series and the shared Horner evaluator.
+"""Truncated univariate power series and the shared Horner evaluators.
 
 A PowerSeries holds coefficients c_0..c_K of a formal series in one
 variable.  Arithmetic truncates to the minimum order of the operands, so a
@@ -27,6 +27,22 @@ def horner(coeffs, t):
     for c in coeffs[::-1]:
         acc = acc * t + c
     return acc if isinstance(acc, np.ndarray) else scalar(acc)
+
+
+def horner2(rows, x, y):
+    """sum_ij rows[i][j] x^i y^j, by Horner's rule in x over Horner rows in y.
+
+    The one evaluator of a bivariate coefficient array c[i, j].  Given
+    ``c.tolist()`` and Python floats it runs on Python floats only, the
+    cheapest form for the flow oracle's right-hand sides.
+    """
+    acc = 0.0
+    for row in reversed(rows):
+        rv = 0.0
+        for c in reversed(row):
+            rv = rv * y + c
+        acc = acc * x + rv
+    return acc
 
 
 def scalar(x):

@@ -2,45 +2,53 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from polycycles.errors import ExpressionError
-from polycycles.expressions import (BivariatePolynomial, format_expression,
-                                    instantiate, parse_expression)
+from polycycles.expressions import instantiate, parse_expression
+from polycycles.series import horner2
 
 
 def expand(source, binding=None, params=()):
     return instantiate(parse_expression(source, params=params), binding or {})
 
 
+def dense(entries, shape):
+    """The coefficient array with the given {(i, j): c} entries."""
+    out = np.zeros(shape)
+    for key, c in entries.items():
+        out[key] = c
+    return out
+
+
 class TestGrammar:
     def test_product_expansion(self):
         p = expand("x*(x - 1)*(y - a)", {"a": Fraction(2, 5)}, params=("a",))
-        assert p.coeffs == {(2, 1): 1.0, (2, 0): -0.4, (1, 1): -1.0, (1, 0): 0.4}
+        np.testing.assert_array_equal(
+            p, dense({(2, 1): 1.0, (2, 0): -0.4, (1, 1): -1.0, (1, 0): 0.4}, (3, 2)))
 
     def test_precedence_and_power(self):
         p = expand("1 + 2*x^2*y - x*y")
-        assert p.coeffs == {(0, 0): 1.0, (2, 1): 2.0, (1, 1): -1.0}
+        np.testing.assert_array_equal(p, dense({(0, 0): 1.0, (2, 1): 2.0, (1, 1): -1.0}, (3, 2)))
 
     def test_unary_minus(self):
         p = expand("-x^2 - -y")
-        assert p.coeffs == {(2, 0): -1.0, (0, 1): 1.0}
+        np.testing.assert_array_equal(p, dense({(2, 0): -1.0, (0, 1): 1.0}, (3, 2)))
 
     def test_rational_literal(self):
         p = expand("8/27*x")
-        assert p.coeffs[(1, 0)] == pytest.approx(8 / 27, rel=0, abs=0)
+        assert p[1, 0] == pytest.approx(8 / 27, rel=0, abs=0)
 
     def test_evaluate(self):
         p = expand("x*(x - 1)*(y - 2)")
-        assert p.evaluate(3.0, 5.0) == pytest.approx(3 * 2 * 3)
+        assert horner2(p.tolist(), 3.0, 5.0) == pytest.approx(3 * 2 * 3)
+        assert np.polynomial.polynomial.polyval2d(3.0, 5.0, p) == pytest.approx(3 * 2 * 3)
 
-    def test_format_round_trip(self):
-        source = "x * (x - 1) * (y - a)"
-        expr = parse_expression(source, params=("a",))
-        assert format_expression(expr) == source
-        again = parse_expression(format_expression(expr), params=("a",))
-        assert (instantiate(again, {"a": 0.25}).coeffs
-                == instantiate(expr, {"a": 0.25}).coeffs)
+    def test_complex_value_gives_a_complex_array(self):
+        p = expand("a*x + y", {"a": complex(0.5, 1e-20)}, params=("a",))
+        assert p.dtype == complex
+        np.testing.assert_array_equal(p, [[0.0, 1.0], [complex(0.5, 1e-20), 0.0]])
 
 
 class TestErrors:
@@ -71,12 +79,12 @@ class TestErrors:
             parse_expression("1. + x")
 
 
-class TestBivariatePolynomial:
+class TestCoefficientArray:
     def test_constant_and_variable(self):
-        assert BivariatePolynomial.constant(3.5).evaluate(9.0, -2.0) == 3.5
-        assert BivariatePolynomial.variable("x").evaluate(4.0, 7.0) == 4.0
-        assert BivariatePolynomial.variable("y").evaluate(4.0, 7.0) == 7.0
+        np.testing.assert_array_equal(expand("3.5"), [[3.5]])
+        np.testing.assert_array_equal(expand("x"), [[0.0], [1.0]])
+        np.testing.assert_array_equal(expand("y"), [[0.0, 1.0]])
+        assert expand("0").shape == (1, 1) and expand("0")[0, 0] == 0.0
 
     def test_zero_terms_dropped(self):
-        p = expand("x - x + y")
-        assert p.coeffs == {(0, 1): 1.0}
+        np.testing.assert_array_equal(expand("x - x + y"), [[0.0, 1.0]])

@@ -105,8 +105,9 @@ class TestNumericDulac:
                                  poly("-y*(2 - 0.1*x + 0.4*y)"),
                                  (0.0, 0.0), (0.0, 1.0), (1.0, 0.0))
         fun = chart_field(chart)
-        np.testing.assert_allclose(fun(0.1, 0.2),
-                                   chart.local_velocity(0.1, 0.2), rtol=1e-15)
+        u, v = 0.1, 0.2
+        np.testing.assert_allclose(fun(u, v), (u * (1 + 0.3 * u - 0.2 * v),
+                                               -v * (2 - 0.1 * u + 0.4 * v)), rtol=1e-15)
 
 
 class TestFitExpansion:
@@ -203,6 +204,18 @@ class TestCountCycles:
         assert len(count.cycles) == 1
         assert count.cycles[0].s == pytest.approx(0.5, abs=1e-9)
         assert any("failed" in w for w in count.warnings)
+
+    @pytest.mark.parametrize("slope", [1.0, -1.0])
+    def test_non_finite_samples_are_skipped(self, slope):
+        # a NaN cell next to no root: no bracket may be built on it
+        def disp(s):
+            return math.nan if 0.3 < s < 0.32 else slope * (s - 0.5)
+
+        count = count_limit_cycles(disp, 0.1, 1.0, samples=200)
+        assert len(count.cycles) == 1
+        assert count.cycles[0].s == pytest.approx(0.5, abs=1e-9)
+        assert count.cycles[0].stability == ("unstable" if slope > 0 else "stable")
+        assert any("failed" in w and "nan" in w for w in count.warnings)
 
     def test_all_samples_failing(self):
         def disp(s):

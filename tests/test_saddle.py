@@ -13,6 +13,7 @@ import time
 import mpmath
 import numpy as np
 import pytest
+from numpy.polynomial.polynomial import polyval2d
 
 from polycycles import saddle
 from polycycles.errors import (
@@ -53,8 +54,8 @@ class TestNormalize:
         assert chart.lam == pytest.approx(1.5, rel=1e-15)
         assert chart.corner == (0.0, 0.0)
         assert chart.linear == ((1.0, 0.0), (0.0, 1.0))
-        assert chart.p_poly.evaluate(0.1, 0.2) == pytest.approx(1.0)
-        assert chart.q_poly.evaluate(0.1, 0.2) == pytest.approx(-1.5)
+        assert polyval2d(0.1, 0.2, chart.p_poly) == pytest.approx(1.0)
+        assert polyval2d(0.1, 0.2, chart.q_poly) == pytest.approx(-1.5)
 
     def test_shifted_corner_roundtrip(self):
         chart = normalize_saddle(poly("x - 1"), poly("-2*(y - 2)"),
@@ -92,6 +93,42 @@ class TestNormalize:
             normalize_saddle(poly("x"), poly("-y*y"),
                              (0.0, 0.0), (0.0, 1.0), (1.0, 0.0))
 
+    def test_zero_field_is_not_hyperbolic(self):
+        # x' = 0 leaves every line invariant and nothing to slice
+        with pytest.raises(DegeneracyError, match="not hyperbolic"):
+            normalize_saddle(poly("0"), poly("-y"),
+                             (0.0, 0.0), (0.0, 1.0), (1.0, 0.0))
+
+    # invariant lines x = 0.3 and y = -0.7 through a nonlinear saddle with
+    # x' = (x - 0.3) F, y' = (y + 0.7) G, F > 0 > G near the corner
+    OFF_X = "(x - 0.3)*(1.5 + 0.4*x - 0.3*y + 0.2*x*y)"
+    OFF_Y = "(y + 0.7)*(-2 + 0.1*x + 0.5*y^2 - 0.3*x^2)"
+
+    @pytest.mark.parametrize("incoming, outgoing", [
+        (inc, out) for inc in ((0.0, 1.0), (0.0, -1.0), (1.0, 0.0), (-1.0, 0.0))
+        for out in (((1.0, 0.0), (-1.0, 0.0)) if inc[0] == 0.0 else ((0.0, 1.0), (0.0, -1.0)))
+    ])
+    def test_off_origin_chart_reproduces_the_field(self, incoming, outgoing):
+        # reversing time makes the x axis the stable one
+        sign = 1.0 if incoming[0] == 0.0 else -1.0
+        fx, fy = sign * poly(self.OFF_X), sign * poly(self.OFF_Y)
+        corner = (0.3, -0.7)
+        chart = normalize_saddle(fx, fy, corner, incoming, outgoing)
+        f_eig = 1.5 + 0.4 * 0.3 + 0.3 * 0.7 - 0.2 * 0.3 * 0.7
+        g_eig = -2.0 + 0.1 * 0.3 + 0.5 * 0.49 - 0.3 * 0.09
+        assert chart.lam == pytest.approx(-g_eig / f_eig if sign > 0 else -f_eig / g_eig,
+                                          rel=1e-14)
+        np.testing.assert_allclose(chart.to_model((0.2, 0.0)),
+                                   np.add(corner, np.multiply(0.2, outgoing)), atol=1e-15)
+        np.testing.assert_allclose(chart.to_model((0.0, 0.2)),
+                                   np.add(corner, np.multiply(0.2, incoming)), atol=1e-15)
+        linear = np.asarray(chart.linear)
+        for u, v in ((0.1, 0.2), (-0.3, 0.05), (0.4, -0.25), (0.0, 0.3)):
+            x, y = chart.to_model((u, v))
+            expected = linear @ [polyval2d(x, y, fx), polyval2d(x, y, fy)]
+            local = [u * polyval2d(u, v, chart.p_poly), v * polyval2d(u, v, chart.q_poly)]
+            np.testing.assert_allclose(local, expected, rtol=1e-14, atol=1e-15)
+
     def test_node_rejected(self):
         with pytest.raises(DegeneracyError, match="not a saddle"):
             normalize_saddle(poly("x"), poly("y"),
@@ -120,10 +157,10 @@ class TestNormalize:
         # the sample-by-sample check, P before Q at each sample
         expected = None
         for t in np.linspace(0.0, 0.55, 33):
-            if chart.p_poly.evaluate(t, 0.0) <= 0.0:
+            if polyval2d(t, 0.0, chart.p_poly) <= 0.0:
                 expected = f"P(x,0) not positive at x={t:.4g};"
                 break
-            if chart.q_poly.evaluate(0.0, t) >= 0.0:
+            if polyval2d(0.0, t, chart.q_poly) >= 0.0:
                 expected = f"Q(0,y) not negative at y={t:.4g};"
                 break
         assert expected is not None
