@@ -26,13 +26,13 @@ from .flow import (CycleCount, CycleRecord, FitReport, LineSection, Trajectory,
                    numeric_dulac, numeric_return)
 from .model import Model, ModelFile, bind, load_model, parse_model
 from .pipeline import analyze, oracle_cycles, oracle_dulac, oracle_return, scan
-from .saddle import (DulacExpansion, LocalChart, SectionPair, classify_ratio,
-                     dulac_coefficients, normalize_saddle)
+from .saddle import (DulacExpansion, LocalChart, classify_ratio, dulac_coefficients,
+                     normalize_saddle)
 
 __all__ = [
     "__version__",
     "parse_expression", "instantiate",
-    "LocalChart", "SectionPair", "DulacExpansion", "normalize_saddle",
+    "LocalChart", "DulacExpansion", "normalize_saddle",
     "dulac_coefficients", "classify_ratio",
     "CompensatorTerm", "ReturnExpansion", "DisplacementExpansion",
     "compensator", "compose_pair", "compose_chain",

@@ -283,10 +283,6 @@ class CheckReport:
     def worst_second(self) -> float:
         return max((c.max_second_dev for c in self.cases), default=0.0)
 
-    @property
-    def worst_offset(self) -> float:
-        return max((c.max_offset_dev for c in self.cases), default=0.0)
-
     def passed(self, leading_tol: float = 1e-10, second_tol: float = 1e-8) -> bool:
         return self.worst_leading <= leading_tol and self.worst_second <= second_tol
 

@@ -2,10 +2,11 @@
 
 Everything here deliberately avoids the closed-form expansion machinery so
 that its output can serve as an independent cross-check.  Transition maps
-are computed by integrating the vector field with tight tolerances and
-locating section crossings on the integrator's dense output plus a Newton
-polish; asymptotic coefficients are recovered from samples on a geometric
-grid of section parameters by Richardson-style extrapolation.
+are computed by integrating the vector field with tight tolerances; a
+section crossing is the root of the line function on the last step's
+quartic interpolant, so it lies on the line to rounding.  Asymptotic
+coefficients are recovered from samples on a geometric grid of section
+parameters by Richardson-style extrapolation.
 
 The integrator is a Dormand–Prince 5(4) pair stepping on Python floats
 (`integrate`); fields are planar and autonomous, ``fun(x, y) -> (fx, fy)``.
@@ -17,15 +18,13 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from .errors import NumericError, OutOfBasinError, PolycycleError
-from .saddle import LocalChart, SectionPair
-from .series import horner, horner2
+from .saddle import LocalChart
+from .series import horner2
 
 ATOL = 1e-12
 RTOL = 1e-10
-CROSS_RESIDUAL = 1e-12
 PRE_STEP = 1e-6   # advance past a start that sits on the section line
 MAX_RESTARTS = 20
 EPS = 2.0 ** -52
@@ -134,11 +133,6 @@ class Trajectory:
     status: str  # "event" | "tmax"
     t: float
     state: tuple[float, float]
-    last_step: _Step
-
-    def state_at(self, t: float) -> tuple[float, float]:
-        """The last step's interpolant at t, extrapolated outside that step."""
-        return self.last_step(t)
 
 
 def _rms(ex: float, ey: float, sx: float, sy: float) -> float:
@@ -234,12 +228,12 @@ def integrate(fun, start, t_max: float, section: LineSection | None = None,
             g_old, g = g, (x - ax) * nx + (y - ay) * ny
             crossed = (up and g_old <= 0.0 <= g) or (down and g_old >= 0.0 >= g)
 
-    step = _Step.make(t_old, h, (x_old, y_old), (k1x, k2x, k3x, k4x, k5x, k6x, k7x),
-                      (k1y, k2y, k3y, k4y, k5y, k6y, k7y))
     if crossed:
+        step = _Step.make(t_old, h, (x_old, y_old), (k1x, k2x, k3x, k4x, k5x, k6x, k7x),
+                          (k1y, k2y, k3y, k4y, k5y, k6y, k7y))
         t_cross = step.crossing(g_old, nx, ny)
-        return Trajectory("event", t_cross, step(t_cross), step)
-    return Trajectory("tmax", t, (x, y), step)
+        return Trajectory("event", t_cross, step(t_cross))
+    return Trajectory("tmax", t, (x, y))
 
 
 def _bracket_root(f: Callable[[float], float], a: float, b: float, fa: float, fb: float,
@@ -247,6 +241,9 @@ def _bracket_root(f: Callable[[float], float], a: float, b: float, fa: float, fb
     """Root of f in [a, b] from end values of opposite sign, by Brent's
     method (inverse quadratic interpolation safeguarded by bisection) as in
     scipy's brentq; stops once the bracket is narrower than xtol + rtol·|x|.
+    A value of f inside the bracket that is not finite is a NumericError:
+    Brent would read NaN as neither sign and settle on a point that is no
+    root.
     """
     if fa == 0.0:
         return a
@@ -284,11 +281,13 @@ def _bracket_root(f: Callable[[float], float], a: float, b: float, fa: float, fb
         x_pre, f_pre = x_cur, f_cur
         x_cur += s_cur if abs(s_cur) > delta else math.copysign(delta, s_bis)
         f_cur = f(x_cur)
+        if not math.isfinite(f_cur):
+            raise NumericError(f"root refinement met f = {f_cur} at x = {x_cur:.6g}")
     raise NumericError(f"root refinement did not converge in {maxiter} steps")
 
 
 # ---------------------------------------------------------------------------
-# Sections as parametrized lines or curves
+# Sections
 
 
 @dataclass(frozen=True)
@@ -319,27 +318,6 @@ class LineSection:
         d = self.direction
         return float((np.asarray(point) - self.anchor) @ d / (d @ d))
 
-    def residual(self, point) -> float:
-        return float((np.asarray(point) - self.anchor) @ self.normal)
-
-
-def _polish_onto_line(fun, point: tuple[float, float],
-                      section: LineSection) -> tuple[float, float]:
-    """One-dimensional Newton along the flow onto the section line."""
-    (ax, ay), (nx, ny) = section.anchor.tolist(), section.normal.tolist()
-    x, y = point
-    scale = max(1.0, math.hypot(x, y))
-    for _ in range(8):
-        g = (x - ax) * nx + (y - ay) * ny
-        if abs(g) <= CROSS_RESIDUAL * scale:
-            return x, y
-        vx, vy = fun(x, y)
-        dg = vx * nx + vy * ny
-        if dg == 0.0:
-            break
-        x, y = x - (g / dg) * vx, y - (g / dg) * vy
-    raise NumericError("section crossing failed to converge to the line")
-
 
 def crossing_map(fun, start, section: LineSection, t_max: float = 200.0,
                  atol: float = ATOL, rtol: float = RTOL) -> tuple[float, float]:
@@ -364,7 +342,7 @@ def crossing_map(fun, start, section: LineSection, t_max: float = 200.0,
                          direction=direction, t0=t_now, atol=atol, rtol=rtol)
         if traj.status != "event":
             break
-        u = section.param(_polish_onto_line(fun, traj.state, section))
+        u = section.param(traj.state)
         if section.window[0] <= u <= section.window[1]:
             return u, traj.t
         state = integrate(fun, traj.state, PRE_STEP, t0=traj.t, atol=atol, rtol=rtol).state
@@ -386,42 +364,18 @@ def numeric_return(fun, section: LineSection, s: float, t_max: float = 200.0,
 # Corner transition by integration
 
 
-def numeric_dulac(chart: LocalChart, sections: SectionPair, s: float,
+def numeric_dulac(chart: LocalChart, h_in: float, h_out: float, s: float,
                   t_max: float = 200.0, atol: float = ATOL, rtol: float = RTOL) -> float:
-    """Corner transition parameter by integrating the normalized local field.
-
-    Starts at sigma1(s), detects the crossing of the chord line of sigma2,
-    then solves y(t) = sigma2(u) with a two-variable Newton iteration on
-    the dense output, so curved polynomial sections are handled exactly.
-    """
+    """Corner transition by integrating the normalized local field: the v
+    at which the orbit from (s, h_in) crosses the exit line u = h_out."""
     if s <= 0.0:
         raise ValueError("numeric_dulac expects s > 0")
-    fun = chart_field(chart)
-    sig_x, sig_y = sections.sigma2_x, sections.sigma2_y
-    dsig_x, dsig_y = npoly.polyder(sig_x), npoly.polyder(sig_y)
-    chord = LineSection.make(sections.sigma2(0.0),
-                             (horner(dsig_x, 0.0), horner(dsig_y, 0.0)), (-np.inf, np.inf))
-
-    traj = integrate(fun, sections.sigma1(s), t_max, section=chord, atol=atol, rtol=rtol)
+    exit_line = LineSection.make((h_out, 0.0), (0.0, 1.0), (-np.inf, np.inf))
+    traj = integrate(chart_field(chart), (s, h_in), t_max, section=exit_line,
+                     atol=atol, rtol=rtol)
     if traj.status != "event":
         raise OutOfBasinError("orbit left the chart without reaching the exit section")
-
-    t_cur = traj.t
-    u_cur = chord.param(traj.state)
-    for _ in range(30):
-        px, py = traj.state_at(t_cur)
-        rx, ry = px - horner(sig_x, u_cur), py - horner(sig_y, u_cur)
-        if math.hypot(rx, ry) <= CROSS_RESIDUAL * max(1.0, math.hypot(px, py)):
-            return u_cur
-        # Newton on state(t) - sigma2(u) = 0: [v, -sigma2'] (dt, du) = -res
-        vx, vy = fun(px, py)
-        dx, dy = horner(dsig_x, u_cur), horner(dsig_y, u_cur)
-        det = dx * vy - vx * dy
-        if det == 0.0:
-            raise NumericError("degenerate crossing geometry")
-        t_cur += (rx * dy - dx * ry) / det
-        u_cur += (vy * rx - vx * ry) / det
-    raise NumericError("section crossing Newton iteration did not converge")
+    return traj.state[1]
 
 
 # ---------------------------------------------------------------------------
@@ -495,7 +449,6 @@ def _slope(logx: np.ndarray, logy: np.ndarray) -> float:
 
 def fit_expansion(svals: Sequence[float], values: Sequence[float],
                   exponent: float | None = None,
-                  second_exponent: float | None = None,
                   lattice: Sequence[float] | None = None) -> FitReport:
     """Recover v(s) ~ A s^e (1 + (B/A) s^e2 + ...) from samples on a
     decreasing geometric grid.
@@ -508,10 +461,11 @@ def fit_expansion(svals: Sequence[float], values: Sequence[float],
     a least-squares fit on those monomials; that resolves slowly decaying
     tails far better than extrapolation.
 
-    second_exponent is the offset inside the bracket: the second term
-    sits at s^(e + e2).  residual_slope is measured on the bracket, i.e.
-    on v/s^e minus the fitted bracket model, and is None when the
-    leftover is at machine level.
+    The report's second_exponent is the offset e2 inside the bracket: the
+    second term sits at s^(e + e2).  A lattice fit takes the least positive
+    offset.  residual_slope is measured on the bracket, i.e. on v/s^e
+    minus the fitted bracket model, and is None when the leftover is at
+    machine level.
     """
     s = np.asarray(svals, dtype=float)
     v = np.asarray(values, dtype=float)
@@ -532,9 +486,8 @@ def fit_expansion(svals: Sequence[float], values: Sequence[float],
         if len(offsets) > room:
             offsets = offsets[:room]
             notes.append("lattice truncated to leave 4 degrees of freedom")
-        if second_exponent is None:
-            positive = [o for o in offsets if o > 0.0]
-            second_exponent = positive[0] if positive else None
+        positive = [o for o in offsets if o > 0.0]
+        second_exponent = positive[0] if positive else None
         bracket = v / s**exponent
         cols = np.column_stack([s**o for o in offsets])
         scale = np.linalg.norm(cols, axis=0)
@@ -542,10 +495,7 @@ def fit_expansion(svals: Sequence[float], values: Sequence[float],
         coef = coef / scale
         by_offset = dict(zip(offsets, coef))
         leading = float(by_offset[0.0])
-        second_coeff = None
-        if second_exponent is not None:
-            near = [o for o in offsets if abs(o - second_exponent) <= 1e-9]
-            second_coeff = float(by_offset[near[0]]) if near else None
+        second_coeff = None if second_exponent is None else float(by_offset[second_exponent])
         model_bracket = cols @ coef
     else:
         logs = np.log(s)
@@ -568,12 +518,11 @@ def fit_expansion(svals: Sequence[float], values: Sequence[float],
 
         resid = bracket - leading
         good = np.abs(resid) > 1e-13 * abs(leading)
-        second_coeff = None
+        second_exponent = second_coeff = None
         if np.count_nonzero(good) >= 4:
             rs, rv = s[good], resid[good]
-            if second_exponent is None:
-                rslopes = np.diff(np.log(np.abs(rv))) / np.diff(np.log(rs))
-                second_exponent, _ = _aitken(list(rslopes))
+            rslopes = np.diff(np.log(np.abs(rv))) / np.diff(np.log(rs))
+            second_exponent, _ = _aitken(list(rslopes))
             second_coeff, _ = _aitken(list(rv / rs**second_exponent))
         model_bracket = np.full_like(s, leading)
         if second_coeff is not None:
@@ -621,7 +570,8 @@ def count_limit_cycles(displacement: Callable[[float], float], s_min: float, s_m
     Brent refinement of each bracket to a relative width tol and stability
     tags from the signs of the bracketing samples.  Samples with
     |displacement| <= tol·s are flagged as possibly missed roots; a sample
-    that raises a PolycycleError or is not finite is dropped with a warning.
+    that raises a PolycycleError or is not finite is dropped with a warning,
+    and so is a bracket whose refinement meets one.
     """
     if not 0.0 < s_min < s_max:
         raise ValueError("need 0 < s_min < s_max")
@@ -653,7 +603,11 @@ def count_limit_cycles(displacement: Callable[[float], float], s_min: float, s_m
         fa, fb = float(vals[i]), float(vals[i + 1])
         if fa * fb >= 0.0:
             continue  # exact zeros at grid points are flagged by the warning above
-        root = _bracket_root(displacement, a, b, fa, fb, xtol=0.5 * tol * b)
+        try:
+            root = _bracket_root(displacement, a, b, fa, fb, xtol=0.5 * tol * b)
+        except PolycycleError as exc:
+            warnings.append(f"bracket [{a:.6e}, {b:.6e}] dropped: {exc}")
+            continue
         cycles.append(CycleRecord(s=float(root), stability="unstable" if fa < 0.0 else "stable"))
     return CycleCount(cycles=tuple(cycles), scanned=(float(grid[0]), float(grid[-1])),
                       warnings=tuple(warnings))

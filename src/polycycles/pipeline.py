@@ -25,8 +25,7 @@ from .errors import (ModelError, NumericError, PolycycleError, UnsupportedGeomet
 from .flow import (LineSection, dulac_lattice, field_callable, fit_expansion,
                    count_limit_cycles, numeric_dulac, numeric_return)
 from .model import OPTION_DEFAULTS, Model, ModelFile, bind, check_option, merge_values
-from .saddle import (DulacExpansion, LocalChart, SectionPair, dulac_coefficients,
-                     normalize_saddle)
+from .saddle import DulacExpansion, LocalChart, dulac_coefficients, normalize_saddle
 
 __all__ = [
     "CornerData",
@@ -55,7 +54,6 @@ class CornerData:
     h_in: float
     h_out: float
     chart: LocalChart
-    sections: SectionPair
     expansion: DulacExpansion
 
 
@@ -103,12 +101,10 @@ def build_corners(model: Model) -> tuple[CornerData, ...]:
         h_in, h_out = 0.5 * lin, 0.5 * lout
         chart = normalize_saddle(fx, fy, corner, incoming, outgoing,
                                  footprint=max(h_in, h_out) + 0.05)
-        sections = SectionPair.make([0.0, 1.0], [h_in], [h_out], [0.0, 1.0])
-        expansion = dulac_coefficients(chart, sections)
+        expansion = dulac_coefficients(chart, h_in, h_out)
         data.append(CornerData(index=i + 1, corner=tuple(map(float, corner)),
                                incoming=tuple(incoming), outgoing=tuple(outgoing),
-                               h_in=h_in, h_out=h_out, chart=chart,
-                               sections=sections, expansion=expansion))
+                               h_in=h_in, h_out=h_out, chart=chart, expansion=expansion))
 
     for cd, nxt in zip(data, data[1:] + data[:1]):
         exit_anchor, exit_dir = _exit_curve(cd)
@@ -430,7 +426,7 @@ def oracle_dulac(mf: ModelFile, corner_index: int,
                          f"1..{len(corners)}")
     cd = corners[corner_index - 1]
     rows, ok_s, ok_v = _sample(
-        lambda s: numeric_dulac(cd.chart, cd.sections, s, **_integration(opts)),
+        lambda s: numeric_dulac(cd.chart, cd.h_in, cd.h_out, s, **_integration(opts)),
         svals)
 
     free = fit_expansion(ok_s, ok_v)

@@ -6,14 +6,15 @@ Every polycycle corner is brought to the standard local form
 
 where the v-axis is the stable separatrix (incoming connection) and the
 u-axis the unstable one (outgoing connection).  The hyperbolicity ratio is
-lam = -Q(0,0)/P(0,0).  With transverse sections sigma1 (crossing the
-stable axis) and sigma2 (crossing the unstable axis), the corner
-transition map expands as
+lam = -Q(0,0)/P(0,0).  A corner's sections are straight: the entry line
+v = h_in, crossed at (s, h_in), and the exit line u = h_out, crossed at
+(h_out, v), where each h is half the polycycle edge.  The corner transition
+s -> v expands as
 
     D(s) = s^lam (D00 + second-order term + smaller),
 
-and this module computes D00 together with the curvature-type quantities
-S1, S2 that determine the second-order coefficients D10 = lam*D00*S1 and
+and this module computes D00 together with the quantities S1, S2 that
+determine the second-order coefficients D10 = lam*D00*S1 and
 D01 = -D00^2*S2.  The ingredients are the transition factors
 
     L1(w) = exp int_0^w (P(0,y)/Q(0,y) + 1/lam) dy/y
@@ -21,7 +22,14 @@ D01 = -D00^2*S2.  The ingredients are the transition factors
 
 (the integrands have removable singularities at 0, resolved by series),
 the derived functions M1 = L1 * d(P/Q)/du (0,v) and M2 = L2 * d(Q/P)/dv
-(u,0), and an incomplete Mellin transform of M1 and M2.
+(u,0), and their incomplete Mellin transforms M1^ (order 1/lam) and M2^
+(order lam):
+
+    D00 = (h_in / L1(h_in)^lam) * (L2(h_out) / h_out^lam)
+    S1  = -M1^(h_in) / L1(h_in),    S2 = -M2^(h_out) / L2(h_out).
+
+Truncated Taylor series are plain 1-d coefficient arrays (see the series
+module).
 
 P and Q are coefficient arrays c[i, j] of u^i v^j, like the model's field
 (see the expressions module).  The chart comes from a Taylor shift of each
@@ -52,8 +60,7 @@ import numpy as np
 from numpy.polynomial import polynomial as P
 
 from .errors import DegeneracyError, ModelError, NumericError, PoleError, UnsupportedGeometryError
-from .series import (DEFAULT_ORDER, PowerSeries, coeff_array, horner, ps_div, ps_exp,
-                     ps_integrate, scalar)
+from .series import DEFAULT_ORDER, coeff_array, horner, scalar, series_div, series_exp
 
 # case-tag dead band around lam = 1 and pole dead band for Mellin orders
 AT_ONE_BAND = 1e-9
@@ -82,10 +89,6 @@ class LocalChart:
     n1: int = 0
     n2: int = 0
 
-    def to_local(self, point) -> np.ndarray:
-        a = np.asarray(self.linear, dtype=float)
-        return a @ (np.asarray(point, dtype=float) - np.asarray(self.corner, dtype=float))
-
     def to_model(self, point_local) -> np.ndarray:
         a = np.asarray(self.linear, dtype=float)
         # signed permutation: inverse is the transpose
@@ -111,8 +114,9 @@ _AXES = {(1, 0): ("x", 1.0), (-1, 0): ("x", -1.0), (0, 1): ("y", 1.0), (0, -1): 
 
 
 def _axis_of(direction) -> tuple[str, float]:
-    key = (int(round(direction[0])), int(round(direction[1])))
-    if key not in _AXES or not (np.allclose(direction, key, atol=1e-12)):
+    dx, dy = float(direction[0]), float(direction[1])
+    key = (int(round(dx)), int(round(dy)))
+    if key not in _AXES or abs(dx - key[0]) > 1e-12 or abs(dy - key[1]) > 1e-12:
         raise UnsupportedGeometryError(
             f"separatrix direction {tuple(direction)} is not axis-parallel")
     return _AXES[key]
@@ -197,60 +201,6 @@ def normalize_saddle(field_x: np.ndarray, field_y: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# Sections
-
-
-@dataclass(frozen=True)
-class SectionPair:
-    """Transverse sections in local coordinates, polynomial in s.
-
-    sigma1 crosses the stable (v) axis, sigma2 the unstable (u) axis.
-    Components are stored as ascending coefficient arrays.
-    """
-
-    sigma1_x: np.ndarray
-    sigma1_y: np.ndarray
-    sigma2_x: np.ndarray
-    sigma2_y: np.ndarray
-
-    @classmethod
-    def make(cls, sigma1_x, sigma1_y, sigma2_x, sigma2_y) -> "SectionPair":
-        pair = cls(*(coeff_array(c) for c in (sigma1_x, sigma1_y, sigma2_x, sigma2_y)))
-        pair.validate()
-        return pair
-
-    @classmethod
-    def default(cls, h: float = 0.5) -> "SectionPair":
-        # sigma1(s) = (s, h), sigma2(s) = (h, s)
-        return cls.make([0.0, 1.0], [h], [h], [0.0, 1.0])
-
-    def jet(self, section: int, component: int, order: int) -> float:
-        """sigma_{section,component}^(order)(0): k-th derivative at s=0."""
-        arrs = {(1, 1): self.sigma1_x, (1, 2): self.sigma1_y,
-                (2, 1): self.sigma2_x, (2, 2): self.sigma2_y}
-        arr = arrs[(section, component)]
-        if order >= arr.size:
-            return 0.0
-        return float(arr[order] * math.factorial(order))
-
-    def sigma1(self, s: float) -> tuple[float, float]:
-        return (horner(self.sigma1_x, s), horner(self.sigma1_y, s))
-
-    def sigma2(self, s: float) -> tuple[float, float]:
-        return (horner(self.sigma2_x, s), horner(self.sigma2_y, s))
-
-    def validate(self) -> None:
-        if abs(self.jet(1, 1, 0)) > 1e-12 or self.jet(1, 2, 0) <= 0.0:
-            raise ModelError("sigma1(0) must lie on the positive stable axis (0, y>0)")
-        if abs(self.jet(2, 2, 0)) > 1e-12 or self.jet(2, 1, 0) <= 0.0:
-            raise ModelError("sigma2(0) must lie on the positive unstable axis (x>0, 0)")
-        if self.jet(1, 1, 1) <= 0.0:
-            raise ModelError("sigma1 must point into the interior: d(sigma1_x)/ds(0) > 0")
-        if self.jet(2, 2, 1) <= 0.0:
-            raise ModelError("sigma2 must point into the interior: d(sigma2_y)/ds(0) > 0")
-
-
-# ---------------------------------------------------------------------------
 # Fixed-rule quadrature
 #
 # Both integrals below, log L over [0, w] and the Mellin tail over [0, x],
@@ -328,17 +278,6 @@ def _fixed_rule(g: Callable[[np.ndarray], np.ndarray], beta, scale, what: str) -
 # Transition factors L1, L2 and the germs fed to the Mellin transform
 
 
-@dataclass(frozen=True)
-class Germ:
-    """A smooth function germ at 0: a callable plus its Taylor series.
-
-    ``fun`` takes and returns numpy arrays.
-    """
-
-    fun: Callable[[np.ndarray], np.ndarray]
-    series: PowerSeries
-
-
 _SERIES_SWITCH = 1e-3  # below this, transition integrands are evaluated by series
 # Below _MELLIN_SWITCH * max(1, x) the Mellin tail h = (f - T_{k-1}f)/s^k is
 # evaluated by series.  Above it, the difference cancels to about eps*|f|/s^k,
@@ -354,13 +293,13 @@ class _Transition:
     num: np.ndarray
     den: np.ndarray
     shift: float
-    small: PowerSeries   # series of the integrand, used for |t| < _SERIES_SWITCH
-    series: PowerSeries  # series of L itself
+    small: np.ndarray   # series of the integrand, used for |t| < _SERIES_SWITCH
+    series: np.ndarray  # series of L itself
 
     def integrand(self, t: np.ndarray) -> np.ndarray:
-        out = np.empty(t.shape, dtype=self.small.coeffs.dtype)
+        out = np.empty(t.shape, dtype=self.small.dtype)
         small = np.abs(t) < _SERIES_SWITCH
-        out[small] = horner(self.small.coeffs, t[small])
+        out[small] = horner(self.small, t[small])
         big = ~small
         tb = t[big]
         out[big] = (horner(self.num, tb) / horner(self.den, tb) + self.shift) / tb
@@ -387,17 +326,16 @@ def _transition_data(chart: LocalChart, which: int, order: int = DEFAULT_ORDER) 
     else:
         raise ValueError("which must be 1 or 2")
 
-    ratio = ps_div(PowerSeries.from_polynomial(num, order), PowerSeries.from_polynomial(den, order))
-    shifted = ratio + PowerSeries.constant(shiftc, ratio.order)
-    if abs(shifted.coeffs[0].real) > 1e-9:
+    # num, den and lam share the chart's dtype, so the shift adds in place
+    shifted = series_div(num, den, order)
+    shifted[0] += shiftc
+    if abs(shifted[0].real) > 1e-9:
         raise NumericError(
-            f"transition L{which}: constant term {shifted.coeffs[0]:.3e} fails to cancel; "
+            f"transition L{which}: constant term {shifted[0]:.3e} fails to cancel; "
             "chart inconsistent with its hyperbolicity ratio")
-    integrand_series = PowerSeries(shifted.coeffs[1:])  # (ratio + c)/t as a series
-
-    l_series = ps_exp(ps_integrate(integrand_series).truncate(order))
-    return _Transition(num=coeff_array(num), den=coeff_array(den), shift=shiftc,
-                       small=integrand_series, series=l_series)
+    small = shifted[1:]  # (ratio + c)/t as a series, of order - 1
+    log_l = np.concatenate(([0.0], small / np.arange(1, order + 1)))
+    return _Transition(num=num, den=den, shift=shiftc, small=small, series=series_exp(log_l))
 
 
 def _germ_order(alpha: float) -> int:
@@ -410,9 +348,11 @@ def _germ_order(alpha: float) -> int:
     return max(DEFAULT_ORDER, math.ceil(alpha.real) + 10)
 
 
-def _m_germ(chart: LocalChart, which: int, trans: _Transition) -> Germ:
-    """M1 = L1 * d(P/Q)/du at (0,v);  M2 = L2 * d(Q/P)/dv at (u,0), to the order of L."""
-    order = trans.series.order
+def _m_germ(chart: LocalChart, which: int, trans: _Transition,
+            ) -> tuple[Callable[[np.ndarray], np.ndarray], np.ndarray]:
+    """M1 = L1 * d(P/Q)/du at (0,v);  M2 = L2 * d(Q/P)/dv at (u,0): a callable
+    on arrays and its Taylor series, to the order of L."""
+    order = trans.series.size - 1
     p, q = chart.p_poly, chart.q_poly
     # trans.num/trans.den are the ratio restricted to the axis; d_num/d_den
     # their partials across it: P_x, Q_x at u = 0, or Q_y, P_y at v = 0
@@ -423,14 +363,12 @@ def _m_germ(chart: LocalChart, which: int, trans: _Transition) -> Germ:
     num = P.polysub(P.polymul(d_num, trans.den), P.polymul(trans.num, d_den))
     den = P.polymul(trans.den, trans.den)
 
-    ratio_series = ps_div(PowerSeries.from_polynomial(num, order),
-                          PowerSeries.from_polynomial(den, order))
-    m_series = trans.series * ratio_series
+    m_series = np.convolve(trans.series, series_div(num, den, order))[:order + 1]
 
     def fun(w: np.ndarray) -> np.ndarray:
         return trans.value(w) * horner(num, w) / horner(den, w)
 
-    return Germ(fun=fun, series=m_series)
+    return fun, m_series
 
 
 # ---------------------------------------------------------------------------
@@ -444,10 +382,13 @@ def _check_pole(alpha: float) -> None:
                         f"of the pole at {int(nearest)}")
 
 
-def mellin_hat(f: Germ, alpha: float, x: float) -> float:
+def mellin_hat(f: Callable[[np.ndarray], np.ndarray], series, alpha: float,
+               x: float) -> float:
     """Incomplete Mellin transform: the smooth solution of x g' - alpha g = f.
 
-    Evaluated as the Taylor head sum_{i<k} c_i x^i/(i - alpha) plus
+    ``f`` takes and returns numpy arrays; ``series`` holds its Taylor
+    coefficients at 0.  Evaluated as the Taylor head
+    sum_{i<k} c_i x^i/(i - alpha) plus
     |x|^alpha int_0^x (f - T_{k-1}f)(s) |s|^{-alpha} ds/s with k the Taylor
     order chosen above alpha + 1.  The tail integrand is s^beta h(s) with
     beta = k - alpha - 1 > -1 and h = (f - T_{k-1}f)/s^k smooth, so it is
@@ -457,7 +398,7 @@ def mellin_hat(f: Germ, alpha: float, x: float) -> float:
     if x <= 0.0:
         raise ValueError("mellin_hat expects x > 0")
     k = max(0, math.ceil(alpha.real) + 2)
-    coeffs = f.series.coeffs
+    coeffs = coeff_array(series)
     if k > coeffs.size:
         raise ValueError(f"germ series order {coeffs.size - 1} too low for alpha={alpha:g}")
     head = sum(coeffs[i] * x**i / (i - alpha) for i in range(k))
@@ -471,7 +412,7 @@ def mellin_hat(f: Germ, alpha: float, x: float) -> float:
         out[small] = horner(coeffs[k:], s[small])  # the series tail
         big = ~small
         sb = s[big]
-        out[big] = (f.fun(sb) - horner(taylor, sb)) / sb**k
+        out[big] = (f(sb) - horner(taylor, sb)) / sb**k
         return out
 
     val = _fixed_rule(lambda t: h(x * t), beta, x**(beta + 1.0), "Mellin tail quadrature")
@@ -511,34 +452,25 @@ def classify_ratio(lam: float, band: float = AT_ONE_BAND) -> str:
     return "below-one" if lam.real < 1.0 else "above-one"
 
 
-def dulac_coefficients(chart: LocalChart, sections: SectionPair | None = None) -> DulacExpansion:
-    """Compute the Dulac expansion of a corner for the given sections.
+def dulac_coefficients(chart: LocalChart, h_in: float, h_out: float) -> DulacExpansion:
+    """Compute the Dulac expansion of a corner from (s, h_in) to (h_out, v).
 
     The case-required second-order coefficient is always computed (its
     Mellin order cannot hit a pole away from lam = 1); the other S value
     is set to None when its pole guard trips.  At-one corners return
     leading data only, flagged in ``notes``.
     """
-    if sections is None:
-        sections = SectionPair.default()
-    sections.validate()
+    if not (0.0 < h_in < math.inf and 0.0 < h_out < math.inf):
+        raise ModelError(f"section half-lengths must be positive and finite, "
+                         f"got h_in={h_in!r}, h_out={h_out!r}")
     lam = chart.lam
-    s111 = sections.jet(1, 1, 1)
-    s112 = sections.jet(1, 1, 2)
-    s120 = sections.jet(1, 2, 0)
-    s121 = sections.jet(1, 2, 1)
-    s210 = sections.jet(2, 1, 0)
-    s211 = sections.jet(2, 1, 1)
-    s221 = sections.jet(2, 2, 1)
-    s222 = sections.jet(2, 2, 2)
-
-    chart.check_footprint(max(s120, s210) * 1.05)
+    chart.check_footprint(max(h_in, h_out) * 1.05)
 
     t1 = _transition_data(chart, 1, _germ_order(1.0 / lam))
     t2 = _transition_data(chart, 2, _germ_order(lam))
-    l1 = t1.value(s120)
-    l2 = t2.value(s210)
-    d00 = (s111**lam * s120 / l1**lam) * (l2 / (s221 * s210**lam))
+    l1 = t1.value(h_in)
+    l2 = t2.value(h_out)
+    d00 = (h_in / l1**lam) * (l2 / h_out**lam)
 
     case = classify_ratio(lam)
     if case == "at-one":
@@ -547,18 +479,11 @@ def dulac_coefficients(chart: LocalChart, sections: SectionPair | None = None) -
             notes=("at-one corner: second-order coefficients are resonant "
                    "(Mellin pole at alpha=1); leading term only",))
 
-    pq_at = horner(chart.p_poly[0, :], s120) / horner(chart.q_poly[0, :], s120)
-    qp_at = horner(chart.q_poly[:, 0], s210) / horner(chart.p_poly[:, 0], s210)
-
     def s1_value() -> float:
-        m1 = _m_germ(chart, 1, t1)
-        return (s112 / (2.0 * s111) - (s121 / s120) * pq_at
-                - (s111 / l1) * mellin_hat(m1, 1.0 / lam, s120))
+        return -(1.0 / l1) * mellin_hat(*_m_germ(chart, 1, t1), 1.0 / lam, h_in)
 
     def s2_value() -> float:
-        m2 = _m_germ(chart, 2, t2)
-        return (s222 / (2.0 * s221) - (s211 / s210) * qp_at
-                - (s221 / l2) * mellin_hat(m2, lam, s210))
+        return -(1.0 / l2) * mellin_hat(*_m_germ(chart, 2, t2), lam, h_out)
 
     notes: list[str] = []
     if case == "below-one":

@@ -65,7 +65,7 @@ class TestRunCheck:
         assert all(c.trials == 5 for c in report.cases)
         assert report.worst_leading < 1e-12
         assert report.worst_second < 1e-12
-        assert report.worst_offset < 1e-9
+        assert all(c.max_offset_dev < 1e-9 for c in report.cases)
         assert report.passed()
 
     def test_deterministic_for_seed(self):

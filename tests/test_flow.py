@@ -31,7 +31,7 @@ from polycycles.flow import (
     numeric_return,
 )
 from polycycles.model import bind
-from polycycles.saddle import SectionPair, normalize_saddle
+from polycycles.saddle import normalize_saddle
 
 
 def poly(source):
@@ -53,8 +53,8 @@ class TestLineSection:
         sect = LineSection.make((1.0, 0.0), (0.0, 1.0), (0.0, 2.0))
         np.testing.assert_allclose(sect.point(0.5), [1.0, 0.5])
         assert sect.param((1.0, 0.7)) == pytest.approx(0.7)
-        assert sect.residual((1.0, 0.3)) == 0.0
-        assert sect.residual((0.5, 0.3)) * sect.residual((1.5, 0.3)) < 0.0
+        np.testing.assert_array_equal(sect.normal, [-1.0, 0.0])
+        assert sect.normal @ sect.direction == 0.0
 
     def test_zero_direction_rejected(self):
         with pytest.raises(ValueError, match="direction must be nonzero"):
@@ -85,20 +85,18 @@ def chart():
 
 class TestNumericDulac:
 
-    def test_curved_sections_exact_map(self, chart):
-        # entry (2s, 1), exit (1, 3u): the map is u = 4 s^2 / 3 exactly
-        sec = SectionPair.make([0.0, 2.0], [1.0], [1.0], [0.0, 3.0])
-        assert numeric_dulac(chart, sec, 0.01) == pytest.approx(
-            4.0 / 3.0 * 1e-4, rel=1e-8)
+    def test_exit_line_crossing(self, chart):
+        # from (s, h_in): u = s e^t reaches h_out when v = h_in (s/h_out)^2
+        assert numeric_dulac(chart, 0.3, 0.7, 0.01) == pytest.approx(
+            0.3 * (0.01 / 0.7) ** 2, rel=1e-8)
 
     def test_homogeneity(self, chart):
-        sec = SectionPair.default()
-        ratio = numeric_dulac(chart, sec, 0.01) / numeric_dulac(chart, sec, 0.005)
+        ratio = numeric_dulac(chart, 0.5, 0.5, 0.01) / numeric_dulac(chart, 0.5, 0.5, 0.005)
         assert ratio == pytest.approx(2.0 ** 2, rel=1e-8)
 
     def test_domain_guard(self, chart):
         with pytest.raises(ValueError, match="expects s > 0"):
-            numeric_dulac(chart, SectionPair.default(), 0.0)
+            numeric_dulac(chart, 0.5, 0.5, 0.0)
 
     def test_chart_field_matches_local_velocity(self):
         chart = normalize_saddle(poly("x*(1 + 0.3*x - 0.2*y)"),
@@ -217,6 +215,19 @@ class TestCountCycles:
         assert count.cycles[0].stability == ("unstable" if slope > 0 else "stable")
         assert any("failed" in w and "nan" in w for w in count.warnings)
 
+    def test_nan_inside_a_bracket_drops_it(self):
+        # both grid ends of the bracket around 0.5 are finite, but Brent
+        # lands in the NaN window: the root found there would be no root
+        def disp(s):
+            return math.nan if 0.4995 < s < 0.5005 else s - 0.5
+
+        count = count_limit_cycles(disp, 0.1, 1.0, samples=200)
+        assert count.cycles == ()
+        dropped = [w for w in count.warnings if "dropped" in w]
+        assert len(dropped) == 1 and "nan" in dropped[0]
+        a, b = (float(x) for x in dropped[0].split("[")[1].split("]")[0].split(","))
+        assert a < 0.5 < b
+
     def test_all_samples_failing(self):
         def disp(s):
             raise OutOfBasinError("nope")
@@ -261,6 +272,53 @@ class TestCircleField:
         assert cycle.s == pytest.approx(1.0, abs=1e-8)
 
 
+class TestCrossingsOnTheLine:
+    """A crossing is the root of the line function on the last step's
+    interpolant, so every event state lies on its section line to rounding;
+    crossing_map reads the parameter off that state as it is."""
+
+    @staticmethod
+    def record_events(monkeypatch):
+        found = []
+        real = flow.integrate
+
+        def recording(*args, **kwargs):
+            traj = real(*args, **kwargs)
+            if traj.status == "event":
+                found.append((traj.state, kwargs["section"]))
+            return traj
+
+        monkeypatch.setattr(flow, "integrate", recording)
+        return found
+
+    @staticmethod
+    def assert_on_line(found, samples):
+        assert len(found) >= samples
+        for state, section in found:
+            offset = (np.asarray(state) - section.anchor) @ section.normal
+            assert abs(offset) <= 1e-12 * max(1.0, math.hypot(*state))
+
+    def test_four_saddle_return(self, monkeypatch, game_mf):
+        from polycycles.pipeline import default_fit_grid, return_section
+
+        model = bind(game_mf)
+        fun = field_callable(model.field_x, model.field_y)
+        section = return_section(model)
+        found = self.record_events(monkeypatch)
+        svals = default_fit_grid()
+        for s in svals:
+            numeric_return(fun, section, float(s))
+        self.assert_on_line(found, len(svals))
+
+    def test_circle_return(self, monkeypatch, circle):
+        fun, section = circle
+        found = self.record_events(monkeypatch)
+        svals = np.geomspace(0.3, 2.0, 25)
+        for s in svals:
+            numeric_return(fun, section, float(s))
+        self.assert_on_line(found, len(svals))
+
+
 class TestIntegrate:
     def test_tmax_state_and_interpolant(self, saddle_fun):
         # x = 0.5 e^t, y = e^(-2t)
@@ -268,7 +326,6 @@ class TestIntegrate:
         assert traj.status == "tmax"
         assert traj.t == 1.0
         np.testing.assert_allclose(traj.state, (0.5 * math.e, math.exp(-2.0)), rtol=1e-9)
-        np.testing.assert_allclose(traj.state_at(1.0), traj.state, rtol=1e-14)
 
     def test_event_on_the_interpolant(self, saddle_fun, exit_section):
         # x = 0.25 e^t reaches the line x = 1 at t = ln 4, moving up through

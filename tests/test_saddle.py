@@ -27,16 +27,13 @@ from polycycles.expressions import instantiate, parse_expression
 from polycycles.model import bind
 from polycycles.pipeline import build_corners
 from polycycles.saddle import (
-    Germ,
     LocalChart,
-    SectionPair,
     _transition_data,
     classify_ratio,
     dulac_coefficients,
     mellin_hat,
     normalize_saddle,
 )
-from polycycles.series import PowerSeries
 
 
 def poly(source):
@@ -61,16 +58,14 @@ class TestNormalize:
         chart = normalize_saddle(poly("x - 1"), poly("-2*(y - 2)"),
                                  (1.0, 2.0), (0.0, 1.0), (1.0, 0.0))
         assert chart.lam == pytest.approx(2.0)
-        np.testing.assert_allclose(chart.to_local((1.3, 2.4)), [0.3, 0.4], atol=1e-15)
-        np.testing.assert_allclose(chart.to_model(chart.to_local((1.3, 2.4))),
-                                   [1.3, 2.4], atol=1e-15)
+        np.testing.assert_allclose(chart.to_model((0.3, 0.4)), [1.3, 2.4], atol=1e-15)
 
     def test_swapped_axes(self):
         # stable separatrix on the x-axis: local u is the model y
         chart = normalize_saddle(poly("-x"), poly("2*y"),
                                  (0.0, 0.0), (1.0, 0.0), (0.0, 1.0))
         assert chart.lam == pytest.approx(0.5)
-        np.testing.assert_allclose(chart.to_local((0.3, 0.4)), [0.4, 0.3], atol=1e-15)
+        np.testing.assert_allclose(chart.to_model((0.4, 0.3)), [0.3, 0.4], atol=1e-15)
 
     def test_same_axis_rejected(self):
         with pytest.raises(UnsupportedGeometryError, match="same axis"):
@@ -82,6 +77,15 @@ class TestNormalize:
         with pytest.raises(UnsupportedGeometryError, match="not axis-parallel"):
             normalize_saddle(poly("x"), poly("-y"),
                              (0.0, 0.0), (d, d), (1.0, 0.0))
+
+    def test_axis_tolerance_is_absolute(self):
+        # each component within 1e-12 of the axis; 9e-6 off is not an axis
+        with pytest.raises(UnsupportedGeometryError, match="not axis-parallel"):
+            normalize_saddle(poly("x"), poly("-y"),
+                             (0.0, 0.0), (0.0, 1.0), (1.0 + 9e-6, 0.0))
+        chart = normalize_saddle(poly("x"), poly("-y"),
+                                 (0.0, 0.0), (0.0, 1.0), (1.0 - 5e-13, 0.0))
+        assert chart.linear == ((1.0, 0.0), (0.0, 1.0))
 
     def test_missing_invariant_line(self):
         with pytest.raises(UnsupportedGeometryError, match="is not invariant"):
@@ -169,38 +173,18 @@ class TestNormalize:
 
 
 class TestSections:
-    def test_default_geometry(self):
-        sec = SectionPair.default(h=0.25)
-        assert sec.sigma1(0.1) == (0.1, 0.25)
-        assert sec.sigma2(0.1) == (0.25, 0.1)
-
-    def test_jets(self):
-        sec = SectionPair.make([0.0, 2.0], [1.0], [1.0], [0.0, 3.0])
-        assert sec.jet(1, 1, 1) == 2.0
-        assert sec.jet(1, 2, 0) == 1.0
-        assert sec.jet(2, 1, 0) == 1.0
-        assert sec.jet(2, 2, 1) == 3.0
-        # derivatives beyond the stored degree vanish
-        assert sec.jet(1, 1, 5) == 0.0
-        # jet(k) carries the k! factor of a true derivative
-        quad = SectionPair.make([0.0, 1.0, 0.7], [1.0], [1.0], [0.0, 1.0])
-        assert quad.jet(1, 1, 2) == pytest.approx(1.4)
+    """Entry (s, h_in) and exit (h_out, v): each half-length puts its
+    section's anchor on the positive half of its axis."""
 
     def test_sigma1_anchor_must_sit_on_stable_axis(self):
-        with pytest.raises(ModelError, match="sigma1\\(0\\) must lie"):
-            SectionPair.make([0.1, 1.0], [1.0], [1.0], [0.0, 1.0])
-        with pytest.raises(ModelError, match="sigma1\\(0\\) must lie"):
-            SectionPair.make([0.0, 1.0], [-1.0], [1.0], [0.0, 1.0])
+        for h_in in (0.0, -0.5, math.inf, math.nan):
+            with pytest.raises(ModelError, match="half-lengths must be positive and finite"):
+                dulac_coefficients(linear_saddle(1.5), h_in, 0.5)
 
     def test_sigma2_anchor_must_sit_on_unstable_axis(self):
-        with pytest.raises(ModelError, match="sigma2\\(0\\) must lie"):
-            SectionPair.make([0.0, 1.0], [1.0], [0.0], [0.0, 1.0])
-
-    def test_orientation_into_interior(self):
-        with pytest.raises(ModelError, match="sigma1 must point into the interior"):
-            SectionPair.make([0.0, -1.0], [1.0], [1.0], [0.0, 1.0])
-        with pytest.raises(ModelError, match="sigma2 must point into the interior"):
-            SectionPair.make([0.0, 1.0], [1.0], [1.0], [0.0, -2.0])
+        for h_out in (0.0, -0.5, math.inf, math.nan):
+            with pytest.raises(ModelError, match="half-lengths must be positive and finite"):
+                dulac_coefficients(linear_saddle(1.5), 0.5, h_out)
 
 
 class TestClassify:
@@ -219,7 +203,7 @@ class TestLinearClosedForms:
     """x' = x, y' = -lam*y: D00 = h1 * h2**-lam exactly, S1 = S2 = 0."""
 
     def test_above_one(self):
-        exp = dulac_coefficients(linear_saddle(1.5))
+        exp = dulac_coefficients(linear_saddle(1.5), 0.5, 0.5)
         assert exp.case == "above-one"
         assert exp.ratio == pytest.approx(1.5, rel=1e-15)
         assert exp.leading == pytest.approx(math.sqrt(2.0), rel=1e-12)
@@ -229,7 +213,7 @@ class TestLinearClosedForms:
         assert exp.next_coeff == pytest.approx(0.0, abs=1e-12)
 
     def test_below_one(self):
-        exp = dulac_coefficients(linear_saddle(0.4))
+        exp = dulac_coefficients(linear_saddle(0.4), 0.5, 0.5)
         assert exp.case == "below-one"
         assert exp.leading == pytest.approx(0.5 ** 0.6, rel=1e-12)
         assert exp.s1 == pytest.approx(0.0, abs=1e-12)
@@ -238,22 +222,15 @@ class TestLinearClosedForms:
         assert exp.next_coeff == pytest.approx(0.0, abs=1e-12)
 
     def test_section_height_scaling(self):
-        sec = SectionPair.make([0.0, 1.0], [0.3], [0.7], [0.0, 1.0])
-        exp = dulac_coefficients(linear_saddle(1.5), sec)
+        exp = dulac_coefficients(linear_saddle(1.5), 0.3, 0.7)
         assert exp.leading == pytest.approx(0.3 * 0.7 ** -1.5, rel=1e-12)
-
-    def test_curved_sections(self):
-        # sigma1 = (2s, 1), sigma2 = (1, 3s) at lam = 2: D00 = 2**2 / 3
-        sec = SectionPair.make([0.0, 2.0], [1.0], [1.0], [0.0, 3.0])
-        exp = dulac_coefficients(linear_saddle(2.0), sec)
-        assert exp.leading == pytest.approx(4.0 / 3.0, rel=1e-12)
 
     def test_transition_factors_trivial(self):
         data = _transition_data(linear_saddle(1.5), 1)
         value, series = data.value(0.5), data.series
         assert value == pytest.approx(1.0, rel=1e-12)
-        assert series.coeffs[0] == pytest.approx(1.0)
-        np.testing.assert_allclose(series.coeffs[1:], 0.0, atol=1e-15)
+        assert series[0] == pytest.approx(1.0)
+        np.testing.assert_allclose(series[1:], 0.0, atol=1e-15)
 
     def test_transition_on_an_array(self):
         chart = normalize_saddle(poly("x*(1 + 0.3*x - 0.2*y)"),
@@ -269,7 +246,7 @@ class TestLinearClosedForms:
             assert values[0] == 1.0 and values[2] != 1.0
 
     def test_resonant_corner(self):
-        exp = dulac_coefficients(linear_saddle(1.0))
+        exp = dulac_coefficients(linear_saddle(1.0), 0.5, 0.5)
         assert exp.case == "at-one"
         assert exp.leading == pytest.approx(1.0, rel=1e-12)
         assert exp.next_exponent is None
@@ -283,7 +260,7 @@ def quad_expansion():
     chart = normalize_saddle(poly("x*(1 + 0.3*x - 0.2*y)"),
                              poly("-y*(2 - 0.1*x + 0.4*y)"),
                              (0.0, 0.0), (0.0, 1.0), (1.0, 0.0))
-    return dulac_coefficients(chart, SectionPair.default())
+    return dulac_coefficients(chart, 0.5, 0.5)
 
 
 class TestQuadraticSaddle:
@@ -313,51 +290,51 @@ class TestMellin:
     def monomial(k, order=12):
         coeffs = [0.0] * (order + 1)
         coeffs[k] = 1.0
-        return Germ(fun=lambda s, k=k: s ** k, series=PowerSeries(coeffs))
+        return (lambda s: s ** k), coeffs
 
     def test_monomial_solutions(self):
         g = self.monomial(2)
-        assert mellin_hat(g, 0.5, 0.3) == pytest.approx(0.3 ** 2 / 1.5, rel=1e-12)
-        assert mellin_hat(g, 1.7, 0.4) == pytest.approx(0.4 ** 2 / 0.3, rel=1e-12)
-        assert mellin_hat(g, -0.5, 0.3) == pytest.approx(0.3 ** 2 / 2.5, rel=1e-12)
+        assert mellin_hat(*g, 0.5, 0.3) == pytest.approx(0.3 ** 2 / 1.5, rel=1e-12)
+        assert mellin_hat(*g, 1.7, 0.4) == pytest.approx(0.4 ** 2 / 0.3, rel=1e-12)
+        assert mellin_hat(*g, -0.5, 0.3) == pytest.approx(0.3 ** 2 / 2.5, rel=1e-12)
 
     def test_defining_ode(self):
         coeffs = [1.0 / math.factorial(k) for k in range(13)]
-        germ = Germ(fun=np.exp, series=PowerSeries(coeffs))
         alpha, x, h = 0.37, 0.4, 1e-5
-        deriv = (mellin_hat(germ, alpha, x + h)
-                 - mellin_hat(germ, alpha, x - h)) / (2.0 * h)
-        assert x * deriv - alpha * mellin_hat(germ, alpha, x) == pytest.approx(
+        deriv = (mellin_hat(np.exp, coeffs, alpha, x + h)
+                 - mellin_hat(np.exp, coeffs, alpha, x - h)) / (2.0 * h)
+        assert x * deriv - alpha * mellin_hat(np.exp, coeffs, alpha, x) == pytest.approx(
             math.exp(x), rel=1e-6)
 
     @pytest.mark.parametrize("alpha", [0.37, 1.5, 2.7])
     def test_exp_matches_its_series(self, alpha):
         # exp is entire, so the smooth solution is sum_i x^i / (i! (i - alpha))
         coeffs = [1.0 / math.factorial(k) for k in range(17)]
-        germ = Germ(fun=np.exp, series=PowerSeries(coeffs))
         for x in (0.4, 0.9):
             exact = math.fsum(x**i / (math.factorial(i) * (i - alpha)) for i in range(40))
-            assert mellin_hat(germ, alpha, x) == pytest.approx(exact, rel=1e-13)
+            assert mellin_hat(np.exp, coeffs, alpha, x) == pytest.approx(exact, rel=1e-13)
 
     def test_rough_germ_fails_the_node_doubling_check(self):
         # a jump at s = 0.2: the rules hardly converge, and 512 against
         # 1024 nodes still differ by 3e-3
-        germ = Germ(fun=lambda s: np.where(s > 0.2, 1.0, 0.0), series=PowerSeries([0.0] * 3))
+        def step(s):
+            return np.where(s > 0.2, 1.0, 0.0)
+
         with pytest.raises(NumericError, match="Mellin tail quadrature did not converge"):
-            mellin_hat(germ, 0.5, 0.4)
+            mellin_hat(step, [0.0] * 3, 0.5, 0.4)
 
     def test_pole_guards(self):
         g = self.monomial(2)
         with pytest.raises(PoleError, match="pole at 1"):
-            mellin_hat(g, 1.0 + 5e-7, 0.3)
+            mellin_hat(*g, 1.0 + 5e-7, 0.3)
         with pytest.raises(PoleError, match="pole at 0"):
-            mellin_hat(g, 3e-7, 0.3)
+            mellin_hat(*g, 3e-7, 0.3)
         # negative integers are not poles of the smooth solution
-        assert mellin_hat(g, -1.0, 0.3) == pytest.approx(0.3 ** 2 / 3.0, rel=1e-12)
+        assert mellin_hat(*g, -1.0, 0.3) == pytest.approx(0.3 ** 2 / 3.0, rel=1e-12)
 
     def test_domain_guard(self):
         with pytest.raises(ValueError, match="expects x > 0"):
-            mellin_hat(self.monomial(2), 0.5, 0.0)
+            mellin_hat(*self.monomial(2), 0.5, 0.0)
 
 
 # frozen via a direct run of the closed-form route; the numeric
@@ -402,12 +379,12 @@ class TestFourSaddleCorners:
     def test_chart_frames_roundtrip(self, game_corners):
         rng = np.random.default_rng(7)
         for cd in game_corners:
+            lin = np.asarray(cd.chart.linear)
             pts = np.asarray(cd.corner) + rng.uniform(-0.2, 0.2, size=(5, 2))
             for pt in pts:
-                np.testing.assert_allclose(cd.chart.to_model(cd.chart.to_local(pt)),
-                                           pt, atol=1e-14)
+                local = lin @ (pt - np.asarray(cd.corner))
+                np.testing.assert_allclose(cd.chart.to_model(local), pt, atol=1e-14)
             # the linear part is a signed permutation, hence an isometry
-            lin = np.asarray(cd.chart.linear)
             np.testing.assert_allclose(lin @ lin.T, np.eye(2), atol=1e-15)
 
     def test_graphic_number(self, game_corners):

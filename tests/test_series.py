@@ -5,37 +5,15 @@ import math
 import numpy as np
 import pytest
 
-from polycycles.series import DEFAULT_ORDER, PowerSeries, horner, ps_div, ps_exp, ps_integrate
-
-
-def geometric(order=DEFAULT_ORDER):
-    # 1/(1-t) = 1 + t + t^2 + ...
-    return PowerSeries([1.0] * order)
+from polycycles.series import horner, padded, series_div, series_exp
 
 
 class TestArithmetic:
-    def test_constructors(self):
-        assert PowerSeries.constant(4.0).evaluate(0.3) == 4.0
-        assert PowerSeries.from_polynomial([0.0, 1.0]).evaluate(0.3) == 0.3
-        assert PowerSeries.from_polynomial([1.0, 2.0, 3.0], order=1).order == 1
-
-    def test_mul_against_closed_form(self):
-        g = geometric()
-        sq = g * g  # 1/(1-t)^2 = sum (k+1) t^k
-        assert [sq.coeffs[k] for k in range(6)] == [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
-
-    def test_add_sub_neg(self):
-        f = PowerSeries([1.0, 2.0, 3.0])
-        g = PowerSeries([0.5, -2.0, 1.0])
-        assert (f + g).coeffs[1] == 0.0
-        assert (f - g).coeffs[0] == 0.5
-        assert (-f).coeffs[2] == -3.0
-
-    def test_evaluate_matches_horner(self):
-        f = PowerSeries([2.0, -1.0, 0.5, 0.25])
-        t = 0.37
-        expected = 2.0 - t + 0.5 * t**2 + 0.25 * t**3
-        assert f.evaluate(t) == pytest.approx(expected, rel=1e-15)
+    def test_padded(self):
+        np.testing.assert_array_equal(padded([0.0, 1.0], 3), [0.0, 1.0, 0.0, 0.0])
+        np.testing.assert_array_equal(padded([1.0, 2.0, 3.0], 1), [1.0, 2.0])
+        assert padded([1.0, 2.0], 2).dtype == np.float64
+        assert padded([1.0, 2.0j], 2).dtype == np.complex128
 
     def test_horner_is_the_plain_loop(self):
         # bit-identical to acc = acc * t + c from the top coefficient down
@@ -59,19 +37,28 @@ class TestArithmetic:
 
 class TestFunctions:
     def test_div(self):
-        one = PowerSeries.constant(1.0)
-        inv = ps_div(one, PowerSeries([1.0, -1.0]))  # 1/(1-t)
-        assert all(c == pytest.approx(1.0) for c in inv.coeffs)
+        inv = series_div([1.0], [1.0, -1.0], 12)  # 1/(1-t)
+        assert inv.shape == (13,)
+        assert all(c == pytest.approx(1.0) for c in inv)
+        # (1 + 2t)/(1 + t) = 1 + t - t^2 + t^3 - ...
+        np.testing.assert_allclose(series_div([1.0, 2.0], [1.0, 1.0], 4),
+                                   [1.0, 1.0, -1.0, 1.0, -1.0], rtol=1e-15)
+        with pytest.raises(ZeroDivisionError):
+            series_div([1.0], [0.0, 1.0], 3)
 
     def test_exp_matches_scalar(self):
         # exp(t) truncation: coefficients 1/k!
-        e = ps_exp(PowerSeries.from_polynomial([0.0, 1.0]))
-        for k in range(8):
-            assert e.coeffs[k] == pytest.approx(1.0 / math.factorial(k), rel=1e-14)
+        e = series_exp(padded([0.0, 1.0], 8))
+        for k in range(9):
+            assert e[k] == pytest.approx(1.0 / math.factorial(k), rel=1e-14)
 
-    def test_integrate_gains_order(self):
-        f = PowerSeries([1.0, 2.0, 3.0])
-        F = ps_integrate(f)
-        assert F.order == f.order + 1
-        assert [F.coeffs[k] for k in range(4)] == [0.0, 1.0, 1.0, 1.0]
-
+    def test_complex_coefficients_stay_complex(self):
+        # a complex step must reach every coefficient, not be cast away
+        h = 1e-20
+        q = series_div([1.0, 2.0 + 1j * h], [1.0, 1.0], 4)
+        assert q.dtype == np.complex128
+        np.testing.assert_allclose(q.imag / h, [0.0, 1.0, -1.0, 1.0, -1.0], rtol=1e-15)
+        e = series_exp(padded([0.0, 1.0 + 1j * h], 4))
+        assert e.dtype == np.complex128
+        # d/da of a^k / k! is a^(k-1) / (k-1)! at a = 1
+        np.testing.assert_allclose(e.imag / h, [0.0, 1.0, 1.0, 0.5, 1.0 / 6.0], rtol=1e-14)
