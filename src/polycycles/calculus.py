@@ -3,13 +3,15 @@
 A corner map is s^ratio(leading + c s^omega + remainder); this module
 composes such maps, inverts them, and assembles the two-term expansion of
 the full return map and of the displacement function from per-corner data.
-Exponent bookkeeping follows three rules when two second-order candidates
-meet: distinct exponents keep the smaller one, bit-equal exponents add
-their coefficients (resonance), and exponents that agree only to within a
-dead band are kept jointly through a compensator term, the scale-correct
-stand-in for the logarithm that appears at the resonance itself.  Ratios
-and coefficients may be complex (a complex step); every comparison, and
-the remainder interval ``ell``, is taken on real parts.
+Only maps with a plain second term compose or invert: a factor truncated
+to leading order, or one whose second term is a compensator, is refused.
+When two second-order candidates meet, one rule (``_collide``) keeps the
+bookkeeping: distinct exponents keep the smaller one, bit-equal exponents
+add their coefficients (resonance), and exponents that agree only to
+within a dead band are kept jointly through a compensator term, the
+scale-correct stand-in for the logarithm that appears at the resonance
+itself.  Ratios and coefficients may be complex (a complex step); every
+comparison, and the remainder interval ``ell``, is taken on real parts.
 """
 from __future__ import annotations
 
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import DegeneracyError, UnsupportedGeometryError
-from .saddle import DulacExpansion, classify_ratio
+from .saddle import DulacExpansion
 
 EXPONENT_TIE_REL = 1e-15   # bit-equal collision threshold (resonant sum)
 EXPONENT_DEAD_BAND = 1e-9  # near-collision threshold (compensator form)
@@ -102,59 +104,48 @@ def _merge_ell(hi_candidates: Sequence[float], lo: float) -> tuple[float, float]
     return (lo.real, max(hi, lo.real))
 
 
-def compose_pair(d1: DulacExpansion, d2: DulacExpansion) -> DulacExpansion:
-    """Two-term expansion of d2 o d1.
+def _collide(cand1: tuple, cand2: tuple,
+             ) -> tuple[float, float | None, CompensatorTerm | None, float | None]:
+    """Merge two second-order candidates (exponent, coefficient).
 
-    Second-order candidates arrive from each factor; the smaller offset
-    wins, bit-equal offsets add, and offsets inside the dead band produce a
-    compensator term.  If either factor is truncated to leading order the
-    result is too (a missing term may dominate any surviving candidate).
-    The remainder interval is combined conservatively by min/max rules.
+    Returns (exponent, coefficient, compensator, beaten).  Distinct
+    exponents keep the smaller one and pass the larger back as ``beaten``,
+    a remainder bound; bit-equal exponents add their coefficients; exponents
+    inside the dead band give a compensator term and no plain coefficient.
     """
-    if d1.comp is not None or d2.comp is not None:
-        raise ValueError("compensator-form factors cannot be composed further; "
-                         "assemble return maps from corner data instead")
-    nu1, a1 = d1.ratio, d1.leading
-    nu2, a2 = d2.ratio, d2.leading
-    ratio = nu1 * nu2
-    leading = a1**nu2 * a2
-    notes = tuple(dict.fromkeys(d1.notes + d2.notes))
-
-    if d1.next_coeff is None or d2.next_coeff is None:
-        cands = []
-        if d1.next_coeff is not None:
-            cands.append(d1.next_exponent)
-        if d2.next_coeff is not None:
-            cands.append(nu1 * d2.next_exponent)
-        hi_bound = min(h.real for h in [d1.ell[1], nu1 * d2.ell[1]] + cands)
-        notes = notes + ("composite truncated to leading order",)
-        return DulacExpansion(ratio=ratio, leading=leading, case=classify_ratio(ratio),
-                              ell=(hi_bound, hi_bound), notes=notes)
-
-    w1, c1 = d1.next_exponent, d1.next_coeff
-    w2, c2 = d2.next_exponent, d2.next_coeff
-    cand1 = (w1, nu2 * a1 ** (nu2 - 1.0) * a2 * c1)
-    cand2 = (nu1 * w2, a1 ** (nu2 + w2) * c2)
     (e_lo, c_lo), (e_hi, c_hi) = sorted([cand1, cand2], key=lambda t: t[0].real)
-
-    # remainder candidates beyond the kept second-order terms
-    hi_bounds = [d1.ell[1], nu1 * d2.ell[1], 2.0 * w1, w1 + nu1 * w2]
-
     gap = (e_hi - e_lo).real
     scale = max(1.0, abs(e_lo.real))
     if gap <= EXPONENT_TIE_REL * scale:
-        coeff, comp = c_lo + c_hi, None
-    elif gap <= EXPONENT_DEAD_BAND * scale:
-        coeff = None
-        comp = CompensatorTerm(exponent=e_lo, alpha=e_lo - e_hi, plain=c_lo, wrapped=c_hi)
-    else:
-        coeff, comp = c_lo, None
-        hi_bounds.append(e_hi)
+        return e_lo, c_lo + c_hi, None, None
+    if gap <= EXPONENT_DEAD_BAND * scale:
+        return e_lo, None, CompensatorTerm(exponent=e_lo, alpha=e_lo - e_hi,
+                                           plain=c_lo, wrapped=c_hi), None
+    return e_lo, c_lo, None, e_hi
 
-    ell = _merge_ell(hi_bounds, e_lo)
-    return DulacExpansion(ratio=ratio, leading=leading, case=classify_ratio(ratio),
-                          next_exponent=e_lo, next_coeff=coeff, comp=comp,
-                          ell=ell, notes=notes)
+
+def compose_pair(d1: DulacExpansion, d2: DulacExpansion) -> DulacExpansion:
+    """Two-term expansion of d2 o d1.
+
+    Second-order candidates arrive from each factor and meet by
+    ``_collide``.  Both factors need a plain second term.  The remainder
+    interval is combined conservatively by min/max rules.
+    """
+    if d1.next_coeff is None or d2.next_coeff is None:
+        raise ValueError("compensator-form or truncated factors cannot be composed further; "
+                         "assemble return maps from corner data instead")
+    nu1, a1 = d1.ratio, d1.leading
+    nu2, a2 = d2.ratio, d2.leading
+    w1, c1 = d1.next_exponent, d1.next_coeff
+    w2, c2 = d2.next_exponent, d2.next_coeff
+    exponent, coeff, comp, beaten = _collide((w1, nu2 * a1 ** (nu2 - 1.0) * a2 * c1),
+                                             (nu1 * w2, a1 ** (nu2 + w2) * c2))
+    # remainder candidates beyond the kept second-order terms
+    hi_bounds = [d1.ell[1], nu1 * d2.ell[1], 2.0 * w1, w1 + nu1 * w2, beaten]
+    return DulacExpansion(ratio=nu1 * nu2, leading=a1**nu2 * a2,
+                          next_exponent=exponent, next_coeff=coeff, comp=comp,
+                          ell=_merge_ell(hi_bounds, exponent),
+                          notes=tuple(dict.fromkeys(d1.notes + d2.notes)))
 
 
 def compose_chain(ds: Sequence[DulacExpansion]) -> DulacExpansion:
@@ -172,22 +163,16 @@ def inverse_dulac(d: DulacExpansion) -> DulacExpansion:
 
     Ratio 1/ratio, leading^(-1/ratio); the second-order offset divides by
     the ratio and its coefficient picks up the standard chain-rule factor.
+    The map needs a plain second term.
     """
-    if d.comp is not None:
-        raise ValueError("compensator-form expansions cannot be inverted")
-    rho = 1.0 / d.ratio
-    leading = d.leading ** (-rho)
-    notes = d.notes
     if d.next_coeff is None:
-        if "truncated" not in " ".join(notes):
-            notes = notes + ("inverse truncated to leading order",)
-        return DulacExpansion(ratio=rho, leading=leading, case=classify_ratio(rho),
-                              ell=(d.ell[0] * rho.real, d.ell[1] * rho.real), notes=notes)
+        raise ValueError("compensator-form or truncated expansions cannot be inverted")
+    rho = 1.0 / d.ratio
     w = d.next_exponent * rho
     coeff = -rho * d.next_coeff * d.leading ** -(1.0 + rho + w)
-    return DulacExpansion(ratio=rho, leading=leading, case=classify_ratio(rho),
+    return DulacExpansion(ratio=rho, leading=d.leading ** (-rho),
                           next_exponent=w, next_coeff=coeff,
-                          ell=(d.ell[0] * rho.real, d.ell[1] * rho.real), notes=notes)
+                          ell=(d.ell[0] * rho.real, d.ell[1] * rho.real), notes=d.notes)
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +190,6 @@ class ReturnExpansion:
     "fold" when the pattern required the generic composition fallback.
     """
 
-    size: int
     pattern: str
     ratio: float
     leading: float
@@ -253,8 +237,9 @@ def return_expansion(ds: Sequence[DulacExpansion]) -> ReturnExpansion:
 
     Block patterns get their principal second-order coefficient in closed
     form from the corner data; an arrangement with several sign changes
-    falls back to the composition fold.  A chain containing a resonant
-    corner is truncated to leading order.
+    falls back to the composition fold.  Every pattern takes its remainder
+    interval from the fold when the fold can be built.  A chain containing
+    a resonant corner is truncated to leading order without one.
     """
     if not ds:
         raise ValueError("empty corner chain")
@@ -264,86 +249,46 @@ def return_expansion(ds: Sequence[DulacExpansion]) -> ReturnExpansion:
     r = lambda_product(lams, 0, n)
     leading = a_product(lams, d00s, 1, n)
     pattern, split = _pattern_of([d.case for d in ds])
-
-    fold = None
-    try:
-        fold = compose_chain(ds)
-    except ValueError:
-        pass
-    leading_ell = (0.0, min(lambda_product(lams, i, n).real for i in range(n + 1)))
-    ell = fold.ell if fold is not None else leading_ell
     notes: tuple[str, ...] = tuple(dict.fromkeys(sum((d.notes for d in ds), ())))
-
+    fold = kind = exponent = coeff = comp = None
+    scale, ell = 1.0, (0.0, min(lambda_product(lams, i, n).real for i in range(n + 1)))
     if pattern == "degenerate":
         notes = notes + ("resonant corner present: return map truncated to leading order",)
-        return ReturnExpansion(size=n, pattern=pattern, ratio=r, leading=leading,
-                               ell=leading_ell, notes=notes)
+    else:
+        try:
+            fold = compose_chain(ds)
+            ell = fold.ell
+        except ValueError:
+            pass
 
     if pattern == "above-block":
-        coeff = r * leading * ds[0].s1
-        return ReturnExpansion(size=n, pattern=pattern, ratio=r, leading=leading,
-                               kind="B", second_exponent=1.0, second_coeff=coeff,
-                               ell=ell, split=split, second_scale=abs(r * leading),
-                               notes=notes)
-
-    if pattern == "below-block":
-        coeff = -(leading**2) * ds[-1].s2
-        return ReturnExpansion(size=n, pattern=pattern, ratio=r, leading=leading,
-                               kind="C", second_exponent=r, second_coeff=coeff,
-                               ell=ell, split=split, second_scale=leading**2,
-                               notes=notes)
-
-    if pattern == "below-then-above":
-        m = split
-        lam_mn = lambda_product(lams, m, n)
-        a_1m = a_product(lams, d00s, 1, m)
-        prefactor = lam_mn * a_1m * leading
-        coeff = prefactor * (ds[m].s1 - ds[m - 1].s2)
-        exp = lambda_product(lams, 0, m)
-        ell = (exp.real, min(r.real, 2.0 * exp.real, 1.0))
-        return ReturnExpansion(size=n, pattern=pattern, ratio=r, leading=leading,
-                               kind="A", second_exponent=exp, second_coeff=coeff,
-                               ell=ell, split=m, second_scale=abs(prefactor),
-                               notes=notes)
-
-    if pattern == "above-then-below":
-        b_coeff = r * leading * ds[0].s1
-        c_coeff = -(leading**2) * ds[-1].s2
-        scale = max(abs(r * leading), abs(leading**2))
-        gap = abs(r.real - 1.0)
-        if gap <= EXPONENT_TIE_REL:
-            return ReturnExpansion(size=n, pattern=pattern, ratio=r, leading=leading,
-                                   kind="A", second_exponent=1.0,
-                                   second_coeff=b_coeff + c_coeff,
-                                   ell=ell, split=split, second_scale=scale, notes=notes)
-        if gap <= EXPONENT_DEAD_BAND:
-            lo, hi = (1.0, r) if r.real >= 1.0 else (r, 1.0)
-            comp = CompensatorTerm(exponent=lo, alpha=lo - hi,
-                                   plain=b_coeff if r.real >= 1.0 else c_coeff,
-                                   wrapped=c_coeff if r.real >= 1.0 else b_coeff)
-            return ReturnExpansion(size=n, pattern=pattern, ratio=r, leading=leading,
-                                   kind="compensator", comp=comp,
-                                   ell=ell, split=split, second_scale=scale, notes=notes)
-        if r.real > 1.0:
-            return ReturnExpansion(size=n, pattern=pattern, ratio=r, leading=leading,
-                                   kind="B", second_exponent=1.0, second_coeff=b_coeff,
-                                   ell=ell, split=split, second_scale=abs(r * leading),
-                                   notes=notes)
-        return ReturnExpansion(size=n, pattern=pattern, ratio=r, leading=leading,
-                               kind="C", second_exponent=r, second_coeff=c_coeff,
-                               ell=ell, split=split, second_scale=leading**2,
-                               notes=notes)
-
-    # interleaved: report the fold result
-    if fold is None:
+        kind, exponent, coeff, scale = "B", 1.0, r * leading * ds[0].s1, abs(r * leading)
+    elif pattern == "below-block":
+        kind, exponent, coeff, scale = "C", r, -(leading**2) * ds[-1].s2, leading**2
+    elif pattern == "below-then-above":
+        prefactor = lambda_product(lams, split, n) * a_product(lams, d00s, 1, split) * leading
+        kind, exponent, scale = "A", lambda_product(lams, 0, split), abs(prefactor)
+        coeff = prefactor * (ds[split].s1 - ds[split - 1].s2)
+    elif pattern == "above-then-below":
+        exponent, coeff, comp, beaten = _collide((1.0, r * leading * ds[0].s1),
+                                                 (r, -(leading**2) * ds[-1].s2))
+        if beaten is None:  # both terms kept: a tie, or a compensator in the dead band
+            scale = max(abs(r * leading), abs(leading**2))
+            # r may be 1 +- an ulp, so a tie is reported at exactly 1
+            kind, exponent = ("A", 1.0) if comp is None else ("compensator", None)
+        elif r.real > 1.0:
+            kind, scale = "B", abs(r * leading)
+        else:
+            kind, scale = "C", leading**2
+    elif pattern == "interleaved" and fold is None:
+        ell = (0.0, 0.0)
         notes = notes + ("near-resonant internal collision: leading order only",)
-        return ReturnExpansion(size=n, pattern=pattern, ratio=r, leading=leading,
-                               ell=(0.0, 0.0), notes=notes)
-    return ReturnExpansion(size=n, pattern=pattern, ratio=r, leading=leading,
-                           kind="fold", second_exponent=fold.next_exponent,
-                           second_coeff=fold.next_coeff, comp=fold.comp,
-                           ell=ell, notes=notes + ("interleaved pattern: second term from "
-                                                   "generic composition",))
+    elif pattern == "interleaved":
+        kind, exponent, coeff, comp = "fold", fold.next_exponent, fold.next_coeff, fold.comp
+        notes = notes + ("interleaved pattern: second term from generic composition",)
+    return ReturnExpansion(pattern=pattern, ratio=r, leading=leading, kind=kind,
+                           second_exponent=exponent, second_coeff=coeff, comp=comp,
+                           ell=ell, split=split, second_scale=scale, notes=notes)
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +306,6 @@ class DisplacementExpansion:
     the cyclic shift applied so the expanding block leads.
     """
 
-    size: int
     rotation: int
     split: int
     alpha: float
@@ -428,7 +372,7 @@ def displacement_expansion(ds: Sequence[DulacExpansion]) -> DisplacementExpansio
     notes = ()
     if rotation:
         notes = (f"corner list rotated by {rotation} so the expanding block leads",)
-    return DisplacementExpansion(size=n, rotation=rotation, split=m, alpha=alpha,
+    return DisplacementExpansion(rotation=rotation, split=m, alpha=alpha,
                                  exponents=(lam_0m, 1.0 / lam_mn),
                                  psi1=psi1, psi2=psi2, psi3=psi3,
                                  scale=scale, ell=ell, notes=notes)

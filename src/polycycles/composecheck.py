@@ -2,8 +2,9 @@
 
 The closed-form rules for composing and inverting two-term maps are
 checked against an oracle that knows nothing about the coefficient
-algebra: each trial builds exact maps s^nu * (a + c*s^omega), composes
-(or inverts) them pointwise in high-precision arithmetic, and peels the
+algebra: each trial draws exact maps s^ratio * (leading + c*s^offset),
+as ``DulacExpansion``s whose remainder interval is empty, composes (or
+inverts) them pointwise in high-precision arithmetic, and peels the
 leading and second-order coefficients off the composite by finite
 differencing at geometrically deep sample points.
 
@@ -19,19 +20,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from random import Random
-from typing import Callable, Iterator
+from typing import Callable
 
 import mpmath as mp
 
 from .calculus import compose_pair, inverse_dulac
 from .errors import NumericError
-from .saddle import DulacExpansion, classify_ratio
+from .saddle import DulacExpansion
 
 __all__ = [
     "COMPOSE_CASES",
     "INVERSE_CASES",
-    "TwoTermMap",
-    "TrialResult",
     "CaseReport",
     "CheckReport",
     "oracle_compose",
@@ -46,6 +45,9 @@ PEEL_BITS = 56
 # Working precision. The deepest case cancels ~70 digits in the
 # differences; 140 leaves the same margin again.
 ORACLE_DPS = 140
+# Largest relative deviations of the leading and second coefficients that pass.
+LEADING_TOL = 1e-10
+SECOND_TOL = 1e-8
 
 COMPOSE_CASES = (
     "above-above",
@@ -60,39 +62,22 @@ _ABOVE = (1.25, 2.5)
 _BELOW = (0.4, 0.8)
 
 
-@dataclass(frozen=True)
-class TwoTermMap:
-    """Exact map s -> s**power * (leading + coeff * s**offset), s > 0."""
+def _exact(ratio: float, leading: float, offset: float, coeff: float) -> DulacExpansion:
+    """The map s -> s**ratio * (leading + coeff * s**offset), s > 0.
 
-    power: float
-    leading: float
-    offset: float
-    coeff: float
+    The map is exact, so the remainder interval is empty: anything past
+    the explicit second term is genuinely absent.
+    """
+    return DulacExpansion(ratio=ratio, leading=leading, next_exponent=offset,
+                          next_coeff=coeff, ell=(offset, math.inf))
 
-    def expansion(self) -> DulacExpansion:
-        """Package as expansion data for the closed-form calculus.
 
-        The map is exact, so the remainder interval is empty: anything
-        past the explicit second term is genuinely absent.
-        """
-        return DulacExpansion(
-            ratio=self.power,
-            leading=self.leading,
-            case=classify_ratio(self.power),
-            next_exponent=self.offset,
-            next_coeff=self.coeff,
-            ell=(self.offset, math.inf),
-        )
-
-    def mp_fun(self) -> Callable[[mp.mpf], mp.mpf]:
-        p, a = mp.mpf(self.power), mp.mpf(self.leading)
-        w, c = mp.mpf(self.offset), mp.mpf(self.coeff)
-        return lambda x: x**p * (a + c * x**w)
-
-    def mp_derivative(self) -> Callable[[mp.mpf], mp.mpf]:
-        p, a = mp.mpf(self.power), mp.mpf(self.leading)
-        w, c = mp.mpf(self.offset), mp.mpf(self.coeff)
-        return lambda x: p * x ** (p - 1) * (a + c * x**w) + c * w * x ** (p + w - 1)
+def _mp_map(d: DulacExpansion) -> tuple[Callable[[mp.mpf], mp.mpf], Callable[[mp.mpf], mp.mpf]]:
+    """The exact map of ``d`` and its derivative, at the working precision."""
+    p, a = mp.mpf(d.ratio), mp.mpf(d.leading)
+    w, c = mp.mpf(d.next_exponent), mp.mpf(d.next_coeff)
+    return (lambda x: x**p * (a + c * x**w),
+            lambda x: p * x ** (p - 1) * (a + c * x**w) + c * w * x ** (p + w - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -141,31 +126,31 @@ def _peel(bracket: Callable[[mp.mpf], mp.mpf], off: mp.mpf,
     return float(lead), float(second), float(off_est)
 
 
-def oracle_compose(m1: TwoTermMap, m2: TwoTermMap) -> tuple[float, float, float]:
+def oracle_compose(m1: DulacExpansion, m2: DulacExpansion) -> tuple[float, float, float]:
     """(leading, second coefficient, second offset) of m2 after m1.
 
-    Pointwise evaluation only; the lattice {i*offset1 + j*power1*offset2}
+    Pointwise evaluation only; the lattice {i*offset1 + j*ratio1*offset2}
     fixes where to look, never what the coefficients are.
     """
-    f1, f2 = m1.mp_fun(), m2.mp_fun()
-    total = mp.mpf(m1.power) * mp.mpf(m2.power)
-    o1 = mp.mpf(m1.offset)
-    o2 = mp.mpf(m1.power) * mp.mpf(m2.offset)
+    f1, f2 = _mp_map(m1)[0], _mp_map(m2)[0]
+    total = mp.mpf(m1.ratio) * mp.mpf(m2.ratio)
+    o1 = mp.mpf(m1.next_exponent)
+    o2 = mp.mpf(m1.ratio) * mp.mpf(m2.next_exponent)
     points = [i * o1 + j * o2 for i in range(5) for j in range(5) if i + j > 0]
     off, gap = _second_offset(points)
     lead, second, off_est = _peel(lambda x: f2(f1(x)) / x**total, off, gap)
     return lead, second, off_est
 
 
-def oracle_inverse(m: TwoTermMap) -> tuple[float, float, float]:
+def oracle_inverse(m: DulacExpansion) -> tuple[float, float, float]:
     """(leading, second coefficient, second offset) of the inverse map.
 
     The inverse is evaluated by Newton iteration on f(x) = u, seeded
     with the leading-order guess; quadratic convergence reaches working
     precision in a handful of steps.
     """
-    f, fp = m.mp_fun(), m.mp_derivative()
-    rho = 1 / mp.mpf(m.power)
+    f, fp = _mp_map(m)
+    rho = 1 / mp.mpf(m.ratio)
     seed = mp.mpf(m.leading) ** (-rho)
     tol = mp.mpf(10) ** (6 - mp.mp.dps)
 
@@ -178,7 +163,7 @@ def oracle_inverse(m: TwoTermMap) -> tuple[float, float, float]:
                 return x
         raise NumericError("inverse oracle: Newton failed to settle")
 
-    off = mp.mpf(m.offset) * rho
+    off = mp.mpf(m.next_exponent) * rho
     lead, second, off_est = _peel(lambda u: invert(u) / u**rho, off, off)
     return lead, second, off_est
 
@@ -193,13 +178,13 @@ def _amplitude(rng: Random) -> tuple[float, float]:
     return a, c
 
 
-def _tie_parts(m1: TwoTermMap, m2: TwoTermMap) -> tuple[float, float]:
-    p1 = m2.power * m1.leading ** (m2.power - 1.0) * m2.leading * m1.coeff
-    p2 = m1.leading ** (m2.power + m2.offset) * m2.coeff
+def _tie_parts(m1: DulacExpansion, m2: DulacExpansion) -> tuple[float, float]:
+    p1 = m2.ratio * m1.leading ** (m2.ratio - 1.0) * m2.leading * m1.next_coeff
+    p2 = m1.leading ** (m2.ratio + m2.next_exponent) * m2.next_coeff
     return p1, p2
 
 
-def _draw_compose(rng: Random, case: str) -> tuple[TwoTermMap, TwoTermMap]:
+def _draw_compose(rng: Random, case: str) -> tuple[DulacExpansion, DulacExpansion]:
     for _ in range(200):
         a1, c1 = _amplitude(rng)
         a2, c2 = _amplitude(rng)
@@ -227,8 +212,8 @@ def _draw_compose(rng: Random, case: str) -> tuple[TwoTermMap, TwoTermMap]:
             o2 = o1 / n1
         else:
             raise ValueError(f"unknown compose case {case!r}")
-        m1 = TwoTermMap(n1, a1, o1, c1)
-        m2 = TwoTermMap(n2, a2, o2, c2)
+        m1 = _exact(n1, a1, o1, c1)
+        m2 = _exact(n2, a2, o2, c2)
         if case in ("below-above", "resonant"):
             p1, p2 = _tie_parts(m1, m2)
             if abs(p1 + p2) < 0.05 * (abs(p1) + abs(p2)):
@@ -237,26 +222,18 @@ def _draw_compose(rng: Random, case: str) -> tuple[TwoTermMap, TwoTermMap]:
     raise NumericError(f"case {case!r}: no admissible draw in 200 attempts")
 
 
-def _draw_inverse(rng: Random, case: str) -> TwoTermMap:
+def _draw_inverse(rng: Random, case: str) -> DulacExpansion:
     a, c = _amplitude(rng)
     if case == "inverse-above":
-        return TwoTermMap(rng.uniform(*_ABOVE), a, 1.0, c)
+        return _exact(rng.uniform(*_ABOVE), a, 1.0, c)
     if case == "inverse-below":
         n = rng.uniform(*_BELOW)
-        return TwoTermMap(n, a, n, c)
+        return _exact(n, a, n, c)
     raise ValueError(f"unknown inverse case {case!r}")
 
 
 # ---------------------------------------------------------------------------
 # Driver
-
-
-@dataclass(frozen=True)
-class TrialResult:
-    case: str
-    leading_dev: float
-    second_dev: float
-    offset_dev: float
 
 
 @dataclass(frozen=True)
@@ -283,62 +260,47 @@ class CheckReport:
     def worst_second(self) -> float:
         return max((c.max_second_dev for c in self.cases), default=0.0)
 
-    def passed(self, leading_tol: float = 1e-10, second_tol: float = 1e-8) -> bool:
-        return self.worst_leading <= leading_tol and self.worst_second <= second_tol
+    def passed(self) -> bool:
+        return self.worst_leading <= LEADING_TOL and self.worst_second <= SECOND_TOL
 
 
-def _compare(formula: DulacExpansion, oracle: tuple[float, float, float],
-             case: str, bias: float) -> TrialResult:
+def _deviations(formula: DulacExpansion, oracle: tuple[float, float, float],
+                case: str, bias: float) -> tuple[float, float, float]:
+    """Relative leading and second-coefficient deviations, and the offset's
+    absolute deviation, of the closed form from the oracle."""
     lead_o, sec_o, off_o = oracle
     if formula.comp is not None:
         raise NumericError(f"case {case!r}: unexpected compensator term")
-    if formula.next_coeff is None:
-        raise NumericError(f"case {case!r}: formula truncated to leading order")
     lead_f = formula.leading * (1.0 + bias)
     sec_f = formula.next_coeff * (1.0 + bias)
-    return TrialResult(
-        case=case,
-        leading_dev=abs(lead_f - lead_o) / abs(lead_o),
-        second_dev=abs(sec_f - sec_o) / abs(sec_o),
-        offset_dev=abs(formula.next_exponent - off_o),
-    )
-
-
-def iter_trials(seed: int, count: int, bias: float = 0.0) -> Iterator[TrialResult]:
-    """Yield one comparison per (case, trial) pair, compose cases first."""
-    with mp.workdps(ORACLE_DPS):
-        for case in COMPOSE_CASES:
-            rng = Random(f"{seed}:{case}")
-            for _ in range(count):
-                m1, m2 = _draw_compose(rng, case)
-                formula = compose_pair(m1.expansion(), m2.expansion())
-                yield _compare(formula, oracle_compose(m1, m2), case, bias)
-        for case in INVERSE_CASES:
-            rng = Random(f"{seed}:{case}")
-            for _ in range(count):
-                m = _draw_inverse(rng, case)
-                formula = inverse_dulac(m.expansion())
-                yield _compare(formula, oracle_inverse(m), case, bias)
+    return (abs(lead_f - lead_o) / abs(lead_o), abs(sec_f - sec_o) / abs(sec_o),
+            abs(formula.next_exponent - off_o))
 
 
 def run_compose_check(seed: int, count: int, bias: float = 0.0) -> CheckReport:
     """Compare closed-form composition against the pointwise oracle.
 
-    ``bias`` is a test hook: a nonzero value perturbs the closed-form
-    coefficients before comparison, so a healthy check must report
-    deviations of that size.  Production runs leave it at zero.
+    Each case draws ``count`` trials from its own stream
+    ``Random(f"{seed}:{case}")``, compose cases first.  ``bias`` is a test
+    hook: a nonzero value perturbs the closed-form coefficients before
+    comparison, so a healthy check must report deviations of that size.
+    Production runs leave it at zero.
     """
-    buckets: dict[str, list[TrialResult]] = {}
-    for trial in iter_trials(seed, count, bias):
-        buckets.setdefault(trial.case, []).append(trial)
-    reports = tuple(
-        CaseReport(
-            case=case,
-            trials=len(trials),
-            max_leading_dev=max(t.leading_dev for t in trials),
-            max_second_dev=max(t.second_dev for t in trials),
-            max_offset_dev=max(t.offset_dev for t in trials),
-        )
-        for case, trials in buckets.items()
-    )
-    return CheckReport(seed=seed, count=count, bias=bias, cases=reports)
+    reports = []
+    with mp.workdps(ORACLE_DPS):
+        for case in COMPOSE_CASES + INVERSE_CASES:
+            rng = Random(f"{seed}:{case}")
+            devs = []
+            for _ in range(count):
+                if case in COMPOSE_CASES:
+                    m1, m2 = _draw_compose(rng, case)
+                    formula, oracle = compose_pair(m1, m2), oracle_compose(m1, m2)
+                else:
+                    m = _draw_inverse(rng, case)
+                    formula, oracle = inverse_dulac(m), oracle_inverse(m)
+                devs.append(_deviations(formula, oracle, case, bias))
+            if devs:
+                lead, second, offset = (max(col) for col in zip(*devs))
+                reports.append(CaseReport(case=case, trials=count, max_leading_dev=lead,
+                                          max_second_dev=second, max_offset_dev=offset))
+    return CheckReport(seed=seed, count=count, bias=bias, cases=tuple(reports))

@@ -9,7 +9,7 @@ Expression sources follow a small arithmetic grammar:
     number := unsigned-int ["." digits]
 
 Identifiers are either declared parameter names or the reserved field
-variables (``x`` and ``y`` by default).  Literals are kept as exact
+variables ``x`` and ``y``.  Literals are kept as exact
 rationals; they are converted to float64 exactly once, when an expression
 is instantiated at a concrete parameter point (complex where a parameter
 value is complex).  Division is permitted only when the divisor
@@ -29,6 +29,8 @@ from typing import Mapping, Union
 import numpy as np
 
 from .errors import ExpressionError
+
+VARIABLES = ("x", "y")  # the reserved field variables, in coefficient-index order
 
 # ---------------------------------------------------------------------------
 # AST
@@ -67,11 +69,10 @@ Node = Union[Num, Var, Neg, BinOp, Pow]
 
 @dataclass(frozen=True)
 class Expression:
-    """A parsed expression together with its declared symbol context."""
+    """A parsed expression together with its declared parameters."""
 
     root: Node
     params: tuple[str, ...]
-    variables: tuple[str, ...]
 
 
 # ---------------------------------------------------------------------------
@@ -207,8 +208,7 @@ class _Parser:
                               tok.line, tok.col)
 
 
-def parse_expression(source: str, params: tuple[str, ...] | list[str] = (),
-          variables: tuple[str, ...] = ("x", "y")) -> Expression:
+def parse_expression(source: str, params: tuple[str, ...] | list[str] = ()) -> Expression:
     """Parse ``source`` into an :class:`Expression`.
 
     Raises :class:`ExpressionError` with 1-based line/column on syntax
@@ -216,15 +216,15 @@ def parse_expression(source: str, params: tuple[str, ...] | list[str] = (),
     reserved variables.
     """
     params = tuple(params)
-    clash = set(params) & set(variables)
+    clash = set(params) & set(VARIABLES)
     if clash:
         raise ExpressionError(f"parameter name {sorted(clash)[0]!r} shadows a reserved variable")
-    parser = _Parser(_tokenize(source), set(params) | set(variables))
+    parser = _Parser(_tokenize(source), set(params) | set(VARIABLES))
     root = parser.parse_expr()
     tail = parser.peek()
     if tail.kind != "END":
         raise ExpressionError(f"unexpected trailing input {tail.text!r}", tail.line, tail.col)
-    return Expression(root, params, tuple(variables))
+    return Expression(root, params)
 
 
 # ---------------------------------------------------------------------------
@@ -233,30 +233,29 @@ def parse_expression(source: str, params: tuple[str, ...] | list[str] = (),
 Number = Union[int, float, Fraction, complex]
 
 
-def _inst(node: Node, binding: Mapping[str, Number], variables: tuple[str, ...]) -> dict:
+def _inst(node: Node, binding: Mapping[str, Number]) -> dict:
     """Evaluate to a coefficient dict over exact numbers where possible."""
     if isinstance(node, Num):
         return {(0, 0): node.value}
     if isinstance(node, Var):
-        if node.name in variables:
-            idx = variables.index(node.name)
-            key = (1, 0) if idx == 0 else (0, 1)
+        if node.name in VARIABLES:
+            key = (1, 0) if node.name == VARIABLES[0] else (0, 1)
             return {key: Fraction(1)}
         if node.name not in binding:
             raise ExpressionError(f"no value bound for parameter {node.name!r}")
         val = binding[node.name]
         return {(0, 0): val} if val != 0 else {}
     if isinstance(node, Neg):
-        return {k: -c for k, c in _inst(node.arg, binding, variables).items()}
+        return {k: -c for k, c in _inst(node.arg, binding).items()}
     if isinstance(node, Pow):
-        base = _inst(node.base, binding, variables)
+        base = _inst(node.base, binding)
         out = {(0, 0): Fraction(1)}
         for _ in range(node.exponent):
             out = _poly_mul(out, base)
         return out
     if isinstance(node, BinOp):
-        left = _inst(node.left, binding, variables)
-        right = _inst(node.right, binding, variables)
+        left = _inst(node.left, binding)
+        right = _inst(node.right, binding)
         if node.op == "+":
             return _poly_add(left, right, 1)
         if node.op == "-":
@@ -307,9 +306,9 @@ def instantiate(expr: Expression, binding: Mapping[str, Number]) -> np.ndarray:
     """
     real = {k: Fraction(repr(v.real)) if isinstance(v, complex) else v
             for k, v in binding.items()}
-    coeffs = {k: float(c) for k, c in _inst(expr.root, real, expr.variables).items()}
+    coeffs = {k: float(c) for k, c in _inst(expr.root, real).items()}
     if real != binding:
-        for k, c in _inst(expr.root, binding, expr.variables).items():
+        for k, c in _inst(expr.root, binding).items():
             if isinstance(c, complex):
                 coeffs[k] = complex(coeffs.get(k, 0.0), c.imag)
     shape = (1 + max((i for i, _ in coeffs), default=0),

@@ -28,6 +28,9 @@ RTOL = 1e-10
 PRE_STEP = 1e-6   # advance past a start that sits on the section line
 MAX_RESTARTS = 20
 EPS = 2.0 ** -52
+ROOT_RTOL = 4 * EPS  # relative part of the bracket width a root is refined to
+ROOT_MAXITER = 100
+LATTICE_CAP = 3.5    # largest offset of a corner-transition lattice fit
 
 # Dormand–Prince 5(4) tableau (Dormand and Prince 1980) and the quartic
 # dense output of Shampine (1986), the coefficients of scipy's RK45.  The
@@ -237,10 +240,11 @@ def integrate(fun, start, t_max: float, section: LineSection | None = None,
 
 
 def _bracket_root(f: Callable[[float], float], a: float, b: float, fa: float, fb: float,
-                  xtol: float, rtol: float = 4 * EPS, maxiter: int = 100) -> float:
+                  xtol: float) -> float:
     """Root of f in [a, b] from end values of opposite sign, by Brent's
     method (inverse quadratic interpolation safeguarded by bisection) as in
-    scipy's brentq; stops once the bracket is narrower than xtol + rtol·|x|.
+    scipy's brentq; stops once the bracket is narrower than
+    xtol + ROOT_RTOL·|x|, and fails after ROOT_MAXITER steps.
     A value of f inside the bracket that is not finite is a NumericError:
     Brent would read NaN as neither sign and settle on a point that is no
     root.
@@ -253,14 +257,14 @@ def _bracket_root(f: Callable[[float], float], a: float, b: float, fa: float, fb
         raise ValueError("root is not bracketed")
     x_pre, f_pre, x_cur, f_cur = a, fa, b, fb
     x_blk = f_blk = s_pre = s_cur = 0.0
-    for _ in range(maxiter):
+    for _ in range(ROOT_MAXITER):
         if (f_pre < 0.0 < f_cur) or (f_cur < 0.0 < f_pre):
             x_blk, f_blk = x_pre, f_pre
             s_pre = s_cur = x_cur - x_pre
         if abs(f_blk) < abs(f_cur):
             x_pre, x_cur, x_blk = x_cur, x_blk, x_cur
             f_pre, f_cur, f_blk = f_cur, f_blk, f_cur
-        delta = 0.5 * (xtol + rtol * abs(x_cur))
+        delta = 0.5 * (xtol + ROOT_RTOL * abs(x_cur))
         s_bis = 0.5 * (x_blk - x_cur)
         if f_cur == 0.0 or abs(s_bis) < delta:
             return x_cur
@@ -283,7 +287,7 @@ def _bracket_root(f: Callable[[float], float], a: float, b: float, fa: float, fb
         f_cur = f(x_cur)
         if not math.isfinite(f_cur):
             raise NumericError(f"root refinement met f = {f_cur} at x = {x_cur:.6g}")
-    raise NumericError(f"root refinement did not converge in {maxiter} steps")
+    raise NumericError(f"root refinement did not converge in {ROOT_MAXITER} steps")
 
 
 # ---------------------------------------------------------------------------
@@ -419,8 +423,8 @@ def _aitken(seq: Sequence[float]) -> tuple[float, float]:
     return cur[-1], spread
 
 
-def dulac_lattice(lam: float, cap: float = 3.5) -> tuple[float, ...]:
-    """Bracket offsets i*lam + j (i, j >= 0) up to cap, deduplicated.
+def dulac_lattice(lam: float) -> tuple[float, ...]:
+    """Bracket offsets i*lam + j (i, j >= 0) up to LATTICE_CAP, deduplicated.
 
     Corner transition brackets expand on exactly this exponent set, so a
     lattice fit against it absorbs the slowly decaying tails that plain
@@ -430,9 +434,9 @@ def dulac_lattice(lam: float, cap: float = 3.5) -> tuple[float, ...]:
         raise ValueError("hyperbolicity ratio must be positive")
     offs: list[float] = []
     i = 0
-    while i * lam <= cap:
+    while i * lam <= LATTICE_CAP:
         j = 0
-        while i * lam + j <= cap:
+        while i * lam + j <= LATTICE_CAP:
             o = i * lam + j
             if all(abs(o - p) > 1e-9 for p in offs):
                 offs.append(o)

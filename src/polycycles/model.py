@@ -17,9 +17,11 @@ headers, with `#` comments.  Sections:
                  them again (`--tol`)
 
 Orientation is declared redundantly on purpose: it is checked against
-the signed area of the corner polygon at load time, and against the flow
-direction along the first edge by a short integration when a model is
-bound to parameter values.
+the signed area of the corner polygon at load time.  The field itself is
+checked against the polycycle where the corners are built
+(``pipeline.build_corners``): every edge must be an invariant line, and
+the flow must enter each corner along the edge from the previous corner
+and leave it along the edge to the next.
 """
 from __future__ import annotations
 
@@ -33,7 +35,7 @@ import numpy as np
 from .cyclicity import ZERO_TOL
 from .errors import ExpressionError, ModelError, UsageError
 from .expressions import Expression, instantiate, parse_expression
-from .flow import ATOL, RTOL, LineSection, field_callable, integrate
+from .flow import ATOL, RTOL, LineSection
 from .series import scalar
 
 __all__ = ["ModelFile", "Model", "OPTION_DEFAULTS", "parse_model", "load_model", "bind"]
@@ -290,50 +292,10 @@ def merge_values(mf: ModelFile, overrides: Mapping[str, object] | None = None,
     return values
 
 
-def bind(mf: ModelFile, overrides: Mapping[str, object] | None = None,
-         check_flow: bool = True) -> Model:
-    """Instantiate the field at parameter values and validate the traversal.
-
-    The flow check integrates briefly from the midpoint of the first edge
-    and requires motion toward the next corner; it catches fields whose
-    actual rotation contradicts the declared corner order.
-    """
+def bind(mf: ModelFile, overrides: Mapping[str, object] | None = None) -> Model:
+    """Instantiate the field at parameter values."""
     binding = merge_values(mf, overrides)
     fx = instantiate(mf.expr_x, binding)
     fy = instantiate(mf.expr_y, binding)
-    model = Model(file=mf, values={k: scalar(v) for k, v in binding.items()},
-                  field_x=fx, field_y=fy)
-    if check_flow and mf.corners:
-        _check_traversal(model)
-    return model
-
-
-def _check_traversal(model: Model) -> None:
-    corners = model.file.corners
-    a = np.asarray(corners[0], dtype=float)
-    b = np.asarray(corners[1 % len(corners)], dtype=float)
-    edge = b - a
-    length = float(np.linalg.norm(edge))
-    if length < 1e-12:
-        raise ModelError("first polycycle edge has zero length")
-    mid = 0.5 * (a + b)
-    fun = field_callable(model.field_x, model.field_y)
-    vel = np.asarray(fun(*mid.tolist()), dtype=float)
-    speed = float(np.linalg.norm(vel))
-    if speed < 1e-14:
-        raise ModelError("field vanishes at the first edge midpoint; "
-                         "cannot confirm traversal direction")
-    # short integration: a fraction of the edge, bounded time
-    t_span = min(0.05 * length / speed, 1.0)
-    traj = integrate(fun, mid, t_span)
-    moved = np.asarray(traj.state) - mid
-    along = float(np.dot(moved, edge)) / length
-    if along <= 0.0:
-        raise ModelError(
-            "flow along the first edge runs against the declared corner order; "
-            "reverse the corner list or fix the orientation")
-    off_edge = float(np.linalg.norm(moved - (along / length) * edge))
-    if off_edge > 1e-6 * max(1.0, abs(along)):
-        raise ModelError(
-            "first polycycle edge is not invariant under the flow "
-            f"(transverse drift {off_edge:.3g})")
+    return Model(file=mf, values={k: scalar(v) for k, v in binding.items()},
+                 field_x=fx, field_y=fy)

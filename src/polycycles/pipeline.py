@@ -19,7 +19,7 @@ import numpy as np
 from . import __version__
 from .calculus import (CompensatorTerm, DisplacementExpansion, ReturnExpansion,
                        displacement_expansion, return_expansion)
-from .cyclicity import Verdict, gradient, not_identity_probe, verdict
+from .cyclicity import gradient, not_identity_probe, verdict
 from .errors import (ModelError, NumericError, PolycycleError, UnsupportedGeometryError,
                      UsageError)
 from .flow import (LineSection, dulac_lattice, field_callable, fit_expansion,
@@ -29,7 +29,6 @@ from .saddle import DulacExpansion, LocalChart, dulac_coefficients, normalize_sa
 
 __all__ = [
     "CornerData",
-    "ChainAnalysis",
     "build_corners",
     "return_section",
     "analyze",
@@ -49,24 +48,10 @@ def default_fit_grid(s0: float = 1e-2, points: int = 13) -> np.ndarray:
 class CornerData:
     index: int  # 1-based, order of the model's corner list
     corner: tuple[float, float]
-    incoming: tuple[float, float]
-    outgoing: tuple[float, float]
     h_in: float
     h_out: float
     chart: LocalChart
     expansion: DulacExpansion
-
-
-@dataclass(frozen=True)
-class ChainAnalysis:
-    model: Model
-    corners: tuple[CornerData, ...]
-    ret: ReturnExpansion
-    disp: DisplacementExpansion | None
-    disp_note: str | None
-    grads: dict[str, dict[str, float | None]]
-    not_identity: bool | None
-    result: Verdict
 
 
 def _unit_edges(corners: Sequence[tuple[float, float]], i: int,
@@ -103,7 +88,6 @@ def build_corners(model: Model) -> tuple[CornerData, ...]:
                                  footprint=max(h_in, h_out) + 0.05)
         expansion = dulac_coefficients(chart, h_in, h_out)
         data.append(CornerData(index=i + 1, corner=tuple(map(float, corner)),
-                               incoming=tuple(incoming), outgoing=tuple(outgoing),
                                h_in=h_in, h_out=h_out, chart=chart, expansion=expansion))
 
     for cd, nxt in zip(data, data[1:] + data[:1]):
@@ -162,19 +146,27 @@ def _quantities(ret: ReturnExpansion, disp: DisplacementExpansion | None,
     return out
 
 
+def _chain(model: Model) -> tuple[tuple[CornerData, ...], ReturnExpansion,
+                                  DisplacementExpansion | None, str | None]:
+    """Corners, return expansion and displacement expansion of a bound
+    model, with the reason when the displacement is unavailable."""
+    corners = build_corners(model)
+    chain = [cd.expansion for cd in corners]
+    ret = return_expansion(chain)
+    try:
+        return corners, ret, displacement_expansion(chain), None
+    except PolycycleError as exc:
+        return corners, ret, None, str(exc)
+
+
 def _chain_quantities(mf: ModelFile, values: Mapping[str, object],
                       ) -> dict[str, float | complex]:
     """The six closed-form quantities at a parameter point.
 
     Complex parameter values (a complex step) give complex quantities.
     """
-    model = bind(mf, values, check_flow=False)
-    chain = [cd.expansion for cd in build_corners(model)]
-    try:
-        disp = displacement_expansion(chain)
-    except PolycycleError:
-        disp = None
-    return _quantities(return_expansion(chain), disp)
+    _, ret, disp, _ = _chain(bind(mf, values))
+    return _quantities(ret, disp)
 
 
 def analyze(mf: ModelFile, overrides: Mapping[str, object] | None = None,
@@ -185,16 +177,7 @@ def analyze(mf: ModelFile, overrides: Mapping[str, object] | None = None,
     """
     opts = _options(mf, tol_overrides)
     model = bind(mf, overrides)
-    corners = build_corners(model)
-    chain = [cd.expansion for cd in corners]
-    ret = return_expansion(chain)
-
-    disp: DisplacementExpansion | None
-    disp_note: str | None = None
-    try:
-        disp = displacement_expansion(chain)
-    except PolycycleError as exc:
-        disp, disp_note = None, str(exc)
+    corners, ret, disp, disp_note = _chain(model)
 
     grads: dict[str, dict[str, float | None]] = {}
     if model.values:
@@ -216,11 +199,70 @@ def analyze(mf: ModelFile, overrides: Mapping[str, object] | None = None,
     except PolycycleError as exc:
         probe_error = str(exc)
 
-    result = verdict(ret, disp, grads, not_identity, zero_tol=opts["zero_tol"])
-    analysis = ChainAnalysis(model=model, corners=corners, ret=ret, disp=disp,
-                             disp_note=disp_note, grads=grads,
-                             not_identity=not_identity, result=result)
-    return _analyze_document(analysis, opts, probe_error)
+    v = verdict(ret, disp, grads, not_identity, zero_tol=opts["zero_tol"])
+    doc: dict = {
+        "command": "analyze",
+        "provenance": _provenance(mf, opts),
+        "parameters": dict(sorted(model.values.items())),
+        "corners": [
+            {
+                "location": list(cd.corner),
+                "h_in": cd.h_in,
+                "h_out": cd.h_out,
+                **_expansion_doc(cd.expansion),
+            }
+            for cd in corners
+        ],
+        "return": {
+            "pattern": ret.pattern,
+            "split": ret.split,
+            "ratio": ret.ratio,
+            "leading": ret.leading,
+            "kind": ret.kind,
+            "second_exponent": ret.second_exponent,
+            "second_coeff": ret.second_coeff,
+            "second_scale": ret.second_scale,
+            "compensator": _comp_doc(ret.comp),
+            "flatness": list(ret.ell),
+            "notes": list(ret.notes),
+        },
+    }
+    if disp is not None:
+        doc["displacement"] = {
+            "rotation": disp.rotation,
+            "split": disp.split,
+            "alpha": disp.alpha,
+            "exponents": list(disp.exponents),
+            "psi1": disp.psi1,
+            "psi2": disp.psi2,
+            "psi3": disp.psi3,
+            "scale": disp.scale,
+            "notes": list(disp.notes),
+        }
+    else:
+        doc["displacement"] = {"unavailable": disp_note or "not computed"}
+    doc["gradients"] = {
+        name: dict(sorted(g.items())) for name, g in sorted(grads.items())
+    }
+    doc["probe"] = {
+        "not_identity": not_identity,
+        "error": probe_error,
+        "tolerance": opts["rtol"],
+    }
+    doc["verdict"] = {
+        "lower": v.lower,
+        "upper": v.upper,
+        "consistent": v.consistent,
+        "summary": v.summary(),
+        "zero_tol": opts["zero_tol"],
+        "items": [
+            {"label": it.label, "kind": it.kind, "bound": it.bound,
+             "fired": it.fired, "condition": it.condition, "detail": it.detail}
+            for it in v.items
+        ],
+        "notes": list(v.notes),
+    }
+    return doc
 
 
 def _options(mf: ModelFile, tol_overrides: Mapping[str, float] | None) -> dict[str, float]:
@@ -295,75 +337,6 @@ def _comp_doc(comp: CompensatorTerm | None) -> dict | None:
         return None
     return {"exponent": comp.exponent, "alpha": comp.alpha,
             "plain": comp.plain, "wrapped": comp.wrapped}
-
-
-def _analyze_document(a: ChainAnalysis, opts: Mapping[str, float],
-                      probe_error: str | None) -> dict:
-    ret, disp = a.ret, a.disp
-    doc: dict = {
-        "command": "analyze",
-        "provenance": _provenance(a.model.file, opts),
-        "parameters": dict(sorted(a.model.values.items())),
-        "corners": [
-            {
-                "location": list(cd.corner),
-                "h_in": cd.h_in,
-                "h_out": cd.h_out,
-                **_expansion_doc(cd.expansion),
-            }
-            for cd in a.corners
-        ],
-        "return": {
-            "pattern": ret.pattern,
-            "split": ret.split,
-            "ratio": ret.ratio,
-            "leading": ret.leading,
-            "kind": ret.kind,
-            "second_exponent": ret.second_exponent,
-            "second_coeff": ret.second_coeff,
-            "second_scale": ret.second_scale,
-            "compensator": _comp_doc(ret.comp),
-            "flatness": list(ret.ell),
-            "notes": list(ret.notes),
-        },
-    }
-    if disp is not None:
-        doc["displacement"] = {
-            "rotation": disp.rotation,
-            "split": disp.split,
-            "alpha": disp.alpha,
-            "exponents": list(disp.exponents),
-            "psi1": disp.psi1,
-            "psi2": disp.psi2,
-            "psi3": disp.psi3,
-            "scale": disp.scale,
-            "notes": list(disp.notes),
-        }
-    else:
-        doc["displacement"] = {"unavailable": a.disp_note or "not computed"}
-    doc["gradients"] = {
-        name: dict(sorted(g.items())) for name, g in sorted(a.grads.items())
-    }
-    doc["probe"] = {
-        "not_identity": a.not_identity,
-        "error": probe_error,
-        "tolerance": opts["rtol"],
-    }
-    v = a.result
-    doc["verdict"] = {
-        "lower": v.lower,
-        "upper": v.upper,
-        "consistent": v.consistent,
-        "summary": v.summary(),
-        "zero_tol": opts["zero_tol"],
-        "items": [
-            {"label": it.label, "kind": it.kind, "bound": it.bound,
-             "fired": it.fired, "condition": it.condition, "detail": it.detail}
-            for it in v.items
-        ],
-        "notes": list(v.notes),
-    }
-    return doc
 
 
 # ---------------------------------------------------------------------------

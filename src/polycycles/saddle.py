@@ -65,6 +65,8 @@ from .series import DEFAULT_ORDER, coeff_array, horner, scalar, series_div, seri
 # case-tag dead band around lam = 1 and pole dead band for Mellin orders
 AT_ONE_BAND = 1e-9
 MELLIN_POLE_BAND = 1e-6
+# points at which a chart's footprint is checked along each axis
+FOOTPRINT_SAMPLES = 33
 
 
 # ---------------------------------------------------------------------------
@@ -86,17 +88,15 @@ class LocalChart:
     lam: float | complex
     corner: tuple[float, float]
     linear: tuple[tuple[float, float], tuple[float, float]]
-    n1: int = 0
-    n2: int = 0
 
     def to_model(self, point_local) -> np.ndarray:
         a = np.asarray(self.linear, dtype=float)
         # signed permutation: inverse is the transpose
         return np.asarray(self.corner, dtype=float) + a.T @ np.asarray(point_local, dtype=float)
 
-    def check_footprint(self, extent: float, samples: int = 33) -> None:
+    def check_footprint(self, extent: float) -> None:
         """Sampled hypotheses P(x,0) > 0 and Q(0,y) < 0 up to ``extent``."""
-        ts = np.linspace(0.0, extent, samples)
+        ts = np.linspace(0.0, extent, FOOTPRINT_SAMPLES)
         p_axis = horner(self.p_poly[:, 0], ts).real  # P(x, 0)
         q_axis = horner(self.q_poly[0, :], ts).real  # Q(0, y)
         bad = (p_axis <= 0.0) | (q_axis >= 0.0)
@@ -436,7 +436,6 @@ class DulacExpansion:
 
     ratio: float
     leading: float
-    case: str  # below-one | above-one | at-one
     next_exponent: float | None = None
     next_coeff: float | None = None
     comp: object | None = None  # CompensatorTerm of the calculus module
@@ -445,9 +444,14 @@ class DulacExpansion:
     s2: float | None = None
     notes: tuple[str, ...] = ()
 
+    @property
+    def case(self) -> str:
+        """below-one, above-one or at-one, from the ratio."""
+        return classify_ratio(self.ratio)
 
-def classify_ratio(lam: float, band: float = AT_ONE_BAND) -> str:
-    if abs(lam.real - 1.0) <= band:
+
+def classify_ratio(lam: float) -> str:
+    if abs(lam.real - 1.0) <= AT_ONE_BAND:
         return "at-one"
     return "below-one" if lam.real < 1.0 else "above-one"
 
@@ -475,7 +479,7 @@ def dulac_coefficients(chart: LocalChart, h_in: float, h_out: float) -> DulacExp
     case = classify_ratio(lam)
     if case == "at-one":
         return DulacExpansion(
-            ratio=lam, leading=d00, case=case, ell=(1.0, 2.0),
+            ratio=lam, leading=d00, ell=(1.0, 2.0),
             notes=("at-one corner: second-order coefficients are resonant "
                    "(Mellin pole at alpha=1); leading term only",))
 
@@ -494,7 +498,7 @@ def dulac_coefficients(chart: LocalChart, h_in: float, h_out: float) -> DulacExp
             s1, msg = None, str(exc)
             notes.append(f"S1 unavailable: {msg}")
         d01 = -(d00**2) * s2
-        return DulacExpansion(ratio=lam, leading=d00, case=case,
+        return DulacExpansion(ratio=lam, leading=d00,
                               next_exponent=lam, next_coeff=d01,
                               ell=(lam.real, min(2.0 * lam.real, 1.0)),
                               s1=s1, s2=s2, notes=tuple(notes))
@@ -506,7 +510,7 @@ def dulac_coefficients(chart: LocalChart, h_in: float, h_out: float) -> DulacExp
         s2 = None
         notes.append(f"S2 unavailable: {exc}")
     d10 = lam * d00 * s1
-    return DulacExpansion(ratio=lam, leading=d00, case=case,
+    return DulacExpansion(ratio=lam, leading=d00,
                           next_exponent=1.0, next_coeff=d10,
                           ell=(1.0, min(lam.real, 2.0)),
                           s1=s1, s2=s2, notes=tuple(notes))

@@ -16,19 +16,16 @@ import numpy as np
 DEFAULT_ORDER = 16
 
 
-def horner(coeffs, t):
+def horner(coeffs, t: np.ndarray) -> np.ndarray:
     """sum_k coeffs[k] t^k from ascending coefficients, by Horner's rule.
 
-    ``t`` is a float or a numpy array.  A float comes back as a Python
-    float (complex with complex coefficients) from a plain loop, which is
-    cheaper than a numpy call for a single point; an array comes back as an
-    array, one vectorised step per coefficient over all quadrature nodes at
-    once.
+    ``t`` is a numpy array of nodes; each coefficient is one vectorised
+    step over all of them at once.
     """
     acc = 0.0 * t
     for c in coeffs[::-1]:
         acc = acc * t + c
-    return acc if isinstance(acc, np.ndarray) else scalar(acc)
+    return acc
 
 
 def horner2(rows, x, y):

@@ -15,7 +15,7 @@ def game_mf():
 
 @pytest.fixture(scope="session")
 def game_corners(game_mf):
-    return build_corners(bind(game_mf, check_flow=False))
+    return build_corners(bind(game_mf))
 
 
 @pytest.fixture(scope="session")

@@ -7,6 +7,7 @@ hypothesis properties cover the laws that must hold on generic data
 
 import math
 
+import mpmath as mp
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -28,28 +29,25 @@ from polycycles.errors import DegeneracyError, UnsupportedGeometryError
 from polycycles.saddle import DulacExpansion
 
 
-def dmap(ratio, leading, w=None, c=None, s1=None, s2=None, case=None):
+def dmap(ratio, leading, w=None, c=None, s1=None, s2=None):
     """Raw two-term map for algebra tests, with saddle-like defaults."""
-    if case is None:
-        case = "above-one" if ratio > 1.0 else "below-one"
     if w is None and c is None:
-        return DulacExpansion(ratio=ratio, leading=leading, case=case,
-                              ell=(1.0, 1.0), s1=s1, s2=s2)
+        return DulacExpansion(ratio=ratio, leading=leading, ell=(1.0, 1.0), s1=s1, s2=s2)
     lo = w
-    hi = min(ratio, 2.0) if case == "above-one" else min(2.0 * ratio, 1.0)
-    return DulacExpansion(ratio=ratio, leading=leading, case=case,
+    hi = min(ratio, 2.0) if ratio > 1.0 else min(2.0 * ratio, 1.0)
+    return DulacExpansion(ratio=ratio, leading=leading,
                           next_exponent=w, next_coeff=c,
                           ell=(lo, max(hi, lo)), s1=s1, s2=s2)
 
 
 def above(lam, a, s1, s2=0.0):
     """Corner-style map with ratio > 1: second term at offset 1."""
-    return dmap(lam, a, w=1.0, c=lam * a * s1, s1=s1, s2=s2, case="above-one")
+    return dmap(lam, a, w=1.0, c=lam * a * s1, s1=s1, s2=s2)
 
 
 def below(lam, a, s2, s1=0.0):
     """Corner-style map with ratio < 1: second term at offset lam."""
-    return dmap(lam, a, w=lam, c=-(a * a) * s2, s1=s1, s2=s2, case="below-one")
+    return dmap(lam, a, w=lam, c=-(a * a) * s2, s1=s1, s2=s2)
 
 
 class TestCompensator:
@@ -141,14 +139,13 @@ class TestComposePair:
                   + 3.0 ** (0.5 + w2) * 7.0 * s ** (2.0 * w2))
         assert comp.value(s) == pytest.approx(direct, rel=1e-12)
 
-    def test_truncated_factor_truncates_composite(self):
-        d1 = dmap(2.0, 3.0)
-        d2 = dmap(1.5, 2.0, w=1.0, c=4.0)
-        out = compose_pair(d1, d2)
-        assert out.next_exponent is None and out.next_coeff is None
-        assert "composite truncated to leading order" in out.notes
-        assert out.ratio == pytest.approx(3.0)
-        assert out.leading == pytest.approx(3.0 ** 1.5 * 2.0, rel=1e-14)
+    def test_truncated_factor_rejected(self):
+        # a missing second term may dominate any surviving candidate, so a
+        # factor truncated to leading order does not compose, on either side
+        truncated, full = dmap(2.0, 3.0), dmap(1.5, 2.0, w=1.0, c=4.0)
+        for d1, d2 in ((truncated, full), (full, truncated)):
+            with pytest.raises(ValueError, match="cannot be composed further"):
+                compose_pair(d1, d2)
 
     def test_compensator_factor_rejected(self):
         d1 = dmap(2.0, 3.0, w=1.0, c=5.0)
@@ -178,9 +175,8 @@ class TestInverse:
         assert inv.case == "below-one"
 
     def test_truncated_inverse(self):
-        inv = inverse_dulac(dmap(2.0, 4.0))
-        assert inv.next_coeff is None
-        assert any("truncated" in n for n in inv.notes)
+        with pytest.raises(ValueError, match="cannot be inverted"):
+            inverse_dulac(dmap(2.0, 4.0))
 
     def test_compensator_rejected(self):
         d1 = dmap(2.0, 3.0, w=1.0, c=5.0)
@@ -265,11 +261,11 @@ class TestChainProducts:
 
 class TestSecondTerm:
     def test_plain_and_missing(self):
-        ret = ReturnExpansion(size=1, pattern="above-block", ratio=1.5, leading=2.0,
+        ret = ReturnExpansion(pattern="above-block", ratio=1.5, leading=2.0,
                               kind="B", second_exponent=1.0, second_coeff=3.0)
         assert ret.second_value(0.1) == pytest.approx(0.3)
         assert ret.evaluate(0.1) == pytest.approx(0.1 ** 1.5 * 2.3)
-        bare = ReturnExpansion(size=1, pattern="degenerate", ratio=1.5, leading=2.0)
+        bare = ReturnExpansion(pattern="degenerate", ratio=1.5, leading=2.0)
         assert bare.second_value(0.1) == 0.0
 
 
@@ -309,6 +305,31 @@ class TestReturnExpansion:
         diff = game_chain[1].s1 - game_chain[0].s2
         assert ret.second_coeff == pytest.approx(ret.second_scale * diff, rel=1e-12)
 
+    def test_contraction_then_expansion_flatness(self, game_chain):
+        # Compose the four_saddle corners as exact three-term maps
+        # s^lam (D00 + lam D00 S1 s - D00^2 S2 s^lam) in 80-digit arithmetic.
+        # What the two-term form leaves over must decay at least as fast as
+        # the remainder interval promises, and faster than the second term.
+        ret = return_expansion(game_chain)
+        assert ret.kind == "A"
+        with mp.workdps(80):
+            corners = [tuple(mp.mpf(v) for v in (d.ratio, d.leading, d.s1, d.s2))
+                       for d in game_chain]
+            r = mp.fprod(lam for lam, _, _, _ in corners)
+            lead, coeff, exp = (mp.mpf(v) for v in (ret.leading, ret.second_coeff,
+                                                    ret.second_exponent))
+
+            def gap(s):
+                x = s
+                for lam, a, s1, s2 in corners:
+                    x = x**lam * (a + lam * a * s1 * x - a * a * s2 * x**lam)
+                return x / s**r - lead - coeff * s**exp
+
+            s = mp.mpf(2) ** -70
+            local = float(mp.log(gap(s) / gap(s / 2), 2))
+        assert local >= ret.ell[1] - 0.02
+        assert local >= ret.second_exponent + 0.1
+
     def test_expansion_then_contraction_generic(self):
         up, down = above(2.0, 1.5, 0.3, s2=0.1), below(0.4, 2.0, -0.5, s1=0.2)
         ret = return_expansion([up, down])
@@ -342,7 +363,7 @@ class TestReturnExpansion:
 
     def test_resonant_corner_truncates(self):
         chain = [above(1.5, 2.0, 0.3),
-                 DulacExpansion(ratio=1.0, leading=0.5, case="at-one")]
+                 DulacExpansion(ratio=1.0, leading=0.5)]
         ret = return_expansion(chain)
         assert ret.pattern == "degenerate"
         assert ret.kind is None and ret.second_coeff is None
@@ -392,7 +413,7 @@ class TestDisplacementExpansion:
 
     def test_resonant_corner_rejected(self):
         chain = [above(1.5, 2.0, 0.3),
-                 DulacExpansion(ratio=1.0, leading=0.5, case="at-one")]
+                 DulacExpansion(ratio=1.0, leading=0.5)]
         with pytest.raises(DegeneracyError, match="resonant corner"):
             displacement_expansion(chain)
 

@@ -88,6 +88,16 @@ def test_removed_model_keys_exit_3(extra, tmp_path, capsys):
     assert "unknown" in capsys.readouterr().err
 
 
+def test_reversed_traversal_exits_3(tmp_path, capsys):
+    text = Path(SQUARE).read_text(encoding="utf-8").replace(
+        "corners = (0,1) (0,0) (1,0) (1,1)", "corners = (0,1) (1,1) (1,0) (0,0)").replace(
+        "orientation = ccw", "orientation = cw")
+    path = tmp_path / "reversed.model"
+    path.write_text(text, encoding="utf-8")
+    assert main(["analyze", "--model", str(path)]) == 3
+    assert "lies on the unstable axis" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("extra", ["fit_points = 3", "fit_points = 7.5", "samples = 1",
                                    "samples = 5/2"],
                          ids=["fit_points-3", "fit_points-fractional", "samples-1",

@@ -127,13 +127,13 @@ class TestNotIdentityProbe:
 
 
 def make_return(ratio, leading, kind=None, second=None, scale=1.0):
-    return ReturnExpansion(size=2, pattern="above-then-below", ratio=ratio,
+    return ReturnExpansion(pattern="above-then-below", ratio=ratio,
                            leading=leading, kind=kind, second_exponent=1.0,
                            second_coeff=second, second_scale=scale)
 
 
 def make_disp(psi1, psi2, psi3, scale=1.0):
-    return DisplacementExpansion(size=2, rotation=0, split=1, alpha=psi1,
+    return DisplacementExpansion(rotation=0, split=1, alpha=psi1,
                                  exponents=(1.5, 1.5), psi1=psi1, psi2=psi2,
                                  psi3=psi3, scale=scale)
 

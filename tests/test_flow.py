@@ -72,6 +72,27 @@ class TestCrossing:
         with pytest.raises(OutOfBasinError, match="did not return"):
             crossing_map(saddle_fun, (0.0, 1.0), exit_section, t_max=5.0)
 
+    def test_crossing_outside_window_is_skipped(self, monkeypatch):
+        # x' = y, y' = x - x^3 keeps y^2/2 - x^2/2 + x^4/4, so on y = 0.6 the
+        # orbit from (0.45, 0.6) meets x^2 = 0.45^2 and x^2 = 2 - 0.45^2.  It
+        # crosses upward at x = -1.341 first, outside the window, and must
+        # run on to its return at x = 0.45
+        fun = field_callable(poly("y"), poly("x - x^3"))
+        section = LineSection.make((0.0, 0.6), (1.0, 0.0), (0.3, 0.6))
+        events = []
+        real = flow.integrate
+
+        def recording(*args, **kwargs):
+            traj = real(*args, **kwargs)
+            if traj.status == "event":
+                events.append(traj.state[0])
+            return traj
+
+        monkeypatch.setattr(flow, "integrate", recording)
+        assert numeric_return(fun, section, 0.45) == pytest.approx(0.45, abs=1e-8)
+        assert len(events) == 2
+        assert events[0] == pytest.approx(-math.sqrt(2.0 - 0.45**2), abs=1e-8)
+
     def test_return_start_must_be_in_window(self, saddle_fun, exit_section):
         with pytest.raises(ValueError, match="outside the section window"):
             numeric_return(saddle_fun, exit_section, 5.0)

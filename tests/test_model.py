@@ -9,6 +9,7 @@ from polycycles import model as model_module
 from polycycles.errors import ModelError, UsageError
 from polycycles.expressions import parse_expression
 from polycycles.model import bind, load_model, merge_values, parse_model
+from polycycles.pipeline import build_corners
 
 MINIMAL = """
 [field]
@@ -171,7 +172,7 @@ class TestBinding:
             merge_values(game_mf, {"zz": 1.0})
 
     def test_bind_instantiates_field(self, integrable_mf):
-        model = bind(integrable_mf, check_flow=False)
+        model = bind(integrable_mf)
         assert model.values == {"a": 0.4, "b": 0.5}
         # dot_x = x(x-1)(y - a) at (2, 1): 2 * 1 * 0.6
         assert np.polynomial.polynomial.polyval2d(2.0, 1.0, model.field_x) == pytest.approx(1.2)
@@ -180,27 +181,31 @@ class TestBinding:
         calls = []
         monkeypatch.setattr(model_module, "parse_expression",
                             lambda *args, **kwargs: calls.append(args))
-        fields = [bind(game_mf, {"l1": l1}, check_flow=False).field_x
+        fields = [bind(game_mf, {"l1": l1}).field_x
                   for l1 in ("0.3", "0.31", "0.32")]
         assert calls == []
         assert not np.array_equal(fields[0], fields[1])
         assert not np.array_equal(fields[1], fields[2])
 
+    # the field is checked against the polycycle where the corners are built
+
     def test_traversal_check_accepts_square(self, integrable_mf):
-        bind(integrable_mf)  # flow check on
+        corners = build_corners(bind(integrable_mf))
+        assert [cd.corner for cd in corners] == [(0.0, 1.0), (0.0, 0.0), (1.0, 0.0), (1.0, 1.0)]
 
     def test_traversal_check_rejects_reversed_order(self, integrable_mf):
         text = integrable_mf.text.replace(
             "corners = (0,1) (0,0) (1,0) (1,1)",
             "corners = (0,1) (1,1) (1,0) (0,0)").replace(
             "orientation = ccw", "orientation = cw")
-        reversed_mf = parse_model(text)
-        with pytest.raises(ModelError, match="runs against the declared corner order"):
-            bind(reversed_mf)
+        model = bind(parse_model(text))
+        with pytest.raises(ModelError, match="lies on the unstable axis"):
+            build_corners(model)
 
     def test_non_invariant_edge_rejected(self):
         # rotation field: the declared square edges are not orbit lines
         text = ("[field]\ndot_x = -y + x\ndot_y = x + y\n"
                 "[polycycle]\ncorners = (0,0) (1,0) (1,1) (0,1)\n")
-        with pytest.raises(ModelError, match="not invariant|runs against"):
-            bind(parse_model(text))
+        model = bind(parse_model(text))
+        with pytest.raises(ModelError, match="is not invariant"):
+            build_corners(model)

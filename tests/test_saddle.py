@@ -410,7 +410,7 @@ SLOW_CORNERS = [
 
 def test_slow_point_in_budget(game_mf):
     start = time.perf_counter()
-    corners = build_corners(bind(game_mf, SLOW_POINT, check_flow=False))
+    corners = build_corners(bind(game_mf, SLOW_POINT))
     elapsed = time.perf_counter() - start
     for cd, expected in zip(corners, SLOW_CORNERS, strict=True):
         exp = cd.expansion
@@ -433,7 +433,7 @@ def test_one_integrand_pass_per_rule_pair(game_mf, monkeypatch):
         return integrand(self, t)
 
     monkeypatch.setattr(saddle._Transition, "integrand", counted)
-    build_corners(bind(game_mf, check_flow=False))
+    build_corners(bind(game_mf))
     assert len(calls) == 16
     assert all(shape[-1] == 65 for shape in calls)
 
@@ -466,5 +466,5 @@ def test_product_rule_weights():
 def test_mellin_order_above_the_default_series(game_mf):
     # l1 = 0.045 puts corner 1's S1 at alpha = 1/l1 = 22.2, past what a
     # 16-term germ series can split off; 60-digit value of the same formula
-    corners = build_corners(bind(game_mf, {"l1": "0.045"}, check_flow=False))
+    corners = build_corners(bind(game_mf, {"l1": "0.045"}))
     assert corners[0].expansion.s1 == pytest.approx(-2.4831988484826426, rel=1e-12)

@@ -22,8 +22,8 @@ class TestArithmetic:
         acc = 0.0
         for c in reversed(coeffs):
             acc = acc * t + c
-        assert horner(coeffs, t) == acc
-        assert horner([], t) == 0.0
+        assert horner(coeffs, np.array([t])).tolist() == [acc]
+        assert horner([], np.array([t])).tolist() == [0.0]
 
     def test_horner_on_an_array(self):
         # elementwise the same operations as the scalar loop, so bit-identical
@@ -31,7 +31,13 @@ class TestArithmetic:
         t = np.array([0.0, 0.613, -2.5, 1e-3])
         values = horner(coeffs, t)
         assert isinstance(values, np.ndarray) and values.shape == t.shape
-        assert values.tolist() == [horner(coeffs, float(v)) for v in t]
+        loop = []
+        for v in t.tolist():
+            acc = 0.0
+            for c in reversed(coeffs):
+                acc = acc * v + c
+            loop.append(acc)
+        assert values.tolist() == loop
         assert horner([], t).tolist() == [0.0] * 4
 
 
