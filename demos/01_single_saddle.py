@@ -10,7 +10,7 @@ one by integrating trajectories, so you can see the two routes agree.
 import numpy as np
 
 from polycycles.expressions import instantiate, parse_expression
-from polycycles.flow import dulac_lattice, fit_expansion, numeric_dulac
+from polycycles.flow import chart_field, dulac_lattice, fit_expansion, numeric_dulac
 from polycycles.saddle import dulac_coefficients, normalize_saddle
 
 # A saddle at the origin: x grows, y decays twice as fast, with quadratic
@@ -33,7 +33,8 @@ print("case:", expansion.case)
 # Independent route: integrate the transition map at a ladder of entry
 # offsets and fit on the exponent lattice that the closed form predicts.
 svals = np.geomspace(1e-4, 1e-2, 13)
-values = [numeric_dulac(chart, h_in, h_out, s) for s in svals]
+fun = chart_field(chart)
+values = [numeric_dulac(fun, h_in, h_out, s) for s in svals]
 fit = fit_expansion(svals, values, exponent=expansion.ratio,
                     lattice=dulac_lattice(expansion.ratio))
 

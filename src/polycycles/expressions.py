@@ -18,7 +18,8 @@ integers, so every well-formed expression instantiates to a polynomial.
 
 A concrete polynomial is a dense 2-d coefficient array ``c`` with
 ``c[i, j]`` the coefficient of x^i y^j, float64, or complex128 when a
-complex parameter value reaches it; ``series.horner2`` evaluates it.
+complex parameter value reaches it; ``flow.field_callable`` compiles a
+pair of them into a right-hand side.
 """
 from __future__ import annotations
 
@@ -304,7 +305,7 @@ def instantiate(expr: Expression, binding: Mapping[str, Number]) -> np.ndarray:
     of that real binding bit for bit.  The array spans the highest powers
     of x and y with a nonzero coefficient, and is at least 1 x 1.
     """
-    real = {k: Fraction(repr(v.real)) if isinstance(v, complex) else v
+    real = {k: Fraction(repr(float(v.real))) if isinstance(v, complex) else v
             for k, v in binding.items()}
     coeffs = {k: float(c) for k, c in _inst(expr.root, real).items()}
     if real != binding:

@@ -21,7 +21,6 @@ import numpy as np
 
 from .errors import NumericError, OutOfBasinError, PolycycleError
 from .saddle import LocalChart
-from .series import horner2
 
 ATOL = 1e-12
 RTOL = 1e-10
@@ -63,25 +62,52 @@ MAX_FACTOR = 10.0
 ERROR_EXPONENT = -1.0 / 5.0  # the embedded error estimate is of order 4
 
 
+def _horner_step(acc: str | None, var: str, term: str | None) -> str | None:
+    """Source of acc*var + term, where None stands for an exact zero."""
+    if acc is None:
+        return term
+    return f"({acc})*{var}" if term is None else f"({acc})*{var}+({term})"
+
+
+def _horner_source(c: np.ndarray) -> str:
+    """Straight-line source of sum_ij c[i, j] x^i y^j over the names x and y.
+
+    Horner in x over Horner rows in y, the order of operations of the
+    nested loop ``acc = acc*x + (...(c[i, m]*y + c[i, m-1])*y ... + c[i, 0])``
+    started from zero.  Zero coefficients are left out: ``0*y + c`` is c
+    and ``r*y + 0`` is r*y, so every value is ``==`` to the loop's at
+    finite x and y (an exact zero may come out with the other sign).  A
+    coefficient is written as the repr of its Python scalar, and a complex
+    one as complex(re, im), so that it reads back to the same number.
+    """
+    acc = None
+    for row in reversed(c.tolist()):
+        rv = None
+        for a in reversed(row):
+            lit = None if a == 0 else (f"complex({a.real!r}, {a.imag!r})"
+                                       if isinstance(a, complex) else repr(a))
+            rv = _horner_step(rv, "y", lit)
+        acc = _horner_step(acc, "x", rv)
+    return "0.0" if acc is None else acc
+
+
+def _compile(source: str) -> Callable[[float, float], tuple[float, float]]:
+    """The function ``lambda x, y: (source)``; its names are inf, nan, complex."""
+    return eval(f"lambda x, y: ({source})",
+                {"__builtins__": {}, "inf": math.inf, "nan": math.nan, "complex": complex})
+
+
 def field_callable(fx: np.ndarray, fy: np.ndarray,
                    ) -> Callable[[float, float], tuple[float, float]]:
-    """Pack two coefficient arrays c[i, j] into a float right-hand side."""
-    rx, ry = fx.tolist(), fy.tolist()
-
-    def fun(x: float, y: float) -> tuple[float, float]:
-        return (horner2(rx, x, y), horner2(ry, x, y))
-
-    return fun
+    """Compile two coefficient arrays c[i, j] into one float right-hand side."""
+    return _compile(f"{_horner_source(fx)}, {_horner_source(fy)}")
 
 
 def chart_field(chart: LocalChart) -> Callable[[float, float], tuple[float, float]]:
-    """Right-hand side of the normalized local system u' = uP, v' = vQ."""
-    rp, rq = chart.p_poly.tolist(), chart.q_poly.tolist()
-
-    def fun(u: float, v: float) -> tuple[float, float]:
-        return (u * horner2(rp, u, v), v * horner2(rq, u, v))
-
-    return fun
+    """Right-hand side of the normalized local system u' = uP, v' = vQ,
+    compiled once per chart; its arguments are (u, v)."""
+    return _compile(f"x*({_horner_source(chart.p_poly)}), "
+                    f"y*({_horner_source(chart.q_poly)})")
 
 
 # ---------------------------------------------------------------------------
@@ -368,14 +394,15 @@ def numeric_return(fun, section: LineSection, s: float, t_max: float = 200.0,
 # Corner transition by integration
 
 
-def numeric_dulac(chart: LocalChart, h_in: float, h_out: float, s: float,
+def numeric_dulac(fun, h_in: float, h_out: float, s: float,
                   t_max: float = 200.0, atol: float = ATOL, rtol: float = RTOL) -> float:
-    """Corner transition by integrating the normalized local field: the v
-    at which the orbit from (s, h_in) crosses the exit line u = h_out."""
+    """Corner transition by integrating the normalized local field ``fun``
+    (a ``chart_field``): the v at which the orbit from (s, h_in) crosses
+    the exit line u = h_out."""
     if s <= 0.0:
         raise ValueError("numeric_dulac expects s > 0")
     exit_line = LineSection.make((h_out, 0.0), (0.0, 1.0), (-np.inf, np.inf))
-    traj = integrate(chart_field(chart), (s, h_in), t_max, section=exit_line,
+    traj = integrate(fun, (s, h_in), t_max, section=exit_line,
                      atol=atol, rtol=rtol)
     if traj.status != "event":
         raise OutOfBasinError("orbit left the chart without reaching the exit section")

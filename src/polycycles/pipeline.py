@@ -22,7 +22,7 @@ from .calculus import (CompensatorTerm, DisplacementExpansion, ReturnExpansion,
 from .cyclicity import gradient, not_identity_probe, verdict
 from .errors import (ModelError, NumericError, PolycycleError, UnsupportedGeometryError,
                      UsageError)
-from .flow import (LineSection, dulac_lattice, field_callable, fit_expansion,
+from .flow import (LineSection, chart_field, dulac_lattice, field_callable, fit_expansion,
                    count_limit_cycles, numeric_dulac, numeric_return)
 from .model import OPTION_DEFAULTS, Model, ModelFile, bind, check_option, merge_values
 from .saddle import DulacExpansion, LocalChart, dulac_coefficients, normalize_saddle
@@ -398,8 +398,9 @@ def oracle_dulac(mf: ModelFile, corner_index: int,
         raise ModelError(f"corner index {corner_index} out of range "
                          f"1..{len(corners)}")
     cd = corners[corner_index - 1]
+    fun = chart_field(cd.chart)
     rows, ok_s, ok_v = _sample(
-        lambda s: numeric_dulac(cd.chart, cd.h_in, cd.h_out, s, **_integration(opts)),
+        lambda s: numeric_dulac(fun, cd.h_in, cd.h_out, s, **_integration(opts)),
         svals)
 
     free = fit_expansion(ok_s, ok_v)

@@ -1,4 +1,4 @@
-"""Truncated univariate power series and the shared Horner evaluators.
+"""Truncated univariate power series and their Horner evaluator.
 
 A truncated series is a plain 1-d coefficient array c_0..c_K, the same
 ascending layout ``horner`` evaluates; its order is its length minus one.
@@ -25,22 +25,6 @@ def horner(coeffs, t: np.ndarray) -> np.ndarray:
     acc = 0.0 * t
     for c in coeffs[::-1]:
         acc = acc * t + c
-    return acc
-
-
-def horner2(rows, x, y):
-    """sum_ij rows[i][j] x^i y^j, by Horner's rule in x over Horner rows in y.
-
-    The one evaluator of a bivariate coefficient array c[i, j].  Given
-    ``c.tolist()`` and Python floats it runs on Python floats only, the
-    cheapest form for the flow oracle's right-hand sides.
-    """
-    acc = 0.0
-    for row in reversed(rows):
-        rv = 0.0
-        for c in reversed(row):
-            rv = rv * y + c
-        acc = acc * x + rv
     return acc
 
 

@@ -7,7 +7,7 @@ import pytest
 
 from polycycles.errors import ExpressionError
 from polycycles.expressions import instantiate, parse_expression
-from polycycles.series import horner2
+from polycycles.flow import field_callable
 
 
 def expand(source, binding=None, params=()):
@@ -42,12 +42,17 @@ class TestGrammar:
 
     def test_evaluate(self):
         p = expand("x*(x - 1)*(y - 2)")
-        assert horner2(p.tolist(), 3.0, 5.0) == pytest.approx(3 * 2 * 3)
+        assert field_callable(p, -p)(3.0, 5.0) == pytest.approx((3 * 2 * 3, -3 * 2 * 3))
         assert np.polynomial.polynomial.polyval2d(3.0, 5.0, p) == pytest.approx(3 * 2 * 3)
 
     def test_complex_value_gives_a_complex_array(self):
         p = expand("a*x + y", {"a": complex(0.5, 1e-20)}, params=("a",))
         assert p.dtype == complex
+        np.testing.assert_array_equal(p, [[0.0, 1.0], [complex(0.5, 1e-20), 0.0]])
+
+    def test_numpy_complex_value(self):
+        # np.complex128 is a complex whose real part is an np.float64
+        p = expand("a*x + y", {"a": np.float64(0.5) + 1e-20j}, params=("a",))
         np.testing.assert_array_equal(p, [[0.0, 1.0], [complex(0.5, 1e-20), 0.0]])
 
 

@@ -12,6 +12,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import polycycles
 from polycycles import flow
@@ -31,7 +33,7 @@ from polycycles.flow import (
     numeric_return,
 )
 from polycycles.model import bind
-from polycycles.saddle import normalize_saddle
+from polycycles.saddle import LocalChart, normalize_saddle
 
 
 def poly(source):
@@ -108,16 +110,17 @@ class TestNumericDulac:
 
     def test_exit_line_crossing(self, chart):
         # from (s, h_in): u = s e^t reaches h_out when v = h_in (s/h_out)^2
-        assert numeric_dulac(chart, 0.3, 0.7, 0.01) == pytest.approx(
+        assert numeric_dulac(chart_field(chart), 0.3, 0.7, 0.01) == pytest.approx(
             0.3 * (0.01 / 0.7) ** 2, rel=1e-8)
 
     def test_homogeneity(self, chart):
-        ratio = numeric_dulac(chart, 0.5, 0.5, 0.01) / numeric_dulac(chart, 0.5, 0.5, 0.005)
+        fun = chart_field(chart)
+        ratio = numeric_dulac(fun, 0.5, 0.5, 0.01) / numeric_dulac(fun, 0.5, 0.5, 0.005)
         assert ratio == pytest.approx(2.0 ** 2, rel=1e-8)
 
     def test_domain_guard(self, chart):
         with pytest.raises(ValueError, match="expects s > 0"):
-            numeric_dulac(chart, 0.5, 0.5, 0.0)
+            numeric_dulac(chart_field(chart), 0.5, 0.5, 0.0)
 
     def test_chart_field_matches_local_velocity(self):
         chart = normalize_saddle(poly("x*(1 + 0.3*x - 0.2*y)"),
@@ -437,3 +440,123 @@ class TestScipyParity:
         assert traj.t == pytest.approx(ref.t_events[0][0], rel=1e-12)
         end = ref.y_events[0][0]
         np.testing.assert_allclose(traj.state, end, rtol=0.0, atol=1e-12 * np.max(np.abs(end)))
+
+
+def horner_loop(c, x, y):
+    """sum_ij c[i, j] x^i y^j by the nested loop: Horner in x over Horner
+    rows in y, every coefficient taken, zero ones too."""
+    acc = 0.0
+    for row in reversed(c.tolist()):
+        rv = 0.0
+        for a in reversed(row):
+            rv = rv * y + a
+        acc = acc * x + rv
+    return acc
+
+
+def loop_field(fx, fy):
+    return lambda x, y: (horner_loop(fx, x, y), horner_loop(fy, x, y))
+
+
+def loop_chart_field(chart):
+    return lambda u, v: (u * horner_loop(chart.p_poly, u, v),
+                         v * horner_loop(chart.q_poly, u, v))
+
+
+def make_chart(p, q):
+    return LocalChart(p, q, lam=1.0, corner=(0.0, 0.0), linear=((1.0, 0.0), (0.0, 1.0)))
+
+
+def same(a, b):
+    """a == b, or both not a number."""
+    return a == b or (a != a and b != b)
+
+
+FINITE = st.one_of(st.just(0.0), st.floats(-8.0, 8.0))
+NONFINITE = st.one_of(FINITE, st.sampled_from([math.inf, -math.inf, math.nan]))
+POINT = st.floats(-4.0, 4.0)
+
+
+@st.composite
+def coefficient_arrays(draw, elements=FINITE):
+    """Arrays up to 5 x 5 with some rows and columns zeroed, the last ones
+    (leading zeros) included."""
+    rows, cols = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    c = np.array(draw(st.lists(elements, min_size=rows * cols, max_size=rows * cols)),
+                 dtype=float).reshape(rows, cols)
+    c[draw(st.lists(st.integers(0, rows - 1), max_size=rows)), :] = 0.0
+    c[:, draw(st.lists(st.integers(0, cols - 1), max_size=cols))] = 0.0
+    return c
+
+
+class TestGeneratedField:
+    """field_callable and chart_field compile one Horner expression per
+    field; its values are those of the nested loop."""
+
+    @staticmethod
+    def assert_same(fields, arrays, points):
+        got, want = fields
+        for x, y in points:
+            g, w = got(x, y), want(x, y)
+            assert all(same(a, b) for a, b in zip(g, w)), (arrays, x, y, g, w)
+
+    @given(fx=coefficient_arrays(), fy=coefficient_arrays(), x=POINT, y=POINT)
+    @settings(max_examples=100)
+    def test_finite_coefficients(self, fx, fy, x, y):
+        points = [(x, y), (0.0, y), (x, -0.0)]
+        self.assert_same((field_callable(fx, fy), loop_field(fx, fy)), (fx, fy), points)
+        chart = make_chart(fx, fy)
+        self.assert_same((chart_field(chart), loop_chart_field(chart)), (fx, fy), points)
+
+    @given(fx=coefficient_arrays(NONFINITE), fy=coefficient_arrays(NONFINITE),
+           x=POINT, y=POINT)
+    @settings(max_examples=60)
+    def test_non_finite_coefficients(self, fx, fy, x, y):
+        chart = make_chart(fx, fy)
+        self.assert_same((field_callable(fx, fy), loop_field(fx, fy)), (fx, fy), [(x, y)])
+        self.assert_same((chart_field(chart), loop_chart_field(chart)), (fx, fy), [(x, y)])
+
+    @given(re=coefficient_arrays(), x=POINT, y=POINT)
+    @settings(max_examples=40)
+    def test_complex_array(self, re, x, y):
+        c = re + 1j * re[::-1, ::-1]
+        c[0, 0] = complex(-0.0, math.inf)
+        self.assert_same((field_callable(c, re), loop_field(c, re)), c, [(x, y)])
+
+    @pytest.mark.parametrize("c", [np.array([[2.5]]), np.array([[0.0]]), np.zeros((3, 2)),
+                                   np.array([[math.nan]]), np.array([[0.0, -math.inf]])])
+    def test_small_arrays(self, c):
+        points = [(1.5, -2.0), (0.0, 0.0), (-0.0, 3.0)]
+        self.assert_same((field_callable(c, c.T), loop_field(c, c.T)), c, points)
+        chart = make_chart(c, c.T)
+        self.assert_same((chart_field(chart), loop_chart_field(chart)), c, points)
+
+    @staticmethod
+    def assert_same_run(got, want, start, t_max, **kwargs):
+        got, got_calls = TestScipyParity.counted(got)
+        want, want_calls = TestScipyParity.counted(want)
+        traj = integrate(got, start, t_max, **kwargs)
+        assert traj == integrate(want, start, t_max, **kwargs)
+        assert got_calls[0] == want_calls[0]
+        return traj
+
+    def test_four_saddle_return(self, game_mf):
+        from polycycles.pipeline import return_section
+
+        model = bind(game_mf)
+        section = return_section(model)
+        fun = field_callable(model.field_x, model.field_y)
+        for s in (1e-2, 1e-4):
+            start = integrate(fun, tuple(section.point(s).tolist()), PRE_STEP).state
+            vx, vy = fun(*start)
+            direction = math.copysign(1.0, vx * section.normal[0] + vy * section.normal[1])
+            traj = self.assert_same_run(fun, loop_field(model.field_x, model.field_y),
+                                        start, 200.0, section=section, direction=direction)
+            assert traj.status == "event"
+
+    def test_four_saddle_corners(self, game_corners):
+        for cd in game_corners:
+            exit_line = LineSection.make((cd.h_out, 0.0), (0.0, 1.0), (-np.inf, np.inf))
+            traj = self.assert_same_run(chart_field(cd.chart), loop_chart_field(cd.chart),
+                                        (1e-3, cd.h_in), 200.0, section=exit_line)
+            assert traj.status == "event"

@@ -10,6 +10,7 @@ import math
 import random
 import sys
 
+import numpy as np
 import pytest
 
 from polycycles import pipeline
@@ -303,3 +304,12 @@ def test_complex_chain_is_holomorphic(game_mf):
                     assert g[name] == pytest.approx(fd, rel=1e-5)
                 else:  # an exact zero, where the difference sees only rounding
                     assert abs(fd) <= 1e-8 * max(abs(v) for v in g.values())
+
+
+def test_gradient_at_a_numpy_point(game_mf, game_doc):
+    # numpy scalars as parameter values: the complex step makes them
+    # np.complex128, whose real part is an np.float64
+    point = {name: np.float64(v) for name, v in game_doc["parameters"].items()}
+    assert point["l1"] == np.float64(8 / 27)
+    grads = gradient(lambda p: _chain_quantities(game_mf, p), point)
+    assert grads == game_doc["gradients"]
