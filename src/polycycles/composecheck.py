@@ -93,8 +93,9 @@ def _second_offset(points: list[mp.mpf]) -> tuple[mp.mpf, mp.mpf]:
     """
     pts = sorted(points)
     merged = [pts[0]]
+    merge_below = mp.mpf("1e-9")  # parsed once, at the working precision
     for p in pts[1:]:
-        if p - merged[-1] > mp.mpf("1e-9"):
+        if p - merged[-1] > merge_below:
             merged.append(p)
     if len(merged) < 2:
         raise NumericError("offset lattice degenerate: no second point")

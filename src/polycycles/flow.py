@@ -62,52 +62,80 @@ MAX_FACTOR = 10.0
 ERROR_EXPONENT = -1.0 / 5.0  # the embedded error estimate is of order 4
 
 
-def _horner_step(acc: str | None, var: str, term: str | None) -> str | None:
-    """Source of acc*var + term, where None stands for an exact zero."""
-    if acc is None:
-        return term
-    return f"({acc})*{var}" if term is None else f"({acc})*{var}+({term})"
+# Parentheses nested in one generated expression.  Python's parser allows 200;
+# a deeper Horner expression is cut into statements (see _HornerSource).
+_MAX_DEPTH = 50
 
 
-def _horner_source(c: np.ndarray) -> str:
-    """Straight-line source of sum_ij c[i, j] x^i y^j over the names x and y.
+class _HornerSource:
+    """Straight-line source of a function of x and y: statements that bind
+    the temporaries t0, t1, ..., then one expression per coefficient array."""
 
-    Horner in x over Horner rows in y, the order of operations of the
-    nested loop ``acc = acc*x + (...(c[i, m]*y + c[i, m-1])*y ... + c[i, 0])``
-    started from zero.  Zero coefficients are left out: ``0*y + c`` is c
-    and ``r*y + 0`` is r*y, so every value is ``==`` to the loop's at
-    finite x and y (an exact zero may come out with the other sign).  A
-    coefficient is written as the repr of its Python scalar, and a complex
-    one as complex(re, im), so that it reads back to the same number.
-    """
-    acc = None
-    for row in reversed(c.tolist()):
-        rv = None
-        for a in reversed(row):
-            lit = None if a == 0 else (f"complex({a.real!r}, {a.imag!r})"
-                                       if isinstance(a, complex) else repr(a))
-            rv = _horner_step(rv, "y", lit)
-        acc = _horner_step(acc, "x", rv)
-    return "0.0" if acc is None else acc
+    def __init__(self) -> None:
+        self.lines: list[str] = []
 
+    def _step(self, acc: tuple[str, int] | None, var: str,
+              term: tuple[str, int] | None) -> tuple[str, int] | None:
+        """Source and depth of acc*var + term, where None stands for an exact
+        zero; a result nested _MAX_DEPTH deep is bound to a temporary."""
+        if acc is None:
+            return term
+        src, depth = acc
+        if term is None:
+            src, depth = f"({src})*{var}", depth + 1
+        else:
+            src, depth = f"({src})*{var}+({term[0]})", max(depth, term[1]) + 1
+        if depth < _MAX_DEPTH:
+            return src, depth
+        name = f"t{len(self.lines)}"
+        self.lines.append(f"{name} = {src}")
+        return name, 0
 
-def _compile(source: str) -> Callable[[float, float], tuple[float, float]]:
-    """The function ``lambda x, y: (source)``; its names are inf, nan, complex."""
-    return eval(f"lambda x, y: ({source})",
-                {"__builtins__": {}, "inf": math.inf, "nan": math.nan, "complex": complex})
+    def horner(self, c: np.ndarray) -> str:
+        """Source of sum_ij c[i, j] x^i y^j.
+
+        Horner in x over Horner rows in y, the order of operations of the
+        nested loop ``acc = acc*x + (...(c[i, m]*y + c[i, m-1])*y ... + c[i, 0])``
+        started from zero.  Zero coefficients are left out: ``0*y + c`` is c
+        and ``r*y + 0`` is r*y, so every value is ``==`` to the loop's at
+        finite x and y (an exact zero may come out with the other sign).  A
+        coefficient is written as the repr of its Python scalar, and a
+        complex one as complex(re, im), so that it reads back to the same
+        number.  A temporary holds a value the expression would have
+        computed at the same point, so the order of operations is the same.
+        """
+        acc = None
+        for row in reversed(c.tolist()):
+            rv = None
+            for a in reversed(row):
+                lit = None if a == 0 else (f"complex({a.real!r}, {a.imag!r})"
+                                           if isinstance(a, complex) else repr(a))
+                rv = self._step(rv, "y", None if lit is None else (lit, 0))
+            acc = self._step(acc, "x", rv)
+        return "0.0" if acc is None else acc[0]
+
+    def compile(self, result: str) -> Callable[[float, float], tuple[float, float]]:
+        """The function of (x, y) that runs the statements and returns
+        ``(result)``; its names are inf, nan and complex."""
+        body = "".join(f"    {line}\n" for line in self.lines)
+        namespace = {"__builtins__": {}, "inf": math.inf, "nan": math.nan, "complex": complex}
+        exec(f"def field(x, y):\n{body}    return ({result})\n", namespace)
+        return namespace["field"]
 
 
 def field_callable(fx: np.ndarray, fy: np.ndarray,
                    ) -> Callable[[float, float], tuple[float, float]]:
     """Compile two coefficient arrays c[i, j] into one float right-hand side."""
-    return _compile(f"{_horner_source(fx)}, {_horner_source(fy)}")
+    source = _HornerSource()
+    return source.compile(f"{source.horner(fx)}, {source.horner(fy)}")
 
 
 def chart_field(chart: LocalChart) -> Callable[[float, float], tuple[float, float]]:
     """Right-hand side of the normalized local system u' = uP, v' = vQ,
     compiled once per chart; its arguments are (u, v)."""
-    return _compile(f"x*({_horner_source(chart.p_poly)}), "
-                    f"y*({_horner_source(chart.q_poly)})")
+    source = _HornerSource()
+    return source.compile(f"x*({source.horner(chart.p_poly)}), "
+                          f"y*({source.horner(chart.q_poly)})")
 
 
 # ---------------------------------------------------------------------------

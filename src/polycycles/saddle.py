@@ -39,15 +39,19 @@ row is sliced off is P or Q, up to a transpose and the signs of the axes.
 The formulas above read only P(0,v), Q(u,0), the first-order rows across
 each axis and P(0,0), Q(0,0), all of them slices of the arrays.
 
-Both integrals (log L and the Mellin tail) use one nested Chebyshev rule on
-numpy arrays, weighted by modified moments and checked by doubling the node
-count; see _fixed_rule.
+Both integrals are sampled on the Chebyshev-Lobatto points of [0, h], h the
+section half-length, and checked by doubling the node count.  The cumulative
+rule gives log L at every node from one sample of its integrand, so D00 and
+the Mellin tail over the same [0, h] read L from one grid; the tail itself
+takes the product rule weighted by modified moments.  See "Chebyshev rules".
 
 Every function here is holomorphic in the field's coefficients, so a
 complex step in a parameter carries through to exact derivatives (see
 cyclicity.gradient).  Every branch (sign checks, case tags, Taylor splits,
 pole guards, convergence tests) is taken on real parts, so a complex
-evaluation follows the same path as the real one.
+evaluation follows the same path as the real one, and the rules' matrix
+products and the integrands' quotients are taken by parts (_real_matmul,
+_divide), so that its real part repeats the real arithmetic.
 """
 from __future__ import annotations
 
@@ -57,10 +61,9 @@ from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-from numpy.polynomial import polynomial as P
 
 from .errors import DegeneracyError, ModelError, NumericError, PoleError, UnsupportedGeometryError
-from .series import DEFAULT_ORDER, coeff_array, horner, scalar, series_div, series_exp
+from .series import DEFAULT_ORDER, coeff_array, horner, padded, scalar, series_div, series_exp
 
 # case-tag dead band around lam = 1 and pole dead band for Mellin orders
 AT_ONE_BAND = 1e-9
@@ -194,33 +197,47 @@ def normalize_saddle(field_x: np.ndarray, field_y: np.ndarray,
             f"normalized corner ({a:g},{b:g}) violates P(0,0)>0>Q(0,0): "
             f"P={p0:.3e}, Q={q0:.3e}")
 
-    chart = LocalChart(p_poly=p_loc, q_poly=q_loc, lam=scalar(-q0 / p0),
+    chart = LocalChart(p_poly=p_loc, q_poly=q_loc, lam=scalar(_divide(-q0, p0)),
                        corner=(a, b), linear=linear)
     chart.check_footprint(footprint)
     return chart
 
 
 # ---------------------------------------------------------------------------
-# Fixed-rule quadrature
+# Chebyshev rules
 #
-# Both integrals below, log L over [0, w] and the Mellin tail over [0, x],
-# take the form int_0^1 t^beta g(t) dt with g smooth: beta = 0 for log L and
-# beta = k - alpha - 1 for the tail.  One product rule serves both (Piessens
-# and Branders 1973; QUADPACK's DQMOMO).  g is interpolated on the n + 1
-# Chebyshev-Lobatto points x_j = cos(j pi/n), mapped to t = (1 + x)/2, and its
-# Chebyshev coefficients are weighted by the modified moments of (1 + x)^beta.
-# The nodes do not depend on beta, which may be complex, and the n-point set
-# is every other point of the 2n-point set.
+# Both integrals below are sampled on the n + 1 Chebyshev-Lobatto points
+# x_j = cos(j pi/n), mapped to t = (1 + x)/2 on [0, 1]; the n-point set is
+# every other point of the 2n-point set.
 #
-# A rule at n is checked against the rule at 2n: n doubles from
-# QUAD_MIN_NODES until the two agree to QUAD_RTOL relative (QUAD_ATOL
-# absolute, for values near 0), tested on real parts.  When 2n reaches
-# QUAD_MAX_NODES the 2n value stands unless the two still differ by more
-# than 1e-6*max(1, |value|).  The first check evaluates g once on the 2n + 1
-# points; each doubling evaluates only the new midpoints.
+# log L is an indefinite integral.  The cumulative rule integrates the
+# Chebyshev interpolant of its integrand term by term from t = 0 (Clenshaw
+# and Curtis 1960; Greengard 1991), one cached matrix per n, and so gives
+# log L at every node from one sample.  A transition factor is sampled once
+# on [0, h]: D00 reads L(h) at t = 1, and the Mellin tail over the same
+# [0, h] reads L at its own nodes.  A tail that doubles past the grid's n
+# adds only the new midpoints to the grid.
+#
+# The Mellin tail is int_0^1 t^beta g(t) dt with g smooth and
+# beta = k - alpha - 1 > -1, possibly complex.  The product rule weights
+# g's Chebyshev coefficients by the modified moments of (1 + x)^beta
+# (Piessens and Branders 1973; QUADPACK's DQMOMO); its nodes do not depend
+# on beta.
+#
+# Each rule at n is checked against the rule at 2n on the nodes they share:
+# n doubles from QUAD_MIN_NODES until the two agree to QUAD_RTOL relative
+# (QUAD_ATOL absolute, for values near 0), tested on real parts.  When 2n
+# reaches QUAD_MAX_NODES the 2n values stand unless the two still differ by
+# more than 1e-6*max(1, |value|).  The first check samples once on the
+# 2n + 1 points; each doubling samples only the new midpoints.
 
 QUAD_ATOL, QUAD_RTOL = 1e-12, 1e-10
 QUAD_MIN_NODES, QUAD_MAX_NODES = 32, 1024
+
+# A Sampler gives a function of t in [0, 1] at the Lobatto points
+# _chebyshev(n)[0][sl]: sl is _ALL, or _MIDPOINTS when n has just doubled.
+Sampler = Callable[[int, slice], np.ndarray]
+_ALL, _MIDPOINTS = slice(None), slice(1, None, 2)
 
 
 @lru_cache(maxsize=8)
@@ -234,6 +251,52 @@ def _chebyshev(n: int) -> tuple[np.ndarray, np.ndarray]:
     return 0.5 * (1.0 + cos[1]), (2.0 / n) * half[:, None] * cos * half
 
 
+@lru_cache(maxsize=8)
+def _cumulative(n: int) -> np.ndarray:
+    """The matrix that takes values at the n + 1 Lobatto points on [0, 1] to
+    the integral of their Chebyshev interpolant from 0 to each point."""
+    # int T_0 = T_1, int T_1 = T_2/4 and int T_k = T_{k+1}/(2(k+1)) -
+    # T_{k-1}/(2(k-1)), each up to a constant: anti takes coefficients a_k
+    # to those of the antiderivative in T_0..T_{n+1}
+    anti = np.zeros((n + 2, n + 1))
+    anti[1, 0] = 1.0
+    k = np.arange(1, n + 1)
+    anti[k + 1, k] = 1.0 / (2.0 * (k + 1))
+    k = np.arange(2, n + 1)
+    anti[k - 1, k] -= 1.0 / (2.0 * (k - 1))
+    j = np.arange(n + 1)
+    at_nodes = np.cos(np.pi * (np.outer(j, np.arange(n + 2)) % (2 * n)) / n)
+    # less the value at the last node, t = 0; dt = dx/2
+    return 0.5 * ((at_nodes - at_nodes[n]) @ anti) @ _chebyshev(n)[1]
+
+
+def _real_matmul(m: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """m @ v for a real matrix m.  A complex v is multiplied by parts, so the
+    real part of a complex step is the real product bit for bit."""
+    if np.iscomplexobj(v):
+        return m @ v.real + 1j * (m @ v.imag)
+    return m @ v
+
+
+def _divide(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a / b elementwise, with the real part of a complex step equal to the
+    real quotient bit for bit.
+
+    numpy divides complex numbers by a reciprocal, one ulp off the real
+    quotient in about a quarter of cases.  Here a real b divides each part,
+    and a complex b takes Smith's form with true divisions, as CPython
+    does: exact for Re b != 0, and accurate while |Im b| <= |Re b|, as for
+    a complex step.
+    """
+    if np.iscomplexobj(b):
+        ratio = b.imag / b.real
+        den = b.real + b.imag * ratio
+        return (a.real + a.imag * ratio) / den + 1j * ((a.imag - a.real * ratio) / den)
+    if np.iscomplexobj(a):
+        return a.real / b + 1j * (a.imag / b)
+    return a / b
+
+
 def _moments(beta, count: int) -> np.ndarray:
     """M_k = int_{-1}^{1} (1 + x)^beta T_k(x) dx for k < count, by the forward
     recurrence M_k = -(2^(beta+1) + k(k-beta-2) M_{k-1}) / ((k-1)(k+beta+1))."""
@@ -245,33 +308,58 @@ def _moments(beta, count: int) -> np.ndarray:
     return np.array(m[:count])
 
 
-def _fixed_rule(g: Callable[[np.ndarray], np.ndarray], beta, scale, what: str) -> np.ndarray:
-    """scale * int_0^1 t^beta g(t) dt elementwise, at the 2n-point rule for the
-    least n whose n-point value agrees with it.
+def _refined(sample: Sampler, values: np.ndarray) -> np.ndarray:
+    """The values at n + 1 Lobatto points completed to the 2n + 1 points."""
+    n = 2 * (values.size - 1)
+    mid = sample(n, _MIDPOINTS)
+    merged = np.empty(n + 1, dtype=np.result_type(values, mid))
+    merged[::2], merged[1::2] = values, mid
+    return merged
 
-    ``g`` takes an array of nodes and returns values with the nodes on the
-    last axis.  The n-point weights are the first n + 1 moments times the
-    values-to-coefficients matrix.
+
+def _doubling(sample: Sampler, rule: Callable[[np.ndarray], np.ndarray],
+              what: str) -> tuple[np.ndarray, np.ndarray]:
+    """The 2n-point result of ``rule`` for the least n whose n-point result
+    agrees with it, and the samples it was taken from.
+
+    ``rule`` takes the values at n + 1 Lobatto points and returns the
+    integral at the nodes it reports: every node, or only t = 1, the first.
+    Either way every other entry of the 2n-point result is a node of the
+    n-point rule.
     """
     n = 2 * QUAD_MIN_NODES
-    scale = scale / 2.0 ** (beta + 1.0)  # t^beta dt on [0, 1] is 2^-(beta+1) (1+x)^beta dx
-    moments = _moments(beta, n + 1)
-    values = g(_chebyshev(n)[0])
-    coarse = scale * (values[..., ::2] @ (moments[:n // 2 + 1] @ _chebyshev(n // 2)[1]))
+    values = sample(n, _ALL)
+    coarse = rule(values[::2])
     while True:
-        fine = scale * (values @ (moments @ _chebyshev(n)[1]))
-        err = np.abs((fine - coarse).real)
-        tol = np.maximum(QUAD_ATOL, QUAD_RTOL * np.abs(fine.real))
+        fine = rule(values)
+        shared = fine[::2]
+        err = np.abs((shared - coarse).real)
+        tol = np.maximum(QUAD_ATOL, QUAD_RTOL * np.abs(shared.real))
         if n >= QUAD_MAX_NODES or np.all(err <= tol):
             break
         n, coarse = 2 * n, fine
-        mid = g(_chebyshev(n)[0][1::2])
-        merged = np.empty(values.shape[:-1] + (n + 1,), dtype=np.result_type(values, mid))
-        merged[..., ::2], merged[..., 1::2] = values, mid
-        values, moments = merged, _moments(beta, n + 1)
-    if not np.all(np.isfinite(fine) & (err <= 1e-6 * np.maximum(1.0, np.abs(fine.real)))):
+        values = _refined(sample, values)
+    if not (np.all(np.isfinite(fine))
+            and np.all(err <= 1e-6 * np.maximum(1.0, np.abs(shared.real)))):
         raise NumericError(f"{what} did not converge (err={np.max(err):.2e})")
-    return fine
+    return fine, values
+
+
+def _fixed_rule(sample: Sampler, beta, scale, what: str):
+    """scale * int_0^1 t^beta g(t) dt, g given by ``sample``, by the product
+    rule: the first n + 1 moments times g's Chebyshev coefficients."""
+    scale = scale / 2.0 ** (beta + 1.0)  # t^beta dt on [0, 1] is 2^-(beta+1) (1+x)^beta dx
+    moments = _moments(beta, 2 * QUAD_MIN_NODES + 1)
+
+    def rule(values: np.ndarray) -> np.ndarray:
+        nonlocal moments
+        n = values.size - 1
+        if moments.size <= n:
+            moments = _moments(beta, n + 1)
+        # one row of moments: the integral at t = 1 only
+        return scale * (moments[None, :n + 1] @ _real_matmul(_chebyshev(n)[1], values))
+
+    return _doubling(sample, rule, what)[0][0]
 
 
 # ---------------------------------------------------------------------------
@@ -286,15 +374,24 @@ _SERIES_SWITCH = 1e-3  # below this, transition integrands are evaluated by seri
 _MELLIN_SWITCH = 0.02
 
 
-@dataclass(frozen=True)
 class _Transition:
-    """L(w) = exp int_0^w (num/den + shift) dt/t, with its Taylor series."""
+    """L(t) = exp int_0^t (num/den + shift) ds/s on the Lobatto points of
+    [0, w], with the Taylor series of L at 0.
 
-    num: np.ndarray
-    den: np.ndarray
-    shift: float
-    small: np.ndarray   # series of the integrand, used for |t| < _SERIES_SWITCH
-    series: np.ndarray  # series of L itself
+    The integrand is sampled once, and the cumulative rule gives log L at
+    every node.  ``at(n)`` hands a Mellin tail over [0, w] L at its own
+    nodes; past the grid's node count the grid samples only the new
+    midpoints.
+    """
+
+    def __init__(self, num: np.ndarray, den: np.ndarray, shift, small: np.ndarray,
+                 series: np.ndarray, w: float):
+        self.num, self.den, self.shift = num, den, shift
+        self.small = small    # series of the integrand, used for |t| < _SERIES_SWITCH
+        self.series = series  # series of L itself
+        self.w = w
+        log_l, self._values = _doubling(self._sample, self._log_l, "transition integral")
+        self._l = np.exp(log_l)
 
     def integrand(self, t: np.ndarray) -> np.ndarray:
         out = np.empty(t.shape, dtype=self.small.dtype)
@@ -302,19 +399,31 @@ class _Transition:
         out[small] = horner(self.small, t[small])
         big = ~small
         tb = t[big]
-        out[big] = (horner(self.num, tb) / horner(self.den, tb) + self.shift) / tb
+        out[big] = _divide(_divide(horner(self.num, tb), horner(self.den, tb)) + self.shift, tb)
         return out
 
-    def value(self, w):
-        """L at a float or at every entry of an array of w."""
-        w = np.asarray(w, dtype=float)
-        val = np.exp(_fixed_rule(lambda t: self.integrand(np.multiply.outer(w, t)), 0.0, w,
-                                 "transition integral"))
-        return scalar(val) if val.ndim == 0 else val
+    def _sample(self, n: int, sl: slice) -> np.ndarray:
+        return self.integrand(self.w * _chebyshev(n)[0][sl])
+
+    def _log_l(self, values: np.ndarray) -> np.ndarray:
+        return self.w * _real_matmul(_cumulative(values.size - 1), values)
+
+    def at(self, n: int) -> np.ndarray:
+        """L at the n + 1 Lobatto points of [0, w], from t = 1 down to 0."""
+        while self._values.size - 1 < n:
+            self._values = _refined(self._sample, self._values)
+            self._l = np.exp(self._log_l(self._values))
+        return self._l[::(self._values.size - 1) // n]
+
+    @property
+    def end(self):
+        """L(w)."""
+        return scalar(self._l[0])
 
 
-def _transition_data(chart: LocalChart, which: int, order: int = DEFAULT_ORDER) -> _Transition:
-    """Build the integrand data and series of L_which for the chart."""
+def _transition_data(chart: LocalChart, which: int, w: float,
+                     order: int = DEFAULT_ORDER) -> _Transition:
+    """L_which of the chart on [0, w], with its series to ``order``."""
     if which == 1:
         num = chart.p_poly[0, :]   # P(0, v)
         den = chart.q_poly[0, :]   # Q(0, v)
@@ -335,7 +444,7 @@ def _transition_data(chart: LocalChart, which: int, order: int = DEFAULT_ORDER) 
             "chart inconsistent with its hyperbolicity ratio")
     small = shifted[1:]  # (ratio + c)/t as a series, of order - 1
     log_l = np.concatenate(([0.0], small / np.arange(1, order + 1)))
-    return _Transition(num=num, den=den, shift=shiftc, small=small, series=series_exp(log_l))
+    return _Transition(num, den, shiftc, small, series_exp(log_l), w)
 
 
 def _germ_order(alpha: float) -> int:
@@ -348,25 +457,33 @@ def _germ_order(alpha: float) -> int:
     return max(DEFAULT_ORDER, math.ceil(alpha.real) + 10)
 
 
-def _m_germ(chart: LocalChart, which: int, trans: _Transition,
-            ) -> tuple[Callable[[np.ndarray], np.ndarray], np.ndarray]:
-    """M1 = L1 * d(P/Q)/du at (0,v);  M2 = L2 * d(Q/P)/dv at (u,0): a callable
-    on arrays and its Taylor series, to the order of L."""
+def _first_order(c: np.ndarray) -> np.ndarray:
+    """Row 1 of c, the first-order coefficients in its row variable; zeros
+    when c has one row."""
+    return c[1] if c.shape[0] > 1 else np.zeros_like(c[0])
+
+
+def _m_germ(chart: LocalChart, which: int, trans: _Transition) -> tuple[Sampler, np.ndarray]:
+    """M1 = L1 * d(P/Q)/du at (0,v);  M2 = L2 * d(Q/P)/dv at (u,0): a Sampler
+    on the transition's grid and its Taylor series, to the order of L."""
     order = trans.series.size - 1
     p, q = chart.p_poly, chart.q_poly
     # trans.num/trans.den are the ratio restricted to the axis; d_num/d_den
     # their partials across it: P_x, Q_x at u = 0, or Q_y, P_y at v = 0
     if which == 1:
-        d_num, d_den = P.polyder(p, axis=0)[0, :], P.polyder(q, axis=0)[0, :]
+        d_num, d_den = _first_order(p), _first_order(q)
     else:
-        d_num, d_den = P.polyder(q, axis=1)[:, 0], P.polyder(p, axis=1)[:, 0]
-    num = P.polysub(P.polymul(d_num, trans.den), P.polymul(trans.num, d_den))
-    den = P.polymul(trans.den, trans.den)
+        d_num, d_den = _first_order(q.T), _first_order(p.T)
+    a, b = np.convolve(d_num, trans.den), np.convolve(trans.num, d_den)
+    top = max(a.size, b.size) - 1
+    num = padded(a, top) - padded(b, top)
+    den = np.convolve(trans.den, trans.den)
 
     m_series = np.convolve(trans.series, series_div(num, den, order))[:order + 1]
 
-    def fun(w: np.ndarray) -> np.ndarray:
-        return trans.value(w) * horner(num, w) / horner(den, w)
+    def fun(n: int, sl: slice) -> np.ndarray:
+        w = trans.w * _chebyshev(n)[0][sl]
+        return trans.at(n)[sl] * _divide(horner(num, w), horner(den, w))
 
     return fun, m_series
 
@@ -382,13 +499,12 @@ def _check_pole(alpha: float) -> None:
                         f"of the pole at {int(nearest)}")
 
 
-def mellin_hat(f: Callable[[np.ndarray], np.ndarray], series, alpha: float,
-               x: float) -> float:
+def mellin_hat(f: Sampler, series, alpha: float, x: float) -> float:
     """Incomplete Mellin transform: the smooth solution of x g' - alpha g = f.
 
-    ``f`` takes and returns numpy arrays; ``series`` holds its Taylor
-    coefficients at 0.  Evaluated as the Taylor head
-    sum_{i<k} c_i x^i/(i - alpha) plus
+    ``f`` is a Sampler of f(x*t), f on the Lobatto points of [0, x];
+    ``series`` holds its Taylor coefficients at 0.  Evaluated as the Taylor
+    head sum_{i<k} c_i x^i/(i - alpha) plus
     |x|^alpha int_0^x (f - T_{k-1}f)(s) |s|^{-alpha} ds/s with k the Taylor
     order chosen above alpha + 1.  The tail integrand is s^beta h(s) with
     beta = k - alpha - 1 > -1 and h = (f - T_{k-1}f)/s^k smooth, so it is
@@ -406,16 +522,18 @@ def mellin_hat(f: Callable[[np.ndarray], np.ndarray], series, alpha: float,
 
     switch = min(_MELLIN_SWITCH * max(1.0, x), 0.5 * x)
 
-    def h(s: np.ndarray) -> np.ndarray:
+    def h(n: int, sl: slice) -> np.ndarray:
+        s = x * _chebyshev(n)[0][sl]
+        fs = f(n, sl)
         out = np.empty(s.shape, dtype=coeffs.dtype)
         small = s < switch
         out[small] = horner(coeffs[k:], s[small])  # the series tail
         big = ~small
         sb = s[big]
-        out[big] = (f(sb) - horner(taylor, sb)) / sb**k
+        out[big] = _divide(fs[big] - horner(taylor, sb), sb**k)
         return out
 
-    val = _fixed_rule(lambda t: h(x * t), beta, x**(beta + 1.0), "Mellin tail quadrature")
+    val = _fixed_rule(h, beta, x**(beta + 1.0), "Mellin tail quadrature")
     return scalar(head + x**alpha * val)
 
 
@@ -470,10 +588,9 @@ def dulac_coefficients(chart: LocalChart, h_in: float, h_out: float) -> DulacExp
     lam = chart.lam
     chart.check_footprint(max(h_in, h_out) * 1.05)
 
-    t1 = _transition_data(chart, 1, _germ_order(1.0 / lam))
-    t2 = _transition_data(chart, 2, _germ_order(lam))
-    l1 = t1.value(h_in)
-    l2 = t2.value(h_out)
+    t1 = _transition_data(chart, 1, h_in, _germ_order(1.0 / lam))
+    t2 = _transition_data(chart, 2, h_out, _germ_order(lam))
+    l1, l2 = t1.end, t2.end
     d00 = (h_in / l1**lam) * (l2 / h_out**lam)
 
     case = classify_ratio(lam)

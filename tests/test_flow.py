@@ -491,7 +491,8 @@ def coefficient_arrays(draw, elements=FINITE):
 
 class TestGeneratedField:
     """field_callable and chart_field compile one Horner expression per
-    field; its values are those of the nested loop."""
+    coefficient array, cut into statements when it nests too deep; its
+    values are those of the nested loop."""
 
     @staticmethod
     def assert_same(fields, arrays, points):
@@ -527,6 +528,17 @@ class TestGeneratedField:
                                    np.array([[math.nan]]), np.array([[0.0, -math.inf]])])
     def test_small_arrays(self, c):
         points = [(1.5, -2.0), (0.0, 0.0), (-0.0, 3.0)]
+        self.assert_same((field_callable(c, c.T), loop_field(c, c.T)), c, points)
+        chart = make_chart(c, c.T)
+        self.assert_same((chart_field(chart), loop_chart_field(chart)), c, points)
+
+    def test_high_degree_array(self):
+        # degrees in x and y summing to 240 nest deeper than the 200
+        # parentheses Python parses in one expression
+        rng = np.random.default_rng(121)
+        c = rng.uniform(-1.0, 1.0, size=(121, 121))
+        c[rng.random(c.shape) < 0.2] = 0.0
+        points = [(0.7, -0.9), (-0.95, 0.4), (0.0, 0.99)]
         self.assert_same((field_callable(c, c.T), loop_field(c, c.T)), c, points)
         chart = make_chart(c, c.T)
         self.assert_same((chart_field(chart), loop_chart_field(chart)), c, points)

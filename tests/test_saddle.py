@@ -45,6 +45,36 @@ def linear_saddle(lam, **kwargs):
                             (0.0, 0.0), (0.0, 1.0), (1.0, 0.0), **kwargs)
 
 
+NONLINEAR = ("x*(1 + 0.3*x - 0.2*y)", "-y*(2 - 0.1*x + 0.4*y)")
+
+
+def nonlinear_chart(step=0.0):
+    """A saddle with quadratic corrections and lam = 2; a complex ``step``
+    lowers the y coefficient of y', so that Q(0, 0) = -(2 + step)."""
+    fx, fy = poly(NONLINEAR[0]), poly(NONLINEAR[1])
+    if step:
+        fy = fy.astype(complex)
+        fy[0, 1] -= step
+    return normalize_saddle(fx, fy, (0.0, 0.0), (0.0, 1.0), (1.0, 0.0))
+
+
+def mp_log_l(chart, which, lo, hi, e=0):
+    """int_lo^hi of L's integrand at mpmath's working precision, for the
+    real chart with Q(0, 0) lowered by e."""
+    p, q = chart.p_poly, chart.q_poly
+    num, den = (p[0, :], q[0, :]) if which == 1 else (q[:, 0], p[:, 0])
+    a, b = [mpmath.mpf(float(c)) for c in num], [mpmath.mpf(float(c)) for c in den]
+    (b if which == 1 else a)[0] -= e
+    # (num/den + shift)/t, shift cancelling the constant term, as one
+    # polynomial over t*den
+    shift = -a[0] / b[0]
+    size = max(len(a), len(b))
+    a, b = a + [0] * (size - len(a)), b + [0] * (size - len(b))
+    top, bottom = [x + shift * y for x, y in zip(a, b)][:0:-1], b[::-1]
+    return mpmath.quad(lambda t: mpmath.polyval(top, t) / mpmath.polyval(bottom, t),
+                       [mpmath.mpf(float(lo)), mpmath.mpf(float(hi))])
+
+
 class TestNormalize:
     def test_linear_chart_frame(self):
         chart = linear_saddle(1.5)
@@ -226,24 +256,24 @@ class TestLinearClosedForms:
         assert exp.leading == pytest.approx(0.3 * 0.7 ** -1.5, rel=1e-12)
 
     def test_transition_factors_trivial(self):
-        data = _transition_data(linear_saddle(1.5), 1)
-        value, series = data.value(0.5), data.series
-        assert value == pytest.approx(1.0, rel=1e-12)
+        data = _transition_data(linear_saddle(1.5), 1, 0.5)
+        assert data.end == pytest.approx(1.0, rel=1e-12)
+        np.testing.assert_allclose(data.at(64), 1.0, rtol=1e-12)
+        series = data.series
         assert series[0] == pytest.approx(1.0)
         np.testing.assert_allclose(series[1:], 0.0, atol=1e-15)
 
     def test_transition_on_an_array(self):
-        chart = normalize_saddle(poly("x*(1 + 0.3*x - 0.2*y)"),
-                                 poly("-y*(2 - 0.1*x + 0.4*y)"),
-                                 (0.0, 0.0), (0.0, 1.0), (1.0, 0.0))
+        # L at the grid's nodes equals L from a grid ending at each node
+        chart = nonlinear_chart()
+        nodes = 0.5 * saddle._chebyshev(64)[0]
         for which in (1, 2):
-            data = _transition_data(chart, which)
-            w = np.array([0.0, 5e-4, 0.1, 0.3, 0.5])
-            values = data.value(w)
-            assert values.shape == w.shape
-            np.testing.assert_allclose(values, [data.value(float(v)) for v in w],
-                                       rtol=1e-14)
-            assert values[0] == 1.0 and values[2] != 1.0
+            values = _transition_data(chart, which, 0.5).at(64)
+            assert values.shape == nodes.shape
+            for j in (0, 5, 20, 40, 60, 63):
+                assert values[j] == pytest.approx(
+                    _transition_data(chart, which, nodes[j]).end, rel=1e-14)
+            assert values[-1] == 1.0 and values[0] != 1.0
 
     def test_resonant_corner(self):
         exp = dulac_coefficients(linear_saddle(1.0), 0.5, 0.5)
@@ -255,12 +285,63 @@ class TestLinearClosedForms:
         assert any("leading term only" in note for note in exp.notes)
 
 
+class TestTransitionGrid:
+    """L at the Lobatto points of [0, w], from one sample of its integrand."""
+
+    NODES = 0.5 * saddle._chebyshev(64)[0]  # from t = 1 down to 0
+
+    def test_every_node_matches_mpmath(self):
+        chart = nonlinear_chart()
+        for which in (1, 2):
+            got = _transition_data(chart, which, 0.5).at(64)
+            with mpmath.workdps(30):
+                log_l = mpmath.mpf(0)
+                for j in range(63, -1, -1):
+                    log_l += mp_log_l(chart, which, self.NODES[j + 1], self.NODES[j])
+                    assert got[j] == pytest.approx(float(mpmath.exp(log_l)), rel=1e-13)
+            assert got[64] == 1.0
+
+    def test_complex_step_matches_mpmath_derivative(self):
+        real, stepped = nonlinear_chart(), nonlinear_chart(1e-30j)
+        for which in (1, 2):
+            got = _transition_data(stepped, which, 0.5).at(64)
+            with mpmath.workdps(30):
+                for j in (0, 3, 10, 20, 32, 45, 56, 62, 64):
+                    s = self.NODES[j]
+                    d_log_l = mpmath.diff(lambda e: mp_log_l(real, which, 0.0, s, e), 0)
+                    want = float(mpmath.exp(mp_log_l(real, which, 0.0, s)) * d_log_l)
+                    assert abs(got[j].imag / 1e-30 - want) <= 1e-10 * max(1.0, abs(want))
+
+    def test_refinement_samples_only_the_midpoints(self, monkeypatch):
+        data = _transition_data(nonlinear_chart(), 1, 0.5)
+        coarse = data.at(64).copy()
+        calls = []
+        integrand = saddle._Transition.integrand
+
+        def counted(self, t):
+            calls.append(t.shape)
+            return integrand(self, t)
+
+        monkeypatch.setattr(saddle._Transition, "integrand", counted)
+        fine = data.at(128)
+        assert calls == [(64,)]
+        np.testing.assert_allclose(fine[::2], coarse, rtol=1e-14)
+        np.testing.assert_array_equal(data.at(64), fine[::2])
+
+    def test_unconverged_rule_raises(self, monkeypatch):
+        # Q(0, y) = -1 + 1.98 y vanishes at y = 0.505, just past the grid:
+        # 32 against 64 nodes differ by about 1e-3
+        chart = LocalChart(p_poly=poly("1"), q_poly=poly("-1 + 1.98*y"), lam=1.0,
+                           corner=(0.0, 0.0), linear=((1.0, 0.0), (0.0, 1.0)))
+        assert _transition_data(chart, 1, 0.5).end > 0.0
+        monkeypatch.setattr(saddle, "QUAD_MAX_NODES", 64)
+        with pytest.raises(NumericError, match="transition integral did not converge"):
+            _transition_data(chart, 1, 0.5)
+
+
 @pytest.fixture(scope="module")
 def quad_expansion():
-    chart = normalize_saddle(poly("x*(1 + 0.3*x - 0.2*y)"),
-                             poly("-y*(2 - 0.1*x + 0.4*y)"),
-                             (0.0, 0.0), (0.0, 1.0), (1.0, 0.0))
-    return dulac_coefficients(chart, 0.5, 0.5)
+    return dulac_coefficients(nonlinear_chart(), 0.5, 0.5)
 
 
 class TestQuadraticSaddle:
@@ -283,6 +364,11 @@ class TestQuadraticSaddle:
         assert any(note.startswith("S2 unavailable") for note in quad_expansion.notes)
 
 
+def mellin(fun, series, alpha, x):
+    """mellin_hat of a function of s, sampled on the rule's nodes."""
+    return mellin_hat(lambda n, sl: fun(x * saddle._chebyshev(n)[0][sl]), series, alpha, x)
+
+
 class TestMellin:
     """The transform solves x*g' - alpha*g = f with g smooth at 0."""
 
@@ -294,16 +380,16 @@ class TestMellin:
 
     def test_monomial_solutions(self):
         g = self.monomial(2)
-        assert mellin_hat(*g, 0.5, 0.3) == pytest.approx(0.3 ** 2 / 1.5, rel=1e-12)
-        assert mellin_hat(*g, 1.7, 0.4) == pytest.approx(0.4 ** 2 / 0.3, rel=1e-12)
-        assert mellin_hat(*g, -0.5, 0.3) == pytest.approx(0.3 ** 2 / 2.5, rel=1e-12)
+        assert mellin(*g, 0.5, 0.3) == pytest.approx(0.3 ** 2 / 1.5, rel=1e-12)
+        assert mellin(*g, 1.7, 0.4) == pytest.approx(0.4 ** 2 / 0.3, rel=1e-12)
+        assert mellin(*g, -0.5, 0.3) == pytest.approx(0.3 ** 2 / 2.5, rel=1e-12)
 
     def test_defining_ode(self):
         coeffs = [1.0 / math.factorial(k) for k in range(13)]
         alpha, x, h = 0.37, 0.4, 1e-5
-        deriv = (mellin_hat(np.exp, coeffs, alpha, x + h)
-                 - mellin_hat(np.exp, coeffs, alpha, x - h)) / (2.0 * h)
-        assert x * deriv - alpha * mellin_hat(np.exp, coeffs, alpha, x) == pytest.approx(
+        deriv = (mellin(np.exp, coeffs, alpha, x + h)
+                 - mellin(np.exp, coeffs, alpha, x - h)) / (2.0 * h)
+        assert x * deriv - alpha * mellin(np.exp, coeffs, alpha, x) == pytest.approx(
             math.exp(x), rel=1e-6)
 
     @pytest.mark.parametrize("alpha", [0.37, 1.5, 2.7])
@@ -312,7 +398,7 @@ class TestMellin:
         coeffs = [1.0 / math.factorial(k) for k in range(17)]
         for x in (0.4, 0.9):
             exact = math.fsum(x**i / (math.factorial(i) * (i - alpha)) for i in range(40))
-            assert mellin_hat(np.exp, coeffs, alpha, x) == pytest.approx(exact, rel=1e-13)
+            assert mellin(np.exp, coeffs, alpha, x) == pytest.approx(exact, rel=1e-13)
 
     def test_rough_germ_fails_the_node_doubling_check(self):
         # a jump at s = 0.2: the rules hardly converge, and 512 against
@@ -321,20 +407,20 @@ class TestMellin:
             return np.where(s > 0.2, 1.0, 0.0)
 
         with pytest.raises(NumericError, match="Mellin tail quadrature did not converge"):
-            mellin_hat(step, [0.0] * 3, 0.5, 0.4)
+            mellin(step, [0.0] * 3, 0.5, 0.4)
 
     def test_pole_guards(self):
         g = self.monomial(2)
         with pytest.raises(PoleError, match="pole at 1"):
-            mellin_hat(*g, 1.0 + 5e-7, 0.3)
+            mellin(*g, 1.0 + 5e-7, 0.3)
         with pytest.raises(PoleError, match="pole at 0"):
-            mellin_hat(*g, 3e-7, 0.3)
+            mellin(*g, 3e-7, 0.3)
         # negative integers are not poles of the smooth solution
-        assert mellin_hat(*g, -1.0, 0.3) == pytest.approx(0.3 ** 2 / 3.0, rel=1e-12)
+        assert mellin(*g, -1.0, 0.3) == pytest.approx(0.3 ** 2 / 3.0, rel=1e-12)
 
     def test_domain_guard(self):
         with pytest.raises(ValueError, match="expects x > 0"):
-            mellin_hat(*self.monomial(2), 0.5, 0.0)
+            mellin(*self.monomial(2), 0.5, 0.0)
 
 
 # frozen via a direct run of the closed-form route; the numeric
@@ -419,12 +505,11 @@ def test_slow_point_in_budget(game_mf):
 
 
 def test_one_integrand_pass_per_rule_pair(game_mf, monkeypatch):
-    # four corners, each with L1 and L2 and two Mellin tails over an M germ
-    # (which calls L on the tail's nodes): eight transition values and eight
-    # tails, all converging at 32 against 64 nodes, so 16 integrand passes;
-    # a separate pass per rule would make 48.  Each pass covers the 65
-    # points of the 64-node rule, every other one of which is the 32-node
-    # rule (Gauss rules shared no nodes and needed 96)
+    # four corners, each with L1 on [0, h_in] and L2 on [0, h_out]: one
+    # pass per transition over the 65 points of the 64-node rule, every
+    # other one of which is the 32-node rule.  D00 and both Mellin tails,
+    # which converge at 32 against 64 nodes, read L from those grids, so
+    # the transition integrand is sampled at 520 points in all
     calls = []
     integrand = saddle._Transition.integrand
 
@@ -434,8 +519,7 @@ def test_one_integrand_pass_per_rule_pair(game_mf, monkeypatch):
 
     monkeypatch.setattr(saddle._Transition, "integrand", counted)
     build_corners(bind(game_mf))
-    assert len(calls) == 16
-    assert all(shape[-1] == 65 for shape in calls)
+    assert calls == [(65,)] * 8
 
 
 @pytest.mark.parametrize("beta", [0.0, 1.0, 1.5, 1.999, 1.3 + 1e-30j])
@@ -451,6 +535,32 @@ def test_moments_match_mpmath(beta):
             assert abs(got[k].real - float(mpmath.re(ref))) <= 4e-15 * max(1.0, abs(ref))
             d_ref = float(mpmath.im(ref)) / 1e-30
             assert abs(got[k].imag / 1e-30 - d_ref) <= 1e-13 * max(1.0, abs(d_ref))
+
+
+def test_complex_step_quotients_keep_the_real_quotient():
+    # numpy divides complex numbers by a reciprocal, one ulp off the real
+    # quotient in about a quarter of cases; _divide's real part is the real
+    # quotient bit for bit, on arrays and on numpy scalars
+    rng = np.random.default_rng(3)
+    a, b = rng.uniform(-3.0, 3.0, 400), rng.uniform(0.5, 3.0, 400)
+    da, db = rng.uniform(-1.0, 1.0, 400), rng.uniform(-1.0, 1.0, 400)
+    h = 1e-30
+    for den, d_den in ((b + 1j * h * db, db), (b, 0.0 * db)):
+        q = saddle._divide(a + 1j * h * da, den)
+        assert q.real.tolist() == (a / b).tolist()
+        np.testing.assert_allclose(q.imag / h, (da * b - a * d_den) / b**2, rtol=1e-14)
+        assert [saddle._divide(np.complex128(x), y).real for x, y in zip(a + 1j * h * da, den)] \
+            == (a / b).tolist()
+
+
+def test_cumulative_rule_weights():
+    # the cumulative rule integrates t^j exactly from 0 to every node, for
+    # j up to the rule's degree
+    t = saddle._chebyshev(32)[0]
+    cumulative = saddle._cumulative(32)
+    for j in (0, 1, 7, 32):
+        np.testing.assert_allclose(cumulative @ t**j, t**(j + 1) / (j + 1), rtol=1e-14, atol=1e-16)
+    assert not cumulative[32].any()  # nothing is integrated up to t = 0
 
 
 def test_product_rule_weights():

@@ -68,3 +68,36 @@ class TestFunctions:
         assert e.dtype == np.complex128
         # d/da of a^k / k! is a^(k-1) / (k-1)! at a = 1
         np.testing.assert_allclose(e.imag / h, [0.0, 1.0, 1.0, 0.5, 1.0 / 6.0], rtol=1e-14)
+
+    def test_recurrences_are_the_numpy_scalar_loops(self):
+        # bit-identical on real coefficients to the loops over numpy scalars
+        # that visit every denominator term, zeros included
+        def div_loop(f, g, order):
+            f, g = padded(f, order), padded(g, order)
+            q = np.zeros(order + 1)
+            for n in range(order + 1):
+                acc = f[n]
+                for i in range(1, n + 1):
+                    acc -= g[i] * q[n - i]
+                q[n] = acc / g[0]
+            return q
+
+        def exp_loop(f):
+            e = np.zeros(f.size)
+            e[0] = np.exp(f[0])
+            for m in range(1, f.size):
+                acc = 0.0
+                for k in range(1, m + 1):
+                    acc += k * f[k] * e[m - k]
+                e[m] = acc / m
+            return e
+
+        rng = np.random.default_rng(11)
+        for _ in range(200):
+            order = int(rng.integers(0, 24))
+            f, g = rng.normal(size=rng.integers(1, 8)), rng.normal(size=rng.integers(1, 8))
+            f[rng.random(f.size) < 0.3] = 0.0
+            g[1:][rng.random(g.size - 1) < 0.4] = 0.0
+            assert series_div(f, g, order).tolist() == div_loop(f, g, order).tolist()
+            e = 0.5 * rng.normal(size=order + 1)
+            assert series_exp(e).tolist() == exp_loop(e).tolist()
