@@ -1,17 +1,20 @@
 """Algebra of Dulac-type expansions along a polycycle.
 
 A corner map is s^ratio(leading + c s^omega + remainder); this module
-composes such maps, inverts them, and assembles the two-term expansion of
-the full return map and of the displacement function from per-corner data.
-Only maps with a plain second term compose or invert: a factor truncated
-to leading order, or one whose second term is a compensator, is refused.
-When two second-order candidates meet, one rule (``_collide``) keeps the
-bookkeeping: distinct exponents keep the smaller one, bit-equal exponents
-add their coefficients (resonance), and exponents that agree only to
-within a dead band are kept jointly through a compensator term, the
-scale-correct stand-in for the logarithm that appears at the resonance
-itself.  Ratios and coefficients may be complex (a complex step); every
-comparison, and the remainder interval ``ell``, is taken on real parts.
+composes such maps and inverts them.  The two-term expansions of the full
+return map and of the displacement function are assembled by one
+composition fold over the corners, for every arrangement of expanding and
+contracting corners; the arrangement only labels the result.  A factor
+truncated to leading order does not compose, and a compensator-form one
+only as the first factor, when the second factor's term lands clearly
+below it.  When two second-order candidates meet, one rule (``_collide``)
+keeps the bookkeeping: distinct exponents keep the smaller one, bit-equal
+exponents add their coefficients (resonance), and exponents that agree
+only to within a dead band are kept jointly through a compensator term,
+the scale-correct stand-in for the logarithm that appears at the
+resonance itself.  Ratios and coefficients may be complex (a complex
+step); every comparison, and the remainder interval ``ell``, is taken on
+real parts.
 """
 from __future__ import annotations
 
@@ -61,40 +64,6 @@ class CompensatorTerm:
 
 
 # ---------------------------------------------------------------------------
-# Iterated products over a corner chain (1-based corner indices)
-
-
-def lambda_product(lams: Sequence[float], i: int, k: int) -> float:
-    """Product of the hyperbolicity ratios with index i+1 through k."""
-    if not 0 <= i <= k <= len(lams):
-        raise ValueError(f"need 0 <= i <= k <= {len(lams)}, got i={i}, k={k}")
-    out = 1.0
-    for lam in lams[i:k]:
-        out *= lam
-    return out
-
-
-def a_product(lams: Sequence[float], d00s: Sequence[float], j: int, k: int) -> float:
-    """Leading coefficient of the chain D_k o ... o D_j: prod_i D00_i^(Lam_{i,k})."""
-    if not 1 <= j <= k + 1 or k > len(lams):
-        raise ValueError(f"need 1 <= j <= k+1 <= {len(lams) + 1}, got j={j}, k={k}")
-    out = 1.0
-    for i in range(j, k + 1):
-        out *= d00s[i - 1] ** lambda_product(lams, i, k)
-    return out
-
-
-def a_star(lams: Sequence[float], d00s: Sequence[float], j: int, k: int) -> float:
-    """Leading coefficient of the inverse chain (D_k o ... o D_j)^(-1)."""
-    if not 1 <= j <= k + 1 or k > len(lams):
-        raise ValueError(f"need 1 <= j <= k+1 <= {len(lams) + 1}, got j={j}, k={k}")
-    out = 1.0
-    for l in range(j, k + 1):
-        out *= d00s[l - 1] ** (-1.0 / lambda_product(lams, j - 1, l))
-    return out
-
-
-# ---------------------------------------------------------------------------
 # Composition and inversion
 
 
@@ -102,6 +71,11 @@ def _merge_ell(hi_candidates: Sequence[float], lo: float) -> tuple[float, float]
     his = [h.real for h in hi_candidates if h is not None and math.isfinite(h.real)]
     hi = min(his) if his else lo.real
     return (lo.real, max(hi, lo.real))
+
+
+def _clear_below(e_lo: float, e_hi: float) -> bool:
+    """True when e_lo lies below e_hi by more than the dead band."""
+    return (e_hi - e_lo).real > EXPONENT_DEAD_BAND * max(1.0, abs(e_lo.real))
 
 
 def _collide(cand1: tuple, cand2: tuple,
@@ -114,32 +88,36 @@ def _collide(cand1: tuple, cand2: tuple,
     inside the dead band give a compensator term and no plain coefficient.
     """
     (e_lo, c_lo), (e_hi, c_hi) = sorted([cand1, cand2], key=lambda t: t[0].real)
-    gap = (e_hi - e_lo).real
-    scale = max(1.0, abs(e_lo.real))
-    if gap <= EXPONENT_TIE_REL * scale:
+    if _clear_below(e_lo, e_hi):
+        return e_lo, c_lo, None, e_hi
+    if (e_hi - e_lo).real <= EXPONENT_TIE_REL * max(1.0, abs(e_lo.real)):
         return e_lo, c_lo + c_hi, None, None
-    if gap <= EXPONENT_DEAD_BAND * scale:
-        return e_lo, None, CompensatorTerm(exponent=e_lo, alpha=e_lo - e_hi,
-                                           plain=c_lo, wrapped=c_hi), None
-    return e_lo, c_lo, None, e_hi
+    return e_lo, None, CompensatorTerm(exponent=e_lo, alpha=e_lo - e_hi,
+                                       plain=c_lo, wrapped=c_hi), None
 
 
 def compose_pair(d1: DulacExpansion, d2: DulacExpansion) -> DulacExpansion:
     """Two-term expansion of d2 o d1.
 
     Second-order candidates arrive from each factor and meet by
-    ``_collide``.  Both factors need a plain second term.  The remainder
-    interval is combined conservatively by min/max rules.
+    ``_collide``.  Both factors need a plain second term, with one
+    exception: a compensator-form d1 composes when d2's candidate lands
+    below its exponent, outside the dead band, and the joint term is then
+    the beaten remainder bound.  The remainder interval is combined
+    conservatively by min/max rules.
     """
-    if d1.next_coeff is None or d2.next_coeff is None:
-        raise ValueError("compensator-form or truncated factors cannot be composed further; "
-                         "assemble return maps from corner data instead")
     nu1, a1 = d1.ratio, d1.leading
     nu2, a2 = d2.ratio, d2.leading
     w1, c1 = d1.next_exponent, d1.next_coeff
     w2, c2 = d2.next_exponent, d2.next_coeff
-    exponent, coeff, comp, beaten = _collide((w1, nu2 * a1 ** (nu2 - 1.0) * a2 * c1),
-                                             (nu1 * w2, a1 ** (nu2 + w2) * c2))
+    if c2 is None or (c1 is None and (d1.comp is None or not _clear_below(nu1 * w2, w1))):
+        raise ValueError("compensator-form or truncated factors cannot be composed further; "
+                         "assemble return maps from corner data instead")
+    cand2 = (nu1 * w2, a1 ** (nu2 + w2) * c2)
+    if c1 is None:
+        (exponent, coeff), comp, beaten = cand2, None, w1
+    else:
+        exponent, coeff, comp, beaten = _collide((w1, nu2 * a1 ** (nu2 - 1.0) * a2 * c1), cand2)
     # remainder candidates beyond the kept second-order terms
     hi_bounds = [d1.ell[1], nu1 * d2.ell[1], 2.0 * w1, w1 + nu1 * w2, beaten]
     return DulacExpansion(ratio=nu1 * nu2, leading=a1**nu2 * a2,
@@ -183,11 +161,14 @@ def inverse_dulac(d: DulacExpansion) -> DulacExpansion:
 class ReturnExpansion:
     """Two-term data of the full return map s^ratio(leading + second + ...).
 
-    ``kind`` names the closed form that produced the second term: "A" for
-    the resonant below-then-above collision, "B" for the expanding-block
-    coefficient at offset 1, "C" for the contracting-block coefficient at
-    offset ratio, "compensator" when B and C compete at ratio near 1, and
-    "fold" when the pattern required the generic composition fallback.
+    The numbers come from the composition fold.  ``kind`` labels the
+    second term by the above/below pattern of the corners: "A" for the
+    resonant collision (below-then-above, or an exact tie at exponent 1),
+    "B" for the term at exponent 1 (expanding corners lead), "C" for the
+    term at exponent ratio (contracting corners close), "compensator"
+    when two terms share a dead band, and "fold" for an interleaved
+    pattern.  ``second_scale`` is the magnitude of the prefactor of that
+    term, the scale against which the verdict tests it for zero.
     """
 
     pattern: str
@@ -235,60 +216,50 @@ def _pattern_of(cases: Sequence[str]) -> tuple[str, int | None]:
 def return_expansion(ds: Sequence[DulacExpansion]) -> ReturnExpansion:
     """Assemble the return-map expansion of a corner chain.
 
-    Block patterns get their principal second-order coefficient in closed
-    form from the corner data; an arrangement with several sign changes
-    falls back to the composition fold.  Every pattern takes its remainder
-    interval from the fold when the fold can be built.  A chain containing
-    a resonant corner is truncated to leading order without one.
+    The ratio, leading coefficient, second term and remainder interval all
+    come from the composition fold; the pattern of the corners sets only
+    ``kind`` and ``second_scale``.  When the fold cannot be built, because
+    of a resonant corner or a near-resonant collision inside the chain,
+    the map is truncated to leading order.
     """
     if not ds:
         raise ValueError("empty corner chain")
-    n = len(ds)
-    lams = [d.ratio for d in ds]
-    d00s = [d.leading for d in ds]
-    r = lambda_product(lams, 0, n)
-    leading = a_product(lams, d00s, 1, n)
     pattern, split = _pattern_of([d.case for d in ds])
-    notes: tuple[str, ...] = tuple(dict.fromkeys(sum((d.notes for d in ds), ())))
-    fold = kind = exponent = coeff = comp = None
-    scale, ell = 1.0, (0.0, min(lambda_product(lams, i, n).real for i in range(n + 1)))
-    if pattern == "degenerate":
-        notes = notes + ("resonant corner present: return map truncated to leading order",)
-    else:
-        try:
-            fold = compose_chain(ds)
-            ell = fold.ell
-        except ValueError:
-            pass
-
-    if pattern == "above-block":
-        kind, exponent, coeff, scale = "B", 1.0, r * leading * ds[0].s1, abs(r * leading)
-    elif pattern == "below-block":
-        kind, exponent, coeff, scale = "C", r, -(leading**2) * ds[-1].s2, leading**2
-    elif pattern == "below-then-above":
-        prefactor = lambda_product(lams, split, n) * a_product(lams, d00s, 1, split) * leading
-        kind, exponent, scale = "A", lambda_product(lams, 0, split), abs(prefactor)
-        coeff = prefactor * (ds[split].s1 - ds[split - 1].s2)
-    elif pattern == "above-then-below":
-        exponent, coeff, comp, beaten = _collide((1.0, r * leading * ds[0].s1),
-                                                 (r, -(leading**2) * ds[-1].s2))
-        if beaten is None:  # both terms kept: a tie, or a compensator in the dead band
-            scale = max(abs(r * leading), abs(leading**2))
-            # r may be 1 +- an ulp, so a tie is reported at exactly 1
-            kind, exponent = ("A", 1.0) if comp is None else ("compensator", None)
-        elif r.real > 1.0:
-            kind, scale = "B", abs(r * leading)
+    notes = tuple(dict.fromkeys(sum((d.notes for d in ds), ())))
+    try:
+        fold = compose_chain(ds)
+    except ValueError:
+        r, leading = 1.0, 1.0
+        for d in ds:
+            r, leading = r * d.ratio, leading ** d.ratio * d.leading
+        if pattern == "degenerate":
+            lams = [d.ratio for d in ds]
+            ell = (0.0, min(math.prod(lams[i:], start=1.0).real for i in range(len(ds) + 1)))
+            note = "resonant corner present: return map truncated to leading order"
         else:
-            kind, scale = "C", leading**2
-    elif pattern == "interleaved" and fold is None:
-        ell = (0.0, 0.0)
-        notes = notes + ("near-resonant internal collision: leading order only",)
-    elif pattern == "interleaved":
-        kind, exponent, coeff, comp = "fold", fold.next_exponent, fold.next_coeff, fold.comp
+            ell, note = (0.0, 0.0), "near-resonant internal collision: leading order only"
+        return ReturnExpansion(pattern=pattern, ratio=r, leading=leading, ell=ell,
+                               split=split, notes=notes + (note,))
+
+    r, leading, exponent = fold.ratio, fold.leading, fold.next_exponent
+    b_scale, c_scale = abs(r * leading), leading**2
+    if pattern == "interleaved":
+        kind, scale = "fold", 1.0
         notes = notes + ("interleaved pattern: second term from generic composition",)
+    elif fold.comp is not None:
+        kind, exponent, scale = "compensator", None, max(b_scale, abs(c_scale))
+    elif pattern == "below-then-above":  # scale Lambda_{split,n} A_{1,split} A
+        prefix = compose_chain(ds[:split])
+        kind, scale = "A", abs(math.prod(d.ratio for d in ds[split:]) * prefix.leading * leading)
+    elif pattern == "above-then-below" and abs(r.real - 1.0) <= EXPONENT_TIE_REL:
+        # both terms kept; r may be 1 +- an ulp, so the tie is reported at exactly 1
+        kind, exponent, scale = "A", 1.0, max(b_scale, abs(c_scale))
+    else:
+        kind, scale = ("B", b_scale) if r.real > 1.0 else ("C", c_scale)
     return ReturnExpansion(pattern=pattern, ratio=r, leading=leading, kind=kind,
-                           second_exponent=exponent, second_coeff=coeff, comp=comp,
-                           ell=ell, split=split, second_scale=scale, notes=notes)
+                           second_exponent=exponent, second_coeff=fold.next_coeff,
+                           comp=fold.comp, ell=fold.ell, split=split,
+                           second_scale=scale, notes=notes)
 
 
 # ---------------------------------------------------------------------------
@@ -314,13 +285,18 @@ class DisplacementExpansion:
     psi2: float
     psi3: float | None
     scale: float = 1.0
-    ell: tuple[float, float] = (0.0, 1.0)
     notes: tuple[str, ...] = ()
+
+
+_IDENTITY = DulacExpansion(ratio=1.0, leading=1.0, next_exponent=1.0, next_coeff=0.0)
 
 
 def displacement_expansion(ds: Sequence[DulacExpansion]) -> DisplacementExpansion:
     """Assemble the displacement data of a chain that splits, possibly after
     a cyclic rotation, into an expanding block followed by a contracting one.
+
+    Both blocks come from the composition fold: the expanding block as it
+    is, the contracting one inverted; an empty block is the identity.
     """
     if not ds:
         raise ValueError("empty corner chain")
@@ -333,11 +309,8 @@ def displacement_expansion(ds: Sequence[DulacExpansion]) -> DisplacementExpansio
     for k in range(n):
         rot = cases[k:] + cases[:k]
         pattern, split = _pattern_of(rot)
-        if pattern in ("above-block", "above-then-below"):
+        if pattern in ("above-block", "above-then-below", "below-block"):
             rotation, m = k, split
-            break
-        if pattern == "below-block":
-            rotation, m = k, 0
             break
     if rotation is None:
         raise UnsupportedGeometryError(
@@ -345,34 +318,15 @@ def displacement_expansion(ds: Sequence[DulacExpansion]) -> DisplacementExpansio
             "by a contracting block")
 
     rds = list(ds[rotation:]) + list(ds[:rotation])
-    lams = [d.ratio for d in rds]
-    d00s = [d.leading for d in rds]
-    lam_0m = lambda_product(lams, 0, m)
-    lam_mn = lambda_product(lams, m, n)
-    alpha = 1.0 / lam_mn - lam_0m
-    a_1m = a_product(lams, d00s, 1, m)
-    astar = a_star(lams, d00s, m + 1, n)
-    psi1 = alpha * a_1m
-    psi2 = a_1m - astar
-    term1 = lam_0m * rds[0].s1 if m >= 1 else 0.0
-    term2 = (1.0 / lam_mn) * rds[-1].s2 if m <= n - 1 else 0.0
-    psi3 = astar * (term1 - term2)
-    scale = max(abs(a_1m), abs(astar))
-    r = lam_0m * lam_mn
-    if abs(r.real - 1.0) <= EXPONENT_DEAD_BAND:
-        his = [2.0]
-        if m >= 1:
-            his.append(lams[0].real)
-        if m <= n - 1:
-            his.append((1.0 / lams[-1]).real)
-        ell = (1.0, min(his))
-    else:
-        e_in, e_out = lam_0m.real, (1.0 / lam_mn).real
-        ell = (max(e_in, e_out), min(e_in, e_out) + 1.0)
-    notes = ()
-    if rotation:
-        notes = (f"corner list rotated by {rotation} so the expanding block leads",)
-    return DisplacementExpansion(rotation=rotation, split=m, alpha=alpha,
-                                 exponents=(lam_0m, 1.0 / lam_mn),
-                                 psi1=psi1, psi2=psi2, psi3=psi3,
-                                 scale=scale, ell=ell, notes=notes)
+    try:
+        grow = compose_chain(rds[:m]) if m else _IDENTITY
+        back = inverse_dulac(compose_chain(rds[m:])) if m < n else _IDENTITY
+    except ValueError as exc:
+        raise DegeneracyError(f"near-resonant collision inside a block: {exc}") from exc
+    alpha = back.ratio - grow.ratio
+    notes = (f"corner list rotated by {rotation} so the expanding block leads",) if rotation else ()
+    return DisplacementExpansion(
+        rotation=rotation, split=m, alpha=alpha, exponents=(grow.ratio, back.ratio),
+        psi1=alpha * grow.leading, psi2=grow.leading - back.leading,
+        psi3=back.leading * grow.next_coeff / grow.leading - back.next_coeff,
+        scale=max(abs(grow.leading), abs(back.leading)), notes=notes)

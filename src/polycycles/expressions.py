@@ -296,19 +296,20 @@ def _poly_mul(a: dict, b: dict) -> dict:
 def instantiate(expr: Expression, binding: Mapping[str, Number]) -> np.ndarray:
     """Substitute parameter values and return the coefficient array c[i, j].
 
-    Arithmetic is carried out over exact rationals as long as the binding
-    supplies exact values (int or Fraction); the single conversion to
-    float64 happens here, at the end.  Coefficients that a complex value
-    (a complex step) reaches stay complex, and so the array is complex.
-    Their real parts come from the exact path at the real parts of the
-    values, read as a float value is read, so they equal the coefficients
-    of that real binding bit for bit.  The array spans the highest powers
-    of x and y with a nonzero coefficient, and is at least 1 x 1.
+    Arithmetic is carried out over exact rationals: int and Fraction values
+    are exact, and a float, or the real part of a complex value, is read as
+    the rational its repr shows.  The single conversion to float64 happens
+    here, at the end.  Coefficients that a complex value (a complex step)
+    reaches stay complex, and so the array is complex.  Their real parts
+    come from the exact path at the real parts of the values, so they equal
+    the coefficients of that float binding bit for bit.  The array spans the
+    highest powers of x and y with a nonzero coefficient, and is at least
+    1 x 1.
     """
-    real = {k: Fraction(repr(float(v.real))) if isinstance(v, complex) else v
+    real = {k: Fraction(repr(float(v.real))) if isinstance(v, (float, complex)) else v
             for k, v in binding.items()}
     coeffs = {k: float(c) for k, c in _inst(expr.root, real).items()}
-    if real != binding:
+    if any(isinstance(v, complex) for v in binding.values()):
         for k, c in _inst(expr.root, binding).items():
             if isinstance(c, complex):
                 coeffs[k] = complex(coeffs.get(k, 0.0), c.imag)

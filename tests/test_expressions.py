@@ -1,5 +1,6 @@
 """Expression grammar, polynomial instantiation, and error reporting."""
 
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -54,6 +55,18 @@ class TestGrammar:
         # np.complex128 is a complex whose real part is an np.float64
         p = expand("a*x + y", {"a": np.float64(0.5) + 1e-20j}, params=("a",))
         np.testing.assert_array_equal(p, [[0.0, 1.0], [complex(0.5, 1e-20), 0.0]])
+
+    def test_complex_step_real_parts_equal_the_float_binding(self, game_mf):
+        # four_saddle at 200 float points, one complex step per parameter:
+        # the real parts repeat the float binding bit for bit
+        rng = random.Random(5)
+        for _ in range(200):
+            point = {name: rng.uniform(0.3, 3.0) for name in game_mf.param_names}
+            for expr in (game_mf.expr_x, game_mf.expr_y):
+                plain = instantiate(expr, point)
+                for name in game_mf.param_names:
+                    stepped = instantiate(expr, {**point, name: complex(point[name], 1e-20)})
+                    np.testing.assert_array_equal(stepped.real, plain)
 
 
 class TestErrors:
