@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import DegeneracyError, UnsupportedGeometryError
+from .errors import DegeneracyError, NumericError, UnsupportedGeometryError
 from .saddle import DulacExpansion
 
 EXPONENT_TIE_REL = 1e-15   # bit-equal collision threshold (resonant sum)
@@ -141,14 +141,19 @@ def inverse_dulac(d: DulacExpansion) -> DulacExpansion:
 
     Ratio 1/ratio, leading^(-1/ratio); the second-order offset divides by
     the ratio and its coefficient picks up the standard chain-rule factor.
-    The map needs a plain second term.
+    The map needs a plain second term; a power beyond the float range
+    raises NumericError.
     """
     if d.next_coeff is None:
         raise ValueError("compensator-form or truncated expansions cannot be inverted")
     rho = 1.0 / d.ratio
     w = d.next_exponent * rho
-    coeff = -rho * d.next_coeff * d.leading ** -(1.0 + rho + w)
-    return DulacExpansion(ratio=rho, leading=d.leading ** (-rho),
+    try:
+        coeff, leading = -rho * d.next_coeff * d.leading ** -(1.0 + rho + w), d.leading ** -rho
+    except OverflowError as exc:
+        raise NumericError(f"inverse map beyond the float range (ratio {d.ratio!r}, "
+                           f"leading {d.leading!r})") from exc
+    return DulacExpansion(ratio=rho, leading=leading,
                           next_exponent=w, next_coeff=coeff,
                           ell=(d.ell[0] * rho.real, d.ell[1] * rho.real), notes=d.notes)
 

@@ -1,12 +1,13 @@
 """Cyclicity verdicts from expansion coefficients and their parameter derivatives.
 
-The bounds come in two families.  Upper bounds fire when a coefficient of
-the return or displacement expansion is nonzero at the studied parameter.
-Lower bounds fire when the relevant coefficients vanish, their gradients
-are independent (a sufficient condition for the required sign changes and
-transversality), and the return map is certified different from the
-identity.  The final verdict is the max of fired lower bounds against the
-min of fired upper bounds.
+The bounds come in two families, read off one unfolding ladder climbed
+twice, over (r - 1, A - 1, second return coefficient) and over (psi1,
+psi2, psi3).  On rung k the upper bound k - 1 fires when quantity k is
+nonzero at the studied parameter; the lower bound k fires when quantities
+1..k vanish, their gradients are independent (a sufficient condition for
+the required sign changes and transversality), and the return map is
+certified different from the identity.  The final verdict is the max of
+fired lower bounds against the min of fired upper bounds.
 """
 from __future__ import annotations
 
@@ -24,8 +25,7 @@ COMPLEX_STEP = 1e-30
 
 
 def gradient(fun: Callable[[Mapping[str, object]], Mapping[str, float | complex]],
-             point: Mapping[str, float], names: Sequence[str] | None = None,
-             ) -> dict[str, dict[str, float | None]]:
+             point: Mapping[str, float]) -> dict[str, dict[str, float | None]]:
     """Complex-step derivatives of every quantity ``fun`` returns.
 
     ``fun`` maps a parameter point to a dict of quantities and must be
@@ -35,10 +35,8 @@ def gradient(fun: Callable[[Mapping[str, object]], Mapping[str, float | complex]
     Returns {quantity: {parameter: derivative}}; an entry whose value or
     derivative is not finite is None.
     """
-    if names is None:
-        names = list(point.keys())
     out: dict[str, dict[str, float | None]] = {}
-    for name in names:
+    for name in point:
         shifted = dict(point)
         shifted[name] = point[name] + COMPLEX_STEP * 1j
         for quantity, value in fun(shifted).items():
@@ -48,8 +46,7 @@ def gradient(fun: Callable[[Mapping[str, object]], Mapping[str, float | complex]
     return out
 
 
-def independence_rank(grads: Sequence[Mapping[str, float | None]],
-                      names: Sequence[str] | None = None) -> int:
+def independence_rank(grads: Sequence[Mapping[str, float | None]]) -> int:
     """Numerical rank of a stack of gradients.
 
     Rows are scaled to unit max-entry before the SVD so that functionals of
@@ -59,11 +56,7 @@ def independence_rank(grads: Sequence[Mapping[str, float | None]],
     """
     if not grads:
         return 0
-    if names is None:
-        keys = set()
-        for g in grads:
-            keys |= set(g.keys())
-        names = sorted(keys)
+    names = sorted(set().union(*grads))
     usable = [n for n in names if all(g.get(n) is not None for g in grads)]
     if not usable:
         return 0
@@ -129,16 +122,39 @@ class Verdict:
         return f"cyclicity in [{self.lower}, {hi}]"
 
 
-def _is_zero(value: float | None, tol: float, scale: float = 1.0) -> bool:
-    if value is None:
-        return False
+def _is_zero(value: float, tol: float, scale: float = 1.0) -> bool:
     return abs(value) <= tol * max(1.0, scale)
 
 
-def _has_nonzero(grad: Mapping[str, float | None] | None, floor: float) -> bool:
-    if grad is None:
-        return False
-    return any(v is not None and abs(v) > floor for v in grad.values())
+def _ladder(rungs: Sequence[tuple], grads: Mapping[str, Mapping[str, float | None]],
+            nid: bool, zero_tol: float, first: str, suffix: str = "") -> list[VerdictItem]:
+    """One unfolding ladder: per rung k = 1, 2, ..., upper bound k - 1 and
+    lower bound k.
+
+    Rung k is (zero, key, (label, condition, detail), (label, condition)):
+    whether quantity k vanishes, its gradient's key, and the two items.
+    The upper bound fires when quantity k is nonzero; the lower bound when
+    quantities 1..k vanish, move independently (at k = 1 some gradient
+    entry exceeds ``zero_tol``, above that the gradients have rank k) and
+    ``nid`` holds.  A lower detail is ``first``, or the rank, plus ``suffix``.
+    """
+    items: list[VerdictItem] = []
+    rows: list = []
+    all_zero = True
+    for k, (zero, key, (up_label, up_condition, up_detail), (label, condition)) \
+            in enumerate(rungs, 1):
+        all_zero = all_zero and zero
+        rows.append(grads.get(key))
+        items.append(VerdictItem(up_label, "upper", k - 1, not zero, up_condition, up_detail))
+        if k == 1:
+            moves = any(v is not None and abs(v) > zero_tol for v in (rows[0] or {}).values())
+            detail = first
+        else:
+            rank = independence_rank(rows) if all(rows) else 0
+            moves, detail = rank >= k, f"rank = {rank}"
+        items.append(VerdictItem(label, "lower", k, all_zero and moves and nid,
+                                 condition, detail + suffix))
+    return items
 
 
 def verdict(ret: ReturnExpansion,
@@ -159,91 +175,50 @@ def verdict(ret: ReturnExpansion,
     the same zero test the coefficients get.
     """
     grads = grads or {}
-    g_r = grads.get("ratio")
-    g_a = grads.get("leading")
-    g_s = grads.get("second")
-    items: list[VerdictItem] = []
+    nid = not_identity is True
     notes: list[str] = []
 
-    r_is_one = _is_zero(ret.ratio - 1.0, zero_tol)
-    a_is_one = _is_zero(ret.leading - 1.0, zero_tol, abs(ret.leading))
-    nid = not_identity is True
-
-    items.append(VerdictItem(
-        "return.a", "upper", 0, not r_is_one,
-        "graphic number differs from 1",
-        f"r = {ret.ratio!r}"))
-    items.append(VerdictItem(
-        "return.b", "lower", 1,
-        r_is_one and _has_nonzero(g_r, zero_tol) and nid,
-        "graphic number equals 1, moves with the parameters (sufficient condition "
-        "for a sign change), and the return map is not the identity",
-        f"r = {ret.ratio!r}, not_identity = {not_identity}"))
-    items.append(VerdictItem(
-        "return.c", "upper", 1, not a_is_one,
-        "leading return coefficient differs from 1",
-        f"A = {ret.leading!r}"))
-    rank_ra = independence_rank([g_r, g_a]) if (g_r and g_a) else 0
-    items.append(VerdictItem(
-        "return.d", "lower", 2,
-        r_is_one and a_is_one and rank_ra >= 2 and nid,
-        "graphic number and leading coefficient equal 1 with independent "
-        "gradients (rank 2) and the return map is not the identity",
-        f"rank = {rank_ra}, not_identity = {not_identity}"))
-
+    rungs = [
+        (_is_zero(ret.ratio - 1.0, zero_tol), "ratio",
+         ("return.a", "graphic number differs from 1", f"r = {ret.ratio!r}"),
+         ("return.b", "graphic number equals 1, moves with the parameters (sufficient "
+          "condition for a sign change), and the return map is not the identity")),
+        (_is_zero(ret.leading - 1.0, zero_tol, abs(ret.leading)), "leading",
+         ("return.c", "leading return coefficient differs from 1", f"A = {ret.leading!r}"),
+         ("return.d", "graphic number and leading coefficient equal 1 with independent "
+          "gradients (rank 2) and the return map is not the identity")),
+    ]
     if ret.kind == "A" and ret.second_coeff is not None:
-        second_zero = _is_zero(ret.second_coeff, zero_tol, ret.second_scale)
-        items.append(VerdictItem(
-            "refined.a", "upper", 2, not second_zero,
-            "principal second-order return coefficient is nonzero",
-            f"coefficient = {ret.second_coeff!r} (scale {ret.second_scale:.3g})"))
-        rank_ras = independence_rank([g_r, g_a, g_s]) if (g_r and g_a and g_s) else 0
-        items.append(VerdictItem(
-            "refined.b", "lower", 3,
-            r_is_one and a_is_one and second_zero and rank_ras >= 3 and nid,
-            "r = 1, A = 1, second coefficient 0, rank-3 independent gradients, "
-            "and the return map is not the identity",
-            f"rank = {rank_ras}, not_identity = {not_identity}"))
+        rungs.append(
+            (_is_zero(ret.second_coeff, zero_tol, ret.second_scale), "second",
+             ("refined.a", "principal second-order return coefficient is nonzero",
+              f"coefficient = {ret.second_coeff!r} (scale {ret.second_scale:.3g})"),
+             ("refined.b", "r = 1, A = 1, second coefficient 0, rank-3 independent "
+              "gradients, and the return map is not the identity")))
+    items = _ladder(rungs, grads, nid, zero_tol,
+                    f"r = {ret.ratio!r}", f", not_identity = {not_identity}")
 
     if disp is not None:
-        g1 = grads.get("psi1")
-        g2 = grads.get("psi2")
-        g3 = grads.get("psi3")
-        z1 = _is_zero(disp.psi1, zero_tol, disp.scale)
-        z2 = _is_zero(disp.psi2, zero_tol, disp.scale)
-        z3 = disp.psi3 is not None and _is_zero(disp.psi3, zero_tol, disp.scale)
-        items.append(VerdictItem(
-            "displacement.a", "upper", 0, not z1,
-            "block exponents unbalanced (psi1 nonzero): no cycle survives",
-            f"psi1 = {disp.psi1!r} (scale {disp.scale:.3g})"))
-        items.append(VerdictItem(
-            "displacement.b", "lower", 1,
-            z1 and _has_nonzero(g1, zero_tol) and nid,
-            "psi1 = 0, moves with the parameters, return map not the identity",
-            f"psi1 = {disp.psi1!r}"))
-        items.append(VerdictItem(
-            "displacement.c", "upper", 1, not z2,
-            "block leading coefficients differ (psi2 nonzero)",
-            f"psi2 = {disp.psi2!r}"))
-        rank12 = independence_rank([g1, g2]) if (g1 and g2) else 0
-        items.append(VerdictItem(
-            "displacement.d", "lower", 2,
-            z1 and z2 and rank12 >= 2 and nid,
-            "psi1 = psi2 = 0 with rank-2 independent gradients and the return "
-            "map not the identity",
-            f"rank = {rank12}"))
+        rungs = [
+            (_is_zero(disp.psi1, zero_tol, disp.scale), "psi1",
+             ("displacement.a", "block exponents unbalanced (psi1 nonzero): no cycle survives",
+              f"psi1 = {disp.psi1!r} (scale {disp.scale:.3g})"),
+             ("displacement.b", "psi1 = 0, moves with the parameters, return map not the "
+              "identity")),
+            (_is_zero(disp.psi2, zero_tol, disp.scale), "psi2",
+             ("displacement.c", "block leading coefficients differ (psi2 nonzero)",
+              f"psi2 = {disp.psi2!r}"),
+             ("displacement.d", "psi1 = psi2 = 0 with rank-2 independent gradients and the "
+              "return map not the identity")),
+        ]
         if disp.psi3 is not None:
-            items.append(VerdictItem(
-                "displacement.e", "upper", 2, not z3,
-                "second-order block coefficients differ (psi3 nonzero)",
-                f"psi3 = {disp.psi3!r}"))
-            rank123 = independence_rank([g1, g2, g3]) if (g1 and g2 and g3) else 0
-            items.append(VerdictItem(
-                "displacement.f", "lower", 3,
-                z1 and z2 and z3 and rank123 >= 3 and nid,
-                "psi1 = psi2 = psi3 = 0 with rank-3 independent gradients and "
-                "the return map not the identity",
-                f"rank = {rank123}"))
+            rungs.append(
+                (_is_zero(disp.psi3, zero_tol, disp.scale), "psi3",
+                 ("displacement.e", "second-order block coefficients differ (psi3 nonzero)",
+                  f"psi3 = {disp.psi3!r}"),
+                 ("displacement.f", "psi1 = psi2 = psi3 = 0 with rank-3 independent "
+                  "gradients and the return map not the identity")))
+        items += _ladder(rungs, grads, nid, zero_tol, f"psi1 = {disp.psi1!r}")
 
     lower = max([it.bound for it in items if it.kind == "lower" and it.fired], default=0)
     uppers = [it.bound for it in items if it.kind == "upper" and it.fired]

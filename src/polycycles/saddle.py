@@ -28,6 +28,10 @@ the derived functions M1 = L1 * d(P/Q)/du (0,v) and M2 = L2 * d(Q/P)/dv
     D00 = (h_in / L1(h_in)^lam) * (L2(h_out) / h_out^lam)
     S1  = -M1^(h_in) / L1(h_in),    S2 = -M2^(h_out) / L2(h_out).
 
+The second-axis quantities are the first-axis ones on the chart mirrored
+u <-> v, (P, Q, 1/lam, h_in) -> (Q^T, P^T, lam, h_out): one routine gives
+L (_transition_data) and one S (_s_value) on either axis.
+
 Truncated Taylor series are plain 1-d coefficient arrays (see the series
 module).
 
@@ -375,7 +379,7 @@ _MELLIN_SWITCH = 0.02
 
 
 class _Transition:
-    """L(t) = exp int_0^t (num/den + shift) ds/s on the Lobatto points of
+    """L(t) = exp int_0^t (num/den + alpha) ds/s on the Lobatto points of
     [0, w], with the Taylor series of L at 0.
 
     The integrand is sampled once, and the cumulative rule gives log L at
@@ -384,9 +388,9 @@ class _Transition:
     midpoints.
     """
 
-    def __init__(self, num: np.ndarray, den: np.ndarray, shift, small: np.ndarray,
+    def __init__(self, num: np.ndarray, den: np.ndarray, alpha, small: np.ndarray,
                  series: np.ndarray, w: float):
-        self.num, self.den, self.shift = num, den, shift
+        self.num, self.den, self.alpha = num, den, alpha
         self.small = small    # series of the integrand, used for |t| < _SERIES_SWITCH
         self.series = series  # series of L itself
         self.w = w
@@ -399,7 +403,7 @@ class _Transition:
         out[small] = horner(self.small, t[small])
         big = ~small
         tb = t[big]
-        out[big] = _divide(_divide(horner(self.num, tb), horner(self.den, tb)) + self.shift, tb)
+        out[big] = _divide(_divide(horner(self.num, tb), horner(self.den, tb)) + self.alpha, tb)
         return out
 
     def _sample(self, n: int, sl: slice) -> np.ndarray:
@@ -421,30 +425,25 @@ class _Transition:
         return scalar(self._l[0])
 
 
-def _transition_data(chart: LocalChart, which: int, w: float,
-                     order: int = DEFAULT_ORDER) -> _Transition:
-    """L_which of the chart on [0, w], with its series to ``order``."""
-    if which == 1:
-        num = chart.p_poly[0, :]   # P(0, v)
-        den = chart.q_poly[0, :]   # Q(0, v)
-        shiftc = 1.0 / chart.lam
-    elif which == 2:
-        num = chart.q_poly[:, 0]   # Q(u, 0)
-        den = chart.p_poly[:, 0]   # P(u, 0)
-        shiftc = chart.lam
-    else:
-        raise ValueError("which must be 1 or 2")
+def _transition_data(p: np.ndarray, q: np.ndarray, alpha, w: float) -> _Transition:
+    """L on [0, w] along the axis of q's first row, log L the integral of
+    (p(0, t)/q(0, t) + alpha)/t, with its series to _germ_order(alpha).
 
-    # num, den and lam share the chart's dtype, so the shift adds in place
+    L1 is (P, Q, 1/lam, h_in); L2 is the same on the chart mirrored u <-> v,
+    (Q.T, P.T, lam, h_out).
+    """
+    num, den = p[0, :], q[0, :]
+    order = _germ_order(alpha)
+    # num, den and alpha share the chart's dtype, so the shift adds in place
     shifted = series_div(num, den, order)
-    shifted[0] += shiftc
+    shifted[0] += alpha
     if abs(shifted[0].real) > 1e-9:
         raise NumericError(
-            f"transition L{which}: constant term {shifted[0]:.3e} fails to cancel; "
+            f"transition factor: constant term {shifted[0]:.3e} fails to cancel; "
             "chart inconsistent with its hyperbolicity ratio")
     small = shifted[1:]  # (ratio + c)/t as a series, of order - 1
     log_l = np.concatenate(([0.0], small / np.arange(1, order + 1)))
-    return _Transition(num, den, shiftc, small, series_exp(log_l), w)
+    return _Transition(num, den, alpha, small, series_exp(log_l), w)
 
 
 def _germ_order(alpha: float) -> int:
@@ -463,29 +462,25 @@ def _first_order(c: np.ndarray) -> np.ndarray:
     return c[1] if c.shape[0] > 1 else np.zeros_like(c[0])
 
 
-def _m_germ(chart: LocalChart, which: int, trans: _Transition) -> tuple[Sampler, np.ndarray]:
-    """M1 = L1 * d(P/Q)/du at (0,v);  M2 = L2 * d(Q/P)/dv at (u,0): a Sampler
-    on the transition's grid and its Taylor series, to the order of L."""
+def _s_value(p: np.ndarray, q: np.ndarray, trans: _Transition):
+    """S = -M^(w)/L(w) for the transition L of (p, q) on [0, w], where
+    M = L * d(p/q) across the axis, transformed at Mellin order alpha:
+    S1 from (P, Q) and L1, S2 from (Q.T, P.T) and L2."""
     order = trans.series.size - 1
-    p, q = chart.p_poly, chart.q_poly
-    # trans.num/trans.den are the ratio restricted to the axis; d_num/d_den
-    # their partials across it: P_x, Q_x at u = 0, or Q_y, P_y at v = 0
-    if which == 1:
-        d_num, d_den = _first_order(p), _first_order(q)
-    else:
-        d_num, d_den = _first_order(q.T), _first_order(p.T)
-    a, b = np.convolve(d_num, trans.den), np.convolve(trans.num, d_den)
+    # trans.num/trans.den are the ratio restricted to the axis; the first
+    # rows of p and q their partials across it
+    a, b = np.convolve(_first_order(p), trans.den), np.convolve(trans.num, _first_order(q))
     top = max(a.size, b.size) - 1
     num = padded(a, top) - padded(b, top)
     den = np.convolve(trans.den, trans.den)
 
     m_series = np.convolve(trans.series, series_div(num, den, order))[:order + 1]
 
-    def fun(n: int, sl: slice) -> np.ndarray:
+    def m_germ(n: int, sl: slice) -> np.ndarray:
         w = trans.w * _chebyshev(n)[0][sl]
         return trans.at(n)[sl] * _divide(horner(num, w), horner(den, w))
 
-    return fun, m_series
+    return -(1.0 / trans.end) * mellin_hat(m_germ, m_series, trans.alpha, trans.w)
 
 
 # ---------------------------------------------------------------------------
@@ -577,10 +572,11 @@ def classify_ratio(lam: float) -> str:
 def dulac_coefficients(chart: LocalChart, h_in: float, h_out: float) -> DulacExpansion:
     """Compute the Dulac expansion of a corner from (s, h_in) to (h_out, v).
 
-    The case-required second-order coefficient is always computed (its
-    Mellin order cannot hit a pole away from lam = 1); the other S value
-    is set to None when its pole guard trips.  At-one corners return
-    leading data only, flagged in ``notes``.
+    S1 and S2 come from one routine, S2 on the mirrored chart.  The S the
+    case needs (S2 below one, S1 above one) has its Mellin order in (0, 1),
+    away from every pole; the other S is set to None, with a note, when
+    its pole guard trips.  At-one corners return leading data only,
+    flagged in ``notes``.
     """
     if not (0.0 < h_in < math.inf and 0.0 < h_out < math.inf):
         raise ModelError(f"section half-lengths must be positive and finite, "
@@ -588,9 +584,10 @@ def dulac_coefficients(chart: LocalChart, h_in: float, h_out: float) -> DulacExp
     lam = chart.lam
     chart.check_footprint(max(h_in, h_out) * 1.05)
 
-    t1 = _transition_data(chart, 1, h_in, _germ_order(1.0 / lam))
-    t2 = _transition_data(chart, 2, h_out, _germ_order(lam))
-    l1, l2 = t1.end, t2.end
+    p, q = chart.p_poly, chart.q_poly
+    axes = ((p, q, _transition_data(p, q, 1.0 / lam, h_in)),
+            (q.T, p.T, _transition_data(q.T, p.T, lam, h_out)))
+    l1, l2 = axes[0][2].end, axes[1][2].end
     d00 = (h_in / l1**lam) * (l2 / h_out**lam)
 
     case = classify_ratio(lam)
@@ -600,34 +597,21 @@ def dulac_coefficients(chart: LocalChart, h_in: float, h_out: float) -> DulacExp
             notes=("at-one corner: second-order coefficients are resonant "
                    "(Mellin pole at alpha=1); leading term only",))
 
-    def s1_value() -> float:
-        return -(1.0 / l1) * mellin_hat(*_m_germ(chart, 1, t1), 1.0 / lam, h_in)
-
-    def s2_value() -> float:
-        return -(1.0 / l2) * mellin_hat(*_m_germ(chart, 2, t2), lam, h_out)
-
+    needed = 2 if case == "below-one" else 1
+    s_values: list = []
     notes: list[str] = []
-    if case == "below-one":
-        s2 = s2_value()  # alpha = lam in (0,1): pole-free
+    for i, (pi, qi, trans) in enumerate(axes, 1):
         try:
-            s1 = s1_value()
+            s_values.append(_s_value(pi, qi, trans))
         except PoleError as exc:
-            s1, msg = None, str(exc)
-            notes.append(f"S1 unavailable: {msg}")
-        d01 = -(d00**2) * s2
-        return DulacExpansion(ratio=lam, leading=d00,
-                              next_exponent=lam, next_coeff=d01,
-                              ell=(lam.real, min(2.0 * lam.real, 1.0)),
-                              s1=s1, s2=s2, notes=tuple(notes))
-
-    s1 = s1_value()  # alpha = 1/lam in (0,1): pole-free
-    try:
-        s2 = s2_value()
-    except PoleError as exc:
-        s2 = None
-        notes.append(f"S2 unavailable: {exc}")
-    d10 = lam * d00 * s1
-    return DulacExpansion(ratio=lam, leading=d00,
-                          next_exponent=1.0, next_coeff=d10,
-                          ell=(1.0, min(lam.real, 2.0)),
-                          s1=s1, s2=s2, notes=tuple(notes))
+            if i == needed:
+                raise
+            s_values.append(None)
+            notes.append(f"S{i} unavailable: {exc}")
+    s1, s2 = s_values
+    if case == "below-one":
+        exponent, coeff, ell = lam, -(d00**2) * s2, (lam.real, min(2.0 * lam.real, 1.0))
+    else:
+        exponent, coeff, ell = 1.0, lam * d00 * s1, (1.0, min(lam.real, 2.0))
+    return DulacExpansion(ratio=lam, leading=d00, next_exponent=exponent, next_coeff=coeff,
+                          ell=ell, s1=s1, s2=s2, notes=tuple(notes))

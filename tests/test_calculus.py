@@ -25,7 +25,7 @@ from polycycles.calculus import (
     inverse_dulac,
     return_expansion,
 )
-from polycycles.errors import DegeneracyError, UnsupportedGeometryError
+from polycycles.errors import DegeneracyError, NumericError, UnsupportedGeometryError
 from polycycles.saddle import DulacExpansion
 
 
@@ -386,7 +386,7 @@ class TestFoldAgainstPaper:
             disp = displacement_expansion(chain)
             rds = chain[disp.rotation:] + chain[:disp.rotation]
             exponents, psi1, psi2, psi3, scale, size3 = paper_displacement(rds, disp.split)
-        except OverflowError:  # an inverted block beyond the float range
+        except (OverflowError, NumericError):  # an inverted block beyond the float range
             reject()
         # the rotation brings the expanding block to the front
         assert disp.rotation == (k if not first_up and 0 < k < len(chain) else 0)
@@ -579,6 +579,13 @@ class TestDisplacementExpansion:
         chain = [below(0.001, 1.5, 0.3), below(1.0 - 5e-7, 0.8, 0.2)]
         assert return_expansion(chain).kind == "compensator"
         with pytest.raises(DegeneracyError, match="near-resonant collision inside a block"):
+            displacement_expansion(chain)
+
+    def test_inverse_beyond_the_float_range(self):
+        # the contracting block's leading coefficient 0.22 to the power
+        # -(1 + 1/0.00152 + 1) overflows; the error is a PolycycleError
+        chain = [below(lam, 0.5, 0.3) for lam in (0.2, 0.2, 0.2, 0.2, 0.95)]
+        with pytest.raises(NumericError, match="inverse map beyond the float range"):
             displacement_expansion(chain)
 
     def test_alternating_chain_rejected(self):

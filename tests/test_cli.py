@@ -117,6 +117,26 @@ def test_every_cycle_sample_failing_exits_4(capsys):
     assert "too few displacement samples" in capsys.readouterr().err
 
 
+RETURN = ["oracle", "--what", "return", "--model", FOUR]
+
+
+def test_failing_return_samples_leave_the_fit_running(tmp_path):
+    # below s ~ 2e-5 the orbit needs longer than t_max = 40 to come back
+    doc = run_doc(RETURN + ["--s-range", "1e-9:1e-2", "--tol", "t_max=40"],
+                  tmp_path / "return.txt")
+    rows = doc["samples"]
+    failed = [row for row in rows if row["value"] is None]
+    assert (len(rows), len(failed)) == (13, 8)
+    assert all(row["error"] == "orbit did not return to the section window within t_max=40"
+               and row["gap"] is None for row in failed)
+    assert doc["fit_free"]["grid"] == [row["s"] for row in rows if row["value"] is not None]
+
+
+def test_every_return_sample_failing_exits_4(capsys):
+    assert main(RETURN + ["--tol", "t_max=20"]) == 4
+    assert "every sample failed" in capsys.readouterr().err
+
+
 def test_one_point_scan_exits_0(tmp_path):
     out = tmp_path / "scan.csv"
     assert main(["scan", "--model", FOUR, "--grid", "l1=0.3:0.3:1", "--out", str(out)]) == 0

@@ -5,10 +5,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polycycles.calculus import DisplacementExpansion, ReturnExpansion
 from polycycles.cyclicity import (
+    ZERO_TOL,
     Verdict,
+    VerdictItem,
     gradient,
     independence_rank,
     not_identity_probe,
@@ -35,10 +39,6 @@ class TestGradient:
     def test_constant(self):
         g = gradient(lambda p: {"f": 7.0}, {"a": 1.0, "b": -3.0})
         assert g == {"f": {"a": 0.0, "b": 0.0}}
-
-    def test_names_subset(self):
-        g = gradient(lambda p: {"f": p["x"] + p["y"]}, {"x": 0.0, "y": 0.0}, names=["x"])
-        assert list(g["f"]) == ["x"]
 
     def test_non_finite_reported_as_none(self):
         g = gradient(lambda p: {"nan": float("nan"), "f": p["x"]}, {"x": 0.3})
@@ -86,10 +86,6 @@ class TestIndependenceRank:
         assert independence_rank([]) == 0
         assert independence_rank([{"x": None}, {"x": 1.0}]) == 0
         assert independence_rank([{"x": 0.0, "y": 0.0}]) == 0
-
-    def test_explicit_names(self):
-        rows = [{"x": 1.0, "y": 0.0}, {"x": 1.0, "y": 1.0}]
-        assert independence_rank(rows, names=["x"]) == 1
 
 
 class TestNotIdentityProbe:
@@ -255,3 +251,190 @@ class TestVerdictOnFourSaddle:
         assert fired == {"return.b", "return.d", "refined.a",
                          "displacement.b", "displacement.d", "displacement.e"}
         assert abs(ret.ratio - 1.0) <= ZERO_TOL
+
+
+# ---------------------------------------------------------------------------
+# The verdict against its criteria written out one by one
+
+
+def _is_zero(value, tol, scale=1.0):
+    if value is None:
+        return False
+    return abs(value) <= tol * max(1.0, scale)
+
+
+def _has_nonzero(grad, floor):
+    if grad is None:
+        return False
+    return any(v is not None and abs(v) > floor for v in grad.values())
+
+
+def reference_verdict(ret, disp=None, grads=None, not_identity=None, zero_tol=ZERO_TOL):
+    """Each cyclicity criterion written out by hand, item by item."""
+    grads = grads or {}
+    g_r = grads.get("ratio")
+    g_a = grads.get("leading")
+    g_s = grads.get("second")
+    items = []
+    notes = []
+
+    r_is_one = _is_zero(ret.ratio - 1.0, zero_tol)
+    a_is_one = _is_zero(ret.leading - 1.0, zero_tol, abs(ret.leading))
+    nid = not_identity is True
+
+    items.append(VerdictItem(
+        "return.a", "upper", 0, not r_is_one,
+        "graphic number differs from 1",
+        f"r = {ret.ratio!r}"))
+    items.append(VerdictItem(
+        "return.b", "lower", 1,
+        r_is_one and _has_nonzero(g_r, zero_tol) and nid,
+        "graphic number equals 1, moves with the parameters (sufficient condition "
+        "for a sign change), and the return map is not the identity",
+        f"r = {ret.ratio!r}, not_identity = {not_identity}"))
+    items.append(VerdictItem(
+        "return.c", "upper", 1, not a_is_one,
+        "leading return coefficient differs from 1",
+        f"A = {ret.leading!r}"))
+    rank_ra = independence_rank([g_r, g_a]) if (g_r and g_a) else 0
+    items.append(VerdictItem(
+        "return.d", "lower", 2,
+        r_is_one and a_is_one and rank_ra >= 2 and nid,
+        "graphic number and leading coefficient equal 1 with independent "
+        "gradients (rank 2) and the return map is not the identity",
+        f"rank = {rank_ra}, not_identity = {not_identity}"))
+
+    if ret.kind == "A" and ret.second_coeff is not None:
+        second_zero = _is_zero(ret.second_coeff, zero_tol, ret.second_scale)
+        items.append(VerdictItem(
+            "refined.a", "upper", 2, not second_zero,
+            "principal second-order return coefficient is nonzero",
+            f"coefficient = {ret.second_coeff!r} (scale {ret.second_scale:.3g})"))
+        rank_ras = independence_rank([g_r, g_a, g_s]) if (g_r and g_a and g_s) else 0
+        items.append(VerdictItem(
+            "refined.b", "lower", 3,
+            r_is_one and a_is_one and second_zero and rank_ras >= 3 and nid,
+            "r = 1, A = 1, second coefficient 0, rank-3 independent gradients, "
+            "and the return map is not the identity",
+            f"rank = {rank_ras}, not_identity = {not_identity}"))
+
+    if disp is not None:
+        g1 = grads.get("psi1")
+        g2 = grads.get("psi2")
+        g3 = grads.get("psi3")
+        z1 = _is_zero(disp.psi1, zero_tol, disp.scale)
+        z2 = _is_zero(disp.psi2, zero_tol, disp.scale)
+        z3 = disp.psi3 is not None and _is_zero(disp.psi3, zero_tol, disp.scale)
+        items.append(VerdictItem(
+            "displacement.a", "upper", 0, not z1,
+            "block exponents unbalanced (psi1 nonzero): no cycle survives",
+            f"psi1 = {disp.psi1!r} (scale {disp.scale:.3g})"))
+        items.append(VerdictItem(
+            "displacement.b", "lower", 1,
+            z1 and _has_nonzero(g1, zero_tol) and nid,
+            "psi1 = 0, moves with the parameters, return map not the identity",
+            f"psi1 = {disp.psi1!r}"))
+        items.append(VerdictItem(
+            "displacement.c", "upper", 1, not z2,
+            "block leading coefficients differ (psi2 nonzero)",
+            f"psi2 = {disp.psi2!r}"))
+        rank12 = independence_rank([g1, g2]) if (g1 and g2) else 0
+        items.append(VerdictItem(
+            "displacement.d", "lower", 2,
+            z1 and z2 and rank12 >= 2 and nid,
+            "psi1 = psi2 = 0 with rank-2 independent gradients and the return "
+            "map not the identity",
+            f"rank = {rank12}"))
+        if disp.psi3 is not None:
+            items.append(VerdictItem(
+                "displacement.e", "upper", 2, not z3,
+                "second-order block coefficients differ (psi3 nonzero)",
+                f"psi3 = {disp.psi3!r}"))
+            rank123 = independence_rank([g1, g2, g3]) if (g1 and g2 and g3) else 0
+            items.append(VerdictItem(
+                "displacement.f", "lower", 3,
+                z1 and z2 and z3 and rank123 >= 3 and nid,
+                "psi1 = psi2 = psi3 = 0 with rank-3 independent gradients and "
+                "the return map not the identity",
+                f"rank = {rank123}"))
+
+    lower = max([it.bound for it in items if it.kind == "lower" and it.fired], default=0)
+    uppers = [it.bound for it in items if it.kind == "upper" and it.fired]
+    upper = min(uppers) if uppers else None
+    consistent = upper is None or lower <= upper
+    if not consistent:
+        notes.append("inconsistent bounds: lower exceeds upper; check tolerances")
+    if not_identity is None:
+        notes.append("identity probe inconclusive: lower-bound criteria that need "
+                     "a non-identity return map did not fire")
+    return Verdict(lower=lower, upper=upper, items=tuple(items),
+                   consistent=consistent, notes=tuple(notes))
+
+
+ZERO_TOLS = (ZERO_TOL, 1e-6)
+SCALES = (1e-3, 1.0, 3.5, 1e6)
+
+
+def near_zero(zero_tol, scale):
+    """Exact zeros, values at and just past +-zero_tol * max(1, scale), and
+    values far from zero; half of the draws test as zero."""
+    edge = zero_tol * max(1.0, scale)
+    return st.one_of(
+        st.just(0.0), st.sampled_from([edge, -edge]),
+        st.sampled_from([1.0000001 * edge, -1.0000001 * edge]),
+        st.floats(-10.0, 10.0, allow_subnormal=False))
+
+
+# entries above, at and below zero_tol, or unreliable
+GRADIENT_ENTRIES = st.sampled_from([0.0, 1.0, -1.0, 2.0, 5e-10, 1e-9, 2e-9, 1e-7, None])
+gradient_dicts = st.one_of(
+    st.none(), st.just({}),
+    st.fixed_dictionaries({}, optional={k: GRADIENT_ENTRIES for k in "abc"}),
+    st.fixed_dictionaries({k: GRADIENT_ENTRIES for k in "abc"}),
+    st.sampled_from([{"a": 1.0, "b": 0.0, "c": 0.0}, {"a": 0.0, "b": 1.0, "c": 0.0},
+                     {"a": 0.0, "b": 0.0, "c": 1.0}, {"a": 1.0, "b": 1.0, "c": 0.0}]))
+QUANTITIES = ("ratio", "leading", "second", "psi1", "psi2", "psi3")
+
+
+@st.composite
+def ladder(draw, zero_tol, scales):
+    """One value per rung; the first ``depth`` of them exactly zero, so that
+    the upper rungs are reached."""
+    depth = draw(st.integers(0, len(scales)))
+    return [0.0 if i < depth else draw(near_zero(zero_tol, scale))
+            for i, scale in enumerate(scales)]
+
+
+@st.composite
+def verdict_inputs(draw):
+    zero_tol = draw(st.sampled_from(ZERO_TOLS))
+    scale = draw(st.sampled_from(SCALES))
+    r1, a1, second = draw(ladder(zero_tol, (1.0, 1.0, scale)))
+    ret = ReturnExpansion(
+        pattern="below-then-above", ratio=1.0 + r1, leading=1.0 + a1,
+        kind=draw(st.sampled_from(["A", "A", "B", "C", "compensator", "fold", None])),
+        second_exponent=0.5, second_coeff=draw(st.sampled_from([second, second, None])),
+        second_scale=scale)
+    disp = None
+    if draw(st.booleans()):
+        scale = draw(st.sampled_from(SCALES))
+        psi1, psi2, psi3 = draw(ladder(zero_tol, (scale, scale, scale)))
+        disp = DisplacementExpansion(
+            rotation=0, split=1, alpha=0.0, exponents=(1.5, 1.5), psi1=psi1, psi2=psi2,
+            psi3=draw(st.sampled_from([psi3, psi3, None])), scale=scale)
+    grads = draw(st.one_of(
+        st.fixed_dictionaries({}, optional={k: gradient_dicts for k in QUANTITIES}),
+        st.fixed_dictionaries({k: gradient_dicts for k in QUANTITIES}),
+        st.just(UNIT_GRADS), st.none()))
+    not_identity = draw(st.sampled_from([True, True, None, False]))
+    return ret, disp, grads, not_identity, zero_tol
+
+
+class TestVerdictAgainstReference:
+    @given(verdict_inputs())
+    @settings(max_examples=1000)
+    def test_every_field_matches(self, inputs):
+        got, want = verdict(*inputs), reference_verdict(*inputs)
+        assert got.items == want.items
+        for name in ("lower", "upper", "consistent", "notes"):
+            assert getattr(got, name) == getattr(want, name)

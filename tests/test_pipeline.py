@@ -171,6 +171,30 @@ class TestAnalyzeIntegrable:
         assert integrable_doc["probe"]["not_identity"] is None
 
 
+class TestAnalyzeInterleaved:
+    """l1 = l3 = 0.5: corners 1 and 3 contract, 2 and 4 expand, alternately."""
+
+    @pytest.fixture(scope="class")
+    def doc(self, game_mf):
+        return analyze(game_mf, {"l1": "0.5", "l3": "0.5"})
+
+    def test_pattern_and_displacement(self, doc):
+        assert doc["return"]["pattern"] == "interleaved"
+        assert doc["displacement"] == {
+            "unavailable": "no rotation arranges the corners as an expanding block "
+                           "followed by a contracting block"}
+
+    def test_verdict(self, doc):
+        assert (doc["verdict"]["lower"], doc["verdict"]["upper"]) == (0, 0)
+
+    def test_s1_withheld_on_the_pole(self, doc):
+        # lam = 0.5 puts S1's Mellin order 1/lam on the pole at 2
+        for corner in (doc["corners"][0], doc["corners"][2]):
+            assert corner["s1"] is None
+            assert corner["notes"] == [
+                "S1 unavailable: Mellin order alpha=2.0 is within 1e-06 of the pole at 2"]
+
+
 class TestOracleDulac:
     def test_integration_matches_closed_form(self, dulac_doc):
         assert dulac_doc["deviation"]["leading"] < 1e-4

@@ -13,9 +13,12 @@ import time
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.polynomial.polynomial import polyval2d
 
 from polycycles import saddle
+from polycycles.calculus import inverse_dulac
 from polycycles.errors import (
     DegeneracyError,
     ModelError,
@@ -56,6 +59,13 @@ def nonlinear_chart(step=0.0):
         fy = fy.astype(complex)
         fy[0, 1] -= step
     return normalize_saddle(fx, fy, (0.0, 0.0), (0.0, 1.0), (1.0, 0.0))
+
+
+def transition(chart, which, w):
+    """L1 or L2 of the chart on [0, w]; L2 is L1 of the chart mirrored u <-> v."""
+    p, q, lam = chart.p_poly, chart.q_poly, chart.lam
+    mirrored = (p, q, 1.0 / lam) if which == 1 else (q.T, p.T, lam)
+    return _transition_data(*mirrored, w)
 
 
 def mp_log_l(chart, which, lo, hi, e=0):
@@ -256,7 +266,7 @@ class TestLinearClosedForms:
         assert exp.leading == pytest.approx(0.3 * 0.7 ** -1.5, rel=1e-12)
 
     def test_transition_factors_trivial(self):
-        data = _transition_data(linear_saddle(1.5), 1, 0.5)
+        data = transition(linear_saddle(1.5), 1, 0.5)
         assert data.end == pytest.approx(1.0, rel=1e-12)
         np.testing.assert_allclose(data.at(64), 1.0, rtol=1e-12)
         series = data.series
@@ -268,11 +278,11 @@ class TestLinearClosedForms:
         chart = nonlinear_chart()
         nodes = 0.5 * saddle._chebyshev(64)[0]
         for which in (1, 2):
-            values = _transition_data(chart, which, 0.5).at(64)
+            values = transition(chart, which, 0.5).at(64)
             assert values.shape == nodes.shape
             for j in (0, 5, 20, 40, 60, 63):
                 assert values[j] == pytest.approx(
-                    _transition_data(chart, which, nodes[j]).end, rel=1e-14)
+                    transition(chart, which, nodes[j]).end, rel=1e-14)
             assert values[-1] == 1.0 and values[0] != 1.0
 
     def test_resonant_corner(self):
@@ -293,7 +303,7 @@ class TestTransitionGrid:
     def test_every_node_matches_mpmath(self):
         chart = nonlinear_chart()
         for which in (1, 2):
-            got = _transition_data(chart, which, 0.5).at(64)
+            got = transition(chart, which, 0.5).at(64)
             with mpmath.workdps(30):
                 log_l = mpmath.mpf(0)
                 for j in range(63, -1, -1):
@@ -304,7 +314,7 @@ class TestTransitionGrid:
     def test_complex_step_matches_mpmath_derivative(self):
         real, stepped = nonlinear_chart(), nonlinear_chart(1e-30j)
         for which in (1, 2):
-            got = _transition_data(stepped, which, 0.5).at(64)
+            got = transition(stepped, which, 0.5).at(64)
             with mpmath.workdps(30):
                 for j in (0, 3, 10, 20, 32, 45, 56, 62, 64):
                     s = self.NODES[j]
@@ -313,7 +323,7 @@ class TestTransitionGrid:
                     assert abs(got[j].imag / 1e-30 - want) <= 1e-10 * max(1.0, abs(want))
 
     def test_refinement_samples_only_the_midpoints(self, monkeypatch):
-        data = _transition_data(nonlinear_chart(), 1, 0.5)
+        data = transition(nonlinear_chart(), 1, 0.5)
         coarse = data.at(64).copy()
         calls = []
         integrand = saddle._Transition.integrand
@@ -333,10 +343,10 @@ class TestTransitionGrid:
         # 32 against 64 nodes differ by about 1e-3
         chart = LocalChart(p_poly=poly("1"), q_poly=poly("-1 + 1.98*y"), lam=1.0,
                            corner=(0.0, 0.0), linear=((1.0, 0.0), (0.0, 1.0)))
-        assert _transition_data(chart, 1, 0.5).end > 0.0
+        assert transition(chart, 1, 0.5).end > 0.0
         monkeypatch.setattr(saddle, "QUAD_MAX_NODES", 64)
         with pytest.raises(NumericError, match="transition integral did not converge"):
-            _transition_data(chart, 1, 0.5)
+            transition(chart, 1, 0.5)
 
 
 @pytest.fixture(scope="module")
@@ -362,6 +372,60 @@ class TestQuadraticSaddle:
         # alpha = lam = 2 sits on a Mellin pole, so S2 is withheld
         assert quad_expansion.s2 is None
         assert any(note.startswith("S2 unavailable") for note in quad_expansion.notes)
+
+
+class TestPoleGuards:
+    def test_below_one_s1_on_a_pole(self):
+        # lam = 0.5: S1's Mellin order 1/lam = 2 is a pole, S2 (order 0.5) is not
+        exp = dulac_coefficients(linear_saddle(0.5), 0.5, 0.5)
+        assert exp.case == "below-one"
+        assert exp.s1 is None
+        assert exp.notes == ("S1 unavailable: Mellin order alpha=2.0 is within 1e-06 "
+                             "of the pole at 2",)
+        assert exp.s2 == pytest.approx(0.0, abs=1e-12)
+        assert exp.next_exponent == 0.5
+        assert exp.next_coeff == pytest.approx(0.0, abs=1e-12)
+
+
+def quadratic_chart(lam, c):
+    """A chart with P = 1 + ... and Q = -(lam + ...), each of degree 2."""
+    p = np.array([[1.0, c[0], c[1]], [c[2], c[3], 0.0], [c[4], 0.0, 0.0]])
+    q = -np.array([[lam, c[5], c[6]], [c[7], c[8], 0.0], [c[9], 0.0, 0.0]])
+    return LocalChart(p_poly=p, q_poly=q, lam=lam, corner=(0.0, 0.0),
+                      linear=((1.0, 0.0), (0.0, 1.0)))
+
+
+class TestTimeReversal:
+    """A corner's inverse is the Dulac map of the time-reversed corner, the
+    chart mirrored u <-> v with the field negated and ratio 1/lam.
+
+    This ties S1 of one chart to S2 of the other, and both to the
+    calculus's inverse.  Each tolerance is at most ten times the largest
+    deviation in 10,000 seeded charts from these ranges, many drawn at
+    their bounds: leading coefficients 1.7e-15 relative, next exponents
+    and ell 1.1e-16 relative, next coefficients 6.0e-15 of
+    unit * max(1, |S|), where unit = |lam D00| above one and D00^2 below
+    one is the coefficient per unit S.  (Relative to the coefficient
+    itself the deviation is unbounded: S may nearly cancel.)
+    """
+
+    @given(lam=st.one_of(st.floats(0.3, 0.9), st.floats(1.15, 2.8)),
+           c=st.lists(st.floats(-0.2, 0.2), min_size=10, max_size=10),
+           h_in=st.floats(0.3, 0.6), h_out=st.floats(0.3, 0.6))
+    @settings(max_examples=100, deadline=None)
+    def test_inverse_is_the_reversed_corner(self, lam, c, h_in, h_out):
+        chart = quadratic_chart(lam, c)
+        reversed_chart = LocalChart(p_poly=-chart.q_poly.T, q_poly=-chart.p_poly.T,
+                                    lam=1.0 / lam, corner=chart.corner, linear=chart.linear)
+        want = inverse_dulac(dulac_coefficients(chart, h_in, h_out))
+        got = dulac_coefficients(reversed_chart, h_out, h_in)
+        assert got.ratio == want.ratio
+        assert got.leading == pytest.approx(want.leading, rel=1e-14)
+        assert got.next_exponent == pytest.approx(want.next_exponent, rel=1e-15)
+        assert got.ell == pytest.approx(want.ell, rel=1e-15)
+        s = got.s1 if got.case == "above-one" else got.s2
+        unit = abs(got.ratio * got.leading) if got.case == "above-one" else got.leading ** 2
+        assert abs(got.next_coeff - want.next_coeff) <= 5e-14 * unit * max(1.0, abs(s))
 
 
 def mellin(fun, series, alpha, x):
