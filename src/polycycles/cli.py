@@ -18,7 +18,7 @@ from .composecheck import run_compose_check
 from .errors import ModelError, NumericError, PolycycleError, UsageError
 from .model import OPTION_DEFAULTS, load_model
 from .pipeline import analyze, oracle_cycles, oracle_dulac, oracle_return, scan
-from .resultdoc import dumps, render_csv
+from .resultdoc import block, dumps, render_csv
 
 __all__ = ["main"]
 
@@ -163,13 +163,7 @@ def _cmd_compose_check(args) -> int:
         "seed": report.seed,
         "count": report.count,
         "bias": report.bias,
-        "cases": [
-            {"case": c.case, "trials": c.trials,
-             "max_leading_dev": c.max_leading_dev,
-             "max_second_dev": c.max_second_dev,
-             "max_offset_dev": c.max_offset_dev}
-            for c in report.cases
-        ],
+        "cases": [block(c) for c in report.cases],
         "worst_leading": report.worst_leading,
         "worst_second": report.worst_second,
         "passed": report.passed(),

@@ -449,9 +449,9 @@ class FitReport:
     second_coeff: float | None
     residual_slope: float | None  # decay rate of what the model leaves over
     rel_residual: float
-    grid: tuple[float, ...]
     confident: bool
-    notes: tuple[str, ...] = ()
+    notes: tuple[str, ...]
+    grid: tuple[float, ...]
 
 
 def _aitken(seq: Sequence[float]) -> tuple[float, float]:
@@ -602,8 +602,8 @@ def fit_expansion(svals: Sequence[float], values: Sequence[float],
                      second_exponent=None if second_exponent is None else float(second_exponent),
                      second_coeff=None if second_coeff is None else float(second_coeff),
                      residual_slope=residual_slope, rel_residual=rel,
-                     grid=tuple(float(x) for x in s), confident=confident,
-                     notes=tuple(notes))
+                     confident=confident, notes=tuple(notes),
+                     grid=tuple(float(x) for x in s))
 
 
 # ---------------------------------------------------------------------------

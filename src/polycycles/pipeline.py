@@ -17,14 +17,15 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from . import __version__
-from .calculus import (CompensatorTerm, DisplacementExpansion, ReturnExpansion,
-                       displacement_expansion, return_expansion)
+from .calculus import (DisplacementExpansion, ReturnExpansion, displacement_expansion,
+                       return_expansion)
 from .cyclicity import gradient, not_identity_probe, verdict
 from .errors import (ModelError, NumericError, PolycycleError, UnsupportedGeometryError,
                      UsageError)
 from .flow import (LineSection, chart_field, dulac_lattice, field_callable, fit_expansion,
                    count_limit_cycles, numeric_dulac, numeric_return)
 from .model import OPTION_DEFAULTS, Model, ModelFile, bind, check_option, merge_values
+from .resultdoc import block
 from .saddle import DulacExpansion, LocalChart, dulac_coefficients, normalize_saddle
 
 __all__ = [
@@ -36,12 +37,7 @@ __all__ = [
     "oracle_return",
     "oracle_cycles",
     "scan",
-    "default_fit_grid",
 ]
-
-def default_fit_grid(s0: float = 1e-2, points: int = 13) -> np.ndarray:
-    """Halving grid s0 * 2**-k, the standard grid for expansion fits."""
-    return s0 * 2.0 ** -np.arange(points, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -84,8 +80,7 @@ def build_corners(model: Model) -> tuple[CornerData, ...]:
     for i, corner in enumerate(corners):
         incoming, outgoing, lin, lout = _unit_edges(corners, i)
         h_in, h_out = 0.5 * lin, 0.5 * lout
-        chart = normalize_saddle(fx, fy, corner, incoming, outgoing,
-                                 footprint=max(h_in, h_out) + 0.05)
+        chart = normalize_saddle(fx, fy, corner, incoming, outgoing)
         expansion = dulac_coefficients(chart, h_in, h_out)
         data.append(CornerData(index=i + 1, corner=tuple(map(float, corner)),
                                h_in=h_in, h_out=h_out, chart=chart, expansion=expansion))
@@ -222,23 +217,13 @@ def analyze(mf: ModelFile, overrides: Mapping[str, object] | None = None,
             "second_exponent": ret.second_exponent,
             "second_coeff": ret.second_coeff,
             "second_scale": ret.second_scale,
-            "compensator": _comp_doc(ret.comp),
+            "compensator": None if ret.comp is None else block(ret.comp),
             "flatness": list(ret.ell),
             "notes": list(ret.notes),
         },
     }
     if disp is not None:
-        doc["displacement"] = {
-            "rotation": disp.rotation,
-            "split": disp.split,
-            "alpha": disp.alpha,
-            "exponents": list(disp.exponents),
-            "psi1": disp.psi1,
-            "psi2": disp.psi2,
-            "psi3": disp.psi3,
-            "scale": disp.scale,
-            "notes": list(disp.notes),
-        }
+        doc["displacement"] = block(disp)
     else:
         doc["displacement"] = {"unavailable": disp_note or "not computed"}
     doc["gradients"] = {
@@ -255,11 +240,7 @@ def analyze(mf: ModelFile, overrides: Mapping[str, object] | None = None,
         "consistent": v.consistent,
         "summary": v.summary(),
         "zero_tol": opts["zero_tol"],
-        "items": [
-            {"label": it.label, "kind": it.kind, "bound": it.bound,
-             "fired": it.fired, "condition": it.condition, "detail": it.detail}
-            for it in v.items
-        ],
+        "items": [block(it) for it in v.items],
         "notes": list(v.notes),
     }
     return doc
@@ -296,7 +277,7 @@ def _fit_grid(opts: Mapping[str, float], s_range: tuple[float, float] | None,
     the section window, when there is one."""
     points = int(opts["fit_points"])
     if s_range is None:
-        return default_fit_grid(s0=s0, points=points)
+        return s0 * 2.0 ** -np.arange(points, dtype=float)
     lo, hi = _check_range(s_range)
     if window is not None and not window[0] <= lo < hi <= window[1]:
         raise UsageError(f"s range {lo:g}:{hi:g} leaves the section window "
@@ -332,13 +313,6 @@ def _expansion_doc(d: DulacExpansion) -> dict:
     }
 
 
-def _comp_doc(comp: CompensatorTerm | None) -> dict | None:
-    if comp is None:
-        return None
-    return {"exponent": comp.exponent, "alpha": comp.alpha,
-            "plain": comp.plain, "wrapped": comp.wrapped}
-
-
 # ---------------------------------------------------------------------------
 # Numeric drivers
 
@@ -362,20 +336,6 @@ def _sample(fun: Callable[[float], float], svals: Sequence[float],
     if not ok_s:
         raise NumericError("every sample failed; see per-sample errors")
     return rows, ok_s, ok_v
-
-
-def _fit_doc(fit) -> dict:
-    return {
-        "exponent": fit.exponent,
-        "leading": fit.leading,
-        "second_exponent": fit.second_exponent,
-        "second_coeff": fit.second_coeff,
-        "residual_slope": fit.residual_slope,
-        "rel_residual": fit.rel_residual,
-        "confident": fit.confident,
-        "notes": list(fit.notes),
-        "grid": list(fit.grid),
-    }
 
 
 def oracle_dulac(mf: ModelFile, corner_index: int,
@@ -420,8 +380,8 @@ def oracle_dulac(mf: ModelFile, corner_index: int,
         "provenance": _provenance(mf, opts),
         "parameters": dict(sorted(model.values.items())),
         "samples": rows,
-        "fit_free": _fit_doc(free),
-        "fit_pinned": _fit_doc(pinned),
+        "fit_free": block(free),
+        "fit_pinned": block(pinned),
         "closed_form": closed,
         "deviation": deviation,
     }
@@ -463,7 +423,7 @@ def oracle_return(mf: ModelFile, s_range: tuple[float, float] | None = None,
                     "direction": [float(v) for v in sect.direction],
                     "window": [float(v) for v in sect.window]},
         "samples": rows,
-        "fit_free": _fit_doc(free),
+        "fit_free": block(free),
         "closed_form": {"ratio": ret.ratio, "leading": ret.leading,
                         "kind": ret.kind,
                         "second_exponent": ret.second_exponent,
@@ -520,14 +480,15 @@ def _rel_gap(got: float | None, want: float | None) -> float | None:
 # ---------------------------------------------------------------------------
 # Parameter scans
 
+MAX_GRID_POINTS = 10**6
+
 
 def scan(mf: ModelFile, grid: Mapping[str, tuple[float, float, int]],
-         overrides: Mapping[str, object] | None = None,
-         max_points: int = 10**6) -> tuple[list[str], list[list]]:
+         overrides: Mapping[str, object] | None = None) -> tuple[list[str], list[list]]:
     """Closed-form quantities on a Cartesian parameter grid.
 
     Returns (header, rows) for CSV emission.  Grid axes must name
-    declared parameters; the total point count is capped.
+    declared parameters; the total point count is at most MAX_GRID_POINTS.
     """
     if not grid:
         raise UsageError("empty grid specification")
@@ -541,8 +502,8 @@ def scan(mf: ModelFile, grid: Mapping[str, tuple[float, float, int]],
             raise UsageError(f"grid axis {name!r}: count must be >= 1")
         total *= count
     # checked before any axis is built: one huge axis alone would exhaust memory
-    if total > max_points:
-        raise UsageError(f"grid has {total} points; the limit is {max_points}")
+    if total > MAX_GRID_POINTS:
+        raise UsageError(f"grid has {total} points; the limit is {MAX_GRID_POINTS}")
     axes = [(name, np.linspace(start, stop, count))
             for name, (start, stop, count) in grid.items()]
 

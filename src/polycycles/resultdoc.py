@@ -6,10 +6,15 @@ path segment.  Values are typed (int, float, bool, none, quoted string)
 and round-trip losslessly; floats serialize with repr, whose shortest
 form re-reads to the identical bit pattern.  Scans additionally emit
 RFC-4180 CSV with a header row and '.' decimal separator.
+
+A block that mirrors a dataclass is that dataclass (``block``): a field
+added to the dataclass appears in every document that carries it.  Blocks
+that rename, reorder or leave out fields are written where they are built.
 """
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -17,9 +22,15 @@ from typing import Any, Iterable, Mapping, Sequence
 
 from .errors import ModelError
 
-__all__ = ["dumps", "loads", "render_csv"]
+__all__ = ["block", "dumps", "loads", "render_csv"]
 
 _SCALARS = (str, int, float, bool, type(None))
+
+
+def block(obj: Any) -> dict[str, Any]:
+    """A dataclass instance's fields in declaration order, tuples as lists."""
+    values = {field.name: getattr(obj, field.name) for field in dataclasses.fields(obj)}
+    return {name: list(v) if isinstance(v, tuple) else v for name, v in values.items()}
 
 
 def _flatten(prefix: str, node: Any, out: list[tuple[str, Any]]) -> None:

@@ -145,8 +145,7 @@ def _taylor_shift(c: np.ndarray, a: float, b: float) -> np.ndarray:
 
 
 def normalize_saddle(field_x: np.ndarray, field_y: np.ndarray,
-                     corner, incoming, outgoing,
-                     footprint: float = 0.55) -> LocalChart:
+                     corner, incoming, outgoing) -> LocalChart:
     """Build the LocalChart of a saddle with axis-parallel separatrices.
 
     ``incoming`` points from the corner toward the previous corner (along
@@ -201,10 +200,8 @@ def normalize_saddle(field_x: np.ndarray, field_y: np.ndarray,
             f"normalized corner ({a:g},{b:g}) violates P(0,0)>0>Q(0,0): "
             f"P={p0:.3e}, Q={q0:.3e}")
 
-    chart = LocalChart(p_poly=p_loc, q_poly=q_loc, lam=scalar(_divide(-q0, p0)),
-                       corner=(a, b), linear=linear)
-    chart.check_footprint(footprint)
-    return chart
+    return LocalChart(p_poly=p_loc, q_poly=q_loc, lam=scalar(_divide(-q0, p0)),
+                      corner=(a, b), linear=linear)
 
 
 # ---------------------------------------------------------------------------
@@ -219,8 +216,8 @@ def normalize_saddle(field_x: np.ndarray, field_y: np.ndarray,
 # and Curtis 1960; Greengard 1991), one cached matrix per n, and so gives
 # log L at every node from one sample.  A transition factor is sampled once
 # on [0, h]: D00 reads L(h) at t = 1, and the Mellin tail over the same
-# [0, h] reads L at its own nodes.  A tail that doubles past the grid's n
-# adds only the new midpoints to the grid.
+# [0, h] reads L at its own nodes, a stride of the grid.  A tail that
+# doubles past the grid's n gets L on its own finer grid.
 #
 # The Mellin tail is int_0^1 t^beta g(t) dt with g smooth and
 # beta = k - alpha - 1 > -1, possibly complex.  The product rule weights
@@ -232,16 +229,14 @@ def normalize_saddle(field_x: np.ndarray, field_y: np.ndarray,
 # n doubles from QUAD_MIN_NODES until the two agree to QUAD_RTOL relative
 # (QUAD_ATOL absolute, for values near 0), tested on real parts.  When 2n
 # reaches QUAD_MAX_NODES the 2n values stand unless the two still differ by
-# more than 1e-6*max(1, |value|).  The first check samples once on the
-# 2n + 1 points; each doubling samples only the new midpoints.
+# more than 1e-6*max(1, |value|).  Each check samples once on the 2n + 1
+# points, and the n-point rule reads every other one of them.
 
 QUAD_ATOL, QUAD_RTOL = 1e-12, 1e-10
 QUAD_MIN_NODES, QUAD_MAX_NODES = 32, 1024
 
-# A Sampler gives a function of t in [0, 1] at the Lobatto points
-# _chebyshev(n)[0][sl]: sl is _ALL, or _MIDPOINTS when n has just doubled.
-Sampler = Callable[[int, slice], np.ndarray]
-_ALL, _MIDPOINTS = slice(None), slice(1, None, 2)
+# A Sampler gives a function of t in [0, 1] at the Lobatto points _chebyshev(n)[0].
+Sampler = Callable[[int], np.ndarray]
 
 
 @lru_cache(maxsize=8)
@@ -312,19 +307,10 @@ def _moments(beta, count: int) -> np.ndarray:
     return np.array(m[:count])
 
 
-def _refined(sample: Sampler, values: np.ndarray) -> np.ndarray:
-    """The values at n + 1 Lobatto points completed to the 2n + 1 points."""
-    n = 2 * (values.size - 1)
-    mid = sample(n, _MIDPOINTS)
-    merged = np.empty(n + 1, dtype=np.result_type(values, mid))
-    merged[::2], merged[1::2] = values, mid
-    return merged
-
-
 def _doubling(sample: Sampler, rule: Callable[[np.ndarray], np.ndarray],
-              what: str) -> tuple[np.ndarray, np.ndarray]:
+              what: str) -> np.ndarray:
     """The 2n-point result of ``rule`` for the least n whose n-point result
-    agrees with it, and the samples it was taken from.
+    agrees with it.
 
     ``rule`` takes the values at n + 1 Lobatto points and returns the
     integral at the nodes it reports: every node, or only t = 1, the first.
@@ -332,7 +318,7 @@ def _doubling(sample: Sampler, rule: Callable[[np.ndarray], np.ndarray],
     n-point rule.
     """
     n = 2 * QUAD_MIN_NODES
-    values = sample(n, _ALL)
+    values = sample(n)
     coarse = rule(values[::2])
     while True:
         fine = rule(values)
@@ -342,11 +328,11 @@ def _doubling(sample: Sampler, rule: Callable[[np.ndarray], np.ndarray],
         if n >= QUAD_MAX_NODES or np.all(err <= tol):
             break
         n, coarse = 2 * n, fine
-        values = _refined(sample, values)
+        values = sample(n)
     if not (np.all(np.isfinite(fine))
             and np.all(err <= 1e-6 * np.maximum(1.0, np.abs(shared.real)))):
         raise NumericError(f"{what} did not converge (err={np.max(err):.2e})")
-    return fine, values
+    return fine
 
 
 def _fixed_rule(sample: Sampler, beta, scale, what: str):
@@ -363,7 +349,7 @@ def _fixed_rule(sample: Sampler, beta, scale, what: str):
         # one row of moments: the integral at t = 1 only
         return scale * (moments[None, :n + 1] @ _real_matmul(_chebyshev(n)[1], values))
 
-    return _doubling(sample, rule, what)[0][0]
+    return _doubling(sample, rule, what)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -384,8 +370,8 @@ class _Transition:
 
     The integrand is sampled once, and the cumulative rule gives log L at
     every node.  ``at(n)`` hands a Mellin tail over [0, w] L at its own
-    nodes; past the grid's node count the grid samples only the new
-    midpoints.
+    nodes: a stride of the grid up to the grid's node count, and past it
+    L from a fresh sample at n, which is not kept.
     """
 
     def __init__(self, num: np.ndarray, den: np.ndarray, alpha, small: np.ndarray,
@@ -394,8 +380,7 @@ class _Transition:
         self.small = small    # series of the integrand, used for |t| < _SERIES_SWITCH
         self.series = series  # series of L itself
         self.w = w
-        log_l, self._values = _doubling(self._sample, self._log_l, "transition integral")
-        self._l = np.exp(log_l)
+        self._l = np.exp(_doubling(self._sample, self._log_l, "transition integral"))
 
     def integrand(self, t: np.ndarray) -> np.ndarray:
         out = np.empty(t.shape, dtype=self.small.dtype)
@@ -406,18 +391,18 @@ class _Transition:
         out[big] = _divide(_divide(horner(self.num, tb), horner(self.den, tb)) + self.alpha, tb)
         return out
 
-    def _sample(self, n: int, sl: slice) -> np.ndarray:
-        return self.integrand(self.w * _chebyshev(n)[0][sl])
+    def _sample(self, n: int) -> np.ndarray:
+        return self.integrand(self.w * _chebyshev(n)[0])
 
     def _log_l(self, values: np.ndarray) -> np.ndarray:
         return self.w * _real_matmul(_cumulative(values.size - 1), values)
 
     def at(self, n: int) -> np.ndarray:
         """L at the n + 1 Lobatto points of [0, w], from t = 1 down to 0."""
-        while self._values.size - 1 < n:
-            self._values = _refined(self._sample, self._values)
-            self._l = np.exp(self._log_l(self._values))
-        return self._l[::(self._values.size - 1) // n]
+        grid = self._l.size - 1
+        if n <= grid:
+            return self._l[::grid // n]
+        return np.exp(self._log_l(self._sample(n)))
 
     @property
     def end(self):
@@ -476,9 +461,9 @@ def _s_value(p: np.ndarray, q: np.ndarray, trans: _Transition):
 
     m_series = np.convolve(trans.series, series_div(num, den, order))[:order + 1]
 
-    def m_germ(n: int, sl: slice) -> np.ndarray:
-        w = trans.w * _chebyshev(n)[0][sl]
-        return trans.at(n)[sl] * _divide(horner(num, w), horner(den, w))
+    def m_germ(n: int) -> np.ndarray:
+        w = trans.w * _chebyshev(n)[0]
+        return trans.at(n) * _divide(horner(num, w), horner(den, w))
 
     return -(1.0 / trans.end) * mellin_hat(m_germ, m_series, trans.alpha, trans.w)
 
@@ -517,9 +502,9 @@ def mellin_hat(f: Sampler, series, alpha: float, x: float) -> float:
 
     switch = min(_MELLIN_SWITCH * max(1.0, x), 0.5 * x)
 
-    def h(n: int, sl: slice) -> np.ndarray:
-        s = x * _chebyshev(n)[0][sl]
-        fs = f(n, sl)
+    def h(n: int) -> np.ndarray:
+        s = x * _chebyshev(n)[0]
+        fs = f(n)
         out = np.empty(s.shape, dtype=coeffs.dtype)
         small = s < switch
         out[small] = horner(coeffs[k:], s[small])  # the series tail
@@ -582,7 +567,8 @@ def dulac_coefficients(chart: LocalChart, h_in: float, h_out: float) -> DulacExp
         raise ModelError(f"section half-lengths must be positive and finite, "
                          f"got h_in={h_in!r}, h_out={h_out!r}")
     lam = chart.lam
-    chart.check_footprint(max(h_in, h_out) * 1.05)
+    h = max(h_in, h_out)
+    chart.check_footprint(max(h + 0.05, 1.05 * h))
 
     p, q = chart.p_poly, chart.q_poly
     axes = ((p, q, _transition_data(p, q, 1.0 / lam, h_in)),

@@ -323,13 +323,13 @@ class TestCrossingsOnTheLine:
             assert abs(offset) <= 1e-12 * max(1.0, math.hypot(*state))
 
     def test_four_saddle_return(self, monkeypatch, game_mf):
-        from polycycles.pipeline import default_fit_grid, return_section
+        from polycycles.pipeline import return_section
 
         model = bind(game_mf)
         fun = field_callable(model.field_x, model.field_y)
         section = return_section(model)
         found = self.record_events(monkeypatch)
-        svals = default_fit_grid()
+        svals = 1e-2 * 2.0 ** -np.arange(13)  # the default fit grid
         for s in svals:
             numeric_return(fun, section, float(s))
         self.assert_on_line(found, len(svals))

@@ -14,11 +14,13 @@ import numpy as np
 import pytest
 
 from polycycles import pipeline
+from polycycles.calculus import CompensatorTerm
+from polycycles.cli import main
 from polycycles.cyclicity import gradient
 from polycycles.errors import ModelError
 from polycycles.pipeline import (_chain_quantities, analyze, build_corners, oracle_cycles,
                                  oracle_dulac, oracle_return, scan)
-from polycycles.resultdoc import dumps, loads
+from polycycles.resultdoc import block, dumps, loads
 
 EPS = sys.float_info.epsilon
 
@@ -292,11 +294,45 @@ class TestScan:
             scan(game_mf, {"qq": (0.0, 1.0, 3)})
         with pytest.raises(ModelError, match="count must be >= 1"):
             scan(game_mf, {"l1": (0.0, 1.0, 0)})
-        with pytest.raises(ModelError, match="the limit is 10"):
-            scan(game_mf, {"l1": (0.0, 1.0, 4), "l2": (0.0, 1.0, 4)},
-                 max_points=10)
+        # over the limit: rejected from the counts, before any axis is built
+        with pytest.raises(ModelError, match="grid has 1001000 points; the limit is 1000000"):
+            scan(game_mf, {"l1": (0.0, 1.0, 1001), "l2": (0.0, 1.0, 1000)})
         with pytest.raises(ModelError, match="empty grid"):
             scan(game_mf, {})
+
+
+class TestBlockLayouts:
+    """Blocks written by resultdoc.block carry their dataclass's fields in
+    declaration order, so a field added to the dataclass shows up here."""
+
+    FIT = ["exponent", "leading", "second_exponent", "second_coeff", "residual_slope",
+           "rel_residual", "confident", "notes", "grid"]
+
+    def test_analyze_blocks(self, game_doc):
+        disp = game_doc["displacement"]
+        assert list(disp) == ["rotation", "split", "alpha", "exponents", "psi1", "psi2",
+                              "psi3", "scale", "notes"]
+        assert list(game_doc["verdict"]["items"][0]) == [
+            "label", "kind", "bound", "fired", "condition", "detail"]
+        # tuple fields are lists in memory, as the document reads them back
+        assert type(disp["exponents"]) is list and type(disp["notes"]) is list
+
+    def test_fit_blocks(self, dulac_doc):
+        for key in ("fit_free", "fit_pinned"):
+            fit = dulac_doc[key]
+            assert list(fit) == self.FIT
+            assert type(fit["grid"]) is list and type(fit["notes"]) is list
+
+    def test_compose_check_cases(self, tmp_path):
+        out = tmp_path / "check.txt"
+        assert main(["compose-check", "--seed", "42", "--count", "2", "--out", str(out)]) == 0
+        assert list(loads(out.read_text())["cases"][0]) == [
+            "case", "trials", "max_leading_dev", "max_second_dev", "max_offset_dev"]
+
+    def test_compensator(self):
+        comp = CompensatorTerm(exponent=1.5, alpha=0.25, plain=2.0, wrapped=-1.0)
+        assert list(block(comp).items()) == [
+            ("exponent", 1.5), ("alpha", 0.25), ("plain", 2.0), ("wrapped", -1.0)]
 
 
 def test_complex_chain_is_holomorphic(game_mf):

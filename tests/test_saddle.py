@@ -185,10 +185,12 @@ class TestNormalize:
                              (0.0, 0.0), (1.0, 0.0), (0.0, 1.0))
 
     def test_footprint_guard(self):
-        # P(x,0) = 1 - x changes sign inside the requested footprint
+        # P(x,0) = 1 - x changes sign at x = 1, inside the footprint of an
+        # exit section at h_out = 1.1; the chart itself builds
+        chart = normalize_saddle(poly("x*(1 - x)"), poly("-y"),
+                                 (0.0, 0.0), (0.0, 1.0), (1.0, 0.0))
         with pytest.raises(UnsupportedGeometryError, match="footprint too large"):
-            normalize_saddle(poly("x*(1 - x)"), poly("-y"),
-                             (0.0, 0.0), (0.0, 1.0), (1.0, 0.0), footprint=1.2)
+            dulac_coefficients(chart, 0.5, 1.1)
 
     @pytest.mark.parametrize("p_src, q_src", [
         ("1 - 2*x", "-1 + y"),      # P(x,0) fails first, at x = 0.5
@@ -322,7 +324,9 @@ class TestTransitionGrid:
                     want = float(mpmath.exp(mp_log_l(real, which, 0.0, s)) * d_log_l)
                     assert abs(got[j].imag / 1e-30 - want) <= 1e-10 * max(1.0, abs(want))
 
-    def test_refinement_samples_only_the_midpoints(self, monkeypatch):
+    def test_finer_grid_agrees_with_the_converged_one(self, monkeypatch):
+        # past the converged 64-node grid, at(128) samples the integrand
+        # once on its own 129 points and leaves the grid as it was
         data = transition(nonlinear_chart(), 1, 0.5)
         coarse = data.at(64).copy()
         calls = []
@@ -334,9 +338,9 @@ class TestTransitionGrid:
 
         monkeypatch.setattr(saddle._Transition, "integrand", counted)
         fine = data.at(128)
-        assert calls == [(64,)]
+        assert calls == [(129,)]
         np.testing.assert_allclose(fine[::2], coarse, rtol=1e-14)
-        np.testing.assert_array_equal(data.at(64), fine[::2])
+        np.testing.assert_array_equal(data.at(64), coarse)
 
     def test_unconverged_rule_raises(self, monkeypatch):
         # Q(0, y) = -1 + 1.98 y vanishes at y = 0.505, just past the grid:
@@ -430,7 +434,7 @@ class TestTimeReversal:
 
 def mellin(fun, series, alpha, x):
     """mellin_hat of a function of s, sampled on the rule's nodes."""
-    return mellin_hat(lambda n, sl: fun(x * saddle._chebyshev(n)[0][sl]), series, alpha, x)
+    return mellin_hat(lambda n: fun(x * saddle._chebyshev(n)[0]), series, alpha, x)
 
 
 class TestMellin:
