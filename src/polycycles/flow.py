@@ -2,11 +2,13 @@
 
 Everything here deliberately avoids the closed-form expansion machinery so
 that its output can serve as an independent cross-check.  Transition maps
-are computed by integrating the vector field with tight tolerances; a
-section crossing is the root of the line function on the last step's
-quartic interpolant, so it lies on the line to rounding.  Asymptotic
-coefficients are recovered from samples on a geometric grid of section
-parameters by Richardson-style extrapolation.
+are computed by integrating the vector field with tight tolerances.  A
+section crossing is the root of the line function on a step's quartic
+interpolant, so it lies on the line to rounding.  It counts, and ends the
+run, when the line function changes sign in the requested direction and
+the root lies inside the section window; `integrate` alone decides this.
+Asymptotic coefficients are recovered from samples on a geometric grid of
+section parameters by Richardson-style extrapolation.
 
 The integrator is a Dormand–Prince 5(4) pair stepping on Python floats
 (`integrate`); fields are planar and autonomous, ``fun(x, y) -> (fx, fy)``.
@@ -24,8 +26,8 @@ from .saddle import LocalChart
 
 ATOL = 1e-12
 RTOL = 1e-10
+T_MAX = 200.0     # default time span of one transition
 PRE_STEP = 1e-6   # advance past a start that sits on the section line
-MAX_RESTARTS = 20
 EPS = 2.0 ** -52
 ROOT_RTOL = 4 * EPS  # relative part of the bracket width a root is refined to
 ROOT_MAXITER = 100
@@ -142,44 +144,28 @@ def chart_field(chart: LocalChart) -> Callable[[float, float], tuple[float, floa
 # Dormand–Prince 5(4) integration
 
 
-@dataclass(frozen=True)
-class _Step:
-    """One accepted step's quartic interpolant: state at t_old + theta*h is
-    start + h*theta*(q0 + theta*(q1 + theta*(q2 + theta*q3)))."""
+def _crossing(t_old: float, h: float, x0: float, y0: float,
+              kx: Sequence[float], ky: Sequence[float], g0: float, nx: float, ny: float,
+              ) -> tuple[float, tuple[float, float]]:
+    """Time and state at which (state - anchor)·n, equal to g0 at the step's
+    start (x0, y0) and of the other sign or zero at its end, has its root on
+    the quartic interpolant (x0, y0) + h*th*(q0 + th*(q1 + th*(q2 + th*q3)))
+    of the step of size h from t_old, whose q come from its stages kx, ky."""
+    qx = [sum(k * row[j] for k, row in zip(kx, P)) for j in range(4)]
+    qy = [sum(k * row[j] for k, row in zip(ky, P)) for j in range(4)]
+    c0, c1, c2, c3 = (a * nx + b * ny for a, b in zip(qx, qy))
 
-    t_old: float
-    h: float
-    start: tuple[float, float]
-    qx: tuple[float, float, float, float]
-    qy: tuple[float, float, float, float]
+    def g(th: float) -> float:
+        return g0 + h * th * (c0 + th * (c1 + th * (c2 + th * c3)))
 
-    @classmethod
-    def make(cls, t_old: float, h: float, start: tuple[float, float],
-             kx: Sequence[float], ky: Sequence[float]) -> "_Step":
-        qx = tuple(sum(k * row[j] for k, row in zip(kx, P)) for j in range(4))
-        qy = tuple(sum(k * row[j] for k, row in zip(ky, P)) for j in range(4))
-        return cls(t_old, h, start, qx, qy)
-
-    def __call__(self, t: float) -> tuple[float, float]:
-        h, (x0, y0), (a0, a1, a2, a3), (b0, b1, b2, b3) = (
-            self.h, self.start, self.qx, self.qy)
-        th = (t - self.t_old) / h
-        return (x0 + h * th * (a0 + th * (a1 + th * (a2 + th * a3))),
-                y0 + h * th * (b0 + th * (b1 + th * (b2 + th * b3))))
-
-    def crossing(self, g0: float, nx: float, ny: float) -> float:
-        """Time at which (state - anchor)·n, equal to g0 at the step's start,
-        has its root on the interpolant, the step having changed its sign."""
-        c0, c1, c2, c3 = (a * nx + b * ny for a, b in zip(self.qx, self.qy))
-        h = self.h
-
-        def g(th: float) -> float:
-            return g0 + h * th * (c0 + th * (c1 + th * (c2 + th * c3)))
-
-        g1 = g(1.0)
-        if g0 != 0.0 and (g0 > 0.0) == (g1 > 0.0):
-            return self.t_old + h  # rounding left the interpolant short of the line
-        return self.t_old + h * _bracket_root(g, 0.0, 1.0, g0, g1, xtol=4 * EPS)
+    g1 = g(1.0)
+    if g0 != 0.0 and (g0 > 0.0) == (g1 > 0.0):
+        t = t_old + h  # rounding left the interpolant short of the line
+    else:
+        t = t_old + h * _bracket_root(g, 0.0, 1.0, g0, g1, xtol=4 * EPS)
+    (a0, a1, a2, a3), (b0, b1, b2, b3), th = qx, qy, (t - t_old) / h
+    return t, (x0 + h * th * (a0 + th * (a1 + th * (a2 + th * a3))),
+               y0 + h * th * (b0 + th * (b1 + th * (b2 + th * b3))))
 
 
 @dataclass(frozen=True)
@@ -223,9 +209,11 @@ def integrate(fun, start, t_max: float, section: LineSection | None = None,
     over atol + max(|y|, |y_new|)·rtol, the step grows by 0.9·err^(-1/5)
     within [0.2, 10] and not at all right after a rejection, and a step
     below ten ulps of t is a NumericError.  With a ``section`` the run
-    stops in the first step over which (x - ax)·nx + (y - ay)·ny changes
-    sign in ``direction`` (+1 upward, -1 downward, 0 either), at that
-    function's root on the step's quartic interpolant.
+    stops at the first crossing that counts: a step over which
+    (x - ax)·nx + (y - ay)·ny changes sign in ``direction`` (+1 upward,
+    -1 downward, 0 either), with that function's root on the step's
+    quartic interpolant inside the section window.  A crossing outside the
+    window does not stop the run; it goes on from the end of that step.
     """
     t_end = t0 + t_max
     if not t_end > t0:
@@ -239,12 +227,11 @@ def integrate(fun, start, t_max: float, section: LineSection | None = None,
     fx, fy = fun(x, y)
     h_abs = _initial_step(fun, x, y, fx, fy, t_end - t, atol, rtol)
     if section is not None:
-        (ax, ay), (nx, ny) = section.anchor.tolist(), section.normal.tolist()
+        (ax, ay), (nx, ny), (lo, hi) = section.anchor, section.normal, section.window
         g = (x - ax) * nx + (y - ay) * ny
         up, down = direction >= 0.0, direction <= 0.0
 
-    crossed = False
-    while not crossed and t < t_end:
+    while t < t_end:
         min_step = 10.0 * (math.nextafter(t, math.inf) - t)
         h_abs = max(h_abs, min_step)
         rejected = False
@@ -283,13 +270,12 @@ def integrate(fun, start, t_max: float, section: LineSection | None = None,
         t, x, y, fx, fy = t_new, xn, yn, k7x, k7y
         if section is not None:
             g_old, g = g, (x - ax) * nx + (y - ay) * ny
-            crossed = (up and g_old <= 0.0 <= g) or (down and g_old >= 0.0 >= g)
-
-    if crossed:
-        step = _Step.make(t_old, h, (x_old, y_old), (k1x, k2x, k3x, k4x, k5x, k6x, k7x),
-                          (k1y, k2y, k3y, k4y, k5y, k6y, k7y))
-        t_cross = step.crossing(g_old, nx, ny)
-        return Trajectory("event", t_cross, step(t_cross))
+            if (up and g_old <= 0.0 <= g) or (down and g_old >= 0.0 >= g):
+                t_cross, state = _crossing(t_old, h, x_old, y_old,
+                                           (k1x, k2x, k3x, k4x, k5x, k6x, k7x),
+                                           (k1y, k2y, k3y, k4y, k5y, k6y, k7y), g_old, nx, ny)
+                if lo <= section.param(state) <= hi:
+                    return Trajectory("event", t_cross, state)
     return Trajectory("tmax", t, (x, y))
 
 
@@ -352,64 +338,56 @@ def _bracket_root(f: Callable[[float], float], a: float, b: float, fa: float, fb
 class LineSection:
     """Straight transverse section: anchor + t * direction, t in window."""
 
-    anchor: np.ndarray
-    direction: np.ndarray
+    anchor: tuple[float, float]
+    direction: tuple[float, float]
     window: tuple[float, float]
 
     @classmethod
     def make(cls, anchor, direction, window) -> "LineSection":
-        a = np.asarray(anchor, dtype=float)
-        d = np.asarray(direction, dtype=float)
-        if not np.linalg.norm(d) > 0:
+        dx, dy = float(direction[0]), float(direction[1])
+        if not math.hypot(dx, dy) > 0:
             raise ValueError("section direction must be nonzero")
-        return cls(anchor=a, direction=d, window=(float(window[0]), float(window[1])))
+        return cls((float(anchor[0]), float(anchor[1])), (dx, dy),
+                   (float(window[0]), float(window[1])))
 
     @property
-    def normal(self) -> np.ndarray:
-        d = self.direction
-        return np.array([-d[1], d[0]])
+    def normal(self) -> tuple[float, float]:
+        dx, dy = self.direction
+        return -dy, dx
 
-    def point(self, t: float) -> np.ndarray:
-        return self.anchor + t * self.direction
+    def point(self, t: float) -> tuple[float, float]:
+        (ax, ay), (dx, dy) = self.anchor, self.direction
+        return ax + t * dx, ay + t * dy
 
     def param(self, point) -> float:
-        d = self.direction
-        return float((np.asarray(point) - self.anchor) @ d / (d @ d))
+        (px, py), (ax, ay), (dx, dy) = point, self.anchor, self.direction
+        return ((px - ax) * dx + (py - ay) * dy) / (dx * dx + dy * dy)
 
 
-def crossing_map(fun, start, section: LineSection, t_max: float = 200.0,
+def crossing_map(fun, start, section: LineSection, t_max: float = T_MAX,
                  atol: float = ATOL, rtol: float = RTOL) -> tuple[float, float]:
-    """First valid crossing of a section line: returns (parameter, time).
+    """First crossing of a section that counts: returns (parameter, time).
 
     The start may lie on the section line; an event-free phase of PRE_STEP
-    first moves off of it.  Only crossings in the orientation of the flow
-    at the start count, and those outside the section window are skipped
-    by restarting just past them.
+    first moves off of it.  A crossing counts when it runs in the
+    orientation of the flow at the start and lies inside the section
+    window (see ``integrate``).
     """
-    state = (float(start[0]), float(start[1]))
-    vx, vy = fun(*state)
-    nx, ny = section.normal.tolist()
-    direction = math.copysign(1.0, vx * nx + vy * ny)
-    state = integrate(fun, state, PRE_STEP, atol=atol, rtol=rtol).state
-    t_now = PRE_STEP
-
-    for _ in range(MAX_RESTARTS):
-        if t_now >= t_max:
-            break
-        traj = integrate(fun, state, t_max - t_now, section=section,
-                         direction=direction, t0=t_now, atol=atol, rtol=rtol)
-        if traj.status != "event":
-            break
-        u = section.param(traj.state)
-        if section.window[0] <= u <= section.window[1]:
-            return u, traj.t
-        state = integrate(fun, traj.state, PRE_STEP, t0=traj.t, atol=atol, rtol=rtol).state
-        t_now = traj.t + PRE_STEP
+    if t_max > PRE_STEP:
+        x, y = float(start[0]), float(start[1])
+        vx, vy = fun(x, y)
+        nx, ny = section.normal
+        direction = math.copysign(1.0, vx * nx + vy * ny)
+        state = integrate(fun, (x, y), PRE_STEP, atol=atol, rtol=rtol).state
+        traj = integrate(fun, state, t_max - PRE_STEP, section=section, direction=direction,
+                         t0=PRE_STEP, atol=atol, rtol=rtol)
+        if traj.status == "event":
+            return section.param(traj.state), traj.t
     raise OutOfBasinError("orbit did not return to the section window "
                           f"within t_max={t_max:g}")
 
 
-def numeric_return(fun, section: LineSection, s: float, t_max: float = 200.0,
+def numeric_return(fun, section: LineSection, s: float, t_max: float = T_MAX,
                    atol: float = ATOL, rtol: float = RTOL) -> float:
     """Return-map value by integrating one full loop from section parameter s."""
     if not section.window[0] <= s <= section.window[1]:
@@ -423,7 +401,7 @@ def numeric_return(fun, section: LineSection, s: float, t_max: float = 200.0,
 
 
 def numeric_dulac(fun, h_in: float, h_out: float, s: float,
-                  t_max: float = 200.0, atol: float = ATOL, rtol: float = RTOL) -> float:
+                  t_max: float = T_MAX, atol: float = ATOL, rtol: float = RTOL) -> float:
     """Corner transition by integrating the normalized local field ``fun``
     (a ``chart_field``): the v at which the orbit from (s, h_in) crosses
     the exit line u = h_out."""
@@ -512,13 +490,13 @@ def fit_expansion(svals: Sequence[float], values: Sequence[float],
     """Recover v(s) ~ A s^e (1 + (B/A) s^e2 + ...) from samples on a
     decreasing geometric grid.
 
-    Default route: the exponent comes from extrapolated log-log slopes
-    unless given, the leading coefficient from the extrapolated sequence
-    v/s^e, and the second term from the residual sequence.  When the
-    exponent lattice of the expansion is known (offsets inside the
-    bracket, 0 included), pass it together with ``exponent`` to switch to
-    a least-squares fit on those monomials; that resolves slowly decaying
-    tails far better than extrapolation.
+    Free route: the exponent comes from extrapolated log-log slopes, the
+    leading coefficient from the extrapolated sequence v/s^e, and the
+    second term from the residual sequence.  When the exponent and the
+    exponent lattice of the expansion are known (offsets inside the
+    bracket, 0 included), pass both to switch to a least-squares fit on
+    those monomials; that resolves slowly decaying tails far better than
+    extrapolation.  One of the two alone is a ValueError.
 
     The report's second_exponent is the offset e2 inside the bracket: the
     second term sits at s^(e + e2).  A lattice fit takes the least positive
@@ -530,6 +508,8 @@ def fit_expansion(svals: Sequence[float], values: Sequence[float],
     v = np.asarray(values, dtype=float)
     if s.size != v.size or s.size < 4:
         raise ValueError("need at least 4 samples")
+    if (exponent is None) != (lattice is None):
+        raise ValueError("a lattice fit needs both the leading exponent and the lattice")
     order = np.argsort(-s)
     s, v = s[order], v[order]
     if np.any(s <= 0.0) or np.any(v == 0.0):
@@ -538,8 +518,6 @@ def fit_expansion(svals: Sequence[float], values: Sequence[float],
     confident = True
 
     if lattice is not None:
-        if exponent is None:
-            raise ValueError("a lattice fit needs the leading exponent")
         offsets = sorted(set(float(o) for o in lattice) | {0.0})
         room = s.size - 4
         if len(offsets) > room:
@@ -557,14 +535,11 @@ def fit_expansion(svals: Sequence[float], values: Sequence[float],
         second_coeff = None if second_exponent is None else float(by_offset[second_exponent])
         model_bracket = cols @ coef
     else:
-        logs = np.log(s)
-        logv = np.log(np.abs(v))
-        if exponent is None:
-            slopes = np.diff(logv) / np.diff(logs)
-            exponent, e_spread = _aitken(list(slopes))
-            if e_spread > 1e-3 * max(1.0, abs(exponent)):
-                confident = False
-                notes.append("exponent extrapolation did not stabilize")
+        slopes = np.diff(np.log(np.abs(v))) / np.diff(np.log(s))
+        exponent, e_spread = _aitken(list(slopes))
+        if e_spread > 1e-3 * max(1.0, abs(exponent)):
+            confident = False
+            notes.append("exponent extrapolation did not stabilize")
         bracket = v / s**exponent
         leading, a_spread = _aitken(list(bracket))
         if a_spread > 1e-3 * abs(leading):

@@ -25,6 +25,7 @@ and leave it along the edge to the next.
 """
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -35,7 +36,7 @@ import numpy as np
 from .cyclicity import ZERO_TOL
 from .errors import ExpressionError, ModelError, UsageError
 from .expressions import Expression, instantiate, parse_expression
-from .flow import ATOL, RTOL, LineSection
+from .flow import ATOL, RTOL, T_MAX, LineSection
 from .series import scalar
 
 __all__ = ["ModelFile", "Model", "OPTION_DEFAULTS", "parse_model", "load_model", "bind"]
@@ -49,12 +50,13 @@ __all__ = ["ModelFile", "Model", "OPTION_DEFAULTS", "parse_model", "load_model",
 OPTION_DEFAULTS = {
     "atol": ATOL,
     "rtol": RTOL,
-    "t_max": 200.0,
+    "t_max": T_MAX,
     "zero_tol": ZERO_TOL,
     "samples": 200.0,
     "fit_points": 13.0,
 }
-# the options that count points, with their least value
+# the options that count points, with their least value; every other option
+# is finite and > 0, except zero_tol, which may be 0
 _COUNT_MINIMA = {"samples": 2, "fit_points": 4}
 
 _SECTIONS = ("params", "field", "polycycle", "sections", "options")
@@ -111,11 +113,17 @@ def _number(token: str, where: str, error: type[ModelError] = ModelError) -> Fra
 
 def check_option(name: str, value: float, where: str,
                  error: type[ModelError] = ModelError) -> float:
-    """The value of a known option; a count option must be an integer >= its least value."""
+    """The value of a known option, checked against the rule for its name."""
     value = float(value)
     least = _COUNT_MINIMA.get(name)
-    if least is not None and not (value.is_integer() and value >= least):
-        raise error(f"{where}: option {name} must be an integer >= {least}, got {value:g}")
+    if least is not None:
+        ok, rule = value.is_integer() and value >= least, f"an integer >= {least}"
+    elif name == "zero_tol":
+        ok, rule = math.isfinite(value) and value >= 0.0, "finite and >= 0"
+    else:
+        ok, rule = math.isfinite(value) and value > 0.0, "finite and > 0"
+    if not ok:
+        raise error(f"{where}: option {name} must be {rule}, got {value:g}")
     return value
 
 

@@ -344,20 +344,20 @@ def oracle_dulac(mf: ModelFile, corner_index: int,
                  tol_overrides: Mapping[str, float] | None = None) -> dict:
     """Integrate the corner transition map and fit its expansion.
 
-    Samples fit_points values of s, geometric over s_range or on the
-    standard halving grid.  Two fits are reported: a free fit (exponent
-    measured from the data) and a lattice fit pinned at the closed-form
-    ratio, which refines the coefficients once the exponent is
-    independently confirmed.
+    Samples fit_points values of s, geometric over s_range (inside the
+    entry window (0, 0.9·h_in)) or on the standard halving grid.  Two fits
+    are reported: a free fit (exponent measured from the data) and a
+    lattice fit pinned at the closed-form ratio, which refines the
+    coefficients once the exponent is independently confirmed.
     """
     opts = _options(mf, tol_overrides)
-    svals = _fit_grid(opts, s_range)
     model = bind(mf, overrides)
     corners = build_corners(model)
     if not 1 <= corner_index <= len(corners):
         raise ModelError(f"corner index {corner_index} out of range "
                          f"1..{len(corners)}")
     cd = corners[corner_index - 1]
+    svals = _fit_grid(opts, s_range, window=(0.0, 0.9 * cd.h_in))
     fun = chart_field(cd.chart)
     rows, ok_s, ok_v = _sample(
         lambda s: numeric_dulac(fun, cd.h_in, cd.h_out, s, **_integration(opts)),
@@ -419,9 +419,7 @@ def oracle_return(mf: ModelFile, s_range: tuple[float, float] | None = None,
         "what": "return",
         "provenance": _provenance(mf, opts),
         "parameters": dict(sorted(model.values.items())),
-        "section": {"anchor": [float(v) for v in sect.anchor],
-                    "direction": [float(v) for v in sect.direction],
-                    "window": [float(v) for v in sect.window]},
+        "section": block(sect),
         "samples": rows,
         "fit_free": block(free),
         "closed_form": {"ratio": ret.ratio, "leading": ret.leading,
@@ -461,9 +459,7 @@ def oracle_cycles(mf: ModelFile, s_range: tuple[float, float],
         "what": "cycles",
         "provenance": _provenance(mf, opts),
         "parameters": dict(sorted(model.values.items())),
-        "section": {"anchor": [float(v) for v in sect.anchor],
-                    "direction": [float(v) for v in sect.direction],
-                    "window": [float(v) for v in sect.window]},
+        "section": block(sect),
         "range": [lo, hi],
         "scanned": count.scanned,
         "cycles": [{"s": c.s, "stability": c.stability} for c in count.cycles],

@@ -46,6 +46,16 @@ USAGE = {
     "s-range-unreadable": ["oracle", "--what", "cycles", "--model", CIRCLE,
                            "--s-range", "abc"],
     "dulac-without-corner": ["oracle", "--what", "dulac", "--model", FOUR],
+    "dulac-s-range-outside-window": ["oracle", "--what", "dulac", "--corner", "1",
+                                     "--model", FOUR, "--s-range", "0.1:3"],
+    # out-of-range values that would otherwise reach the integrator or the identity probe
+    "t_max-nan": ["oracle", "--what", "return", "--model", FOUR, "--tol", "t_max=nan"],
+    "t_max-inf": ["oracle", "--what", "return", "--model", FOUR, "--tol", "t_max=inf"],
+    "atol-0": ["oracle", "--what", "cycles", "--model", CIRCLE, "--s-range", "0.3:2.0",
+               "--tol", "atol=0"],
+    "rtol-0": ["analyze", "--model", SQUARE, "--tol", "rtol=0"],
+    "rtol-negative": ["analyze", "--model", SQUARE, "--tol", "rtol=-1"],
+    "zero_tol-negative": ["analyze", "--model", SQUARE, "--tol", "zero_tol=-1"],
 }
 
 
@@ -108,6 +118,14 @@ def test_bad_count_options_exit_3(extra, tmp_path, capsys):
                     encoding="utf-8")
     assert main(["analyze", "--model", str(path)]) == 3
     assert "must be an integer >=" in capsys.readouterr().err
+
+
+def test_zero_rtol_option_exits_3(tmp_path, capsys):
+    path = tmp_path / "square.model"
+    path.write_text(Path(SQUARE).read_text(encoding="utf-8") + "\n[options]\nrtol = 0\n",
+                    encoding="utf-8")
+    assert main(["analyze", "--model", str(path)]) == 3
+    assert "option rtol must be finite and > 0" in capsys.readouterr().err
 
 
 def test_every_cycle_sample_failing_exits_4(capsys):

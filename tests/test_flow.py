@@ -53,10 +53,11 @@ def exit_section():
 class TestLineSection:
     def test_geometry(self):
         sect = LineSection.make((1.0, 0.0), (0.0, 1.0), (0.0, 2.0))
-        np.testing.assert_allclose(sect.point(0.5), [1.0, 0.5])
+        assert sect.point(0.5) == (1.0, 0.5)
         assert sect.param((1.0, 0.7)) == pytest.approx(0.7)
-        np.testing.assert_array_equal(sect.normal, [-1.0, 0.0])
-        assert sect.normal @ sect.direction == 0.0
+        assert sect.normal == (-1.0, 0.0)
+        (nx, ny), (dx, dy) = sect.normal, sect.direction
+        assert nx * dx + ny * dy == 0.0
 
     def test_zero_direction_rejected(self):
         with pytest.raises(ValueError, match="direction must be nonzero"):
@@ -74,26 +75,25 @@ class TestCrossing:
         with pytest.raises(OutOfBasinError, match="did not return"):
             crossing_map(saddle_fun, (0.0, 1.0), exit_section, t_max=5.0)
 
-    def test_crossing_outside_window_is_skipped(self, monkeypatch):
+    def test_crossing_outside_window_does_not_stop_the_run(self):
         # x' = y, y' = x - x^3 keeps y^2/2 - x^2/2 + x^4/4, so on y = 0.6 the
         # orbit from (0.45, 0.6) meets x^2 = 0.45^2 and x^2 = 2 - 0.45^2.  It
-        # crosses upward at x = -1.341 first, outside the window, and must
-        # run on to its return at x = 0.45
+        # crosses upward at x = -1.341 first; with the window (0.3, 0.6) the
+        # same run goes on to its return at x = 0.45
         fun = field_callable(poly("y"), poly("x - x^3"))
-        section = LineSection.make((0.0, 0.6), (1.0, 0.0), (0.3, 0.6))
-        events = []
-        real = flow.integrate
+        start = integrate(fun, (0.45, 0.6), PRE_STEP).state
+        windowed = LineSection.make((0.0, 0.6), (1.0, 0.0), (0.3, 0.6))
+        unbounded = LineSection.make((0.0, 0.6), (1.0, 0.0), (-np.inf, np.inf))
+        back = integrate(fun, start, 100.0, section=windowed, direction=1.0)
+        first = integrate(fun, start, 100.0, section=unbounded, direction=1.0)
+        assert back.status == first.status == "event"
+        assert back.state[0] == pytest.approx(0.45, abs=1e-8)
+        assert first.state[0] == pytest.approx(-math.sqrt(2.0 - 0.45**2), abs=1e-8)
+        assert first.t < back.t
 
-        def recording(*args, **kwargs):
-            traj = real(*args, **kwargs)
-            if traj.status == "event":
-                events.append(traj.state[0])
-            return traj
-
-        monkeypatch.setattr(flow, "integrate", recording)
-        assert numeric_return(fun, section, 0.45) == pytest.approx(0.45, abs=1e-8)
-        assert len(events) == 2
-        assert events[0] == pytest.approx(-math.sqrt(2.0 - 0.45**2), abs=1e-8)
+    def test_span_within_the_first_step_off_the_line(self, saddle_fun, exit_section):
+        with pytest.raises(OutOfBasinError, match="did not return"):
+            crossing_map(saddle_fun, (0.01, 1.0), exit_section, t_max=1e-7)
 
     def test_return_start_must_be_in_window(self, saddle_fun, exit_section):
         with pytest.raises(ValueError, match="outside the section window"):
@@ -162,9 +162,9 @@ class TestFitExpansion:
             fit_expansion([0.1, 0.2, 0.4], [1.0, 2.0, 3.0])
         with pytest.raises(ValueError, match="nonzero values"):
             fit_expansion([0.1, 0.2, 0.4, 0.8], [1.0, 0.0, 3.0, 4.0])
-        with pytest.raises(ValueError, match="needs the leading exponent"):
-            fit_expansion([0.1, 0.2, 0.4, 0.8], [1.0, 2.0, 3.0, 4.0],
-                          lattice=(0.0, 1.0))
+        for partial in ({"lattice": (0.0, 1.0)}, {"exponent": 1.0}):
+            with pytest.raises(ValueError, match="needs both the leading exponent"):
+                fit_expansion([0.1, 0.2, 0.4, 0.8], [1.0, 2.0, 3.0, 4.0], **partial)
 
     def test_non_monotone_samples_flagged(self):
         fit = fit_expansion([0.1, 0.2, 0.4, 0.8], [1.0, 2.0, 1.5, 3.0])
@@ -406,7 +406,7 @@ class TestScipyParity:
     def test_circle_turn(self, circle):
         solve_ivp = pytest.importorskip("scipy.integrate").solve_ivp
         fun, section = circle
-        start = tuple(section.point(1.3).tolist())
+        start = section.point(1.3)
         counted, calls = self.counted(fun)
         traj = integrate(counted, start, 2.0 * math.pi)
         ref = solve_ivp(lambda t, y: fun(*y.tolist()), (0.0, 2.0 * math.pi), start,
@@ -422,8 +422,8 @@ class TestScipyParity:
         model = bind(game_mf)
         fun = field_callable(model.field_x, model.field_y)
         section = return_section(model)
-        (ax, ay), (nx, ny) = section.anchor.tolist(), section.normal.tolist()
-        start = integrate(fun, tuple(section.point(1e-2).tolist()), PRE_STEP).state
+        (ax, ay), (nx, ny) = section.anchor, section.normal
+        start = integrate(fun, section.point(1e-2), PRE_STEP).state
         vx, vy = fun(*start)
         direction = math.copysign(1.0, vx * nx + vy * ny)
 
@@ -559,7 +559,7 @@ class TestGeneratedField:
         section = return_section(model)
         fun = field_callable(model.field_x, model.field_y)
         for s in (1e-2, 1e-4):
-            start = integrate(fun, tuple(section.point(s).tolist()), PRE_STEP).state
+            start = integrate(fun, section.point(s), PRE_STEP).state
             vx, vy = fun(*start)
             direction = math.copysign(1.0, vx * section.normal[0] + vy * section.normal[1])
             traj = self.assert_same_run(fun, loop_field(model.field_x, model.field_y),
