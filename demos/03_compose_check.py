@@ -4,7 +4,8 @@ The closed-form rules for composing and inverting corner transition maps
 are exact algebra, but easy to get subtly wrong (resonant ties, compensator
 wrapping, inversion of the second term). The compose-check harness draws
 random two-term maps for every sign case, composes them exactly in
-140-digit arithmetic, peels the first two asymptotic terms back out of the
+multi-precision arithmetic, with as many digits as each case's finite
+differences need, peels the first two asymptotic terms back out of the
 numbers, and compares against the closed forms.
 """
 

@@ -14,7 +14,6 @@ from .calculus import (CompensatorTerm, DisplacementExpansion, ReturnExpansion,
                        compensator, compose_chain,
                        compose_pair, displacement_expansion, inverse_dulac,
                        return_expansion)
-from .composecheck import CheckReport, run_compose_check
 from .cyclicity import (Verdict, VerdictItem, gradient, independence_rank,
                         not_identity_probe, verdict)
 from .errors import (DegeneracyError, ExpressionError, ModelError, NumericError,
@@ -49,3 +48,11 @@ __all__ = [
     "UnsupportedGeometryError", "UsageError", "NumericError", "PoleError",
     "OutOfBasinError",
 ]
+
+
+def __getattr__(name: str):
+    # composecheck needs mpmath, which nothing else loads: import it on first use
+    if name in ("CheckReport", "run_compose_check"):
+        from . import composecheck
+        return getattr(composecheck, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

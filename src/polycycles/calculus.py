@@ -140,16 +140,19 @@ def inverse_dulac(d: DulacExpansion) -> DulacExpansion:
     """Two-term expansion of the inverse map.
 
     Ratio 1/ratio, leading^(-1/ratio); the second-order offset divides by
-    the ratio and its coefficient picks up the standard chain-rule factor.
-    The map needs a plain second term; a power beyond the float range
-    raises NumericError.
+    the ratio and its coefficient picks up the standard chain-rule factor,
+    formed as leading^(-1/ratio) times leading^-(1 + offset) so that it
+    overflows only where it is itself beyond the float range.  The map
+    needs a plain second term; a power beyond the float range raises
+    NumericError.
     """
     if d.next_coeff is None:
         raise ValueError("compensator-form or truncated expansions cannot be inverted")
     rho = 1.0 / d.ratio
     w = d.next_exponent * rho
     try:
-        coeff, leading = -rho * d.next_coeff * d.leading ** -(1.0 + rho + w), d.leading ** -rho
+        leading = d.leading ** -rho
+        coeff = -rho * d.next_coeff * d.leading ** -(1.0 + w) * leading
     except OverflowError as exc:
         raise NumericError(f"inverse map beyond the float range (ratio {d.ratio!r}, "
                            f"leading {d.leading!r})") from exc

@@ -14,7 +14,6 @@ import sys
 from typing import Sequence
 
 from . import __version__
-from .composecheck import run_compose_check
 from .errors import ModelError, NumericError, PolycycleError, UsageError
 from .model import OPTION_DEFAULTS, load_model
 from .pipeline import analyze, oracle_cycles, oracle_dulac, oracle_return, scan
@@ -157,7 +156,8 @@ def _cmd_oracle(args) -> int:
 def _cmd_compose_check(args) -> int:
     if args.count < 0:
         raise UsageError("--count must be >= 0")
-    report = run_compose_check(args.seed, args.count, bias=args.bias)
+    # a module attribute lookup, so that __getattr__ below can supply it
+    report = sys.modules[__name__].run_compose_check(args.seed, args.count, bias=args.bias)
     doc = {
         "command": "compose-check",
         "seed": report.seed,
@@ -177,6 +177,14 @@ def _cmd_scan(args) -> int:
     header, rows = scan(mf, _grid(args.grid), _pairs(args.set, "--set"))
     _emit(render_csv(header, rows), args.out)
     return EXIT_OK
+
+
+def __getattr__(name: str):
+    # compose-check alone needs composecheck and mpmath: import them on first use
+    if name == "run_compose_check":
+        from .composecheck import run_compose_check
+        return run_compose_check
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 _COMMANDS = {

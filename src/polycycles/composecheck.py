@@ -10,10 +10,16 @@ differencing at geometrically deep sample points.
 
 Sampling depth and working precision are chosen per case so that every
 contamination term (higher lattice orders, cancellation in the
-differences) sits far below the comparison tolerances.  The draw is
-margin-enforced: exponent collisions either land exactly on a resonance
-or stay separated by at least MIN_GAP, so no trial falls into the dead
-band between the tie and generic branches of the composition rule.
+differences) sits far below the comparison tolerances.  The depth puts
+PEEL_BITS of damping on the first neglected lattice term; the precision
+is twice the digits the differences then cancel, plus 10, and at least
+40 (``_peel_dps``).  The inverse, resonant and below-above cases get 44
+to 47 digits; the deepest above-above and above-below draws cancel about
+68 digits and get up to 147, the case ORACLE_DPS's 140 was sized for.  The
+draw is margin-enforced: exponent collisions either land exactly on a
+resonance or stay separated by at least MIN_GAP, so no trial falls into
+the dead band between the tie and generic branches of the composition
+rule.
 """
 from __future__ import annotations
 
@@ -42,8 +48,10 @@ __all__ = [
 MIN_GAP = 0.25
 # Bits of geometric damping applied to the first neglected lattice term.
 PEEL_BITS = 56
-# Working precision. The deepest case cancels ~70 digits in the
-# differences; 140 leaves the same margin again.
+# Precision of the set-up: lattice offsets, exponents and constants.  Each
+# peel sets its own, _peel_dps: twice the digits its differences cancel,
+# plus 10.  The deepest case cancels ~68 digits and gets 147, the margin
+# this 140 leaves; most peels need only 45.
 ORACLE_DPS = 140
 # Largest relative deviations of the leading and second coefficients that pass.
 LEADING_TOL = 1e-10
@@ -72,34 +80,65 @@ def _exact(ratio: float, leading: float, offset: float, coeff: float) -> DulacEx
                           next_coeff=coeff, ell=(offset, math.inf))
 
 
-def _mp_map(d: DulacExpansion) -> tuple[Callable[[mp.mpf], mp.mpf], Callable[[mp.mpf], mp.mpf]]:
-    """The exact map of ``d`` and its derivative, at the working precision."""
-    p, a = mp.mpf(d.ratio), mp.mpf(d.leading)
-    w, c = mp.mpf(d.next_exponent), mp.mpf(d.next_coeff)
-    return (lambda x: x**p * (a + c * x**w),
-            lambda x: p * x ** (p - 1) * (a + c * x**w) + c * w * x ** (p + w - 1))
+def _mp_terms(d: DulacExpansion) -> tuple[mp.mpf, mp.mpf, mp.mpf, mp.mpf]:
+    """(ratio, leading, offset, coefficient) of ``d`` as exact mpfs."""
+    return (mp.mpf(d.ratio), mp.mpf(d.leading), mp.mpf(d.next_exponent),
+            mp.mpf(d.next_coeff))
+
+
+def _mp_map(d: DulacExpansion) -> Callable[[mp.mpf], tuple[mp.mpf, mp.mpf]]:
+    """x -> (f(x), f'(x)) for the exact map f of ``d``, at the working precision.
+
+    With f(x) = x**p * (a + c*x**w), f'(x) = x**p * (p*a + (p + w)*c*x**w) / x:
+    one logarithm and two exponentials give both.
+    """
+    p, a, w, c = _mp_terms(d)
+    pa, pw = p * a, p + w
+
+    def value_and_slope(x: mp.mpf) -> tuple[mp.mpf, mp.mpf]:
+        lx = mp.log(x)
+        xp, cxw = mp.exp(p * lx), c * mp.exp(w * lx)
+        return xp * (a + cxw), xp * (pa + pw * cxw) / x
+
+    return value_and_slope
 
 
 # ---------------------------------------------------------------------------
 # Coefficient peeling
 
 
+def _lattice(o1: mp.mpf, o2: mp.mpf) -> list[mp.mpf]:
+    """The offsets i*o1 + j*o2 with 0 <= i, j <= 4 and i + j > 0."""
+    steps1, steps2 = [i * o1 for i in range(5)], [j * o2 for j in range(5)]
+    return [u + v for u in steps1 for v in steps2][1:]
+
+
 def _second_offset(points: list[mp.mpf]) -> tuple[mp.mpf, mp.mpf]:
     """Smallest lattice offset and the gap to the next distinct one.
 
-    Points closer than 1e-9 are merged; the generator only produces
-    collisions that are exact up to representation error, so the merge
-    cannot swallow a genuinely separate term.
+    Points closer than 1e-9 to the smallest are merged into it; the
+    generator only produces collisions that are exact up to representation
+    error, so the merge cannot swallow a genuinely separate term.  The key
+    (float(p), p) orders exactly as p does, since rounding to float is
+    monotone, and compares mpfs only on float ties.
     """
-    pts = sorted(points)
-    merged = [pts[0]]
+    pts = sorted(points, key=lambda p: (float(p), p))
     merge_below = mp.mpf("1e-9")  # parsed once, at the working precision
     for p in pts[1:]:
-        if p - merged[-1] > merge_below:
-            merged.append(p)
-    if len(merged) < 2:
-        raise NumericError("offset lattice degenerate: no second point")
-    return merged[0], merged[1] - merged[0]
+        if p - pts[0] > merge_below:
+            return pts[0], p - pts[0]
+    raise NumericError("offset lattice degenerate: no second point")
+
+
+def _peel_dps(off: float, k: int) -> int:
+    """Working precision of a peel at depth 2**-k on the offset ``off``.
+
+    The differences of three samples down to 2**-(k+2) cancel about
+    off*(k+2)*log10(2) digits.  Twice that plus 10, and never below 40,
+    leaves as many digits again, and 10 more, beyond the cancellation.
+    """
+    lost = off * (k + 2) * math.log10(2)
+    return max(40, math.ceil(2 * lost + 10))
 
 
 def _peel(bracket: Callable[[mp.mpf], mp.mpf], off: mp.mpf,
@@ -110,37 +149,45 @@ def _peel(bracket: Callable[[mp.mpf], mp.mpf], off: mp.mpf,
     PEEL_BITS of damping on the first neglected term, so the finite
     differences isolate S (and through them L) to well below 1e-12
     relative, and the differenced slope recovers off itself as a
-    consistency reading.
+    consistency reading.  The samples and differences run at
+    ``_peel_dps``, the precision this depth needs.
     """
     k = int(mp.ceil(PEEL_BITS / gap))
-    x0 = mp.mpf(2) ** (-k)
-    b0 = bracket(x0)
-    b1 = bracket(x0 / 2)
-    b2 = bracket(x0 / 4)
-    d1, d2 = b1 - b0, b2 - b1
-    if d1 == 0 or d2 == 0 or mp.sign(d1) != mp.sign(d2):
-        raise NumericError("peel differences degenerate or sign-flipping")
-    off_est = -mp.log(d2 / d1) / mp.log(2)
-    q = mp.mpf(2) ** (-off)
-    second = d1 / (x0**off * (q - 1))
-    lead = b0 - second * x0**off
-    return float(lead), float(second), float(off_est)
+    with mp.workdps(_peel_dps(float(off), k)):
+        x0 = mp.mpf(2) ** (-k)
+        b0 = bracket(x0)
+        b1 = bracket(x0 / 2)
+        b2 = bracket(x0 / 4)
+        d1, d2 = b1 - b0, b2 - b1
+        if d1 == 0 or d2 == 0 or mp.sign(d1) != mp.sign(d2):
+            raise NumericError("peel differences degenerate or sign-flipping")
+        off_est = -mp.log(d2 / d1) / mp.ln2
+        t = off * mp.ln2  # 2**-off = exp(-t), x0**off = exp(-k*t)
+        x0_off = mp.exp(-k * t)
+        second = d1 / (x0_off * (mp.exp(-t) - 1))
+        lead = b0 - second * x0_off
+        return float(lead), float(second), float(off_est)
 
 
 def oracle_compose(m1: DulacExpansion, m2: DulacExpansion) -> tuple[float, float, float]:
     """(leading, second coefficient, second offset) of m2 after m1.
 
     Pointwise evaluation only; the lattice {i*offset1 + j*ratio1*offset2}
-    fixes where to look, never what the coefficients are.
+    fixes where to look, never what the coefficients are.  With
+    y = f1(x) = x**p1 * g1 and g1 = a1 + c1*x**w1, the bracket
+    f2(y) / x**(p1*p2) is g1**p2 * (a2 + c2*y**w2): two logarithms and
+    three exponentials per sample.
     """
-    f1, f2 = _mp_map(m1)[0], _mp_map(m2)[0]
-    total = mp.mpf(m1.ratio) * mp.mpf(m2.ratio)
-    o1 = mp.mpf(m1.next_exponent)
-    o2 = mp.mpf(m1.ratio) * mp.mpf(m2.next_exponent)
-    points = [i * o1 + j * o2 for i in range(5) for j in range(5) if i + j > 0]
-    off, gap = _second_offset(points)
-    lead, second, off_est = _peel(lambda x: f2(f1(x)) / x**total, off, gap)
-    return lead, second, off_est
+    p1, a1, w1, c1 = _mp_terms(m1)
+    p2, a2, w2, c2 = _mp_terms(m2)
+
+    def bracket(x: mp.mpf) -> mp.mpf:
+        lx = mp.log(x)
+        lg = mp.log(a1 + c1 * mp.exp(w1 * lx))
+        return mp.exp(p2 * lg) * (a2 + c2 * mp.exp(w2 * (p1 * lx + lg)))
+
+    off, gap = _second_offset(_lattice(w1, p1 * w2))
+    return _peel(bracket, off, gap)
 
 
 def oracle_inverse(m: DulacExpansion) -> tuple[float, float, float]:
@@ -150,23 +197,24 @@ def oracle_inverse(m: DulacExpansion) -> tuple[float, float, float]:
     with the leading-order guess; quadratic convergence reaches working
     precision in a handful of steps.
     """
-    f, fp = _mp_map(m)
+    f = _mp_map(m)
     rho = 1 / mp.mpf(m.ratio)
     seed = mp.mpf(m.leading) ** (-rho)
-    tol = mp.mpf(10) ** (6 - mp.mp.dps)
 
-    def invert(u: mp.mpf) -> mp.mpf:
-        x = seed * u**rho
+    def bracket(u: mp.mpf) -> mp.mpf:
+        tol = mp.mpf(10) ** (6 - mp.mp.dps)  # the precision the peel set
+        u_rho = mp.exp(rho * mp.log(u))
+        x = seed * u_rho
         for _ in range(80):
-            step = (f(x) - u) / fp(x)
+            value, slope = f(x)
+            step = (value - u) / slope
             x -= step
             if abs(step) <= abs(x) * tol:
-                return x
+                return x / u_rho
         raise NumericError("inverse oracle: Newton failed to settle")
 
     off = mp.mpf(m.next_exponent) * rho
-    lead, second, off_est = _peel(lambda u: invert(u) / u**rho, off, off)
-    return lead, second, off_est
+    return _peel(bracket, off, off)
 
 
 # ---------------------------------------------------------------------------

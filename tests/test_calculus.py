@@ -582,11 +582,27 @@ class TestDisplacementExpansion:
             displacement_expansion(chain)
 
     def test_inverse_beyond_the_float_range(self):
-        # the contracting block's leading coefficient 0.22 to the power
-        # -(1 + 1/0.00152 + 1) overflows; the error is a PolycycleError
+        # the inverted block's leading coefficient 0.22 ** (-1/0.00152) is
+        # itself beyond the float range; the error is a PolycycleError
         chain = [below(lam, 0.5, 0.3) for lam in (0.2, 0.2, 0.2, 0.2, 0.95)]
         with pytest.raises(NumericError, match="inverse map beyond the float range"):
             displacement_expansion(chain)
+
+    def test_inverse_near_the_float_range(self):
+        # A* = 4.3e307 is finite, and the inverse's second coefficient with
+        # it; leading ** -(1 + 1/ratio + 1) in one power, 3.7e308, was not
+        lams, d00s, s2s = (0.2, 0.2, 0.2, 0.2, 0.95), (0.5, 0.5, 0.5, 0.5, 0.775), \
+            (0.3, 0.3, 0.3, 0.3, 1e-3)
+        chain = [below(lam, a, s2) for lam, a, s2 in zip(lams, d00s, s2s)]
+        disp = displacement_expansion(chain)
+        exponents, psi1, psi2, psi3, scale, size3 = paper_displacement(chain, 0)
+        astar = a_star(lams, d00s, 1, 5)
+        assert 4e307 < astar < 5e307
+        assert (disp.split, disp.exponents) == (0, exponents)
+        assert all(math.isfinite(v) for v in (disp.psi1, disp.psi2, disp.psi3, disp.scale))
+        assert disp.scale == pytest.approx(astar, rel=1.5e-13 * log_size(scale))
+        assert abs(disp.psi2 - psi2) <= 1.5e-13 * scale * log_size(scale)
+        assert abs(disp.psi3 - psi3) <= 1.5e-13 * size3 * log_size(scale)
 
     def test_alternating_chain_rejected(self):
         chain = [above(1.5, 2.0, 0.3), below(0.4, 3.0, 0.5),

@@ -5,11 +5,15 @@ error, 4 numeric failure.  Every case stops early or runs a handful of
 integrations, so the module stays cheap.
 """
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import polycycles
 from polycycles.cli import main
 from polycycles.resultdoc import loads
 
@@ -191,3 +195,35 @@ def test_integration_tolerances_reach_the_integrator(tmp_path):
     assert a != b
     # the return map is the identity here; rtol=1e-6 still lands within 1e-5
     assert b == pytest.approx(a, rel=0.0, abs=1e-5)
+
+
+def test_importing_the_cli_leaves_mpmath_unloaded():
+    # only compose-check needs mpmath; it loads when the command first runs
+    src = str(Path(polycycles.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys, polycycles.cli as cli\n"
+            "print('mpmath' in sys.modules)\n"
+            "from polycycles import CheckReport, run_compose_check\n"
+            "print('mpmath' in sys.modules, cli.run_compose_check is run_compose_check,\n"
+            "      run_compose_check(1, 0) == CheckReport(seed=1, count=0, bias=0.0, cases=()))\n")
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == ["False", "True", "True", "True"]
+
+
+def test_compose_check_runs_through_the_module_attribute(monkeypatch, tmp_path):
+    # the command looks run_compose_check up on the module, so a replacement there takes effect
+    from polycycles import cli
+    from polycycles.composecheck import CheckReport
+
+    calls = []
+
+    def fake(seed, count, bias=0.0):
+        calls.append((seed, count, bias))
+        return CheckReport(seed=seed, count=count, bias=bias, cases=())
+
+    monkeypatch.setattr(cli, "run_compose_check", fake)
+    doc = run_doc(["compose-check", "--seed", "9", "--count", "4"], tmp_path / "doc.txt")
+    assert calls == [(9, 4, 0.0)]
+    assert (doc["seed"], doc["count"], doc["passed"]) == (9, 4, True)

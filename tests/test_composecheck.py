@@ -11,6 +11,7 @@ from random import Random
 import mpmath as mp
 import pytest
 
+from polycycles import composecheck
 from polycycles.composecheck import (
     COMPOSE_CASES,
     INVERSE_CASES,
@@ -18,11 +19,14 @@ from polycycles.composecheck import (
     _draw_compose,
     _draw_inverse,
     _exact,
+    _lattice,
     _mp_map,
+    _second_offset,
     oracle_compose,
     oracle_inverse,
     run_compose_check,
 )
+from polycycles.errors import NumericError
 
 # The first map drawn for each case from the stream Random(f"42:{case}"),
 # as (ratio, leading, offset, coefficient).
@@ -64,11 +68,13 @@ class TestExactMaps:
 
     def test_map_and_derivative_agree(self):
         with mp.workdps(40):
-            f, fp = _mp_map(_exact(1.5, 2.0, 1.0, 0.4))
+            f = _mp_map(_exact(1.5, 2.0, 1.0, 0.4))
             x = mp.mpf("0.37")
             h = mp.mpf("1e-12")
-            numeric = (f(x + h) - f(x - h)) / (2 * h)
-            assert abs(numeric - fp(x)) < mp.mpf("1e-20")
+            numeric = (f(x + h)[0] - f(x - h)[0]) / (2 * h)
+            value, slope = f(x)
+            assert abs(value - x**1.5 * (2 + 0.4 * x)) < mp.mpf("1e-38")
+            assert abs(numeric - slope) < mp.mpf("1e-20")
 
     def test_first_draws_are_pinned(self):
         # the per-case random streams and the draw order are part of what a
@@ -96,6 +102,86 @@ class TestOracles:
         assert lead == pytest.approx(0.5, rel=1e-13)
         assert second == pytest.approx(-1.0 / 32.0, rel=1e-13)
         assert off == pytest.approx(0.5, abs=1e-12)
+
+
+def _sorted_merge(points):
+    """The offset search as a full sort and a chained 1e-9 merge."""
+    pts = sorted(points)
+    merged = [pts[0]]
+    for p in pts[1:]:
+        if p - merged[-1] > mp.mpf("1e-9"):
+            merged.append(p)
+    if len(merged) < 2:
+        raise NumericError("offset lattice degenerate: no second point")
+    return merged[0], merged[1] - merged[0]
+
+
+class TestSecondOffset:
+    """The early-stopping search against the full sorted merge."""
+
+    @staticmethod
+    def _check(o1, o2):
+        o1, o2 = mp.mpf(o1), mp.mpf(o2)
+        points = [i * o1 + j * o2 for i in range(5) for j in range(5) if i + j > 0]
+        lattice = _lattice(o1, o2)
+        assert sorted(lattice) == sorted(points)
+        got, want = _second_offset(lattice), _sorted_merge(points)
+        assert got == want, (o1, o2)
+
+    def test_drawn_lattices(self):
+        with mp.workdps(ORACLE_DPS):
+            for seed in range(40):
+                for case in COMPOSE_CASES:
+                    rng = Random(f"{seed}:{case}")
+                    for _ in range(5):
+                        m1, m2 = _draw_compose(rng, case)
+                        self._check(m1.next_exponent, mp.mpf(m1.ratio) * mp.mpf(m2.next_exponent))
+
+    def test_exact_and_near_ties(self):
+        tiny = 2.0 ** -30
+        with mp.workdps(ORACLE_DPS):
+            for o1, o2 in [
+                (0.75, 0.75),                                   # exact tie
+                (1.0, mp.mpf(1 + tiny) * mp.mpf(1 - tiny)),     # float tie, 2**-60 apart
+                (0.6, 0.6 + 1e-9), (0.6, 0.6 + 2e-9),           # about the merge width
+                (0.6, mp.mpf(0.6) + mp.mpf("1e-9")),            # on the merge width
+                (0.4, 0.8), (0.8, 0.4), (0.5, 1.0 + 1e-12),     # a multiple of the other
+                (1.3, 0.3), (0.3, 0.3 * 4.0),                   # higher orders first
+            ]:
+                self._check(o1, o2)
+
+    def test_degenerate_lattice(self):
+        with pytest.raises(NumericError, match="no second point"):
+            _second_offset([mp.mpf(1), mp.mpf(1) + mp.mpf("1e-12")])
+
+
+class TestPeelPrecision:
+    """The per-case working precision loses no digit against 300 digits."""
+
+    DRAWS = 50
+
+    def _triples(self):
+        out = []
+        with mp.workdps(ORACLE_DPS):
+            for case in COMPOSE_CASES + INVERSE_CASES:
+                rng = Random(f"precision:{case}")
+                for _ in range(self.DRAWS):
+                    if case in COMPOSE_CASES:
+                        out.append(oracle_compose(*_draw_compose(rng, case)))
+                    else:
+                        out.append(oracle_inverse(_draw_inverse(rng, case)))
+        return out
+
+    def test_rule_matches_300_digits(self, monkeypatch):
+        per_case = self._triples()
+        monkeypatch.setattr(composecheck, "_peel_dps", lambda off, k: 300)
+        assert per_case == self._triples()
+
+    def test_rule_spans_the_cases(self):
+        # most peels need 45 digits and the deepest 147; shallow ones keep 40
+        assert composecheck._peel_dps(0.5, 112) == 45
+        assert composecheck._peel_dps(1.0, 224) == 147
+        assert composecheck._peel_dps(0.05, 10) == 40
 
 
 class TestRunCheck:
