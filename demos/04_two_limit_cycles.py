@@ -15,7 +15,7 @@ import numpy as np
 
 from polycycles.flow import count_limit_cycles, field_callable, numeric_return
 from polycycles.model import bind, load_model
-from polycycles.pipeline import build_corners, return_section
+from polycycles.pipeline import return_section
 
 STAGED = {
     "l1": 0.3037037037037037,       # graphic number r = 1.025
@@ -26,8 +26,7 @@ STAGED = {
 
 mf = load_model(Path(__file__).resolve().parents[1] / "models" / "four_saddle.model")
 model = bind(mf, STAGED)
-corners = build_corners(model)
-section = return_section(model, corners)
+section = return_section(model)
 fun = field_callable(model.field_x, model.field_y)
 
 print("displacement sign profile:")

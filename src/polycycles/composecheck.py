@@ -107,27 +107,22 @@ def _mp_map(d: DulacExpansion) -> Callable[[mp.mpf], tuple[mp.mpf, mp.mpf]]:
 # Coefficient peeling
 
 
-def _lattice(o1: mp.mpf, o2: mp.mpf) -> list[mp.mpf]:
-    """The offsets i*o1 + j*o2 with 0 <= i, j <= 4 and i + j > 0."""
-    steps1, steps2 = [i * o1 for i in range(5)], [j * o2 for j in range(5)]
-    return [u + v for u in steps1 for v in steps2][1:]
+def _second_offset(o1: mp.mpf, o2: mp.mpf) -> tuple[mp.mpf, mp.mpf]:
+    """Smallest point lo of the lattice {i*o1 + j*o2 : i + j > 0} and the gap
+    to the next distinct one, min(hi, 2*lo), or 2*lo when hi is within 1e-9.
 
-
-def _second_offset(points: list[mp.mpf]) -> tuple[mp.mpf, mp.mpf]:
-    """Smallest lattice offset and the gap to the next distinct one.
-
-    Points closer than 1e-9 to the smallest are merged into it; the
-    generator only produces collisions that are exact up to representation
-    error, so the merge cannot swallow a genuinely separate term.  The key
-    (float(p), p) orders exactly as p does, since rounding to float is
-    monotone, and compares mpfs only on float ties.
+    Points that close are merged; the generator only produces collisions
+    that are exact up to representation error, so the merge cannot swallow
+    a genuinely separate term.  Its offsets all exceed 0.1, clear of the
+    merge width that lo itself must stand above.
     """
-    pts = sorted(points, key=lambda p: (float(p), p))
+    lo, hi = (o1, o2) if o1 <= o2 else (o2, o1)
     merge_below = mp.mpf("1e-9")  # parsed once, at the working precision
-    for p in pts[1:]:
-        if p - pts[0] > merge_below:
-            return pts[0], p - pts[0]
-    raise NumericError("offset lattice degenerate: no second point")
+    if lo <= merge_below:
+        raise NumericError("offset lattice degenerate: no second point")
+    if hi - lo > merge_below and hi < 2 * lo:
+        return lo, hi - lo
+    return lo, lo
 
 
 def _peel_dps(off: float, k: int) -> int:
@@ -186,7 +181,7 @@ def oracle_compose(m1: DulacExpansion, m2: DulacExpansion) -> tuple[float, float
         lg = mp.log(a1 + c1 * mp.exp(w1 * lx))
         return mp.exp(p2 * lg) * (a2 + c2 * mp.exp(w2 * (p1 * lx + lg)))
 
-    off, gap = _second_offset(_lattice(w1, p1 * w2))
+    off, gap = _second_offset(w1, p1 * w2)
     return _peel(bracket, off, gap)
 
 
@@ -194,15 +189,17 @@ def oracle_inverse(m: DulacExpansion) -> tuple[float, float, float]:
     """(leading, second coefficient, second offset) of the inverse map.
 
     The inverse is evaluated by Newton iteration on f(x) = u, seeded
-    with the leading-order guess; quadratic convergence reaches working
-    precision in a handful of steps.
+    with the leading-order guess.  Convergence is quadratic, so once a
+    relative step is below 10**((6 - dps)/2) the next one would be below
+    10**(6 - dps): Newton stops there, without an evaluation that would
+    only confirm it.
     """
     f = _mp_map(m)
     rho = 1 / mp.mpf(m.ratio)
     seed = mp.mpf(m.leading) ** (-rho)
 
     def bracket(u: mp.mpf) -> mp.mpf:
-        tol = mp.mpf(10) ** (6 - mp.mp.dps)  # the precision the peel set
+        tol = mp.mpf(10) ** (mp.mpf(6 - mp.mp.dps) / 2)  # dps: what the peel set
         u_rho = mp.exp(rho * mp.log(u))
         x = seed * u_rho
         for _ in range(80):

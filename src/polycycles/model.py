@@ -17,11 +17,13 @@ headers, with `#` comments.  Sections:
                  them again (`--tol`)
 
 Orientation is declared redundantly on purpose: it is checked against
-the signed area of the corner polygon at load time.  The field itself is
-checked against the polycycle where the corners are built
-(``pipeline.build_corners``): every edge must be an invariant line, and
-the flow must enter each corner along the edge from the previous corner
-and leave it along the edge to the next.
+the signed area of the corner polygon at load time.  The corner list is
+checked where the sections are computed (``pipeline._geometry``): the
+sections chain only when the edge into each corner is parallel to the edge
+out of the next.  The field is checked against the polycycle where the
+corners are built (``pipeline.build_corners``): every edge must be an
+invariant line, and the flow must enter each corner along the edge from
+the previous corner and leave it along the edge to the next.
 """
 from __future__ import annotations
 

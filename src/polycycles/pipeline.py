@@ -1,10 +1,10 @@
 """End-to-end analysis drivers shared by the command line and the tests.
 
-A bound model is turned into per-corner charts and sections, the chain
-of Dulac expansions, the return and displacement expansions, parameter
-gradients, and a cyclicity verdict.  The numeric drivers wrap the flow
-oracle over the same geometry so closed forms and integrations are
-always talking about the same sections.
+A bound model is turned into per-corner sections (from the corner list
+alone) and charts, the chain of Dulac expansions, the return and
+displacement expansions, parameter gradients, and a cyclicity verdict.
+The numeric drivers integrate the flow over the same sections, and build
+no closed form they do not compare against.
 """
 from __future__ import annotations
 
@@ -50,76 +50,75 @@ class CornerData:
     expansion: DulacExpansion
 
 
-def _unit_edges(corners: Sequence[tuple[float, float]], i: int,
-                ) -> tuple[np.ndarray, np.ndarray, float, float]:
-    n = len(corners)
-    here = np.asarray(corners[i], dtype=float)
-    prev = np.asarray(corners[(i - 1) % n], dtype=float)
-    nxt = np.asarray(corners[(i + 1) % n], dtype=float)
-    vin, vout = prev - here, nxt - here
-    lin, lout = float(np.linalg.norm(vin)), float(np.linalg.norm(vout))
-    if lin < 1e-12 or lout < 1e-12:
-        raise ModelError(f"corner {i + 1}: zero-length polycycle edge")
-    return vin / lin, vout / lout, lin, lout
+@dataclass(frozen=True)
+class _Geometry:
+    """Where a corner's sections lie: a property of the corner list alone."""
+
+    corner: tuple[float, float]
+    incoming: np.ndarray  # unit vector toward the previous corner
+    outgoing: np.ndarray  # unit vector toward the next corner
+    h_in: float
+    h_out: float
+
+    def entry(self) -> LineSection:
+        """The entry line v = h_in: through the midpoint of the incoming edge,
+        along the outgoing one, on a window inside the footprint and off the
+        polycycle itself."""
+        return LineSection.make(self.corner + self.h_in * self.incoming, self.outgoing,
+                                (1e-12, 0.9 * self.h_in))
 
 
-def build_corners(model: Model) -> tuple[CornerData, ...]:
-    """Charts, sections and Dulac data for every corner of the polycycle.
+def _geometry(model: Model) -> list[_Geometry]:
+    """Edge directions and section half-lengths (half the edges) of every corner.
 
-    Section half-lengths follow the edges (h = edge length / 2), which
-    makes the exit section of each corner and the entry section of the
-    next the same model-coordinate curve; that identity is what lets the
-    corner expansions compose into a return map, so it is verified here.
+    Corner k's exit line runs along the edge into k, and corner k + 1's entry
+    line along the edge out of k + 1, both through the midpoint of the edge
+    between them: one curve exactly when those edges are parallel.  That
+    identity lets the corner expansions compose into a return map, so it is
+    verified here.
     """
     corners = model.file.corners
     if not corners:
         raise ModelError("model declares no polycycle")
-    fx, fy = model.field_x, model.field_y
-
-    data: list[CornerData] = []
-    for i, corner in enumerate(corners):
-        incoming, outgoing, lin, lout = _unit_edges(corners, i)
-        h_in, h_out = 0.5 * lin, 0.5 * lout
-        chart = normalize_saddle(fx, fy, corner, incoming, outgoing)
-        expansion = dulac_coefficients(chart, h_in, h_out)
-        data.append(CornerData(index=i + 1, corner=tuple(map(float, corner)),
-                               h_in=h_in, h_out=h_out, chart=chart, expansion=expansion))
-
-    for cd, nxt in zip(data, data[1:] + data[:1]):
-        exit_anchor, exit_dir = _exit_curve(cd)
-        entry_anchor, entry_dir = _entry_curve(nxt)
-        if not (np.allclose(exit_anchor, entry_anchor, atol=1e-9)
-                and np.allclose(exit_dir, entry_dir, atol=1e-9)):
+    points = [np.asarray(c, dtype=float) for c in corners]
+    n = len(points)
+    geometry = []
+    for i, here in enumerate(points):
+        vin, vout = points[i - 1] - here, points[(i + 1) % n] - here
+        lin, lout = float(np.linalg.norm(vin)), float(np.linalg.norm(vout))
+        if lin < 1e-12 or lout < 1e-12:
+            raise ModelError(f"corner {i + 1}: zero-length polycycle edge")
+        geometry.append(_Geometry(tuple(map(float, here)), vin / lin, vout / lout,
+                                  0.5 * lin, 0.5 * lout))
+    for i in range(n):
+        if not np.allclose(geometry[i].incoming, geometry[(i + 1) % n].outgoing, atol=1e-9):
             raise UnsupportedGeometryError(
-                f"corner {cd.index} exit section and corner {nxt.index} entry "
+                f"corner {i + 1} exit section and corner {(i + 1) % n + 1} entry "
                 "section are different curves; the polycycle edges do not chain")
-    return tuple(data)
+    return geometry
 
 
-def _exit_curve(cd: CornerData) -> tuple[np.ndarray, np.ndarray]:
-    a = np.asarray(cd.chart.linear, dtype=float)
-    return cd.chart.to_model((cd.h_out, 0.0)), a.T @ np.array([0.0, 1.0])
+def _corner(model: Model, index: int, geo: _Geometry) -> CornerData:
+    chart = normalize_saddle(model.field_x, model.field_y, geo.corner,
+                             geo.incoming, geo.outgoing)
+    return CornerData(index=index, corner=geo.corner, h_in=geo.h_in, h_out=geo.h_out,
+                      chart=chart, expansion=dulac_coefficients(chart, geo.h_in, geo.h_out))
 
 
-def _entry_curve(cd: CornerData) -> tuple[np.ndarray, np.ndarray]:
-    a = np.asarray(cd.chart.linear, dtype=float)
-    return cd.chart.to_model((0.0, cd.h_in)), a.T @ np.array([1.0, 0.0])
+def build_corners(model: Model) -> tuple[CornerData, ...]:
+    """Charts and Dulac data for every corner of the polycycle, on the
+    sections of ``_geometry``."""
+    return tuple(_corner(model, i + 1, geo) for i, geo in enumerate(_geometry(model)))
 
 
-def return_section(model: Model, corners: tuple[CornerData, ...] | None = None,
-                   ) -> LineSection:
-    """The entry section of corner 1 as a model-coordinate line.
+def return_section(model: Model) -> LineSection:
+    """The model's base section, else the entry line of corner 1.
 
-    Return maps and displacement scans are measured here; the window
-    stays inside the section footprint and off the polycycle itself.
+    Return maps and displacement scans are measured here.
     """
     if model.file.base_section is not None:
         return model.file.base_section
-    if corners is None:
-        corners = build_corners(model)
-    cd = corners[0]
-    anchor, direction = _entry_curve(cd)
-    return LineSection.make(tuple(anchor), tuple(direction), (1e-12, 0.9 * cd.h_in))
+    return _geometry(model)[0].entry()
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +183,7 @@ def analyze(mf: ModelFile, overrides: Mapping[str, object] | None = None,
     not_identity: bool | None = None
     probe_error: str | None = None
     try:
-        sect = return_section(model, corners)
+        sect = return_section(model)
         fun = field_callable(model.field_x, model.field_y)
         s_hi = sect.window[1]
         probe_s = [s_hi / 4.0, s_hi / 16.0, s_hi / 64.0]
@@ -345,19 +344,20 @@ def oracle_dulac(mf: ModelFile, corner_index: int,
     """Integrate the corner transition map and fit its expansion.
 
     Samples fit_points values of s, geometric over s_range (inside the
-    entry window (0, 0.9·h_in)) or on the standard halving grid.  Two fits
+    entry window (1e-12, 0.9·h_in)) or on the standard halving grid.  Two fits
     are reported: a free fit (exponent measured from the data) and a
     lattice fit pinned at the closed-form ratio, which refines the
     coefficients once the exponent is independently confirmed.
     """
     opts = _options(mf, tol_overrides)
     model = bind(mf, overrides)
-    corners = build_corners(model)
-    if not 1 <= corner_index <= len(corners):
+    geometry = _geometry(model)
+    if not 1 <= corner_index <= len(geometry):
         raise ModelError(f"corner index {corner_index} out of range "
-                         f"1..{len(corners)}")
-    cd = corners[corner_index - 1]
-    svals = _fit_grid(opts, s_range, window=(0.0, 0.9 * cd.h_in))
+                         f"1..{len(geometry)}")
+    geo = geometry[corner_index - 1]
+    cd = _corner(model, corner_index, geo)
+    svals = _fit_grid(opts, s_range, window=geo.entry().window)
     fun = chart_field(cd.chart)
     rows, ok_s, ok_v = _sample(
         lambda s: numeric_dulac(fun, cd.h_in, cd.h_out, s, **_integration(opts)),
@@ -398,7 +398,7 @@ def oracle_return(mf: ModelFile, s_range: tuple[float, float] | None = None,
     opts = _options(mf, tol_overrides)
     model = bind(mf, overrides)
     corners = build_corners(model)
-    sect = return_section(model, corners)
+    sect = return_section(model)
     fun = field_callable(model.field_x, model.field_y)
     svals = _fit_grid(opts, s_range, s0=min(1e-2, 0.5 * sect.window[1]), window=sect.window)
     rows, ok_s, ok_v = _sample(
@@ -445,7 +445,7 @@ def oracle_cycles(mf: ModelFile, s_range: tuple[float, float],
     lo = max(lo, sect.window[0])
     hi = min(hi, sect.window[1])
     if not 0.0 < lo < hi:
-        raise ModelError(f"cycle scan range ({lo:g}, {hi:g}) is empty after "
+        raise UsageError(f"cycle scan range ({lo:g}, {hi:g}) is empty after "
                          "clipping to the section window")
 
     def displacement(s: float) -> float:

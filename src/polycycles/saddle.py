@@ -125,7 +125,7 @@ def _axis_of(direction) -> tuple[str, float]:
     key = (int(round(dx)), int(round(dy)))
     if key not in _AXES or abs(dx - key[0]) > 1e-12 or abs(dy - key[1]) > 1e-12:
         raise UnsupportedGeometryError(
-            f"separatrix direction {tuple(direction)} is not axis-parallel")
+            f"separatrix direction ({dx}, {dy}) is not axis-parallel")
     return _AXES[key]
 
 

@@ -49,6 +49,8 @@ USAGE = {
                                "--s-range", "1e-3:5"],
     "s-range-unreadable": ["oracle", "--what", "cycles", "--model", CIRCLE,
                            "--s-range", "abc"],
+    "cycles-s-range-outside-window": ["oracle", "--what", "cycles", "--model", CIRCLE,
+                                      "--s-range", "3:5"],
     "dulac-without-corner": ["oracle", "--what", "dulac", "--model", FOUR],
     "dulac-s-range-outside-window": ["oracle", "--what", "dulac", "--corner", "1",
                                      "--model", FOUR, "--s-range", "0.1:3"],

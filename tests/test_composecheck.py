@@ -19,7 +19,6 @@ from polycycles.composecheck import (
     _draw_compose,
     _draw_inverse,
     _exact,
-    _lattice,
     _mp_map,
     _second_offset,
     oracle_compose,
@@ -96,6 +95,24 @@ class TestOracles:
         assert second == pytest.approx(180.0, rel=1e-13)
         assert off == pytest.approx(1.0, abs=1e-12)
 
+    def test_inverse_newton_takes_two_evaluations_per_sample(self, monkeypatch):
+        # three peel samples of two Newton steps each: the second step is
+        # below 10**((6 - dps)/2), so no third evaluation confirms it
+        calls = []
+
+        def counted(d):
+            f = _mp_map(d)
+            return lambda x: calls.append(x) or f(x)
+
+        monkeypatch.setattr(composecheck, "_mp_map", counted)
+        with mp.workdps(ORACLE_DPS):
+            for case in INVERSE_CASES:
+                rng = Random(f"42:{case}")
+                for _ in range(5):
+                    del calls[:]
+                    oracle_inverse(_draw_inverse(rng, case))
+                    assert len(calls) == 6, case
+
     def test_inverse_spot_value(self):
         with mp.workdps(ORACLE_DPS):
             lead, second, off = oracle_inverse(_exact(2.0, 4.0, 1.0, 1.0))
@@ -117,16 +134,13 @@ def _sorted_merge(points):
 
 
 class TestSecondOffset:
-    """The early-stopping search against the full sorted merge."""
+    """The closed form against the full sorted merge of the 5 x 5 lattice."""
 
     @staticmethod
     def _check(o1, o2):
         o1, o2 = mp.mpf(o1), mp.mpf(o2)
         points = [i * o1 + j * o2 for i in range(5) for j in range(5) if i + j > 0]
-        lattice = _lattice(o1, o2)
-        assert sorted(lattice) == sorted(points)
-        got, want = _second_offset(lattice), _sorted_merge(points)
-        assert got == want, (o1, o2)
+        assert _second_offset(o1, o2) == _sorted_merge(points), (o1, o2)
 
     def test_drawn_lattices(self):
         with mp.workdps(ORACLE_DPS):
@@ -151,8 +165,9 @@ class TestSecondOffset:
                 self._check(o1, o2)
 
     def test_degenerate_lattice(self):
+        # the whole lattice lies within the merge width of its smallest point
         with pytest.raises(NumericError, match="no second point"):
-            _second_offset([mp.mpf(1), mp.mpf(1) + mp.mpf("1e-12")])
+            _second_offset(mp.mpf("1e-12"), mp.mpf("1e-12") * (1 + mp.mpf("1e-3")))
 
 
 class TestPeelPrecision:

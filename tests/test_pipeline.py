@@ -17,7 +17,8 @@ from polycycles import pipeline
 from polycycles.calculus import CompensatorTerm
 from polycycles.cli import main
 from polycycles.cyclicity import gradient
-from polycycles.errors import ModelError
+from polycycles.errors import ModelError, UnsupportedGeometryError
+from polycycles.model import bind, parse_model
 from polycycles.pipeline import (_chain_quantities, analyze, build_corners, oracle_cycles,
                                  oracle_dulac, oracle_return, scan)
 from polycycles.resultdoc import block, dumps, loads
@@ -267,6 +268,62 @@ class TestOracleCycles:
     def test_empty_clip_rejected(self, circle_mf):
         with pytest.raises(ModelError, match="empty after clipping"):
             oracle_cycles(circle_mf, (3.0, 5.0))
+
+
+def _polycycle(corners, field=("x", "-y")):
+    return parse_model(f"[field]\ndot_x = {field[0]}\ndot_y = {field[1]}\n"
+                       f"[polycycle]\ncorners = {corners}\n")
+
+
+class TestSectionGeometry:
+    """Sections come from the corner list alone, before any chart is built."""
+
+    @pytest.mark.parametrize("field", [("x", "-y"), ("x*(1 - x)", "-y*(1 + x*y)"),
+                                       ("-y + x", "x + y")])
+    def test_l_shaped_hexagon_does_not_chain(self, field, tmp_path):
+        # the edge into corner 3 runs down, the edge out of corner 4 up
+        mf = _polycycle("(0,0) (2,0) (2,1) (1,1) (1,2) (0,2)", field)
+        with pytest.raises(UnsupportedGeometryError, match="corner 3 exit section and "
+                           "corner 4 entry section are different curves"):
+            build_corners(bind(mf))
+        path = tmp_path / "hexagon.model"
+        path.write_text(mf.text, encoding="utf-8")
+        assert main(["analyze", "--model", str(path)]) == 3
+
+    def test_triangle_does_not_chain(self):
+        mf = _polycycle("(0,1) (0,0) (1,0)", ("x*(1 - x - y)", "y*(x + y - 1)"))
+        with pytest.raises(UnsupportedGeometryError, match="corner 1 exit section and "
+                           "corner 2 entry section are different curves"):
+            analyze(mf)
+
+    def test_parallelogram_reaches_the_axis_check(self):
+        # its sections chain, so the chart of corner 1 is the first to object
+        mf = _polycycle("(0,0) (2,0) (3,1) (1,1)")
+        with pytest.raises(UnsupportedGeometryError, match="not axis-parallel") as info:
+            analyze(mf)
+        assert "np.float64" not in str(info.value)
+
+    def test_oracles_skip_an_unrelated_pole(self, game_mf):
+        # at l2 = 1.000001 corner 2's Mellin order sits on its pole; neither
+        # oracle below compares against corner 2's closed form
+        near_pole = {"l2": "1.000001"}
+        doc = oracle_cycles(game_mf, (1e-4, 1e-2), overrides=near_pole,
+                            tol_overrides={"samples": 6})
+        assert doc["range"] == [1e-4, 1e-2]
+        doc = oracle_dulac(game_mf, 1, overrides=near_pole)
+        assert all(row["error"] is None for row in doc["samples"])
+
+    def test_oracles_build_only_the_corners_they_compare(self, game_mf, monkeypatch):
+        calls = []
+        for name in ("normalize_saddle", "dulac_coefficients"):
+            real = getattr(pipeline, name)
+            monkeypatch.setattr(pipeline, name, lambda *args, _name=name, _real=real:
+                                calls.append(_name) or _real(*args))
+        oracle_dulac(game_mf, 2, s_range=(1e-4, 1e-2))
+        assert calls == ["normalize_saddle", "dulac_coefficients"]
+        del calls[:]
+        oracle_cycles(game_mf, (1e-4, 1e-2), tol_overrides={"samples": 6})
+        assert calls == []
 
 
 class TestScan:

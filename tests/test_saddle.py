@@ -117,6 +117,12 @@ class TestNormalize:
         with pytest.raises(UnsupportedGeometryError, match="not axis-parallel"):
             normalize_saddle(poly("x"), poly("-y"),
                              (0.0, 0.0), (d, d), (1.0, 0.0))
+        # the pipeline passes numpy unit vectors; the message shows plain floats
+        with pytest.raises(UnsupportedGeometryError, match="not axis-parallel") as info:
+            normalize_saddle(poly("x"), poly("-y"),
+                             (0.0, 0.0), np.array([d, d]), np.array([1.0, 0.0]))
+        assert "np.float64" not in str(info.value)
+        assert f"({d}, {d})" in str(info.value)
 
     def test_axis_tolerance_is_absolute(self):
         # each component within 1e-12 of the axis; 9e-6 off is not an axis
