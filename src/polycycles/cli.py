@@ -141,6 +141,8 @@ def _cmd_oracle(args) -> int:
     overrides = _pairs(args.set, "--set")
     tols = _tols(args.tol)
     rng = _s_range(args.s_range)
+    if args.what != "dulac" and args.corner is not None:
+        raise UsageError(f"--corner applies to --what dulac only, not {args.what}")
     if args.what == "dulac":
         if args.corner is None:
             raise UsageError("oracle --what dulac requires --corner")

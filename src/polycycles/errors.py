@@ -15,11 +15,12 @@ class PolycycleError(Exception):
 class ExpressionError(PolycycleError):
     """Syntax or semantic error in an expression source string.
 
-    Carries the 1-based line and column of the offending token.
+    Carries the 1-based line and column of the offending token, when
+    there is one: errors found on binding values have no position.
     """
 
-    def __init__(self, message: str, line: int = 1, col: int = 1):
-        super().__init__(f"{message} (line {line}, column {col})")
+    def __init__(self, message: str, line: int | None = None, col: int | None = None):
+        super().__init__(message if line is None else f"{message} (line {line}, column {col})")
         self.line = line
         self.col = col
 

@@ -10,8 +10,8 @@ headers, with `#` comments.  Sections:
                  orientation = ccw | cw
     [sections]   base_anchor = (x,y), base_direction = (dx,dy) and an
                  optional base_window = (lo,hi): a raw return section, for
-                 models analyzed without a polycycle.  Corner sections are
-                 not configurable: their half-lengths are half the edges.
+                 models without a polycycle only.  Corner sections are not
+                 configurable: their half-lengths are half the edges.
     [options]    name = value for the names in OPTION_DEFAULTS (atol, rtol,
                  t_max, zero_tol, samples, fit_points); a run may override
                  them again (`--tol`)
@@ -246,6 +246,9 @@ def parse_model(text: str, path: str | None = None) -> ModelFile:
             base_window = _parse_pair(value, where)
         else:
             raise ModelError(f"{where}: unknown [sections] key {key!r}")
+    if corners and sections.get("sections"):
+        raise ModelError("[sections] is for models without a polycycle; a corner list "
+                         "sets its own sections")
     base_section = None
     if base_anchor is not None or base_direction is not None:
         if base_anchor is None or base_direction is None:
@@ -305,7 +308,11 @@ def merge_values(mf: ModelFile, overrides: Mapping[str, object] | None = None,
 def bind(mf: ModelFile, overrides: Mapping[str, object] | None = None) -> Model:
     """Instantiate the field at parameter values."""
     binding = merge_values(mf, overrides)
-    fx = instantiate(mf.expr_x, binding)
-    fy = instantiate(mf.expr_y, binding)
+    fields = []
+    for key, expr in (("dot_x", mf.expr_x), ("dot_y", mf.expr_y)):
+        try:
+            fields.append(instantiate(expr, binding))
+        except ExpressionError as exc:  # a division by a parameter that is zero here
+            raise ModelError(f"[field] {key}: {exc}") from exc
     return Model(file=mf, values={k: scalar(v) for k, v in binding.items()},
-                 field_x=fx, field_y=fy)
+                 field_x=fields[0], field_y=fields[1])

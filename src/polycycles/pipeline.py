@@ -4,7 +4,8 @@ A bound model is turned into per-corner sections (from the corner list
 alone) and charts, the chain of Dulac expansions, the return and
 displacement expansions, parameter gradients, and a cyclicity verdict.
 The numeric drivers integrate the flow over the same sections, and build
-no closed form they do not compare against.
+no closed form they do not compare against; the one they do compare
+against comes after the integration, so it cannot stop it.
 """
 from __future__ import annotations
 
@@ -121,6 +122,14 @@ def return_section(model: Model) -> LineSection:
     return _geometry(model)[0].entry()
 
 
+def _return_map(model: Model, opts: Mapping[str, float],
+                ) -> tuple[LineSection, Callable[[float], float]]:
+    """The return section and the integrated return map on it."""
+    sect = return_section(model)
+    fun, kwargs = field_callable(model.field_x, model.field_y), _integration(opts)
+    return sect, lambda s: numeric_return(fun, sect, s, **kwargs)
+
+
 # ---------------------------------------------------------------------------
 # Closed-form quantities and gradients
 
@@ -183,13 +192,10 @@ def analyze(mf: ModelFile, overrides: Mapping[str, object] | None = None,
     not_identity: bool | None = None
     probe_error: str | None = None
     try:
-        sect = return_section(model)
-        fun = field_callable(model.field_x, model.field_y)
+        sect, return_map = _return_map(model, opts)
         s_hi = sect.window[1]
-        probe_s = [s_hi / 4.0, s_hi / 16.0, s_hi / 64.0]
-        not_identity = not_identity_probe(
-            lambda s: numeric_return(fun, sect, s, **_integration(opts)),
-            probe_s, tol=opts["rtol"])
+        not_identity = not_identity_probe(return_map, [s_hi / 4.0, s_hi / 16.0, s_hi / 64.0],
+                                          tol=opts["rtol"])
     except PolycycleError as exc:
         probe_error = str(exc)
 
@@ -270,18 +276,21 @@ def _check_range(s_range: tuple[float, float]) -> tuple[float, float]:
 
 
 def _fit_grid(opts: Mapping[str, float], s_range: tuple[float, float] | None,
-              s0: float = 1e-2, window: tuple[float, float] | None = None) -> np.ndarray:
+              window: tuple[float, float]) -> np.ndarray:
     """fit_points sample points, geometric over s_range from the top when
-    given, else the halving grid from s0.  A given s_range must lie inside
-    the section window, when there is one."""
+    given, else the halving grid from min(1e-2, half the window's top).
+    Either grid must lie inside the section window."""
     points = int(opts["fit_points"])
     if s_range is None:
-        return s0 * 2.0 ** -np.arange(points, dtype=float)
-    lo, hi = _check_range(s_range)
-    if window is not None and not window[0] <= lo < hi <= window[1]:
-        raise UsageError(f"s range {lo:g}:{hi:g} leaves the section window "
-                         f"{window[0]:g}:{window[1]:g}")
-    return np.geomspace(hi, lo, points)
+        svals = min(1e-2, 0.5 * window[1]) * 2.0 ** -np.arange(points, dtype=float)
+        lo, hi, what, hint = svals[-1], svals[0], "default fit grid", "; give --s-range"
+    else:
+        lo, hi = _check_range(s_range)
+        svals, what, hint = np.geomspace(hi, lo, points), "s range", ""
+    if not (window[0] <= lo and hi <= window[1]):
+        raise UsageError(f"{what} {lo:g}:{hi:g} leaves the section window "
+                         f"{window[0]:g}:{window[1]:g}{hint}")
+    return svals
 
 
 # ---------------------------------------------------------------------------
@@ -343,8 +352,8 @@ def oracle_dulac(mf: ModelFile, corner_index: int,
                  tol_overrides: Mapping[str, float] | None = None) -> dict:
     """Integrate the corner transition map and fit its expansion.
 
-    Samples fit_points values of s, geometric over s_range (inside the
-    entry window (1e-12, 0.9·h_in)) or on the standard halving grid.  Two fits
+    Samples fit_points values of s, geometric over s_range or on the
+    halving grid, inside the entry window (1e-12, 0.9·h_in).  Two fits
     are reported: a free fit (exponent measured from the data) and a
     lattice fit pinned at the closed-form ratio, which refines the
     coefficients once the exponent is independently confirmed.
@@ -353,11 +362,11 @@ def oracle_dulac(mf: ModelFile, corner_index: int,
     model = bind(mf, overrides)
     geometry = _geometry(model)
     if not 1 <= corner_index <= len(geometry):
-        raise ModelError(f"corner index {corner_index} out of range "
+        raise UsageError(f"corner index {corner_index} out of range "
                          f"1..{len(geometry)}")
     geo = geometry[corner_index - 1]
     cd = _corner(model, corner_index, geo)
-    svals = _fit_grid(opts, s_range, window=geo.entry().window)
+    svals = _fit_grid(opts, s_range, geo.entry().window)
     fun = chart_field(cd.chart)
     rows, ok_s, ok_v = _sample(
         lambda s: numeric_dulac(fun, cd.h_in, cd.h_out, s, **_integration(opts)),
@@ -393,27 +402,27 @@ def oracle_return(mf: ModelFile, s_range: tuple[float, float] | None = None,
     """Integrate the full return map and compare with the two-term form.
 
     Samples fit_points values of s, geometric over s_range or on the
-    halving grid from min(1e-2, half the section window).
+    halving grid (see _fit_grid).  The closed form is built after the
+    integration; when it fails, its reason stands in ``closed_form`` and
+    the rows carry no prediction.
     """
     opts = _options(mf, tol_overrides)
     model = bind(mf, overrides)
-    corners = build_corners(model)
-    sect = return_section(model)
-    fun = field_callable(model.field_x, model.field_y)
-    svals = _fit_grid(opts, s_range, s0=min(1e-2, 0.5 * sect.window[1]), window=sect.window)
-    rows, ok_s, ok_v = _sample(
-        lambda s: numeric_return(fun, sect, s, **_integration(opts)), svals)
-
-    ret = return_expansion([cd.expansion for cd in corners])
-    for row in rows:
-        if row["value"] is not None:
-            pred = ret.evaluate(row["s"])
-            row["two_term"] = pred
-            row["gap"] = row["value"] - pred
-        else:
-            row["two_term"] = None
-            row["gap"] = None
+    sect, return_map = _return_map(model, opts)
+    rows, ok_s, ok_v = _sample(return_map, _fit_grid(opts, s_range, sect.window))
     free = fit_expansion(ok_s, ok_v)
+
+    try:
+        ret = return_expansion([cd.expansion for cd in build_corners(model)])
+    except PolycycleError as exc:
+        ret, closed = None, {"unavailable": str(exc)}
+    else:
+        closed = {"ratio": ret.ratio, "leading": ret.leading, "kind": ret.kind,
+                  "second_exponent": ret.second_exponent, "second_coeff": ret.second_coeff}
+    for row in rows:
+        pred = None if ret is None or row["value"] is None else ret.evaluate(row["s"])
+        row["two_term"] = pred
+        row["gap"] = None if pred is None else row["value"] - pred
     return {
         "command": "oracle",
         "what": "return",
@@ -422,10 +431,7 @@ def oracle_return(mf: ModelFile, s_range: tuple[float, float] | None = None,
         "section": block(sect),
         "samples": rows,
         "fit_free": block(free),
-        "closed_form": {"ratio": ret.ratio, "leading": ret.leading,
-                        "kind": ret.kind,
-                        "second_exponent": ret.second_exponent,
-                        "second_coeff": ret.second_coeff},
+        "closed_form": closed,
     }
 
 
@@ -440,18 +446,14 @@ def oracle_cycles(mf: ModelFile, s_range: tuple[float, float],
     opts = _options(mf, tol_overrides)
     lo, hi = _check_range(s_range)
     model = bind(mf, overrides)
-    sect = return_section(model)
-    fun = field_callable(model.field_x, model.field_y)
+    sect, return_map = _return_map(model, opts)
     lo = max(lo, sect.window[0])
     hi = min(hi, sect.window[1])
     if not 0.0 < lo < hi:
         raise UsageError(f"cycle scan range ({lo:g}, {hi:g}) is empty after "
                          "clipping to the section window")
 
-    def displacement(s: float) -> float:
-        return numeric_return(fun, sect, s, **_integration(opts)) - s
-
-    count = count_limit_cycles(displacement, lo, hi,
+    count = count_limit_cycles(lambda s: return_map(s) - s, lo, hi,
                                samples=int(opts["samples"]),
                                tol=opts["rtol"])
     return {

@@ -5,11 +5,11 @@ Every polycycle corner is brought to the standard local form
     u' = u P(u, v),   v' = v Q(u, v),   P(0,0) > 0 > Q(0,0),
 
 where the v-axis is the stable separatrix (incoming connection) and the
-u-axis the unstable one (outgoing connection).  The hyperbolicity ratio is
-lam = -Q(0,0)/P(0,0).  A corner's sections are straight: the entry line
-v = h_in, crossed at (s, h_in), and the exit line u = h_out, crossed at
-(h_out, v), where each h is half the polycycle edge.  The corner transition
-s -> v expands as
+u-axis the unstable one (outgoing connection).  A chart is P and Q alone;
+lam = -Q(0,0)/P(0,0) is read off them.  A corner's sections are straight:
+the entry line v = h_in, crossed at (s, h_in), and the exit line u = h_out,
+crossed at (h_out, v), each h half the polycycle edge and each footprint
+checked to 5% past it.  The corner transition s -> v expands as
 
     D(s) = s^lam (D00 + second-order term + smaller),
 
@@ -82,39 +82,33 @@ FOOTPRINT_SAMPLES = 33
 
 @dataclass(frozen=True)
 class LocalChart:
-    """A saddle in the standard frame, with the affine map that produced it.
-
-    ``linear`` is a signed permutation matrix and ``corner`` the saddle
-    location in model coordinates: local = linear @ (model - corner).
-    The local field is u' = u*p_poly(u,v), v' = v*q_poly(u,v); p_poly and
-    q_poly are coefficient arrays, entry [i, j] multiplying u^i v^j.
-    """
+    """A saddle in the standard frame, u' = u*p_poly(u,v), v' = v*q_poly(u,v),
+    entry [i, j] of each array multiplying u^i v^j.  Where its axes lie in
+    the model is the corner list's to say (pipeline._geometry)."""
 
     p_poly: np.ndarray
     q_poly: np.ndarray
-    lam: float | complex
-    corner: tuple[float, float]
-    linear: tuple[tuple[float, float], tuple[float, float]]
 
-    def to_model(self, point_local) -> np.ndarray:
-        a = np.asarray(self.linear, dtype=float)
-        # signed permutation: inverse is the transpose
-        return np.asarray(self.corner, dtype=float) + a.T @ np.asarray(point_local, dtype=float)
+    @property
+    def lam(self) -> float | complex:
+        """The hyperbolicity ratio -Q(0,0)/P(0,0)."""
+        return scalar(_divide(-self.q_poly[0, 0], self.p_poly[0, 0]))
 
-    def check_footprint(self, extent: float) -> None:
-        """Sampled hypotheses P(x,0) > 0 and Q(0,y) < 0 up to ``extent``."""
-        ts = np.linspace(0.0, extent, FOOTPRINT_SAMPLES)
-        p_axis = horner(self.p_poly[:, 0], ts).real  # P(x, 0)
-        q_axis = horner(self.q_poly[0, :], ts).real  # Q(0, y)
+    def check_footprint(self, x_extent: float, y_extent: float) -> None:
+        """Sampled hypotheses P(x,0) > 0 on [0, x_extent] and Q(0,y) < 0 on
+        [0, y_extent]."""
+        xs, ys = (np.linspace(0.0, e, FOOTPRINT_SAMPLES) for e in (x_extent, y_extent))
+        p_axis = horner(self.p_poly[:, 0], xs).real  # P(x, 0)
+        q_axis = horner(self.q_poly[0, :], ys).real  # Q(0, y)
         bad = (p_axis <= 0.0) | (q_axis >= 0.0)
         if not bad.any():
             return
         i = int(np.argmax(bad))  # the first failing sample; P is checked before Q
         if p_axis[i] <= 0.0:
             raise UnsupportedGeometryError(
-                f"P(x,0) not positive at x={ts[i]:.4g}; section footprint too large")
+                f"P(x,0) not positive at x={xs[i]:.4g}; section footprint too large")
         raise UnsupportedGeometryError(
-            f"Q(0,y) not negative at y={ts[i]:.4g}; section footprint too large")
+            f"Q(0,y) not negative at y={ys[i]:.4g}; section footprint too large")
 
 
 _AXES = {(1, 0): ("x", 1.0), (-1, 0): ("x", -1.0), (0, 1): ("y", 1.0), (0, -1): ("y", -1.0)}
@@ -183,11 +177,6 @@ def normalize_saddle(field_x: np.ndarray, field_y: np.ndarray,
             f"incoming separatrix at ({a:g},{b:g}) lies on the unstable axis; "
             "the traversal opposes the flow (check the polycycle orientation)")
 
-    # local = linear @ (model - corner); row 0 is the outgoing (u) axis
-    row_u = (out_sign, 0.0) if out_axis == "x" else (0.0, out_sign)
-    row_v = (in_sign, 0.0) if in_axis == "x" else (0.0, in_sign)
-    linear = (row_u, row_v)
-
     # (X, Y) = (out_sign u, in_sign v), or (in_sign v, out_sign u): P and Q
     # are f1 and g1, transposed when u runs along y, times the axis signs
     unsigned = (f1, g1) if out_axis == "x" else (g1.T, f1.T)
@@ -200,8 +189,7 @@ def normalize_saddle(field_x: np.ndarray, field_y: np.ndarray,
             f"normalized corner ({a:g},{b:g}) violates P(0,0)>0>Q(0,0): "
             f"P={p0:.3e}, Q={q0:.3e}")
 
-    return LocalChart(p_poly=p_loc, q_poly=q_loc, lam=scalar(_divide(-q0, p0)),
-                      corner=(a, b), linear=linear)
+    return LocalChart(p_poly=p_loc, q_poly=q_loc)
 
 
 # ---------------------------------------------------------------------------
@@ -419,14 +407,9 @@ def _transition_data(p: np.ndarray, q: np.ndarray, alpha, w: float) -> _Transiti
     """
     num, den = p[0, :], q[0, :]
     order = _germ_order(alpha)
-    # num, den and alpha share the chart's dtype, so the shift adds in place
-    shifted = series_div(num, den, order)
-    shifted[0] += alpha
-    if abs(shifted[0].real) > 1e-9:
-        raise NumericError(
-            f"transition factor: constant term {shifted[0]:.3e} fails to cancel; "
-            "chart inconsistent with its hyperbolicity ratio")
-    small = shifted[1:]  # (ratio + c)/t as a series, of order - 1
+    # the ratio's constant term is -alpha: the rest over t is the integrand's
+    # series, of order - 1
+    small = series_div(num, den, order)[1:]
     log_l = np.concatenate(([0.0], small / np.arange(1, order + 1)))
     return _Transition(num, den, alpha, small, series_exp(log_l), w)
 
@@ -567,8 +550,7 @@ def dulac_coefficients(chart: LocalChart, h_in: float, h_out: float) -> DulacExp
         raise ModelError(f"section half-lengths must be positive and finite, "
                          f"got h_in={h_in!r}, h_out={h_out!r}")
     lam = chart.lam
-    h = max(h_in, h_out)
-    chart.check_footprint(max(h + 0.05, 1.05 * h))
+    chart.check_footprint(1.05 * h_out, 1.05 * h_in)
 
     p, q = chart.p_poly, chart.q_poly
     axes = ((p, q, _transition_data(p, q, 1.0 / lam, h_in)),

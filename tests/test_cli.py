@@ -37,6 +37,10 @@ USAGE = {
                      "--tol", "fit_points=3"],
     "fit-points-fractional": ["oracle", "--what", "dulac", "--corner", "1", "--model", FOUR,
                               "--tol", "fit_points=7.5"],
+    # the default grid's 35th point, 5.8e-13, lies below the window's 1e-12
+    "fit-points-40": ["oracle", "--what", "return", "--model", FOUR, "--tol", "fit_points=40"],
+    # the circle's window starts at 0.2, above the default grid's 1e-2
+    "return-default-grid-outside-window": ["oracle", "--what", "return", "--model", CIRCLE],
     "samples-1": ["oracle", "--what", "cycles", "--model", CIRCLE, "--s-range", "0.3:2.0",
                   "--tol", "samples=1"],
     "undeclared-grid": ["scan", "--model", FOUR, "--grid", "zz=0:1:3"],
@@ -52,6 +56,10 @@ USAGE = {
     "cycles-s-range-outside-window": ["oracle", "--what", "cycles", "--model", CIRCLE,
                                       "--s-range", "3:5"],
     "dulac-without-corner": ["oracle", "--what", "dulac", "--model", FOUR],
+    "dulac-corner-9": ["oracle", "--what", "dulac", "--corner", "9", "--model", FOUR],
+    "return-with-corner": ["oracle", "--what", "return", "--corner", "2", "--model", FOUR],
+    "cycles-with-corner": ["oracle", "--what", "cycles", "--corner", "1", "--model", CIRCLE,
+                           "--s-range", "0.3:2.0"],
     "dulac-s-range-outside-window": ["oracle", "--what", "dulac", "--corner", "1",
                                      "--model", FOUR, "--s-range", "0.1:3"],
     # out-of-range values that would otherwise reach the integrator or the identity probe
@@ -134,6 +142,20 @@ def test_zero_rtol_option_exits_3(tmp_path, capsys):
     assert "option rtol must be finite and > 0" in capsys.readouterr().err
 
 
+def test_division_by_a_zero_parameter_exits_3(tmp_path, capsys):
+    path = tmp_path / "circle.model"
+    path.write_text(Path(CIRCLE).read_text(encoding="utf-8").replace(
+        "dot_x = -y + x*(1 - x^2 - y^2)", "dot_x = -y + x*(1 - x^2 - y^2)*(d/d)")
+        + "\n[params]\nd = 1\n", encoding="utf-8")
+    assert main(["analyze", "--model", str(path), "--set", "d=0"]) == 3
+    assert capsys.readouterr().err == "model error: [field] dot_x: division by zero\n"
+    # scan's error cell carries the same text
+    out = tmp_path / "scan.csv"
+    assert main(["scan", "--model", str(path), "--grid", "d=0:0:1", "--out", str(out)]) == 0
+    assert out.read_text(encoding="utf-8").splitlines()[1].endswith(
+        ",[field] dot_x: division by zero")
+
+
 def test_every_cycle_sample_failing_exits_4(capsys):
     argv = ["oracle", "--what", "cycles", "--model", CIRCLE, "--s-range", "0.3:2.0",
             "--tol", "t_max=0.01", "--tol", "samples=5"]
@@ -154,6 +176,19 @@ def test_failing_return_samples_leave_the_fit_running(tmp_path):
     assert all(row["error"] == "orbit did not return to the section window within t_max=40"
                and row["gap"] is None for row in failed)
     assert doc["fit_free"]["grid"] == [row["s"] for row in rows if row["value"] is not None]
+
+
+@pytest.mark.parametrize("argv, reason", [
+    (["--model", CIRCLE, "--s-range", "0.3:2"], "model declares no polycycle"),
+    (["--model", FOUR, "--set", "l2=1.000001"],
+     "Mellin order alpha=0.9999990000010001 is within 1e-06 of the pole at 1"),
+], ids=["circle", "four-saddle-on-a-pole"])
+def test_return_integrates_without_a_closed_form(argv, reason, tmp_path):
+    doc = run_doc(["oracle", "--what", "return"] + argv, tmp_path / "return.txt")
+    assert doc["closed_form"] == {"unavailable": reason}
+    rows = doc["samples"]
+    assert sum(row["value"] is not None for row in rows) >= 12
+    assert all(row["two_term"] is None and row["gap"] is None for row in rows)
 
 
 def test_every_return_sample_failing_exits_4(capsys):

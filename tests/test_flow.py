@@ -464,7 +464,7 @@ def loop_chart_field(chart):
 
 
 def make_chart(p, q):
-    return LocalChart(p, q, lam=1.0, corner=(0.0, 0.0), linear=((1.0, 0.0), (0.0, 1.0)))
+    return LocalChart(p, q)
 
 
 def same(a, b):

@@ -149,6 +149,14 @@ class TestParseErrors:
             parse_model(MINIMAL + "[sections]\nbase_anchor = 0\n"
                         "base_direction = (1,0)\n")
 
+    def test_base_section_needs_a_model_without_polycycle(self, game_mf):
+        # a base section next to corners would compare the closed form of
+        # corner 1's entry line with an integration on another section
+        text = game_mf.text + ("\n[sections]\nbase_anchor = (1,1/2)\n"
+                               "base_direction = (-1,0)\nbase_window = (1e-12, 0.45)\n")
+        with pytest.raises(ModelError, match="\\[sections\\] is for models without a polycycle"):
+            parse_model(text)
+
     def test_unknown_option(self):
         with pytest.raises(ModelError, match="unknown option 'speed'"):
             parse_model(MINIMAL + "[options]\nspeed = 9\n")

@@ -326,6 +326,90 @@ class TestSectionGeometry:
         assert calls == []
 
 
+class TestShortEdges:
+    """Each separatrix's footprint is checked out to its own section, so an
+    elongated rectangle and a square of side 1/100 keep clear of the next
+    corner.  Both are integrable_square's field carried over by a scaling:
+    y -> y/k turns the rectangle's field into k times the square's, and
+    (x, y) -> (x, y)/d the small square's into the square's, in time scaled
+    by 1/d."""
+
+    RECTANGLE = """
+[params]
+a = 2/5
+b = 1/2
+k = 1/5
+
+[field]
+dot_x = x*(x - 1)*(y - a*k)
+dot_y = -y*(y - k)*(x - b)
+
+[polycycle]
+corners = (0,1/5) (0,0) (1,0) (1,1/5)
+orientation = ccw
+"""
+
+    SMALL_SQUARE = """
+[params]
+a = 2/5
+b = 1/2
+d = 1/100
+
+[field]
+dot_x = x*(x - d)*(y - a*d)/d^2
+dot_y = -y*(y - d)*(x - b*d)/d^2
+
+[polycycle]
+corners = (0,1/100) (0,0) (1/100,0) (1/100,1/100)
+orientation = ccw
+"""
+
+    # integrable_square's (S1, S2) per corner
+    SQUARE_S = [(-2 / 3, -1.0), (-1.0, -1.5), (-1.5, -1.0), (-1.0, -2 / 3)]
+
+    @pytest.fixture(scope="class")
+    def rectangle(self):
+        return parse_model(self.RECTANGLE)
+
+    @pytest.fixture(scope="class")
+    def small_square(self):
+        return parse_model(self.SMALL_SQUARE)
+
+    def test_rectangle_closed_form(self, rectangle):
+        doc = analyze(rectangle)
+        # the square's S values carried over by y -> y/k: each S whose
+        # derivative is taken across y is the square's over k
+        expected = [(-10 / 3, -1.0), (-1.0, -7.5), (-7.5, -1.0), (-1.0, -10 / 3)]
+        for corner, (e1, e2) in zip(doc["corners"], expected):
+            assert corner["s1"] == pytest.approx(e1, rel=4e-14)
+            assert corner["s2"] == pytest.approx(e2, rel=4e-14)
+        assert doc["return"]["ratio"] == pytest.approx(1.0, abs=3e-14)
+        assert doc["return"]["leading"] == pytest.approx(1.0, abs=3e-14)
+        assert doc["verdict"]["summary"] == "cyclicity in [0, inf]"
+
+    def test_rectangle_oracles(self, rectangle):
+        # the flow along the short edges is five times slower than the square's
+        doc = oracle_return(rectangle, tol_overrides={"t_max": 5000})
+        assert all(row["error"] is None and abs(row["gap"]) <= 1e-10 for row in doc["samples"])
+        for corner in (1, 2, 3, 4):
+            assert oracle_dulac(rectangle, corner)["deviation"]["leading"] <= 1e-7
+
+    def test_small_square_closed_form(self, small_square):
+        doc = analyze(small_square)
+        for corner, (e1, e2) in zip(doc["corners"], self.SQUARE_S):
+            assert corner["s1"] == pytest.approx(100 * e1, rel=5e-10)
+            assert corner["s2"] == pytest.approx(100 * e2, rel=5e-10)
+
+    def test_small_square_oracles(self, small_square):
+        doc = oracle_return(small_square)
+        assert all(row["error"] is None and abs(row["gap"]) <= 5e-11 for row in doc["samples"])
+        # the default dulac grid starts at half the window's top, 0.9 h_in / 2
+        doc = oracle_dulac(small_square, 2)
+        assert doc["samples"][0]["s"] == pytest.approx(0.00225, rel=1e-15)
+        assert all(row["error"] is None and 1e-12 <= row["s"] <= 0.0045
+                   for row in doc["samples"])
+
+
 class TestScan:
     def test_ratio_sign_change_along_l1(self, game_mf):
         header, rows = scan(game_mf, {"l1": (0.28, 0.31, 11)})
