@@ -41,8 +41,9 @@ class DegeneracyError(ModelError):
 
 
 class UnsupportedGeometryError(ModelError):
-    """The polycycle geometry falls outside the supported class
-    (axis-parallel separatrices reachable by signed-permutation charts)."""
+    """The polycycle geometry falls outside the supported class: corners
+    whose edges are invariant lines, crossed the way the traversal runs, and
+    sections that chain, as on a parallelogram."""
 
 
 class NumericError(PolycycleError):

@@ -308,7 +308,13 @@ def instantiate(expr: Expression, binding: Mapping[str, Number]) -> np.ndarray:
     """
     real = {k: Fraction(repr(float(v.real))) if isinstance(v, (float, complex)) else v
             for k, v in binding.items()}
-    coeffs = {k: float(c) for k, c in _inst(expr.root, real).items()}
+    coeffs = {}
+    for (i, j), c in _inst(expr.root, real).items():
+        try:
+            coeffs[i, j] = float(c)
+        except OverflowError as exc:
+            raise ExpressionError(f"the coefficient of x^{i} y^{j} is out of the float "
+                                  "range") from exc
     if any(isinstance(v, complex) for v in binding.values()):
         for k, c in _inst(expr.root, binding).items():
             if isinstance(c, complex):

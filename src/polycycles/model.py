@@ -57,9 +57,11 @@ OPTION_DEFAULTS = {
     "samples": 200.0,
     "fit_points": 13.0,
 }
-# the options that count points, with their least value; every other option
-# is finite and > 0, except zero_tol, which may be 0
+# the options that count points, with their least value; every count, and a
+# scan's grid, is at most MAX_GRID_POINTS.  Every other option is finite and
+# > 0, except zero_tol, which may be 0
 _COUNT_MINIMA = {"samples": 2, "fit_points": 4}
+MAX_GRID_POINTS = 10**6
 
 _SECTIONS = ("params", "field", "polycycle", "sections", "options")
 _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
@@ -108,9 +110,14 @@ class Model:
 
 def _number(token: str, where: str, error: type[ModelError] = ModelError) -> Fraction:
     try:
-        return Fraction(token.strip())
+        value = Fraction(token.strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise error(f"{where}: unreadable number {token.strip()!r}") from exc
+    try:
+        float(value)
+    except OverflowError as exc:
+        raise error(f"{where}: number {token.strip()!r} is out of the float range") from exc
+    return value
 
 
 def check_option(name: str, value: float, where: str,
@@ -119,7 +126,8 @@ def check_option(name: str, value: float, where: str,
     value = float(value)
     least = _COUNT_MINIMA.get(name)
     if least is not None:
-        ok, rule = value.is_integer() and value >= least, f"an integer >= {least}"
+        ok = value.is_integer() and least <= value <= MAX_GRID_POINTS
+        rule = f"an integer >= {least} and <= {MAX_GRID_POINTS}"
     elif name == "zero_tol":
         ok, rule = math.isfinite(value) and value >= 0.0, "finite and >= 0"
     else:

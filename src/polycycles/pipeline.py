@@ -25,7 +25,8 @@ from .errors import (ModelError, NumericError, PolycycleError, UnsupportedGeomet
                      UsageError)
 from .flow import (LineSection, chart_field, dulac_lattice, field_callable, fit_expansion,
                    count_limit_cycles, numeric_dulac, numeric_return)
-from .model import OPTION_DEFAULTS, Model, ModelFile, bind, check_option, merge_values
+from .model import (MAX_GRID_POINTS, OPTION_DEFAULTS, Model, ModelFile, bind, check_option,
+                    merge_values)
 from .resultdoc import block
 from .saddle import DulacExpansion, LocalChart, dulac_coefficients, normalize_saddle
 
@@ -478,8 +479,6 @@ def _rel_gap(got: float | None, want: float | None) -> float | None:
 # ---------------------------------------------------------------------------
 # Parameter scans
 
-MAX_GRID_POINTS = 10**6
-
 
 def scan(mf: ModelFile, grid: Mapping[str, tuple[float, float, int]],
          overrides: Mapping[str, object] | None = None) -> tuple[list[str], list[list]]:
@@ -495,9 +494,13 @@ def scan(mf: ModelFile, grid: Mapping[str, tuple[float, float, int]],
         if name not in declared:
             raise UsageError(f"grid parameter {name!r} is not declared by the model")
     total = 1
-    for name, (_, _, count) in grid.items():
+    for name, (start, stop, count) in grid.items():
         if count < 1:
             raise UsageError(f"grid axis {name!r}: count must be >= 1")
+        # finite only when both bounds are, and the axis step then is too
+        if not math.isfinite(stop - start):
+            raise UsageError(f"grid axis {name!r}: bounds {start:g}:{stop:g} and their "
+                             "difference must be finite")
         total *= count
     # checked before any axis is built: one huge axis alone would exhaust memory
     if total > MAX_GRID_POINTS:

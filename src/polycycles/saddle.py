@@ -32,16 +32,15 @@ The second-axis quantities are the first-axis ones on the chart mirrored
 u <-> v, (P, Q, 1/lam, h_in) -> (Q^T, P^T, lam, h_out): one routine gives
 L (_transition_data) and one S (_s_value) on either axis.
 
-Truncated Taylor series are plain 1-d coefficient arrays (see the series
-module).
-
 P and Q are coefficient arrays c[i, j] of u^i v^j, like the model's field
-(see the expressions module).  The chart comes from a Taylor shift of each
-model component to the corner: x' shifted has a vanishing first row
-exactly when the line x = corner is invariant, and what is left once that
-row is sliced off is P or Q, up to a transpose and the signs of the axes.
-The formulas above read only P(0,v), Q(u,0), the first-order rows across
-each axis and P(0,0), Q(0,0), all of them slices of the arrays.
+(see the expressions module), and truncated Taylor series plain 1-d arrays
+(see the series module).  Every chart comes from one affine substitution:
+the field shifted to the corner, (X, Y) = u e_out + v e_in put in, e_out and
+e_in the unit edge vectors, and (u', v') read off in the dual basis.  u' has
+a vanishing first row exactly when the line along e_in is invariant, and P
+is what is left once that row is sliced off; Q likewise.  The formulas
+above read only P(0,v), Q(u,0), the first-order rows across each axis and
+P(0,0), Q(0,0), all of them slices of the arrays.
 
 Both integrals are sampled on the Chebyshev-Lobatto points of [0, h], h the
 section half-length, and checked by doubling the node count.  The cumulative
@@ -111,18 +110,6 @@ class LocalChart:
             f"Q(0,y) not negative at y={ys[i]:.4g}; section footprint too large")
 
 
-_AXES = {(1, 0): ("x", 1.0), (-1, 0): ("x", -1.0), (0, 1): ("y", 1.0), (0, -1): ("y", -1.0)}
-
-
-def _axis_of(direction) -> tuple[str, float]:
-    dx, dy = float(direction[0]), float(direction[1])
-    key = (int(round(dx)), int(round(dy)))
-    if key not in _AXES or abs(dx - key[0]) > 1e-12 or abs(dy - key[1]) > 1e-12:
-        raise UnsupportedGeometryError(
-            f"separatrix direction ({dx}, {dy}) is not axis-parallel")
-    return _AXES[key]
-
-
 @lru_cache(maxsize=32)
 def _shift_matrix(t: float, n: int) -> np.ndarray:
     """M[i, k] = C(i, k) t^(i-k), the coefficients of (t + X)^i, for i, k < n."""
@@ -138,57 +125,70 @@ def _taylor_shift(c: np.ndarray, a: float, b: float) -> np.ndarray:
     return _shift_matrix(a, n).T @ padded @ _shift_matrix(b, m)
 
 
+@lru_cache(maxsize=32)
+def _chart_operator(e_out: tuple[float, float], e_in: tuple[float, float],
+                    shapes: tuple[tuple[int, int], ...]) -> np.ndarray:
+    """The array that takes X' and Y', of the given shapes, flattened and
+    stacked, to u' and v', each n x n: (X, Y) = u e_out + v e_in substituted,
+    and (u', v') read off in the dual basis."""
+    (p, r), (q, s) = e_out, e_in
+    n = max(map(sum, shapes)) - 1
+    blocks = []
+    for shape in shapes:
+        sub = np.zeros((n, n) + shape)
+        for i, j in np.ndindex(shape):  # X^i Y^j = (p u + q v)^i (r u + s v)^j
+            k = np.arange(i + j + 1)
+            sub[k, i + j - k, i, j] = np.convolve(*(
+                [math.comb(e, t) * x ** t * y ** (e - t) for t in range(e + 1)]
+                for e, x, y in ((i, p, q), (j, r, s))))
+        blocks.append(sub.reshape(n * n, -1))
+    return np.block([[s * blocks[0], -q * blocks[1]],
+                     [-r * blocks[0], p * blocks[1]]]).reshape(2, n, n, -1) / (p * s - q * r)
+
+
+def _trimmed(c: np.ndarray) -> np.ndarray:
+    """c cut to its last nonzero row and column."""
+    rows, cols = np.nonzero(c)
+    return c[:rows.max(initial=0) + 1, :cols.max(initial=0) + 1]
+
+
 def normalize_saddle(field_x: np.ndarray, field_y: np.ndarray,
                      corner, incoming, outgoing) -> LocalChart:
-    """Build the LocalChart of a saddle with axis-parallel separatrices.
-
-    ``incoming`` points from the corner toward the previous corner (along
-    the stable separatrix), ``outgoing`` toward the next corner (unstable).
-    Raises UnsupportedGeometryError when the invariant lines are missing or
-    not axis-parallel, DegeneracyError when an eigenvalue vanishes.
-    """
+    """The LocalChart of the saddle at ``corner``: u runs along ``outgoing``,
+    the unit edge vector toward the next corner, v along ``incoming``, the one
+    toward the previous corner.  UnsupportedGeometryError when the two are
+    parallel, a line along them is not invariant or the flow runs against the
+    traversal; DegeneracyError when the corner is not a hyperbolic saddle."""
     a, b = float(corner[0]), float(corner[1])
-    in_axis, in_sign = _axis_of(incoming)
-    out_axis, out_sign = _axis_of(outgoing)
-    if in_axis == out_axis:
-        raise UnsupportedGeometryError("incoming and outgoing separatrices lie on the same axis")
+    e_out, e_in = tuple(map(float, outgoing)), tuple(map(float, incoming))
+    if abs(e_out[0] * e_in[1] - e_out[1] * e_in[0]) <= 1e-9:
+        raise UnsupportedGeometryError(
+            f"incoming and outgoing separatrices at ({a:g},{b:g}) are parallel")
 
-    # in X = x - a, Y = y - b: x' = X f1(X, Y) exactly when its X^0 row
-    # vanishes, and y' = Y g1(X, Y) when its Y^0 column does
     fx, fy = _taylor_shift(field_x, a, b), _taylor_shift(field_y, a, b)
-    for line, rest, field in ((f"x={a:g}", fx[0, :], field_x), (f"y={b:g}", fy[:, 0], field_y)):
+    du, dv = _real_matmul(_chart_operator(e_out, e_in, (fx.shape, fy.shape)),
+                          np.concatenate((fx.ravel(), fy.ravel())))
+    # u' = u P exactly when its u^0 row vanishes, the line along incoming
+    # being invariant, and v' = v Q when its v^0 column does
+    scale = max(1.0, np.max(np.abs(field_x)), np.max(np.abs(field_y)))
+    for rest, (dx, dy) in ((du[0, :], e_in), (dv[:, 0], e_out)):
         remainder = np.max(np.abs(rest))
-        if remainder > 1e-9 * max(1.0, np.max(np.abs(field))):
+        if remainder > 1e-9 * scale:
             raise UnsupportedGeometryError(
-                f"line {line} is not invariant: remainder magnitude {remainder:.3e}")
-    f1, g1 = fx[1:, :], fy[:, 1:]
+                f"line through ({a:g},{b:g}) along ({dx:g},{dy:g}) is not invariant: "
+                f"remainder magnitude {remainder:.3e}")
+    p_loc, q_loc = _trimmed(du[1:, :]), _trimmed(dv[:, 1:])
 
-    eig_x, eig_y = f1[0, 0], g1[0, 0]
-    if abs(eig_x.real) <= 1e-12 or abs(eig_y.real) <= 1e-12:
-        raise DegeneracyError(f"corner ({a:g},{b:g}) is not hyperbolic: "
-                              f"eigenvalues ({eig_x:.3e}, {eig_y:.3e})")
-    if eig_x.real * eig_y.real > 0.0:
-        raise DegeneracyError(f"corner ({a:g},{b:g}) is not a saddle: "
-                              f"eigenvalues ({eig_x:.3e}, {eig_y:.3e})")
-
-    stable_eig = eig_x if in_axis == "x" else eig_y
-    if stable_eig.real >= 0.0:
+    p0, q0 = p_loc[0, 0], q_loc[0, 0]  # the eigenvalues along outgoing and incoming
+    zero = min(abs(p0.real), abs(q0.real)) <= 1e-12
+    if zero or p0.real * q0.real > 0.0:
+        what = "hyperbolic" if zero else "a saddle"
+        raise DegeneracyError(f"corner ({a:g},{b:g}) is not {what}: "
+                              f"eigenvalues ({p0:.3e}, {q0:.3e})")
+    if q0.real > 0.0:
         raise UnsupportedGeometryError(
             f"incoming separatrix at ({a:g},{b:g}) lies on the unstable axis; "
             "the traversal opposes the flow (check the polycycle orientation)")
-
-    # (X, Y) = (out_sign u, in_sign v), or (in_sign v, out_sign u): P and Q
-    # are f1 and g1, transposed when u runs along y, times the axis signs
-    unsigned = (f1, g1) if out_axis == "x" else (g1.T, f1.T)
-    p_loc, q_loc = (c * np.outer(out_sign ** np.arange(c.shape[0]),
-                                 in_sign ** np.arange(c.shape[1])) for c in unsigned)
-
-    p0, q0 = p_loc[0, 0], q_loc[0, 0]
-    if not (p0.real > 0.0 and q0.real < 0.0):
-        raise UnsupportedGeometryError(
-            f"normalized corner ({a:g},{b:g}) violates P(0,0)>0>Q(0,0): "
-            f"P={p0:.3e}, Q={q0:.3e}")
-
     return LocalChart(p_poly=p_loc, q_poly=q_loc)
 
 

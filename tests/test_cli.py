@@ -70,6 +70,17 @@ USAGE = {
     "rtol-0": ["analyze", "--model", SQUARE, "--tol", "rtol=0"],
     "rtol-negative": ["analyze", "--model", SQUARE, "--tol", "rtol=-1"],
     "zero_tol-negative": ["analyze", "--model", SQUARE, "--tol", "zero_tol=-1"],
+    # numbers past the float range, and counts past the scan grid's limit
+    "set-out-of-range": ["analyze", "--model", FOUR, "--set", "l1=1e400"],
+    "scan-set-out-of-range": ["scan", "--model", FOUR, "--grid", "l1=0.3:0.3:1",
+                              "--set", "l2=1e400"],
+    "samples-1e13": ["oracle", "--what", "cycles", "--model", CIRCLE, "--s-range", "0.3:2.0",
+                     "--tol", "samples=1e13"],
+    "fit-points-1e13": ["oracle", "--what", "return", "--model", FOUR,
+                        "--tol", "fit_points=1e13"],
+    "grid-nan": ["scan", "--model", FOUR, "--grid", "l1=nan:0.5:2"],
+    "grid-out-of-range": ["scan", "--model", FOUR, "--grid", "l1=1e400:1e401:2"],
+    "grid-span-out-of-range": ["scan", "--model", FOUR, "--grid", "l1=-1.7e308:1.7e308:3"],
 }
 
 
@@ -132,6 +143,29 @@ def test_bad_count_options_exit_3(extra, tmp_path, capsys):
                     encoding="utf-8")
     assert main(["analyze", "--model", str(path)]) == 3
     assert "must be an integer >=" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("l1 = 8/27", "l1 = 1e400", "line 8: number '1e400' is out of the float range"),
+    ("corners = (0,1)", "corners = (1e400,1)",
+     "line 19: number '1e400' is out of the float range"),
+    ("orientation = ccw", "orientation = ccw\n[options]\nrtol = 1e400",
+     "line 22: number '1e400' is out of the float range"),
+    ("orientation = ccw", "orientation = ccw\n[options]\nsamples = 1e13",
+     "option samples must be an integer >= 2 and <= 1000000"),
+    ("orientation = ccw", "orientation = ccw\n[options]\nfit_points = 1e13",
+     "option fit_points must be an integer >= 4 and <= 1000000"),
+    # p^2 at p = 1e200 is finite as a rational, not as a float
+    ("dot_x = x*(x - 1)*(", "dot_x = (10^200)^2*x*(x - 1)*(",
+     "[field] dot_x: the coefficient of x^"),
+], ids=["param", "corner", "rtol", "samples", "fit_points", "coefficient"])
+def test_out_of_range_model_numbers_exit_3(old, new, message, tmp_path, capsys):
+    path = tmp_path / "four_saddle.model"
+    text = Path(FOUR).read_text(encoding="utf-8")
+    assert old in text
+    path.write_text(text.replace(old, new), encoding="utf-8")
+    assert main(["analyze", "--model", str(path)]) == 3
+    assert message in capsys.readouterr().err
 
 
 def test_zero_rtol_option_exits_3(tmp_path, capsys):

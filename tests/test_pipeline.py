@@ -8,6 +8,7 @@ fits) rather than re-deriving the integration here.
 import hashlib
 import math
 import random
+import re
 import sys
 
 import numpy as np
@@ -21,7 +22,7 @@ from polycycles.errors import ModelError, UnsupportedGeometryError
 from polycycles.model import bind, parse_model
 from polycycles.pipeline import (_chain_quantities, analyze, build_corners, oracle_cycles,
                                  oracle_dulac, oracle_return, scan)
-from polycycles.resultdoc import block, dumps, loads
+from polycycles.resultdoc import _flatten, block, dumps, loads
 
 EPS = sys.float_info.epsilon
 
@@ -296,13 +297,6 @@ class TestSectionGeometry:
                            "corner 2 entry section are different curves"):
             analyze(mf)
 
-    def test_parallelogram_reaches_the_axis_check(self):
-        # its sections chain, so the chart of corner 1 is the first to object
-        mf = _polycycle("(0,0) (2,0) (3,1) (1,1)")
-        with pytest.raises(UnsupportedGeometryError, match="not axis-parallel") as info:
-            analyze(mf)
-        assert "np.float64" not in str(info.value)
-
     def test_oracles_skip_an_unrelated_pole(self, game_mf):
         # at l2 = 1.000001 corner 2's Mellin order sits on its pole; neither
         # oracle below compares against corner 2's closed form
@@ -324,6 +318,97 @@ class TestSectionGeometry:
         del calls[:]
         oracle_cycles(game_mf, (1e-4, 1e-2), tol_overrides={"samples": 6})
         assert calls == []
+
+
+def _moved(mf, old_xy, components, corners):
+    """mf carried to new coordinates (x, y): the old point is ``old_xy`` of
+    the new one, dot_x and dot_y are ``components`` of the old field f, g
+    there, and the corner list is ``corners``."""
+    def at_old_point(expr):
+        return "(" + re.sub(r"\b[xy]\b", lambda m: old_xy[m.group(0)], expr) + ")"
+
+    text = mf.text
+    f, g = (at_old_point(re.search(rf"^{key} = (.*)$", text, re.M).group(1))
+            for key in ("dot_x", "dot_y"))
+    for key, component in zip(("dot_x", "dot_y"), components):
+        text = re.sub(rf"^{key} = .*$", f"{key} = " + component.format(f=f, g=g), text,
+                      flags=re.M)
+    return parse_model(re.sub(r"^corners = .*$", f"corners = {corners}", text, flags=re.M))
+
+
+def _leaves(doc):
+    """Every scalar of a document by its dotted key."""
+    out = []
+    _flatten("", doc, out)
+    return dict(out)
+
+
+class TestSlantedEdges:
+    """A chart's axes are the corner's edges, whatever their direction.  A
+    model carried over by a rotation has the same closed forms; one carried
+    over by a shear, a parallelogram, has them in its own section units."""
+
+    # (cos, sin) = (3/5, 4/5): the old point is R (x, y), the new field
+    # R^T (f, g), and the unit square's corners go to R^T times each
+    ROTATION = ({"x": "(3/5*x + 4/5*y)", "y": "(-4/5*x + 3/5*y)"},
+                ("3/5*{f} - 4/5*{g}", "4/5*{f} + 3/5*{g}"),
+                "(-4/5,3/5) (0,0) (3/5,4/5) (-1/5,7/5)")
+    # (x, y) = (X + Y/2, Y)
+    SHEAR = ({"x": "(x - y/2)", "y": "y"}, ("{f} + {g}/2", "{g}"),
+             "(1/2,1) (0,0) (1,0) (3/2,1)")
+
+    @pytest.fixture(scope="class")
+    def sheared_mf(self, game_mf):
+        return _moved(game_mf, *self.SHEAR)
+
+    @pytest.mark.parametrize("name", ["game_mf", "integrable_mf"],
+                             ids=["four_saddle", "integrable_square"])
+    def test_rotated_model_reproduces_the_document(self, name, request):
+        mf = request.getfixturevalue(name)
+        want, got = _leaves(analyze(mf)), _leaves(analyze(_moved(mf, *self.ROTATION)))
+        assert got.keys() == want.keys()
+        # numbers that are zero to rounding are compared on the displacement's scale
+        scale = abs(want["displacement.scale"])
+        for key, value in want.items():
+            if key.startswith("provenance.") or ".location." in key or key.endswith(".detail"):
+                continue  # the corners moved; a verdict item's detail prints its numbers
+            if isinstance(value, float) and abs(value) <= 1e-12 * scale:
+                assert abs(got[key] - value) <= 1e-10 * scale, key
+            elif isinstance(value, float):
+                assert got[key] == pytest.approx(value, rel=1e-10), key
+            else:
+                assert got[key] == value, key
+
+    @pytest.mark.parametrize("overrides, bounds", [({}, [2, 2]),
+                                                   ({"l1": "0.31", "m1": "8"}, [0, 0])],
+                             ids=["defaults", "l1_0.31-m1_8"])
+    def test_sheared_return_map_scales_with_the_edge(self, game_mf, sheared_mf,
+                                                     overrides, bounds):
+        # corner 1's entry line runs along the slanted edge, of length kappa,
+        # so its parameter is kappa times the square's: R(s) = kappa R0(s/kappa),
+        # with R0(s) = s^r (A + c s^w + ...)
+        kappa = math.sqrt(5) / 2
+        want = analyze(game_mf, overrides)["return"]
+        doc = analyze(sheared_mf, overrides)
+        got = doc["return"]
+        r, w = want["ratio"], want["second_exponent"]
+        assert got["ratio"] == pytest.approx(r, rel=1e-10)
+        assert got["leading"] == pytest.approx(kappa ** (1 - r) * want["leading"], rel=1e-10)
+        assert got["second_coeff"] == pytest.approx(
+            kappa ** (1 - r - w) * want["second_coeff"], rel=1e-10)
+        assert [doc["verdict"]["lower"], doc["verdict"]["upper"]] == bounds
+
+    @pytest.mark.parametrize("corner", [1, 2, 3, 4])
+    def test_sheared_corners_agree_with_integration(self, sheared_mf, corner):
+        assert oracle_dulac(sheared_mf, corner)["deviation"]["leading"] <= 1e-4
+
+    def test_kolmogorov_triangle_still_exits_3(self, tmp_path, capsys):
+        path = tmp_path / "triangle.model"
+        path.write_text(_polycycle("(0,1) (0,0) (1,0)", ("x*(1 - x - y)", "y*(x + y - 1)")).text,
+                        encoding="utf-8")
+        assert main(["analyze", "--model", str(path)]) == 3
+        assert ("corner 1 exit section and corner 2 entry section are different curves"
+                in capsys.readouterr().err)
 
 
 class TestShortEdges:

@@ -90,11 +90,12 @@ FRAME_POINTS = ((0.1, 0.2), (-0.3, 0.05), (0.4, -0.25), (0.0, 0.3), (0.2, 0.0))
 
 def assert_chart_in_frame(chart, fx, fy, corner, incoming, outgoing, atol=1e-15):
     """At (u, v) the chart's (u P, v Q) is the field at corner + u*outgoing
-    + v*incoming, in the frame (outgoing, incoming) passed to normalize_saddle."""
+    + v*incoming, in the frame (outgoing, incoming) passed to normalize_saddle:
+    the coordinates of the field vector in that basis."""
     frame = np.array([outgoing, incoming], dtype=float)
     for u, v in FRAME_POINTS:
         x, y = np.asarray(corner, dtype=float) + frame.T @ (u, v)
-        expected = frame @ [polyval2d(x, y, fx), polyval2d(x, y, fy)]
+        expected = np.linalg.solve(frame.T, [polyval2d(x, y, fx), polyval2d(x, y, fy)])
         local = [u * polyval2d(u, v, chart.p_poly), v * polyval2d(u, v, chart.q_poly)]
         np.testing.assert_allclose(local, expected, rtol=1e-14, atol=atol)
 
@@ -122,31 +123,47 @@ class TestNormalize:
         assert_chart_in_frame(chart, fx, fy, (0.0, 0.0), (1.0, 0.0), (0.0, 1.0))
 
     def test_same_axis_rejected(self):
-        with pytest.raises(UnsupportedGeometryError, match="same axis"):
+        with pytest.raises(UnsupportedGeometryError, match="are parallel"):
             normalize_saddle(poly("x"), poly("-y"),
                              (0.0, 0.0), (0.0, 1.0), (0.0, -1.0))
 
-    def test_oblique_direction_rejected(self):
-        d = math.sqrt(0.5)
-        with pytest.raises(UnsupportedGeometryError, match="not axis-parallel"):
-            normalize_saddle(poly("x"), poly("-y"),
-                             (0.0, 0.0), (d, d), (1.0, 0.0))
-        # the pipeline passes numpy unit vectors; the message shows plain floats
-        with pytest.raises(UnsupportedGeometryError, match="not axis-parallel") as info:
-            normalize_saddle(poly("x"), poly("-y"),
-                             (0.0, 0.0), np.array([d, d]), np.array([1.0, 0.0]))
-        assert "np.float64" not in str(info.value)
-        assert f"({d}, {d})" in str(info.value)
+    # a saddle at (0.3, -0.7) with u' = u A(u, v), v' = v B(u, v) in the
+    # frame x = corner + u*m_out + v*m_in, its columns not of unit length
+    FRAME_A = "1.5 + 0.4*{u} - 0.3*{v} + 0.2*{u}*{v}"
+    FRAME_B = "-2 + 0.1*{u} + 0.5*{v}^2 - 0.3*{u}^2"
 
-    def test_axis_tolerance_is_absolute(self):
-        # each component within 1e-12 of the axis; 9e-6 off is not an axis
-        with pytest.raises(UnsupportedGeometryError, match="not axis-parallel"):
-            normalize_saddle(poly("x"), poly("-y"),
-                             (0.0, 0.0), (0.0, 1.0), (1.0 + 9e-6, 0.0))
-        chart = normalize_saddle(poly("x"), poly("-y"),
-                                 (0.0, 0.0), (0.0, 1.0), (1.0 - 5e-13, 0.0))
+    @pytest.mark.parametrize("m_out, m_in", [((3, 4), (-4, 3)), ((1, 0), (1, 2))],
+                             ids=["rotated", "sheared"])
+    def test_oblique_frame_reproduces_the_field(self, m_out, m_in):
+        (p, r), (q, s) = m_out, m_in
+        det = p * s - q * r
+        u = f"(({s}*(x - 0.3) - {q}*(y + 0.7))/{det})"
+        v = f"((-{r}*(x - 0.3) + {p}*(y + 0.7))/{det})"
+        du = f"{u}*({self.FRAME_A.format(u=u, v=v)})"
+        dv = f"{v}*({self.FRAME_B.format(u=u, v=v)})"
+        fx, fy = poly(f"{p}*{du} + {q}*{dv}"), poly(f"{r}*{du} + {s}*{dv}")
+        outgoing, incoming = (np.array(m, dtype=float) / math.hypot(*m) for m in (m_out, m_in))
+        chart = normalize_saddle(fx, fy, (0.3, -0.7), incoming, outgoing)
+        # the eigenvalues do not depend on the frame
+        assert chart.lam == pytest.approx(2.0 / 1.5, rel=1e-14)
+        assert_chart_in_frame(chart, fx, fy, (0.3, -0.7), incoming, outgoing, atol=1e-14)
+
+    def test_invariance_decides_a_tilted_direction(self):
+        # x' = x, y' = -y: a direction 9e-6 off the x axis leaves the line
+        # along it far from invariant; 5e-13 off, within tolerance
+        for tilt in (9e-6, -9e-6):
+            # the pipeline passes numpy unit vectors; the message shows plain floats
+            outgoing = np.array([math.cos(tilt), math.sin(tilt)])
+            with pytest.raises(UnsupportedGeometryError, match="is not invariant") as info:
+                normalize_saddle(poly("x"), poly("-y"), (0.0, 0.0), np.array([0.0, 1.0]),
+                                 outgoing)
+            assert "np.float64" not in str(info.value)
+        outgoing = np.array([math.cos(5e-13), math.sin(5e-13)])
+        chart = normalize_saddle(poly("x"), poly("-y"), (0.0, 0.0), np.array([0.0, 1.0]),
+                                 outgoing)
+        assert chart.lam == pytest.approx(1.0, rel=1e-12)
         assert_chart_in_frame(chart, poly("x"), poly("-y"),
-                              (0.0, 0.0), (0.0, 1.0), (1.0 - 5e-13, 0.0), atol=1e-12)
+                              (0.0, 0.0), (0.0, 1.0), outgoing, atol=1e-12)
 
     def test_missing_invariant_line(self):
         with pytest.raises(UnsupportedGeometryError, match="is not invariant"):
