@@ -24,7 +24,8 @@ field_y = instantiate(parse_expression("-y*(2 - 0.1*x + 0.4*y)"), {})
 chart = normalize_saddle(field_x, field_y, (0.0, 0.0), (0.0, 1.0), (1.0, 0.0))
 h_in = h_out = 0.5
 
-expansion = dulac_coefficients(chart, h_in, h_out)
+# one corner expanded for a batch of charts; this batch holds one
+(expansion,) = dulac_coefficients([chart], h_in, h_out)
 print("hyperbolicity ratio  lambda =", expansion.ratio)
 print("leading coefficient  D00    =", expansion.leading)
 print("second coefficient   S1     =", expansion.s1)

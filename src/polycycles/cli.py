@@ -15,7 +15,7 @@ from typing import Sequence
 
 from . import __version__
 from .errors import ModelError, NumericError, PolycycleError, UsageError
-from .model import OPTION_DEFAULTS, load_model
+from .model import MAX_GRID_POINTS, OPTION_DEFAULTS, load_model
 from .pipeline import analyze, oracle_cycles, oracle_dulac, oracle_return, scan
 from .resultdoc import block, dumps, render_csv
 
@@ -117,7 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, model=False)
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--count", type=int, default=100,
-                   help="random cases per sign case")
+                   help=f"random cases per sign case, at most {MAX_GRID_POINTS}")
     p.add_argument("--bias", type=float, default=0.0,
                    help="test hook: perturb the closed forms to confirm the "
                         "check flags disagreement")
@@ -156,8 +156,8 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_compose_check(args) -> int:
-    if args.count < 0:
-        raise UsageError("--count must be >= 0")
+    if not 0 <= args.count <= MAX_GRID_POINTS:
+        raise UsageError(f"--count must be >= 0 and <= {MAX_GRID_POINTS}, got {args.count}")
     # a module attribute lookup, so that __getattr__ below can supply it
     report = sys.modules[__name__].run_compose_check(args.seed, args.count, bias=args.bias)
     doc = {

@@ -24,22 +24,22 @@ ZERO_TOL = 1e-9
 COMPLEX_STEP = 1e-30
 
 
-def gradient(fun: Callable[[Mapping[str, object]], Mapping[str, float | complex]],
+def gradient(fun: Callable[[list[dict[str, object]]], Sequence[Mapping[str, float | complex]]],
              point: Mapping[str, float]) -> dict[str, dict[str, float | None]]:
     """Complex-step derivatives of every quantity ``fun`` returns.
 
-    ``fun`` maps a parameter point to a dict of quantities and must be
-    holomorphic in the parameters.  It is evaluated once per parameter at
-    x + i*COMPLEX_STEP (Squire and Trapp 1998): the imaginary part over the
-    step is the derivative to rounding, with no difference to cancel.
+    ``fun`` maps a list of parameter points to the list of their dicts of
+    quantities, and must be holomorphic in the parameters.  It is called
+    once, on one batch: the point with x + i*COMPLEX_STEP in each parameter
+    in turn (Squire and Trapp 1998).  The imaginary part over the step is
+    the derivative to rounding, with no difference to cancel.
     Returns {quantity: {parameter: derivative}}; an entry whose value or
     derivative is not finite is None.
     """
+    steps = [{**point, name: point[name] + COMPLEX_STEP * 1j} for name in point]
     out: dict[str, dict[str, float | None]] = {}
-    for name in point:
-        shifted = dict(point)
-        shifted[name] = point[name] + COMPLEX_STEP * 1j
-        for quantity, value in fun(shifted).items():
+    for name, quantities in zip(point, fun(steps)):
+        for quantity, value in quantities.items():
             d = float(value.imag) / COMPLEX_STEP
             finite = math.isfinite(value.real) and math.isfinite(d)
             out.setdefault(quantity, {})[name] = d if finite else None

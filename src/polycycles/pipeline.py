@@ -70,7 +70,7 @@ class _Geometry:
                                 (1e-12, 0.9 * self.h_in))
 
 
-def _geometry(model: Model) -> list[_Geometry]:
+def _geometry(mf: ModelFile) -> list[_Geometry]:
     """Edge directions and section half-lengths (half the edges) of every corner.
 
     Corner k's exit line runs along the edge into k, and corner k + 1's entry
@@ -79,7 +79,7 @@ def _geometry(model: Model) -> list[_Geometry]:
     identity lets the corner expansions compose into a return map, so it is
     verified here.
     """
-    corners = model.file.corners
+    corners = mf.corners
     if not corners:
         raise ModelError("model declares no polycycle")
     points = [np.asarray(c, dtype=float) for c in corners]
@@ -93,24 +93,62 @@ def _geometry(model: Model) -> list[_Geometry]:
         geometry.append(_Geometry(tuple(map(float, here)), vin / lin, vout / lout,
                                   0.5 * lin, 0.5 * lout))
     for i in range(n):
-        if not np.allclose(geometry[i].incoming, geometry[(i + 1) % n].outgoing, atol=1e-9):
+        a, b = geometry[i].incoming, geometry[(i + 1) % n].outgoing
+        if not np.all(np.abs(a - b) <= 1e-9 + 1e-5 * np.abs(b)):  # np.allclose(a, b, atol=1e-9)
             raise UnsupportedGeometryError(
                 f"corner {i + 1} exit section and corner {(i + 1) % n + 1} entry "
                 "section are different curves; the polycycle edges do not chain")
     return geometry
 
 
-def _corner(model: Model, index: int, geo: _Geometry) -> CornerData:
-    chart = normalize_saddle(model.field_x, model.field_y, geo.corner,
-                             geo.incoming, geo.outgoing)
-    return CornerData(index=index, corner=geo.corner, h_in=geo.h_in, h_out=geo.h_out,
-                      chart=chart, expansion=dulac_coefficients(chart, geo.h_in, geo.h_out))
+SCAN_LANES = 32  # parameter points a scan evaluates in one batch
 
 
-def build_corners(model: Model) -> tuple[CornerData, ...]:
-    """Charts and Dulac data for every corner of the polycycle, on the
-    sections of ``_geometry``."""
-    return tuple(_corner(model, i + 1, geo) for i, geo in enumerate(_geometry(model)))
+def _raised(lane):
+    """A lane's result, or its error raised."""
+    if isinstance(lane, PolycycleError):
+        raise lane
+    return lane
+
+
+def _attempt(fun: Callable, lane):
+    """fun(lane), or the PolycycleError it raises; an error lane stays."""
+    try:
+        return lane if isinstance(lane, PolycycleError) else fun(lane)
+    except PolycycleError as exc:
+        return exc
+
+
+def _batch(fun: Callable[[list], list], lanes: Sequence) -> list:
+    """fun of the lanes that are not errors, as one batch; an error stays."""
+    results = iter(fun([lane for lane in lanes if not isinstance(lane, PolycycleError)]))
+    return [lane if isinstance(lane, PolycycleError) else next(results) for lane in lanes]
+
+
+def _corner(lanes: list, models: Sequence[Model], index: int, geo: _Geometry) -> list:
+    """Each lane's corners with corner ``index`` added, or the lane's first error."""
+    charts = [_attempt(lambda m: normalize_saddle(m.field_x, m.field_y, geo.corner, geo.incoming,
+                                                  geo.outgoing),
+                       lane if isinstance(lane, PolycycleError) else m)
+              for lane, m in zip(lanes, models)]
+    expansions = _batch(lambda batch: dulac_coefficients(batch, geo.h_in, geo.h_out), charts)
+    return [d if isinstance(d, PolycycleError) else lane + (CornerData(
+        index=index, corner=geo.corner, h_in=geo.h_in, h_out=geo.h_out, chart=c, expansion=d),)
+        for lane, c, d in zip(lanes, charts, expansions)]
+
+
+def build_corners(models: Sequence[Model]) -> list[tuple[CornerData, ...] | PolycycleError]:
+    """Charts and Dulac data for every corner, on the sections of
+    ``_geometry``, for a batch of bindings of one model file: per model
+    (lane), its corners or its first error.  Each corner is one batch."""
+    try:
+        geometry = _geometry(models[0].file) if models else []
+    except PolycycleError as exc:
+        return [exc] * len(models)
+    lanes: list = [()] * len(models)
+    for index, geo in enumerate(geometry, 1):
+        lanes = _corner(lanes, models, index, geo)
+    return lanes
 
 
 def return_section(model: Model) -> LineSection:
@@ -120,7 +158,7 @@ def return_section(model: Model) -> LineSection:
     """
     if model.file.base_section is not None:
         return model.file.base_section
-    return _geometry(model)[0].entry()
+    return _geometry(model.file)[0].entry()
 
 
 def _return_map(model: Model, opts: Mapping[str, float],
@@ -137,40 +175,33 @@ def _return_map(model: Model, opts: Mapping[str, float],
 
 def _quantities(ret: ReturnExpansion, disp: DisplacementExpansion | None,
                 ) -> dict[str, float | complex]:
-    out = {
-        "ratio": ret.ratio,
-        "leading": ret.leading,
-        "second": ret.second_coeff if ret.second_coeff is not None else math.nan,
-        "psi1": math.nan, "psi2": math.nan, "psi3": math.nan,
-    }
+    nan = math.nan
+    out = {"ratio": ret.ratio, "leading": ret.leading,
+           "second": nan if ret.second_coeff is None else ret.second_coeff,
+           "psi1": nan, "psi2": nan, "psi3": nan}
     if disp is not None:
-        out["psi1"] = disp.psi1
-        out["psi2"] = disp.psi2
-        out["psi3"] = disp.psi3 if disp.psi3 is not None else math.nan
+        out.update(psi1=disp.psi1, psi2=disp.psi2, psi3=nan if disp.psi3 is None else disp.psi3)
     return out
 
 
-def _chain(model: Model) -> tuple[tuple[CornerData, ...], ReturnExpansion,
-                                  DisplacementExpansion | None, str | None]:
-    """Corners, return expansion and displacement expansion of a bound
-    model, with the reason when the displacement is unavailable."""
-    corners = build_corners(model)
+def _fold(corners: Sequence[CornerData]) -> tuple[ReturnExpansion, DisplacementExpansion | None,
+                                                  str | None]:
+    """Return and displacement expansions, and why the latter is unavailable."""
     chain = [cd.expansion for cd in corners]
     ret = return_expansion(chain)
     try:
-        return corners, ret, displacement_expansion(chain), None
+        return ret, displacement_expansion(chain), None
     except PolycycleError as exc:
-        return corners, ret, None, str(exc)
+        return ret, None, str(exc)
 
 
-def _chain_quantities(mf: ModelFile, values: Mapping[str, object],
-                      ) -> dict[str, float | complex]:
-    """The six closed-form quantities at a parameter point.
-
-    Complex parameter values (a complex step) give complex quantities.
+def _chain_quantities(mf: ModelFile, points: Sequence[Mapping[str, object]],
+                      ) -> list[dict[str, float | complex] | PolycycleError]:
+    """The six closed-form quantities at each parameter point of one batch,
+    or the point's first error.  A complex step gives complex quantities.
     """
-    _, ret, disp, _ = _chain(bind(mf, values))
-    return _quantities(ret, disp)
+    lanes = _batch(build_corners, [_attempt(lambda values: bind(mf, values), p) for p in points])
+    return [_attempt(lambda corners: _quantities(*_fold(corners)[:2]), lane) for lane in lanes]
 
 
 def analyze(mf: ModelFile, overrides: Mapping[str, object] | None = None,
@@ -181,14 +212,15 @@ def analyze(mf: ModelFile, overrides: Mapping[str, object] | None = None,
     """
     opts = _options(mf, tol_overrides)
     model = bind(mf, overrides)
-    corners, ret, disp, disp_note = _chain(model)
+    corners = _raised(build_corners([model])[0])
+    ret, disp, disp_note = _fold(corners)
 
     grads: dict[str, dict[str, float | None]] = {}
     if model.values:
         base = _quantities(ret, disp)
-        grads = {name: g for name, g in
-                 gradient(lambda p: _chain_quantities(mf, p), model.values).items()
-                 if math.isfinite(base[name])}
+        steps = gradient(lambda points: [_raised(q) for q in _chain_quantities(mf, points)],
+                         model.values)
+        grads = {name: g for name, g in steps.items() if math.isfinite(base[name])}
 
     not_identity: bool | None = None
     probe_error: str | None = None
@@ -361,12 +393,12 @@ def oracle_dulac(mf: ModelFile, corner_index: int,
     """
     opts = _options(mf, tol_overrides)
     model = bind(mf, overrides)
-    geometry = _geometry(model)
+    geometry = _geometry(mf)
     if not 1 <= corner_index <= len(geometry):
         raise UsageError(f"corner index {corner_index} out of range "
                          f"1..{len(geometry)}")
     geo = geometry[corner_index - 1]
-    cd = _corner(model, corner_index, geo)
+    (cd,) = _raised(_corner([()], [model], corner_index, geo)[0])
     svals = _fit_grid(opts, s_range, geo.entry().window)
     fun = chart_field(cd.chart)
     rows, ok_s, ok_v = _sample(
@@ -414,7 +446,7 @@ def oracle_return(mf: ModelFile, s_range: tuple[float, float] | None = None,
     free = fit_expansion(ok_s, ok_v)
 
     try:
-        ret = return_expansion([cd.expansion for cd in build_corners(model)])
+        ret = return_expansion([cd.expansion for cd in _raised(build_corners([model])[0])])
     except PolycycleError as exc:
         ret, closed = None, {"unavailable": str(exc)}
     else:
@@ -514,17 +546,16 @@ def scan(mf: ModelFile, grid: Mapping[str, tuple[float, float, int]],
                      "psi1", "psi2", "psi3"]
     header = names + quantity_cols + ["error"]
     rows: list[list] = []
-    for combo in itertools.product(*(vals for _, vals in axes)):
-        point = dict(base)
-        for name, value in zip(names, combo):
-            point[name] = float(value)
-        row: list = [float(v) for v in combo]
-        try:
-            q = _chain_quantities(mf, point)
-        except PolycycleError as exc:
-            row += [math.nan] * len(quantity_cols) + [str(exc)]
-        else:
-            row += [q["ratio"] - 1.0, q["leading"] - 1.0, q["second"],
-                    q["psi1"], q["psi2"], q["psi3"], None]
-        rows.append(row)
+    combos = itertools.product(*(vals for _, vals in axes))
+    while chunk := list(itertools.islice(combos, SCAN_LANES)):
+        points = [{**base, **{name: float(v) for name, v in zip(names, combo)}}
+                  for combo in chunk]
+        for combo, q in zip(chunk, _chain_quantities(mf, points)):
+            row: list = [float(v) for v in combo]
+            if isinstance(q, PolycycleError):
+                row += [math.nan] * len(quantity_cols) + [str(q)]
+            else:
+                row += [q["ratio"] - 1.0, q["leading"] - 1.0, q["second"],
+                        q["psi1"], q["psi2"], q["psi3"], None]
+            rows.append(row)
     return header, rows

@@ -30,7 +30,7 @@ the derived functions M1 = L1 * d(P/Q)/du (0,v) and M2 = L2 * d(Q/P)/dv
 
 The second-axis quantities are the first-axis ones on the chart mirrored
 u <-> v, (P, Q, 1/lam, h_in) -> (Q^T, P^T, lam, h_out): one routine gives
-L (_transition_data) and one S (_s_value) on either axis.
+L (_Transition) and one S (_s_values) on either axis.
 
 P and Q are coefficient arrays c[i, j] of u^i v^j, like the model's field
 (see the expressions module), and truncated Taylor series plain 1-d arrays
@@ -48,6 +48,10 @@ rule gives log L at every node from one sample of its integrand, so D00 and
 the Mellin tail over the same [0, h] read L from one grid; the tail itself
 takes the product rule weighted by modified moments.  See "Chebyshev rules".
 
+The rules run on a lane axis, a lane per chart and axis of a corner; what
+would round differently over lanes (matrix products, series recurrences,
+scalar powers) stays per lane.  A lane stops doubling and fails alone.
+
 Every function here is holomorphic in the field's coefficients, so a
 complex step in a parameter carries through to exact derivatives (see
 cyclicity.gradient).  Every branch (sign checks, case tags, Taylor splits,
@@ -61,16 +65,20 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DegeneracyError, ModelError, NumericError, PoleError, UnsupportedGeometryError
+from .errors import (DegeneracyError, ModelError, NumericError, PoleError, PolycycleError,
+                     UnsupportedGeometryError)
 from .series import DEFAULT_ORDER, coeff_array, horner, padded, scalar, series_div, series_exp
 
 # case-tag dead band around lam = 1 and pole dead band for Mellin orders
 AT_ONE_BAND = 1e-9
 MELLIN_POLE_BAND = 1e-6
+# Largest Mellin order (lam or 1/lam) expanded, its germ series ceil(alpha) + 10
+# long: on four_saddle 125 still converges, 151 does not
+MELLIN_ORDER_MAX = 150
 # points at which a chart's footprint is checked along each axis
 FOOTPRINT_SAMPLES = 33
 
@@ -223,8 +231,8 @@ def normalize_saddle(field_x: np.ndarray, field_y: np.ndarray,
 QUAD_ATOL, QUAD_RTOL = 1e-12, 1e-10
 QUAD_MIN_NODES, QUAD_MAX_NODES = 32, 1024
 
-# A Sampler gives a function of t in [0, 1] at the Lobatto points _chebyshev(n)[0].
-Sampler = Callable[[int], np.ndarray]
+# A Sampler gives a row per lane listed: a function of t at _chebyshev(n)[0].
+Sampler = Callable[[int, Sequence[int]], np.ndarray]
 
 
 @lru_cache(maxsize=8)
@@ -284,6 +292,22 @@ def _divide(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a / b
 
 
+def _stacked(rows: Sequence[np.ndarray]) -> np.ndarray:
+    """One coefficient array per lane, as columns; the zeros that fill the
+    shorter ones at the top leave every Horner step as it was."""
+    out = np.zeros((max((r.size for r in rows), default=0), len(rows)),
+                   np.result_type(float, *{r.dtype for r in rows}))
+    for i, row in enumerate(rows):
+        out[:row.size, i] = row
+    return out
+
+
+def _horner_at(coeffs: np.ndarray, rows: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """At each entry of t, the polynomial of the lane ``rows`` names there:
+    laid flat, a Horner step is one call on arrays of one shape."""
+    return horner(coeffs[:, 0] if coeffs.shape[1] == 1 else coeffs[:, rows], t)
+
+
 def _moments(beta, count: int) -> np.ndarray:
     """M_k = int_{-1}^{1} (1 + x)^beta T_k(x) dx for k < count, by the forward
     recurrence M_k = -(2^(beta+1) + k(k-beta-2) M_{k-1}) / ((k-1)(k+beta+1))."""
@@ -295,49 +319,33 @@ def _moments(beta, count: int) -> np.ndarray:
     return np.array(m[:count])
 
 
-def _doubling(sample: Sampler, rule: Callable[[np.ndarray], np.ndarray],
-              what: str) -> np.ndarray:
-    """The 2n-point result of ``rule`` for the least n whose n-point result
-    agrees with it.
+def _doubling(sample: Sampler, rule: Callable[[np.ndarray, int], np.ndarray],
+              lanes: Sequence[int], what: str) -> dict[int, np.ndarray | NumericError]:
+    """Per lane, the 2n-point result of ``rule`` for the least n whose
+    n-point result agrees with it, or the lane's NumericError.
 
-    ``rule`` takes the values at n + 1 Lobatto points and returns the
-    integral at the nodes it reports: every node, or only t = 1, the first.
-    Either way every other entry of the 2n-point result is a node of the
-    n-point rule.
+    ``rule`` takes one lane's values at n + 1 Lobatto points and returns
+    the integral at the nodes it reports: every node, or only t = 1, the
+    first.  Either way every other entry of the 2n-point result is a node
+    of the n-point rule.
     """
-    n = 2 * QUAD_MIN_NODES
-    values = sample(n)
-    coarse = rule(values[::2])
-    while True:
-        fine = rule(values)
-        shared = fine[::2]
+    out, n, lanes, coarse = {}, 2 * QUAD_MIN_NODES, list(lanes), None
+    while lanes:
+        values = sample(n, lanes)
+        if coarse is None:
+            coarse = np.array([rule(row[::2], i) for row, i in zip(values, lanes)])
+        fine = np.array([rule(row, i) for row, i in zip(values, lanes)])
+        shared = fine[:, ::2]
         err = np.abs((shared - coarse).real)
-        tol = np.maximum(QUAD_ATOL, QUAD_RTOL * np.abs(shared.real))
-        if n >= QUAD_MAX_NODES or np.all(err <= tol):
-            break
-        n, coarse = 2 * n, fine
-        values = sample(n)
-    if not (np.all(np.isfinite(fine))
-            and np.all(err <= 1e-6 * np.maximum(1.0, np.abs(shared.real)))):
-        raise NumericError(f"{what} did not converge (err={np.max(err):.2e})")
-    return fine
-
-
-def _fixed_rule(sample: Sampler, beta, scale, what: str):
-    """scale * int_0^1 t^beta g(t) dt, g given by ``sample``, by the product
-    rule: the first n + 1 moments times g's Chebyshev coefficients."""
-    scale = scale / 2.0 ** (beta + 1.0)  # t^beta dt on [0, 1] is 2^-(beta+1) (1+x)^beta dx
-    moments = _moments(beta, 2 * QUAD_MIN_NODES + 1)
-
-    def rule(values: np.ndarray) -> np.ndarray:
-        nonlocal moments
-        n = values.size - 1
-        if moments.size <= n:
-            moments = _moments(beta, n + 1)
-        # one row of moments: the integral at t = 1 only
-        return scale * (moments[None, :n + 1] @ _real_matmul(_chebyshev(n)[1], values))
-
-    return _doubling(sample, rule, what)[0]
+        done = (err <= np.maximum(QUAD_ATOL, QUAD_RTOL * np.abs(shared.real))).all(axis=1)
+        done |= n >= QUAD_MAX_NODES
+        good = (np.isfinite(fine).all(axis=1)
+                & (err <= 1e-6 * np.maximum(1.0, np.abs(shared.real))).all(axis=1))
+        for j in np.flatnonzero(done):
+            out[lanes[j]] = fine[j] if good[j] else NumericError(
+                f"{what} did not converge (err={np.max(err[j]):.2e})")
+        n, lanes, coarse = 2 * n, [i for i, d in zip(lanes, done) if not d], fine[~done]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -353,65 +361,60 @@ _MELLIN_SWITCH = 0.02
 
 
 class _Transition:
-    """L(t) = exp int_0^t (num/den + alpha) ds/s on the Lobatto points of
-    [0, w], with the Taylor series of L at 0.
+    """Per lane (p, q, alpha, w), L(t) = exp int_0^t (p(0, s)/q(0, s) + alpha)
+    ds/s on the Lobatto points of [0, w], and L's series to _germ_order(alpha):
+    L1 is (P, Q, 1/lam, h_in), L2 (Q.T, P.T, lam, h_out), the chart mirrored.
 
     The integrand is sampled once, and the cumulative rule gives log L at
-    every node.  ``at(n)`` hands a Mellin tail over [0, w] L at its own
-    nodes: a stride of the grid up to the grid's node count, and past it
-    L from a fresh sample at n, which is not kept.
+    every node.  ``at(n, lanes)`` hands a Mellin tail L at its own nodes: a
+    stride of a lane's grid, or past the grid L from a fresh sample at n,
+    not kept.  A lane whose rule does not converge has its error in ``failed``.
     """
 
-    def __init__(self, num: np.ndarray, den: np.ndarray, alpha, small: np.ndarray,
-                 series: np.ndarray, w: float):
-        self.num, self.den, self.alpha = num, den, alpha
-        self.small = small    # series of the integrand, used for |t| < _SERIES_SWITCH
-        self.series = series  # series of L itself
-        self.w = w
-        self._l = np.exp(_doubling(self._sample, self._log_l, "transition integral"))
+    def __init__(self, p: Sequence[np.ndarray], q: Sequence[np.ndarray], alpha: Sequence,
+                 w: Sequence[float]):
+        num, den, small, self.series = [pi[0, :] for pi in p], [qi[0, :] for qi in q], [], []
+        for ni, di, order in zip(num, den, map(_germ_order, alpha)):
+            # the ratio's constant term is -alpha: the rest over t is the
+            # integrand's series, of order - 1; series holds L's
+            small.append(series_div(ni, di, order)[1:])
+            log_l = np.concatenate(([0.0], small[-1] / np.arange(1, order + 1)))
+            self.series.append(series_exp(log_l))
+        self.ratio, self.small = _stacked(num + den), _stacked(small)  # num's lanes, then den's
+        self.alpha, self._alpha = list(alpha), np.array(alpha)
+        self.w, self._w = list(w), np.array(w)[:, None]
+        grids = _doubling(self._sample, self._log_l, range(len(num)), "transition integral")
+        self.failed = {i: g for i, g in grids.items() if isinstance(g, NumericError)}
+        self._l = {i: np.exp(g) for i, g in grids.items() if i not in self.failed}
 
-    def integrand(self, t: np.ndarray) -> np.ndarray:
-        out = np.empty(t.shape, dtype=self.small.dtype)
-        small = np.abs(t) < _SERIES_SWITCH
-        out[small] = horner(self.small, t[small])
-        big = ~small
-        tb = t[big]
-        out[big] = _divide(_divide(horner(self.num, tb), horner(self.den, tb)) + self.alpha, tb)
+    def integrand(self, t: np.ndarray, lanes: Sequence[int]) -> np.ndarray:
+        """The integrand at t, a row of nodes per lane listed."""
+        rows = np.array(lanes).repeat(t.shape[1]).reshape(t.shape)
+        out, small = np.empty(t.shape, self.small.dtype), np.abs(t) < _SERIES_SWITCH
+        out[small] = _horner_at(self.small, rows[small], t[small])
+        rb, tb = rows[~small], t[~small]
+        ratio = _horner_at(self.ratio, np.concatenate((rb, rb + len(self.w))),
+                           np.concatenate((tb, tb)))
+        out[~small] = _divide(_divide(ratio[:tb.size], ratio[tb.size:]) + self._alpha[rb], tb)
         return out
 
-    def _sample(self, n: int) -> np.ndarray:
-        return self.integrand(self.w * _chebyshev(n)[0])
+    def _sample(self, n: int, lanes: Sequence[int]) -> np.ndarray:
+        return self.integrand(self._w[lanes] * _chebyshev(n)[0], lanes)
 
-    def _log_l(self, values: np.ndarray) -> np.ndarray:
-        return self.w * _real_matmul(_cumulative(values.size - 1), values)
+    def _log_l(self, values: np.ndarray, lane: int) -> np.ndarray:
+        return self.w[lane] * _real_matmul(_cumulative(values.size - 1), values)
 
-    def at(self, n: int) -> np.ndarray:
-        """L at the n + 1 Lobatto points of [0, w], from t = 1 down to 0."""
-        grid = self._l.size - 1
-        if n <= grid:
-            return self._l[::grid // n]
-        return np.exp(self._log_l(self._sample(n)))
+    def at(self, n: int, lanes: Sequence[int]) -> np.ndarray:
+        """L at the n + 1 Lobatto points of [0, w], t = 1 first, a row per lane."""
+        fresh = [i for i in lanes if self._l[i].size <= n]
+        rows = dict(zip(fresh, np.exp([self._log_l(v, i) for v, i in
+                                       zip(self._sample(n, fresh), fresh)]))) if fresh else {}
+        return np.array([rows[i] if i in rows else self._l[i][::(self._l[i].size - 1) // n]
+                         for i in lanes])
 
-    @property
-    def end(self):
-        """L(w)."""
-        return scalar(self._l[0])
-
-
-def _transition_data(p: np.ndarray, q: np.ndarray, alpha, w: float) -> _Transition:
-    """L on [0, w] along the axis of q's first row, log L the integral of
-    (p(0, t)/q(0, t) + alpha)/t, with its series to _germ_order(alpha).
-
-    L1 is (P, Q, 1/lam, h_in); L2 is the same on the chart mirrored u <-> v,
-    (Q.T, P.T, lam, h_out).
-    """
-    num, den = p[0, :], q[0, :]
-    order = _germ_order(alpha)
-    # the ratio's constant term is -alpha: the rest over t is the integrand's
-    # series, of order - 1
-    small = series_div(num, den, order)[1:]
-    log_l = np.concatenate(([0.0], small / np.arange(1, order + 1)))
-    return _Transition(num, den, alpha, small, series_exp(log_l), w)
+    def end(self, lane: int):
+        """The lane's L(w)."""
+        return scalar(self._l[lane][0])
 
 
 def _germ_order(alpha: float) -> int:
@@ -430,74 +433,98 @@ def _first_order(c: np.ndarray) -> np.ndarray:
     return c[1] if c.shape[0] > 1 else np.zeros_like(c[0])
 
 
-def _s_value(p: np.ndarray, q: np.ndarray, trans: _Transition):
-    """S = -M^(w)/L(w) for the transition L of (p, q) on [0, w], where
-    M = L * d(p/q) across the axis, transformed at Mellin order alpha:
-    S1 from (P, Q) and L1, S2 from (Q.T, P.T) and L2."""
-    order = trans.series.size - 1
-    # trans.num/trans.den are the ratio restricted to the axis; the first
-    # rows of p and q their partials across it
-    a, b = np.convolve(_first_order(p), trans.den), np.convolve(trans.num, _first_order(q))
-    top = max(a.size, b.size) - 1
-    num = padded(a, top) - padded(b, top)
-    den = np.convolve(trans.den, trans.den)
+def _s_values(p: Sequence[np.ndarray], q: Sequence[np.ndarray], trans: _Transition,
+              lanes: Sequence[int]) -> dict[int, float | complex | PolycycleError]:
+    """S = -M^(w)/L(w), or the error, for each lane listed: L the transition
+    of its (p, q) on [0, w], M = L * d(p/q) across the axis transformed at
+    Mellin order alpha.  S1 from (P, Q) and L1, S2 from (Q.T, P.T) and L2."""
+    nums, dens, m_series = [], [], []
+    for pi, qi, series in ((p[i], q[i], trans.series[i]) for i in lanes):
+        # row 0 of p and q is the ratio on the axis, row 1 its partial across it
+        a, b = np.convolve(_first_order(pi), qi[0]), np.convolve(pi[0], _first_order(qi))
+        top = max(a.size, b.size) - 1
+        nums.append(padded(a, top) - padded(b, top))
+        dens.append(np.convolve(qi[0], qi[0]))
+        m_series.append(np.convolve(series, series_div(nums[-1], dens[-1], series.size - 1))
+                        [:series.size])
+    ratio, count = _stacked(nums + dens), len(lanes)  # num's lanes, then den's
 
-    m_series = np.convolve(trans.series, series_div(num, den, order))[:order + 1]
+    def m_germ(n: int, ks: Sequence[int]) -> np.ndarray:
+        own = [lanes[k] for k in ks]
+        w = (trans._w[own] * _chebyshev(n)[0]).ravel()
+        rows = np.array(ks).repeat(n + 1)
+        values = _horner_at(ratio, np.concatenate((rows, rows + count)), np.concatenate((w, w)))
+        return trans.at(n, own) * _divide(values[:w.size], values[w.size:]).reshape(len(ks), -1)
 
-    def m_germ(n: int) -> np.ndarray:
-        w = trans.w * _chebyshev(n)[0]
-        return trans.at(n) * _divide(horner(num, w), horner(den, w))
-
-    return -(1.0 / trans.end) * mellin_hat(m_germ, m_series, trans.alpha, trans.w)
+    values = mellin_hat(m_germ, m_series, [trans.alpha[i] for i in lanes],
+                        [trans.w[i] for i in lanes])
+    return {i: v if isinstance(v, PolycycleError) else -(1.0 / trans.end(i)) * v
+            for i, v in zip(lanes, values)}
 
 
 # ---------------------------------------------------------------------------
 # Incomplete Mellin transform
 
 
-def _check_pole(alpha: float) -> None:
-    nearest = round(alpha.real)
-    if nearest >= 0 and abs(alpha.real - nearest) <= MELLIN_POLE_BAND:
-        raise PoleError(f"Mellin order alpha={alpha!r} is within {MELLIN_POLE_BAND:g} "
-                        f"of the pole at {int(nearest)}")
-
-
-def mellin_hat(f: Sampler, series, alpha: float, x: float) -> float:
-    """Incomplete Mellin transform: the smooth solution of x g' - alpha g = f.
+def mellin_hat(f: Sampler, series: Sequence, alpha: Sequence, x: Sequence[float]) -> list:
+    """Incomplete Mellin transform: the smooth solution of x g' - alpha g = f,
+    per lane (f, alpha, x).
 
     ``f`` is a Sampler of f(x*t), f on the Lobatto points of [0, x];
-    ``series`` holds its Taylor coefficients at 0.  Evaluated as the Taylor
-    head sum_{i<k} c_i x^i/(i - alpha) plus
+    ``series`` holds each lane's Taylor coefficients of f at 0.  Evaluated
+    as the Taylor head sum_{i<k} c_i x^i/(i - alpha) plus
     |x|^alpha int_0^x (f - T_{k-1}f)(s) |s|^{-alpha} ds/s with k the Taylor
     order chosen above alpha + 1.  The tail integrand is s^beta h(s) with
     beta = k - alpha - 1 > -1 and h = (f - T_{k-1}f)/s^k smooth, so it is
-    integrated by the product rule with weight s^beta.
+    integrated by the product rule with weight s^beta.  Returns each lane's
+    value, or the PoleError or NumericError that stopped it.
     """
-    _check_pole(alpha)
-    if x <= 0.0:
+    if not all(xi > 0.0 for xi in x):
         raise ValueError("mellin_hat expects x > 0")
-    k = max(0, math.ceil(alpha.real) + 2)
-    coeffs = coeff_array(series)
-    if k > coeffs.size:
-        raise ValueError(f"germ series order {coeffs.size - 1} too low for alpha={alpha:g}")
-    head = sum(coeffs[i] * x**i / (i - alpha) for i in range(k))
-    taylor, beta = coeffs[:k], k - alpha - 1.0
+    coeffs = [coeff_array(c) for c in series]
+    k = [max(0, math.ceil(a.real) + 2) for a in alpha]
+    out: list = []
+    for a, c, ki, nearest in zip(alpha, coeffs, k, (round(a.real) for a in alpha)):
+        if nearest >= 0 and abs(a.real - nearest) <= MELLIN_POLE_BAND:
+            out.append(PoleError(f"Mellin order alpha={a!r} is within {MELLIN_POLE_BAND:g} "
+                                 f"of the pole at {int(nearest)}"))
+        elif ki > c.size:
+            raise ValueError(f"germ series order {c.size - 1} too low for alpha={a:g}")
+        else:
+            out.append(None)
+    live = [i for i, error in enumerate(out) if error is None]
+    taylor = _stacked([c[:ki] for c, ki in zip(coeffs, k)])
+    tail = _stacked([c[ki:] for c, ki in zip(coeffs, k)])
+    beta = [ki - a - 1.0 for ki, a in zip(k, alpha)]
+    powers, xs = np.array(k), np.array(x)[:, None]
+    switch = np.array([min(_MELLIN_SWITCH * max(1.0, xi), 0.5 * xi) for xi in x])[:, None]
 
-    switch = min(_MELLIN_SWITCH * max(1.0, x), 0.5 * x)
+    def h(n: int, lanes: Sequence[int]) -> np.ndarray:
+        s, fs = xs[lanes] * _chebyshev(n)[0], f(n, lanes)
+        rows = np.array(lanes).repeat(n + 1).reshape(s.shape)
+        values = np.empty(s.shape, dtype=taylor.dtype)
+        small = s < switch[lanes]
+        values[small] = _horner_at(tail, rows[small], s[small])  # the series tail
+        rb, sb = rows[~small], s[~small]
+        values[~small] = _divide(fs[~small] - _horner_at(taylor, rb, sb), sb**powers[rb])
+        return values
 
-    def h(n: int) -> np.ndarray:
-        s = x * _chebyshev(n)[0]
-        fs = f(n)
-        out = np.empty(s.shape, dtype=coeffs.dtype)
-        small = s < switch
-        out[small] = horner(coeffs[k:], s[small])  # the series tail
-        big = ~small
-        sb = s[big]
-        out[big] = _divide(fs[big] - horner(taylor, sb), sb**k)
-        return out
+    # the product rule: the first n + 1 moments times h's Chebyshev
+    # coefficients; t^beta dt on [0, 1] is 2^-(beta+1) (1+x)^beta dx
+    scale = {i: x[i]**(beta[i] + 1.0) / 2.0 ** (beta[i] + 1.0) for i in live}
+    moments = {i: _moments(beta[i], 2 * QUAD_MIN_NODES + 1) for i in live}
 
-    val = _fixed_rule(h, beta, x**(beta + 1.0), "Mellin tail quadrature")
-    return scalar(head + x**alpha * val)
+    def rule(values: np.ndarray, i: int) -> np.ndarray:
+        n = values.size - 1
+        if moments[i].size <= n:
+            moments[i] = _moments(beta[i], n + 1)
+        # one row of moments: the integral at t = 1 only
+        return scale[i] * (moments[i][None, :n + 1] @ _real_matmul(_chebyshev(n)[1], values))
+
+    for i, val in _doubling(h, rule, live, "Mellin tail quadrature").items():
+        head = sum(coeffs[i][j] * x[i]**j / (j - alpha[i]) for j in range(k[i]))
+        out[i] = val if isinstance(val, NumericError) else scalar(head + x[i]**alpha[i] * val[0])
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -537,49 +564,71 @@ def classify_ratio(lam: float) -> str:
     return "below-one" if lam.real < 1.0 else "above-one"
 
 
-def dulac_coefficients(chart: LocalChart, h_in: float, h_out: float) -> DulacExpansion:
-    """Compute the Dulac expansion of a corner from (s, h_in) to (h_out, v).
+def dulac_coefficients(charts: Sequence[LocalChart], h_in: float, h_out: float,
+                       ) -> list[DulacExpansion | PolycycleError]:
+    """The Dulac expansions of one corner from (s, h_in) to (h_out, v), for a
+    batch of its charts: per chart, the expansion or the error that stopped it.
 
     S1 and S2 come from one routine, S2 on the mirrored chart.  The S the
     case needs (S2 below one, S1 above one) has its Mellin order in (0, 1),
     away from every pole; the other S is set to None, with a note, when
     its pole guard trips.  At-one corners return leading data only,
-    flagged in ``notes``.
+    flagged in ``notes``.  A Mellin order past MELLIN_ORDER_MAX fails before
+    any series is built.
     """
     if not (0.0 < h_in < math.inf and 0.0 < h_out < math.inf):
-        raise ModelError(f"section half-lengths must be positive and finite, "
-                         f"got h_in={h_in!r}, h_out={h_out!r}")
-    lam = chart.lam
-    chart.check_footprint(1.05 * h_out, 1.05 * h_in)
-
-    p, q = chart.p_poly, chart.q_poly
-    axes = ((p, q, _transition_data(p, q, 1.0 / lam, h_in)),
-            (q.T, p.T, _transition_data(q.T, p.T, lam, h_out)))
-    l1, l2 = axes[0][2].end, axes[1][2].end
-    d00 = (h_in / l1**lam) * (l2 / h_out**lam)
-
-    case = classify_ratio(lam)
-    if case == "at-one":
-        return DulacExpansion(
-            ratio=lam, leading=d00, ell=(1.0, 2.0),
-            notes=("at-one corner: second-order coefficients are resonant "
-                   "(Mellin pole at alpha=1); leading term only",))
-
-    needed = 2 if case == "below-one" else 1
-    s_values: list = []
-    notes: list[str] = []
-    for i, (pi, qi, trans) in enumerate(axes, 1):
+        return [ModelError(f"section half-lengths must be positive and finite, "
+                           f"got h_in={h_in!r}, h_out={h_out!r}")] * len(charts)
+    out, lams = [None] * len(charts), [chart.lam for chart in charts]
+    for i, (chart, lam) in enumerate(zip(charts, lams)):
         try:
-            s_values.append(_s_value(pi, qi, trans))
-        except PoleError as exc:
-            if i == needed:
-                raise
-            s_values.append(None)
-            notes.append(f"S{i} unavailable: {exc}")
-    s1, s2 = s_values
-    if case == "below-one":
-        exponent, coeff, ell = lam, -(d00**2) * s2, (lam.real, min(2.0 * lam.real, 1.0))
-    else:
-        exponent, coeff, ell = 1.0, lam * d00 * s1, (1.0, min(lam.real, 2.0))
-    return DulacExpansion(ratio=lam, leading=d00, next_exponent=exponent, next_coeff=coeff,
-                          ell=ell, s1=s1, s2=s2, notes=tuple(notes))
+            chart.check_footprint(1.05 * h_out, 1.05 * h_in)
+            alpha = max(lam.real, 1.0 / lam.real)  # the larger Mellin order
+            if alpha > MELLIN_ORDER_MAX:
+                raise NumericError(f"Mellin order alpha={alpha:.6g} is past {MELLIN_ORDER_MAX:g}, "
+                                   "the largest the germ series are built to")
+        except PolycycleError as exc:
+            out[i] = exc
+    live = [i for i, error in enumerate(out) if error is None]
+    # both axes as one batch: lane j is axis 1 of live chart j, lane m + j
+    # its axis 2, the chart mirrored u <-> v
+    m, lam = len(live), [lams[i] for i in live]
+    p, q = [charts[i].p_poly for i in live], [charts[i].q_poly for i in live]
+    p, q = p + [c.T for c in q], q + [c.T for c in p]
+    trans = _Transition(p, q, [1.0 / x for x in lam] + lam, [h_in] * m + [h_out] * m)
+    leading = {}
+    for j, i in enumerate(live):
+        out[i] = trans.failed.get(j) or trans.failed.get(m + j)
+        if out[i] is not None:
+            continue
+        try:
+            d00 = (h_in / trans.end(j)**lam[j]) * (trans.end(m + j) / h_out**lam[j])
+        except (OverflowError, ZeroDivisionError):  # a power past the float range
+            d00 = math.nan
+        if d00.real == 0.0 or not math.isfinite(d00.real):
+            out[i] = NumericError(f"leading coefficient D00 at ratio {lam[j].real:.6g} is "
+                                  f"{d00.real!r}, not a finite nonzero number")
+        elif classify_ratio(lam[j]) == "at-one":
+            out[i] = DulacExpansion(
+                ratio=lam[j], leading=d00, ell=(1.0, 2.0),
+                notes=("at-one corner: second-order coefficients are resonant "
+                       "(Mellin pole at alpha=1); leading term only",))
+        else:
+            leading[j] = d00
+
+    s_values = _s_values(p, q, trans, [*leading, *(m + j for j in leading)])
+    for j, d00 in leading.items():
+        lj, needed = lam[j], 2 if classify_ratio(lam[j]) == "below-one" else 1
+        s = {axis: s_values[j if axis == 1 else m + j] for axis in (1, 2)}
+        notes = tuple(f"S{axis} unavailable: {value}" for axis, value in s.items()
+                      if axis != needed and isinstance(value, PoleError))
+        s1, s2 = (None if axis != needed and isinstance(v, PoleError) else v for axis, v in s.items())
+        out[live[j]] = next((v for v in (s1, s2) if isinstance(v, PolycycleError)), None)
+        if out[live[j]] is None:
+            if needed == 2:
+                exponent, coeff, ell = lj, -(d00**2) * s2, (lj.real, min(2.0 * lj.real, 1.0))
+            else:
+                exponent, coeff, ell = 1.0, lj * d00 * s1, (1.0, min(lj.real, 2.0))
+            out[live[j]] = DulacExpansion(ratio=lj, leading=d00, next_exponent=exponent,
+                                          next_coeff=coeff, ell=ell, s1=s1, s2=s2, notes=notes)
+    return out

@@ -15,7 +15,8 @@ def game_mf():
 
 @pytest.fixture(scope="session")
 def game_corners(game_mf):
-    return build_corners(bind(game_mf))
+    (corners,) = build_corners([bind(game_mf)])
+    return corners
 
 
 @pytest.fixture(scope="session")

@@ -33,6 +33,9 @@ USAGE = {
     "unreadable-tol": ["analyze", "--model", FOUR, "--tol", "rtol=abc"],
     "undeclared-set": ["analyze", "--model", FOUR, "--set", "zz=1"],
     "unreadable-set": ["scan", "--model", FOUR, "--grid", "l1=0.3:0.3:1", "--set", "l2=abc"],
+    # the same limit as samples, fit_points and a scan's grid
+    "compose-check-count-huge": ["compose-check", "--count", "100000000000"],
+    "compose-check-count-negative": ["compose-check", "--count", "-1"],
     "fit-points-3": ["oracle", "--what", "dulac", "--corner", "1", "--model", FOUR,
                      "--tol", "fit_points=3"],
     "fit-points-fractional": ["oracle", "--what", "dulac", "--corner", "1", "--model", FOUR,
@@ -106,6 +109,27 @@ def test_huge_grid_axis_rejected_before_allocation(monkeypatch, capsys):
     monkeypatch.setattr(np, "linspace", no_axes)
     assert main(["scan", "--model", FOUR, "--grid", "l1=0:1:2000000000"]) == 2
     assert "the limit is 1000000" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("l1, message", [
+    ("100", "Mellin tail quadrature did not converge"),
+    ("1000", "Mellin order alpha=1000 is past 150"),
+    ("10000", "Mellin order alpha=10000 is past 150"),
+    ("1e300", "Mellin order alpha=1e+300 is past 150"),
+])
+def test_large_ratio_exits_4(l1, message, capsys):
+    # a corner ratio past the Mellin order bound fails before any series is
+    # built; at 1e4 h_out**lam underflowed, at 1e300 the series overflowed numpy
+    assert main(["analyze", "--model", FOUR, "--set", f"l1={l1}"]) == 4
+    assert message in capsys.readouterr().err
+
+
+def test_large_ratio_is_a_scan_error_cell(tmp_path):
+    out = tmp_path / "scan.csv"
+    assert main(["scan", "--model", FOUR, "--grid", "l1=0.3:1e300:2", "--out", str(out)]) == 0
+    header, good, bad = out.read_text(encoding="utf-8").splitlines()
+    assert header.endswith(",error") and good.endswith(",")
+    assert bad.startswith("1e+300,nan,") and "Mellin order alpha=1e+300 is past 150" in bad
 
 
 def test_missing_model_exits_3(tmp_path, capsys):

@@ -21,44 +21,49 @@ from polycycles.cyclicity import (
 from polycycles.errors import NumericError, OutOfBasinError
 
 
+def lanes(fun):
+    """A function of one point as one of a batch of points."""
+    return lambda points: [fun(p) for p in points]
+
+
 class TestGradient:
     def test_linear_exact(self):
-        g = gradient(lambda p: {"f": 3.0 * p["x"] - 2.0 * p["y"]}, {"x": 1.0, "y": 2.0})
+        g = gradient(lanes(lambda p: {"f": 3.0 * p["x"] - 2.0 * p["y"]}), {"x": 1.0, "y": 2.0})
         assert g == {"f": {"x": 3.0, "y": -2.0}}
 
     def test_quadratic_central(self):
         # the complex step is exact on quadratics, as central differences were
-        g = gradient(lambda p: {"f": p["x"] ** 2}, {"x": 2.0})
+        g = gradient(lanes(lambda p: {"f": p["x"] ** 2}), {"x": 2.0})
         assert g["f"]["x"] == 4.0
 
     def test_relative_step(self):
         # one fixed step serves every magnitude: nothing cancels
-        g = gradient(lambda p: {"f": p["x"] ** 2}, {"x": 1e6})
+        g = gradient(lanes(lambda p: {"f": p["x"] ** 2}), {"x": 1e6})
         assert g["f"]["x"] == 2e6
 
     def test_constant(self):
-        g = gradient(lambda p: {"f": 7.0}, {"a": 1.0, "b": -3.0})
+        g = gradient(lanes(lambda p: {"f": 7.0}), {"a": 1.0, "b": -3.0})
         assert g == {"f": {"a": 0.0, "b": 0.0}}
 
     def test_non_finite_reported_as_none(self):
-        g = gradient(lambda p: {"nan": float("nan"), "f": p["x"]}, {"x": 0.3})
+        g = gradient(lanes(lambda p: {"nan": float("nan"), "f": p["x"]}), {"x": 0.3})
         assert g == {"nan": {"x": None}, "f": {"x": 1.0}}
 
     def test_one_evaluation_per_parameter_for_all_quantities(self):
         calls = []
 
-        def fun(p):
-            calls.append(dict(p))
-            return {"prod": p["x"] * p["y"], "exp": cmath.exp(p["x"]) / p["y"]}
+        def fun(points):
+            calls.append([dict(p) for p in points])
+            return [{"prod": p["x"] * p["y"], "exp": cmath.exp(p["x"]) / p["y"]} for p in points]
 
         g = gradient(fun, {"x": 0.5, "y": 4.0})
-        assert len(calls) == 2
+        assert len(calls) == 1 and len(calls[0]) == 2  # one batch, one point per parameter
         assert g["prod"] == {"x": 4.0, "y": 0.5}
         assert g["exp"]["x"] == pytest.approx(math.exp(0.5) / 4.0, rel=1e-15)
         assert g["exp"]["y"] == pytest.approx(-math.exp(0.5) / 16.0, rel=1e-15)
 
     def test_real_values_come_back_as_floats(self):
-        g = gradient(lambda p: {"f": np.sin(p["x"])}, {"x": 0.3})
+        g = gradient(lanes(lambda p: {"f": np.sin(p["x"])}), {"x": 0.3})
         assert type(g["f"]["x"]) is float
         assert g["f"]["x"] == pytest.approx(math.cos(0.3), rel=1e-15)
 

@@ -198,7 +198,7 @@ class TestBinding:
     # the field is checked against the polycycle where the corners are built
 
     def test_traversal_check_accepts_square(self, integrable_mf):
-        corners = build_corners(bind(integrable_mf))
+        (corners,) = build_corners([bind(integrable_mf)])
         assert [cd.corner for cd in corners] == [(0.0, 1.0), (0.0, 0.0), (1.0, 0.0), (1.0, 1.0)]
 
     def test_traversal_check_rejects_reversed_order(self, integrable_mf):
@@ -207,13 +207,15 @@ class TestBinding:
             "corners = (0,1) (1,1) (1,0) (0,0)").replace(
             "orientation = ccw", "orientation = cw")
         model = bind(parse_model(text))
+        (lane,) = build_corners([model])
         with pytest.raises(ModelError, match="lies on the unstable axis"):
-            build_corners(model)
+            raise lane
 
     def test_non_invariant_edge_rejected(self):
         # rotation field: the declared square edges are not orbit lines
         text = ("[field]\ndot_x = -y + x\ndot_y = x + y\n"
                 "[polycycle]\ncorners = (0,0) (1,0) (1,1) (0,1)\n")
         model = bind(parse_model(text))
+        (lane,) = build_corners([model])
         with pytest.raises(ModelError, match="is not invariant"):
-            build_corners(model)
+            raise lane

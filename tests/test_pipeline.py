@@ -5,6 +5,7 @@ drivers are checked for internal consistency (per-sample gaps, pinned
 fits) rather than re-deriving the integration here.
 """
 
+import cmath
 import hashlib
 import math
 import random
@@ -18,7 +19,7 @@ from polycycles import pipeline
 from polycycles.calculus import CompensatorTerm
 from polycycles.cli import main
 from polycycles.cyclicity import gradient
-from polycycles.errors import ModelError, UnsupportedGeometryError
+from polycycles.errors import ModelError, PolycycleError, UnsupportedGeometryError
 from polycycles.model import bind, parse_model
 from polycycles.pipeline import (_chain_quantities, analyze, build_corners, oracle_cycles,
                                  oracle_dulac, oracle_return, scan)
@@ -117,12 +118,13 @@ class TestAnalyzeGame:
         assert grads["ratio"]["m1"] == 0.0
 
     def test_one_chain_per_parameter(self, game_mf, monkeypatch):
-        # the document's chain, then one complex chain for each of 5 parameters
+        # the document's chain, then one batch holding a complex chain for
+        # each of 5 parameters
         calls = []
         monkeypatch.setattr(pipeline, "build_corners",
-                            lambda model: calls.append(model) or build_corners(model))
+                            lambda models: calls.append(len(models)) or build_corners(models))
         analyze(game_mf)
-        assert len(calls) == 6
+        assert calls == [1, 5]
 
     def test_parameters_and_provenance(self, game_doc, game_mf):
         assert game_doc["parameters"] == {
@@ -284,9 +286,10 @@ class TestSectionGeometry:
     def test_l_shaped_hexagon_does_not_chain(self, field, tmp_path):
         # the edge into corner 3 runs down, the edge out of corner 4 up
         mf = _polycycle("(0,0) (2,0) (2,1) (1,1) (1,2) (0,2)", field)
+        (lane,) = build_corners([bind(mf)])
         with pytest.raises(UnsupportedGeometryError, match="corner 3 exit section and "
                            "corner 4 entry section are different curves"):
-            build_corners(bind(mf))
+            raise lane
         path = tmp_path / "hexagon.model"
         path.write_text(mf.text, encoding="utf-8")
         assert main(["analyze", "--model", str(path)]) == 3
@@ -569,12 +572,12 @@ def test_complex_chain_is_holomorphic(game_mf):
     rng = random.Random(2504)
     for _ in range(10):
         point = {name: rng.uniform(lo, hi) for name, (lo, hi) in ranges.items()}
-        real = _chain_quantities(game_mf, point)
+        (real,) = _chain_quantities(game_mf, [point])
         complex_chains = []
 
-        def fun(p):
-            complex_chains.append(_chain_quantities(game_mf, p))
-            return complex_chains[-1]
+        def fun(points):
+            complex_chains.extend(_chain_quantities(game_mf, points))
+            return complex_chains
 
         grads = gradient(fun, point)
         for q in complex_chains:
@@ -582,8 +585,8 @@ def test_complex_chain_is_holomorphic(game_mf):
                 assert value.real == pytest.approx(real[name], rel=1e-13)
         for name, x in point.items():
             h = 1e-6 * max(1.0, abs(x))
-            hi = _chain_quantities(game_mf, {**point, name: x + h})
-            lo = _chain_quantities(game_mf, {**point, name: x - h})
+            hi, lo = _chain_quantities(game_mf, [{**point, name: x + h},
+                                                 {**point, name: x - h}])
             for q, g in grads.items():
                 fd = (hi[q] - lo[q]) / (2.0 * h)
                 if g[name] != 0.0:
@@ -597,5 +600,66 @@ def test_gradient_at_a_numpy_point(game_mf, game_doc):
     # np.complex128, whose real part is an np.float64
     point = {name: np.float64(v) for name, v in game_doc["parameters"].items()}
     assert point["l1"] == np.float64(8 / 27)
-    grads = gradient(lambda p: _chain_quantities(game_mf, p), point)
+    grads = gradient(lambda points: _chain_quantities(game_mf, points), point)
     assert grads == game_doc["gradients"]
+
+
+SCAN_RANGES = {"l1": (0.3, 0.9), "l2": (1.1, 3.0), "l3": (1.1, 2.0),
+               "l4": (1.1, 2.8), "m1": (6.0, 30.0)}
+
+
+def same(a, b):
+    """a == b, NaN equal to NaN, over numbers, sequences and dicts."""
+    if isinstance(a, dict):
+        return isinstance(b, dict) and a.keys() == b.keys() and all(same(a[k], b[k]) for k in a)
+    if isinstance(a, (tuple, list)):
+        return (isinstance(b, (tuple, list)) and len(a) == len(b)
+                and all(same(x, y) for x, y in zip(a, b)))
+    if isinstance(a, (float, complex)) and isinstance(b, (float, complex)):
+        return type(a) is type(b) and (a == b or (cmath.isnan(a) and cmath.isnan(b)))
+    return a == b
+
+
+def lane_record(lane):
+    """A lane's corners (every expansion field), or its error's type and message."""
+    if isinstance(lane, Exception):
+        return type(lane).__name__, str(lane)
+    return [(cd.index, cd.corner, cd.h_in, cd.h_out, vars(cd.expansion)) for cd in lane]
+
+
+def test_a_batch_equals_its_points(game_mf):
+    # one batch against each point as a batch of one, bit for bit: points
+    # that converge at their own node counts (m1 = 200 doubles to 1024
+    # nodes, l1 = 0.05 to 128), split their Mellin orders, sit on the
+    # at-one band (l2 = 1) or fail on a pole (l2 = 1.000001)
+    rng = random.Random(24)
+    points = [{name: rng.uniform(lo, hi) for name, (lo, hi) in SCAN_RANGES.items()}
+              for _ in range(30)]
+    points += [{"m1": 200.0}, {"l1": 0.05}, {"l2": 1.0}, {"l2": 1.000001}]
+    models = [bind(game_mf, p) for p in points]
+    batch = build_corners(models)
+    quantities = _chain_quantities(game_mf, points)
+    assert isinstance(batch[-1], PolycycleError) and "pole at 1" in str(batch[-1])
+    assert batch[-2][1].expansion.case == "at-one"
+    for point, model, lane, q in zip(points, models, batch, quantities):
+        (alone,) = build_corners([model])
+        assert same(lane_record(lane), lane_record(alone)), point
+        (q_alone,) = _chain_quantities(game_mf, [point])
+        if isinstance(q, Exception):
+            assert (type(q), str(q)) == (type(q_alone), str(q_alone)), point
+        else:
+            assert same(q, q_alone), point
+
+
+@pytest.mark.parametrize("overrides", [{}, {"l2": 1.0001}, {"l1": 0.4, "m1": 20.0}])
+def test_gradient_batch_equals_per_parameter_chains(game_mf, overrides):
+    # analyze's gradient, one complex batch, against one complex chain per
+    # parameter, bit for bit
+    point = bind(game_mf, overrides).values
+    grads = gradient(lambda points: _chain_quantities(game_mf, points), point)
+    for name in point:
+        (q,) = _chain_quantities(game_mf, [{**point, name: point[name] + 1e-30j}])
+        for quantity, value in q.items():
+            d = float(value.imag) / 1e-30
+            want = d if math.isfinite(value.real) and math.isfinite(d) else None
+            assert same(grads[quantity][name], want), (name, quantity)

@@ -34,6 +34,13 @@ DOCUMENTS = {
     "oracle-return-four_saddle": ["oracle", "--what", "return", "--model", FOUR],
     "scan-four_saddle": ["scan", "--model", FOUR, "--grid", "l1=0.3:0.6:3",
                          "--grid", "m1=6:30:3"],
+    # at-one rows, pole-error rows, and Mellin orders that split at l1 = 1/3 and 1/2
+    "scan-four_saddle-l2_band-l1": ["scan", "--model", FOUR, "--grid", "l2=0.999999:1.000001:3",
+                                    "--grid", "l1=0.3:0.55:6"],
+    "scan-integrable_square": ["scan", "--model", SQUARE, "--grid", "a=0.3:0.45:3",
+                               "--grid", "b=0.4:0.6:3"],
+    # complex steps next to the at-one band
+    "analyze-four_saddle-l2_1.0001": ["analyze", "--model", FOUR, "--set", "l2=1.0001"],
     "compose-check-seed42-count20": ["compose-check", "--seed", "42", "--count", "20"],
 }
 

@@ -31,7 +31,6 @@ from polycycles.model import bind
 from polycycles.pipeline import build_corners
 from polycycles.saddle import (
     LocalChart,
-    _transition_data,
     classify_ratio,
     dulac_coefficients,
     mellin_hat,
@@ -41,6 +40,14 @@ from polycycles.saddle import (
 
 def poly(source):
     return instantiate(parse_expression(source), {})
+
+
+def expand(chart, h_in, h_out):
+    """The corner's expansion, as a batch of one; a failed lane raises its error."""
+    (lane,) = dulac_coefficients([chart], h_in, h_out)
+    if isinstance(lane, Exception):
+        raise lane
+    return lane
 
 
 def linear_saddle(lam, **kwargs):
@@ -62,10 +69,11 @@ def nonlinear_chart(step=0.0):
 
 
 def transition(chart, which, w):
-    """L1 or L2 of the chart on [0, w]; L2 is L1 of the chart mirrored u <-> v."""
+    """L1 or L2 of the chart on [0, w], a batch of one lane; L2 is L1 of the
+    chart mirrored u <-> v."""
     p, q, lam = chart.p_poly, chart.q_poly, chart.lam
     mirrored = (p, q, 1.0 / lam) if which == 1 else (q.T, p.T, lam)
-    return _transition_data(*mirrored, w)
+    return saddle._Transition(*([x] for x in mirrored), [w])
 
 
 def mp_log_l(chart, which, lo, hi, e=0):
@@ -219,7 +227,7 @@ class TestNormalize:
         chart = normalize_saddle(poly("x*(1 - x)"), poly("-y"),
                                  (0.0, 0.0), (0.0, 1.0), (1.0, 0.0))
         with pytest.raises(UnsupportedGeometryError, match="footprint too large"):
-            dulac_coefficients(chart, 0.5, 1.1)
+            expand(chart, 0.5, 1.1)
 
     @pytest.mark.parametrize("p_src, q_src", [
         ("1 - 2*x", "-1 + y"),      # P(x,0) fails first, at x = 0.5
@@ -249,12 +257,26 @@ class TestSections:
     def test_sigma1_anchor_must_sit_on_stable_axis(self):
         for h_in in (0.0, -0.5, math.inf, math.nan):
             with pytest.raises(ModelError, match="half-lengths must be positive and finite"):
-                dulac_coefficients(linear_saddle(1.5), h_in, 0.5)
+                expand(linear_saddle(1.5), h_in, 0.5)
 
     def test_sigma2_anchor_must_sit_on_unstable_axis(self):
         for h_out in (0.0, -0.5, math.inf, math.nan):
             with pytest.raises(ModelError, match="half-lengths must be positive and finite"):
-                dulac_coefficients(linear_saddle(1.5), 0.5, h_out)
+                expand(linear_saddle(1.5), 0.5, h_out)
+
+
+class TestLargeRatios:
+    def test_mellin_order_past_the_bound(self):
+        for lam in (151.0, 1.0 / 151.0):
+            with pytest.raises(NumericError, match="Mellin order alpha=151 is past 150"):
+                expand(linear_saddle(lam), 0.5, 0.5)
+
+    def test_leading_coefficient_out_of_range(self):
+        # D00 = h_in * h_out**-lam, and 1e-3**120 underflows to 0
+        with pytest.raises(NumericError, match="leading coefficient D00 at ratio 120 is nan"):
+            expand(linear_saddle(120.0), 0.5, 1e-3)
+        assert expand(linear_saddle(120.0), 0.5, 0.5).leading == pytest.approx(
+            0.5 * 0.5**-120, rel=1e-12)
 
 
 class TestClassify:
@@ -273,7 +295,7 @@ class TestLinearClosedForms:
     """x' = x, y' = -lam*y: D00 = h1 * h2**-lam exactly, S1 = S2 = 0."""
 
     def test_above_one(self):
-        exp = dulac_coefficients(linear_saddle(1.5), 0.5, 0.5)
+        exp = expand(linear_saddle(1.5), 0.5, 0.5)
         assert exp.case == "above-one"
         assert exp.ratio == pytest.approx(1.5, rel=1e-15)
         assert exp.leading == pytest.approx(math.sqrt(2.0), rel=1e-12)
@@ -283,7 +305,7 @@ class TestLinearClosedForms:
         assert exp.next_coeff == pytest.approx(0.0, abs=1e-12)
 
     def test_below_one(self):
-        exp = dulac_coefficients(linear_saddle(0.4), 0.5, 0.5)
+        exp = expand(linear_saddle(0.4), 0.5, 0.5)
         assert exp.case == "below-one"
         assert exp.leading == pytest.approx(0.5 ** 0.6, rel=1e-12)
         assert exp.s1 == pytest.approx(0.0, abs=1e-12)
@@ -292,14 +314,14 @@ class TestLinearClosedForms:
         assert exp.next_coeff == pytest.approx(0.0, abs=1e-12)
 
     def test_section_height_scaling(self):
-        exp = dulac_coefficients(linear_saddle(1.5), 0.3, 0.7)
+        exp = expand(linear_saddle(1.5), 0.3, 0.7)
         assert exp.leading == pytest.approx(0.3 * 0.7 ** -1.5, rel=1e-12)
 
     def test_transition_factors_trivial(self):
         data = transition(linear_saddle(1.5), 1, 0.5)
-        assert data.end == pytest.approx(1.0, rel=1e-12)
-        np.testing.assert_allclose(data.at(64), 1.0, rtol=1e-12)
-        series = data.series
+        assert data.end(0) == pytest.approx(1.0, rel=1e-12)
+        np.testing.assert_allclose(data.at(64, [0]), 1.0, rtol=1e-12)
+        series = data.series[0]
         assert series[0] == pytest.approx(1.0)
         np.testing.assert_allclose(series[1:], 0.0, atol=1e-15)
 
@@ -308,15 +330,15 @@ class TestLinearClosedForms:
         chart = nonlinear_chart()
         nodes = 0.5 * saddle._chebyshev(64)[0]
         for which in (1, 2):
-            values = transition(chart, which, 0.5).at(64)
+            (values,) = transition(chart, which, 0.5).at(64, [0])
             assert values.shape == nodes.shape
             for j in (0, 5, 20, 40, 60, 63):
                 assert values[j] == pytest.approx(
-                    transition(chart, which, nodes[j]).end, rel=1e-14)
+                    transition(chart, which, nodes[j]).end(0), rel=1e-14)
             assert values[-1] == 1.0 and values[0] != 1.0
 
     def test_resonant_corner(self):
-        exp = dulac_coefficients(linear_saddle(1.0), 0.5, 0.5)
+        exp = expand(linear_saddle(1.0), 0.5, 0.5)
         assert exp.case == "at-one"
         assert exp.leading == pytest.approx(1.0, rel=1e-12)
         assert exp.next_exponent is None
@@ -333,7 +355,7 @@ class TestTransitionGrid:
     def test_every_node_matches_mpmath(self):
         chart = nonlinear_chart()
         for which in (1, 2):
-            got = transition(chart, which, 0.5).at(64)
+            (got,) = transition(chart, which, 0.5).at(64, [0])
             with mpmath.workdps(30):
                 log_l = mpmath.mpf(0)
                 for j in range(63, -1, -1):
@@ -344,7 +366,7 @@ class TestTransitionGrid:
     def test_complex_step_matches_mpmath_derivative(self):
         real, stepped = nonlinear_chart(), nonlinear_chart(1e-30j)
         for which in (1, 2):
-            got = transition(stepped, which, 0.5).at(64)
+            (got,) = transition(stepped, which, 0.5).at(64, [0])
             with mpmath.workdps(30):
                 for j in (0, 3, 10, 20, 32, 45, 56, 62, 64):
                     s = self.NODES[j]
@@ -356,33 +378,33 @@ class TestTransitionGrid:
         # past the converged 64-node grid, at(128) samples the integrand
         # once on its own 129 points and leaves the grid as it was
         data = transition(nonlinear_chart(), 1, 0.5)
-        coarse = data.at(64).copy()
+        (coarse,) = data.at(64, [0])
         calls = []
         integrand = saddle._Transition.integrand
 
-        def counted(self, t):
+        def counted(self, t, lanes):
             calls.append(t.shape)
-            return integrand(self, t)
+            return integrand(self, t, lanes)
 
         monkeypatch.setattr(saddle._Transition, "integrand", counted)
-        fine = data.at(128)
-        assert calls == [(129,)]
+        (fine,) = data.at(128, [0])
+        assert calls == [(1, 129)]
         np.testing.assert_allclose(fine[::2], coarse, rtol=1e-14)
-        np.testing.assert_array_equal(data.at(64), coarse)
+        np.testing.assert_array_equal(data.at(64, [0])[0], coarse)
 
     def test_unconverged_rule_raises(self, monkeypatch):
         # Q(0, y) = -1 + 1.98 y vanishes at y = 0.505, just past the grid:
         # 32 against 64 nodes differ by about 1e-3
         chart = LocalChart(p_poly=poly("1"), q_poly=poly("-1 + 1.98*y"))
-        assert transition(chart, 1, 0.5).end > 0.0
+        assert transition(chart, 1, 0.5).end(0) > 0.0
         monkeypatch.setattr(saddle, "QUAD_MAX_NODES", 64)
         with pytest.raises(NumericError, match="transition integral did not converge"):
-            transition(chart, 1, 0.5)
+            raise transition(chart, 1, 0.5).failed[0]
 
 
 @pytest.fixture(scope="module")
 def quad_expansion():
-    return dulac_coefficients(nonlinear_chart(), 0.5, 0.5)
+    return expand(nonlinear_chart(), 0.5, 0.5)
 
 
 class TestQuadraticSaddle:
@@ -408,7 +430,7 @@ class TestQuadraticSaddle:
 class TestPoleGuards:
     def test_below_one_s1_on_a_pole(self):
         # lam = 0.5: S1's Mellin order 1/lam = 2 is a pole, S2 (order 0.5) is not
-        exp = dulac_coefficients(linear_saddle(0.5), 0.5, 0.5)
+        exp = expand(linear_saddle(0.5), 0.5, 0.5)
         assert exp.case == "below-one"
         assert exp.s1 is None
         assert exp.notes == ("S1 unavailable: Mellin order alpha=2.0 is within 1e-06 "
@@ -446,8 +468,8 @@ class TestTimeReversal:
     def test_inverse_is_the_reversed_corner(self, lam, c, h_in, h_out):
         chart = quadratic_chart(lam, c)
         reversed_chart = LocalChart(p_poly=-chart.q_poly.T, q_poly=-chart.p_poly.T)
-        want = inverse_dulac(dulac_coefficients(chart, h_in, h_out))
-        got = dulac_coefficients(reversed_chart, h_out, h_in)
+        want = inverse_dulac(expand(chart, h_in, h_out))
+        got = expand(reversed_chart, h_out, h_in)
         assert got.ratio == want.ratio
         assert got.leading == pytest.approx(want.leading, rel=1e-14)
         assert got.next_exponent == pytest.approx(want.next_exponent, rel=1e-15)
@@ -458,8 +480,13 @@ class TestTimeReversal:
 
 
 def mellin(fun, series, alpha, x):
-    """mellin_hat of a function of s, sampled on the rule's nodes."""
-    return mellin_hat(lambda n: fun(x * saddle._chebyshev(n)[0]), series, alpha, x)
+    """mellin_hat of a function of s, sampled on the rule's nodes, as a batch
+    of one; a failed lane raises its error."""
+    (lane,) = mellin_hat(lambda n, lanes: np.array([fun(x * saddle._chebyshev(n)[0])]),
+                         [series], [alpha], [x])
+    if isinstance(lane, Exception):
+        raise lane
+    return lane
 
 
 class TestMellin:
@@ -578,7 +605,7 @@ SLOW_CORNERS = [
 
 def test_slow_point_in_budget(game_mf):
     start = time.perf_counter()
-    corners = build_corners(bind(game_mf, SLOW_POINT))
+    (corners,) = build_corners([bind(game_mf, SLOW_POINT)])
     elapsed = time.perf_counter() - start
     for cd, expected in zip(corners, SLOW_CORNERS, strict=True):
         exp = cd.expansion
@@ -588,20 +615,20 @@ def test_slow_point_in_budget(game_mf):
 
 def test_one_integrand_pass_per_rule_pair(game_mf, monkeypatch):
     # four corners, each with L1 on [0, h_in] and L2 on [0, h_out]: one
-    # pass per transition over the 65 points of the 64-node rule, every
-    # other one of which is the 32-node rule.  D00 and both Mellin tails,
-    # which converge at 32 against 64 nodes, read L from those grids, so
-    # the transition integrand is sampled at 520 points in all
+    # pass per corner, a row per transition, over the 65 points of the
+    # 64-node rule, every other one of which is the 32-node rule.  D00 and
+    # both Mellin tails, which converge at 32 against 64 nodes, read L from
+    # those grids, so the transition integrand is sampled at 520 points in all
     calls = []
     integrand = saddle._Transition.integrand
 
-    def counted(self, t):
+    def counted(self, t, lanes):
         calls.append(t.shape)
-        return integrand(self, t)
+        return integrand(self, t, lanes)
 
     monkeypatch.setattr(saddle._Transition, "integrand", counted)
-    build_corners(bind(game_mf))
-    assert calls == [(65,)] * 8
+    build_corners([bind(game_mf)])
+    assert calls == [(2, 65)] * 4
 
 
 @pytest.mark.parametrize("beta", [0.0, 1.0, 1.5, 1.999, 1.3 + 1e-30j])
@@ -658,5 +685,5 @@ def test_product_rule_weights():
 def test_mellin_order_above_the_default_series(game_mf):
     # l1 = 0.045 puts corner 1's S1 at alpha = 1/l1 = 22.2, past what a
     # 16-term germ series can split off; 60-digit value of the same formula
-    corners = build_corners(bind(game_mf, {"l1": "0.045"}))
+    (corners,) = build_corners([bind(game_mf, {"l1": "0.045"})])
     assert corners[0].expansion.s1 == pytest.approx(-2.4831988484826426, rel=1e-12)
