@@ -23,6 +23,10 @@ ROOT = Path(__file__).resolve().parents[1]
 REFERENCE = ROOT / "tests" / "reference"
 FOUR = str(ROOT / "models" / "four_saddle.model")
 SQUARE = str(ROOT / "models" / "integrable_square.model")
+CIRCLE = str(ROOT / "models" / "circle_cycle.model")
+# demo 04's point, where two limit cycles split off the four-saddle polycycle
+STAGED = ["--set", "l1=0.3037037037037037", "--set", "l2=1.3622066489493219",
+          "--set", "l3=1.8188118943622775", "--set", "l4=1.3622066489493219"]
 
 DOCUMENTS = {
     "analyze-four_saddle": ["analyze", "--model", FOUR],
@@ -32,6 +36,12 @@ DOCUMENTS = {
     **{f"oracle-dulac-four_saddle-corner{k}": ["oracle", "--what", "dulac", "--corner", str(k),
                                                "--model", FOUR] for k in range(1, 5)},
     "oracle-return-four_saddle": ["oracle", "--what", "return", "--model", FOUR],
+    "oracle-return-integrable_square": ["oracle", "--what", "return", "--model", SQUARE],
+    "oracle-cycles-circle_cycle": ["oracle", "--what", "cycles", "--model", CIRCLE,
+                                   "--s-range", "0.3:2.0"],
+    "oracle-cycles-four_saddle-staged": ["oracle", "--what", "cycles", "--model", FOUR,
+                                         "--s-range", "1e-8:1e-3", "--tol", "samples=40",
+                                         "--tol", "t_max=600", *STAGED],
     "scan-four_saddle": ["scan", "--model", FOUR, "--grid", "l1=0.3:0.6:3",
                          "--grid", "m1=6:30:3"],
     # at-one rows, pole-error rows, and Mellin orders that split at l1 = 1/3 and 1/2
