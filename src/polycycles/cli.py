@@ -35,9 +35,12 @@ def _pairs(items: Sequence[str] | None, flag: str) -> dict[str, str]:
     out: dict[str, str] = {}
     for item in items or ():
         name, sep, value = item.partition("=")
-        if not sep or not name.strip():
+        name = name.strip()
+        if not sep or not name:
             raise UsageError(f"{flag} expects NAME=VALUE, got {item!r}")
-        out[name.strip()] = value.strip()
+        if name in out:
+            raise UsageError(f"{flag} names {name!r} more than once")
+        out[name] = value.strip()
     return out
 
 

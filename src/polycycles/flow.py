@@ -519,10 +519,10 @@ def fit_expansion(svals: Sequence[float], values: Sequence[float],
 
     if lattice is not None:
         offsets = sorted(set(float(o) for o in lattice) | {0.0})
-        room = s.size - 4
+        room = max(1, s.size - 4)  # the leading offset stays
         if len(offsets) > room:
             offsets = offsets[:room]
-            notes.append("lattice truncated to leave 4 degrees of freedom")
+            notes.append(f"lattice truncated to leave {s.size - room} degrees of freedom")
         positive = [o for o in offsets if o > 0.0]
         second_exponent = positive[0] if positive else None
         bracket = v / s**exponent

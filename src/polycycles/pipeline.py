@@ -125,18 +125,6 @@ def _batch(fun: Callable[[list], list], lanes: Sequence) -> list:
     return [lane if isinstance(lane, PolycycleError) else next(results) for lane in lanes]
 
 
-def _corner(lanes: list, models: Sequence[Model], index: int, geo: _Geometry) -> list:
-    """Each lane's corners with corner ``index`` added, or the lane's first error."""
-    charts = [_attempt(lambda m: normalize_saddle(m.field_x, m.field_y, geo.corner, geo.incoming,
-                                                  geo.outgoing),
-                       lane if isinstance(lane, PolycycleError) else m)
-              for lane, m in zip(lanes, models)]
-    expansions = _batch(lambda batch: dulac_coefficients(batch, geo.h_in, geo.h_out), charts)
-    return [d if isinstance(d, PolycycleError) else lane + (CornerData(
-        index=index, corner=geo.corner, h_in=geo.h_in, h_out=geo.h_out, chart=c, expansion=d),)
-        for lane, c, d in zip(lanes, charts, expansions)]
-
-
 def build_corners(models: Sequence[Model]) -> list[tuple[CornerData, ...] | PolycycleError]:
     """Charts and Dulac data for every corner, on the sections of
     ``_geometry``, for a batch of bindings of one model file: per model
@@ -147,7 +135,14 @@ def build_corners(models: Sequence[Model]) -> list[tuple[CornerData, ...] | Poly
         return [exc] * len(models)
     lanes: list = [()] * len(models)
     for index, geo in enumerate(geometry, 1):
-        lanes = _corner(lanes, models, index, geo)
+        charts = [_attempt(lambda m: normalize_saddle(m.field_x, m.field_y, geo.corner,
+                                                      geo.incoming, geo.outgoing),
+                           lane if isinstance(lane, PolycycleError) else m)
+                  for lane, m in zip(lanes, models)]
+        expansions = _batch(lambda batch: dulac_coefficients(batch, geo.h_in, geo.h_out), charts)
+        lanes = [d if isinstance(d, PolycycleError) else lane + (CornerData(
+            index=index, corner=geo.corner, h_in=geo.h_in, h_out=geo.h_out, chart=c, expansion=d),)
+            for lane, c, d in zip(lanes, charts, expansions)]
     return lanes
 
 
@@ -376,6 +371,9 @@ def _sample(fun: Callable[[float], float], svals: Sequence[float],
         rows.append(row)
     if not ok_s:
         raise NumericError("every sample failed; see per-sample errors")
+    if len(ok_s) < 4:  # the fewest fit_expansion takes
+        raise NumericError(f"only {len(ok_s)} of {len(rows)} samples succeeded; "
+                           "a fit needs at least 4")
     return rows, ok_s, ok_v
 
 
@@ -383,13 +381,13 @@ def oracle_dulac(mf: ModelFile, corner_index: int,
                  s_range: tuple[float, float] | None = None,
                  overrides: Mapping[str, object] | None = None,
                  tol_overrides: Mapping[str, float] | None = None) -> dict:
-    """Integrate the corner transition map and fit its expansion.
+    """Integrate the corner transition map and compare with its closed form.
 
     Samples fit_points values of s, geometric over s_range or on the
-    halving grid, inside the entry window (1e-12, 0.9·h_in).  Two fits
-    are reported: a free fit (exponent measured from the data) and a
-    lattice fit pinned at the closed-form ratio, which refines the
-    coefficients once the exponent is independently confirmed.
+    halving grid, inside the entry window (1e-12, 0.9·h_in).  A free fit
+    measures the exponent, compared with the chart's ratio; a lattice fit
+    is pinned at that ratio.  The closed form comes after the integration;
+    when it fails, its reason stands in ``closed_form``.
     """
     opts = _options(mf, tol_overrides)
     model = bind(mf, overrides)
@@ -398,22 +396,22 @@ def oracle_dulac(mf: ModelFile, corner_index: int,
         raise UsageError(f"corner index {corner_index} out of range "
                          f"1..{len(geometry)}")
     geo = geometry[corner_index - 1]
-    (cd,) = _raised(_corner([()], [model], corner_index, geo)[0])
-    svals = _fit_grid(opts, s_range, geo.entry().window)
-    fun = chart_field(cd.chart)
-    rows, ok_s, ok_v = _sample(
-        lambda s: numeric_dulac(fun, cd.h_in, cd.h_out, s, **_integration(opts)),
-        svals)
-
+    chart = normalize_saddle(model.field_x, model.field_y, geo.corner, geo.incoming,
+                             geo.outgoing)
+    fun, kwargs = chart_field(chart), _integration(opts)
+    rows, ok_s, ok_v = _sample(lambda s: numeric_dulac(fun, geo.h_in, geo.h_out, s, **kwargs),
+                               _fit_grid(opts, s_range, geo.entry().window))
     free = fit_expansion(ok_s, ok_v)
-    lam = cd.expansion.ratio
+    lam = chart.lam
     pinned = fit_expansion(ok_s, ok_v, exponent=lam, lattice=dulac_lattice(lam))
-    d = cd.expansion
-    closed = {"ratio": d.ratio, "leading": d.leading,
-              "next_exponent": d.next_exponent, "next_coeff": d.next_coeff}
+
+    (d,) = dulac_coefficients([chart], geo.h_in, geo.h_out)
+    closed = {"unavailable": str(d)} if isinstance(d, PolycycleError) else {
+        "ratio": d.ratio, "leading": d.leading, "next_exponent": d.next_exponent,
+        "next_coeff": d.next_coeff}
     deviation = {
-        "exponent": _rel_gap(free.exponent, d.ratio),
-        "leading": _rel_gap(pinned.leading, d.leading),
+        "exponent": _rel_gap(free.exponent, lam),
+        "leading": _rel_gap(pinned.leading, closed.get("leading")),
     }
     return {
         "command": "oracle",
@@ -525,6 +523,8 @@ def scan(mf: ModelFile, grid: Mapping[str, tuple[float, float, int]],
     for name in grid:
         if name not in declared:
             raise UsageError(f"grid parameter {name!r} is not declared by the model")
+        if name in (overrides or {}):
+            raise UsageError(f"grid parameter {name!r} is also set to a fixed value")
     total = 1
     for name, (start, stop, count) in grid.items():
         if count < 1:

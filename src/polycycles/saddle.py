@@ -71,7 +71,7 @@ import numpy as np
 
 from .errors import (DegeneracyError, ModelError, NumericError, PoleError, PolycycleError,
                      UnsupportedGeometryError)
-from .series import DEFAULT_ORDER, coeff_array, horner, padded, scalar, series_div, series_exp
+from .series import DEFAULT_ORDER, horner, scalar, series_div, series_exp
 
 # case-tag dead band around lam = 1 and pole dead band for Mellin orders
 AT_ONE_BAND = 1e-9
@@ -440,10 +440,9 @@ def _s_values(p: Sequence[np.ndarray], q: Sequence[np.ndarray], trans: _Transiti
     Mellin order alpha.  S1 from (P, Q) and L1, S2 from (Q.T, P.T) and L2."""
     nums, dens, m_series = [], [], []
     for pi, qi, series in ((p[i], q[i], trans.series[i]) for i in lanes):
-        # row 0 of p and q is the ratio on the axis, row 1 its partial across it
-        a, b = np.convolve(_first_order(pi), qi[0]), np.convolve(pi[0], _first_order(qi))
-        top = max(a.size, b.size) - 1
-        nums.append(padded(a, top) - padded(b, top))
+        # row 0 of p and q is the ratio on the axis, row 1 its partial across
+        # it; both products are as long as p's and q's rows together
+        nums.append(np.convolve(_first_order(pi), qi[0]) - np.convolve(pi[0], _first_order(qi)))
         dens.append(np.convolve(qi[0], qi[0]))
         m_series.append(np.convolve(series, series_div(nums[-1], dens[-1], series.size - 1))
                         [:series.size])
@@ -471,8 +470,8 @@ def mellin_hat(f: Sampler, series: Sequence, alpha: Sequence, x: Sequence[float]
     per lane (f, alpha, x).
 
     ``f`` is a Sampler of f(x*t), f on the Lobatto points of [0, x];
-    ``series`` holds each lane's Taylor coefficients of f at 0.  Evaluated
-    as the Taylor head sum_{i<k} c_i x^i/(i - alpha) plus
+    ``series`` holds each lane's Taylor coefficients of f at 0, an array.
+    Evaluated as the Taylor head sum_{i<k} c_i x^i/(i - alpha) plus
     |x|^alpha int_0^x (f - T_{k-1}f)(s) |s|^{-alpha} ds/s with k the Taylor
     order chosen above alpha + 1.  The tail integrand is s^beta h(s) with
     beta = k - alpha - 1 > -1 and h = (f - T_{k-1}f)/s^k smooth, so it is
@@ -481,10 +480,9 @@ def mellin_hat(f: Sampler, series: Sequence, alpha: Sequence, x: Sequence[float]
     """
     if not all(xi > 0.0 for xi in x):
         raise ValueError("mellin_hat expects x > 0")
-    coeffs = [coeff_array(c) for c in series]
     k = [max(0, math.ceil(a.real) + 2) for a in alpha]
     out: list = []
-    for a, c, ki, nearest in zip(alpha, coeffs, k, (round(a.real) for a in alpha)):
+    for a, c, ki, nearest in zip(alpha, series, k, (round(a.real) for a in alpha)):
         if nearest >= 0 and abs(a.real - nearest) <= MELLIN_POLE_BAND:
             out.append(PoleError(f"Mellin order alpha={a!r} is within {MELLIN_POLE_BAND:g} "
                                  f"of the pole at {int(nearest)}"))
@@ -493,8 +491,8 @@ def mellin_hat(f: Sampler, series: Sequence, alpha: Sequence, x: Sequence[float]
         else:
             out.append(None)
     live = [i for i, error in enumerate(out) if error is None]
-    taylor = _stacked([c[:ki] for c, ki in zip(coeffs, k)])
-    tail = _stacked([c[ki:] for c, ki in zip(coeffs, k)])
+    taylor = _stacked([c[:ki] for c, ki in zip(series, k)])
+    tail = _stacked([c[ki:] for c, ki in zip(series, k)])
     beta = [ki - a - 1.0 for ki, a in zip(k, alpha)]
     powers, xs = np.array(k), np.array(x)[:, None]
     switch = np.array([min(_MELLIN_SWITCH * max(1.0, xi), 0.5 * xi) for xi in x])[:, None]
@@ -522,7 +520,7 @@ def mellin_hat(f: Sampler, series: Sequence, alpha: Sequence, x: Sequence[float]
         return scale[i] * (moments[i][None, :n + 1] @ _real_matmul(_chebyshev(n)[1], values))
 
     for i, val in _doubling(h, rule, live, "Mellin tail quadrature").items():
-        head = sum(coeffs[i][j] * x[i]**j / (j - alpha[i]) for j in range(k[i]))
+        head = sum(series[i][j] * x[i]**j / (j - alpha[i]) for j in range(k[i]))
         out[i] = val if isinstance(val, NumericError) else scalar(head + x[i]**alpha[i] * val[0])
     return out
 

@@ -4,10 +4,12 @@ A truncated series is a plain 1-d coefficient array c_0..c_K, the same
 ascending layout ``horner`` evaluates; its order is its length minus one.
 Sums, products (``np.convolve`` cut to the order) and antiderivatives are
 one numpy call each at the call site; quotients and exponentials, which
-need a recurrence, live here.  These series carry the Taylor data of the
-transition factors entering the Dulac coefficient formulas.  Coefficients
-are float64, or complex128 when a parameter carries a complex step (see
-cyclicity.gradient); everything here is holomorphic in them.
+need a recurrence, live here and read their operands where they are, an
+operand shorter than the order as zeros past its end.  These series carry
+the Taylor data of the transition factors entering the Dulac coefficient
+formulas.  Coefficients are float64, or complex128 when a parameter
+carries a complex step (see cyclicity.gradient); everything here is
+holomorphic in them.
 """
 from __future__ import annotations
 
@@ -33,29 +35,17 @@ def scalar(x):
     return complex(x) if isinstance(x, complex) else float(x)
 
 
-def coeff_array(coeffs) -> np.ndarray:
-    """A 1-d float64 array, or complex128 when any coefficient is complex."""
-    return np.atleast_1d(np.asarray(coeffs, dtype=complex if np.iscomplexobj(coeffs) else float))
-
-
-def padded(c, order: int) -> np.ndarray:
-    """c_0..c_order of the coefficients c, cut off or filled with zeros."""
-    src = coeff_array(c)
-    out = np.zeros(order + 1, dtype=src.dtype)
-    n = min(src.size, order + 1)
-    out[:n] = src[:n]
-    return out
-
-
 def series_div(f, g, order: int) -> np.ndarray:
     """Series quotient f/g to ``order``; g must have a nonzero constant term.
 
-    The recurrence runs on Python scalars, about three times cheaper than
+    f and g are read where they are, as zeros past their ends.  The
+    recurrence runs on Python scalars, about three times cheaper than
     numpy's, and visits only g's nonzero terms.
     """
-    f, g = padded(f, order), padded(g, order)
-    dtype = np.result_type(f, g)
-    fl, (g0, *gl) = f.tolist(), g.tolist()
+    f, g = np.asarray(f), np.asarray(g)
+    dtype = np.result_type(float, f, g)
+    fl, (g0, *gl) = f[:order + 1].tolist(), g[:order + 1].tolist()
+    fl += [f.dtype.type().item()] * (order + 1 - len(fl))  # f's own zero: 0j stays complex
     if g0 == 0.0:
         raise ZeroDivisionError("series division requires a nonzero constant term")
     terms = [(i, gi) for i, gi in enumerate(gl, 1) if gi != 0.0]

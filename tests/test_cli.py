@@ -84,6 +84,13 @@ USAGE = {
     "grid-nan": ["scan", "--model", FOUR, "--grid", "l1=nan:0.5:2"],
     "grid-out-of-range": ["scan", "--model", FOUR, "--grid", "l1=1e400:1e401:2"],
     "grid-span-out-of-range": ["scan", "--model", FOUR, "--grid", "l1=-1.7e308:1.7e308:3"],
+    # a name given twice is refused, not overridden
+    "grid-repeated": ["scan", "--model", FOUR, "--grid", "l1=0.3:0.4:2",
+                      "--grid", "l1=0.5:0.6:2"],
+    "grid-and-set": ["scan", "--model", FOUR, "--grid", "l1=0.3:0.4:2", "--set", "l1=0.9"],
+    "set-repeated": ["analyze", "--model", FOUR, "--set", "l1=0.3", "--set", "l1=0.31"],
+    "tol-repeated": ["oracle", "--what", "return", "--model", FOUR,
+                     "--tol", "rtol=1e-9", "--tol", "rtol=1e-8"],
 }
 
 
@@ -252,6 +259,41 @@ def test_return_integrates_without_a_closed_form(argv, reason, tmp_path):
 def test_every_return_sample_failing_exits_4(capsys):
     assert main(RETURN + ["--tol", "t_max=20"]) == 4
     assert "every sample failed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    RETURN + ["--s-range", "1e-9:1e-2", "--tol", "t_max=35"],
+    ["oracle", "--what", "dulac", "--corner", "2", "--model", FOUR,
+     "--s-range", "1e-9:1e-2", "--tol", "t_max=8"],
+], ids=["return", "dulac"])
+def test_too_few_samples_for_a_fit_exit_4(argv, capsys):
+    # the three largest s come back within t_max, the ten smaller do not
+    assert main(argv) == 4
+    assert "only 3 of 13 samples succeeded; a fit needs at least 4" in capsys.readouterr().err
+
+
+def test_dulac_fit_at_the_fewest_points_keeps_the_leading_offset(tmp_path):
+    doc = run_doc(["oracle", "--what", "dulac", "--corner", "1", "--model", FOUR,
+                   "--tol", "fit_points=4"], tmp_path / "dulac.txt")
+    pinned = doc["fit_pinned"]
+    assert pinned["notes"] == ["lattice truncated to leave 3 degrees of freedom"]
+    assert pinned["second_exponent"] is None
+    assert doc["deviation"]["leading"] < 0.1
+
+
+@pytest.mark.parametrize("extra, clean", [([], 11), (["--s-range", "1e-7:1e-3"], 13)],
+                         ids=["default-grid", "s-range"])
+def test_dulac_integrates_without_a_closed_form(extra, clean, tmp_path):
+    # near the pole at 1 the orbits from s = 1e-2 and 5e-3 turn back before
+    # the exit line u = 0.5; every smaller s crosses it
+    doc = run_doc(["oracle", "--what", "dulac", "--corner", "2", "--model", FOUR,
+                   "--set", "l2=1.000001"] + extra, tmp_path / "dulac.txt")
+    assert doc["closed_form"] == {
+        "unavailable": "Mellin order alpha=0.9999990000010001 is within 1e-06 of the pole at 1"}
+    rows = doc["samples"]
+    assert (len(rows), sum(row["error"] is None for row in rows)) == (13, clean)
+    assert doc["deviation"]["leading"] is None
+    assert doc["deviation"]["exponent"] < 1e-7
 
 
 def test_one_point_scan_exits_0(tmp_path):

@@ -312,12 +312,13 @@ class TestSectionGeometry:
 
     def test_oracles_build_only_the_corners_they_compare(self, game_mf, monkeypatch):
         calls = []
-        for name in ("normalize_saddle", "dulac_coefficients"):
+        for name in ("normalize_saddle", "numeric_dulac", "dulac_coefficients"):
             real = getattr(pipeline, name)
-            monkeypatch.setattr(pipeline, name, lambda *args, _name=name, _real=real:
-                                calls.append(_name) or _real(*args))
+            monkeypatch.setattr(pipeline, name, lambda *args, _name=name, _real=real, **kwargs:
+                                calls.append(_name) or _real(*args, **kwargs))
         oracle_dulac(game_mf, 2, s_range=(1e-4, 1e-2))
-        assert calls == ["normalize_saddle", "dulac_coefficients"]
+        # the chart, then every sample integrated, then the one closed form
+        assert calls == ["normalize_saddle"] + ["numeric_dulac"] * 13 + ["dulac_coefficients"]
         del calls[:]
         oracle_cycles(game_mf, (1e-4, 1e-2), tol_overrides={"samples": 6})
         assert calls == []

@@ -483,7 +483,7 @@ def mellin(fun, series, alpha, x):
     """mellin_hat of a function of s, sampled on the rule's nodes, as a batch
     of one; a failed lane raises its error."""
     (lane,) = mellin_hat(lambda n, lanes: np.array([fun(x * saddle._chebyshev(n)[0])]),
-                         [series], [alpha], [x])
+                         [np.asarray(series)], [alpha], [x])
     if isinstance(lane, Exception):
         raise lane
     return lane
