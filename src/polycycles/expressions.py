@@ -68,14 +68,6 @@ class Pow:
 Node = Union[Num, Var, Neg, BinOp, Pow]
 
 
-@dataclass(frozen=True)
-class Expression:
-    """A parsed expression together with its declared parameters."""
-
-    root: Node
-    params: tuple[str, ...]
-
-
 # ---------------------------------------------------------------------------
 # Tokenizer
 
@@ -209,14 +201,13 @@ class _Parser:
                               tok.line, tok.col)
 
 
-def parse_expression(source: str, params: tuple[str, ...] | list[str] = ()) -> Expression:
-    """Parse ``source`` into an :class:`Expression`.
+def parse_expression(source: str, params: tuple[str, ...] | list[str] = ()) -> Node:
+    """Parse ``source`` into its expression tree.
 
     Raises :class:`ExpressionError` with 1-based line/column on syntax
     errors and on identifiers that are neither declared parameters nor
     reserved variables.
     """
-    params = tuple(params)
     clash = set(params) & set(VARIABLES)
     if clash:
         raise ExpressionError(f"parameter name {sorted(clash)[0]!r} shadows a reserved variable")
@@ -225,7 +216,7 @@ def parse_expression(source: str, params: tuple[str, ...] | list[str] = ()) -> E
     tail = parser.peek()
     if tail.kind != "END":
         raise ExpressionError(f"unexpected trailing input {tail.text!r}", tail.line, tail.col)
-    return Expression(root, params)
+    return root
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +284,7 @@ def _poly_mul(a: dict, b: dict) -> dict:
     return out
 
 
-def instantiate(expr: Expression, binding: Mapping[str, Number]) -> np.ndarray:
+def instantiate(expr: Node, binding: Mapping[str, Number]) -> np.ndarray:
     """Substitute parameter values and return the coefficient array c[i, j].
 
     Arithmetic is carried out over exact rationals: int and Fraction values
@@ -309,14 +300,14 @@ def instantiate(expr: Expression, binding: Mapping[str, Number]) -> np.ndarray:
     real = {k: Fraction(repr(float(v.real))) if isinstance(v, (float, complex)) else v
             for k, v in binding.items()}
     coeffs = {}
-    for (i, j), c in _inst(expr.root, real).items():
+    for (i, j), c in _inst(expr, real).items():
         try:
             coeffs[i, j] = float(c)
         except OverflowError as exc:
             raise ExpressionError(f"the coefficient of x^{i} y^{j} is out of the float "
                                   "range") from exc
     if any(isinstance(v, complex) for v in binding.values()):
-        for k, c in _inst(expr.root, binding).items():
+        for k, c in _inst(expr, binding).items():
             if isinstance(c, complex):
                 coeffs[k] = complex(coeffs.get(k, 0.0), c.imag)
     shape = (1 + max((i for i, _ in coeffs), default=0),

@@ -32,6 +32,7 @@ EPS = 2.0 ** -52
 ROOT_RTOL = 4 * EPS  # relative part of the bracket width a root is refined to
 ROOT_MAXITER = 100
 LATTICE_CAP = 3.5    # largest offset of a corner-transition lattice fit
+FIT_MIN_POINTS = 4   # the fewest samples fit_expansion takes
 
 # Dormand–Prince 5(4) tableau (Dormand and Prince 1980) and the quartic
 # dense output of Shampine (1986), the coefficients of scipy's RK45.  The
@@ -506,8 +507,8 @@ def fit_expansion(svals: Sequence[float], values: Sequence[float],
     """
     s = np.asarray(svals, dtype=float)
     v = np.asarray(values, dtype=float)
-    if s.size != v.size or s.size < 4:
-        raise ValueError("need at least 4 samples")
+    if s.size != v.size or s.size < FIT_MIN_POINTS:
+        raise ValueError(f"need at least {FIT_MIN_POINTS} samples")
     if (exponent is None) != (lattice is None):
         raise ValueError("a lattice fit needs both the leading exponent and the lattice")
     order = np.argsort(-s)

@@ -17,10 +17,10 @@ headers, with `#` comments.  Sections:
                  them again (`--tol`)
 
 Orientation is declared redundantly on purpose: it is checked against
-the signed area of the corner polygon at load time.  The corner list is
-checked where the sections are computed (``pipeline._geometry``): the
-sections chain only when the edge into each corner is parallel to the edge
-out of the next.  The field is checked against the polycycle where the
+the signed area of the corner polygon at load time, not stored.  The
+corner list is checked where the sections are computed
+(``pipeline._geometry``): the sections chain only when the edge into each
+corner is parallel to the edge out of the next.  The field is checked against the polycycle where the
 corners are built (``pipeline.build_corners``): every edge must be an
 invariant line, and the flow must enter each corner along the edge from
 the previous corner and leave it along the edge to the next.
@@ -37,8 +37,8 @@ import numpy as np
 
 from .cyclicity import ZERO_TOL
 from .errors import ExpressionError, ModelError, UsageError
-from .expressions import Expression, instantiate, parse_expression
-from .flow import ATOL, RTOL, T_MAX, LineSection
+from .expressions import Node, instantiate, parse_expression
+from .flow import ATOL, FIT_MIN_POINTS, RTOL, T_MAX, LineSection
 from .series import scalar
 
 __all__ = ["ModelFile", "Model", "OPTION_DEFAULTS", "parse_model", "load_model", "bind"]
@@ -60,7 +60,7 @@ OPTION_DEFAULTS = {
 # the options that count points, with their least value; every count, and a
 # scan's grid, is at most MAX_GRID_POINTS.  Every other option is finite and
 # > 0, except zero_tol, which may be 0
-_COUNT_MINIMA = {"samples": 2, "fit_points": 4}
+_COUNT_MINIMA = {"samples": 2, "fit_points": FIT_MIN_POINTS}
 MAX_GRID_POINTS = 10**6
 
 _SECTIONS = ("params", "field", "polycycle", "sections", "options")
@@ -72,15 +72,14 @@ _CORNER_RE = re.compile(r"\(\s*([^,()]+?)\s*,\s*([^,()]+?)\s*\)")
 class ModelFile:
     """Parsed but unbound model: parameter defaults and raw structure.
 
-    ``expr_x``/``expr_y`` are ``dot_x``/``dot_y`` parsed under the declared
-    parameters; every bind instantiates them.
+    ``expr_x``/``expr_y`` are the trees of ``dot_x``/``dot_y`` parsed under
+    the declared parameters; every bind instantiates them.
     """
 
     params: tuple[tuple[str, Fraction], ...]
-    expr_x: Expression
-    expr_y: Expression
+    expr_x: Node
+    expr_y: Node
     corners: tuple[tuple[float, float], ...]
-    orientation: str | None
     base_section: LineSection | None
     options: tuple[tuple[str, float], ...]
     text: str
@@ -211,7 +210,7 @@ def parse_model(text: str, path: str | None = None) -> ModelFile:
     if set(field) != {"dot_x", "dot_y"}:
         raise ModelError("[field] must define both dot_x and dot_y")
     names = tuple(name for name, _ in params)
-    exprs: dict[str, Expression] = {}
+    exprs: dict[str, Node] = {}
     for key in ("dot_x", "dot_y"):
         try:
             exprs[key] = parse_expression(field[key], params=names)
@@ -273,8 +272,7 @@ def parse_model(text: str, path: str | None = None) -> ModelFile:
         options.append((key, check_option(key, _number(value, where), where)))
 
     return ModelFile(params=tuple(params), expr_x=exprs["dot_x"], expr_y=exprs["dot_y"],
-                     corners=corners, orientation=orientation,
-                     base_section=base_section, options=tuple(options),
+                     corners=corners, base_section=base_section, options=tuple(options),
                      text=text, path=path)
 
 

@@ -23,15 +23,14 @@ from .calculus import (DisplacementExpansion, ReturnExpansion, displacement_expa
 from .cyclicity import gradient, not_identity_probe, verdict
 from .errors import (ModelError, NumericError, PolycycleError, UnsupportedGeometryError,
                      UsageError)
-from .flow import (LineSection, chart_field, dulac_lattice, field_callable, fit_expansion,
-                   count_limit_cycles, numeric_dulac, numeric_return)
+from .flow import (FIT_MIN_POINTS, LineSection, chart_field, dulac_lattice, field_callable,
+                   fit_expansion, count_limit_cycles, numeric_dulac, numeric_return)
 from .model import (MAX_GRID_POINTS, OPTION_DEFAULTS, Model, ModelFile, bind, check_option,
                     merge_values)
 from .resultdoc import block
-from .saddle import DulacExpansion, LocalChart, dulac_coefficients, normalize_saddle
+from .saddle import DulacExpansion, dulac_coefficients, normalize_saddle
 
 __all__ = [
-    "CornerData",
     "build_corners",
     "return_section",
     "analyze",
@@ -40,16 +39,6 @@ __all__ = [
     "oracle_cycles",
     "scan",
 ]
-
-
-@dataclass(frozen=True)
-class CornerData:
-    index: int  # 1-based, order of the model's corner list
-    corner: tuple[float, float]
-    h_in: float
-    h_out: float
-    chart: LocalChart
-    expansion: DulacExpansion
 
 
 @dataclass(frozen=True)
@@ -125,24 +114,23 @@ def _batch(fun: Callable[[list], list], lanes: Sequence) -> list:
     return [lane if isinstance(lane, PolycycleError) else next(results) for lane in lanes]
 
 
-def build_corners(models: Sequence[Model]) -> list[tuple[CornerData, ...] | PolycycleError]:
-    """Charts and Dulac data for every corner, on the sections of
-    ``_geometry``, for a batch of bindings of one model file: per model
-    (lane), its corners or its first error.  Each corner is one batch."""
+def build_corners(models: Sequence[Model]) -> list[tuple[DulacExpansion, ...] | PolycycleError]:
+    """The Dulac expansion of every corner, on the sections of ``_geometry``,
+    for a batch of bindings of one model file: per model (lane), its corners'
+    expansions in corner-list order, or its first error.  Each corner is one batch."""
     try:
         geometry = _geometry(models[0].file) if models else []
     except PolycycleError as exc:
         return [exc] * len(models)
     lanes: list = [()] * len(models)
-    for index, geo in enumerate(geometry, 1):
+    for geo in geometry:
         charts = [_attempt(lambda m: normalize_saddle(m.field_x, m.field_y, geo.corner,
                                                       geo.incoming, geo.outgoing),
                            lane if isinstance(lane, PolycycleError) else m)
                   for lane, m in zip(lanes, models)]
         expansions = _batch(lambda batch: dulac_coefficients(batch, geo.h_in, geo.h_out), charts)
-        lanes = [d if isinstance(d, PolycycleError) else lane + (CornerData(
-            index=index, corner=geo.corner, h_in=geo.h_in, h_out=geo.h_out, chart=c, expansion=d),)
-            for lane, c, d in zip(lanes, charts, expansions)]
+        lanes = [d if isinstance(d, PolycycleError) else lane + (d,)
+                 for lane, d in zip(lanes, expansions)]
     return lanes
 
 
@@ -179,10 +167,9 @@ def _quantities(ret: ReturnExpansion, disp: DisplacementExpansion | None,
     return out
 
 
-def _fold(corners: Sequence[CornerData]) -> tuple[ReturnExpansion, DisplacementExpansion | None,
-                                                  str | None]:
+def _fold(chain: Sequence[DulacExpansion]) -> tuple[ReturnExpansion,
+                                                    DisplacementExpansion | None, str | None]:
     """Return and displacement expansions, and why the latter is unavailable."""
-    chain = [cd.expansion for cd in corners]
     ret = return_expansion(chain)
     try:
         return ret, displacement_expansion(chain), None
@@ -196,7 +183,7 @@ def _chain_quantities(mf: ModelFile, points: Sequence[Mapping[str, object]],
     or the point's first error.  A complex step gives complex quantities.
     """
     lanes = _batch(build_corners, [_attempt(lambda values: bind(mf, values), p) for p in points])
-    return [_attempt(lambda corners: _quantities(*_fold(corners)[:2]), lane) for lane in lanes]
+    return [_attempt(lambda chain: _quantities(*_fold(chain)[:2]), lane) for lane in lanes]
 
 
 def analyze(mf: ModelFile, overrides: Mapping[str, object] | None = None,
@@ -207,8 +194,8 @@ def analyze(mf: ModelFile, overrides: Mapping[str, object] | None = None,
     """
     opts = _options(mf, tol_overrides)
     model = bind(mf, overrides)
-    corners = _raised(build_corners([model])[0])
-    ret, disp, disp_note = _fold(corners)
+    chain = _raised(build_corners([model])[0])
+    ret, disp, disp_note = _fold(chain)
 
     grads: dict[str, dict[str, float | None]] = {}
     if model.values:
@@ -234,12 +221,12 @@ def analyze(mf: ModelFile, overrides: Mapping[str, object] | None = None,
         "parameters": dict(sorted(model.values.items())),
         "corners": [
             {
-                "location": list(cd.corner),
-                "h_in": cd.h_in,
-                "h_out": cd.h_out,
-                **_expansion_doc(cd.expansion),
+                "location": list(geo.corner),
+                "h_in": geo.h_in,
+                "h_out": geo.h_out,
+                **_expansion_doc(d),
             }
-            for cd in corners
+            for geo, d in zip(_geometry(mf), chain)
         ],
         "return": {
             "pattern": ret.pattern,
@@ -369,11 +356,12 @@ def _sample(fun: Callable[[float], float], svals: Sequence[float],
             ok_s.append(float(s))
             ok_v.append(value)
         rows.append(row)
-    if not ok_s:
-        raise NumericError("every sample failed; see per-sample errors")
-    if len(ok_s) < 4:  # the fewest fit_expansion takes
-        raise NumericError(f"only {len(ok_s)} of {len(rows)} samples succeeded; "
-                           "a fit needs at least 4")
+    if len(ok_s) < FIT_MIN_POINTS:
+        first = next(row for row in rows if row["error"] is not None)
+        got = (f"only {len(ok_s)} of {len(rows)} samples succeeded" if ok_s
+               else "every sample failed")
+        raise NumericError(f"{got}; a fit needs at least {FIT_MIN_POINTS}; first failure "
+                           f"at s={first['s']:g}: {first['error']}")
     return rows, ok_s, ok_v
 
 
@@ -444,7 +432,7 @@ def oracle_return(mf: ModelFile, s_range: tuple[float, float] | None = None,
     free = fit_expansion(ok_s, ok_v)
 
     try:
-        ret = return_expansion([cd.expansion for cd in _raised(build_corners([model])[0])])
+        ret = return_expansion(_raised(build_corners([model])[0]))
     except PolycycleError as exc:
         ret, closed = None, {"unavailable": str(exc)}
     else:

@@ -2,9 +2,9 @@
 
 Analysis output is a flat text format: one `dotted.key = value` line per
 field, nested structure encoded in the key path, list elements by numeric
-path segment.  Values are typed (int, float, bool, none, quoted string)
-and round-trip losslessly; floats serialize with repr, whose shortest
-form re-reads to the identical bit pattern.  Scans additionally emit
+path segment.  A value re-reads as what it was: an int with int(), a float
+with float() (repr keeps every bit), a string with json.loads, and none,
+true, false, nan, inf and -inf as those words.  Scans additionally emit
 RFC-4180 CSV with a header row and '.' decimal separator.
 
 A block that mirrors a dataclass is that dataclass (``block``): a field
@@ -22,7 +22,7 @@ from typing import Any, Iterable, Mapping, Sequence
 
 from .errors import ModelError
 
-__all__ = ["block", "dumps", "loads", "render_csv"]
+__all__ = ["block", "dumps", "render_csv"]
 
 _SCALARS = (str, int, float, bool, type(None))
 
@@ -71,75 +71,6 @@ def dumps(doc: Mapping[str, Any]) -> str:
     out: list[tuple[str, Any]] = []
     _flatten("", doc, out)
     return "".join(f"{key} = {_render(value)}\n" for key, value in out)
-
-
-def _parse_value(text: str, lineno: int) -> Any:
-    if text == "none":
-        return None
-    if text == "true":
-        return True
-    if text == "false":
-        return False
-    if text == "nan":
-        return math.nan
-    if text == "inf":
-        return math.inf
-    if text == "-inf":
-        return -math.inf
-    if text.startswith('"'):
-        try:
-            return json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ModelError(f"bad string literal on line {lineno}: {exc}") from exc
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError as exc:
-        raise ModelError(f"unreadable value {text!r} on line {lineno}") from exc
-
-
-def _insert(root: dict, path: Sequence[str], value: Any, lineno: int) -> None:
-    node = root
-    for part in path[:-1]:
-        node = node.setdefault(part, {})
-        if not isinstance(node, dict):
-            raise ModelError(f"key path collides with a scalar on line {lineno}")
-    if path[-1] in node:
-        raise ModelError(f"duplicate key {'.'.join(path)!r} on line {lineno}")
-    node[path[-1]] = value
-
-
-def _listify(node: Any) -> Any:
-    """Turn {0: ..., 1: ...} dicts back into lists, recursively."""
-    if not isinstance(node, dict):
-        return node
-    out = {key: _listify(value) for key, value in node.items()}
-    if out and all(k.isdigit() for k in out):
-        indices = sorted(int(k) for k in out)
-        if indices == list(range(len(indices))):
-            return [out[str(i)] for i in indices]
-    return out
-
-
-def loads(text: str) -> dict:
-    """Parse dotted-key lines back into the nested document."""
-    root: dict = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, sep, value = line.partition("=")
-        if not sep:
-            raise ModelError(f"missing '=' on line {lineno}: {raw!r}")
-        path = key.strip().split(".")
-        if not all(path):
-            raise ModelError(f"empty key segment on line {lineno}")
-        _insert(root, path, _parse_value(value.strip(), lineno), lineno)
-    result = _listify(root)
-    return result if isinstance(result, dict) else {str(i): v for i, v in enumerate(result)}
 
 
 def _csv_cell(value: Any) -> str:

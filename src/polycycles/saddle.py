@@ -569,9 +569,9 @@ def dulac_coefficients(charts: Sequence[LocalChart], h_in: float, h_out: float,
 
     S1 and S2 come from one routine, S2 on the mirrored chart.  The S the
     case needs (S2 below one, S1 above one) has its Mellin order in (0, 1),
-    away from every pole; the other S is set to None, with a note, when
-    its pole guard trips.  At-one corners return leading data only,
-    flagged in ``notes``.  A Mellin order past MELLIN_ORDER_MAX fails before
+    away from every pole; the other S is set to None, with a note, when it
+    fails (a pole guard, a tail that does not converge).  At-one corners
+    return leading data only, flagged in ``notes``.  A Mellin order past MELLIN_ORDER_MAX fails before
     any series is built.
     """
     if not (0.0 < h_in < math.inf and 0.0 < h_out < math.inf):
@@ -618,15 +618,16 @@ def dulac_coefficients(charts: Sequence[LocalChart], h_in: float, h_out: float,
     for j, d00 in leading.items():
         lj, needed = lam[j], 2 if classify_ratio(lam[j]) == "below-one" else 1
         s = {axis: s_values[j if axis == 1 else m + j] for axis in (1, 2)}
+        if isinstance(s[needed], PolycycleError):
+            out[live[j]] = s[needed]
+            continue
         notes = tuple(f"S{axis} unavailable: {value}" for axis, value in s.items()
-                      if axis != needed and isinstance(value, PoleError))
-        s1, s2 = (None if axis != needed and isinstance(v, PoleError) else v for axis, v in s.items())
-        out[live[j]] = next((v for v in (s1, s2) if isinstance(v, PolycycleError)), None)
-        if out[live[j]] is None:
-            if needed == 2:
-                exponent, coeff, ell = lj, -(d00**2) * s2, (lj.real, min(2.0 * lj.real, 1.0))
-            else:
-                exponent, coeff, ell = 1.0, lj * d00 * s1, (1.0, min(lj.real, 2.0))
-            out[live[j]] = DulacExpansion(ratio=lj, leading=d00, next_exponent=exponent,
-                                          next_coeff=coeff, ell=ell, s1=s1, s2=s2, notes=notes)
+                      if isinstance(value, PolycycleError))
+        s1, s2 = (None if isinstance(v, PolycycleError) else v for v in s.values())
+        if needed == 2:
+            exponent, coeff, ell = lj, -(d00**2) * s2, (lj.real, min(2.0 * lj.real, 1.0))
+        else:
+            exponent, coeff, ell = 1.0, lj * d00 * s1, (1.0, min(lj.real, 2.0))
+        out[live[j]] = DulacExpansion(ratio=lj, leading=d00, next_exponent=exponent,
+                                      next_coeff=coeff, ell=ell, s1=s1, s2=s2, notes=notes)
     return out

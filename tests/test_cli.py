@@ -15,17 +15,11 @@ import pytest
 
 import polycycles
 from polycycles.cli import main
-from polycycles.resultdoc import loads
 
 MODELS = Path(__file__).resolve().parents[1] / "models"
 FOUR = str(MODELS / "four_saddle.model")
 SQUARE = str(MODELS / "integrable_square.model")
 CIRCLE = str(MODELS / "circle_cycle.model")
-
-
-def run_doc(argv, out):
-    assert main(argv + ["--out", str(out)]) == 0
-    return loads(out.read_text(encoding="utf-8"))
 
 
 USAGE = {
@@ -119,7 +113,6 @@ def test_huge_grid_axis_rejected_before_allocation(monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("l1, message", [
-    ("100", "Mellin tail quadrature did not converge"),
     ("1000", "Mellin order alpha=1000 is past 150"),
     ("10000", "Mellin order alpha=10000 is past 150"),
     ("1e300", "Mellin order alpha=1e+300 is past 150"),
@@ -129,6 +122,17 @@ def test_large_ratio_exits_4(l1, message, capsys):
     # built; at 1e4 h_out**lam underflowed, at 1e300 the series overflowed numpy
     assert main(["analyze", "--model", FOUR, "--set", f"l1={l1}"]) == 4
     assert message in capsys.readouterr().err
+
+
+def test_large_ratio_keeps_a_failing_unused_s_as_a_note(run_doc):
+    # at l1 = 100 the Mellin tail of corner 4's S2 does not converge; the
+    # corner is above one and uses S1 only, so S2 becomes a note
+    doc = run_doc(["analyze", "--model", FOUR, "--set", "l1=100"])
+    corner = doc["corners"][3]
+    assert (corner["case"], corner["s2"]) == ("above-one", None)
+    assert corner["s1"] == pytest.approx(8.223015943794277, rel=1e-9)
+    (note,) = corner["notes"]
+    assert note.startswith("S2 unavailable: Mellin tail quadrature did not converge")
 
 
 def test_large_ratio_is_a_scan_error_cell(tmp_path):
@@ -231,10 +235,9 @@ def test_every_cycle_sample_failing_exits_4(capsys):
 RETURN = ["oracle", "--what", "return", "--model", FOUR]
 
 
-def test_failing_return_samples_leave_the_fit_running(tmp_path):
+def test_failing_return_samples_leave_the_fit_running(run_doc):
     # below s ~ 2e-5 the orbit needs longer than t_max = 40 to come back
-    doc = run_doc(RETURN + ["--s-range", "1e-9:1e-2", "--tol", "t_max=40"],
-                  tmp_path / "return.txt")
+    doc = run_doc(RETURN + ["--s-range", "1e-9:1e-2", "--tol", "t_max=40"])
     rows = doc["samples"]
     failed = [row for row in rows if row["value"] is None]
     assert (len(rows), len(failed)) == (13, 8)
@@ -248,8 +251,8 @@ def test_failing_return_samples_leave_the_fit_running(tmp_path):
     (["--model", FOUR, "--set", "l2=1.000001"],
      "Mellin order alpha=0.9999990000010001 is within 1e-06 of the pole at 1"),
 ], ids=["circle", "four-saddle-on-a-pole"])
-def test_return_integrates_without_a_closed_form(argv, reason, tmp_path):
-    doc = run_doc(["oracle", "--what", "return"] + argv, tmp_path / "return.txt")
+def test_return_integrates_without_a_closed_form(argv, reason, run_doc):
+    doc = run_doc(["oracle", "--what", "return"] + argv)
     assert doc["closed_form"] == {"unavailable": reason}
     rows = doc["samples"]
     assert sum(row["value"] is not None for row in rows) >= 12
@@ -261,20 +264,25 @@ def test_every_return_sample_failing_exits_4(capsys):
     assert "every sample failed" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("argv", [
-    RETURN + ["--s-range", "1e-9:1e-2", "--tol", "t_max=35"],
-    ["oracle", "--what", "dulac", "--corner", "2", "--model", FOUR,
-     "--s-range", "1e-9:1e-2", "--tol", "t_max=8"],
+@pytest.mark.parametrize("argv, why", [
+    (RETURN + ["--s-range", "1e-9:1e-2", "--tol", "t_max=35"],
+     "orbit did not return to the section window within t_max=35"),
+    (["oracle", "--what", "dulac", "--corner", "2", "--model", FOUR,
+      "--s-range", "1e-9:1e-2", "--tol", "t_max=8"],
+     "orbit left the chart without reaching the exit section"),
 ], ids=["return", "dulac"])
-def test_too_few_samples_for_a_fit_exit_4(argv, capsys):
-    # the three largest s come back within t_max, the ten smaller do not
+def test_too_few_samples_for_a_fit_exit_4(argv, why, capsys):
+    # the three largest s come back within t_max, the ten smaller do not; no
+    # document is written, so the message names the first failing s and why
     assert main(argv) == 4
-    assert "only 3 of 13 samples succeeded; a fit needs at least 4" in capsys.readouterr().err
+    assert capsys.readouterr().err.endswith(
+        "only 3 of 13 samples succeeded; a fit needs at least 4; "
+        f"first failure at s=0.000177828: {why}\n")
 
 
-def test_dulac_fit_at_the_fewest_points_keeps_the_leading_offset(tmp_path):
+def test_dulac_fit_at_the_fewest_points_keeps_the_leading_offset(run_doc):
     doc = run_doc(["oracle", "--what", "dulac", "--corner", "1", "--model", FOUR,
-                   "--tol", "fit_points=4"], tmp_path / "dulac.txt")
+                   "--tol", "fit_points=4"])
     pinned = doc["fit_pinned"]
     assert pinned["notes"] == ["lattice truncated to leave 3 degrees of freedom"]
     assert pinned["second_exponent"] is None
@@ -283,11 +291,11 @@ def test_dulac_fit_at_the_fewest_points_keeps_the_leading_offset(tmp_path):
 
 @pytest.mark.parametrize("extra, clean", [([], 11), (["--s-range", "1e-7:1e-3"], 13)],
                          ids=["default-grid", "s-range"])
-def test_dulac_integrates_without_a_closed_form(extra, clean, tmp_path):
+def test_dulac_integrates_without_a_closed_form(extra, clean, run_doc):
     # near the pole at 1 the orbits from s = 1e-2 and 5e-3 turn back before
     # the exit line u = 0.5; every smaller s crosses it
     doc = run_doc(["oracle", "--what", "dulac", "--corner", "2", "--model", FOUR,
-                   "--set", "l2=1.000001"] + extra, tmp_path / "dulac.txt")
+                   "--set", "l2=1.000001"] + extra)
     assert doc["closed_form"] == {
         "unavailable": "Mellin order alpha=0.9999990000010001 is within 1e-06 of the pole at 1"}
     rows = doc["samples"]
@@ -305,10 +313,9 @@ def test_one_point_scan_exits_0(tmp_path):
     assert lines[2] == ""
 
 
-def test_fit_points_reaches_an_explicit_s_range(tmp_path):
+def test_fit_points_reaches_an_explicit_s_range(run_doc):
     doc = run_doc(["oracle", "--what", "dulac", "--corner", "1", "--model", FOUR,
-                   "--s-range", "1e-4:1e-2", "--tol", "fit_points=7"],
-                  tmp_path / "dulac.txt")
+                   "--s-range", "1e-4:1e-2", "--tol", "fit_points=7"])
     assert doc["provenance"]["tolerances"]["fit_points"] == 7.0
     svals = [row["s"] for row in doc["samples"]]
     assert len(svals) == 7
@@ -316,15 +323,14 @@ def test_fit_points_reaches_an_explicit_s_range(tmp_path):
     assert svals[-1] == pytest.approx(1e-4, rel=1e-12)
 
 
-def test_integration_tolerances_reach_the_integrator(tmp_path):
+def test_integration_tolerances_reach_the_integrator(run_doc, tmp_path):
     # model options set the grid; --tol overrides the integrator tolerances
     path = tmp_path / "square.model"
     path.write_text(Path(SQUARE).read_text(encoding="utf-8")
                     + "\n[options]\nfit_points = 4\n", encoding="utf-8")
     argv = ["oracle", "--what", "return", "--model", str(path), "--s-range", "1e-3:1e-1"]
-    tight = run_doc(argv, tmp_path / "tight.txt")
-    loose = run_doc(argv + ["--tol", "rtol=1e-6", "--tol", "atol=1e-9"],
-                    tmp_path / "loose.txt")
+    tight = run_doc(argv)
+    loose = run_doc(argv + ["--tol", "rtol=1e-6", "--tol", "atol=1e-9"])
     assert loose["provenance"]["tolerances"]["rtol"] == 1e-6
     a = [row["value"] for row in tight["samples"]]
     b = [row["value"] for row in loose["samples"]]
@@ -349,7 +355,7 @@ def test_importing_the_cli_leaves_mpmath_unloaded():
     assert run.stdout.split() == ["False", "True", "True", "True"]
 
 
-def test_compose_check_runs_through_the_module_attribute(monkeypatch, tmp_path):
+def test_compose_check_runs_through_the_module_attribute(monkeypatch, run_doc):
     # the command looks run_compose_check up on the module, so a replacement there takes effect
     from polycycles import cli
     from polycycles.composecheck import CheckReport
@@ -361,6 +367,6 @@ def test_compose_check_runs_through_the_module_attribute(monkeypatch, tmp_path):
         return CheckReport(seed=seed, count=count, bias=bias, cases=())
 
     monkeypatch.setattr(cli, "run_compose_check", fake)
-    doc = run_doc(["compose-check", "--seed", "9", "--count", "4"], tmp_path / "doc.txt")
+    doc = run_doc(["compose-check", "--seed", "9", "--count", "4"])
     assert calls == [(9, 4, 0.0)]
     assert (doc["seed"], doc["count"], doc["passed"]) == (9, 4, True)

@@ -566,9 +566,14 @@ class TestGeneratedField:
                                         start, 200.0, section=section, direction=direction)
             assert traj.status == "event"
 
-    def test_four_saddle_corners(self, game_corners):
-        for cd in game_corners:
-            exit_line = LineSection.make((cd.h_out, 0.0), (0.0, 1.0), (-np.inf, np.inf))
-            traj = self.assert_same_run(chart_field(cd.chart), loop_chart_field(cd.chart),
-                                        (1e-3, cd.h_in), 200.0, section=exit_line)
+    def test_four_saddle_corners(self, game_mf):
+        from polycycles.pipeline import _geometry
+
+        model = bind(game_mf)
+        for geo in _geometry(game_mf):
+            chart = normalize_saddle(model.field_x, model.field_y, geo.corner, geo.incoming,
+                                     geo.outgoing)
+            exit_line = LineSection.make((geo.h_out, 0.0), (0.0, 1.0), (-np.inf, np.inf))
+            traj = self.assert_same_run(chart_field(chart), loop_chart_field(chart),
+                                        (1e-3, geo.h_in), 200.0, section=exit_line)
             assert traj.status == "event"

@@ -37,7 +37,7 @@ class TestParsing:
         mf = parse_model(MINIMAL)
         assert mf.params == ()
         assert mf.expr_x == parse_expression("x") and mf.expr_y == parse_expression("-2*y")
-        assert mf.corners == () and mf.orientation is None
+        assert mf.corners == ()
         assert mf.base_section is None and mf.path is None
 
     def test_square_polycycle(self):
@@ -45,7 +45,6 @@ class TestParsing:
         assert mf.param_names == ("a", "b")
         assert mf.defaults() == {"a": Fraction(2, 5), "b": Fraction(1, 2)}
         assert mf.corners == ((0.0, 1.0), (0.0, 0.0), (1.0, 0.0), (1.0, 1.0))
-        assert mf.orientation == "ccw"
 
     def test_exact_fraction_defaults(self, game_mf):
         # defaults stay exact rationals until bind time
@@ -199,7 +198,8 @@ class TestBinding:
 
     def test_traversal_check_accepts_square(self, integrable_mf):
         (corners,) = build_corners([bind(integrable_mf)])
-        assert [cd.corner for cd in corners] == [(0.0, 1.0), (0.0, 0.0), (1.0, 0.0), (1.0, 1.0)]
+        assert integrable_mf.corners == ((0.0, 1.0), (0.0, 0.0), (1.0, 0.0), (1.0, 1.0))
+        assert len(corners) == 4  # an expansion per corner, not an error
 
     def test_traversal_check_rejects_reversed_order(self, integrable_mf):
         text = integrable_mf.text.replace(

@@ -1,28 +1,34 @@
-"""Result document serialization round trips."""
+"""Result documents: what the written lines re-read as, and CSV tables."""
 
 import math
 
 import pytest
 
+from conftest import flat_doc
 from polycycles.errors import ModelError
-from polycycles.resultdoc import dumps, loads, render_csv
+from polycycles.resultdoc import dumps, render_csv
 
 
 class TestRoundTrip:
+    # each written value re-reads as what it was (conftest.flat_doc)
     def test_scalars(self):
         doc = {"n": 3, "x": 0.1, "flag": True, "off": False,
                "label": "saddle", "gap": None}
-        assert loads(dumps(doc)) == doc
+        back = flat_doc(dumps(doc))
+        assert back == doc
+        assert [type(v) for v in back.values()] == [type(v) for v in doc.values()]
 
     def test_floats_are_bit_exact(self):
         doc = {"a": 1 / 3, "b": 6.200313635429338, "c": 1e-300, "d": -0.0}
-        back = loads(dumps(doc))
+        back = flat_doc(dumps(doc))
         for key, value in doc.items():
             assert math.copysign(1.0, back[key]) == math.copysign(1.0, value)
             assert back[key] == value
 
     def test_non_finite(self):
-        back = loads(dumps({"p": math.inf, "q": -math.inf, "r": math.nan}))
+        text = dumps({"p": math.inf, "q": -math.inf, "r": math.nan})
+        assert text == "p = inf\nq = -inf\nr = nan\n"
+        back = flat_doc(text)
         assert back["p"] == math.inf and back["q"] == -math.inf
         assert math.isnan(back["r"])
 
@@ -34,45 +40,23 @@ class TestRoundTrip:
             ],
             "verdict": {"lower": 2, "upper": 2, "notes": []},
         }
-        back = loads(dumps(doc))
-        assert back["corners"][1]["ratio"] == 1.5
         # an empty list flattens to nothing, so it is absent on re-read
-        assert back["verdict"] == {"lower": 2, "upper": 2}
+        assert flat_doc(dumps(doc)) == {
+            "corners.0.index": 1, "corners.0.ratio": 0.2962962962962963,
+            "corners.1.index": 2, "corners.1.ratio": 1.5,
+            "verdict.lower": 2, "verdict.upper": 2}
 
     def test_awkward_strings(self):
         doc = {"msg": 'he said "s > 0", twice', "path": "a,b\nc", "empty": ""}
-        assert loads(dumps(doc)) == doc
+        assert flat_doc(dumps(doc)) == doc
 
     def test_list_keys_are_digit_segments(self):
         text = dumps({"vals": [10, 20, 30]})
-        assert "vals.0 = 10" in text
-        assert loads(text) == {"vals": [10, 20, 30]}
-
-    def test_sparse_indices_stay_a_mapping(self):
-        back = loads("vals.0 = 1\nvals.2 = 3\n")
-        assert back == {"vals": {"0": 1, "2": 3}}
-
-    def test_comments_and_blanks_skipped(self):
-        assert loads("# produced by analyze\n\nx = 1\n") == {"x": 1}
+        assert text == "vals.0 = 10\nvals.1 = 20\nvals.2 = 30\n"
+        assert flat_doc(text) == {"vals.0": 10, "vals.1": 20, "vals.2": 30}
 
 
 class TestErrors:
-    def test_duplicate_key(self):
-        with pytest.raises(ModelError, match="duplicate key 'a.b'"):
-            loads("a.b = 1\na.b = 2\n")
-
-    def test_missing_equals(self):
-        with pytest.raises(ModelError, match="missing '='"):
-            loads("just words\n")
-
-    def test_unreadable_value(self):
-        with pytest.raises(ModelError, match="unreadable value 'maybe'"):
-            loads("x = maybe\n")
-
-    def test_scalar_path_collision(self):
-        with pytest.raises(ModelError, match="collides with a scalar"):
-            loads("a = 1\na.b = 2\n")
-
     def test_bad_document_key(self):
         with pytest.raises(ModelError, match="unusable document key"):
             dumps({"a.b": 1})

@@ -560,21 +560,18 @@ GAME_CORNERS = [
 class TestFourSaddleCorners:
     @pytest.mark.parametrize("idx, corner, case, ratio, leading, s1, s2",
                              GAME_CORNERS)
-    def test_frozen_expansions(self, game_corners, idx, corner, case,
+    def test_frozen_expansions(self, game_mf, game_chain, idx, corner, case,
                                ratio, leading, s1, s2):
-        cd = game_corners[idx - 1]
-        assert cd.index == idx
-        assert cd.corner == corner
-        exp = cd.expansion
+        assert game_mf.corners[idx - 1] == corner
+        exp = game_chain[idx - 1]
         assert exp.case == case
         assert exp.ratio == pytest.approx(ratio, rel=1e-12)
         assert exp.leading == pytest.approx(leading, rel=1e-9)
         assert exp.s1 == pytest.approx(s1, rel=1e-9)
         assert exp.s2 == pytest.approx(s2, rel=1e-9)
 
-    def test_second_coefficients_follow_case(self, game_corners):
-        for cd in game_corners:
-            exp = cd.expansion
+    def test_second_coefficients_follow_case(self, game_chain):
+        for exp in game_chain:
             if exp.case == "above-one":
                 assert exp.next_coeff == pytest.approx(
                     exp.ratio * exp.leading * exp.s1, rel=1e-12)
@@ -582,8 +579,8 @@ class TestFourSaddleCorners:
                 assert exp.next_coeff == pytest.approx(
                     -(exp.leading ** 2) * exp.s2, rel=1e-12)
 
-    def test_graphic_number(self, game_corners):
-        r = math.prod(cd.expansion.ratio for cd in game_corners)
+    def test_graphic_number(self, game_chain):
+        r = math.prod(exp.ratio for exp in game_chain)
         assert r == pytest.approx(1.0, abs=1e-12)
 
 
@@ -607,8 +604,7 @@ def test_slow_point_in_budget(game_mf):
     start = time.perf_counter()
     (corners,) = build_corners([bind(game_mf, SLOW_POINT)])
     elapsed = time.perf_counter() - start
-    for cd, expected in zip(corners, SLOW_CORNERS, strict=True):
-        exp = cd.expansion
+    for exp, expected in zip(corners, SLOW_CORNERS, strict=True):
         assert (exp.leading, exp.s1, exp.s2) == pytest.approx(expected, rel=1e-9)
     assert elapsed < 5.0
 
@@ -686,4 +682,39 @@ def test_mellin_order_above_the_default_series(game_mf):
     # l1 = 0.045 puts corner 1's S1 at alpha = 1/l1 = 22.2, past what a
     # 16-term germ series can split off; 60-digit value of the same formula
     (corners,) = build_corners([bind(game_mf, {"l1": "0.045"})])
-    assert corners[0].expansion.s1 == pytest.approx(-2.4831988484826426, rel=1e-12)
+    assert corners[0].s1 == pytest.approx(-2.4831988484826426, rel=1e-12)
+
+
+def fail_lane(monkeypatch, call, lane):
+    """saddle.mellin_hat with one lane of one call (both counted from 0) a
+    tail that does not converge."""
+    real, calls = saddle.mellin_hat, []
+
+    def wrapped(*args):
+        out = real(*args)
+        calls.append(None)
+        if len(calls) == call + 1:
+            out[lane] = NumericError("Mellin tail quadrature did not converge (err=2.15e-03)")
+        return out
+    monkeypatch.setattr(saddle, "mellin_hat", wrapped)
+
+
+# four_saddle corner 2 is above one: its second call's lanes are its S1,
+# which the corner needs, then its S2, which it does not
+
+def test_a_failing_unused_s_is_a_note(game_mf, game_chain, monkeypatch):
+    fail_lane(monkeypatch, call=1, lane=-1)
+    (chain,) = build_corners([bind(game_mf)])
+    d = chain[1]
+    assert (d.case, d.s2) == ("above-one", None)
+    assert d.notes == ("S2 unavailable: Mellin tail quadrature did not converge (err=2.15e-03)",)
+    assert (d.leading, d.s1, d.next_coeff) == (game_chain[1].leading, game_chain[1].s1,
+                                              game_chain[1].next_coeff)
+    assert chain[0] == game_chain[0] and chain[2:] == game_chain[2:]
+
+
+def test_a_failing_needed_s_fails_the_corner(game_mf, monkeypatch):
+    fail_lane(monkeypatch, call=1, lane=0)
+    (lane,) = build_corners([bind(game_mf)])
+    assert isinstance(lane, NumericError)
+    assert str(lane) == "Mellin tail quadrature did not converge (err=2.15e-03)"
