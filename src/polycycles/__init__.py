@@ -10,23 +10,31 @@ an independent integration oracle.
 
 __version__ = "0.1.0"
 
-from .calculus import (CompensatorTerm, DisplacementExpansion, ReturnExpansion,
-                       compensator, compose_chain,
-                       compose_pair, displacement_expansion, inverse_dulac,
-                       return_expansion)
-from .cyclicity import (Verdict, VerdictItem, gradient, independence_rank,
-                        not_identity_probe, verdict)
-from .errors import (DegeneracyError, ExpressionError, ModelError, NumericError,
-                     OutOfBasinError, PoleError, PolycycleError,
-                     UnsupportedGeometryError, UsageError)
-from .expressions import instantiate, parse_expression
-from .flow import (CycleCount, CycleRecord, FitReport, LineSection, Trajectory,
-                   count_limit_cycles, field_callable, fit_expansion, integrate,
-                   numeric_dulac, numeric_return)
-from .model import Model, ModelFile, bind, load_model, parse_model
-from .pipeline import analyze, oracle_cycles, oracle_dulac, oracle_return, scan
-from .saddle import (DulacExpansion, LocalChart, classify_ratio, dulac_coefficients,
-                     normalize_saddle)
+import importlib
+
+# The module each public name lives in.  A name is imported on first access
+# (see __getattr__), so that `import polycycles` loads neither numpy, which
+# the numeric layers need, nor mpmath, which composecheck alone needs.
+_HOMES = {
+    "calculus": ("CompensatorTerm", "DisplacementExpansion", "DulacExpansion",
+                 "ReturnExpansion", "classify_ratio", "compensator", "compose_chain",
+                 "compose_pair", "displacement_expansion", "inverse_dulac",
+                 "return_expansion"),
+    "composecheck": ("CheckReport", "run_compose_check"),
+    "cyclicity": ("Verdict", "VerdictItem", "gradient", "independence_rank",
+                  "not_identity_probe", "verdict"),
+    "errors": ("DegeneracyError", "ExpressionError", "ModelError", "NumericError",
+               "OutOfBasinError", "PoleError", "PolycycleError",
+               "UnsupportedGeometryError", "UsageError"),
+    "expressions": ("instantiate", "parse_expression"),
+    "flow": ("CycleCount", "CycleRecord", "FitReport", "LineSection", "Trajectory",
+             "count_limit_cycles", "field_callable", "fit_expansion", "integrate",
+             "numeric_dulac", "numeric_return"),
+    "model": ("Model", "ModelFile", "bind", "load_model", "parse_model"),
+    "pipeline": ("analyze", "oracle_cycles", "oracle_dulac", "oracle_return", "scan"),
+    "saddle": ("LocalChart", "dulac_coefficients", "normalize_saddle"),
+}
+_HOME = {name: module for module, names in _HOMES.items() for name in names}
 
 __all__ = [
     "__version__",
@@ -51,8 +59,13 @@ __all__ = [
 
 
 def __getattr__(name: str):
-    # composecheck needs mpmath, which nothing else loads: import it on first use
-    if name in ("CheckReport", "run_compose_check"):
-        from . import composecheck
-        return getattr(composecheck, name)
+    module = _HOME.get(name)
+    if module is not None:
+        return getattr(importlib.import_module(f".{module}", __name__), name)
+    if not name.startswith("_"):  # a submodule, such as polycycles.flow
+        try:
+            return importlib.import_module(f".{name}", __name__)
+        except ModuleNotFoundError as exc:
+            if exc.name != f"{__name__}.{name}":
+                raise
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

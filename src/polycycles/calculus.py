@@ -1,8 +1,9 @@
 """Algebra of Dulac-type expansions along a polycycle.
 
-A corner map is s^ratio(leading + c s^omega + remainder); this module
-composes such maps and inverts them.  The two-term expansions of the full
-return map and of the displacement function are assembled by one
+A corner map is s^ratio(leading + c s^omega + remainder), held in a
+``DulacExpansion``; the saddle module fills one per corner, and this
+module composes such maps and inverts them.  The two-term expansions of
+the full return map and of the displacement function are assembled by one
 composition fold over the corners, for every arrangement of expanding and
 contracting corners; the arrangement only labels the result.  A factor
 truncated to leading order does not compose, and a compensator-form one
@@ -23,8 +24,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import DegeneracyError, NumericError, UnsupportedGeometryError
-from .saddle import DulacExpansion
 
+AT_ONE_BAND = 1e-9         # case-tag dead band around ratio 1
 EXPONENT_TIE_REL = 1e-15   # bit-equal collision threshold (resonant sum)
 EXPONENT_DEAD_BAND = 1e-9  # near-collision threshold (compensator form)
 
@@ -61,6 +62,39 @@ class CompensatorTerm:
 
     def value(self, s: float) -> float:
         return self.coefficient(s) * s**self.exponent
+
+
+@dataclass(frozen=True)
+class DulacExpansion:
+    """Two-term asymptotic data of a Dulac-type map s^ratio(leading + ...).
+
+    For a saddle corner, ``ratio`` is the hyperbolicity ratio and the next
+    term sits at exponent ratio (below-one), at exponent 1 (above-one), or
+    is unavailable at resonance (at-one corners carry leading data only).
+    Composite maps reuse this container with their own next-term exponent;
+    ``comp`` holds a compensator form when two exponents collide.
+    """
+
+    ratio: float
+    leading: float
+    next_exponent: float | None = None
+    next_coeff: float | None = None
+    comp: CompensatorTerm | None = None
+    ell: tuple[float, float] = (0.0, 1.0)
+    s1: float | None = None
+    s2: float | None = None
+    notes: tuple[str, ...] = ()
+
+    @property
+    def case(self) -> str:
+        """below-one, above-one or at-one, from the ratio."""
+        return classify_ratio(self.ratio)
+
+
+def classify_ratio(lam: float) -> str:
+    if abs(lam.real - 1.0) <= AT_ONE_BAND:
+        return "at-one"
+    return "below-one" if lam.real < 1.0 else "above-one"
 
 
 # ---------------------------------------------------------------------------

@@ -16,10 +16,13 @@ from typing import Sequence
 from . import __version__
 from .errors import ModelError, NumericError, PolycycleError, UsageError
 from .model import MAX_GRID_POINTS, OPTION_DEFAULTS, load_model
-from .pipeline import analyze, oracle_cycles, oracle_dulac, oracle_return, scan
 from .resultdoc import block, dumps, render_csv
 
 __all__ = ["main"]
+
+# The commands read their entry points here, at call time, so that a
+# replacement on this module takes effect; __getattr__ supplies them.
+_module = sys.modules[__name__]
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -134,7 +137,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_analyze(args) -> int:
     mf = load_model(args.model)
-    doc = analyze(mf, _pairs(args.set, "--set"), _tols(args.tol))
+    doc = _module.analyze(mf, _pairs(args.set, "--set"), _tols(args.tol))
     _emit(dumps(doc), args.out)
     return EXIT_OK
 
@@ -149,11 +152,11 @@ def _cmd_oracle(args) -> int:
     if args.what == "dulac":
         if args.corner is None:
             raise UsageError("oracle --what dulac requires --corner")
-        doc = oracle_dulac(mf, args.corner, rng, overrides, tols)
+        doc = _module.oracle_dulac(mf, args.corner, rng, overrides, tols)
     elif args.what == "return":
-        doc = oracle_return(mf, rng, overrides, tols)
+        doc = _module.oracle_return(mf, rng, overrides, tols)
     else:
-        doc = oracle_cycles(mf, rng or (1e-6, 1e-1), overrides, tols)
+        doc = _module.oracle_cycles(mf, rng or (1e-6, 1e-1), overrides, tols)
     _emit(dumps(doc), args.out)
     return EXIT_OK
 
@@ -161,8 +164,7 @@ def _cmd_oracle(args) -> int:
 def _cmd_compose_check(args) -> int:
     if not 0 <= args.count <= MAX_GRID_POINTS:
         raise UsageError(f"--count must be >= 0 and <= {MAX_GRID_POINTS}, got {args.count}")
-    # a module attribute lookup, so that __getattr__ below can supply it
-    report = sys.modules[__name__].run_compose_check(args.seed, args.count, bias=args.bias)
+    report = _module.run_compose_check(args.seed, args.count, bias=args.bias)
     doc = {
         "command": "compose-check",
         "seed": report.seed,
@@ -179,16 +181,20 @@ def _cmd_compose_check(args) -> int:
 
 def _cmd_scan(args) -> int:
     mf = load_model(args.model)
-    header, rows = scan(mf, _grid(args.grid), _pairs(args.set, "--set"))
+    header, rows = _module.scan(mf, _grid(args.grid), _pairs(args.set, "--set"))
     _emit(render_csv(header, rows), args.out)
     return EXIT_OK
 
 
 def __getattr__(name: str):
-    # compose-check alone needs composecheck and mpmath: import them on first use
+    # imported on first use: the pipeline loads numpy, composecheck mpmath
     if name == "run_compose_check":
         from .composecheck import run_compose_check
         return run_compose_check
+    if name in ("analyze", "oracle_dulac", "oracle_return", "oracle_cycles", "scan"):
+        from .pipeline import analyze, oracle_cycles, oracle_dulac, oracle_return, scan
+        return {"analyze": analyze, "oracle_dulac": oracle_dulac, "oracle_return": oracle_return,
+                "oracle_cycles": oracle_cycles, "scan": scan}[name]
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 

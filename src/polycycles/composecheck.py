@@ -30,9 +30,8 @@ from typing import Callable
 
 import mpmath as mp
 
-from .calculus import compose_pair, inverse_dulac
+from .calculus import DulacExpansion, compose_pair, inverse_dulac
 from .errors import NumericError
-from .saddle import DulacExpansion
 
 __all__ = [
     "COMPOSE_CASES",

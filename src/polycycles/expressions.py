@@ -25,11 +25,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Union
-
-import numpy as np
+from typing import TYPE_CHECKING, Mapping, Union
 
 from .errors import ExpressionError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 VARIABLES = ("x", "y")  # the reserved field variables, in coefficient-index order
 
@@ -297,6 +298,7 @@ def instantiate(expr: Node, binding: Mapping[str, Number]) -> np.ndarray:
     highest powers of x and y with a nonzero coefficient, and is at least
     1 x 1.
     """
+    import numpy as np  # the first bind loads numpy, not start-up
     real = {k: Fraction(repr(float(v.real))) if isinstance(v, (float, complex)) else v
             for k, v in binding.items()}
     coeffs = {}

@@ -17,12 +17,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from .errors import NumericError, OutOfBasinError, PolycycleError
-from .saddle import LocalChart
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .saddle import LocalChart
 
 ATOL = 1e-12
 RTOL = 1e-10
@@ -186,10 +188,18 @@ def _rms(ex: float, ey: float, sx: float, sy: float) -> float:
 
 def _initial_step(fun, x: float, y: float, fx: float, fy: float,
                   span: float, atol: float, rtol: float) -> float:
-    """First step size by the rule of Hairer, Nørsett and Wanner (§II.4)."""
+    """First step size by the rule of Hairer, Nørsett and Wanner (§II.4).
+    A field that is not finite at the start, or a first trial step of 0,
+    is a NumericError."""
+    if not (math.isfinite(fx) and math.isfinite(fy)):
+        raise NumericError(f"integration failed: the field is ({fx!r}, {fy!r}) at the "
+                           f"start ({x:.6g}, {y:.6g})")
     sx, sy = atol + abs(x) * rtol, atol + abs(y) * rtol
     d0, d1 = _rms(x, y, sx, sy), _rms(fx, fy, sx, sy)
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    if h0 == 0.0:
+        raise NumericError(f"integration failed: the first trial step is 0 at the "
+                           f"start ({x:.6g}, {y:.6g})")
     h0 = min(h0, span)
     gx, gy = fun(x + h0 * fx, y + h0 * fy)
     d2 = _rms(gx - fx, gy - fy, sx, sy) / h0
@@ -346,8 +356,10 @@ class LineSection:
     @classmethod
     def make(cls, anchor, direction, window) -> "LineSection":
         dx, dy = float(direction[0]), float(direction[1])
-        if not math.hypot(dx, dy) > 0:
-            raise ValueError("section direction must be nonzero")
+        # param divides by this squared length
+        if not 0.0 < dx * dx + dy * dy < math.inf:
+            raise ValueError(f"section direction must be nonzero, with a positive and "
+                             f"finite squared length; got ({dx!r}, {dy!r})")
         return cls((float(anchor[0]), float(anchor[1])), (dx, dy),
                    (float(window[0]), float(window[1])))
 
@@ -408,7 +420,7 @@ def numeric_dulac(fun, h_in: float, h_out: float, s: float,
     the exit line u = h_out."""
     if s <= 0.0:
         raise ValueError("numeric_dulac expects s > 0")
-    exit_line = LineSection.make((h_out, 0.0), (0.0, 1.0), (-np.inf, np.inf))
+    exit_line = LineSection.make((h_out, 0.0), (0.0, 1.0), (-math.inf, math.inf))
     traj = integrate(fun, (s, h_in), t_max, section=exit_line,
                      atol=atol, rtol=rtol)
     if traj.status != "event":
@@ -480,6 +492,7 @@ def dulac_lattice(lam: float) -> tuple[float, ...]:
 
 
 def _slope(logx: np.ndarray, logy: np.ndarray) -> float:
+    import numpy as np  # fits and scans load numpy; integration does without
     a = np.column_stack([logx, np.ones_like(logx)])
     coef, *_ = np.linalg.lstsq(a, logy, rcond=None)
     return float(coef[0])
@@ -505,6 +518,7 @@ def fit_expansion(svals: Sequence[float], values: Sequence[float],
     minus the fitted bracket model, and is None when the leftover is at
     machine level.
     """
+    import numpy as np  # fits and scans load numpy; integration does without
     s = np.asarray(svals, dtype=float)
     v = np.asarray(values, dtype=float)
     if s.size != v.size or s.size < FIT_MIN_POINTS:
@@ -610,6 +624,7 @@ def count_limit_cycles(displacement: Callable[[float], float], s_min: float, s_m
     """
     if not 0.0 < s_min < s_max:
         raise ValueError("need 0 < s_min < s_max")
+    import numpy as np  # fits and scans load numpy; integration does without
     grid = np.geomspace(s_min, s_max, samples)
     warnings: list[str] = []
     vals = np.empty_like(grid)

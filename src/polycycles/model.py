@@ -31,15 +31,15 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .cyclicity import ZERO_TOL
 from .errors import ExpressionError, ModelError, UsageError
 from .expressions import Node, instantiate, parse_expression
 from .flow import ATOL, FIT_MIN_POINTS, RTOL, T_MAX, LineSection
-from .series import scalar
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["ModelFile", "Model", "OPTION_DEFAULTS", "parse_model", "load_model", "bind"]
 
@@ -260,8 +260,11 @@ def parse_model(text: str, path: str | None = None) -> ModelFile:
     if base_anchor is not None or base_direction is not None:
         if base_anchor is None or base_direction is None:
             raise ModelError("base_anchor and base_direction must be given together")
-        base_section = LineSection.make(base_anchor, base_direction,
-                                        base_window or (0.0, np.inf))
+        try:
+            base_section = LineSection.make(base_anchor, base_direction,
+                                            base_window or (0.0, math.inf))
+        except ValueError as exc:
+            raise ModelError(f"[sections] base_direction: {exc}") from exc
 
     options: list[tuple[str, float]] = []
     for lineno, key, value in sections.get("options", []):
@@ -313,6 +316,7 @@ def merge_values(mf: ModelFile, overrides: Mapping[str, object] | None = None,
 
 def bind(mf: ModelFile, overrides: Mapping[str, object] | None = None) -> Model:
     """Instantiate the field at parameter values."""
+    from .series import scalar  # series loads numpy, which start-up does without
     binding = merge_values(mf, overrides)
     fields = []
     for key, expr in (("dot_x", mf.expr_x), ("dot_y", mf.expr_y)):

@@ -18,8 +18,8 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from . import __version__
-from .calculus import (DisplacementExpansion, ReturnExpansion, displacement_expansion,
-                       return_expansion)
+from .calculus import (DisplacementExpansion, DulacExpansion, ReturnExpansion,
+                       displacement_expansion, return_expansion)
 from .cyclicity import gradient, not_identity_probe, verdict
 from .errors import (ModelError, NumericError, PolycycleError, UnsupportedGeometryError,
                      UsageError)
@@ -28,7 +28,7 @@ from .flow import (FIT_MIN_POINTS, LineSection, chart_field, dulac_lattice, fiel
 from .model import (MAX_GRID_POINTS, OPTION_DEFAULTS, Model, ModelFile, bind, check_option,
                     merge_values)
 from .resultdoc import block
-from .saddle import DulacExpansion, dulac_coefficients, normalize_saddle
+from .saddle import dulac_coefficients, normalize_saddle
 
 __all__ = [
     "build_corners",

@@ -15,7 +15,9 @@ checked to 5% past it.  The corner transition s -> v expands as
 
 and this module computes D00 together with the quantities S1, S2 that
 determine the second-order coefficients D10 = lam*D00*S1 and
-D01 = -D00^2*S2.  The ingredients are the transition factors
+D01 = -D00^2*S2, and returns them as a ``DulacExpansion``, the data type
+of the calculus module that composes the corners.  The ingredients are
+the transition factors
 
     L1(w) = exp int_0^w (P(0,y)/Q(0,y) + 1/lam) dy/y
     L2(w) = exp int_0^w (Q(x,0)/P(x,0) + lam) dx/x
@@ -69,12 +71,12 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .calculus import DulacExpansion, classify_ratio
 from .errors import (DegeneracyError, ModelError, NumericError, PoleError, PolycycleError,
                      UnsupportedGeometryError)
 from .series import DEFAULT_ORDER, horner, scalar, series_div, series_exp
 
-# case-tag dead band around lam = 1 and pole dead band for Mellin orders
-AT_ONE_BAND = 1e-9
+# pole dead band for Mellin orders
 MELLIN_POLE_BAND = 1e-6
 # Largest Mellin order (lam or 1/lam) expanded, its germ series ceil(alpha) + 10
 # long: on four_saddle 125 still converges, 151 does not
@@ -526,40 +528,7 @@ def mellin_hat(f: Sampler, series: Sequence, alpha: Sequence, x: Sequence[float]
 
 
 # ---------------------------------------------------------------------------
-# Dulac expansion
-
-
-@dataclass(frozen=True)
-class DulacExpansion:
-    """Two-term asymptotic data of a Dulac-type map s^ratio(leading + ...).
-
-    For a saddle corner, ``ratio`` is the hyperbolicity ratio and the next
-    term sits at exponent ratio (below-one), at exponent 1 (above-one), or
-    is unavailable at resonance (at-one corners carry leading data only).
-    Composite maps reuse this container with their own next-term exponent;
-    ``comp`` holds a compensator form when two exponents collide.
-    """
-
-    ratio: float
-    leading: float
-    next_exponent: float | None = None
-    next_coeff: float | None = None
-    comp: object | None = None  # CompensatorTerm of the calculus module
-    ell: tuple[float, float] = (0.0, 1.0)
-    s1: float | None = None
-    s2: float | None = None
-    notes: tuple[str, ...] = ()
-
-    @property
-    def case(self) -> str:
-        """below-one, above-one or at-one, from the ratio."""
-        return classify_ratio(self.ratio)
-
-
-def classify_ratio(lam: float) -> str:
-    if abs(lam.real - 1.0) <= AT_ONE_BAND:
-        return "at-one"
-    return "below-one" if lam.real < 1.0 else "above-one"
+# Dulac coefficients
 
 
 def dulac_coefficients(charts: Sequence[LocalChart], h_in: float, h_out: float,

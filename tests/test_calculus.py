@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from polycycles.calculus import (
     CompensatorTerm,
+    DulacExpansion,
     ReturnExpansion,
     compensator,
     compose_chain,
@@ -26,7 +27,6 @@ from polycycles.calculus import (
     return_expansion,
 )
 from polycycles.errors import DegeneracyError, NumericError, UnsupportedGeometryError
-from polycycles.saddle import DulacExpansion
 
 
 def dmap(ratio, leading, w=None, c=None, s1=None, s2=None):

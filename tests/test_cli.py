@@ -203,6 +203,19 @@ def test_out_of_range_model_numbers_exit_3(old, new, message, tmp_path, capsys):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("direction", ["(0,0)", "(1e-300,0)"], ids=["zero", "underflow"])
+def test_degenerate_base_direction_exits_3(direction, tmp_path, capsys):
+    # (1e-300, 0) has a positive length but a squared length of 0.0, which
+    # the section parameter divides by
+    path = tmp_path / "circle.model"
+    path.write_text(Path(CIRCLE).read_text(encoding="utf-8").replace(
+        "base_direction = (1,0)", f"base_direction = {direction}"), encoding="utf-8")
+    argv = ["oracle", "--what", "return", "--model", str(path), "--s-range", "0.3:2"]
+    assert main(argv) == 3
+    assert capsys.readouterr().err.startswith(
+        "model error: [sections] base_direction: section direction must be nonzero")
+
+
 def test_zero_rtol_option_exits_3(tmp_path, capsys):
     path = tmp_path / "square.model"
     path.write_text(Path(SQUARE).read_text(encoding="utf-8") + "\n[options]\nrtol = 0\n",
@@ -233,6 +246,35 @@ def test_every_cycle_sample_failing_exits_4(capsys):
 
 
 RETURN = ["oracle", "--what", "return", "--model", FOUR]
+
+OVERFLOWING = """\
+[params]
+k = 1e308
+
+[field]
+dot_x = -y + k*x^2
+dot_y = x
+
+[sections]
+base_anchor = (0,0)
+base_direction = (1,0)
+"""
+
+
+@pytest.mark.parametrize("what, s_range, message", [
+    # every start on [1.5, 2] has k*x^2 = inf
+    ("return", "1.5:2", "every sample failed; a fit needs at least 4; first failure at s=2: "
+     "integration failed: the field is (inf, 2.0) at the start (2, 0)"),
+    # further in, the field is finite, but its size over atol + |x|*rtol
+    # overflows and the first trial step is 0; the scan drops every sample
+    ("cycles", "0.3:2", "too few displacement samples for a scan"),
+], ids=["return", "cycles"])
+def test_an_integration_that_cannot_start_exits_4(what, s_range, message, tmp_path, capsys):
+    path = tmp_path / "overflowing.model"
+    path.write_text(OVERFLOWING, encoding="utf-8")
+    argv = ["oracle", "--what", what, "--model", str(path), "--s-range", s_range]
+    assert main(argv) == 4
+    assert capsys.readouterr().err == f"numeric failure: {message}\n"
 
 
 def test_failing_return_samples_leave_the_fit_running(run_doc):
@@ -353,6 +395,60 @@ def test_importing_the_cli_leaves_mpmath_unloaded():
                          env=env, timeout=60)
     assert run.returncode == 0, run.stderr
     assert run.stdout.split() == ["False", "True", "True", "True"]
+
+
+def test_start_up_leaves_numpy_unloaded(tmp_path):
+    # numpy loads with the first bind or numeric layer, not with the package,
+    # the CLI, --version, a usage error or compose-check
+    src = str(Path(polycycles.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = str(tmp_path / "doc.txt")
+    code = ("import contextlib, io, sys\n"
+            "import polycycles, polycycles.cli as cli, polycycles.model\n"
+            "loaded = ['numpy' in sys.modules]\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    codes = [cli.main(['--version'])]\n"
+            "loaded.append('numpy' in sys.modules)\n"
+            "for argv in (['analyze'], ['compose-check', '--count', '-1']):\n"
+            "    codes.append(cli.main(argv))\n"
+            "    loaded.append('numpy' in sys.modules)\n"
+            f"codes.append(cli.main(['compose-check', '--count', '2', '--out', {out!r}]))\n"
+            "loaded.append('numpy' in sys.modules)\n"
+            f"codes.append(cli.main(['analyze', '--model', {SQUARE!r}, '--out', {out!r}]))\n"
+            "loaded.append('numpy' in sys.modules)\n"
+            "print(codes, loaded)\n")
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == ("[0, 2, 2, 0, 0] "
+                                  "[False, False, False, False, False, True]")
+
+
+# each command and the module attribute it reads its entry point from
+ENTRY_POINTS = {
+    "analyze": ["analyze", "--model", SQUARE],
+    "oracle_dulac": ["oracle", "--what", "dulac", "--corner", "1", "--model", FOUR],
+    "oracle_return": ["oracle", "--what", "return", "--model", FOUR],
+    "oracle_cycles": ["oracle", "--what", "cycles", "--model", CIRCLE],
+    "scan": ["scan", "--model", FOUR, "--grid", "l1=0.3:0.3:1"],
+    "load_model": ["analyze", "--model", FOUR],
+}
+
+
+@pytest.mark.parametrize("name", list(ENTRY_POINTS))
+def test_commands_run_through_the_module_attribute(name, monkeypatch):
+    # a replacement on the module, as the benchmark's tracer makes, is what runs
+    from polycycles import cli
+
+    class Called(Exception):
+        pass
+
+    def fake(*args, **kwargs):
+        raise Called(args)
+
+    monkeypatch.setattr(cli, name, fake)
+    with pytest.raises(Called):
+        cli.main(ENTRY_POINTS[name])
 
 
 def test_compose_check_runs_through_the_module_attribute(monkeypatch, run_doc):

@@ -63,6 +63,13 @@ class TestLineSection:
         with pytest.raises(ValueError, match="direction must be nonzero"):
             LineSection.make((0.0, 0.0), (0.0, 0.0), (0.0, 1.0))
 
+    @pytest.mark.parametrize("direction", [(1e-300, 0.0), (1e200, 0.0)],
+                             ids=["underflow", "overflow"])
+    def test_squared_length_must_be_a_positive_finite_float(self, direction):
+        # param divides by dx*dx + dy*dy, which is 0 or inf here
+        with pytest.raises(ValueError, match="positive and finite squared length"):
+            LineSection.make((0.0, 0.0), direction, (0.0, 1.0))
+
 
 class TestCrossing:
     def test_linear_saddle_transition(self, saddle_fun, exit_section):
@@ -367,6 +374,15 @@ class TestIntegrate:
     def test_span_must_be_positive(self, saddle_fun):
         with pytest.raises(ValueError, match="must be positive"):
             integrate(saddle_fun, (0.5, 1.0), 0.0)
+
+    @pytest.mark.parametrize("source, start, why", [
+        ("10^308*x^2", (2.0, 0.0), r"the field is \(inf, 0.0\) at the start \(2, 0\)"),
+        # finite, but |fx| over atol + |x|*rtol overflows, so the first trial step is 0
+        ("10^308*x^2", (0.3, 0.0), r"the first trial step is 0 at the start \(0.3, 0\)"),
+    ], ids=["field-not-finite", "first-step-0"])
+    def test_a_start_the_step_rule_cannot_leave_is_a_numeric_error(self, source, start, why):
+        with pytest.raises(NumericError, match=why):
+            integrate(field_callable(poly(source), poly("0")), start, 1.0)
 
     def test_blow_up_is_a_numeric_error(self):
         # x' = x^2 from x = 1 blows up at t = 1

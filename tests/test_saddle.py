@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from numpy.polynomial.polynomial import polyval2d
 
 from polycycles import saddle
-from polycycles.calculus import inverse_dulac
+from polycycles.calculus import classify_ratio, inverse_dulac
 from polycycles.errors import (
     DegeneracyError,
     ModelError,
@@ -31,7 +31,6 @@ from polycycles.model import bind
 from polycycles.pipeline import build_corners
 from polycycles.saddle import (
     LocalChart,
-    classify_ratio,
     dulac_coefficients,
     mellin_hat,
     normalize_saddle,
