@@ -1,21 +1,20 @@
 """Algebra of Dulac-type expansions along a polycycle.
 
-A corner map is s^ratio(leading + c s^omega + remainder), held in a
-``DulacExpansion``; the saddle module fills one per corner, and this
-module composes such maps and inverts them.  The two-term expansions of
-the full return map and of the displacement function are assembled by one
-composition fold over the corners, for every arrangement of expanding and
-contracting corners; the arrangement only labels the result.  A factor
-truncated to leading order does not compose, and a compensator-form one
-only as the first factor, when the second factor's term lands clearly
-below it.  When two second-order candidates meet, one rule (``_collide``)
-keeps the bookkeeping: distinct exponents keep the smaller one, bit-equal
-exponents add their coefficients (resonance), and exponents that agree
-only to within a dead band are kept jointly through a compensator term,
-the scale-correct stand-in for the logarithm that appears at the
-resonance itself.  Ratios and coefficients may be complex (a complex
-step); every comparison, and the remainder interval ``ell``, is taken on
-real parts.
+A corner map is s^ratio(leading + c s^w + remainder), held in a
+``DulacExpansion`` whose ``terms`` list the monomials (w, c); the saddle
+module fills one per corner, and this module composes such maps and
+inverts them.  The two-term expansions of the full return map and of the
+displacement function are assembled by one composition fold over the
+corners, for every arrangement of expanding and contracting corners; the
+arrangement only labels the result.  When two candidate terms meet, one
+rule (``_collide``) keeps the bookkeeping: distinct exponents keep the
+smaller one, bit-equal exponents add their coefficients (resonance), and
+exponents that agree only to within a dead band are kept jointly through
+a compensator term, the scale-correct stand-in for the logarithm that
+appears at the resonance itself.  One rule bounds the remainder: it
+starts at the least exponent the composite holds no coefficient for.
+Ratios and coefficients may be complex (a complex step); every
+comparison, and the remainder interval ``ell``, is taken on real parts.
 """
 from __future__ import annotations
 
@@ -66,19 +65,18 @@ class CompensatorTerm:
 
 @dataclass(frozen=True)
 class DulacExpansion:
-    """Two-term asymptotic data of a Dulac-type map s^ratio(leading + ...).
+    """Asymptotic data s^ratio(leading + sum of c s^w over ``terms`` + ...).
 
-    For a saddle corner, ``ratio`` is the hyperbolicity ratio and the next
-    term sits at exponent ratio (below-one), at exponent 1 (above-one), or
-    is unavailable at resonance (at-one corners carry leading data only).
-    Composite maps reuse this container with their own next-term exponent;
-    ``comp`` holds a compensator form when two exponents collide.
+    ``terms`` holds the monomials (w, c), ordered by real part; ``ell`` runs
+    from the first exponent to the remainder's.  A saddle corner's one term
+    sits at exponent ratio (below-one) or 1 (above-one); an at-one corner
+    has none.  A composite whose two exponents meet in the dead band holds
+    their joint term in ``comp``, at ``comp.exponent``, and no terms.
     """
 
     ratio: float
     leading: float
-    next_exponent: float | None = None
-    next_coeff: float | None = None
+    terms: tuple[tuple[float, float], ...] = ()
     comp: CompensatorTerm | None = None
     ell: tuple[float, float] = (0.0, 1.0)
     s1: float | None = None
@@ -101,63 +99,59 @@ def classify_ratio(lam: float) -> str:
 # Composition and inversion
 
 
-def _merge_ell(hi_candidates: Sequence[float], lo: float) -> tuple[float, float]:
-    his = [h.real for h in hi_candidates if h is not None and math.isfinite(h.real)]
-    hi = min(his) if his else lo.real
-    return (lo.real, max(hi, lo.real))
-
-
 def _clear_below(e_lo: float, e_hi: float) -> bool:
     """True when e_lo lies below e_hi by more than the dead band."""
     return (e_hi - e_lo).real > EXPONENT_DEAD_BAND * max(1.0, abs(e_lo.real))
 
 
-def _collide(cand1: tuple, cand2: tuple,
-             ) -> tuple[float, float | None, CompensatorTerm | None, float | None]:
-    """Merge two second-order candidates (exponent, coefficient).
+def _collide(cands: Sequence[tuple]) -> tuple[tuple, CompensatorTerm | None, list]:
+    """Merge second-order candidates (exponent, coefficient).
 
-    Returns (exponent, coefficient, compensator, beaten).  Distinct
-    exponents keep the smaller one and pass the larger back as ``beaten``,
-    a remainder bound; bit-equal exponents add their coefficients; exponents
-    inside the dead band give a compensator term and no plain coefficient.
+    Returns (terms, compensator, dropped).  The least exponent is kept; a
+    bit-equal one adds its coefficient (resonance), one inside the dead
+    band joins it in a compensator term and no plain term is kept, and one
+    clearly above it is dropped, its exponent a remainder bound.
     """
-    (e_lo, c_lo), (e_hi, c_hi) = sorted([cand1, cand2], key=lambda t: t[0].real)
-    if _clear_below(e_lo, e_hi):
-        return e_lo, c_lo, None, e_hi
-    if (e_hi - e_lo).real <= EXPONENT_TIE_REL * max(1.0, abs(e_lo.real)):
-        return e_lo, c_lo + c_hi, None, None
-    return e_lo, None, CompensatorTerm(exponent=e_lo, alpha=e_lo - e_hi,
-                                       plain=c_lo, wrapped=c_hi), None
+    (e_lo, c_lo), *rest = sorted(cands, key=lambda t: t[0].real)
+    comp, dropped = None, []
+    for e, c in rest:
+        if _clear_below(e_lo, e):
+            dropped.append(e)
+        elif (e - e_lo).real <= EXPONENT_TIE_REL * max(1.0, abs(e_lo.real)):
+            c_lo += c
+        else:
+            comp = CompensatorTerm(exponent=e_lo, alpha=e_lo - e, plain=c_lo, wrapped=c)
+    return ((), comp, dropped) if comp else (((e_lo, c_lo),), None, dropped)
 
 
 def compose_pair(d1: DulacExpansion, d2: DulacExpansion) -> DulacExpansion:
     """Two-term expansion of d2 o d1.
 
-    Second-order candidates arrive from each factor and meet by
-    ``_collide``.  Both factors need a plain second term, with one
-    exception: a compensator-form d1 composes when d2's candidate lands
-    below its exponent, outside the dead band, and the joint term is then
-    the beaten remainder bound.  The remainder interval is combined
-    conservatively by min/max rules.
+    Each term of d1 is carried through d2's leading power, each of d2 lands
+    at nu1 times its exponent, and the candidates meet by ``_collide``.
+    Both factors need a term, except that a compensator-form d1 composes,
+    and is dropped, when d2's term lands clearly below its exponent.  The
+    remainder starts at the least exponent with no coefficient: a factor's
+    remainder, a dropped exponent, or a sum of two the factors hold.
     """
     nu1, a1 = d1.ratio, d1.leading
     nu2, a2 = d2.ratio, d2.leading
-    w1, c1 = d1.next_exponent, d1.next_coeff
-    w2, c2 = d2.next_exponent, d2.next_coeff
-    if c2 is None or (c1 is None and (d1.comp is None or not _clear_below(nu1 * w2, w1))):
+    if not d2.terms or (not d1.terms and (d1.comp is None or not _clear_below(
+            nu1 * d2.terms[0][0], d1.comp.exponent))):
         raise ValueError("compensator-form or truncated factors cannot be composed further; "
                          "assemble return maps from corner data instead")
-    cand2 = (nu1 * w2, a1 ** (nu2 + w2) * c2)
-    if c1 is None:
-        (exponent, coeff), comp, beaten = cand2, None, w1
-    else:
-        exponent, coeff, comp, beaten = _collide((w1, nu2 * a1 ** (nu2 - 1.0) * a2 * c1), cand2)
-    # remainder candidates beyond the kept second-order terms
-    hi_bounds = [d1.ell[1], nu1 * d2.ell[1], 2.0 * w1, w1 + nu1 * w2, beaten]
-    return DulacExpansion(ratio=nu1 * nu2, leading=a1**nu2 * a2,
-                          next_exponent=exponent, next_coeff=coeff, comp=comp,
-                          ell=_merge_ell(hi_bounds, exponent),
-                          notes=tuple(dict.fromkeys(d1.notes + d2.notes)))
+    cands = [(u, nu2 * a1 ** (nu2 - 1.0) * a2 * c) for u, c in d1.terms]
+    cands += [(nu1 * w, a1 ** (nu2 + w) * c) for w, c in d2.terms]
+    terms, comp, dropped = _collide(cands)
+    held1 = [u for u, _ in d1.terms] or [d1.comp.exponent]
+    held2 = [e for e, _ in cands[len(d1.terms):]]
+    # a compensator-form d1 is dropped, so its joint exponent bounds the remainder
+    bounds = [d1.ell[1], nu1 * d2.ell[1], *dropped, *([] if d1.terms else held1)]
+    bounds += [u + v for i, u in enumerate(held1) for v in held1[i:] + held2]
+    lo = (terms[0][0] if terms else comp.exponent).real
+    hi = min((h.real for h in bounds if math.isfinite(h.real)), default=lo)
+    return DulacExpansion(ratio=nu1 * nu2, leading=a1**nu2 * a2, terms=terms, comp=comp,
+                          ell=(lo, max(hi, lo)), notes=tuple(dict.fromkeys(d1.notes + d2.notes)))
 
 
 def compose_chain(ds: Sequence[DulacExpansion]) -> DulacExpansion:
@@ -180,18 +174,17 @@ def inverse_dulac(d: DulacExpansion) -> DulacExpansion:
     needs a plain second term; a power beyond the float range raises
     NumericError.
     """
-    if d.next_coeff is None:
+    if not d.terms:
         raise ValueError("compensator-form or truncated expansions cannot be inverted")
     rho = 1.0 / d.ratio
-    w = d.next_exponent * rho
+    w = d.terms[0][0] * rho
     try:
         leading = d.leading ** -rho
-        coeff = -rho * d.next_coeff * d.leading ** -(1.0 + w) * leading
+        coeff = -rho * d.terms[0][1] * d.leading ** -(1.0 + w) * leading
     except OverflowError as exc:
         raise NumericError(f"inverse map beyond the float range (ratio {d.ratio!r}, "
                            f"leading {d.leading!r})") from exc
-    return DulacExpansion(ratio=rho, leading=leading,
-                          next_exponent=w, next_coeff=coeff,
+    return DulacExpansion(ratio=rho, leading=leading, terms=((w, coeff),),
                           ell=(d.ell[0] * rho.real, d.ell[1] * rho.real), notes=d.notes)
 
 
@@ -283,7 +276,8 @@ def return_expansion(ds: Sequence[DulacExpansion]) -> ReturnExpansion:
         return ReturnExpansion(pattern=pattern, ratio=r, leading=leading, ell=ell,
                                split=split, notes=notes + (note,))
 
-    r, leading, exponent = fold.ratio, fold.leading, fold.next_exponent
+    r, leading = fold.ratio, fold.leading
+    exponent, coeff = fold.terms[0] if fold.terms else (fold.comp and fold.comp.exponent, None)
     b_scale, c_scale = abs(r * leading), leading**2
     if pattern == "interleaved":
         kind, scale = "fold", 1.0
@@ -299,7 +293,7 @@ def return_expansion(ds: Sequence[DulacExpansion]) -> ReturnExpansion:
     else:
         kind, scale = ("B", b_scale) if r.real > 1.0 else ("C", c_scale)
     return ReturnExpansion(pattern=pattern, ratio=r, leading=leading, kind=kind,
-                           second_exponent=exponent, second_coeff=fold.next_coeff,
+                           second_exponent=exponent, second_coeff=coeff,
                            comp=fold.comp, ell=fold.ell, split=split,
                            second_scale=scale, notes=notes)
 
@@ -330,7 +324,7 @@ class DisplacementExpansion:
     notes: tuple[str, ...] = ()
 
 
-_IDENTITY = DulacExpansion(ratio=1.0, leading=1.0, next_exponent=1.0, next_coeff=0.0)
+_IDENTITY = DulacExpansion(ratio=1.0, leading=1.0, terms=((1.0, 0.0),))
 
 
 def displacement_expansion(ds: Sequence[DulacExpansion]) -> DisplacementExpansion:
@@ -370,5 +364,5 @@ def displacement_expansion(ds: Sequence[DulacExpansion]) -> DisplacementExpansio
     return DisplacementExpansion(
         rotation=rotation, split=m, alpha=alpha, exponents=(grow.ratio, back.ratio),
         psi1=alpha * grow.leading, psi2=grow.leading - back.leading,
-        psi3=back.leading * grow.next_coeff / grow.leading - back.next_coeff,
+        psi3=back.leading * grow.terms[0][1] / grow.leading - back.terms[0][1],
         scale=max(abs(grow.leading), abs(back.leading)), notes=notes)

@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from random import Random
-from typing import Callable
+from typing import Callable, Iterable
 
 import mpmath as mp
 
@@ -75,14 +75,14 @@ def _exact(ratio: float, leading: float, offset: float, coeff: float) -> DulacEx
     The map is exact, so the remainder interval is empty: anything past
     the explicit second term is genuinely absent.
     """
-    return DulacExpansion(ratio=ratio, leading=leading, next_exponent=offset,
-                          next_coeff=coeff, ell=(offset, math.inf))
+    return DulacExpansion(ratio=ratio, leading=leading, terms=((offset, coeff),),
+                          ell=(offset, math.inf))
 
 
 def _mp_terms(d: DulacExpansion) -> tuple[mp.mpf, mp.mpf, mp.mpf, mp.mpf]:
     """(ratio, leading, offset, coefficient) of ``d`` as exact mpfs."""
-    return (mp.mpf(d.ratio), mp.mpf(d.leading), mp.mpf(d.next_exponent),
-            mp.mpf(d.next_coeff))
+    ((offset, coeff),) = d.terms
+    return mp.mpf(d.ratio), mp.mpf(d.leading), mp.mpf(offset), mp.mpf(coeff)
 
 
 def _mp_map(d: DulacExpansion) -> Callable[[mp.mpf], tuple[mp.mpf, mp.mpf]]:
@@ -209,7 +209,7 @@ def oracle_inverse(m: DulacExpansion) -> tuple[float, float, float]:
                 return x / u_rho
         raise NumericError("inverse oracle: Newton failed to settle")
 
-    off = mp.mpf(m.next_exponent) * rho
+    off = mp.mpf(m.terms[0][0]) * rho
     return _peel(bracket, off, off)
 
 
@@ -224,8 +224,8 @@ def _amplitude(rng: Random) -> tuple[float, float]:
 
 
 def _tie_parts(m1: DulacExpansion, m2: DulacExpansion) -> tuple[float, float]:
-    p1 = m2.ratio * m1.leading ** (m2.ratio - 1.0) * m2.leading * m1.next_coeff
-    p2 = m1.leading ** (m2.ratio + m2.next_exponent) * m2.next_coeff
+    p1 = m2.ratio * m1.leading ** (m2.ratio - 1.0) * m2.leading * m1.terms[0][1]
+    p2 = m1.leading ** (m2.ratio + m2.terms[0][0]) * m2.terms[0][1]
     return p1, p2
 
 
@@ -299,14 +299,19 @@ class CheckReport:
 
     @property
     def worst_leading(self) -> float:
-        return max((c.max_leading_dev for c in self.cases), default=0.0)
+        return _worst(c.max_leading_dev for c in self.cases)
 
     @property
     def worst_second(self) -> float:
-        return max((c.max_second_dev for c in self.cases), default=0.0)
+        return _worst(c.max_second_dev for c in self.cases)
 
     def passed(self) -> bool:
         return self.worst_leading <= LEADING_TOL and self.worst_second <= SECOND_TOL
+
+
+def _worst(devs: Iterable[float]) -> float:
+    """The largest deviation; a NaN, which fails the check, outranks every number."""
+    return max(devs, key=lambda v: (math.isnan(v), v), default=0.0)
 
 
 def _deviations(formula: DulacExpansion, oracle: tuple[float, float, float],
@@ -316,10 +321,10 @@ def _deviations(formula: DulacExpansion, oracle: tuple[float, float, float],
     lead_o, sec_o, off_o = oracle
     if formula.comp is not None:
         raise NumericError(f"case {case!r}: unexpected compensator term")
-    lead_f = formula.leading * (1.0 + bias)
-    sec_f = formula.next_coeff * (1.0 + bias)
+    ((off_f, sec_f),) = formula.terms
+    lead_f, sec_f = formula.leading * (1.0 + bias), sec_f * (1.0 + bias)
     return (abs(lead_f - lead_o) / abs(lead_o), abs(sec_f - sec_o) / abs(sec_o),
-            abs(formula.next_exponent - off_o))
+            abs(off_f - off_o))
 
 
 def run_compose_check(seed: int, count: int, bias: float = 0.0) -> CheckReport:
@@ -345,7 +350,7 @@ def run_compose_check(seed: int, count: int, bias: float = 0.0) -> CheckReport:
                     formula, oracle = inverse_dulac(m), oracle_inverse(m)
                 devs.append(_deviations(formula, oracle, case, bias))
             if devs:
-                lead, second, offset = (max(col) for col in zip(*devs))
+                lead, second, offset = (_worst(col) for col in zip(*devs))
                 reports.append(CaseReport(case=case, trials=count, max_leading_dev=lead,
                                           max_second_dev=second, max_offset_dev=offset))
     return CheckReport(seed=seed, count=count, bias=bias, cases=tuple(reports))

@@ -300,12 +300,11 @@ def _fit_grid(opts: Mapping[str, float], s_range: tuple[float, float] | None,
         svals = min(1e-2, 0.5 * window[1]) * 2.0 ** -np.arange(points, dtype=float)
         lo, hi, what, hint = svals[-1], svals[0], "default fit grid", "; give --s-range"
     else:
-        lo, hi = _check_range(s_range)
-        svals, what, hint = np.geomspace(hi, lo, points), "s range", ""
+        (lo, hi), what, hint = _check_range(s_range), "s range", ""
     if not (window[0] <= lo and hi <= window[1]):
         raise UsageError(f"{what} {lo:g}:{hi:g} leaves the section window "
                          f"{window[0]:g}:{window[1]:g}{hint}")
-    return svals
+    return svals if s_range is None else np.geomspace(hi, lo, points)
 
 
 # ---------------------------------------------------------------------------
@@ -323,12 +322,13 @@ def _provenance(mf: ModelFile, opts: Mapping[str, float]) -> dict:
 
 
 def _expansion_doc(d: DulacExpansion) -> dict:
+    exponent, coeff = d.terms[0] if d.terms else (None, None)
     return {
         "ratio": d.ratio,
         "case": d.case,
         "leading": d.leading,
-        "next_exponent": d.next_exponent,
-        "next_coeff": d.next_coeff,
+        "next_exponent": exponent,
+        "next_coeff": coeff,
         "s1": d.s1,
         "s2": d.s2,
         "flatness": list(d.ell),
@@ -395,8 +395,8 @@ def oracle_dulac(mf: ModelFile, corner_index: int,
 
     (d,) = dulac_coefficients([chart], geo.h_in, geo.h_out)
     closed = {"unavailable": str(d)} if isinstance(d, PolycycleError) else {
-        "ratio": d.ratio, "leading": d.leading, "next_exponent": d.next_exponent,
-        "next_coeff": d.next_coeff}
+        key: value for key, value in _expansion_doc(d).items()
+        if key in ("ratio", "leading", "next_exponent", "next_coeff")}
     deviation = {
         "exponent": _rel_gap(free.exponent, lam),
         "leading": _rel_gap(pinned.leading, closed.get("leading")),

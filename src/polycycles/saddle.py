@@ -15,9 +15,9 @@ checked to 5% past it.  The corner transition s -> v expands as
 
 and this module computes D00 together with the quantities S1, S2 that
 determine the second-order coefficients D10 = lam*D00*S1 and
-D01 = -D00^2*S2, and returns them as a ``DulacExpansion``, the data type
-of the calculus module that composes the corners.  The ingredients are
-the transition factors
+D01 = -D00^2*S2.  It returns a ``DulacExpansion`` of the calculus module,
+whose one term is (1, D10) above one, (lam, D01) below one and none at
+one.  The ingredients are the transition factors
 
     L1(w) = exp int_0^w (P(0,y)/Q(0,y) + 1/lam) dy/y
     L2(w) = exp int_0^w (Q(x,0)/P(x,0) + lam) dx/x
@@ -597,6 +597,6 @@ def dulac_coefficients(charts: Sequence[LocalChart], h_in: float, h_out: float,
             exponent, coeff, ell = lj, -(d00**2) * s2, (lj.real, min(2.0 * lj.real, 1.0))
         else:
             exponent, coeff, ell = 1.0, lj * d00 * s1, (1.0, min(lj.real, 2.0))
-        out[live[j]] = DulacExpansion(ratio=lj, leading=d00, next_exponent=exponent,
-                                      next_coeff=coeff, ell=ell, s1=s1, s2=s2, notes=notes)
+        out[live[j]] = DulacExpansion(ratio=lj, leading=d00, terms=((exponent, coeff),),
+                                      ell=ell, s1=s1, s2=s2, notes=notes)
     return out

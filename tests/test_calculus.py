@@ -16,6 +16,7 @@ from hypothesis import assume, given, reject, settings
 from hypothesis import strategies as st
 
 from polycycles.calculus import (
+    EXPONENT_DEAD_BAND,
     CompensatorTerm,
     DulacExpansion,
     ReturnExpansion,
@@ -36,7 +37,7 @@ def dmap(ratio, leading, w=None, c=None, s1=None, s2=None):
     lo = w
     hi = min(ratio, 2.0) if ratio > 1.0 else min(2.0 * ratio, 1.0)
     return DulacExpansion(ratio=ratio, leading=leading,
-                          next_exponent=w, next_coeff=c,
+                          terms=((w, c),),
                           ell=(lo, max(hi, lo)), s1=s1, s2=s2)
 
 
@@ -179,8 +180,8 @@ class TestComposePair:
         out = compose_pair(d1, d2)
         assert out.ratio == pytest.approx(6.0)
         assert out.leading == pytest.approx(40.0)
-        assert out.next_exponent == pytest.approx(1.0)
-        assert out.next_coeff == pytest.approx(180.0, rel=1e-13)
+        assert out.terms[0][0] == pytest.approx(1.0)
+        assert out.terms[0][1] == pytest.approx(180.0, rel=1e-13)
         assert out.case == "above-one"
         assert out.ell == pytest.approx((1.0, 2.0))
 
@@ -190,8 +191,8 @@ class TestComposePair:
         out = compose_pair(d1, d2)
         assert out.ratio == pytest.approx(1.0 / 6.0)
         assert out.leading == pytest.approx(3.0 * 2.0 ** (1.0 / 3.0), rel=1e-14)
-        assert out.next_exponent == pytest.approx(1.0 / 6.0)
-        assert out.next_coeff == pytest.approx(-(2.0 ** (2.0 / 3.0)), rel=1e-13)
+        assert out.terms[0][0] == pytest.approx(1.0 / 6.0)
+        assert out.terms[0][1] == pytest.approx(-(2.0 ** (2.0 / 3.0)), rel=1e-13)
 
     def test_resonant_offsets_add(self):
         # transported offsets collide exactly: 1.0 and 2.0 * 0.5
@@ -199,15 +200,15 @@ class TestComposePair:
         d2 = dmap(0.5, 2.0, w=0.5, c=7.0)
         out = compose_pair(d1, d2)
         expected = 0.5 * 3.0 ** -0.5 * 2.0 * 5.0 + 3.0 * 7.0
-        assert out.next_exponent == pytest.approx(1.0)
-        assert out.next_coeff == pytest.approx(expected, rel=1e-13)
+        assert out.terms[0][0] == pytest.approx(1.0)
+        assert out.terms[0][1] == pytest.approx(expected, rel=1e-13)
         assert out.comp is None
 
     def test_near_collision_keeps_both(self):
         d1 = dmap(2.0, 3.0, w=1.0, c=5.0)
         d2 = dmap(0.5, 2.0, w=0.5 * (1.0 + 2e-10), c=7.0)
         out = compose_pair(d1, d2)
-        assert out.next_coeff is None
+        assert out.terms == ()
         comp = out.comp
         assert comp is not None
         assert comp.exponent == pytest.approx(1.0)
@@ -241,9 +242,9 @@ class TestComposePair:
         frozen = compose_pair(d1, d2)
         out = compose_pair(frozen, dmap(0.6, 1.5, w=0.6, c=-2.0))
         assert out.comp is None
-        assert out.next_exponent == frozen.ratio * 0.6
-        assert out.next_coeff == pytest.approx(frozen.leading ** 1.2 * -2.0, rel=1e-15)
-        assert out.ell == (out.next_exponent, frozen.next_exponent)
+        assert out.terms[0][0] == frozen.ratio * 0.6
+        assert out.terms[0][1] == pytest.approx(frozen.leading ** 1.2 * -2.0, rel=1e-15)
+        assert out.ell == (out.terms[0][0], frozen.comp.exponent)
 
     def test_chain_fold_matches_pair(self):
         d1, d2, d3 = above(1.5, 2.0, 0.3), above(2.0, 1.5, -0.2), below(0.4, 3.0, 0.5)
@@ -251,7 +252,7 @@ class TestComposePair:
         paired = compose_pair(compose_pair(d1, d2), d3)
         assert folded.ratio == paired.ratio
         assert folded.leading == paired.leading
-        assert folded.next_coeff == paired.next_coeff
+        assert folded.terms[0][1] == paired.terms[0][1]
         with pytest.raises(ValueError, match="empty chain"):
             compose_chain([])
 
@@ -261,8 +262,8 @@ class TestInverse:
         inv = inverse_dulac(dmap(2.0, 4.0, w=1.0, c=1.0))
         assert inv.ratio == pytest.approx(0.5)
         assert inv.leading == pytest.approx(0.5)
-        assert inv.next_exponent == pytest.approx(0.5)
-        assert inv.next_coeff == pytest.approx(-1.0 / 32.0, rel=1e-14)
+        assert inv.terms[0][0] == pytest.approx(0.5)
+        assert inv.terms[0][1] == pytest.approx(-1.0 / 32.0, rel=1e-14)
         assert inv.case == "below-one"
 
     def test_truncated_inverse(self):
@@ -285,15 +286,15 @@ class TestInverse:
         twice = inverse_dulac(inverse_dulac(d))
         assert twice.ratio == pytest.approx(lam, rel=1e-12)
         assert twice.leading == pytest.approx(a, rel=1e-12)
-        assert twice.next_exponent == pytest.approx(w, rel=1e-12)
-        assert twice.next_coeff == pytest.approx(c, rel=1e-10)
+        assert twice.terms[0][0] == pytest.approx(w, rel=1e-12)
+        assert twice.terms[0][1] == pytest.approx(c, rel=1e-10)
 
         for ident in (compose_pair(d, inverse_dulac(d)),
                       compose_pair(inverse_dulac(d), d)):
             assert ident.ratio == pytest.approx(1.0, rel=1e-12)
             assert ident.leading == pytest.approx(1.0, rel=1e-12)
             second = (ident.comp.value(0.01) if ident.comp is not None
-                      else ident.next_coeff * 0.01 ** ident.next_exponent)
+                      else ident.terms[0][1] * 0.01 ** ident.terms[0][0])
             assert abs(second) < 1e-9
 
 
@@ -320,8 +321,65 @@ class TestAssociativity:
         right = compose_pair(d1, compose_pair(d2, d3))
         assert left.ratio == pytest.approx(right.ratio, rel=1e-12)
         assert left.leading == pytest.approx(right.leading, rel=1e-12)
-        assert left.next_exponent == pytest.approx(right.next_exponent, rel=1e-12)
-        assert left.next_coeff == pytest.approx(right.next_coeff, rel=1e-9)
+        assert left.terms[0][0] == pytest.approx(right.terms[0][0], rel=1e-12)
+        assert left.terms[0][1] == pytest.approx(right.terms[0][1], rel=1e-9)
+
+
+def hand_listed_ell(d1, d2):
+    """The remainder interval of d2 o d1 by the rule that held while a factor
+    kept one term in two fields: the least of five hand-listed exponents,
+    one of them the larger of two clearly separated candidates."""
+    nu1, ((w2, _),) = d1.ratio, d2.terms
+    w1 = d1.terms[0][0] if d1.terms else d1.comp.exponent
+    if d1.terms:
+        e_lo, e_hi = sorted([w1, nu1 * w2], key=lambda e: e.real)
+        clear = (e_hi - e_lo).real > EXPONENT_DEAD_BAND * max(1.0, abs(e_lo.real))
+        beaten = e_hi if clear else None
+    else:
+        e_lo, beaten = nu1 * w2, w1
+    hi_bounds = [d1.ell[1], nu1 * d2.ell[1], 2.0 * w1, w1 + nu1 * w2, beaten]
+    his = [h.real for h in hi_bounds if h is not None and math.isfinite(h.real)]
+    hi = min(his) if his else e_lo.real
+    return (e_lo.real, max(hi, e_lo.real))
+
+
+def one_term(lam, a, c, hi, w=None):
+    """A one-term factor: its term at the corner exponent unless w is given,
+    its remainder from ``hi``, or the corner rule when that is None."""
+    w = (lam if lam < 1.0 else 1.0) if w is None else w
+    hi = (min(2.0 * lam, 1.0) if lam < 1.0 else min(lam, 2.0)) if hi is None else hi
+    return DulacExpansion(ratio=lam, leading=a, terms=((w, c),), ell=(w, max(hi, w)))
+
+
+one_term_args = st.tuples(st.floats(0.2, 3.0), st.floats(0.5, 2.0), st.floats(-2.0, 2.0),
+                          st.one_of(st.none(), st.just(math.inf), st.floats(0.1, 5.0)))
+
+
+class TestRemainderRule:
+    """compose_pair's one rule gives the hand-listed interval on one-term factors."""
+
+    # None: the corner exponents; else d2's term lands at (1 + shift) d1's:
+    # a bit-equal tie, a rounding-level tie, inside the dead band, or past it
+    @given(f1=one_term_args, f2=one_term_args,
+           shift=st.sampled_from([None, 0.0, 1e-16, 3e-10, -3e-10, 2e-9, -2e-9, 1e-6]))
+    @settings(max_examples=300)
+    def test_one_term_factors(self, f1, f2, shift):
+        d1 = one_term(*f1)
+        d2 = one_term(*f2, w=None if shift is None else d1.terms[0][0] / d1.ratio * (1 + shift))
+        assert compose_pair(d1, d2).ell == hand_listed_ell(d1, d2)
+
+    @given(f1=one_term_args, f2=one_term_args, f3=one_term_args,
+           shift=st.sampled_from([3e-10, -3e-10, 8e-10]), frac=st.floats(0.05, 0.95))
+    @settings(max_examples=150)
+    def test_compensator_left_factor(self, f1, f2, f3, shift, frac):
+        # a dead-band collision freezes a compensator factor, which composes
+        # with a right factor whose term lands clearly below its exponent
+        d1 = one_term(*f1)
+        d2 = one_term(*f2, w=d1.terms[0][0] / d1.ratio * (1 + shift))
+        frozen = compose_pair(d1, d2)
+        assert frozen.comp is not None and frozen.ell == hand_listed_ell(d1, d2)
+        d3 = one_term(*f3, w=frac * frozen.comp.exponent / frozen.ratio)
+        assert compose_pair(frozen, d3).ell == hand_listed_ell(frozen, d3)
 
 
 class TestChainProducts:
@@ -531,8 +589,8 @@ class TestReturnExpansion:
         assert ret.pattern == "interleaved"
         assert ret.kind == "fold"
         fold = compose_chain(chain)
-        assert ret.second_exponent == pytest.approx(fold.next_exponent)
-        assert ret.second_coeff == pytest.approx(fold.next_coeff)
+        assert ret.second_exponent == pytest.approx(fold.terms[0][0])
+        assert ret.second_coeff == pytest.approx(fold.terms[0][1])
         assert any("generic composition" in n for n in ret.notes)
 
     def test_evaluate_consistency(self):

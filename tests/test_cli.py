@@ -94,6 +94,14 @@ def test_usage_errors_exit_2(argv, capsys):
     assert capsys.readouterr().err.startswith("usage error:")
 
 
+@pytest.mark.parametrize("what", [["return"], ["dulac", "--corner", "1"]], ids=["return", "dulac"])
+def test_infinite_s_range_top_is_checked_before_the_grid(what, capsys):
+    # the window check comes first, so numpy never builds a grid up to inf
+    assert main(["oracle", "--what", *what, "--model", FOUR, "--s-range", "1e-6:inf"]) == 2
+    assert capsys.readouterr().err == ("usage error: s range 1e-06:inf leaves the section "
+                                       "window 1e-12:0.45\n")
+
+
 @pytest.mark.parametrize("argv", [
     ["scan", "--model", FOUR, "--grid", "l1=0.3:0.3:1", "--tol", "rtol=1e-6"],
     ["compose-check", "--count", "0", "--tol", "rtol=1e-6"],

@@ -5,6 +5,7 @@ coefficients by finite differencing, so agreement with the closed-form
 rules is a genuine cross-check, not a tautology.
 """
 
+import dataclasses
 import math
 from random import Random
 
@@ -12,6 +13,7 @@ import mpmath as mp
 import pytest
 
 from polycycles import composecheck
+from polycycles.calculus import compose_pair
 from polycycles.composecheck import (
     COMPOSE_CASES,
     INVERSE_CASES,
@@ -53,14 +55,14 @@ FIRST_DRAWS_AT_42 = {
 
 
 def _terms(d):
-    return (d.ratio, d.leading, d.next_exponent, d.next_coeff)
+    return (d.ratio, d.leading, d.terms[0][0], d.terms[0][1])
 
 
 class TestExactMaps:
     def test_exact_map_packaging(self):
         d = _exact(0.7, 2.0, 0.7, -0.3)
         assert d.ratio == 0.7 and d.leading == 2.0
-        assert d.next_exponent == 0.7 and d.next_coeff == -0.3
+        assert d.terms[0][0] == 0.7 and d.terms[0][1] == -0.3
         assert d.case == "below-one"
         # exact map: nothing hides beyond the explicit second term
         assert d.ell == (0.7, math.inf)
@@ -149,7 +151,7 @@ class TestSecondOffset:
                     rng = Random(f"{seed}:{case}")
                     for _ in range(5):
                         m1, m2 = _draw_compose(rng, case)
-                        self._check(m1.next_exponent, mp.mpf(m1.ratio) * mp.mpf(m2.next_exponent))
+                        self._check(m1.terms[0][0], mp.mpf(m1.ratio) * mp.mpf(m2.terms[0][0]))
 
     def test_exact_and_near_ties(self):
         tiny = 2.0 ** -30
@@ -220,6 +222,29 @@ class TestRunCheck:
         report = run_compose_check(seed=7, count=2, bias=1e-6)
         assert not report.passed()
         assert report.worst_second == pytest.approx(1e-6, rel=1e-2)
+
+    @pytest.fixture
+    def nan_on_second_call(self, monkeypatch):
+        """compose_pair with a NaN leading coefficient on its second call."""
+        calls = []
+
+        def patched(m1, m2):
+            calls.append(None)
+            out = compose_pair(m1, m2)
+            return dataclasses.replace(out, leading=math.nan) if len(calls) == 2 else out
+        monkeypatch.setattr(composecheck, "compose_pair", patched)
+
+    def test_nan_deviation_fails_the_check(self, nan_on_second_call):
+        # max() keeps a NaN only when it comes first; the second trial's must stand
+        report = run_compose_check(seed=42, count=3)
+        assert math.isnan(report.cases[0].max_leading_dev)
+        assert math.isnan(report.worst_leading)
+        assert not report.passed()
+
+    def test_nan_deviation_fails_the_command(self, nan_on_second_call, run_doc):
+        doc = run_doc(["compose-check", "--seed", "42", "--count", "3"])
+        assert doc["passed"] is False
+        assert math.isnan(doc["worst_leading"])
 
     def test_empty_run(self):
         report = run_compose_check(seed=3, count=0)

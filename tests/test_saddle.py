@@ -300,8 +300,8 @@ class TestLinearClosedForms:
         assert exp.leading == pytest.approx(math.sqrt(2.0), rel=1e-12)
         assert exp.s1 == pytest.approx(0.0, abs=1e-12)
         assert exp.s2 == pytest.approx(0.0, abs=1e-12)
-        assert exp.next_exponent == 1.0
-        assert exp.next_coeff == pytest.approx(0.0, abs=1e-12)
+        assert exp.terms[0][0] == 1.0
+        assert exp.terms[0][1] == pytest.approx(0.0, abs=1e-12)
 
     def test_below_one(self):
         exp = expand(linear_saddle(0.4), 0.5, 0.5)
@@ -309,8 +309,8 @@ class TestLinearClosedForms:
         assert exp.leading == pytest.approx(0.5 ** 0.6, rel=1e-12)
         assert exp.s1 == pytest.approx(0.0, abs=1e-12)
         assert exp.s2 == pytest.approx(0.0, abs=1e-12)
-        assert exp.next_exponent == pytest.approx(0.4)
-        assert exp.next_coeff == pytest.approx(0.0, abs=1e-12)
+        assert exp.terms[0][0] == pytest.approx(0.4)
+        assert exp.terms[0][1] == pytest.approx(0.0, abs=1e-12)
 
     def test_section_height_scaling(self):
         exp = expand(linear_saddle(1.5), 0.3, 0.7)
@@ -340,9 +340,9 @@ class TestLinearClosedForms:
         exp = expand(linear_saddle(1.0), 0.5, 0.5)
         assert exp.case == "at-one"
         assert exp.leading == pytest.approx(1.0, rel=1e-12)
-        assert exp.next_exponent is None
+        assert exp.terms == ()
         assert exp.s1 is None and exp.s2 is None
-        assert exp.next_coeff is None
+        assert exp.terms == ()
         assert any("leading term only" in note for note in exp.notes)
 
 
@@ -415,8 +415,8 @@ class TestQuadraticSaddle:
         assert quad_expansion.s1 == pytest.approx(-0.326986673475821, rel=1e-10)
 
     def test_second_coefficient_ties_to_s1(self, quad_expansion):
-        assert quad_expansion.next_exponent == 1.0
-        assert quad_expansion.next_coeff == pytest.approx(
+        assert quad_expansion.terms[0][0] == 1.0
+        assert quad_expansion.terms[0][1] == pytest.approx(
             quad_expansion.ratio * quad_expansion.leading * quad_expansion.s1,
             rel=1e-14)
 
@@ -435,8 +435,8 @@ class TestPoleGuards:
         assert exp.notes == ("S1 unavailable: Mellin order alpha=2.0 is within 1e-06 "
                              "of the pole at 2",)
         assert exp.s2 == pytest.approx(0.0, abs=1e-12)
-        assert exp.next_exponent == 0.5
-        assert exp.next_coeff == pytest.approx(0.0, abs=1e-12)
+        assert exp.terms[0][0] == 0.5
+        assert exp.terms[0][1] == pytest.approx(0.0, abs=1e-12)
 
 
 def quadratic_chart(lam, c):
@@ -471,11 +471,11 @@ class TestTimeReversal:
         got = expand(reversed_chart, h_out, h_in)
         assert got.ratio == want.ratio
         assert got.leading == pytest.approx(want.leading, rel=1e-14)
-        assert got.next_exponent == pytest.approx(want.next_exponent, rel=1e-15)
+        assert got.terms[0][0] == pytest.approx(want.terms[0][0], rel=1e-15)
         assert got.ell == pytest.approx(want.ell, rel=1e-15)
         s = got.s1 if got.case == "above-one" else got.s2
         unit = abs(got.ratio * got.leading) if got.case == "above-one" else got.leading ** 2
-        assert abs(got.next_coeff - want.next_coeff) <= 5e-14 * unit * max(1.0, abs(s))
+        assert abs(got.terms[0][1] - want.terms[0][1]) <= 5e-14 * unit * max(1.0, abs(s))
 
 
 def mellin(fun, series, alpha, x):
@@ -572,10 +572,10 @@ class TestFourSaddleCorners:
     def test_second_coefficients_follow_case(self, game_chain):
         for exp in game_chain:
             if exp.case == "above-one":
-                assert exp.next_coeff == pytest.approx(
+                assert exp.terms[0][1] == pytest.approx(
                     exp.ratio * exp.leading * exp.s1, rel=1e-12)
             else:
-                assert exp.next_coeff == pytest.approx(
+                assert exp.terms[0][1] == pytest.approx(
                     -(exp.leading ** 2) * exp.s2, rel=1e-12)
 
     def test_graphic_number(self, game_chain):
@@ -707,8 +707,8 @@ def test_a_failing_unused_s_is_a_note(game_mf, game_chain, monkeypatch):
     d = chain[1]
     assert (d.case, d.s2) == ("above-one", None)
     assert d.notes == ("S2 unavailable: Mellin tail quadrature did not converge (err=2.15e-03)",)
-    assert (d.leading, d.s1, d.next_coeff) == (game_chain[1].leading, game_chain[1].s1,
-                                              game_chain[1].next_coeff)
+    assert (d.leading, d.s1, d.terms[0][1]) == (game_chain[1].leading, game_chain[1].s1,
+                                              game_chain[1].terms[0][1])
     assert chain[0] == game_chain[0] and chain[2:] == game_chain[2:]
 
 

@@ -20,3 +20,12 @@ def test_every_package_function_is_called_from_the_package():
         read |= {node.id for node in ast.walk(tree)
                  if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
     assert [name for name in defined if name.split(".")[1] not in read] == []
+
+
+def test_no_module_reads_the_retired_second_term_fields():
+    # a DulacExpansion keeps its monomials in terms, read one way only; the
+    # document keys "next_exponent" and "next_coeff" are strings and pass
+    reads = [f"{path.name}:{node.lineno}" for path in sorted(SOURCE.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Attribute) and node.attr in ("next_exponent", "next_coeff")]
+    assert reads == []
