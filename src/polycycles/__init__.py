@@ -36,26 +36,7 @@ _HOMES = {
 }
 _HOME = {name: module for module, names in _HOMES.items() for name in names}
 
-__all__ = [
-    "__version__",
-    "parse_expression", "instantiate",
-    "LocalChart", "DulacExpansion", "normalize_saddle",
-    "dulac_coefficients", "classify_ratio",
-    "CompensatorTerm", "ReturnExpansion", "DisplacementExpansion",
-    "compensator", "compose_pair", "compose_chain",
-    "inverse_dulac", "return_expansion", "displacement_expansion",
-    "Verdict", "VerdictItem", "gradient", "independence_rank",
-    "not_identity_probe", "verdict",
-    "Trajectory", "LineSection", "FitReport", "CycleRecord", "CycleCount",
-    "integrate", "field_callable", "numeric_dulac", "numeric_return",
-    "fit_expansion", "count_limit_cycles",
-    "CheckReport", "run_compose_check",
-    "ModelFile", "Model", "parse_model", "load_model", "bind",
-    "analyze", "oracle_dulac", "oracle_return", "oracle_cycles", "scan",
-    "PolycycleError", "ExpressionError", "ModelError", "DegeneracyError",
-    "UnsupportedGeometryError", "UsageError", "NumericError", "PoleError",
-    "OutOfBasinError",
-]
+__all__ = ["__version__", *_HOME]
 
 
 def __getattr__(name: str):

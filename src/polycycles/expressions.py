@@ -16,6 +16,13 @@ value is complex).  Division is permitted only when the divisor
 instantiates to a nonzero constant, and exponents are literal unsigned
 integers, so every well-formed expression instantiates to a polynomial.
 
+A source parses once into a postfix program: a tuple of instructions, in
+the post-order of the expression's tree, that ``instantiate`` runs over
+one stack.  ``("num", value)`` and ``("var", name)`` push an operand,
+``("neg",)`` and ``("^", n)`` replace the top one, and ``("+",)``,
+``("-",)``, ``("*",)`` and ``("/",)`` combine the top two.  Parentheses
+and unary minus signs nest at most ``MAX_NESTING`` deep.
+
 A concrete polynomial is a dense 2-d coefficient array ``c`` with
 ``c[i, j]`` the coefficient of x^i y^j, float64, or complex128 when a
 complex parameter value reaches it; ``flow.field_callable`` compiles a
@@ -23,7 +30,7 @@ pair of them into a right-hand side.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
 from fractions import Fraction
 from typing import TYPE_CHECKING, Mapping, Union
 
@@ -33,236 +40,160 @@ if TYPE_CHECKING:
     import numpy as np
 
 VARIABLES = ("x", "y")  # the reserved field variables, in coefficient-index order
+MAX_NESTING = 100  # the most parentheses and unary minus signs open at once
 
-# ---------------------------------------------------------------------------
-# AST
+Program = tuple[tuple, ...]
+Number = Union[int, float, Fraction, complex]
 
-
-@dataclass(frozen=True)
-class Num:
-    value: Fraction
-
-
-@dataclass(frozen=True)
-class Var:
-    name: str
-
-
-@dataclass(frozen=True)
-class Neg:
-    arg: "Node"
-
-
-@dataclass(frozen=True)
-class BinOp:
-    op: str  # one of + - * /
-    left: "Node"
-    right: "Node"
-
-
-@dataclass(frozen=True)
-class Pow:
-    base: "Node"
-    exponent: int
-
-
-Node = Union[Num, Var, Neg, BinOp, Pow]
-
-
-# ---------------------------------------------------------------------------
-# Tokenizer
-
-
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # NUM, IDENT, OP, END
-    text: str
-    value: Fraction | None
-    line: int
-    col: int
-
-
-_OPS = set("+-*/^()")
-
-
-def _tokenize(source: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    line, col = 1, 1
-    i, n = 0, len(source)
-    while i < n:
-        c = source[i]
-        if c == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if c.isspace():
-            i += 1
-            col += 1
-            continue
-        if c in _OPS:
-            tokens.append(_Token("OP", c, None, line, col))
-            i += 1
-            col += 1
-            continue
-        if c.isdigit():
-            start, startcol = i, col
-            while i < n and source[i].isdigit():
-                i += 1
-                col += 1
-            if i < n and source[i] == ".":
-                i += 1
-                col += 1
-                if i >= n or not source[i].isdigit():
-                    raise ExpressionError("digits required after decimal point", line, col)
-                while i < n and source[i].isdigit():
-                    i += 1
-                    col += 1
-            text = source[start:i]
-            tokens.append(_Token("NUM", text, Fraction(text), line, startcol))
-            continue
-        if c.isalpha() or c == "_":
-            start, startcol = i, col
-            while i < n and (source[i].isalnum() or source[i] == "_"):
-                i += 1
-                col += 1
-            tokens.append(_Token("IDENT", source[start:i], None, line, startcol))
-            continue
-        raise ExpressionError(f"unexpected character {c!r}", line, col)
-    tokens.append(_Token("END", "", None, line, col))
-    return tokens
-
-
-# ---------------------------------------------------------------------------
-# Parser
+# one token per match: whitespace, a number, a word, or any other character
+_TOKEN = re.compile(r"\s+|\d+(?:\.\d*)?|\w+|.")
+_OPS = ("+", "-", "*", "/", "^", "(", ")")
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token], symbols: set[str]):
-        self.tokens = tokens
+    """Recursive descent that appends each node's instruction after the
+    instructions of its operands.  A token is a (text, line, col) triple;
+    the last one has the text "" and marks the end of input."""
+
+    def __init__(self, source: str, symbols: set[str]):
+        self.tokens: list[tuple[str, int, int]] = []
+        line, start = 1, 0  # start is the index where the current line begins
+        for m in _TOKEN.finditer(source):
+            text, col = m.group(), m.start() - start + 1
+            if text.isspace():
+                if "\n" in text:
+                    line += text.count("\n")
+                    start = m.start() + text.rindex("\n") + 1
+                continue
+            first = text[0]
+            if first.isdecimal() and text[-1] == ".":
+                raise ExpressionError("digits required after decimal point", line,
+                                      col + len(text))
+            if not (text in _OPS or first.isdecimal() or first.isalpha() or first == "_"):
+                raise ExpressionError(f"unexpected character {first!r}", line, col)
+            self.tokens.append((text, line, col))
+        self.tokens.append(("", line, len(source) - start + 1))
         self.pos = 0
+        self.depth = 0
         self.symbols = symbols
+        self.program: list[tuple] = []
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
+    def peek(self) -> str:
+        return self.tokens[self.pos][0]
 
-    def advance(self) -> _Token:
+    def advance(self) -> tuple[str, int, int]:
         tok = self.tokens[self.pos]
         self.pos += 1
         return tok
 
-    def expect_op(self, op: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != "OP" or tok.text != op:
-            raise ExpressionError(f"expected {op!r}", tok.line, tok.col)
-        return self.advance()
+    def nest(self, line: int, col: int) -> None:
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ExpressionError(f"expression nested more than {MAX_NESTING} deep", line, col)
 
-    def parse_expr(self) -> Node:
-        node = self.parse_term()
-        while self.peek().kind == "OP" and self.peek().text in "+-":
-            op = self.advance().text
-            node = BinOp(op, node, self.parse_term())
-        return node
+    def parse_expr(self) -> None:
+        self.parse_term()
+        while self.peek() in ("+", "-"):
+            op = self.advance()[0]
+            self.parse_term()
+            self.program.append((op,))
 
-    def parse_term(self) -> Node:
-        node = self.parse_factor()
-        while self.peek().kind == "OP" and self.peek().text in "*/":
-            op = self.advance().text
-            node = BinOp(op, node, self.parse_factor())
-        return node
+    def parse_term(self) -> None:
+        self.parse_factor()
+        while self.peek() in ("*", "/"):
+            op = self.advance()[0]
+            self.parse_factor()
+            self.program.append((op,))
 
-    def parse_factor(self) -> Node:
-        tok = self.peek()
-        if tok.kind == "OP" and tok.text == "-":
+    def parse_factor(self) -> None:
+        if self.peek() == "-":
+            self.nest(*self.advance()[1:])
+            self.parse_factor()
+            self.depth -= 1
+            self.program.append(("neg",))
+            return
+        self.parse_base()
+        if self.peek() == "^":
             self.advance()
-            return Neg(self.parse_factor())
-        base = self.parse_base()
-        if self.peek().kind == "OP" and self.peek().text == "^":
-            self.advance()
-            etok = self.peek()
-            if etok.kind != "NUM" or "." in etok.text:
-                raise ExpressionError("exponent must be an unsigned integer", etok.line, etok.col)
-            self.advance()
-            return Pow(base, int(etok.value))
-        return base
+            text, line, col = self.advance()
+            if not text.isdecimal():
+                raise ExpressionError("exponent must be an unsigned integer", line, col)
+            self.program.append(("^", int(text)))
 
-    def parse_base(self) -> Node:
-        tok = self.advance()
-        if tok.kind == "NUM":
-            return Num(tok.value)
-        if tok.kind == "IDENT":
-            if tok.text not in self.symbols:
-                raise ExpressionError(f"undeclared identifier {tok.text!r}", tok.line, tok.col)
-            return Var(tok.text)
-        if tok.kind == "OP" and tok.text == "(":
-            node = self.parse_expr()
-            self.expect_op(")")
-            return node
-        raise ExpressionError(f"unexpected token {tok.text!r}" if tok.text else "unexpected end of input",
-                              tok.line, tok.col)
+    def parse_base(self) -> None:
+        text, line, col = self.advance()
+        if text == "(":
+            self.nest(line, col)
+            self.parse_expr()
+            text, line, col = self.advance()
+            if text != ")":
+                raise ExpressionError("expected ')'", line, col)
+            self.depth -= 1
+        elif text[:1].isdecimal():
+            self.program.append(("num", Fraction(text)))
+        elif text[:1].isalpha() or text[:1] == "_":
+            if text not in self.symbols:
+                raise ExpressionError(f"undeclared identifier {text!r}", line, col)
+            self.program.append(("var", text))
+        else:
+            raise ExpressionError(f"unexpected token {text!r}" if text else
+                                  "unexpected end of input", line, col)
 
 
-def parse_expression(source: str, params: tuple[str, ...] | list[str] = ()) -> Node:
-    """Parse ``source`` into its expression tree.
+def parse_expression(source: str, params: tuple[str, ...] | list[str] = ()) -> Program:
+    """Parse ``source`` into its postfix program.
 
     Raises :class:`ExpressionError` with 1-based line/column on syntax
-    errors and on identifiers that are neither declared parameters nor
-    reserved variables.
+    errors, on nesting deeper than ``MAX_NESTING`` and on identifiers that
+    are neither declared parameters nor reserved variables.
     """
     clash = set(params) & set(VARIABLES)
     if clash:
         raise ExpressionError(f"parameter name {sorted(clash)[0]!r} shadows a reserved variable")
-    parser = _Parser(_tokenize(source), set(params) | set(VARIABLES))
-    root = parser.parse_expr()
-    tail = parser.peek()
-    if tail.kind != "END":
-        raise ExpressionError(f"unexpected trailing input {tail.text!r}", tail.line, tail.col)
-    return root
+    parser = _Parser(source, set(params) | set(VARIABLES))
+    parser.parse_expr()
+    text, line, col = parser.tokens[parser.pos]
+    if text:
+        raise ExpressionError(f"unexpected trailing input {text!r}", line, col)
+    return tuple(parser.program)
 
 
-# ---------------------------------------------------------------------------
-# Instantiation
-
-Number = Union[int, float, Fraction, complex]
-
-
-def _inst(node: Node, binding: Mapping[str, Number]) -> dict:
-    """Evaluate to a coefficient dict over exact numbers where possible."""
-    if isinstance(node, Num):
-        return {(0, 0): node.value}
-    if isinstance(node, Var):
-        if node.name in VARIABLES:
-            key = (1, 0) if node.name == VARIABLES[0] else (0, 1)
-            return {key: Fraction(1)}
-        if node.name not in binding:
-            raise ExpressionError(f"no value bound for parameter {node.name!r}")
-        val = binding[node.name]
-        return {(0, 0): val} if val != 0 else {}
-    if isinstance(node, Neg):
-        return {k: -c for k, c in _inst(node.arg, binding).items()}
-    if isinstance(node, Pow):
-        base = _inst(node.base, binding)
-        out = {(0, 0): Fraction(1)}
-        for _ in range(node.exponent):
-            out = _poly_mul(out, base)
-        return out
-    if isinstance(node, BinOp):
-        left = _inst(node.left, binding)
-        right = _inst(node.right, binding)
-        if node.op == "+":
-            return _poly_add(left, right, 1)
-        if node.op == "-":
-            return _poly_add(left, right, -1)
-        if node.op == "*":
-            return _poly_mul(left, right)
-        if node.op == "/":
+def _run(program: Program, binding: Mapping[str, Number]) -> dict:
+    """Run ``program`` over coefficient dicts, exact numbers where possible."""
+    stack: list[dict] = []
+    for ins in program:
+        op = ins[0]
+        if op == "num":
+            stack.append({(0, 0): ins[1]})
+        elif op == "var":
+            name = ins[1]
+            if name in VARIABLES:
+                stack.append({(1, 0) if name == VARIABLES[0] else (0, 1): Fraction(1)})
+            elif name not in binding:
+                raise ExpressionError(f"no value bound for parameter {name!r}")
+            else:
+                val = binding[name]
+                stack.append({(0, 0): val} if val != 0 else {})
+        elif op == "neg":
+            stack.append({k: -c for k, c in stack.pop().items()})
+        elif op == "^":
+            base, out = stack.pop(), {(0, 0): Fraction(1)}
+            for _ in range(ins[1]):
+                out = _poly_mul(out, base)
+            stack.append(out)
+        elif op == "/":
+            right = stack.pop()
             if any(k != (0, 0) for k in right):
                 raise ExpressionError("division by a non-constant expression")
             divisor = right.get((0, 0), 0)
             if divisor == 0:
                 raise ExpressionError("division by zero")
-            return {k: c / divisor for k, c in left.items()}
-    raise TypeError(f"unknown node {node!r}")
+            stack.append({k: c / divisor for k, c in stack.pop().items()})
+        else:
+            right, left = stack.pop(), stack.pop()
+            stack.append(_poly_mul(left, right) if op == "*" else
+                         _poly_add(left, right, 1 if op == "+" else -1))
+    return stack.pop()
 
 
 def _poly_add(a: dict, b: dict, sign: int) -> dict:
@@ -285,7 +216,7 @@ def _poly_mul(a: dict, b: dict) -> dict:
     return out
 
 
-def instantiate(expr: Node, binding: Mapping[str, Number]) -> np.ndarray:
+def instantiate(expr: Program, binding: Mapping[str, Number]) -> np.ndarray:
     """Substitute parameter values and return the coefficient array c[i, j].
 
     Arithmetic is carried out over exact rationals: int and Fraction values
@@ -302,14 +233,14 @@ def instantiate(expr: Node, binding: Mapping[str, Number]) -> np.ndarray:
     real = {k: Fraction(repr(float(v.real))) if isinstance(v, (float, complex)) else v
             for k, v in binding.items()}
     coeffs = {}
-    for (i, j), c in _inst(expr, real).items():
+    for (i, j), c in _run(expr, real).items():
         try:
             coeffs[i, j] = float(c)
         except OverflowError as exc:
             raise ExpressionError(f"the coefficient of x^{i} y^{j} is out of the float "
                                   "range") from exc
     if any(isinstance(v, complex) for v in binding.values()):
-        for k, c in _inst(expr, binding).items():
+        for k, c in _run(expr, binding).items():
             if isinstance(c, complex):
                 coeffs[k] = complex(coeffs.get(k, 0.0), c.imag)
     shape = (1 + max((i for i, _ in coeffs), default=0),

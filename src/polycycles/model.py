@@ -35,7 +35,7 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .cyclicity import ZERO_TOL
 from .errors import ExpressionError, ModelError, UsageError
-from .expressions import Node, instantiate, parse_expression
+from .expressions import Program, instantiate, parse_expression
 from .flow import ATOL, FIT_MIN_POINTS, RTOL, T_MAX, LineSection
 
 if TYPE_CHECKING:
@@ -72,13 +72,13 @@ _CORNER_RE = re.compile(r"\(\s*([^,()]+?)\s*,\s*([^,()]+?)\s*\)")
 class ModelFile:
     """Parsed but unbound model: parameter defaults and raw structure.
 
-    ``expr_x``/``expr_y`` are the trees of ``dot_x``/``dot_y`` parsed under
-    the declared parameters; every bind instantiates them.
+    ``expr_x``/``expr_y`` are the postfix programs of ``dot_x``/``dot_y``,
+    parsed once under the declared parameters; every bind runs them.
     """
 
     params: tuple[tuple[str, Fraction], ...]
-    expr_x: Node
-    expr_y: Node
+    expr_x: Program
+    expr_y: Program
     corners: tuple[tuple[float, float], ...]
     base_section: LineSection | None
     options: tuple[tuple[str, float], ...]
@@ -210,7 +210,7 @@ def parse_model(text: str, path: str | None = None) -> ModelFile:
     if set(field) != {"dot_x", "dot_y"}:
         raise ModelError("[field] must define both dot_x and dot_y")
     names = tuple(name for name, _ in params)
-    exprs: dict[str, Node] = {}
+    exprs: dict[str, Program] = {}
     for key in ("dot_x", "dot_y"):
         try:
             exprs[key] = parse_expression(field[key], params=names)
@@ -283,7 +283,7 @@ def load_model(path: str) -> ModelFile:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ModelError(f"cannot read model file {path}: {exc}") from exc
     return parse_model(text, path=path)
 

@@ -156,6 +156,29 @@ def test_missing_model_exits_3(tmp_path, capsys):
     assert "cannot read model file" in capsys.readouterr().err
 
 
+def test_model_file_that_is_not_utf8_exits_3(tmp_path, capsys):
+    path = tmp_path / "square.model"
+    path.write_bytes(Path(SQUARE).read_bytes() + b"# \xff\n")
+    assert main(["analyze", "--model", str(path)]) == 3
+    assert "cannot read model file" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("dot_x, message", [
+    ("(" * 300 + "x" + ")" * 300, "expression nested more than 100 deep (line 1, column 101)"),
+    ("-" * 2000 + "x", "expression nested more than 100 deep (line 1, column 101)"),
+    ("x^\u00b2", "unexpected character '\u00b2' (line 1, column 3)"),
+    ("\u00b2*x", "unexpected character '\u00b2' (line 1, column 1)"),
+], ids=["parentheses-300", "minus-signs-2000", "superscript-exponent", "superscript-factor"])
+def test_hostile_field_expressions_exit_3(dot_x, message, tmp_path, capsys):
+    path = tmp_path / "square.model"
+    text = Path(SQUARE).read_text(encoding="utf-8")
+    assert "dot_x = x*(x - 1)*(y - a)" in text
+    path.write_text(text.replace("dot_x = x*(x - 1)*(y - a)", f"dot_x = {dot_x}"),
+                    encoding="utf-8")
+    assert main(["analyze", "--model", str(path)]) == 3
+    assert capsys.readouterr().err == f"model error: [field] dot_x: {message}\n"
+
+
 @pytest.mark.parametrize("extra", ["[options]\ns_lo = 1e-3\n", "[sections]\nh = 0.25\n"],
                          ids=["options-s_lo", "sections-h"])
 def test_removed_model_keys_exit_3(extra, tmp_path, capsys):

@@ -1,10 +1,13 @@
 """Expression grammar, polynomial instantiation, and error reporting."""
 
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polycycles.errors import ExpressionError
 from polycycles.expressions import instantiate, parse_expression
@@ -97,6 +100,59 @@ class TestErrors:
             parse_expression("1. + x")
 
 
+# text over this alphabet either parses or raises ExpressionError; the two
+# non-ASCII characters are a digit that is not a decimal (superscript two)
+# and a decimal digit that is not ASCII (Arabic-Indic three)
+FUZZ_ALPHABET = "0123456789.xya_+-*/^() \t$\u00b2\u0663"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(FUZZ_ALPHABET, max_size=24))
+def test_any_text_parses_or_raises_an_expression_error(source):
+    try:
+        parse_expression(source, params=("a",))
+    except ExpressionError:
+        pass
+
+
+# grammar-built sources whose precedence Python shares once ^ reads as **;
+# a power's base is a leaf or one binary operation, so degrees stay small
+LEAVES = st.one_of(st.sampled_from(["x", "y", "a"]), st.integers(0, 99).map(str),
+                   st.tuples(st.integers(0, 9), st.integers(0, 99)).map("{0[0]}.{0[1]:02d}".format))
+BINARY = st.sampled_from([" + ", " - ", "*"])
+POWERS = st.tuples(st.one_of(LEAVES, st.tuples(LEAVES, BINARY, LEAVES).map("".join)),
+                   st.integers(0, 3)).map("({0[0]})^{0[1]}".format)
+
+
+def _compound(children):
+    return st.one_of(
+        st.tuples(children, BINARY, children).map("".join),
+        st.tuples(children, st.sampled_from(["7", "a", "(a + 2)"])).map("{0[0]}/{0[1]}".format),
+        children.map("-{}".format),
+        children.map("({})".format),
+        POWERS)
+
+
+SOURCES = st.recursive(st.one_of(LEAVES, POWERS), _compound, max_leaves=10)
+POINTS = [(Fraction(1, 3), Fraction(-2, 5)), (Fraction(2), Fraction(1, 7)),
+          (Fraction(-3, 2), Fraction(5, 4))]
+
+
+@settings(max_examples=100, deadline=None)
+@given(SOURCES)
+def test_instantiation_matches_exact_python_arithmetic(source):
+    a = Fraction(3, 7)
+    p = instantiate(parse_expression(source, params=("a",)), {"a": a})
+    # every literal, exponents included, becomes a Fraction
+    python = re.sub(r"\d+(?:\.\d+)?", lambda m: f"Fraction('{m.group()}')",
+                    source.replace("^", "**"))
+    for x, y in POINTS:
+        exact = eval(python, {"Fraction": Fraction, "x": x, "y": y, "a": a})
+        terms = [Fraction(c) * x**i * y**j for (i, j), c in np.ndenumerate(p)]
+        # each coefficient is rounded once to float64, by at most half an ulp
+        assert abs(sum(terms) - exact) <= Fraction(1, 2**52) * sum(map(abs, terms))
+
+
 class TestCoefficientArray:
     def test_constant_and_variable(self):
         np.testing.assert_array_equal(expand("3.5"), [[3.5]])
@@ -106,3 +162,8 @@ class TestCoefficientArray:
 
     def test_zero_terms_dropped(self):
         np.testing.assert_array_equal(expand("x - x + y"), [[0.0, 1.0]])
+
+    def test_a_3000_term_sum(self):
+        # one stack loop, where a recursive evaluator ran out of stack
+        source = " + ".join(f"x^{k % 3}*y" for k in range(3000))
+        np.testing.assert_array_equal(expand(source), [[0.0, 1000.0]] * 3)
