@@ -133,10 +133,15 @@ def _ladder(rungs: Sequence[tuple], grads: Mapping[str, Mapping[str, float | Non
     Rung k is (zero, key, (label, condition, detail), (label, condition)):
     whether quantity k vanishes, its gradient's key, and the two items.
     The upper bound fires when quantity k is nonzero; the lower bound when
-    quantities 1..k vanish, move independently (at k = 1 some gradient
-    entry exceeds ``zero_tol``, above that the gradients have rank k) and
+    quantities 1..k vanish, move independently (a gradient moves when some
+    entry exceeds ``zero_tol``: at k = 1 it moves, above that the gradients
+    that move have rank k, so that rounding noise, which the rank's
+    unit-peak row scaling would count as independent, is left out) and
     ``nid`` holds.  A lower detail is ``first``, or the rank, plus ``suffix``.
     """
+    def moving(row: Mapping[str, float | None] | None) -> bool:
+        return any(v is not None and abs(v) > zero_tol for v in (row or {}).values())
+
     items: list[VerdictItem] = []
     rows: list = []
     all_zero = True
@@ -146,10 +151,9 @@ def _ladder(rungs: Sequence[tuple], grads: Mapping[str, Mapping[str, float | Non
         rows.append(grads.get(key))
         items.append(VerdictItem(up_label, "upper", k - 1, not zero, up_condition, up_detail))
         if k == 1:
-            moves = any(v is not None and abs(v) > zero_tol for v in (rows[0] or {}).values())
-            detail = first
+            moves, detail = moving(rows[0]), first
         else:
-            rank = independence_rank(rows) if all(rows) else 0
+            rank = independence_rank([row for row in rows if moving(row)]) if all(rows) else 0
             moves, detail = rank >= k, f"rank = {rank}"
         items.append(VerdictItem(label, "lower", k, all_zero and moves and nid,
                                  condition, detail + suffix))

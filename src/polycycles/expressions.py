@@ -21,7 +21,8 @@ the post-order of the expression's tree, that ``instantiate`` runs over
 one stack.  ``("num", value)`` and ``("var", name)`` push an operand,
 ``("neg",)`` and ``("^", n)`` replace the top one, and ``("+",)``,
 ``("-",)``, ``("*",)`` and ``("/",)`` combine the top two.  Parentheses
-and unary minus signs nest at most ``MAX_NESTING`` deep.
+and unary minus signs nest at most ``MAX_NESTING`` deep, and a power of a
+non-constant base has total degree at most ``MAX_POWER_DEGREE``.
 
 A concrete polynomial is a dense 2-d coefficient array ``c`` with
 ``c[i, j]`` the coefficient of x^i y^j, float64, or complex128 when a
@@ -41,6 +42,7 @@ if TYPE_CHECKING:
 
 VARIABLES = ("x", "y")  # the reserved field variables, in coefficient-index order
 MAX_NESTING = 100  # the most parentheses and unary minus signs open at once
+MAX_POWER_DEGREE = 100  # the highest total degree of a power of a non-constant base
 
 Program = tuple[tuple, ...]
 Number = Union[int, float, Fraction, complex]
@@ -178,6 +180,10 @@ def _run(program: Program, binding: Mapping[str, Number]) -> dict:
             stack.append({k: -c for k, c in stack.pop().items()})
         elif op == "^":
             base, out = stack.pop(), {(0, 0): Fraction(1)}
+            degree = max((i + j for i, j in base), default=0)
+            if degree * ins[1] > MAX_POWER_DEGREE:
+                raise ExpressionError(f"power ^{ins[1]} of an expression of degree {degree} "
+                                      f"passes degree {MAX_POWER_DEGREE}")
             for _ in range(ins[1]):
                 out = _poly_mul(out, base)
             stack.append(out)

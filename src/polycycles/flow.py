@@ -12,9 +12,19 @@ section parameters by Richardson-style extrapolation.
 
 The integrator is a Dormand–Prince 5(4) pair stepping on Python floats
 (`integrate`); fields are planar and autonomous, ``fun(x, y) -> (fx, fy)``.
+Its step loop is written once, as the source template _STEP_LOOP, and
+compiled into a kernel per field pattern on the first integration that
+needs it.  A field made by `field_callable` or `chart_field` is tagged
+with its pattern: its kind and which coefficients are nonzero.  Its kernel
+has the field's Horner expression inlined at every stage, and takes the
+coefficient values as arguments, so fields that differ only in those
+values share one kernel.  Any other callable runs in the generic kernel,
+which calls it at every stage.  Both do the same float operations in the
+same order, so they return the same trajectory to the last bit.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Sequence
@@ -73,10 +83,12 @@ _MAX_DEPTH = 50
 
 
 class _HornerSource:
-    """Straight-line source of a function of x and y: statements that bind
-    the temporaries t0, t1, ..., then one expression per coefficient array."""
+    """Straight-line source of a function of the variables x and y:
+    statements that bind the temporaries t0, t1, ..., then one expression
+    per coefficient array."""
 
-    def __init__(self) -> None:
+    def __init__(self, x: str = "x", y: str = "y") -> None:
+        self.x, self.y = x, y
         self.lines: list[str] = []
 
     def _step(self, acc: tuple[str, int] | None, var: str,
@@ -96,27 +108,24 @@ class _HornerSource:
         self.lines.append(f"{name} = {src}")
         return name, 0
 
-    def horner(self, c: np.ndarray) -> str:
-        """Source of sum_ij c[i, j] x^i y^j.
+    def horner(self, terms: list[list[str | None]]) -> str:
+        """Source of sum_ij c[i, j] x^i y^j, where terms[i][j] is the source
+        of c[i, j] or None for an exact zero.
 
         Horner in x over Horner rows in y, the order of operations of the
         nested loop ``acc = acc*x + (...(c[i, m]*y + c[i, m-1])*y ... + c[i, 0])``
         started from zero.  Zero coefficients are left out: ``0*y + c`` is c
         and ``r*y + 0`` is r*y, so every value is ``==`` to the loop's at
         finite x and y (an exact zero may come out with the other sign).  A
-        coefficient is written as the repr of its Python scalar, and a
-        complex one as complex(re, im), so that it reads back to the same
-        number.  A temporary holds a value the expression would have
-        computed at the same point, so the order of operations is the same.
+        temporary holds a value the expression would have computed at the
+        same point, so the order of operations is the same.
         """
         acc = None
-        for row in reversed(c.tolist()):
+        for row in reversed(terms):
             rv = None
-            for a in reversed(row):
-                lit = None if a == 0 else (f"complex({a.real!r}, {a.imag!r})"
-                                           if isinstance(a, complex) else repr(a))
-                rv = self._step(rv, "y", None if lit is None else (lit, 0))
-            acc = self._step(acc, "x", rv)
+            for term in reversed(row):
+                rv = self._step(rv, self.y, None if term is None else (term, 0))
+            acc = self._step(acc, self.x, rv)
         return "0.0" if acc is None else acc[0]
 
     def compile(self, result: str) -> Callable[[float, float], tuple[float, float]]:
@@ -128,19 +137,47 @@ class _HornerSource:
         return namespace["field"]
 
 
+def _literals(c: np.ndarray) -> list[list[str | None]]:
+    """Horner terms of c: each nonzero coefficient as the repr of its Python
+    scalar, a complex one as complex(re, im), so that it reads back to the
+    same number."""
+    return [[None if a == 0 else (f"complex({a.real!r}, {a.imag!r})"
+                                  if isinstance(a, complex) else repr(a)) for a in row]
+            for row in c.tolist()]
+
+
+# the two kinds of generated field, over the Horner sources {0} of its
+# x array and {1} of its y array, at the point ({x}, {y})
+_RESULTS = {"field": "{0}, {1}", "chart": "{x}*({0}), {y}*({1})"}
+
+
+def _generated(kind: str, cx: np.ndarray, cy: np.ndarray,
+               ) -> Callable[[float, float], tuple[float, float]]:
+    """Compile the field of one kind over the arrays cx and cy, and tag a
+    real one with its kernel pattern (the kind and which coefficients are
+    nonzero) and its nonzero coefficients in row-major order, the arguments
+    of the integration kernel that inlines it (see ``integrate``)."""
+    source = _HornerSource()
+    hx, hy = source.horner(_literals(cx)), source.horner(_literals(cy))
+    field = source.compile(_RESULTS[kind].format(hx, hy, x="x", y="y"))
+    if cx.dtype.kind != "c" and cy.dtype.kind != "c":
+        arrays = cx.tolist(), cy.tolist()
+        field.pattern = (kind, *(tuple(tuple(a != 0 for a in row) for row in c)
+                                 for c in arrays))
+        field.coefficients = tuple(a for c in arrays for row in c for a in row if a != 0)
+    return field
+
+
 def field_callable(fx: np.ndarray, fy: np.ndarray,
                    ) -> Callable[[float, float], tuple[float, float]]:
     """Compile two coefficient arrays c[i, j] into one float right-hand side."""
-    source = _HornerSource()
-    return source.compile(f"{source.horner(fx)}, {source.horner(fy)}")
+    return _generated("field", fx, fy)
 
 
 def chart_field(chart: LocalChart) -> Callable[[float, float], tuple[float, float]]:
     """Right-hand side of the normalized local system u' = uP, v' = vQ,
     compiled once per chart; its arguments are (u, v)."""
-    source = _HornerSource()
-    return source.compile(f"x*({source.horner(chart.p_poly)}), "
-                          f"y*({source.horner(chart.q_poly)})")
+    return _generated("chart", chart.p_poly, chart.q_poly)
 
 
 # ---------------------------------------------------------------------------
@@ -210,6 +247,121 @@ def _initial_step(fun, x: float, y: float, fx: float, fy: float,
     return min(100.0 * h0, h1, span)
 
 
+# The step loop of `integrate` and the one source of its kernels: {unpack}
+# binds a generated field's coefficient names c0, c1, ...; {stages} puts the
+# six stages of a step in k2x, k2y ... k7x, k7y, with the new state xn, yn
+# before the last; {err_x} and {err_y} are the embedded error estimate over h.
+# max(a, b), which is a unless b > a, min(a, b), which is a unless b < a,
+# and abs(a) are written out as comparisons; ``a if a > 0.0 else 0.0 - a``
+# is abs(a) at every number, +0.0 at both zeros.
+_STEP_LOOP = """\
+def step(field, x, y, fx, fy, h_abs, t, t_end, section, direction, atol, rtol):
+    {unpack}
+    if section is not None:
+        (ax, ay), (nx, ny), (lo, hi) = section.anchor, section.normal, section.window
+        g = (x - ax) * nx + (y - ay) * ny
+        up, down = direction >= 0.0, direction <= 0.0
+    while t < t_end:
+        min_step = 10.0 * (nextafter(t, inf) - t)
+        if min_step > h_abs:
+            h_abs = min_step
+        abs_x = x if x > 0.0 else 0.0 - x
+        abs_y = y if y > 0.0 else 0.0 - y
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                raise NumericError("integration failed: step size fell below "
+                                   "ten ulps at t=%g" % t)
+            t_new = t + h_abs
+            if t_end < t_new:
+                t_new = t_end
+            h = t_new - t
+{stages}
+            abs_xn = xn if xn > 0.0 else 0.0 - xn
+            abs_yn = yn if yn > 0.0 else 0.0 - yn
+            ex = h * ({err_x}) / (atol + (abs_xn if abs_xn > abs_x else abs_x) * rtol)
+            ey = h * ({err_y}) / (atol + (abs_yn if abs_yn > abs_y else abs_y) * rtol)
+            err = sqrt(0.5 * (ex * ex + ey * ey))
+            if err < 1.0:
+                factor = {max_factor}
+                if err != 0.0:
+                    factor = {safety} * err ** {exponent}
+                    if not factor < {max_factor}:
+                        factor = {max_factor}
+                if rejected and not factor < 1.0:
+                    factor = 1.0
+                h_abs = h * factor
+                break
+            factor = {safety} * err ** {exponent}
+            h_abs = h * (factor if factor > {min_factor} else {min_factor})
+            rejected = True
+        if section is not None:
+            g_new = (xn - ax) * nx + (yn - ay) * ny
+            if (up and g <= 0.0 <= g_new) or (down and g >= 0.0 >= g_new):
+                t_cross, state = crossing(t, h, x, y, (fx, k2x, k3x, k4x, k5x, k6x, k7x),
+                                          (fy, k2y, k3y, k4y, k5y, k6y, k7y), g, nx, ny)
+                if lo <= section.param(state) <= hi:
+                    return Trajectory("event", t_cross, state)
+            g = g_new
+        t, x, y, fx, fy = t_new, xn, yn, k7x, k7y
+    return Trajectory("tmax", t, (x, y))
+"""
+
+# a kernel per field pattern, compiled on first use; None is the kernel
+# that calls its field at each stage
+_KERNELS: dict[tuple | None, Callable[..., Trajectory]] = {}
+
+
+def _compile_kernel(pattern: tuple | None) -> Callable[..., Trajectory]:
+    """_STEP_LOOP for the fields of one pattern: the kind and the nonzero
+    masks of the two arrays (see ``_generated``).  Each stage inlines the
+    field's Horner source on the stage's own point, with the coefficients
+    as names bound from the kernel's first argument; the tableau is written
+    in as the repr of each float.  The pattern None gives the kernel that
+    calls its first argument at each stage instead."""
+    if pattern is None:
+        unpack = ""
+
+        def evaluate(px: str, py: str, k: str) -> list[str]:
+            return [f"{k}x, {k}y = field({px}, {py})"]
+    else:
+        kind, *masks = pattern
+        names = map("c{}".format, itertools.count())
+        terms = [[[next(names) if nonzero else None for nonzero in row] for row in mask]
+                 for mask in masks]
+        bound = [term for rows in terms for row in rows for term in row if term]
+        unpack = f"{', '.join(bound)}, = field" if bound else ""
+
+        def evaluate(px: str, py: str, k: str) -> list[str]:
+            source = _HornerSource(px, py)
+            hx, hy = source.horner(terms[0]), source.horner(terms[1])
+            return [*source.lines, f"{k}x, {k}y = {_RESULTS[kind].format(hx, hy, x=px, y=py)}"]
+
+    ks = ("f", "k2", "k3", "k4", "k5", "k6", "k7")
+
+    def combination(coeffs: Sequence[float], var: str) -> str:
+        return " + ".join(f"{c!r} * {k}{var}" for c, k in zip(coeffs, ks) if c != 0.0)
+
+    lines = []
+    for i in range(1, 6):
+        px, py = f"x{i + 1}", f"y{i + 1}"
+        lines += [f"{px} = x + h * ({combination(A[i][:i], 'x')})",
+                  f"{py} = y + h * ({combination(A[i][:i], 'y')})",
+                  *evaluate(px, py, ks[i])]
+    lines += [f"xn = x + h * ({combination(B, 'x')})",
+              f"yn = y + h * ({combination(B, 'y')})", *evaluate("xn", "yn", "k7")]
+    source = _STEP_LOOP.format(
+        unpack=unpack, stages="\n".join(f"            {line}" for line in lines),
+        err_x=combination(E, "x"), err_y=combination(E, "y"), safety=repr(SAFETY),
+        exponent=repr(ERROR_EXPONENT), min_factor=repr(MIN_FACTOR),
+        max_factor=repr(MAX_FACTOR))
+    namespace = {"__builtins__": {}, "nextafter": math.nextafter, "inf": math.inf,
+                 "sqrt": math.sqrt, "crossing": _crossing, "NumericError": NumericError,
+                 "Trajectory": Trajectory}
+    exec(source, namespace)
+    return namespace["step"]
+
+
 def integrate(fun, start, t_max: float, section: LineSection | None = None,
               direction: float = 0.0, t0: float = 0.0,
               atol: float = ATOL, rtol: float = RTOL) -> Trajectory:
@@ -225,69 +377,25 @@ def integrate(fun, start, t_max: float, section: LineSection | None = None,
     -1 downward, 0 either), with that function's root on the step's
     quartic interpolant inside the section window.  A crossing outside the
     window does not stop the run; it goes on from the end of that step.
+
+    The steps run in a kernel compiled from _STEP_LOOP.  A field made by
+    ``field_callable`` or ``chart_field`` runs in the kernel of its pattern,
+    which has the field inlined and takes its coefficients as arguments;
+    any other callable runs in the kernel that calls it at each stage.
+    Both do the same float operations in the same order.
     """
     t_end = t0 + t_max
     if not t_end > t0:
         raise ValueError("integration time span must be positive")
-    (_, (a21, *_), (a31, a32, *_), (a41, a42, a43, *_), (a51, a52, a53, a54, _),
-     (a61, a62, a63, a64, a65)) = A
-    b1, _, b3, b4, b5, b6 = B
-    e1, _, e3, e4, e5, e6, e7 = E
     x, y = float(start[0]), float(start[1])
-    t = t0
     fx, fy = fun(x, y)
-    h_abs = _initial_step(fun, x, y, fx, fy, t_end - t, atol, rtol)
-    if section is not None:
-        (ax, ay), (nx, ny), (lo, hi) = section.anchor, section.normal, section.window
-        g = (x - ax) * nx + (y - ay) * ny
-        up, down = direction >= 0.0, direction <= 0.0
-
-    while t < t_end:
-        min_step = 10.0 * (math.nextafter(t, math.inf) - t)
-        h_abs = max(h_abs, min_step)
-        rejected = False
-        while True:
-            if h_abs < min_step:
-                raise NumericError(f"integration failed: step size fell below "
-                                   f"ten ulps at t={t:g}")
-            t_new = min(t + h_abs, t_end)
-            h = t_new - t
-            k2x, k2y = fun(x + h * (a21 * fx), y + h * (a21 * fy))
-            k3x, k3y = fun(x + h * (a31 * fx + a32 * k2x),
-                           y + h * (a31 * fy + a32 * k2y))
-            k4x, k4y = fun(x + h * (a41 * fx + a42 * k2x + a43 * k3x),
-                           y + h * (a41 * fy + a42 * k2y + a43 * k3y))
-            k5x, k5y = fun(x + h * (a51 * fx + a52 * k2x + a53 * k3x + a54 * k4x),
-                           y + h * (a51 * fy + a52 * k2y + a53 * k3y + a54 * k4y))
-            k6x, k6y = fun(
-                x + h * (a61 * fx + a62 * k2x + a63 * k3x + a64 * k4x + a65 * k5x),
-                y + h * (a61 * fy + a62 * k2y + a63 * k3y + a64 * k4y + a65 * k5y))
-            xn = x + h * (b1 * fx + b3 * k3x + b4 * k4x + b5 * k5x + b6 * k6x)
-            yn = y + h * (b1 * fy + b3 * k3y + b4 * k4y + b5 * k5y + b6 * k6y)
-            k7x, k7y = fun(xn, yn)
-            err = _rms(h * (e1 * fx + e3 * k3x + e4 * k4x + e5 * k5x + e6 * k6x + e7 * k7x),
-                       h * (e1 * fy + e3 * k3y + e4 * k4y + e5 * k5y + e6 * k6y + e7 * k7y),
-                       atol + max(abs(x), abs(xn)) * rtol,
-                       atol + max(abs(y), abs(yn)) * rtol)
-            if err < 1.0:
-                factor = (MAX_FACTOR if err == 0.0
-                          else min(MAX_FACTOR, SAFETY * err ** ERROR_EXPONENT))
-                h_abs = h * (min(1.0, factor) if rejected else factor)
-                break
-            h_abs = h * max(MIN_FACTOR, SAFETY * err ** ERROR_EXPONENT)
-            rejected = True
-
-        t_old, x_old, y_old, k1x, k1y = t, x, y, fx, fy
-        t, x, y, fx, fy = t_new, xn, yn, k7x, k7y
-        if section is not None:
-            g_old, g = g, (x - ax) * nx + (y - ay) * ny
-            if (up and g_old <= 0.0 <= g) or (down and g_old >= 0.0 >= g):
-                t_cross, state = _crossing(t_old, h, x_old, y_old,
-                                           (k1x, k2x, k3x, k4x, k5x, k6x, k7x),
-                                           (k1y, k2y, k3y, k4y, k5y, k6y, k7y), g_old, nx, ny)
-                if lo <= section.param(state) <= hi:
-                    return Trajectory("event", t_cross, state)
-    return Trajectory("tmax", t, (x, y))
+    h_abs = _initial_step(fun, x, y, fx, fy, t_end - t0, atol, rtol)
+    pattern = getattr(fun, "pattern", None)
+    kernel = _KERNELS.get(pattern)
+    if kernel is None:
+        kernel = _KERNELS[pattern] = _compile_kernel(pattern)
+    return kernel(fun if pattern is None else fun.coefficients, x, y, fx, fy, h_abs,
+                  t0, t_end, section, direction, atol, rtol)
 
 
 def _bracket_root(f: Callable[[float], float], a: float, b: float, fa: float, fb: float,

@@ -290,6 +290,15 @@ def _check_range(s_range: tuple[float, float]) -> tuple[float, float]:
     return lo, hi
 
 
+def _check_window(lo: float, hi: float, window: tuple[float, float],
+                  what: str = "s range", hint: str = "") -> None:
+    """The one range rule of the oracles: lo:hi lies inside the section
+    window, or it is a UsageError."""
+    if not (window[0] <= lo and hi <= window[1]):
+        raise UsageError(f"{what} {lo:g}:{hi:g} leaves the section window "
+                         f"{window[0]:g}:{window[1]:g}{hint}")
+
+
 def _fit_grid(opts: Mapping[str, float], s_range: tuple[float, float] | None,
               window: tuple[float, float]) -> np.ndarray:
     """fit_points sample points, geometric over s_range from the top when
@@ -298,13 +307,11 @@ def _fit_grid(opts: Mapping[str, float], s_range: tuple[float, float] | None,
     points = int(opts["fit_points"])
     if s_range is None:
         svals = min(1e-2, 0.5 * window[1]) * 2.0 ** -np.arange(points, dtype=float)
-        lo, hi, what, hint = svals[-1], svals[0], "default fit grid", "; give --s-range"
-    else:
-        (lo, hi), what, hint = _check_range(s_range), "s range", ""
-    if not (window[0] <= lo and hi <= window[1]):
-        raise UsageError(f"{what} {lo:g}:{hi:g} leaves the section window "
-                         f"{window[0]:g}:{window[1]:g}{hint}")
-    return svals if s_range is None else np.geomspace(hi, lo, points)
+        _check_window(svals[-1], svals[0], window, "default fit grid", "; give --s-range")
+        return svals
+    lo, hi = _check_range(s_range)
+    _check_window(lo, hi, window)
+    return np.geomspace(hi, lo, points)
 
 
 # ---------------------------------------------------------------------------
@@ -459,19 +466,15 @@ def oracle_cycles(mf: ModelFile, s_range: tuple[float, float],
                   tol_overrides: Mapping[str, float] | None = None) -> dict:
     """Count return-map fixed points on s_range by sign changes.
 
-    The range is clipped to the section window; samples sets the scan
-    grid and rtol the width to which each root is refined.
+    The range must lie inside the section window, the rule of every
+    oracle's s range (see _check_window); samples sets the scan grid and
+    rtol the width to which each root is refined.
     """
     opts = _options(mf, tol_overrides)
     lo, hi = _check_range(s_range)
     model = bind(mf, overrides)
     sect, return_map = _return_map(model, opts)
-    lo = max(lo, sect.window[0])
-    hi = min(hi, sect.window[1])
-    if not 0.0 < lo < hi:
-        raise UsageError(f"cycle scan range ({lo:g}, {hi:g}) is empty after "
-                         "clipping to the section window")
-
+    _check_window(lo, hi, sect.window)
     count = count_limit_cycles(lambda s: return_map(s) - s, lo, hi,
                                samples=int(opts["samples"]),
                                tol=opts["rtol"])

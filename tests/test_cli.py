@@ -8,6 +8,7 @@ integrations, so the module stays cheap.
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -99,6 +100,15 @@ def test_infinite_s_range_top_is_checked_before_the_grid(what, capsys):
     # the window check comes first, so numpy never builds a grid up to inf
     assert main(["oracle", "--what", *what, "--model", FOUR, "--s-range", "1e-6:inf"]) == 2
     assert capsys.readouterr().err == ("usage error: s range 1e-06:inf leaves the section "
+                                       "window 1e-12:0.45\n")
+
+
+@pytest.mark.parametrize("what", [["return"], ["dulac", "--corner", "1"], ["cycles"]],
+                         ids=["return", "dulac", "cycles"])
+def test_one_window_rule_for_every_oracle(what, capsys):
+    # a range that passes the window's top is refused, never clipped
+    assert main(["oracle", "--what", *what, "--model", FOUR, "--s-range", "1e-6:0.9"]) == 2
+    assert capsys.readouterr().err == ("usage error: s range 1e-06:0.9 leaves the section "
                                        "window 1e-12:0.45\n")
 
 
@@ -232,6 +242,19 @@ def test_out_of_range_model_numbers_exit_3(old, new, message, tmp_path, capsys):
     path.write_text(text.replace(old, new), encoding="utf-8")
     assert main(["analyze", "--model", str(path)]) == 3
     assert message in capsys.readouterr().err
+
+
+def test_a_huge_literal_power_exits_3_at_once(tmp_path, capsys):
+    # the exact power loop would run 99999999 times; the degree cap refuses it first
+    path = tmp_path / "four_saddle.model"
+    text = Path(FOUR).read_text(encoding="utf-8")
+    path.write_text(text.replace("dot_x = x*(x - 1)*(", "dot_x = x^99999999*(x - 1)*("),
+                    encoding="utf-8")
+    start = time.perf_counter()
+    assert main(["analyze", "--model", str(path)]) == 3
+    assert time.perf_counter() - start < 1.0
+    assert "power ^99999999 of an expression of degree 1 passes degree 100" in \
+        capsys.readouterr().err
 
 
 @pytest.mark.parametrize("direction", ["(0,0)", "(1e-300,0)"], ids=["zero", "underflow"])

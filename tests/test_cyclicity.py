@@ -274,6 +274,11 @@ def _has_nonzero(grad, floor):
     return any(v is not None and abs(v) > floor for v in grad.values())
 
 
+def moving_rank(grads, zero_tol):
+    """Rank of the gradients with some entry above zero_tol."""
+    return independence_rank([g for g in grads if _has_nonzero(g, zero_tol)])
+
+
 def reference_verdict(ret, disp=None, grads=None, not_identity=None, zero_tol=ZERO_TOL):
     """Each cyclicity criterion written out by hand, item by item."""
     grads = grads or {}
@@ -301,7 +306,7 @@ def reference_verdict(ret, disp=None, grads=None, not_identity=None, zero_tol=ZE
         "return.c", "upper", 1, not a_is_one,
         "leading return coefficient differs from 1",
         f"A = {ret.leading!r}"))
-    rank_ra = independence_rank([g_r, g_a]) if (g_r and g_a) else 0
+    rank_ra = moving_rank([g_r, g_a], zero_tol) if (g_r and g_a) else 0
     items.append(VerdictItem(
         "return.d", "lower", 2,
         r_is_one and a_is_one and rank_ra >= 2 and nid,
@@ -315,7 +320,7 @@ def reference_verdict(ret, disp=None, grads=None, not_identity=None, zero_tol=ZE
             "refined.a", "upper", 2, not second_zero,
             "principal second-order return coefficient is nonzero",
             f"coefficient = {ret.second_coeff!r} (scale {ret.second_scale:.3g})"))
-        rank_ras = independence_rank([g_r, g_a, g_s]) if (g_r and g_a and g_s) else 0
+        rank_ras = moving_rank([g_r, g_a, g_s], zero_tol) if (g_r and g_a and g_s) else 0
         items.append(VerdictItem(
             "refined.b", "lower", 3,
             r_is_one and a_is_one and second_zero and rank_ras >= 3 and nid,
@@ -343,7 +348,7 @@ def reference_verdict(ret, disp=None, grads=None, not_identity=None, zero_tol=ZE
             "displacement.c", "upper", 1, not z2,
             "block leading coefficients differ (psi2 nonzero)",
             f"psi2 = {disp.psi2!r}"))
-        rank12 = independence_rank([g1, g2]) if (g1 and g2) else 0
+        rank12 = moving_rank([g1, g2], zero_tol) if (g1 and g2) else 0
         items.append(VerdictItem(
             "displacement.d", "lower", 2,
             z1 and z2 and rank12 >= 2 and nid,
@@ -355,7 +360,7 @@ def reference_verdict(ret, disp=None, grads=None, not_identity=None, zero_tol=ZE
                 "displacement.e", "upper", 2, not z3,
                 "second-order block coefficients differ (psi3 nonzero)",
                 f"psi3 = {disp.psi3!r}"))
-            rank123 = independence_rank([g1, g2, g3]) if (g1 and g2 and g3) else 0
+            rank123 = moving_rank([g1, g2, g3], zero_tol) if (g1 and g2 and g3) else 0
             items.append(VerdictItem(
                 "displacement.f", "lower", 3,
                 z1 and z2 and z3 and rank123 >= 3 and nid,

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import polycycles
@@ -593,3 +593,84 @@ class TestGeneratedField:
             traj = self.assert_same_run(chart_field(chart), loop_chart_field(chart),
                                         (1e-3, geo.h_in), 200.0, section=exit_line)
             assert traj.status == "event"
+
+
+@st.composite
+def deep_arrays(draw):
+    """30 x 30 arrays, a few rows and columns zeroed: their Horner
+    expressions nest past _MAX_DEPTH and are cut into temporaries.  The
+    coefficients fall off as 2^-(i+j), so the field stays moderate."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    i, j = np.indices((30, 30))
+    c = rng.uniform(-1.0, 1.0, size=(30, 30)) * 0.5 ** (i + j)
+    c[draw(st.lists(st.integers(0, 29), max_size=3)), :] = 0.0
+    c[:, draw(st.lists(st.integers(0, 29), max_size=3))] = 0.0
+    return c
+
+
+def run_bits(fun, start, t_max, **kwargs):
+    """The Trajectory integrate returns, its floats as hex so that signed
+    zeros differ, or the error it raises."""
+    try:
+        traj = integrate(fun, start, t_max, **kwargs)
+    except (NumericError, ArithmeticError) as exc:
+        return repr(exc)
+    return traj.status, traj.t.hex(), tuple(v.hex() for v in traj.state)
+
+
+class TestGeneratedKernel:
+    """A field_callable or chart_field field runs in the kernel of its
+    pattern, with the field inlined; any other callable runs in the kernel
+    that calls it at each stage.  Both take the same steps bit for bit, so
+    the RHS counts that TestScipyParity takes with wrappers, which run in
+    the calling kernel, hold for the inlined one too."""
+
+    @given(kind=st.sampled_from([field_callable, lambda fx, fy: chart_field(make_chart(fx, fy))]),
+           arrays=st.one_of(st.tuples(coefficient_arrays(), coefficient_arrays()),
+                            st.tuples(deep_arrays(), deep_arrays())),
+           start=st.tuples(st.floats(-0.5, 0.5), st.floats(-0.5, 0.5)),
+           window=st.sampled_from([None, (-0.3, 0.3), (1e-3, 0.3)]),
+           direction=st.sampled_from([-1.0, 0.0, 1.0]))
+    @settings(max_examples=60, deadline=None)
+    def test_inlined_equals_called(self, kind, arrays, start, window, direction):
+        fun = kind(*arrays)
+        assert fun.pattern is not None
+        calls = [0]
+
+        def called(x, y):
+            # a budget of field evaluations keeps a stiff draw from running on
+            calls[0] += 1
+            assume(calls[0] <= 5000)
+            return fun(x, y)
+
+        kwargs = {}
+        if window is not None:
+            # a section line through the orbit's point at t = 0.25, so that
+            # most runs cross it, inside the window or past its end
+            mid = run_bits(called, start, 0.25)
+            anchor = tuple(map(float.fromhex, mid[2])) if mid[0] == "tmax" else start
+            kwargs = {"section": LineSection.make(anchor, (1.0, 0.5), window),
+                      "direction": direction}
+        want = run_bits(called, start, 0.5, **kwargs)
+        assert run_bits(fun, start, 0.5, **kwargs) == want
+
+    def test_one_kernel_per_pattern(self):
+        f = field_callable(poly("x - 2*y"), poly("3*x*y"))
+        g = field_callable(poly("5*x + y/2"), poly("-x*y"))
+        assert f.pattern == g.pattern and f.coefficients != g.coefficients
+        flow._KERNELS.pop(f.pattern, None)
+        count = len(flow._KERNELS)
+        first = integrate(f, (0.1, 0.2), 0.5)
+        kernel = flow._KERNELS[f.pattern]
+        assert integrate(g, (0.1, 0.2), 0.5) != first
+        assert flow._KERNELS[g.pattern] is kernel and len(flow._KERNELS) == count + 1
+
+    def test_import_and_bind_compile_no_kernel(self):
+        src = str(Path(polycycles.__file__).resolve().parents[1])
+        models = [str(p) for p in sorted((Path(src).parent / "models").glob("*.model"))]
+        code = (f"import sys; sys.path.insert(0, {src!r}); import polycycles.cli; "
+                "from polycycles import flow; from polycycles.model import bind, load_model; "
+                f"[bind(load_model(p)) for p in {models!r}]; print(len(flow._KERNELS))")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True)
+        assert out.stdout.strip() == "0"

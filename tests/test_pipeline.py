@@ -163,6 +163,34 @@ class TestAnalyzeIntegrable:
         assert integrable_doc["probe"]["not_identity"] is None
 
 
+DARBOUX_SQUARE = """\
+[params]
+a = 2/5
+b = 1/2
+c = 3/10
+d = 9/10
+
+[field]
+dot_x = x*(1 - x)*(a - (a + d)*y)
+dot_y = -y*(1 - y)*(b - (b + c)*x)
+
+[polycycle]
+corners = (0,1) (0,0) (1,0) (1,1)
+orientation = ccw
+"""
+
+
+def test_darboux_square_has_no_lower_bound():
+    # H = x^b (1-x)^c y^a (1-y)^d is a first integral, so the return map is the
+    # identity at every parameter; the gradients of ratio, leading and second
+    # are rounding noise, which must not count as independent
+    v = analyze(parse_model(DARBOUX_SQUARE))["verdict"]
+    assert v["lower"] == 0
+    details = {it["label"]: it["detail"] for it in v["items"]}
+    assert details["return.d"] == "rank = 0, not_identity = True"
+    assert details["displacement.d"] == "rank = 0"
+
+
 class TestAnalyzeInterleaved:
     """l1 = l3 = 0.5: corners 1 and 3 contract, 2 and 4 expand, alternately."""
 
@@ -255,7 +283,7 @@ class TestOracleCycles:
         assert doc["cycles"][1]["s"] == pytest.approx(6.8975e-6, rel=1e-3)
 
     def test_empty_clip_rejected(self, circle_mf):
-        with pytest.raises(ModelError, match="empty after clipping"):
+        with pytest.raises(ModelError, match="s range 3:5 leaves the section window 0.2:2.5"):
             oracle_cycles(circle_mf, (3.0, 5.0))
 
 
