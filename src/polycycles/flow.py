@@ -378,11 +378,9 @@ def integrate(fun, start, t_max: float, section: LineSection | None = None,
     quartic interpolant inside the section window.  A crossing outside the
     window does not stop the run; it goes on from the end of that step.
 
-    The steps run in a kernel compiled from _STEP_LOOP.  A field made by
-    ``field_callable`` or ``chart_field`` runs in the kernel of its pattern,
-    which has the field inlined and takes its coefficients as arguments;
-    any other callable runs in the kernel that calls it at each stage.
-    Both do the same float operations in the same order.
+    The steps run in a kernel compiled from _STEP_LOOP: for a field made by
+    ``field_callable`` or ``chart_field`` the kernel of its pattern, with
+    the field inlined, else the kernel that calls ``fun`` at each stage.
     """
     t_end = t0 + t_max
     if not t_end > t0:
