@@ -20,6 +20,15 @@ draw is margin-enforced: exponent collisions either land exactly on a
 resonance or stay separated by at least MIN_GAP, so no trial falls into
 the dead band between the tie and generic branches of the composition
 rule.
+
+The oracle works on mpmath's raw values (``mpmath.libmp`` tuples) and
+passes each operation its precision and round-to-nearest explicitly: the
+set-up at ORACLE_DPS's bits, each peel at its own.  It neither reads nor
+sets mpmath's global context, so a caller's ``mp.dps`` changes no result.
+The operations are the ``libmp`` functions that mpmath's ``mpf`` operators
+call, on the same values in the same order, so every oracle float is the
+one the ``mpf`` objects give at these precisions; floats are read off with
+``to_float(v, rnd=round_nearest)``, as ``float(mpf)`` does.
 """
 from __future__ import annotations
 
@@ -28,7 +37,10 @@ from dataclasses import dataclass
 from random import Random
 from typing import Callable, Iterable
 
-import mpmath as mp
+from mpmath.libmp import (dps_to_prec, fone, from_float, from_int, from_man_exp, from_str,
+                          mpf_abs, mpf_add, mpf_ceil, mpf_div, mpf_exp, mpf_gt, mpf_le,
+                          mpf_ln2, mpf_log, mpf_lt, mpf_mul, mpf_mul_int, mpf_neg, mpf_pow,
+                          mpf_rdiv_int, mpf_sub, round_nearest, to_float, to_int)
 
 from .calculus import DulacExpansion, compose_pair, inverse_dulac
 from .errors import NumericError
@@ -52,6 +64,10 @@ PEEL_BITS = 56
 # plus 10.  The deepest case cancels ~68 digits and gets 147, the margin
 # this 140 leaves; most peels need only 45.
 ORACLE_DPS = 140
+_PREC = dps_to_prec(ORACLE_DPS)  # bits of the set-up arithmetic
+_RND = round_nearest  # every operation rounds to nearest
+# Lattice points closer than this are merged (_second_offset).
+_MERGE_BELOW = from_str("1e-9", _PREC, _RND)
 # Largest relative deviations of the leading and second coefficients that pass.
 LEADING_TOL = 1e-10
 SECOND_TOL = 1e-8
@@ -79,25 +95,28 @@ def _exact(ratio: float, leading: float, offset: float, coeff: float) -> DulacEx
                           ell=(offset, math.inf))
 
 
-def _mp_terms(d: DulacExpansion) -> tuple[mp.mpf, mp.mpf, mp.mpf, mp.mpf]:
-    """(ratio, leading, offset, coefficient) of ``d`` as exact mpfs."""
+def _mp_terms(d: DulacExpansion) -> tuple[tuple, tuple, tuple, tuple]:
+    """(ratio, leading, offset, coefficient) of ``d`` as exact raw mpfs."""
     ((offset, coeff),) = d.terms
-    return mp.mpf(d.ratio), mp.mpf(d.leading), mp.mpf(offset), mp.mpf(coeff)
+    return from_float(d.ratio), from_float(d.leading), from_float(offset), from_float(coeff)
 
 
-def _mp_map(d: DulacExpansion) -> Callable[[mp.mpf], tuple[mp.mpf, mp.mpf]]:
-    """x -> (f(x), f'(x)) for the exact map f of ``d``, at the working precision.
+def _mp_map(d: DulacExpansion) -> Callable[[tuple, int], tuple[tuple, tuple]]:
+    """(x, prec) -> (f(x), f'(x)) for the exact map f of ``d``, at prec bits.
 
     With f(x) = x**p * (a + c*x**w), f'(x) = x**p * (p*a + (p + w)*c*x**w) / x:
     one logarithm and two exponentials give both.
     """
     p, a, w, c = _mp_terms(d)
-    pa, pw = p * a, p + w
+    pa, pw = mpf_mul(p, a, _PREC, _RND), mpf_add(p, w, _PREC, _RND)
 
-    def value_and_slope(x: mp.mpf) -> tuple[mp.mpf, mp.mpf]:
-        lx = mp.log(x)
-        xp, cxw = mp.exp(p * lx), c * mp.exp(w * lx)
-        return xp * (a + cxw), xp * (pa + pw * cxw) / x
+    def value_and_slope(x: tuple, prec: int) -> tuple[tuple, tuple]:
+        lx = mpf_log(x, prec, _RND)
+        xp = mpf_exp(mpf_mul(p, lx, prec, _RND), prec, _RND)
+        cxw = mpf_mul(c, mpf_exp(mpf_mul(w, lx, prec, _RND), prec, _RND), prec, _RND)
+        value = mpf_mul(xp, mpf_add(a, cxw, prec, _RND), prec, _RND)
+        slope = mpf_mul(xp, mpf_add(pa, mpf_mul(pw, cxw, prec, _RND), prec, _RND), prec, _RND)
+        return value, mpf_div(slope, x, prec, _RND)
 
     return value_and_slope
 
@@ -106,7 +125,7 @@ def _mp_map(d: DulacExpansion) -> Callable[[mp.mpf], tuple[mp.mpf, mp.mpf]]:
 # Coefficient peeling
 
 
-def _second_offset(o1: mp.mpf, o2: mp.mpf) -> tuple[mp.mpf, mp.mpf]:
+def _second_offset(o1: tuple, o2: tuple) -> tuple[tuple, tuple]:
     """Smallest point lo of the lattice {i*o1 + j*o2 : i + j > 0} and the gap
     to the next distinct one, min(hi, 2*lo), or 2*lo when hi is within 1e-9.
 
@@ -115,12 +134,12 @@ def _second_offset(o1: mp.mpf, o2: mp.mpf) -> tuple[mp.mpf, mp.mpf]:
     a genuinely separate term.  Its offsets all exceed 0.1, clear of the
     merge width that lo itself must stand above.
     """
-    lo, hi = (o1, o2) if o1 <= o2 else (o2, o1)
-    merge_below = mp.mpf("1e-9")  # parsed once, at the working precision
-    if lo <= merge_below:
+    lo, hi = (o1, o2) if mpf_le(o1, o2) else (o2, o1)
+    if mpf_le(lo, _MERGE_BELOW):
         raise NumericError("offset lattice degenerate: no second point")
-    if hi - lo > merge_below and hi < 2 * lo:
-        return lo, hi - lo
+    gap = mpf_sub(hi, lo, _PREC, _RND)
+    if mpf_gt(gap, _MERGE_BELOW) and mpf_lt(hi, mpf_mul_int(lo, 2, _PREC, _RND)):
+        return lo, gap
     return lo, lo
 
 
@@ -135,8 +154,8 @@ def _peel_dps(off: float, k: int) -> int:
     return max(40, math.ceil(2 * lost + 10))
 
 
-def _peel(bracket: Callable[[mp.mpf], mp.mpf], off: mp.mpf,
-          gap: mp.mpf) -> tuple[float, float, float]:
+def _peel(bracket_at: Callable[[int], Callable[[tuple], tuple]], off: tuple,
+          gap: tuple) -> tuple[float, float, float]:
     """Leading and second coefficients of bracket(x) = L + S*x**off + ...
 
     Three samples at x0, x0/2, x0/4 with x0 = 2**-k.  The depth k puts
@@ -144,23 +163,26 @@ def _peel(bracket: Callable[[mp.mpf], mp.mpf], off: mp.mpf,
     differences isolate S (and through them L) to well below 1e-12
     relative, and the differenced slope recovers off itself as a
     consistency reading.  The samples and differences run at
-    ``_peel_dps``, the precision this depth needs.
+    ``_peel_dps``, the precision this depth needs: ``bracket_at(dps)``
+    returns the bracket that works at it.
     """
-    k = int(mp.ceil(PEEL_BITS / gap))
-    with mp.workdps(_peel_dps(float(off), k)):
-        x0 = mp.mpf(2) ** (-k)
-        b0 = bracket(x0)
-        b1 = bracket(x0 / 2)
-        b2 = bracket(x0 / 4)
-        d1, d2 = b1 - b0, b2 - b1
-        if d1 == 0 or d2 == 0 or mp.sign(d1) != mp.sign(d2):
-            raise NumericError("peel differences degenerate or sign-flipping")
-        off_est = -mp.log(d2 / d1) / mp.ln2
-        t = off * mp.ln2  # 2**-off = exp(-t), x0**off = exp(-k*t)
-        x0_off = mp.exp(-k * t)
-        second = d1 / (x0_off * (mp.exp(-t) - 1))
-        lead = b0 - second * x0_off
-        return float(lead), float(second), float(off_est)
+    k = to_int(mpf_ceil(mpf_rdiv_int(PEEL_BITS, gap, _PREC, _RND), _PREC, _RND))
+    dps = _peel_dps(to_float(off, rnd=_RND), k)
+    prec = dps_to_prec(dps)
+    bracket = bracket_at(dps)
+    b0, b1, b2 = (bracket(from_man_exp(1, -k - j)) for j in range(3))
+    d1, d2 = mpf_sub(b1, b0, prec, _RND), mpf_sub(b2, b1, prec, _RND)
+    if not d1[1] or not d2[1] or d1[0] != d2[0]:  # a zero mantissa, or the signs differ
+        raise NumericError("peel differences degenerate or sign-flipping")
+    ln2 = mpf_ln2(prec, _RND)
+    log_ratio = mpf_log(mpf_div(d2, d1, prec, _RND), prec, _RND)
+    off_est = mpf_div(mpf_neg(log_ratio, prec, _RND), ln2, prec, _RND)
+    t = mpf_mul(off, ln2, prec, _RND)  # 2**-off = exp(-t), x0**off = exp(-k*t)
+    x0_off = mpf_exp(mpf_mul_int(t, -k, prec, _RND), prec, _RND)
+    shrink = mpf_sub(mpf_exp(mpf_neg(t, prec, _RND), prec, _RND), fone, prec, _RND)
+    second = mpf_div(d1, mpf_mul(x0_off, shrink, prec, _RND), prec, _RND)
+    lead = mpf_sub(b0, mpf_mul(second, x0_off, prec, _RND), prec, _RND)
+    return to_float(lead, rnd=_RND), to_float(second, rnd=_RND), to_float(off_est, rnd=_RND)
 
 
 def oracle_compose(m1: DulacExpansion, m2: DulacExpansion) -> tuple[float, float, float]:
@@ -175,13 +197,22 @@ def oracle_compose(m1: DulacExpansion, m2: DulacExpansion) -> tuple[float, float
     p1, a1, w1, c1 = _mp_terms(m1)
     p2, a2, w2, c2 = _mp_terms(m2)
 
-    def bracket(x: mp.mpf) -> mp.mpf:
-        lx = mp.log(x)
-        lg = mp.log(a1 + c1 * mp.exp(w1 * lx))
-        return mp.exp(p2 * lg) * (a2 + c2 * mp.exp(w2 * (p1 * lx + lg)))
+    def bracket_at(dps: int) -> Callable[[tuple], tuple]:
+        prec = dps_to_prec(dps)
 
-    off, gap = _second_offset(w1, p1 * w2)
-    return _peel(bracket, off, gap)
+        def bracket(x: tuple) -> tuple:
+            lx = mpf_log(x, prec, _RND)
+            c1xw = mpf_mul(c1, mpf_exp(mpf_mul(w1, lx, prec, _RND), prec, _RND), prec, _RND)
+            lg = mpf_log(mpf_add(a1, c1xw, prec, _RND), prec, _RND)
+            ly = mpf_add(mpf_mul(p1, lx, prec, _RND), lg, prec, _RND)
+            c2yw = mpf_mul(c2, mpf_exp(mpf_mul(w2, ly, prec, _RND), prec, _RND), prec, _RND)
+            g1p = mpf_exp(mpf_mul(p2, lg, prec, _RND), prec, _RND)
+            return mpf_mul(g1p, mpf_add(a2, c2yw, prec, _RND), prec, _RND)
+
+        return bracket
+
+    off, gap = _second_offset(w1, mpf_mul(p1, w2, _PREC, _RND))
+    return _peel(bracket_at, off, gap)
 
 
 def oracle_inverse(m: DulacExpansion) -> tuple[float, float, float]:
@@ -194,23 +225,30 @@ def oracle_inverse(m: DulacExpansion) -> tuple[float, float, float]:
     only confirm it.
     """
     f = _mp_map(m)
-    rho = 1 / mp.mpf(m.ratio)
-    seed = mp.mpf(m.leading) ** (-rho)
+    rho = mpf_rdiv_int(1, from_float(m.ratio), _PREC, _RND)
+    seed = mpf_pow(from_float(m.leading), mpf_neg(rho, _PREC, _RND), _PREC, _RND)
 
-    def bracket(u: mp.mpf) -> mp.mpf:
-        tol = mp.mpf(10) ** (mp.mpf(6 - mp.mp.dps) / 2)  # dps: what the peel set
-        u_rho = mp.exp(rho * mp.log(u))
-        x = seed * u_rho
-        for _ in range(80):
-            value, slope = f(x)
-            step = (value - u) / slope
-            x -= step
-            if abs(step) <= abs(x) * tol:
-                return x / u_rho
-        raise NumericError("inverse oracle: Newton failed to settle")
+    def bracket_at(dps: int) -> Callable[[tuple], tuple]:
+        prec = dps_to_prec(dps)
+        half = mpf_div(from_int(6 - dps), from_int(2), prec, _RND)
+        tol = mpf_pow(from_int(10), half, prec, _RND)
 
-    off = mp.mpf(m.terms[0][0]) * rho
-    return _peel(bracket, off, off)
+        def bracket(u: tuple) -> tuple:
+            u_rho = mpf_exp(mpf_mul(rho, mpf_log(u, prec, _RND), prec, _RND), prec, _RND)
+            x = mpf_mul(seed, u_rho, prec, _RND)
+            for _ in range(80):
+                value, slope = f(x, prec)
+                step = mpf_div(mpf_sub(value, u, prec, _RND), slope, prec, _RND)
+                x = mpf_sub(x, step, prec, _RND)
+                bound = mpf_mul(mpf_abs(x, prec, _RND), tol, prec, _RND)
+                if mpf_le(mpf_abs(step, prec, _RND), bound):
+                    return mpf_div(x, u_rho, prec, _RND)
+            raise NumericError("inverse oracle: Newton failed to settle")
+
+        return bracket
+
+    off = mpf_mul(from_float(m.terms[0][0]), rho, _PREC, _RND)
+    return _peel(bracket_at, off, off)
 
 
 # ---------------------------------------------------------------------------
@@ -337,20 +375,19 @@ def run_compose_check(seed: int, count: int, bias: float = 0.0) -> CheckReport:
     Production runs leave it at zero.
     """
     reports = []
-    with mp.workdps(ORACLE_DPS):
-        for case in COMPOSE_CASES + INVERSE_CASES:
-            rng = Random(f"{seed}:{case}")
-            devs = []
-            for _ in range(count):
-                if case in COMPOSE_CASES:
-                    m1, m2 = _draw_compose(rng, case)
-                    formula, oracle = compose_pair(m1, m2), oracle_compose(m1, m2)
-                else:
-                    m = _draw_inverse(rng, case)
-                    formula, oracle = inverse_dulac(m), oracle_inverse(m)
-                devs.append(_deviations(formula, oracle, case, bias))
-            if devs:
-                lead, second, offset = (_worst(col) for col in zip(*devs))
-                reports.append(CaseReport(case=case, trials=count, max_leading_dev=lead,
-                                          max_second_dev=second, max_offset_dev=offset))
+    for case in COMPOSE_CASES + INVERSE_CASES:
+        rng = Random(f"{seed}:{case}")
+        devs = []
+        for _ in range(count):
+            if case in COMPOSE_CASES:
+                m1, m2 = _draw_compose(rng, case)
+                formula, oracle = compose_pair(m1, m2), oracle_compose(m1, m2)
+            else:
+                m = _draw_inverse(rng, case)
+                formula, oracle = inverse_dulac(m), oracle_inverse(m)
+            devs.append(_deviations(formula, oracle, case, bias))
+        if devs:
+            lead, second, offset = (_worst(col) for col in zip(*devs))
+            reports.append(CaseReport(case=case, trials=count, max_leading_dev=lead,
+                                      max_second_dev=second, max_offset_dev=offset))
     return CheckReport(seed=seed, count=count, bias=bias, cases=tuple(reports))

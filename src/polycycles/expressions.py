@@ -22,7 +22,10 @@ one stack.  ``("num", value)`` and ``("var", name)`` push an operand,
 ``("neg",)`` and ``("^", n)`` replace the top one, and ``("+",)``,
 ``("-",)``, ``("*",)`` and ``("/",)`` combine the top two.  Parentheses
 and unary minus signs nest at most ``MAX_NESTING`` deep, and a power of a
-non-constant base has total degree at most ``MAX_POWER_DEGREE``.
+non-constant base has total degree at most ``MAX_POWER_DEGREE``.  A
+power of an exact constant is one ``Fraction`` power; the exponent times
+the base's bit length (of its numerator or its denominator, whichever is
+longer, and at least 1) is at most ``MAX_POWER_BITS``.
 
 A concrete polynomial is a dense 2-d coefficient array ``c`` with
 ``c[i, j]`` the coefficient of x^i y^j, float64, or complex128 when a
@@ -43,6 +46,7 @@ if TYPE_CHECKING:
 VARIABLES = ("x", "y")  # the reserved field variables, in coefficient-index order
 MAX_NESTING = 100  # the most parentheses and unary minus signs open at once
 MAX_POWER_DEGREE = 100  # the highest total degree of a power of a non-constant base
+MAX_POWER_BITS = 65536  # the most bits, n times the base's, in an exact constant power
 
 Program = tuple[tuple, ...]
 Number = Union[int, float, Fraction, complex]
@@ -179,14 +183,12 @@ def _run(program: Program, binding: Mapping[str, Number]) -> dict:
         elif op == "neg":
             stack.append({k: -c for k, c in stack.pop().items()})
         elif op == "^":
-            base, out = stack.pop(), {(0, 0): Fraction(1)}
+            base, n = stack.pop(), ins[1]
             degree = max((i + j for i, j in base), default=0)
-            if degree * ins[1] > MAX_POWER_DEGREE:
-                raise ExpressionError(f"power ^{ins[1]} of an expression of degree {degree} "
+            if degree * n > MAX_POWER_DEGREE:
+                raise ExpressionError(f"power ^{n} of an expression of degree {degree} "
                                       f"passes degree {MAX_POWER_DEGREE}")
-            for _ in range(ins[1]):
-                out = _poly_mul(out, base)
-            stack.append(out)
+            stack.append(_power(base, n) if degree == 0 else _poly_pow(base, n))
         elif op == "/":
             right = stack.pop()
             if any(k != (0, 0) for k in right):
@@ -200,6 +202,29 @@ def _run(program: Program, binding: Mapping[str, Number]) -> dict:
             stack.append(_poly_mul(left, right) if op == "*" else
                          _poly_add(left, right, 1 if op == "+" else -1))
     return stack.pop()
+
+
+def _power(base: dict, n: int) -> dict:
+    """``base``, a constant, to the power n.  An exact constant takes one
+    Fraction power, bounded by MAX_POWER_BITS; a float or complex one
+    keeps the multiplication loop, whose rounding the printed results
+    depend on.  The exact run comes first, so the loop sees only an n
+    that passed the bound."""
+    c = base.get((0, 0), 0)
+    if not isinstance(c, (int, Fraction)):
+        return _poly_pow(base, n)
+    c = Fraction(c)
+    if n * max(abs(c.numerator).bit_length(), c.denominator.bit_length(), 1) > MAX_POWER_BITS:
+        raise ExpressionError(f"power ^{n} of a constant passes {MAX_POWER_BITS} bits")
+    c **= n
+    return {(0, 0): c} if c else {}
+
+
+def _poly_pow(base: dict, n: int) -> dict:
+    out = {(0, 0): Fraction(1)}
+    for _ in range(n):
+        out = _poly_mul(out, base)
+    return out
 
 
 def _poly_add(a: dict, b: dict, sign: int) -> dict:

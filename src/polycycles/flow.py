@@ -431,8 +431,11 @@ def _bracket_root(f: Callable[[float], float], a: float, b: float, fa: float, fb
             else:  # inverse quadratic
                 d_pre = (f_pre - f_cur) / (x_pre - x_cur)
                 d_blk = (f_blk - f_cur) / (x_blk - x_cur)
-                s_try = (-f_cur * (f_blk * d_blk - f_pre * d_pre)
-                         / (d_blk * d_pre * (f_blk - f_pre)))
+                denom = d_blk * d_pre * (f_blk - f_pre)
+                # an underflowed denominator makes the step infinite, so
+                # the test below bisects, as brentq's C division does
+                s_try = (-f_cur * (f_blk * d_blk - f_pre * d_pre) / denom if denom
+                         else math.inf)
             if 2.0 * abs(s_try) < min(abs(s_pre), 3.0 * abs(s_bis) - delta):
                 s_pre, s_cur = s_cur, s_try
             else:

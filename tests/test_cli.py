@@ -257,6 +257,18 @@ def test_a_huge_literal_power_exits_3_at_once(tmp_path, capsys):
         capsys.readouterr().err
 
 
+def test_a_huge_constant_power_exits_3_at_once(tmp_path, capsys):
+    # a constant base is one Fraction power, after a bound on its bits
+    path = tmp_path / "four_saddle.model"
+    text = Path(FOUR).read_text(encoding="utf-8")
+    path.write_text(text.replace("dot_x = x*(x - 1)*(", "dot_x = 2^99999999*x*(x - 1)*("),
+                    encoding="utf-8")
+    start = time.perf_counter()
+    assert main(["analyze", "--model", str(path)]) == 3
+    assert time.perf_counter() - start < 1.0
+    assert "power ^99999999 of a constant passes 65536 bits" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("direction", ["(0,0)", "(1e-300,0)"], ids=["zero", "underflow"])
 def test_degenerate_base_direction_exits_3(direction, tmp_path, capsys):
     # (1e-300, 0) has a positive length but a squared length of 0.0, which

@@ -18,6 +18,7 @@ from polycycles.composecheck import (
     COMPOSE_CASES,
     INVERSE_CASES,
     ORACLE_DPS,
+    PEEL_BITS,
     _draw_compose,
     _draw_inverse,
     _exact,
@@ -69,7 +70,11 @@ class TestExactMaps:
 
     def test_map_and_derivative_agree(self):
         with mp.workdps(40):
-            f = _mp_map(_exact(1.5, 2.0, 1.0, 0.4))
+            raw = _mp_map(_exact(1.5, 2.0, 1.0, 0.4))
+
+            def f(x):
+                return tuple(mp.mpf(v) for v in raw(x._mpf_, mp.mp.prec))
+
             x = mp.mpf("0.37")
             h = mp.mpf("1e-12")
             numeric = (f(x + h)[0] - f(x - h)[0]) / (2 * h)
@@ -90,9 +95,8 @@ class TestExactMaps:
 
 class TestOracles:
     def test_compose_spot_value(self):
-        with mp.workdps(ORACLE_DPS):
-            lead, second, off = oracle_compose(_exact(2.0, 2.0, 1.0, 3.0),
-                                               _exact(3.0, 5.0, 1.0, 7.0))
+        lead, second, off = oracle_compose(_exact(2.0, 2.0, 1.0, 3.0),
+                                           _exact(3.0, 5.0, 1.0, 7.0))
         assert lead == pytest.approx(40.0, rel=1e-13)
         assert second == pytest.approx(180.0, rel=1e-13)
         assert off == pytest.approx(1.0, abs=1e-12)
@@ -104,20 +108,18 @@ class TestOracles:
 
         def counted(d):
             f = _mp_map(d)
-            return lambda x: calls.append(x) or f(x)
+            return lambda x, prec: calls.append(x) or f(x, prec)
 
         monkeypatch.setattr(composecheck, "_mp_map", counted)
-        with mp.workdps(ORACLE_DPS):
-            for case in INVERSE_CASES:
-                rng = Random(f"42:{case}")
-                for _ in range(5):
-                    del calls[:]
-                    oracle_inverse(_draw_inverse(rng, case))
-                    assert len(calls) == 6, case
+        for case in INVERSE_CASES:
+            rng = Random(f"42:{case}")
+            for _ in range(5):
+                del calls[:]
+                oracle_inverse(_draw_inverse(rng, case))
+                assert len(calls) == 6, case
 
     def test_inverse_spot_value(self):
-        with mp.workdps(ORACLE_DPS):
-            lead, second, off = oracle_inverse(_exact(2.0, 4.0, 1.0, 1.0))
+        lead, second, off = oracle_inverse(_exact(2.0, 4.0, 1.0, 1.0))
         assert lead == pytest.approx(0.5, rel=1e-13)
         assert second == pytest.approx(-1.0 / 32.0, rel=1e-13)
         assert off == pytest.approx(0.5, abs=1e-12)
@@ -142,7 +144,8 @@ class TestSecondOffset:
     def _check(o1, o2):
         o1, o2 = mp.mpf(o1), mp.mpf(o2)
         points = [i * o1 + j * o2 for i in range(5) for j in range(5) if i + j > 0]
-        assert _second_offset(o1, o2) == _sorted_merge(points), (o1, o2)
+        want = tuple(v._mpf_ for v in _sorted_merge(points))
+        assert _second_offset(o1._mpf_, o2._mpf_) == want, (o1, o2)
 
     def test_drawn_lattices(self):
         with mp.workdps(ORACLE_DPS):
@@ -169,7 +172,21 @@ class TestSecondOffset:
     def test_degenerate_lattice(self):
         # the whole lattice lies within the merge width of its smallest point
         with pytest.raises(NumericError, match="no second point"):
-            _second_offset(mp.mpf("1e-12"), mp.mpf("1e-12") * (1 + mp.mpf("1e-3")))
+            _second_offset(mp.mpf("1e-12")._mpf_,
+                           (mp.mpf("1e-12") * (1 + mp.mpf("1e-3")))._mpf_)
+
+
+def _triples(prefix, draws, compose=oracle_compose, inverse=oracle_inverse):
+    """Oracle triples of ``draws`` trials per case from Random(f"{prefix}:{case}")."""
+    out = []
+    for case in COMPOSE_CASES + INVERSE_CASES:
+        rng = Random(f"{prefix}:{case}")
+        for _ in range(draws):
+            if case in COMPOSE_CASES:
+                out.append(compose(*_draw_compose(rng, case)))
+            else:
+                out.append(inverse(_draw_inverse(rng, case)))
+    return out
 
 
 class TestPeelPrecision:
@@ -177,28 +194,113 @@ class TestPeelPrecision:
 
     DRAWS = 50
 
-    def _triples(self):
-        out = []
-        with mp.workdps(ORACLE_DPS):
-            for case in COMPOSE_CASES + INVERSE_CASES:
-                rng = Random(f"precision:{case}")
-                for _ in range(self.DRAWS):
-                    if case in COMPOSE_CASES:
-                        out.append(oracle_compose(*_draw_compose(rng, case)))
-                    else:
-                        out.append(oracle_inverse(_draw_inverse(rng, case)))
-        return out
-
     def test_rule_matches_300_digits(self, monkeypatch):
-        per_case = self._triples()
+        per_case = _triples("precision", self.DRAWS)
         monkeypatch.setattr(composecheck, "_peel_dps", lambda off, k: 300)
-        assert per_case == self._triples()
+        assert per_case == _triples("precision", self.DRAWS)
 
     def test_rule_spans_the_cases(self):
         # most peels need 45 digits and the deepest 147; shallow ones keep 40
         assert composecheck._peel_dps(0.5, 112) == 45
         assert composecheck._peel_dps(1.0, 224) == 147
         assert composecheck._peel_dps(0.05, 10) == 40
+
+
+def _ref_terms(d):
+    ((offset, coeff),) = d.terms
+    return mp.mpf(d.ratio), mp.mpf(d.leading), mp.mpf(offset), mp.mpf(coeff)
+
+
+def _ref_peel(bracket, off, gap):
+    """The peel on mpf objects in mpmath's global context, called at
+    ORACLE_DPS: samples and differences at _peel_dps."""
+    k = int(mp.ceil(PEEL_BITS / gap))
+    with mp.workdps(composecheck._peel_dps(float(off), k)):
+        x0 = mp.mpf(2) ** (-k)
+        b0, b1, b2 = bracket(x0), bracket(x0 / 2), bracket(x0 / 4)
+        d1, d2 = b1 - b0, b2 - b1
+        assert d1 != 0 and d2 != 0 and mp.sign(d1) == mp.sign(d2)
+        off_est = -mp.log(d2 / d1) / mp.ln2
+        t = off * mp.ln2
+        x0_off = mp.exp(-k * t)
+        second = d1 / (x0_off * (mp.exp(-t) - 1))
+        lead = b0 - second * x0_off
+        return float(lead), float(second), float(off_est)
+
+
+def ref_compose(m1, m2):
+    """oracle_compose on mpf objects, its offsets from the sorted merge."""
+    with mp.workdps(ORACLE_DPS):
+        p1, a1, w1, c1 = _ref_terms(m1)
+        p2, a2, w2, c2 = _ref_terms(m2)
+
+        def bracket(x):
+            lx = mp.log(x)
+            lg = mp.log(a1 + c1 * mp.exp(w1 * lx))
+            return mp.exp(p2 * lg) * (a2 + c2 * mp.exp(w2 * (p1 * lx + lg)))
+
+        o2 = p1 * w2
+        lattice = [i * w1 + j * o2 for i in range(5) for j in range(5) if i + j > 0]
+        return _ref_peel(bracket, *_sorted_merge(lattice))
+
+
+def ref_inverse(m):
+    """oracle_inverse on mpf objects: Newton until a relative step is below
+    10**((6 - dps)/2), dps the peel's."""
+    with mp.workdps(ORACLE_DPS):
+        p, a, w, c = _ref_terms(m)
+        pa, pw = p * a, p + w  # at ORACLE_DPS, as the set-up
+        rho = 1 / p
+        seed = a ** (-rho)
+
+        def f(x):
+            lx = mp.log(x)
+            xp, cxw = mp.exp(p * lx), c * mp.exp(w * lx)
+            return xp * (a + cxw), xp * (pa + pw * cxw) / x
+
+        def bracket(u):
+            tol = mp.mpf(10) ** (mp.mpf(6 - mp.mp.dps) / 2)
+            u_rho = mp.exp(rho * mp.log(u))
+            x = seed * u_rho
+            for _ in range(80):
+                value, slope = f(x)
+                step = (value - u) / slope
+                x -= step
+                if abs(step) <= abs(x) * tol:
+                    return x / u_rho
+            raise NumericError("reference Newton failed to settle")
+
+        off = w * rho
+        return _ref_peel(bracket, off, off)
+
+
+def _hex(triples):
+    return [tuple(v.hex() for v in t) for t in triples]
+
+
+class TestRawValues:
+    """The oracle on raw libmp values at explicit precisions gives the
+    floats of the mpf-object oracle bit for bit, whatever mpmath's global
+    precision is."""
+
+    @pytest.mark.parametrize("seed", [5, 2024, 31337])
+    def test_triples_match_the_mpf_reference(self, seed):
+        got = _triples(seed, 10)
+        want = _triples(seed, 10, compose=ref_compose, inverse=ref_inverse)
+        assert _hex(got) == _hex(want)
+
+    def test_global_precision_is_not_read(self):
+        with mp.workdps(15):
+            low = _triples("global", 3)
+        with mp.workdps(300):
+            high = _triples("global", 3)
+        assert _hex(low) == _hex(high)
+
+    def test_run_leaves_global_precision(self):
+        with mp.workprec(77):
+            report = run_compose_check(seed=42, count=2)
+            assert mp.mp.prec == 77
+        assert report == run_compose_check(seed=42, count=2)
 
 
 class TestRunCheck:

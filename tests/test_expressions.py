@@ -163,6 +163,22 @@ class TestCoefficientArray:
     def test_zero_terms_dropped(self):
         np.testing.assert_array_equal(expand("x - x + y"), [[0.0, 1.0]])
 
+    def test_constant_powers(self):
+        # one Fraction power each; the float range, not the bits, ends 10^309
+        np.testing.assert_array_equal(expand("10^308"), [[1e308]])
+        np.testing.assert_array_equal(expand("(-1/2)^3 + 0^0*x"), [[-0.125], [1.0]])
+        np.testing.assert_array_equal(expand("1^65536 - 0^65536"), [[1.0]])
+        for past_float in ("10^309", "2^32768"):  # 2^32768 is on the bit bound
+            with pytest.raises(ExpressionError, match="out of the float range"):
+                expand(past_float)
+
+    @pytest.mark.parametrize("source", ["2^32769", "1^65537", "0^65537", "(1/3)^32769",
+                                        "(a + 1)^40000"])
+    def test_constant_power_bit_bound(self, source):
+        # n times the base's bit length (at least 1) passes MAX_POWER_BITS
+        with pytest.raises(ExpressionError, match="of a constant passes 65536 bits"):
+            expand(source, {"a": 1.0}, ("a",))
+
     def test_a_3000_term_sum(self):
         # one stack loop, where a recursive evaluator ran out of stack
         source = " + ".join(f"x^{k % 3}*y" for k in range(3000))

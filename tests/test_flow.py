@@ -22,6 +22,7 @@ from polycycles.expressions import instantiate, parse_expression
 from polycycles.flow import (
     PRE_STEP,
     LineSection,
+    Trajectory,
     chart_field,
     count_limit_cycles,
     crossing_map,
@@ -383,6 +384,18 @@ class TestIntegrate:
     def test_a_start_the_step_rule_cannot_leave_is_a_numeric_error(self, source, start, why):
         with pytest.raises(NumericError, match=why):
             integrate(field_callable(poly(source), poly("0")), start, 1.0)
+
+    def test_underflowed_interpolation_bisects(self):
+        # u' = u from a subnormal u: the root refinement's inverse quadratic
+        # denominator underflows to 0.0, where Brent's method bisects
+        fun = chart_field(LocalChart(np.array([[1.0]]), np.array([[0.0]])))
+        start = (2.2250738585e-313, 0.0)
+        section = LineSection.make(integrate(fun, start, 0.25).state, (1.0, 0.5), (-0.3, 0.3))
+        try:
+            traj = integrate(fun, start, 0.5, section=section, direction=-1.0)
+        except NumericError:
+            return
+        assert isinstance(traj, Trajectory)
 
     def test_blow_up_is_a_numeric_error(self):
         # x' = x^2 from x = 1 blows up at t = 1
