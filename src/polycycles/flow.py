@@ -8,18 +8,21 @@ interpolant, so it lies on the line to rounding.  It counts, and ends the
 run, when the line function changes sign in the requested direction and
 the root lies inside the section window; `integrate` alone decides this.
 Asymptotic coefficients are recovered from samples on a geometric grid of
-section parameters by Richardson-style extrapolation.
+section parameters: by cascaded Aitken delta-squared extrapolation, or by
+least squares on the exponent lattice when the exponent is pinned.
 
 The integrator is a Dormand–Prince 5(4) pair stepping on Python floats
 (`integrate`); fields are planar and autonomous, ``fun(x, y) -> (fx, fy)``.
 Its step loop is written once, as the source template _STEP_LOOP, and
 compiled into a kernel per field pattern on the first integration that
 needs it.  A field made by `field_callable` or `chart_field` is tagged
-with its pattern: its kind and which coefficients are nonzero.  Its kernel
-has the field's Horner expression inlined at every stage, and takes the
-coefficient values as arguments, so fields that differ only in those
-values share one kernel.  Any other callable runs in the generic kernel,
-which calls it at every stage.  Both do the same float operations in the
+with its pattern: its kind and which coefficients are nonzero.  One
+routine, _source, writes its Horner statements over coefficient names,
+both for the field itself, which binds the names to its values, and for
+the pattern's kernel, which inlines them at every stage and takes the
+values as arguments, so fields that differ only in those values share
+one kernel.  Any other callable runs in the generic kernel, which calls
+it at every stage.  Both do the same float operations in the
 same order, so they return the same trajectory to the last bit.
 """
 from __future__ import annotations
@@ -83,11 +86,11 @@ _MAX_DEPTH = 50
 
 
 class _HornerSource:
-    """Straight-line source of a function of the variables x and y:
+    """Straight-line source of polynomials in the variables named x and y:
     statements that bind the temporaries t0, t1, ..., then one expression
     per coefficient array."""
 
-    def __init__(self, x: str = "x", y: str = "y") -> None:
+    def __init__(self, x: str, y: str) -> None:
         self.x, self.y = x, y
         self.lines: list[str] = []
 
@@ -128,43 +131,40 @@ class _HornerSource:
             acc = self._step(acc, self.x, rv)
         return "0.0" if acc is None else acc[0]
 
-    def compile(self, result: str) -> Callable[[float, float], tuple[float, float]]:
-        """The function of (x, y) that runs the statements and returns
-        ``(result)``; its names are inf, nan and complex."""
-        body = "".join(f"    {line}\n" for line in self.lines)
-        namespace = {"__builtins__": {}, "inf": math.inf, "nan": math.nan, "complex": complex}
-        exec(f"def field(x, y):\n{body}    return ({result})\n", namespace)
-        return namespace["field"]
 
-
-def _literals(c: np.ndarray) -> list[list[str | None]]:
-    """Horner terms of c: each nonzero coefficient as the repr of its Python
-    scalar, a complex one as complex(re, im), so that it reads back to the
-    same number."""
-    return [[None if a == 0 else (f"complex({a.real!r}, {a.imag!r})"
-                                  if isinstance(a, complex) else repr(a)) for a in row]
-            for row in c.tolist()]
-
-
-# the two kinds of generated field, over the Horner sources {0} of its
-# x array and {1} of its y array, at the point ({x}, {y})
-_RESULTS = {"field": "{0}, {1}", "chart": "{x}*({0}), {y}*({1})"}
+def _source(pattern: tuple | None, px: str, py: str, k: str) -> list[str]:
+    """Statements that put the field of ``pattern`` at the point (px, py) in
+    {k}x, {k}y: the Horner sources hx, hy of its two arrays over the names
+    c0, c1, ..., one per nonzero coefficient in row-major order, as
+    (hx, hy) for the kind "field" and (px*hx, py*hy) for "chart"; for the
+    pattern None, a call of the function named field."""
+    if pattern is None:
+        return [f"{k}x, {k}y = field({px}, {py})"]
+    kind, *masks = pattern
+    names = map("c{}".format, itertools.count())
+    terms = [[[next(names) if nonzero else None for nonzero in row] for row in mask]
+             for mask in masks]
+    source = _HornerSource(px, py)
+    hx, hy = source.horner(terms[0]), source.horner(terms[1])
+    value = f"{hx}, {hy}" if kind == "field" else f"{px}*({hx}), {py}*({hy})"
+    return [*source.lines, f"{k}x, {k}y = {value}"]
 
 
 def _generated(kind: str, cx: np.ndarray, cy: np.ndarray,
                ) -> Callable[[float, float], tuple[float, float]]:
-    """Compile the field of one kind over the arrays cx and cy, and tag a
-    real one with its kernel pattern (the kind and which coefficients are
-    nonzero) and its nonzero coefficients in row-major order, the arguments
-    of the integration kernel that inlines it (see ``integrate``)."""
-    source = _HornerSource()
-    hx, hy = source.horner(_literals(cx)), source.horner(_literals(cy))
-    field = source.compile(_RESULTS[kind].format(hx, hy, x="x", y="y"))
-    if cx.dtype.kind != "c" and cy.dtype.kind != "c":
-        arrays = cx.tolist(), cy.tolist()
-        field.pattern = (kind, *(tuple(tuple(a != 0 for a in row) for row in c)
-                                 for c in arrays))
-        field.coefficients = tuple(a for c in arrays for row in c for a in row if a != 0)
+    """Compile the field of one kind over the arrays cx and cy, tagged with
+    its kernel pattern (the kind and which coefficients are nonzero) and its
+    nonzero coefficients in row-major order, the names c0, c1, ... of its
+    source and the arguments of the integration kernel that inlines it (see
+    ``integrate``)."""
+    arrays = cx.tolist(), cy.tolist()
+    pattern = (kind, *(tuple(tuple(a != 0 for a in row) for row in c) for c in arrays))
+    coefficients = tuple(a for c in arrays for row in c for a in row if a != 0)
+    namespace = {"__builtins__": {}, **{f"c{i}": a for i, a in enumerate(coefficients)}}
+    body = "".join(f"    {line}\n" for line in _source(pattern, "x", "y", "f"))
+    exec(f"def field(x, y):\n{body}    return fx, fy\n", namespace)
+    field = namespace["field"]
+    field.pattern, field.coefficients = pattern, coefficients
     return field
 
 
@@ -314,29 +314,13 @@ _KERNELS: dict[tuple | None, Callable[..., Trajectory]] = {}
 
 def _compile_kernel(pattern: tuple | None) -> Callable[..., Trajectory]:
     """_STEP_LOOP for the fields of one pattern: the kind and the nonzero
-    masks of the two arrays (see ``_generated``).  Each stage inlines the
-    field's Horner source on the stage's own point, with the coefficients
-    as names bound from the kernel's first argument; the tableau is written
-    in as the repr of each float.  The pattern None gives the kernel that
-    calls its first argument at each stage instead."""
-    if pattern is None:
-        unpack = ""
-
-        def evaluate(px: str, py: str, k: str) -> list[str]:
-            return [f"{k}x, {k}y = field({px}, {py})"]
-    else:
-        kind, *masks = pattern
-        names = map("c{}".format, itertools.count())
-        terms = [[[next(names) if nonzero else None for nonzero in row] for row in mask]
-                 for mask in masks]
-        bound = [term for rows in terms for row in rows for term in row if term]
-        unpack = f"{', '.join(bound)}, = field" if bound else ""
-
-        def evaluate(px: str, py: str, k: str) -> list[str]:
-            source = _HornerSource(px, py)
-            hx, hy = source.horner(terms[0]), source.horner(terms[1])
-            return [*source.lines, f"{k}x, {k}y = {_RESULTS[kind].format(hx, hy, x=px, y=py)}"]
-
+    masks of the two arrays (see ``_generated``).  Each stage runs
+    _source's statements on the stage's own point, with the coefficient
+    names bound from the kernel's first argument; the tableau is written
+    in as the repr of each float.  For the pattern None the statements
+    call the kernel's first argument instead."""
+    count = sum(map(sum, itertools.chain(*pattern[1:]))) if pattern else 0
+    unpack = f"{', '.join(map('c{}'.format, range(count)))}, = field" if count else ""
     ks = ("f", "k2", "k3", "k4", "k5", "k6", "k7")
 
     def combination(coeffs: Sequence[float], var: str) -> str:
@@ -347,9 +331,9 @@ def _compile_kernel(pattern: tuple | None) -> Callable[..., Trajectory]:
         px, py = f"x{i + 1}", f"y{i + 1}"
         lines += [f"{px} = x + h * ({combination(A[i][:i], 'x')})",
                   f"{py} = y + h * ({combination(A[i][:i], 'y')})",
-                  *evaluate(px, py, ks[i])]
+                  *_source(pattern, px, py, ks[i])]
     lines += [f"xn = x + h * ({combination(B, 'x')})",
-              f"yn = y + h * ({combination(B, 'y')})", *evaluate("xn", "yn", "k7")]
+              f"yn = y + h * ({combination(B, 'y')})", *_source(pattern, "xn", "yn", "k7")]
     source = _STEP_LOOP.format(
         unpack=unpack, stages="\n".join(f"            {line}" for line in lines),
         err_x=combination(E, "x"), err_y=combination(E, "y"), safety=repr(SAFETY),

@@ -583,6 +583,22 @@ class TestReturnExpansion:
         assert ret.kind is None and ret.second_coeff is None
         assert any("truncated to leading order" in n for n in ret.notes)
 
+    def test_near_resonant_internal_collision_keeps_leading_order(self):
+        # composed, the second corner's term at 0.5 + 5e-13 lands 1e-12 from
+        # the first's at 1; the pair's compensator takes no third corner
+        chain = [DulacExpansion(2.0, 1.5, ((1.0, 0.3),)),
+                 DulacExpansion(1.5, 0.8, ((0.5 + 5e-13, -0.2),)),
+                 DulacExpansion(1.25, 1.1, ((1.0, 0.4),))]
+        with pytest.raises(ValueError):
+            compose_chain(chain)
+        ret = return_expansion(chain)
+        assert ret.pattern == "above-block"
+        assert ret.ratio == 2.0 * 1.5 * 1.25 == 3.75
+        assert ret.leading == pytest.approx((1.5**1.5 * 0.8) ** 1.25 * 1.1, rel=1e-15)  # 1.78003
+        assert ret.kind is None and ret.second_coeff is None
+        assert ret.ell == (0.0, 0.0)
+        assert ret.notes == ("near-resonant internal collision: leading order only",)
+
     def test_interleaved_falls_back_to_fold(self):
         chain = [above(1.5, 2.0, 0.3), below(0.4, 3.0, 0.5), above(2.0, 1.5, -0.2)]
         ret = return_expansion(chain)

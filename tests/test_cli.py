@@ -86,6 +86,9 @@ USAGE = {
     "set-repeated": ["analyze", "--model", FOUR, "--set", "l1=0.3", "--set", "l1=0.31"],
     "tol-repeated": ["oracle", "--what", "return", "--model", FOUR,
                      "--tol", "rtol=1e-9", "--tol", "rtol=1e-8"],
+    # "--set expects NAME=VALUE" and "--grid expects NAME=START:STOP:COUNT"
+    "set-without-value": ["analyze", "--model", FOUR, "--set", "l1"],
+    "grid-without-count": ["scan", "--model", FOUR, "--grid", "l1=0.3:0.6"],
 }
 
 
@@ -178,7 +181,9 @@ def test_model_file_that_is_not_utf8_exits_3(tmp_path, capsys):
     ("-" * 2000 + "x", "expression nested more than 100 deep (line 1, column 101)"),
     ("x^\u00b2", "unexpected character '\u00b2' (line 1, column 3)"),
     ("\u00b2*x", "unexpected character '\u00b2' (line 1, column 1)"),
-], ids=["parentheses-300", "minus-signs-2000", "superscript-exponent", "superscript-factor"])
+    ("x/y", "division by a non-constant expression"),
+], ids=["parentheses-300", "minus-signs-2000", "superscript-exponent", "superscript-factor",
+        "division-by-y"])
 def test_hostile_field_expressions_exit_3(dot_x, message, tmp_path, capsys):
     path = tmp_path / "square.model"
     text = Path(SQUARE).read_text(encoding="utf-8")
@@ -197,6 +202,20 @@ def test_removed_model_keys_exit_3(extra, tmp_path, capsys):
                     encoding="utf-8")
     assert main(["scan", "--model", str(path), "--grid", "a=0.4:0.4:1"]) == 3
     assert "unknown" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("corners, message", [
+    ("0,1 0,0 1,0 1,1", "line 16: expected a list of (x,y) pairs, got '0,1 0,0 1,0 1,1'"),
+    ("(0,1) (0,0) (1e-13,0) (1,0) (1,1)", "corner 2: zero-length polycycle edge"),
+], ids=["unparenthesized", "zero-length-edge"])
+def test_bad_corner_lists_exit_3(corners, message, tmp_path, capsys):
+    path = tmp_path / "square.model"
+    text = Path(SQUARE).read_text(encoding="utf-8")
+    assert "corners = (0,1) (0,0) (1,0) (1,1)" in text
+    path.write_text(text.replace("corners = (0,1) (0,0) (1,0) (1,1)", f"corners = {corners}"),
+                    encoding="utf-8")
+    assert main(["analyze", "--model", str(path)]) == 3
+    assert capsys.readouterr().err == f"model error: {message}\n"
 
 
 def test_reversed_traversal_exits_3(tmp_path, capsys):

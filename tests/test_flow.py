@@ -551,7 +551,13 @@ class TestGeneratedField:
     def test_complex_array(self, re, x, y):
         c = re + 1j * re[::-1, ::-1]
         c[0, 0] = complex(-0.0, math.inf)
-        self.assert_same((field_callable(c, re), loop_field(c, re)), c, [(x, y)])
+        field = field_callable(c, re)
+        self.assert_same((field, loop_field(c, re)), c, [(x, y)])
+        # a complex field has the pattern of a real one with its zeros, and
+        # carries its complex values
+        real = field_callable(np.where(c != 0, 1.0, 0.0), re)
+        assert field.pattern == real.pattern
+        assert field.coefficients == (*c[c != 0].tolist(), *re[re != 0].tolist())
 
     @pytest.mark.parametrize("c", [np.array([[2.5]]), np.array([[0.0]]), np.zeros((3, 2)),
                                    np.array([[math.nan]]), np.array([[0.0, -math.inf]])])

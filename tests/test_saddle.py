@@ -717,3 +717,14 @@ def test_a_failing_needed_s_fails_the_corner(game_mf, monkeypatch):
     (lane,) = build_corners([bind(game_mf)])
     assert isinstance(lane, NumericError)
     assert str(lane) == "Mellin tail quadrature did not converge (err=2.15e-03)"
+
+
+def test_a_transition_that_does_not_converge_fails_its_lane_alone():
+    # Q(0, v) = -(1/16 + 1e-8) + v/2 - v^2 nearly vanishes at v = 1/4, so the
+    # first lane's transition integral on [0, 1/2] does not converge
+    bad = LocalChart(np.array([[1.0]]), np.array([[-(0.0625 + 1e-8), 0.5, -1.0]]))
+    good = nonlinear_chart()
+    failed, lane = dulac_coefficients([bad, good], 0.5, 0.5)
+    assert isinstance(failed, NumericError)
+    assert str(failed).startswith("transition integral did not converge")
+    assert lane == expand(good, 0.5, 0.5)
