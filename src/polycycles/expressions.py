@@ -164,44 +164,90 @@ def parse_expression(source: str, params: tuple[str, ...] | list[str] = ()) -> P
     return tuple(parser.program)
 
 
-def _run(program: Program, binding: Mapping[str, Number]) -> dict:
-    """Run ``program`` over coefficient dicts, exact numbers where possible."""
-    stack: list[dict] = []
-    for ins in program:
+def _subtrees(program: Program) -> tuple[dict[int, list[int]], list[tuple[str, ...]]]:
+    """Where each instruction's subtree starts, and the parameters it reads:
+    the ends of the subtrees starting at each position, outermost first,
+    and per instruction its subtree's parameter names, sorted."""
+    starts: dict[int, list[int]] = {}
+    params: list[tuple[str, ...]] = []
+    stack: list[tuple[int, frozenset]] = []  # (start, parameters) per operand
+    for i, ins in enumerate(program):
         op = ins[0]
-        if op == "num":
-            stack.append({(0, 0): ins[1]})
-        elif op == "var":
-            name = ins[1]
-            if name in VARIABLES:
-                stack.append({(1, 0) if name == VARIABLES[0] else (0, 1): Fraction(1)})
-            elif name not in binding:
-                raise ExpressionError(f"no value bound for parameter {name!r}")
-            else:
-                val = binding[name]
-                stack.append({(0, 0): val} if val != 0 else {})
-        elif op == "neg":
-            stack.append({k: -c for k, c in stack.pop().items()})
-        elif op == "^":
-            base, n = stack.pop(), ins[1]
-            degree = max((i + j for i, j in base), default=0)
-            if degree * n > MAX_POWER_DEGREE:
-                raise ExpressionError(f"power ^{n} of an expression of degree {degree} "
-                                      f"passes degree {MAX_POWER_DEGREE}")
-            stack.append(_power(base, n) if degree == 0 else _poly_pow(base, n))
-        elif op == "/":
-            right = stack.pop()
-            if any(k != (0, 0) for k in right):
-                raise ExpressionError("division by a non-constant expression")
-            divisor = right.get((0, 0), 0)
-            if divisor == 0:
-                raise ExpressionError("division by zero")
-            stack.append({k: c / divisor for k, c in stack.pop().items()})
+        if op in ("num", "var"):
+            names = frozenset() if op == "num" or ins[1] in VARIABLES else frozenset(ins[1:])
+            stack.append((i, names))
+        elif op not in ("neg", "^"):
+            (_, right), (first, left) = stack.pop(), stack.pop()
+            stack.append((first, left | right))
+        params.append(tuple(sorted(stack[-1][1])))
+        starts.setdefault(stack[-1][0], []).insert(0, i)
+    return starts, params
+
+
+def _run(program: Program, binding: Mapping[str, Number], memo: dict) -> dict:
+    """Run ``program`` over coefficient dicts, exact numbers where possible.
+
+    A subtree whose parameters have values of equal type and repr in an
+    earlier run with the same ``memo`` is not run again: its result is
+    read back.  No instruction changes an operand in place, so results can
+    be shared.  memo[None] holds ``_subtrees(program)``.
+    """
+    if None not in memo:
+        memo[None] = _subtrees(program)
+    starts, params = memo[None]
+    values = {name: (type(v), repr(v)) for name, v in binding.items()}
+    keys = {names: tuple(map(values.get, names)) for names in set(params)}
+    stack: list[dict] = []
+    at = 0
+    while at < len(program):
+        for end in starts.get(at, ()):
+            done = memo.get((end, keys[params[end]]))
+            if done is not None:
+                stack.append(done)
+                at = end + 1
+                break
         else:
-            right, left = stack.pop(), stack.pop()
-            stack.append(_poly_mul(left, right) if op == "*" else
-                         _poly_add(left, right, 1 if op == "+" else -1))
+            _step(program[at], stack, binding)
+            memo[at, keys[params[at]]] = stack[-1]
+            at += 1
     return stack.pop()
+
+
+def _step(ins: tuple, stack: list[dict], binding: Mapping[str, Number]) -> None:
+    """Run one instruction on the stack."""
+    op = ins[0]
+    if op == "num":
+        stack.append({(0, 0): ins[1]})
+    elif op == "var":
+        name = ins[1]
+        if name in VARIABLES:
+            stack.append({(1, 0) if name == VARIABLES[0] else (0, 1): Fraction(1)})
+        elif name not in binding:
+            raise ExpressionError(f"no value bound for parameter {name!r}")
+        else:
+            val = binding[name]
+            stack.append({(0, 0): val} if val != 0 else {})
+    elif op == "neg":
+        stack.append({k: -c for k, c in stack.pop().items()})
+    elif op == "^":
+        base, n = stack.pop(), ins[1]
+        degree = max((i + j for i, j in base), default=0)
+        if degree * n > MAX_POWER_DEGREE:
+            raise ExpressionError(f"power ^{n} of an expression of degree {degree} "
+                                  f"passes degree {MAX_POWER_DEGREE}")
+        stack.append(_power(base, n) if degree == 0 else _poly_pow(base, n))
+    elif op == "/":
+        right = stack.pop()
+        if any(k != (0, 0) for k in right):
+            raise ExpressionError("division by a non-constant expression")
+        divisor = right.get((0, 0), 0)
+        if divisor == 0:
+            raise ExpressionError("division by zero")
+        stack.append({k: c / divisor for k, c in stack.pop().items()})
+    else:
+        right, left = stack.pop(), stack.pop()
+        stack.append(_poly_mul(left, right) if op == "*" else
+                     _poly_add(left, right, 1 if op == "+" else -1))
 
 
 def _power(base: dict, n: int) -> dict:
@@ -247,7 +293,8 @@ def _poly_mul(a: dict, b: dict) -> dict:
     return out
 
 
-def instantiate(expr: Program, binding: Mapping[str, Number]) -> np.ndarray:
+def instantiate(expr: Program, binding: Mapping[str, Number],
+                memo: dict | None = None) -> np.ndarray:
     """Substitute parameter values and return the coefficient array c[i, j].
 
     Arithmetic is carried out over exact rationals: int and Fraction values
@@ -259,19 +306,26 @@ def instantiate(expr: Program, binding: Mapping[str, Number]) -> np.ndarray:
     the coefficients of that float binding bit for bit.  The array spans the
     highest powers of x and y with a nonzero coefficient, and is at least
     1 x 1.
+
+    ``memo``, a dict that the calls of one batch of bindings of ``expr``
+    share, lets them share every subtree whose parameters have values of
+    equal type and repr: a batch of complex steps at one point runs the
+    exact program once, and each step only the subtrees that read its
+    parameter.  The batch's caller drops it when the batch ends.
     """
     import numpy as np  # the first bind loads numpy, not start-up
+    memo = {} if memo is None else memo
     real = {k: Fraction(repr(float(v.real))) if isinstance(v, (float, complex)) else v
             for k, v in binding.items()}
     coeffs = {}
-    for (i, j), c in _run(expr, real).items():
+    for (i, j), c in _run(expr, real, memo).items():
         try:
             coeffs[i, j] = float(c)
         except OverflowError as exc:
             raise ExpressionError(f"the coefficient of x^{i} y^{j} is out of the float "
                                   "range") from exc
     if any(isinstance(v, complex) for v in binding.values()):
-        for k, c in _run(expr, binding).items():
+        for k, c in _run(expr, binding, memo).items():
             if isinstance(c, complex):
                 coeffs[k] = complex(coeffs.get(k, 0.0), c.imag)
     shape = (1 + max((i for i, _ in coeffs), default=0),

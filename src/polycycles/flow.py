@@ -361,6 +361,7 @@ def integrate(fun, start, t_max: float, section: LineSection | None = None,
     -1 downward, 0 either), with that function's root on the step's
     quartic interpolant inside the section window.  A crossing outside the
     window does not stop the run; it goes on from the end of that step.
+    A field that is complex at the start is a ValueError.
 
     The steps run in a kernel compiled from _STEP_LOOP: for a field made by
     ``field_callable`` or ``chart_field`` the kernel of its pattern, with
@@ -371,6 +372,9 @@ def integrate(fun, start, t_max: float, section: LineSection | None = None,
         raise ValueError("integration time span must be positive")
     x, y = float(start[0]), float(start[1])
     fx, fy = fun(x, y)
+    if isinstance(fx, complex) or isinstance(fy, complex):
+        raise ValueError(f"the field is complex, ({fx!r}, {fy!r}), at the start "
+                         f"({x:.6g}, {y:.6g}); only a real field integrates")
     h_abs = _initial_step(fun, x, y, fx, fy, t_end - t0, atol, rtol)
     pattern = getattr(fun, "pattern", None)
     kernel = _KERNELS.get(pattern)

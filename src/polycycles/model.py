@@ -31,7 +31,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
 from .cyclicity import ZERO_TOL
 from .errors import ExpressionError, ModelError, UsageError
@@ -314,15 +314,27 @@ def merge_values(mf: ModelFile, overrides: Mapping[str, object] | None = None,
     return values
 
 
+def binder(mf: ModelFile) -> Callable[[Mapping[str, object] | None], Model]:
+    """``bind`` for one batch of points of ``mf``: the batch's binds share
+    every subtree of the field programs whose parameters have values of
+    equal type and repr (see expressions.instantiate).  Nothing outlives
+    the function returned."""
+    from .series import scalar  # series loads numpy, which start-up does without
+    fields = (("dot_x", mf.expr_x, {}), ("dot_y", mf.expr_y, {}))
+
+    def bind_one(overrides: Mapping[str, object] | None = None) -> Model:
+        binding = merge_values(mf, overrides)
+        arrays = []
+        for key, expr, memo in fields:
+            try:
+                arrays.append(instantiate(expr, binding, memo))
+            except ExpressionError as exc:  # a division by a parameter that is zero here
+                raise ModelError(f"[field] {key}: {exc}") from exc
+        return Model(file=mf, values={k: scalar(v) for k, v in binding.items()},
+                     field_x=arrays[0], field_y=arrays[1])
+    return bind_one
+
+
 def bind(mf: ModelFile, overrides: Mapping[str, object] | None = None) -> Model:
     """Instantiate the field at parameter values."""
-    from .series import scalar  # series loads numpy, which start-up does without
-    binding = merge_values(mf, overrides)
-    fields = []
-    for key, expr in (("dot_x", mf.expr_x), ("dot_y", mf.expr_y)):
-        try:
-            fields.append(instantiate(expr, binding))
-        except ExpressionError as exc:  # a division by a parameter that is zero here
-            raise ModelError(f"[field] {key}: {exc}") from exc
-    return Model(file=mf, values={k: scalar(v) for k, v in binding.items()},
-                 field_x=fields[0], field_y=fields[1])
+    return binder(mf)(overrides)

@@ -6,6 +6,15 @@ displacement expansions, parameter gradients, and a cyclicity verdict.
 The numeric drivers integrate the flow over the same sections, and build
 no closed form they do not compare against; the one they do compare
 against comes after the integration, so it cannot stop it.
+
+Scan chunks and gradients evaluate the chain over a batch of parameter
+points, one lane each.  A batch computes each distinct input once: its
+binds share every field subtree whose parameters are equal, and within a
+corner, lanes with equal axis data share their transition.  A lane
+computes only what its caller reads: the corners block of ``analyze``'s
+document prints S1 and S2 and the notes on an S that fails, so that
+chain asks each corner for both S (``both_s``); scan lanes, gradient
+lanes and the oracles' closed forms read neither unused S and skip it.
 """
 from __future__ import annotations
 
@@ -25,8 +34,8 @@ from .errors import (ModelError, NumericError, PolycycleError, UnsupportedGeomet
                      UsageError)
 from .flow import (FIT_MIN_POINTS, LineSection, chart_field, dulac_lattice, field_callable,
                    fit_expansion, count_limit_cycles, numeric_dulac, numeric_return)
-from .model import (MAX_GRID_POINTS, OPTION_DEFAULTS, Model, ModelFile, bind, check_option,
-                    merge_values)
+from .model import (MAX_GRID_POINTS, OPTION_DEFAULTS, Model, ModelFile, bind, binder,
+                    check_option, merge_values)
 from .resultdoc import block
 from .saddle import dulac_coefficients, normalize_saddle
 
@@ -114,10 +123,13 @@ def _batch(fun: Callable[[list], list], lanes: Sequence) -> list:
     return [lane if isinstance(lane, PolycycleError) else next(results) for lane in lanes]
 
 
-def build_corners(models: Sequence[Model]) -> list[tuple[DulacExpansion, ...] | PolycycleError]:
+def build_corners(models: Sequence[Model], *, both_s: bool = False,
+                  ) -> list[tuple[DulacExpansion, ...] | PolycycleError]:
     """The Dulac expansion of every corner, on the sections of ``_geometry``,
     for a batch of bindings of one model file: per model (lane), its corners'
-    expansions in corner-list order, or its first error.  Each corner is one batch."""
+    expansions in corner-list order, or its first error.  Each corner is one
+    batch.  ``both_s`` asks each corner for the S its case does not use (see
+    dulac_coefficients), which only the corners block of a document prints."""
     try:
         geometry = _geometry(models[0].file) if models else []
     except PolycycleError as exc:
@@ -128,7 +140,8 @@ def build_corners(models: Sequence[Model]) -> list[tuple[DulacExpansion, ...] | 
                                                       geo.incoming, geo.outgoing),
                            lane if isinstance(lane, PolycycleError) else m)
                   for lane, m in zip(lanes, models)]
-        expansions = _batch(lambda batch: dulac_coefficients(batch, geo.h_in, geo.h_out), charts)
+        expansions = _batch(lambda batch: dulac_coefficients(batch, geo.h_in, geo.h_out,
+                                                             both_s=both_s), charts)
         lanes = [d if isinstance(d, PolycycleError) else lane + (d,)
                  for lane, d in zip(lanes, expansions)]
     return lanes
@@ -181,8 +194,11 @@ def _chain_quantities(mf: ModelFile, points: Sequence[Mapping[str, object]],
                       ) -> list[dict[str, float | complex] | PolycycleError]:
     """The six closed-form quantities at each parameter point of one batch,
     or the point's first error.  A complex step gives complex quantities.
+    The points are bound as one batch, and no corner computes the S its case
+    does not use.
     """
-    lanes = _batch(build_corners, [_attempt(lambda values: bind(mf, values), p) for p in points])
+    bind_one = binder(mf)
+    lanes = _batch(build_corners, [_attempt(bind_one, p) for p in points])
     return [_attempt(lambda chain: _quantities(*_fold(chain)[:2]), lane) for lane in lanes]
 
 
@@ -194,7 +210,7 @@ def analyze(mf: ModelFile, overrides: Mapping[str, object] | None = None,
     """
     opts = _options(mf, tol_overrides)
     model = bind(mf, overrides)
-    chain = _raised(build_corners([model])[0])
+    chain = _raised(build_corners([model], both_s=True)[0])
     ret, disp, disp_note = _fold(chain)
 
     grads: dict[str, dict[str, float | None]] = {}

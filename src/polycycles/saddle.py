@@ -53,14 +53,26 @@ takes the product rule weighted by modified moments.  See "Chebyshev rules".
 The rules run on a lane axis, a lane per chart and axis of a corner; what
 would round differently over lanes (matrix products, series recurrences,
 scalar powers) stays per lane.  A lane stops doubling and fails alone.
+A batch computes each distinct input once, and a lane only what its
+caller reads: lanes whose axis data are equal bit for bit share one
+transition lane, mellin_hat builds the moments once per distinct (beta,
+count), and the S a corner's case does not use is computed only when
+asked for (dulac_coefficients' ``both_s``).  Nothing is kept past the
+call.
 
 Every function here is holomorphic in the field's coefficients, so a
 complex step in a parameter carries through to exact derivatives (see
 cyclicity.gradient).  Every branch (sign checks, case tags, Taylor splits,
 pole guards, convergence tests) is taken on real parts, so a complex
-evaluation follows the same path as the real one, and the rules' matrix
-products and the integrands' quotients are taken by parts (_real_matmul,
-_divide), so that its real part repeats the real arithmetic.
+evaluation follows the same path as the real one, and its ratio is the
+real ratio exactly.  The rules' matrix products and the integrands'
+quotients are taken by parts (_real_matmul, _divide) and repeat the real
+arithmetic bit for bit; the powers, exponentials and series recurrences
+run in complex arithmetic and do not.  Over 40 seeded points each of
+four_saddle (within 2% of its defaults) and integrable_square, D00's real
+part is within 3 ulps of the real evaluation's, and S1's and S2's within
+7.7e-15 relative.  So the chain a document prints is evaluated on its own
+lane, not read off the gradient's.
 """
 from __future__ import annotations
 
@@ -294,6 +306,15 @@ def _divide(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a / b
 
 
+def _key(value) -> tuple:
+    """Equal only for inputs that compute alike bit for bit: an array's
+    dtype, shape and bytes, a number's type and repr (0.5 and 0.5+0j, 0.0
+    and -0.0 differ)."""
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.shape, value.tobytes()
+    return type(value), repr(value)
+
+
 def _stacked(rows: Sequence[np.ndarray]) -> np.ndarray:
     """One coefficient array per lane, as columns; the zeros that fill the
     shorter ones at the top leave every Horner step as it was."""
@@ -408,7 +429,7 @@ class _Transition:
 
     def at(self, n: int, lanes: Sequence[int]) -> np.ndarray:
         """L at the n + 1 Lobatto points of [0, w], t = 1 first, a row per lane."""
-        fresh = [i for i in lanes if self._l[i].size <= n]
+        fresh = [i for i in dict.fromkeys(lanes) if self._l[i].size <= n]
         rows = dict(zip(fresh, np.exp([self._log_l(v, i) for v, i in
                                        zip(self._sample(n, fresh), fresh)]))) if fresh else {}
         return np.array([rows[i] if i in rows else self._l[i][::(self._l[i].size - 1) // n]
@@ -436,12 +457,13 @@ def _first_order(c: np.ndarray) -> np.ndarray:
 
 
 def _s_values(p: Sequence[np.ndarray], q: Sequence[np.ndarray], trans: _Transition,
-              lanes: Sequence[int]) -> dict[int, float | complex | PolycycleError]:
-    """S = -M^(w)/L(w), or the error, for each lane listed: L the transition
-    of its (p, q) on [0, w], M = L * d(p/q) across the axis transformed at
-    Mellin order alpha.  S1 from (P, Q) and L1, S2 from (Q.T, P.T) and L2."""
+              lanes: Sequence[int]) -> list[float | complex | PolycycleError]:
+    """S = -M^(w)/L(w), or the error, per lane (p, q, transition lane): L
+    the transition of (p, q) on [0, w], M = L * d(p/q) across the axis
+    transformed at Mellin order alpha.  S1 from (P, Q) and L1, S2 from
+    (Q.T, P.T) and L2."""
     nums, dens, m_series = [], [], []
-    for pi, qi, series in ((p[i], q[i], trans.series[i]) for i in lanes):
+    for pi, qi, series in zip(p, q, (trans.series[t] for t in lanes)):
         # row 0 of p and q is the ratio on the axis, row 1 its partial across
         # it; both products are as long as p's and q's rows together
         nums.append(np.convolve(_first_order(pi), qi[0]) - np.convolve(pi[0], _first_order(qi)))
@@ -457,10 +479,10 @@ def _s_values(p: Sequence[np.ndarray], q: Sequence[np.ndarray], trans: _Transiti
         values = _horner_at(ratio, np.concatenate((rows, rows + count)), np.concatenate((w, w)))
         return trans.at(n, own) * _divide(values[:w.size], values[w.size:]).reshape(len(ks), -1)
 
-    values = mellin_hat(m_germ, m_series, [trans.alpha[i] for i in lanes],
-                        [trans.w[i] for i in lanes])
-    return {i: v if isinstance(v, PolycycleError) else -(1.0 / trans.end(i)) * v
-            for i, v in zip(lanes, values)}
+    values = mellin_hat(m_germ, m_series, [trans.alpha[t] for t in lanes],
+                        [trans.w[t] for t in lanes])
+    return [v if isinstance(v, PolycycleError) else -(1.0 / trans.end(t)) * v
+            for v, t in zip(values, lanes)]
 
 
 # ---------------------------------------------------------------------------
@@ -512,14 +534,17 @@ def mellin_hat(f: Sampler, series: Sequence, alpha: Sequence, x: Sequence[float]
     # the product rule: the first n + 1 moments times h's Chebyshev
     # coefficients; t^beta dt on [0, 1] is 2^-(beta+1) (1+x)^beta dx
     scale = {i: x[i]**(beta[i] + 1.0) / 2.0 ** (beta[i] + 1.0) for i in live}
-    moments = {i: _moments(beta[i], 2 * QUAD_MIN_NODES + 1) for i in live}
+    # one array per distinct (beta, count); the rule at n reads n + 1 of them
+    moments: dict = {}
+    exact = {i: _key(beta[i]) for i in live}
 
     def rule(values: np.ndarray, i: int) -> np.ndarray:
         n = values.size - 1
-        if moments[i].size <= n:
-            moments[i] = _moments(beta[i], n + 1)
+        key = (exact[i], max(2 * QUAD_MIN_NODES, n) + 1)
+        if key not in moments:
+            moments[key] = _moments(beta[i], key[1])
         # one row of moments: the integral at t = 1 only
-        return scale[i] * (moments[i][None, :n + 1] @ _real_matmul(_chebyshev(n)[1], values))
+        return scale[i] * (moments[key][None, :n + 1] @ _real_matmul(_chebyshev(n)[1], values))
 
     for i, val in _doubling(h, rule, live, "Mellin tail quadrature").items():
         head = sum(series[i][j] * x[i]**j / (j - alpha[i]) for j in range(k[i]))
@@ -532,16 +557,20 @@ def mellin_hat(f: Sampler, series: Sequence, alpha: Sequence, x: Sequence[float]
 
 
 def dulac_coefficients(charts: Sequence[LocalChart], h_in: float, h_out: float,
-                       ) -> list[DulacExpansion | PolycycleError]:
+                       *, both_s: bool = False) -> list[DulacExpansion | PolycycleError]:
     """The Dulac expansions of one corner from (s, h_in) to (h_out, v), for a
     batch of its charts: per chart, the expansion or the error that stopped it.
 
     S1 and S2 come from one routine, S2 on the mirrored chart.  The S the
     case needs (S2 below one, S1 above one) has its Mellin order in (0, 1),
-    away from every pole; the other S is set to None, with a note, when it
-    fails (a pole guard, a tail that does not converge).  At-one corners
-    return leading data only, flagged in ``notes``.  A Mellin order past MELLIN_ORDER_MAX fails before
-    any series is built.
+    away from every pole.  The other S only ``both_s`` asks for; it is set
+    to None, with a note, when it fails (a pole guard, a tail that does not
+    converge), and None without one when it is not asked for.  At-one
+    corners return leading data only, flagged in ``notes``.  A Mellin order
+    past MELLIN_ORDER_MAX fails before any series is built.
+
+    Lanes whose axis data (row 0 of P and Q, Mellin order, section
+    half-length) are equal bit for bit share one transition lane.
     """
     if not (0.0 < h_in < math.inf and 0.0 < h_out < math.inf):
         return [ModelError(f"section half-lengths must be positive and finite, "
@@ -558,18 +587,23 @@ def dulac_coefficients(charts: Sequence[LocalChart], h_in: float, h_out: float,
             out[i] = exc
     live = [i for i, error in enumerate(out) if error is None]
     # both axes as one batch: lane j is axis 1 of live chart j, lane m + j
-    # its axis 2, the chart mirrored u <-> v
+    # its axis 2, the chart mirrored u <-> v; lane[j] is its transition lane
     m, lam = len(live), [lams[i] for i in live]
     p, q = [charts[i].p_poly for i in live], [charts[i].q_poly for i in live]
     p, q = p + [c.T for c in q], q + [c.T for c in p]
-    trans = _Transition(p, q, [1.0 / x for x in lam] + lam, [h_in] * m + [h_out] * m)
-    leading = {}
+    alpha, w = [1.0 / x for x in lam] + lam, [h_in] * m + [h_out] * m
+    distinct: dict = {}
+    lane = [distinct.setdefault(tuple(map(_key, data)), len(distinct))
+            for data in zip((c[0] for c in p), (c[0] for c in q), alpha, w)]
+    first = [lane.index(t) for t in range(len(distinct))]
+    trans = _Transition(*([seq[j] for j in first] for seq in (p, q, alpha, w)))
+    leading, needed = {}, {}
     for j, i in enumerate(live):
-        out[i] = trans.failed.get(j) or trans.failed.get(m + j)
+        out[i] = trans.failed.get(lane[j]) or trans.failed.get(lane[m + j])
         if out[i] is not None:
             continue
         try:
-            d00 = (h_in / trans.end(j)**lam[j]) * (trans.end(m + j) / h_out**lam[j])
+            d00 = (h_in / trans.end(lane[j])**lam[j]) * (trans.end(lane[m + j]) / h_out**lam[j])
         except (OverflowError, ZeroDivisionError):  # a power past the float range
             d00 = math.nan
         if d00.real == 0.0 or not math.isfinite(d00.real):
@@ -582,18 +616,22 @@ def dulac_coefficients(charts: Sequence[LocalChart], h_in: float, h_out: float,
                        "(Mellin pole at alpha=1); leading term only",))
         else:
             leading[j] = d00
+            needed[j] = 2 if classify_ratio(lam[j]) == "below-one" else 1
 
-    s_values = _s_values(p, q, trans, [*leading, *(m + j for j in leading)])
+    wanted = [(j, axis) for axis in (1, 2) for j in leading if both_s or axis == needed[j]]
+    rows = [j if axis == 1 else m + j for j, axis in wanted]
+    s_values = dict(zip(wanted, _s_values([p[r] for r in rows], [q[r] for r in rows], trans,
+                                          [lane[r] for r in rows])))
     for j, d00 in leading.items():
-        lj, needed = lam[j], 2 if classify_ratio(lam[j]) == "below-one" else 1
-        s = {axis: s_values[j if axis == 1 else m + j] for axis in (1, 2)}
-        if isinstance(s[needed], PolycycleError):
-            out[live[j]] = s[needed]
+        lj = lam[j]
+        s = {axis: s_values[j, axis] for axis in (1, 2) if (j, axis) in s_values}
+        if isinstance(s[needed[j]], PolycycleError):
+            out[live[j]] = s[needed[j]]
             continue
         notes = tuple(f"S{axis} unavailable: {value}" for axis, value in s.items()
                       if isinstance(value, PolycycleError))
-        s1, s2 = (None if isinstance(v, PolycycleError) else v for v in s.values())
-        if needed == 2:
+        s1, s2 = (None if isinstance(v, PolycycleError) else v for v in map(s.get, (1, 2)))
+        if needed[j] == 2:
             exponent, coeff, ell = lj, -(d00**2) * s2, (lj.real, min(2.0 * lj.real, 1.0))
         else:
             exponent, coeff, ell = 1.0, lj * d00 * s1, (1.0, min(lj.real, 2.0))

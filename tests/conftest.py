@@ -40,7 +40,7 @@ def game_mf():
 
 @pytest.fixture(scope="session")
 def game_chain(game_mf):
-    (chain,) = build_corners([bind(game_mf)])
+    (chain,) = build_corners([bind(game_mf)], both_s=True)
     return chain
 
 

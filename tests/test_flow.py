@@ -385,6 +385,14 @@ class TestIntegrate:
         with pytest.raises(NumericError, match=why):
             integrate(field_callable(poly(source), poly("0")), start, 1.0)
 
+    def test_a_complex_field_is_a_value_error(self):
+        # a complex coefficient gives a field that returns complex values
+        c = poly("1 + x") + 0j
+        c[0, 0] = 1.0 + 0.5j
+        with pytest.raises(ValueError, match=r"the field is complex, \(\(1\.1\+0\.5j\), "
+                                             r"0\.0\), at the start \(0\.1, 0\.1\)"):
+            integrate(field_callable(c, poly("0")), (0.1, 0.1), 1.0)
+
     def test_underflowed_interpolation_bisects(self):
         # u' = u from a subnormal u: the root refinement's inverse quadratic
         # denominator underflows to 0.0, where Brent's method bisects

@@ -7,7 +7,10 @@ fits) rather than re-deriving the integration here.
 
 import cmath
 import hashlib
+import importlib
+import itertools
 import math
+import pkgutil
 import random
 import re
 import sys
@@ -15,13 +18,14 @@ import sys
 import numpy as np
 import pytest
 
-from conftest import flat_doc
+import polycycles
+from conftest import MODELS, flat_doc
 from polycycles import pipeline
-from polycycles.calculus import CompensatorTerm
+from polycycles.calculus import CompensatorTerm, DulacExpansion
 from polycycles.cli import main
 from polycycles.cyclicity import gradient
 from polycycles.errors import ModelError, PolycycleError, UnsupportedGeometryError
-from polycycles.model import bind, parse_model
+from polycycles.model import bind, binder, load_model, parse_model
 from polycycles.pipeline import (_chain_quantities, analyze, build_corners, oracle_cycles,
                                  oracle_dulac, oracle_return, scan)
 from polycycles.resultdoc import _flatten, block, dumps
@@ -102,13 +106,16 @@ class TestAnalyzeGame:
         assert grads["ratio"]["m1"] == 0.0
 
     def test_one_chain_per_parameter(self, game_mf, monkeypatch):
-        # the document's chain, then one batch holding a complex chain for
-        # each of 5 parameters
+        # the document's chain, which prints both S, then one batch holding
+        # a complex chain for each of 5 parameters, which reads neither
         calls = []
-        monkeypatch.setattr(pipeline, "build_corners",
-                            lambda models: calls.append(len(models)) or build_corners(models))
+
+        def counted(models, **kwargs):
+            calls.append((len(models), kwargs))
+            return build_corners(models, **kwargs)
+        monkeypatch.setattr(pipeline, "build_corners", counted)
         analyze(game_mf)
-        assert calls == [1, 5]
+        assert calls == [(1, {"both_s": True}), (5, {})]
 
     def test_parameters_and_provenance(self, game_doc, game_mf):
         assert game_doc["parameters"] == {
@@ -677,3 +684,148 @@ def test_gradient_batch_equals_per_parameter_chains(game_mf, overrides):
             d = float(value.imag) / 1e-30
             want = d if math.isfinite(value.real) and math.isfinite(d) else None
             assert same(grads[quantity][name], want), (name, quantity)
+
+
+def bits(value):
+    """value with every float and complex part as float.hex, over numbers,
+    sequences, dicts, errors and expansions: equal exactly when bit for bit
+    equal, signed zeros included."""
+    if isinstance(value, complex):
+        return "complex", value.real.hex(), value.imag.hex()
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, dict):
+        return {key: bits(v) for key, v in value.items()}
+    if isinstance(value, (tuple, list)):
+        return [bits(v) for v in value]
+    if isinstance(value, Exception):
+        return type(value).__name__, str(value)
+    if isinstance(value, DulacExpansion):
+        return bits(vars(value))
+    return value
+
+
+def repeating_grid(rng):
+    """A seeded 3 x 3 grid over two scan axes, each axis repeating a value."""
+    names = rng.sample(sorted(SCAN_RANGES), 2)
+    axes = []
+    for name in names:
+        a, b = (rng.uniform(*SCAN_RANGES[name]) for _ in range(2))
+        axes.append((a, b, a))
+    return [dict(zip(names, combo)) for combo in itertools.product(*axes)]
+
+
+# A batch computes each distinct input once (bind subtrees, transition
+# lanes, moments) and each lane only what its caller reads: every lane is
+# the same point alone, bit for bit, and so is either S request's lane
+
+@pytest.mark.parametrize("seed", range(4))
+def test_scan_lanes_that_share_inputs_equal_their_points_alone(game_mf, seed):
+    points = repeating_grid(random.Random(seed))
+    for point, q in zip(points, _chain_quantities(game_mf, points)):
+        assert bits(q) == bits(_chain_quantities(game_mf, [point])[0]), point
+    bind_one = binder(game_mf)
+    models = [bind_one(point) for point in points]
+    for both_s in (False, True):
+        for point, lane in zip(points, build_corners(models, both_s=both_s)):
+            (alone,) = build_corners([bind(game_mf, point)], both_s=both_s)
+            assert bits(lane) == bits(alone), (point, both_s)
+
+
+@pytest.mark.parametrize("model, overrides", [
+    ("four_saddle", {}), ("four_saddle", {"l1": 0.4, "m1": 20.0}),
+    ("four_saddle", {"l2": 2.5, "l4": 2.5}), ("integrable_square", {"a": 0.4})])
+def test_gradient_lanes_equal_their_steps_alone(model, overrides):
+    mf = load_model(MODELS / f"{model}.model")
+    point = bind(mf, overrides).values
+    steps = [{**point, name: point[name] + 1e-30j} for name in point]
+    for step, q in zip(steps, _chain_quantities(mf, steps)):
+        assert bits(q) == bits(_chain_quantities(mf, [step])[0]), step
+    bind_one = binder(mf)
+    for step, lane in zip(steps, build_corners([bind_one(s) for s in steps], both_s=True)):
+        assert bits(lane) == bits(build_corners([bind(mf, step)], both_s=True)[0]), step
+
+
+def test_both_s_lanes_equal_their_points_alone(game_mf):
+    # analyze's chain asks for both S in a batch of one; a batch asked for
+    # both gives each lane the same, and a lane asked for one S differs
+    # only in the other S and the notes about it
+    rng = random.Random(39)
+    points = [{name: rng.uniform(*SCAN_RANGES[name]) for name in ("l1", "m1")}
+              for _ in range(3)]
+    points += [{}, {}, {"l2": 1.0}, {"l1": 0.5}]
+    models = [bind(game_mf, point) for point in points]
+    full, lean = build_corners(models, both_s=True), build_corners(models)
+    assert full[-1][0].notes == ("S1 unavailable: Mellin order alpha=2.0 is within 1e-06 of "
+                                 "the pole at 2",)
+    for point, model, lane, part in zip(points, models, full, lean):
+        assert bits(lane) == bits(build_corners([model], both_s=True)[0]), point
+        for d, e in zip(lane, part, strict=True):
+            unused = {"above-one": "s2", "below-one": "s1"}.get(d.case)
+            if unused is None:  # at one: leading data only
+                assert bits(d) == bits(e)
+            else:
+                assert (getattr(e, unused), e.notes) == (None, ())
+                assert bits({**vars(d), unused: None, "notes": ()}) == bits(e)
+
+
+@pytest.mark.parametrize("model, ranges", [
+    ("four_saddle", SCAN_RANGES), ("integrable_square", {"a": (0.30, 0.45), "b": (0.40, 0.60)})])
+def test_a_complex_step_repeats_the_real_chain_to_rounding(model, ranges):
+    # a complex step takes every branch on real parts, and its matrix
+    # products and quotients by parts, so its ratio is the real one; its
+    # powers, exponentials and series recurrences run in complex arithmetic,
+    # so D00 and S are the real ones only to rounding (over 40 points each:
+    # 3 ulps, 7.7e-15).  Hence the document's chain is evaluated apart from
+    # the gradient's lanes
+    mf = load_model(MODELS / f"{model}.model")
+    rng = random.Random(7)
+    for _ in range(6):
+        point = {name: rng.uniform(lo, hi) for name, (lo, hi) in ranges.items()}
+        (real,) = build_corners([bind(mf, point)], both_s=True)
+        steps = [bind(mf, {**point, name: point[name] + 1e-30j}) for name in point]
+        for lane in build_corners(steps, both_s=True):
+            for r, c in zip(real, lane):
+                assert (c.ratio.real, c.case) == (r.ratio, r.case)
+                assert abs(c.leading.real - r.leading) <= 4 * math.ulp(r.leading)
+                for a, b in ((r.s1, c.s1), (r.s2, c.s2)):
+                    assert (a is None) == (b is None)
+                    assert a is None or abs(b.real - a) <= 1e-13 * abs(a)
+
+
+def test_the_real_part_of_a_complex_step_is_not_the_real_chain(game_chain, game_mf):
+    # at the defaults corner 1's S1 reads -2.3001054272467503 on the real
+    # lane and -2.30010542724675 in every complex lane
+    point = bind(game_mf).values
+    steps = [bind(game_mf, {**point, name: point[name] + 1e-30j}) for name in point]
+    assert {lane[0].s1.real for lane in build_corners(steps, both_s=True)} \
+        == {-2.30010542724675} != {game_chain[0].s1} == {-2.3001054272467503}
+
+
+def test_no_cache_outlives_a_command(tmp_path):
+    # two scans at different points leave every module-level dict, list,
+    # set and lru_cache of the package as it was, but the caches of
+    # constant data: Chebyshev rules, shift matrices, chart operators and
+    # compiled flow kernels
+    constant = {("saddle", "_chebyshev"), ("saddle", "_cumulative"), ("saddle", "_shift_matrix"),
+                ("saddle", "_chart_operator"), ("flow", "_KERNELS")}
+    modules = {info.name: importlib.import_module(f"polycycles.{info.name}")
+               for info in pkgutil.iter_modules(polycycles.__path__)}
+
+    def sizes():
+        out = {}
+        for module_name, module in modules.items():
+            for name, value in vars(module).items():
+                if isinstance(value, (dict, list, set)):
+                    out[module_name, name] = len(value)
+                elif hasattr(value, "cache_info"):
+                    out[module_name, name] = value.cache_info().currsize
+        return out
+
+    before = sizes()
+    for l1 in ("0.31:0.35:3", "0.61:0.7:3"):
+        assert main(["scan", "--model", str(MODELS / "four_saddle.model"), "--grid", f"l1={l1}",
+                     "--grid", "m1=7:9:3", "--out", str(tmp_path / "scan.csv")]) == 0
+    after = sizes()
+    assert constant <= after.keys()
+    assert {key for key in after if after[key] > before.get(key, 0)} <= constant

@@ -42,8 +42,9 @@ def poly(source):
 
 
 def expand(chart, h_in, h_out):
-    """The corner's expansion, as a batch of one; a failed lane raises its error."""
-    (lane,) = dulac_coefficients([chart], h_in, h_out)
+    """The corner's expansion with both S, as a batch of one; a failed lane
+    raises its error."""
+    (lane,) = dulac_coefficients([chart], h_in, h_out, both_s=True)
     if isinstance(lane, Exception):
         raise lane
     return lane
@@ -601,7 +602,7 @@ SLOW_CORNERS = [
 
 def test_slow_point_in_budget(game_mf):
     start = time.perf_counter()
-    (corners,) = build_corners([bind(game_mf, SLOW_POINT)])
+    (corners,) = build_corners([bind(game_mf, SLOW_POINT)], both_s=True)
     elapsed = time.perf_counter() - start
     for exp, expected in zip(corners, SLOW_CORNERS, strict=True):
         assert (exp.leading, exp.s1, exp.s2) == pytest.approx(expected, rel=1e-9)
@@ -680,7 +681,7 @@ def test_product_rule_weights():
 def test_mellin_order_above_the_default_series(game_mf):
     # l1 = 0.045 puts corner 1's S1 at alpha = 1/l1 = 22.2, past what a
     # 16-term germ series can split off; 60-digit value of the same formula
-    (corners,) = build_corners([bind(game_mf, {"l1": "0.045"})])
+    (corners,) = build_corners([bind(game_mf, {"l1": "0.045"})], both_s=True)
     assert corners[0].s1 == pytest.approx(-2.4831988484826426, rel=1e-12)
 
 
@@ -703,7 +704,7 @@ def fail_lane(monkeypatch, call, lane):
 
 def test_a_failing_unused_s_is_a_note(game_mf, game_chain, monkeypatch):
     fail_lane(monkeypatch, call=1, lane=-1)
-    (chain,) = build_corners([bind(game_mf)])
+    (chain,) = build_corners([bind(game_mf)], both_s=True)
     d = chain[1]
     assert (d.case, d.s2) == ("above-one", None)
     assert d.notes == ("S2 unavailable: Mellin tail quadrature did not converge (err=2.15e-03)",)
@@ -724,7 +725,7 @@ def test_a_transition_that_does_not_converge_fails_its_lane_alone():
     # first lane's transition integral on [0, 1/2] does not converge
     bad = LocalChart(np.array([[1.0]]), np.array([[-(0.0625 + 1e-8), 0.5, -1.0]]))
     good = nonlinear_chart()
-    failed, lane = dulac_coefficients([bad, good], 0.5, 0.5)
+    failed, lane = dulac_coefficients([bad, good], 0.5, 0.5, both_s=True)
     assert isinstance(failed, NumericError)
     assert str(failed).startswith("transition integral did not converge")
     assert lane == expand(good, 0.5, 0.5)

@@ -63,7 +63,7 @@ def corner(lam):
     p, q = separable(lam)
     chart = LocalChart(np.array(p).reshape(3, 1), np.array(q).reshape(1, 3))
     assert chart.lam == lam
-    (d,) = dulac_coefficients([chart], H, H)
+    (d,) = dulac_coefficients([chart], H, H, both_s=True)
     with mp.workdps(DPS):
         return d, quadrature_oracle(p, q, H, H)
 
