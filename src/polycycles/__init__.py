@@ -27,10 +27,10 @@ _HOMES = {
                "OutOfBasinError", "PoleError", "PolycycleError",
                "UnsupportedGeometryError", "UsageError"),
     "expressions": ("instantiate", "parse_expression"),
-    "flow": ("CycleCount", "CycleRecord", "FitReport", "LineSection", "Trajectory",
-             "count_limit_cycles", "field_callable", "fit_expansion", "integrate",
-             "numeric_dulac", "numeric_return"),
-    "model": ("Model", "ModelFile", "bind", "load_model", "parse_model"),
+    "flow": ("CycleCount", "CycleRecord", "FitReport", "Trajectory", "count_limit_cycles",
+             "field_callable", "fit_expansion", "integrate", "numeric_dulac",
+             "numeric_return"),
+    "model": ("LineSection", "Model", "ModelFile", "bind", "load_model", "parse_model"),
     "pipeline": ("analyze", "oracle_cycles", "oracle_dulac", "oracle_return", "scan"),
     "saddle": ("LocalChart", "dulac_coefficients", "normalize_saddle"),
 }

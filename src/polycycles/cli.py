@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Sequence
+from typing import Callable, Sequence
 
 from . import __version__
 from .errors import ModelError, NumericError, PolycycleError, UsageError
@@ -94,7 +94,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, model: bool, tol: bool = False) -> None:
+    def common(p: argparse.ArgumentParser, run: Callable[[argparse.Namespace], int],
+               model: bool, tol: bool = False) -> None:
+        p.set_defaults(run=run)
         if model:
             p.add_argument("--model", required=True, help="model file path")
             p.add_argument("--set", action="append", metavar="NAME=VALUE",
@@ -106,21 +108,22 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="write the result document here instead of stdout")
 
     p = sub.add_parser("analyze", help="closed-form pipeline: expansions and verdict")
-    common(p, model=True, tol=True)
+    common(p, _cmd_analyze, model=True, tol=True)
 
     p = sub.add_parser("oracle", help="numeric integration cross-checks")
-    common(p, model=True, tol=True)
+    common(p, _cmd_oracle, model=True, tol=True)
     p.add_argument("--what", required=True, choices=("dulac", "return", "cycles"))
     p.add_argument("--corner", type=int, help="1-based corner index (dulac only)")
     p.add_argument("--s-range", dest="s_range", metavar="LO:HI",
                    help="section-parameter range; dulac and return sample fit_points "
                         "values geometric over it (default: the halving grid), "
-                        "cycles scans it (default 1e-6:1e-1)")
+                        "cycles scans it (default: 1e-6:1e-1 clipped to the section "
+                        "window, or the whole window when they do not meet)")
 
     p = sub.add_parser("compose-check",
                        help="cross-validate composition rules against the "
                             "pointwise oracle")
-    common(p, model=False)
+    common(p, _cmd_compose_check, model=False)
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--count", type=int, default=100,
                    help=f"random cases per sign case, at most {MAX_GRID_POINTS}")
@@ -129,7 +132,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "check flags disagreement")
 
     p = sub.add_parser("scan", help="closed-form quantities over a parameter grid")
-    common(p, model=True)
+    common(p, _cmd_scan, model=True)
     p.add_argument("--grid", action="append", metavar="NAME=START:STOP:COUNT",
                    help="grid axis (repeatable)")
     return parser
@@ -156,7 +159,7 @@ def _cmd_oracle(args) -> int:
     elif args.what == "return":
         doc = _module.oracle_return(mf, rng, overrides, tols)
     else:
-        doc = _module.oracle_cycles(mf, rng or (1e-6, 1e-1), overrides, tols)
+        doc = _module.oracle_cycles(mf, rng, overrides, tols)
     _emit(dumps(doc), args.out)
     return EXIT_OK
 
@@ -187,34 +190,25 @@ def _cmd_scan(args) -> int:
 
 
 def __getattr__(name: str):
-    # imported on first use: the pipeline loads numpy, composecheck mpmath
-    if name == "run_compose_check":
-        from .composecheck import run_compose_check
-        return run_compose_check
-    if name in ("analyze", "oracle_dulac", "oracle_return", "oracle_cycles", "scan"):
-        from .pipeline import analyze, oracle_cycles, oracle_dulac, oracle_return, scan
-        return {"analyze": analyze, "oracle_dulac": oracle_dulac, "oracle_return": oracle_return,
-                "oracle_cycles": oracle_cycles, "scan": scan}[name]
+    # a public name of the package, such as an entry point, is imported on
+    # first use through it: the pipeline loads numpy, composecheck mpmath
+    package = sys.modules[__package__]
+    if name in package.__all__:
+        return getattr(package, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-_COMMANDS = {
-    "analyze": _cmd_analyze,
-    "oracle": _cmd_oracle,
-    "compose-check": _cmd_compose_check,
-    "scan": _cmd_scan,
-}
+_PARSER = build_parser()
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else EXIT_USAGE
     try:
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     except UsageError as exc:  # before ModelError, its base class
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -15,10 +15,12 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
+import numpy as np
+
 from .calculus import DisplacementExpansion, ReturnExpansion
 from .errors import NumericError, PolycycleError
+from .model import ZERO_TOL
 
-ZERO_TOL = 1e-9
 COMPLEX_STEP = 1e-30
 
 
@@ -52,7 +54,6 @@ def independence_rank(grads: Sequence[Mapping[str, float | None]]) -> int:
     unreliable (None) entry in any row are excluded.  Rank counts singular
     values above max_dim * eps * s_max * 1e3.
     """
-    import numpy as np  # model imports this module for ZERO_TOL at start-up
     if not grads:
         return 0
     names = sorted(set().union(*grads))

@@ -32,27 +32,22 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Sequence
 
+import numpy as np
+
 from .errors import NumericError, OutOfBasinError, PolycycleError
+from .model import ATOL, FIT_MIN_POINTS, RTOL, T_MAX, LineSection
 
 if TYPE_CHECKING:
-    import numpy as np
-
     from .saddle import LocalChart
 
-ATOL = 1e-12
-RTOL = 1e-10
-T_MAX = 200.0     # default time span of one transition
 PRE_STEP = 1e-6   # advance past a start that sits on the section line
 EPS = 2.0 ** -52
 ROOT_RTOL = 4 * EPS  # relative part of the bracket width a root is refined to
 ROOT_MAXITER = 100
 LATTICE_CAP = 3.5    # largest offset of a corner-transition lattice fit
-FIT_MIN_POINTS = 4   # the fewest samples fit_expansion takes
 
 # Dormand–Prince 5(4) tableau (Dormand and Prince 1980) and the quartic
-# dense output of Shampine (1986), the coefficients of scipy's RK45.  The
-# fields are autonomous, so the stage times C are listed but never used.
-C = (0.0, 1/5, 3/10, 4/5, 8/9, 1.0)
+# dense output of Shampine (1986), the coefficients of scipy's RK45.
 A = (
     (0.0, 0.0, 0.0, 0.0, 0.0),
     (1/5, 0.0, 0.0, 0.0, 0.0),
@@ -442,38 +437,6 @@ def _bracket_root(f: Callable[[float], float], a: float, b: float, fa: float, fb
 # Sections
 
 
-@dataclass(frozen=True)
-class LineSection:
-    """Straight transverse section: anchor + t * direction, t in window."""
-
-    anchor: tuple[float, float]
-    direction: tuple[float, float]
-    window: tuple[float, float]
-
-    @classmethod
-    def make(cls, anchor, direction, window) -> "LineSection":
-        dx, dy = float(direction[0]), float(direction[1])
-        # param divides by this squared length
-        if not 0.0 < dx * dx + dy * dy < math.inf:
-            raise ValueError(f"section direction must be nonzero, with a positive and "
-                             f"finite squared length; got ({dx!r}, {dy!r})")
-        return cls((float(anchor[0]), float(anchor[1])), (dx, dy),
-                   (float(window[0]), float(window[1])))
-
-    @property
-    def normal(self) -> tuple[float, float]:
-        dx, dy = self.direction
-        return -dy, dx
-
-    def point(self, t: float) -> tuple[float, float]:
-        (ax, ay), (dx, dy) = self.anchor, self.direction
-        return ax + t * dx, ay + t * dy
-
-    def param(self, point) -> float:
-        (px, py), (ax, ay), (dx, dy) = point, self.anchor, self.direction
-        return ((px - ax) * dx + (py - ay) * dy) / (dx * dx + dy * dy)
-
-
 def crossing_map(fun, start, section: LineSection, t_max: float = T_MAX,
                  atol: float = ATOL, rtol: float = RTOL) -> tuple[float, float]:
     """First crossing of a section that counts: returns (parameter, time).
@@ -588,13 +551,6 @@ def dulac_lattice(lam: float) -> tuple[float, ...]:
     return tuple(sorted(offs))
 
 
-def _slope(logx: np.ndarray, logy: np.ndarray) -> float:
-    import numpy as np  # fits and scans load numpy; integration does without
-    a = np.column_stack([logx, np.ones_like(logx)])
-    coef, *_ = np.linalg.lstsq(a, logy, rcond=None)
-    return float(coef[0])
-
-
 def fit_expansion(svals: Sequence[float], values: Sequence[float],
                   exponent: float | None = None,
                   lattice: Sequence[float] | None = None) -> FitReport:
@@ -615,7 +571,6 @@ def fit_expansion(svals: Sequence[float], values: Sequence[float],
     minus the fitted bracket model, and is None when the leftover is at
     machine level.
     """
-    import numpy as np  # fits and scans load numpy; integration does without
     s = np.asarray(svals, dtype=float)
     v = np.asarray(values, dtype=float)
     if s.size != v.size or s.size < FIT_MIN_POINTS:
@@ -679,7 +634,10 @@ def fit_expansion(svals: Sequence[float], values: Sequence[float],
     live = np.abs(leftover) > floor
     residual_slope = None
     if np.count_nonzero(live) >= 4:
-        residual_slope = _slope(np.log(s[live]), np.log(np.abs(leftover[live])))
+        logs = np.log(s[live])  # the slope of a least-squares line in log-log
+        coef, *_ = np.linalg.lstsq(np.column_stack([logs, np.ones_like(logs)]),
+                                   np.log(np.abs(leftover[live])), rcond=None)
+        residual_slope = float(coef[0])
     model = model_bracket * s**exponent
     rel = float(np.max(np.abs(v - model) / np.abs(v)))
     if not np.all(np.diff(np.abs(v)) < 0.0) and not np.all(np.diff(np.abs(v)) > 0.0):
@@ -721,7 +679,6 @@ def count_limit_cycles(displacement: Callable[[float], float], s_min: float, s_m
     """
     if not 0.0 < s_min < s_max:
         raise ValueError("need 0 < s_min < s_max")
-    import numpy as np  # fits and scans load numpy; integration does without
     grid = np.geomspace(s_min, s_max, samples)
     warnings: list[str] = []
     vals = np.empty_like(grid)

@@ -10,11 +10,15 @@ headers, with `#` comments.  Sections:
                  orientation = ccw | cw
     [sections]   base_anchor = (x,y), base_direction = (dx,dy) and an
                  optional base_window = (lo,hi): a raw return section, for
-                 models without a polycycle only.  Corner sections are not
-                 configurable: their half-lengths are half the edges.
+                 models without a polycycle only, parsed into a LineSection.
+                 Corner sections are not configurable: their half-lengths
+                 are half the edges.
     [options]    name = value for the names in OPTION_DEFAULTS (atol, rtol,
                  t_max, zero_tol, samples, fit_points); a run may override
                  them again (`--tol`)
+
+The numeric layers import LineSection and the option defaults (ATOL, RTOL,
+T_MAX, ZERO_TOL, FIT_MIN_POINTS) from this module, which imports none of them.
 
 Orientation is declared redundantly on purpose: it is checked against
 the signed area of the corner polygon at load time, not stored.  The
@@ -33,10 +37,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
-from .cyclicity import ZERO_TOL
 from .errors import ExpressionError, ModelError, UsageError
 from .expressions import Program, instantiate, parse_expression
-from .flow import ATOL, FIT_MIN_POINTS, RTOL, T_MAX, LineSection
 
 if TYPE_CHECKING:
     import numpy as np
@@ -49,6 +51,11 @@ __all__ = ["ModelFile", "Model", "OPTION_DEFAULTS", "parse_model", "load_model",
 # zero_tol is the verdict's zero test, for the coefficients and for their
 # gradients; samples is the cycle-scan grid size and fit_points the
 # expansion-fit grid size.
+ATOL = 1e-12
+RTOL = 1e-10
+T_MAX = 200.0        # default time span of one transition
+ZERO_TOL = 1e-9
+FIT_MIN_POINTS = 4   # the fewest samples fit_expansion takes
 OPTION_DEFAULTS = {
     "atol": ATOL,
     "rtol": RTOL,
@@ -66,6 +73,38 @@ MAX_GRID_POINTS = 10**6
 _SECTIONS = ("params", "field", "polycycle", "sections", "options")
 _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 _CORNER_RE = re.compile(r"\(\s*([^,()]+?)\s*,\s*([^,()]+?)\s*\)")
+
+
+@dataclass(frozen=True)
+class LineSection:
+    """Straight transverse section: anchor + t * direction, t in window."""
+
+    anchor: tuple[float, float]
+    direction: tuple[float, float]
+    window: tuple[float, float]
+
+    @classmethod
+    def make(cls, anchor, direction, window) -> "LineSection":
+        dx, dy = float(direction[0]), float(direction[1])
+        # param divides by this squared length
+        if not 0.0 < dx * dx + dy * dy < math.inf:
+            raise ValueError(f"section direction must be nonzero, with a positive and "
+                             f"finite squared length; got ({dx!r}, {dy!r})")
+        return cls((float(anchor[0]), float(anchor[1])), (dx, dy),
+                   (float(window[0]), float(window[1])))
+
+    @property
+    def normal(self) -> tuple[float, float]:
+        dx, dy = self.direction
+        return -dy, dx
+
+    def point(self, t: float) -> tuple[float, float]:
+        (ax, ay), (dx, dy) = self.anchor, self.direction
+        return ax + t * dx, ay + t * dy
+
+    def param(self, point) -> float:
+        (px, py), (ax, ay), (dx, dy) = point, self.anchor, self.direction
+        return ((px - ax) * dx + (py - ay) * dy) / (dx * dx + dy * dy)
 
 
 @dataclass(frozen=True)

@@ -32,10 +32,10 @@ from .calculus import (DisplacementExpansion, DulacExpansion, ReturnExpansion,
 from .cyclicity import gradient, not_identity_probe, verdict
 from .errors import (ModelError, NumericError, PolycycleError, UnsupportedGeometryError,
                      UsageError)
-from .flow import (FIT_MIN_POINTS, LineSection, chart_field, dulac_lattice, field_callable,
-                   fit_expansion, count_limit_cycles, numeric_dulac, numeric_return)
-from .model import (MAX_GRID_POINTS, OPTION_DEFAULTS, Model, ModelFile, bind, binder,
-                    check_option, merge_values)
+from .flow import (chart_field, dulac_lattice, field_callable, fit_expansion,
+                   count_limit_cycles, numeric_dulac, numeric_return)
+from .model import (FIT_MIN_POINTS, MAX_GRID_POINTS, OPTION_DEFAULTS, LineSection, Model,
+                    ModelFile, bind, binder, check_option, merge_values)
 from .resultdoc import block
 from .saddle import dulac_coefficients, normalize_saddle
 
@@ -477,7 +477,7 @@ def oracle_return(mf: ModelFile, s_range: tuple[float, float] | None = None,
     }
 
 
-def oracle_cycles(mf: ModelFile, s_range: tuple[float, float],
+def oracle_cycles(mf: ModelFile, s_range: tuple[float, float] | None = None,
                   overrides: Mapping[str, object] | None = None,
                   tol_overrides: Mapping[str, float] | None = None) -> dict:
     """Count return-map fixed points on s_range by sign changes.
@@ -487,9 +487,16 @@ def oracle_cycles(mf: ModelFile, s_range: tuple[float, float],
     rtol the width to which each root is refined.
     """
     opts = _options(mf, tol_overrides)
-    lo, hi = _check_range(s_range)
     model = bind(mf, overrides)
     sect, return_map = _return_map(model, opts)
+    if s_range is None:  # 1e-6:1e-1 clipped to the window, else the whole window
+        w_lo, w_hi = sect.window
+        lo, hi = max(1e-6, w_lo), min(1e-1, w_hi)
+        if lo >= hi and not math.isfinite(w_hi):
+            raise UsageError(f"the section window {w_lo:g}:{w_hi:g} does not meet the "
+                             "default s range 1e-06:0.1; give --s-range")
+        s_range = (lo, hi) if lo < hi else sect.window
+    lo, hi = _check_range(s_range)
     _check_window(lo, hi, sect.window)
     count = count_limit_cycles(lambda s: return_map(s) - s, lo, hi,
                                samples=int(opts["samples"]),

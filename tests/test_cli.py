@@ -5,6 +5,8 @@ error, 4 numeric failure.  Every case stops early or runs a handful of
 integrations, so the module stays cheap.
 """
 
+import argparse
+import math
 import os
 import subprocess
 import sys
@@ -16,6 +18,7 @@ import pytest
 
 import polycycles
 from polycycles.cli import main
+from polycycles.errors import UsageError
 
 MODELS = Path(__file__).resolve().parents[1] / "models"
 FOUR = str(MODELS / "four_saddle.model")
@@ -113,6 +116,30 @@ def test_one_window_rule_for_every_oracle(what, capsys):
     assert main(["oracle", "--what", *what, "--model", FOUR, "--s-range", "1e-6:0.9"]) == 2
     assert capsys.readouterr().err == ("usage error: s range 1e-06:0.9 leaves the section "
                                        "window 1e-12:0.45\n")
+
+
+def test_cycles_default_range_covers_a_window_past_1e_1(run_doc):
+    # the circle's window 0.2:2.5 misses 1e-6:1e-1, so the scan takes it whole
+    doc = run_doc(["oracle", "--what", "cycles", "--model", CIRCLE])
+    assert doc["range"] == [0.2, 2.5]
+    assert [c["stability"] for c in doc["cycles"]] == ["stable"]
+    assert abs(doc["cycles"][0]["s"] - 1.0) < 1e-8
+
+
+def test_cycles_default_range_is_clipped_to_the_window(run_doc):
+    doc = run_doc(["oracle", "--what", "cycles", "--model", FOUR, "--tol", "samples=2"])
+    assert doc["range"] == [1e-6, 0.1]
+
+
+def test_cycles_default_range_needs_a_finite_window(circle_mf):
+    # a window wholly above 1e-1 and without a top leaves no range to take
+    from dataclasses import replace
+
+    from polycycles.pipeline import oracle_cycles
+
+    sect = replace(circle_mf.base_section, window=(0.2, math.inf))
+    with pytest.raises(UsageError, match="0.2:inf does not meet .* give --s-range"):
+        oracle_cycles(replace(circle_mf, base_section=sect))
 
 
 @pytest.mark.parametrize("argv", [
@@ -484,12 +511,15 @@ def test_importing_the_cli_leaves_mpmath_unloaded():
 
 def test_start_up_leaves_numpy_unloaded(tmp_path):
     # numpy loads with the first bind or numeric layer, not with the package,
-    # the CLI, --version, a usage error or compose-check
+    # the CLI, --version, a usage error or compose-check; the CLI loads the
+    # layers below the numeric ones and nothing else
     src = str(Path(polycycles.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     out = str(tmp_path / "doc.txt")
     code = ("import contextlib, io, sys\n"
-            "import polycycles, polycycles.cli as cli, polycycles.model\n"
+            "import polycycles.cli as cli\n"
+            "print(sorted(m for m in sys.modules if m.startswith('polycycles')),\n"
+            "      'mpmath' in sys.modules)\n"
             "loaded = ['numpy' in sys.modules]\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             "    codes = [cli.main(['--version'])]\n"
@@ -505,8 +535,23 @@ def test_start_up_leaves_numpy_unloaded(tmp_path):
     run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, timeout=60)
     assert run.returncode == 0, run.stderr
-    assert run.stdout.strip() == ("[0, 2, 2, 0, 0] "
-                                  "[False, False, False, False, False, True]")
+    modules, docs = run.stdout.splitlines()
+    assert modules == str([f"polycycles{m}" for m in ("", ".cli", ".errors", ".expressions",
+                                                      ".model", ".resultdoc")]) + " False"
+    assert docs == "[0, 2, 2, 0, 0] [False, False, False, False, False, True]"
+
+
+def test_the_parser_is_built_once(monkeypatch):
+    built, init = [], argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    assert main(["analyze"]) == 2
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    assert main(["analyze"]) == 2
+    assert built == []
 
 
 # each command and the module attribute it reads its entry point from

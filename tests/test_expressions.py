@@ -74,10 +74,12 @@ class TestGrammar:
 
 class TestErrors:
     def test_syntax_error_carries_position(self):
-        with pytest.raises(ExpressionError) as err:
-            parse_expression("x + * y")
-        assert err.value.line == 1
-        assert err.value.col == 5
+        # a newline starts the next line's column count
+        for text, line, col in (("x + * y", 1, 5), ("x +\n  * y", 2, 3)):
+            with pytest.raises(ExpressionError) as err:
+                parse_expression(text)
+            assert (err.value.line, err.value.col) == (line, col)
+            assert str(err.value) == f"unexpected token '*' (line {line}, column {col})"
 
     def test_undeclared_identifier(self):
         with pytest.raises(ExpressionError, match="undeclared identifier 'b'"):

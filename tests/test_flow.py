@@ -260,6 +260,16 @@ class TestCountCycles:
         a, b = (float(x) for x in dropped[0].split("[")[1].split("]")[0].split(","))
         assert a < 0.5 < b
 
+    def test_bracket_root_ends(self):
+        # a root at the right end is returned without a call; ends of one
+        # sign are no bracket
+        def unexpected(x):
+            raise AssertionError(f"f called at {x}")
+
+        assert flow._bracket_root(unexpected, 0.0, 1.0, -1.0, 0.0, 1e-12) == 1.0
+        with pytest.raises(ValueError, match="root is not bracketed"):
+            flow._bracket_root(unexpected, 0.0, 1.0, 1.0, 2.0, 1e-12)
+
     def test_all_samples_failing(self):
         def disp(s):
             raise OutOfBasinError("nope")
@@ -426,8 +436,8 @@ class TestScipyParity:
 
     def test_tableau(self):
         rk45 = pytest.importorskip("scipy.integrate").RK45
-        for mine, theirs in ((flow.A, rk45.A), (flow.B, rk45.B), (flow.C, rk45.C),
-                             (flow.E, rk45.E), (flow.P, rk45.P)):
+        for mine, theirs in ((flow.A, rk45.A), (flow.B, rk45.B), (flow.E, rk45.E),
+                             (flow.P, rk45.P)):
             np.testing.assert_array_equal(np.array(mine), theirs)
 
     @staticmethod

@@ -1,4 +1,4 @@
-"""The package's source: no function or class is kept for the tests alone."""
+"""The package's source: no function, class or constant is kept for the tests alone."""
 
 import ast
 from pathlib import Path
@@ -8,17 +8,32 @@ import polycycles
 SOURCE = Path(polycycles.__file__).resolve().parent
 
 
+def _defined(node: ast.stmt) -> list[str]:
+    """The names a module-level statement defines: a def, a class or the
+    targets of an assignment."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, (ast.Assign, ast.AnnAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        return [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    return []
+
+
 def test_every_package_function_is_called_from_the_package():
-    # a module-level def or class must be read by name somewhere in the
-    # package; an import or an __all__ string does not count
+    # a module-level def, class or constant must be read by name somewhere in
+    # the package, or, for the cli's entry points, as an attribute of the cli
+    # module (_module); an import or an __all__ string does not count
     defined, read = [], set()
     for path in sorted(SOURCE.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
-        defined += [f"{path.stem}.{node.name}" for node in tree.body
-                    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-                    and not node.name.startswith("__")]
-        read |= {node.id for node in ast.walk(tree)
-                 if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        defined += [f"{path.stem}.{name}" for node in tree.body for name in _defined(node)
+                    if not name.startswith("__")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id == "_module"):
+                read.add(node.attr)
     assert [name for name in defined if name.split(".")[1] not in read] == []
 
 
